@@ -202,18 +202,16 @@ void BM_TransportPeerOutage(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportPeerOutage);
 
-// Sharded vs single-bucket Analyzer ingestion: range(0) buckets receiving
-// range(1) records (spread over per-host batches), merged at period close.
+// Analyzer ingestion: range(0) records (spread over per-host batches) into
+// the sharded IngestSink, merged and analyzed at period close.
 void BM_AnalyzerShardedIngest(benchmark::State& state) {
   const topo::Topology topo = topo::build_clos(bench_clos());
   const routing::EcmpRouter router(topo);
   sim::InlineScheduler sched;
   core::Controller ctrl(topo, router);
-  core::AnalyzerConfig cfg;
-  cfg.ingest.shards = static_cast<std::size_t>(state.range(0));
-  core::Analyzer analyzer(topo, ctrl, sched, cfg);
+  core::Analyzer analyzer(topo, ctrl, sched);
 
-  const auto n_records = static_cast<std::size_t>(state.range(1));
+  const auto n_records = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 128;  // records per upload message
   core::ProbeRecord proto;
   proto.kind = core::ProbeKind::kTorMesh;
@@ -242,65 +240,7 @@ void BM_AnalyzerShardedIngest(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n_records);
 }
-BENCHMARK(BM_AnalyzerShardedIngest)
-    ->Args({1, 10000})
-    ->Args({8, 10000})
-    ->Args({1, 100000})
-    ->Args({8, 100000});
-
-// Inline vs worker-pool ingestion throughput on the bare IngestSink:
-// range(0) worker threads (0 = inline backend) ingesting range(1) records
-// in 128-record batches spread over 64 hosts / 8 shards, then the
-// period-close drain (the pool's barrier + merge included). The acceptance
-// bar for the pool: >= 2x inline throughput at 4 threads on 100k records —
-// this needs >= 2 physical cores. On a single-core host (some CI runners)
-// real_time cannot beat inline no matter the thread count; there the win
-// shows in the CPU column instead, which only charges the submitting
-// thread: it roughly halves at threads >= 1 because dedup + bucket append
-// moved off the sim thread.
-void BM_IngestWorkerPool(benchmark::State& state) {
-  core::IngestConfig cfg;
-  cfg.shards = 8;
-  cfg.threads = static_cast<std::size_t>(state.range(0));
-  cfg.queue_capacity = 1 << 16;  // never shed load in the bench
-  auto sink = core::make_ingest_sink(cfg, {});
-
-  const auto n_records = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kBatch = 128;  // records per upload message
-  core::ProbeRecord proto;
-  proto.kind = core::ProbeKind::kTorMesh;
-  proto.prober = RnicId{0};
-  proto.target = RnicId{1};
-  proto.status = core::ProbeStatus::kOk;
-  proto.network_rtt = usec(5);
-
-  std::uint64_t seq = 1;
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<core::UploadBatch> batches;
-    for (std::size_t done = 0; done < n_records; done += kBatch) {
-      core::UploadBatch b;
-      b.host = HostId{static_cast<std::uint32_t>((done / kBatch) % 64)};
-      b.seq = seq++;
-      b.records.assign(std::min(kBatch, n_records - done), proto);
-      batches.push_back(std::move(b));
-    }
-    state.ResumeTiming();
-    for (core::UploadBatch& b : batches) sink->submit(std::move(b));
-    benchmark::DoNotOptimize(sink->drain_period());  // barrier + merge
-  }
-  state.SetItemsProcessed(state.iterations() * n_records);
-}
-BENCHMARK(BM_IngestWorkerPool)
-    ->Args({0, 10000})
-    ->Args({1, 10000})
-    ->Args({2, 10000})
-    ->Args({4, 10000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->Args({2, 100000})
-    ->Args({4, 100000})
-    ->UseRealTime();
+BENCHMARK(BM_AnalyzerShardedIngest)->Arg(10000)->Arg(100000);
 
 // The Agent's per-probe hot path pays one begin_probe + ~7 record() calls.
 // range(0) is the sampling rate in per-mille (0, 1, 1000); -1 benchmarks the
@@ -391,11 +331,10 @@ void BM_TelemetrySnapshotExport(benchmark::State& state) {
 BENCHMARK(BM_TelemetrySnapshotExport)->Arg(100)->Arg(1000);
 
 // Standalone ingest-throughput measurement behind `--ingest-json[=PATH]`:
-// the same workload as BM_IngestWorkerPool (100k records, 128-record batches
-// over 64 hosts, 8 shards) measured directly and written as
-// BENCH_ingest.json — events/sec per thread count plus the period's record
-// and wire-byte volume — so re-anchors can see the ingest perf curve without
-// running the whole google-benchmark suite.
+// the bare IngestSink (100k records, 128-record batches over 64 hosts)
+// submitted and drained per period, written as BENCH_ingest.json — events/sec
+// plus the period's record and wire-byte volume — so re-anchors can see the
+// ingest perf curve without running the whole google-benchmark suite.
 int write_ingest_json(const std::string& path) {
   constexpr std::size_t kRecords = 100000;
   constexpr std::size_t kBatch = 128;
@@ -429,42 +368,23 @@ int write_ingest_json(const std::string& path) {
   out.param("records_per_period", static_cast<std::uint64_t>(kRecords))
       .param("batch", static_cast<std::uint64_t>(kBatch))
       .param("hosts", 64)
-      .param("shards", 8);
+      .param("shards", core::IngestSink::kShards);
   out.metric("bytes_per_period", static_cast<std::uint64_t>(period_bytes));
-  std::string modes = "[";
-  bool first = true;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{2}, std::size_t{4}}) {
-    core::IngestConfig cfg;
-    cfg.shards = 8;
-    cfg.threads = threads;
-    cfg.queue_capacity = 1 << 16;
-    auto sink = core::make_ingest_sink(cfg, {});
-
-    // Warm-up period, then three measured periods.
-    for (int rep = 0; rep < 1; ++rep) {
-      for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
-      (void)sink->drain_period();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
-      (void)sink->drain_period();
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double eps = static_cast<double>(kRecords * kReps) / secs;
-
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s{\"threads\":%zu,\"events_per_sec\":%.0f}",
-                  first ? "" : ",", threads, eps);
-    modes += buf;
-    first = false;
+  core::IngestSink sink;
+  // Warm-up period, then three measured periods.
+  for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
+  (void)sink.drain_period();
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr int kReps = 3;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
+    (void)sink.drain_period();
   }
-  modes += "]";
-  out.metric_raw("modes", modes);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  out.metric("events_per_sec", static_cast<double>(kRecords * kReps) / secs,
+             "%.0f");
 
   if (!out.write_file(path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

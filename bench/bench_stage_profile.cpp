@@ -1,18 +1,16 @@
 // Submit→verdict wall-clock breakdown (ROADMAP "Streaming period close").
 //
 // Drives the Analyzer directly — synthetic ToR-mesh records batched over 64
-// hosts, no fabric in the loop — across a grid of records/period × ingest
-// worker threads, with the stage profiler on. Each cell reports end-to-end
-// wall time, events/sec, and the per-stage profile (ingest.submit,
-// ingest.drain_barrier, drain.triage/vote/sla/..., period.close), which is
-// exactly the baseline the streaming-period-close work will optimize
-// against: today everything after the barrier is serial on the sim thread,
-// and the stage rows show it.
+// hosts, no fabric in the loop — for a list of records/period, with the
+// stage profiler on. Each run reports end-to-end wall time, events/sec, and
+// the per-stage profile (ingest.submit, drain.triage/vote/sla/...,
+// period.close), which is exactly the baseline the streaming-period-close
+// work will optimize against: everything runs serially on the sim thread,
+// and the stage rows show where.
 //
 // Flags:
 //   --records L   comma list of records/period      (default 100000,1000000)
-//   --threads L   comma list of ingest threads      (default 0,1,2,4)
-//   --reps N      measured periods per cell         (default 3)
+//   --reps N      measured periods per run          (default 3)
 //   --budget-ms B period-close watchdog budget, 0 = off (default 0)
 //   --out PATH    output JSON                (default BENCH_profile.json)
 #include <chrono>
@@ -58,20 +56,17 @@ struct CellResult {
   std::string stages;  // JSON array
 };
 
-/// One (records/period, threads) cell: fresh Analyzer, fresh profiler
-/// epoch; 1 warm-up period + `reps` measured periods.
+/// One records/period run: fresh Analyzer, fresh profiler epoch; 1 warm-up
+/// period + `reps` measured periods.
 CellResult run_cell(const topo::Topology& topo, const core::Controller& ctrl,
-                    std::uint64_t records_per_period, std::size_t threads,
-                    int reps, TimeNs budget) {
+                    std::uint64_t records_per_period, int reps,
+                    TimeNs budget) {
   constexpr std::size_t kBatch = 128;
   constexpr std::uint32_t kHosts = 64;
 
   sim::InlineScheduler sched;
   core::AnalyzerConfig cfg;
   cfg.period = sec(5);
-  cfg.ingest.shards = 8;
-  cfg.ingest.threads = threads;
-  cfg.ingest.queue_capacity = 1 << 16;
   core::Analyzer analyzer(topo, ctrl, sched, cfg);
 
   const std::vector<topo::HostInfo>& hosts = topo.hosts();
@@ -114,7 +109,7 @@ CellResult run_cell(const topo::Topology& topo, const core::Controller& ctrl,
   pcfg.period_close_budget = budget;
   pcfg.max_trace_events = 0;  // stats only; no trace allocation in the loop
   prof::profiler().enable(pcfg);
-  run_period(0);  // warm-up: pool spin-up, dedup maps, bucket capacity
+  run_period(0);  // warm-up: dedup maps, bucket capacity
   prof::profiler().enable(pcfg);  // reset buffers; keep only measured reps
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -137,15 +132,12 @@ CellResult run_cell(const topo::Topology& topo, const core::Controller& ctrl,
 
 int run(int argc, char** argv) {
   std::vector<std::uint64_t> records = {100000, 1000000};
-  std::vector<std::uint64_t> threads = {0, 1, 2, 4};
   int reps = 3;
   std::uint64_t budget_ms = 0;
   std::string out_path = "BENCH_profile.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--records") == 0 && i + 1 < argc) {
       records = parse_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_list(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::stoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc) {
@@ -154,13 +146,13 @@ int run(int argc, char** argv) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--records L] [--threads L] [--reps N] "
-                   "[--budget-ms B] [--out P]\n",
+                   "usage: %s [--records L] [--reps N] [--budget-ms B] "
+                   "[--out P]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (records.empty() || threads.empty() || reps < 1) {
+  if (records.empty() || reps < 1) {
     std::fprintf(stderr, "empty grid\n");
     return 2;
   }
@@ -188,51 +180,44 @@ int run(int argc, char** argv) {
     return s;
   };
   out.param("hosts", static_cast<std::uint64_t>(topo.hosts().size()))
-      .param("shards", 8)
+      .param("shards", core::IngestSink::kShards)
       .param("batch", 128)
       .param("reps", static_cast<std::uint64_t>(reps))
       .param("records_list", join(records))
-      .param("threads_list", join(threads))
       .param("budget_ms", budget_ms);
 
   bench::print_header("Submit -> verdict wall-clock stage profile");
-  bench::print_row_header({"records/period", "threads", "wall ms/period",
-                           "events/sec", "overruns"});
+  bench::print_row_header(
+      {"records/period", "wall ms/period", "events/sec", "overruns"});
 
   std::string runs = "[";
   bool first = true;
   prof::ProfileReport biggest;
   char buf[160];
   for (const std::uint64_t rpp : records) {
-    for (const std::uint64_t th : threads) {
-      const CellResult cell =
-          run_cell(topo, ctrl, rpp, static_cast<std::size_t>(th), reps,
-                   static_cast<TimeNs>(budget_ms) * 1000000);
-      const std::uint64_t overruns = prof::profiler().budget_overruns();
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"records\":%llu,\"threads\":%llu,"
-                    "\"wall_ms\":%.1f,\"events_per_sec\":%.0f,"
-                    "\"budget_overruns\":%llu,\"stages\":",
-                    first ? "" : ",",
-                    static_cast<unsigned long long>(rpp),
-                    static_cast<unsigned long long>(th), cell.wall_ms,
-                    cell.events_per_sec,
-                    static_cast<unsigned long long>(overruns));
-      runs += buf;
-      runs += cell.stages;
-      runs += '}';
-      first = false;
-      biggest = prof::profiler().report();
-      std::printf("%-22llu%-22llu%-22.1f%-22.0f%-22llu\n",
-                  static_cast<unsigned long long>(rpp),
-                  static_cast<unsigned long long>(th),
-                  cell.wall_ms / reps, cell.events_per_sec,
+    const CellResult cell = run_cell(topo, ctrl, rpp, reps,
+                                     static_cast<TimeNs>(budget_ms) * 1000000);
+    const std::uint64_t overruns = prof::profiler().budget_overruns();
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"records\":%llu,\"wall_ms\":%.1f,"
+                  "\"events_per_sec\":%.0f,\"budget_overruns\":%llu,"
+                  "\"stages\":",
+                  first ? "" : ",", static_cast<unsigned long long>(rpp),
+                  cell.wall_ms, cell.events_per_sec,
                   static_cast<unsigned long long>(overruns));
-    }
+    runs += buf;
+    runs += cell.stages;
+    runs += '}';
+    first = false;
+    biggest = prof::profiler().report();
+    std::printf("%-22llu%-22.1f%-22.0f%-22llu\n",
+                static_cast<unsigned long long>(rpp), cell.wall_ms / reps,
+                cell.events_per_sec,
+                static_cast<unsigned long long>(overruns));
   }
   runs += "]";
   out.metric_raw("runs", runs);
-  // Top-level stages row: the last (largest) cell, for the standard schema.
+  // Top-level stages row: the last (largest) run, for the standard schema.
   out.stages_from(biggest);
 
   if (!out.write_file(out_path)) {

@@ -29,7 +29,6 @@ json::Value DeploymentSpec::to_value() const {
   v.set("cluster_seed", cluster_seed);
   v.set("pods", static_cast<std::uint64_t>(pods));
   v.set("period_ns", period);
-  v.set("ingest_threads", static_cast<std::uint64_t>(ingest_threads));
   v.set("clos_pods", clos_pods);
   v.set("tors_per_pod", tors_per_pod);
   v.set("aggs_per_pod", aggs_per_pod);
@@ -46,7 +45,6 @@ DeploymentSpec DeploymentSpec::from_value(const json::Value& v) {
       v.get_int("cluster_seed", static_cast<std::int64_t>(s.cluster_seed)));
   s.pods = static_cast<std::size_t>(v.get_int("pods", 1));
   s.period = v.get_int("period_ns", s.period);
-  s.ingest_threads = static_cast<std::size_t>(v.get_int("ingest_threads", 0));
   const auto dim = [&](const char* key, std::uint32_t dflt) {
     return static_cast<std::uint32_t>(v.get_int(key, dflt));
   };
@@ -66,7 +64,6 @@ CampaignResult run_campaign(const DeploymentSpec& spec, const ChaosPlan& plan,
   host::Cluster cluster(topo::build_clos(spec.clos()), ccfg);
   core::RPingmeshConfig rcfg;
   rcfg.analyzer.period = spec.period;
-  rcfg.analyzer.ingest.threads = spec.ingest_threads;
   rcfg.federation.pods = spec.pods;
   core::RPingmesh rpm(cluster, rcfg);
   faults::FaultInjector injector(cluster);

@@ -25,7 +25,6 @@ struct DeploymentSpec {
   std::uint64_t cluster_seed = 7;
   std::size_t pods = 1;  // 1 = flat, >= 2 federated
   TimeNs period = sec(5);
-  std::size_t ingest_threads = 0;
   // Clos dimensions (kept small: a fuzz campaign runs dozens of these).
   std::uint32_t clos_pods = 2;
   std::uint32_t tors_per_pod = 2;

@@ -36,7 +36,6 @@
 
 #include "core/controller.h"
 #include "core/digest.h"
-#include "core/ingest.h"
 #include "core/journal.h"
 #include "core/types.h"
 #include "obs/diagnosis.h"
@@ -58,9 +57,8 @@ namespace rpm::core {
 ///         merged sketches, with raw records kept only for probes that
 ///         carry diagnostic signal (timeouts, service tracing, outliers).
 ///         Deterministically reproducible: same seed => byte-identical
-///         verdicts for any ingest thread count, but NOT byte-identical to
-///         kOff (percentiles come from sketch buckets, not exact order
-///         statistics).
+///         verdicts, but NOT byte-identical to kOff (percentiles come from
+///         sketch buckets, not exact order statistics).
 enum class SketchMode : std::uint8_t { kOff, kOn };
 
 struct AnalyzerConfig {
@@ -81,13 +79,6 @@ struct AnalyzerConfig {
   double degradation_threshold = 0.5;          // metric below => severe (P0)
   bool enable_cpu_noise_filters = true;        // Fig. 6 improvements
   std::size_t history_limit = 512;
-  // Ingestion runtime knobs (sharding, worker threads, queue bounds, batch
-  // dedup window) — see IngestConfig in core/ingest.h. Validated (throws on
-  // nonsense) at Analyzer construction. ingest.threads = 0 keeps the
-  // historical inline single-threaded path; > 0 runs a worker pool with
-  // byte-identical verdicts for any thread count.
-  using Ingest = IngestConfig;
-  Ingest ingest{};
   /// Sketch-driven analysis (see SketchMode above). RPingmesh propagates
   /// this to its Agents (upload thinning) and wires the switch-side sketch
   /// exporter only when kOn, so kOff leaves the whole schedule untouched.

@@ -10,27 +10,22 @@ namespace rpm::core {
 
 Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
                    sim::Scheduler& sched, AnalyzerConfig cfg)
-    : topo_(topo), sched_(sched), ingest_cfg_(cfg.ingest) {
+    : topo_(topo), sched_(sched), sink_(sink_hooks()) {
   if (cfg.period <= 0) {
     throw std::invalid_argument("AnalyzerConfig: period must be > 0");
   }
-  cfg.ingest.validate();
-  // Order matters for telemetry output stability: the sink registers its
-  // ingest-side series first (as the pre-split Analyzer constructor did),
-  // then the core registers the pipeline series.
-  sink_ = make_sink();
   core_ = std::make_unique<AnalysisCore>(topo, &controller, std::move(cfg));
 }
 
-std::unique_ptr<IngestSink> Analyzer::make_sink() {
+IngestHooks Analyzer::sink_hooks() {
   IngestHooks hooks;
   // Dereferences core_ at call time; uploads only arrive after construction
-  // completes (and never while a crashed sink is being rebuilt).
+  // completes.
   hooks.host_alive = [this](HostId h) {
     core_->note_host_alive(h, sched_.now());
   };
   hooks.tap = &tap_;
-  return make_ingest_sink(ingest_cfg_, std::move(hooks));
+  return hooks;
 }
 
 void Analyzer::ingest_sketch(sketch::SketchReport&& rep) {
@@ -55,7 +50,7 @@ void Analyzer::stop() {
 void Analyzer::set_outage(bool outage) {
   if (outage_ == outage) return;
   outage_ = outage;
-  sink_->set_paused(outage);
+  sink_.set_paused(outage);
   if (outage) {
     telemetry::tracer().instant("analyzer-outage-begin", "control");
     return;
@@ -70,10 +65,10 @@ const PeriodReport& Analyzer::analyze_now() {
   // Watchdog over the whole close: drain -> analyze -> hooks -> checkpoint.
   prof::PeriodCloseScope close_scope;
   const TimeNs now = sched_.now();
-  std::vector<ProbeRecord> records = sink_->drain_period();
+  std::vector<ProbeRecord> records = sink_.drain_period();
   // The summary is drained unconditionally so a stray test summary can
   // never leak across a sketch-mode flip.
-  const sketch::HostSummary summary = sink_->drain_summary();
+  const sketch::HostSummary summary = sink_.drain_summary();
   const PeriodReport& rep =
       core_->analyze_period(std::move(records), summary, now, fed_);
   if (period_hook_) period_hook_(rep, *core_->last_diagnosis());
@@ -90,7 +85,7 @@ void Analyzer::attach_journal(StateJournal* journal, std::string role) {
 void Analyzer::save_checkpoint() {
   AnalyzerCheckpoint cp;
   core_->fill_checkpoint(cp);
-  cp.ingest = sink_->checkpoint();
+  cp.ingest = sink_.checkpoint();
   if (checkpoint_hook_) checkpoint_hook_(cp);
   journal_->save_checkpoint(role_, cp);
 }
@@ -99,11 +94,10 @@ void Analyzer::crash() {
   telemetry::tracer().instant("analyzer-crash", "control");
   outage_ = true;
   // Everything in process memory dies: buffered records, the folded
-  // summary, dedup windows, pipeline history. Rebuild the sink empty (the
-  // old one joins its workers on destruction) and hold it paused until
-  // restore_from_journal().
-  sink_ = make_sink();
-  sink_->set_paused(true);
+  // summary, dedup windows, pipeline history. Rebuild the sink empty and
+  // hold it paused until restore_from_journal().
+  sink_ = IngestSink(sink_hooks());
+  sink_.set_paused(true);
   core_->reset_volatile();
 }
 
@@ -112,10 +106,10 @@ bool Analyzer::restore_from_journal() {
   if (journal_ != nullptr) cp = journal_->load_checkpoint(role_);
   if (cp.has_value()) {
     core_->restore(*cp);
-    sink_->restore(cp->ingest);
+    sink_.restore(cp->ingest);
   }
   outage_ = false;
-  sink_->set_paused(false);
+  sink_.set_paused(false);
   telemetry::tracer().instant("analyzer-restart", "control");
   const TimeNs now = sched_.now();
   // Same contract as outage recovery: the downtime never reads as host

@@ -60,15 +60,15 @@ class Analyzer {
   /// surface: transport deliveries call sink().submit() (dedup by (host,
   /// seq); any batch — duplicate included — proves the host alive), trusted
   /// local producers call sink().submit_trusted() or the upload()
-  /// convenience below. The sink owns sharding, duplicate suppression, and
-  /// — with config().ingest.threads > 0 — the worker pool (core/ingest.h).
-  [[nodiscard]] IngestSink& sink() { return *sink_; }
+  /// convenience below. The sink owns sharding and duplicate suppression
+  /// (core/ingest.h).
+  [[nodiscard]] IngestSink& sink() { return sink_; }
 
   /// Trusted local ingestion (tests, benches, co-located producers): no
   /// duplicate suppression, no batch seq — records go straight to a shard.
   /// Convenience for sink().submit_trusted().
   void upload(HostId host, std::vector<ProbeRecord> records) {
-    sink_->submit_trusted(host, std::move(records));
+    sink_.submit_trusted(host, std::move(records));
   }
 
   /// Optional observer invoked for every uploaded record (monitoring UIs,
@@ -198,14 +198,11 @@ class Analyzer {
   bool restore_from_journal();
 
  private:
-  std::unique_ptr<IngestSink> make_sink();
+  IngestHooks sink_hooks();
   void save_checkpoint();
 
   const topo::Topology& topo_;
   sim::Scheduler& sched_;
-  // Copy of cfg.ingest so a crashed sink can be rebuilt (and because the
-  // sink is constructed before the core that owns the full config).
-  IngestConfig ingest_cfg_;
 
   std::function<void(const ProbeRecord&)> tap_;
   std::function<void(const PeriodReport&, const obs::DiagnosisLog&)>
@@ -215,12 +212,11 @@ class Analyzer {
   StateJournal* journal_ = nullptr;
   std::string role_ = "analyzer";
   bool outage_ = false;
+  // Declared before core_ so its metrics register first: the exporter
+  // lists series in registration order.
+  IngestSink sink_;
   std::unique_ptr<AnalysisCore> core_;
   std::unique_ptr<sim::PeriodicTask> period_task_;
-  // Declared after the state its hooks touch (tap_, the core's liveness
-  // maps): destroyed first, joining any worker threads before the members
-  // they could reach go away.
-  std::unique_ptr<IngestSink> sink_;
 };
 
 }  // namespace rpm::core

@@ -226,13 +226,7 @@ bool GlobalAnalyzer::restart_from_journal() {
   if (cp.has_value()) {
     next_problem_id_ = cp->next_problem_id;
     next_evidence_id_ = cp->next_evidence_id;
-    digest_dedup_.clear();
-    for (const IngestCheckpoint::HostWindow& hw : cp->digest_dedup.hosts) {
-      DedupState st;
-      st.max_seq = hw.max_seq;
-      st.seen.insert(hw.seen.begin(), hw.seen.end());
-      digest_dedup_.emplace(hw.host, std::move(st));
-    }
+    digest_dedup_ = restore_windows(cp->digest_dedup);
   }
   outage_ = false;
   // Fresh boundary either way — downtime is not a merge period.
@@ -247,19 +241,7 @@ void GlobalAnalyzer::save_checkpoint() {
   cp.last_period_end = last_period_end_;
   cp.next_problem_id = next_problem_id_;
   cp.next_evidence_id = next_evidence_id_;
-  std::vector<std::uint32_t> pods;
-  pods.reserve(digest_dedup_.size());
-  for (const auto& [pod, st] : digest_dedup_) pods.push_back(pod);
-  std::sort(pods.begin(), pods.end());
-  for (std::uint32_t pod : pods) {
-    const DedupState& st = digest_dedup_.at(pod);
-    IngestCheckpoint::HostWindow hw;
-    hw.host = pod;  // "host" slot carries the pod id for digest windows
-    hw.max_seq = st.max_seq;
-    hw.seen.assign(st.seen.begin(), st.seen.end());
-    std::sort(hw.seen.begin(), hw.seen.end());
-    cp.digest_dedup.hosts.push_back(std::move(hw));
-  }
+  cp.digest_dedup = checkpoint_windows(digest_dedup_);
   journal_->save_checkpoint("global", cp);
 }
 

@@ -28,9 +28,9 @@
 // Wire volume is the point: a PodDigest costs O(problems + sketches), not
 // O(records). bench_federation measures the ratio.
 //
-// Determinism: same seed => byte-identical verdicts for a given pod count
-// (thread-count invariant); pods = 1 keeps the flat deployment, which is
-// byte-identical to the pre-federation pipeline.
+// Determinism: same seed => byte-identical verdicts for a given pod count;
+// pods = 1 keeps the flat deployment, which is byte-identical to the
+// pre-federation pipeline.
 #pragma once
 
 #include <cstdint>
@@ -184,7 +184,7 @@ class GlobalAnalyzer {
   Config cfg_;
 
   std::vector<PodDigest> pending_;
-  std::unordered_map<std::uint32_t, DedupState> digest_dedup_;  // by pod
+  DedupWindows digest_dedup_;  // by pod
   std::vector<ServiceBinding> services_;
   std::deque<PeriodReport> history_;
   std::deque<obs::DiagnosisLog> diagnosis_;

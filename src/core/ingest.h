@@ -1,76 +1,44 @@
-// The Analyzer's ingestion runtime: the IngestSink API.
+// The Analyzer's ingestion endpoint: the IngestSink.
 //
 // Every record an Agent uploads passes through exactly one IngestSink. The
 // sink owns the §4.3 pre-analysis mechanics — sharding by prober host,
 // (host, seq) duplicate suppression for the at-least-once transport, and
-// the per-period bucket merge — behind a narrow interface so the Analyzer's
-// pipeline never cares whether ingestion ran inline on the simulator thread
-// or on a worker pool:
+// the per-period bucket merge:
 //
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
 //   submit_trusted(...)   local producers — tests, benches, co-located
 //                         collectors — no seq, no duplicate suppression;
 //   drain_period()        merge every shard bucket into one period-ordered
-//                         vector (called at period close, sim thread only).
+//                         vector (called at period close).
 //
-// Two backends, selected by IngestConfig::threads:
+// Everything runs on the caller's (sim) thread at submit() time.
 //
-//   threads == 0  InlineSink. Everything happens on the caller's (sim)
-//                 thread at submit() time — byte-identical to the historical
-//                 Analyzer::ingest_batch path.
-//   threads  > 0  WorkerPoolSink. submit() enqueues the batch onto a bounded
-//                 per-shard FIFO queue (drop-oldest on overflow, counted in
-//                 rpm_analyzer_ingest_dropped_total) and returns; each shard
-//                 is owned by exactly one std::thread worker that performs
-//                 dedup and bucket append off the sim thread. drain_period()
-//                 is a barrier: it waits until every queue is empty and every
-//                 worker idle, then merges buckets in shard index order.
-//
-// Determinism. A host's batches always map to one shard, each shard queue is
-// FIFO, and each shard has a single consumer — so per-host dedup decisions
-// and per-shard bucket order equal the submission order regardless of thread
-// count or interleaving. Merging in shard index order then yields a record
-// vector byte-identical to the inline backend's, which is why verdicts, SLA
-// tables, and ChaosReports are identical for any `threads` value (the
-// repo-wide same-seed guarantee). The only timing-dependent behavior is
-// drop-oldest overflow under live workers; the default queue_capacity is
-// sized so simulation workloads never hit it.
-//
-// Observable differences between backends (documented, not load-bearing):
-// the record tap and flight-recorder kAnalyzerIngest events fire at submit()
-// time inline, but at drain_period() (period close, shard-major order) with
-// the worker pool — the recorder and tap are not thread-safe, so workers
-// never touch them.
+// Record order. drain_period() returns records shard-major: shard buckets
+// (prober host % kShards) in ascending index order, submission order within
+// a bucket. The Analyzer's verdicts depend on that order — a different
+// shard count changes verdicts on some chaos-fuzz seeds — so the shard
+// count is a constant, not a knob.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
+#include "common/dedup.h"
 #include "core/types.h"
+#include "sketch/sketch.h"
+#include "telemetry/metrics.h"
 
 namespace rpm::core {
 
-/// Per-host sliding-window batch-seq memory. Shared by both sink backends
-/// (with the pool a host's state lives in its shard, touched only by the
-/// shard's single consumer); also reused by the GlobalAnalyzer for per-pod
-/// digest dedup.
-struct DedupState {
-  std::uint64_t max_seq = 0;
-  std::unordered_set<std::uint64_t> seen;
-};
-
-/// True when `seq` is a first delivery inside the window; records the seq
-/// and slides the window forward.
-bool dedup_accept(DedupState& st, std::uint64_t seq, std::uint64_t window);
-
-/// Canonical snapshot of per-host (host, seq) dedup windows — what the
-/// StateJournal persists so a restarted sink keeps rejecting re-delivered
-/// history (Agent spill rings drain old seqs after a reconnect). Hosts
-/// ascending, seen seqs ascending: same state => same bytes when encoded.
+/// Canonical snapshot of per-sender seq dedup windows — what the
+/// StateJournal persists so a restarted receiver keeps rejecting
+/// re-delivered history (Agent spill rings drain old seqs after a
+/// reconnect). Senders ascending, seen seqs ascending: same state => same
+/// bytes when encoded.
 struct IngestCheckpoint {
   struct HostWindow {
     std::uint32_t host = 0;
@@ -82,30 +50,14 @@ struct IngestCheckpoint {
   [[nodiscard]] bool empty() const { return hosts.empty(); }
 };
 
-/// Ingestion knobs (grouped as AnalyzerConfig::Ingest). Validated with
-/// validate() — construction-time rejection, never silent clamping.
-struct IngestConfig {
-  /// Shard buckets keyed by prober host (host.value % shards).
-  std::size_t shards = 8;
-  /// Worker threads; 0 selects the inline single-threaded backend. Must not
-  /// exceed `shards` (a worker owns whole shards; extras would sit idle).
-  std::size_t threads = 0;
-  /// Bounded per-shard queue (batches) for the worker pool; overflow drops
-  /// the oldest queued batch. Unused by the inline backend.
-  std::size_t queue_capacity = 1024;
-  /// At-least-once delivery means retried batches arrive twice; per host the
-  /// sink remembers batch seqs inside a sliding window of this many seqs
-  /// below the highest seen and drops repeats.
-  std::uint64_t dedup_window = 1024;
+/// Dedup windows keyed by sender id (host for uploads, pod for digests).
+using DedupWindows = std::unordered_map<std::uint32_t, DedupState>;
 
-  /// Throws std::invalid_argument on nonsense: 0 shards, threads > shards,
-  /// a 0-capacity queue with workers, or a 0 dedup window.
-  void validate() const;
-};
+/// The canonical snapshot of `windows`, and its inverse.
+IngestCheckpoint checkpoint_windows(const DedupWindows& windows);
+DedupWindows restore_windows(const IngestCheckpoint& cp);
 
-/// Callbacks the sink fires back into its owner. Both run on the sim thread
-/// only (host_alive at submit, tap at submit inline / at drain with the
-/// pool), so implementations may touch single-threaded state freely.
+/// Callbacks the sink fires back into its owner, on the submitting thread.
 struct IngestHooks {
   /// Every submit — duplicate included — proves the uploading host alive
   /// (host-down detection keys on received uploads).
@@ -115,60 +67,62 @@ struct IngestHooks {
   const std::function<void(const ProbeRecord&)>* tap = nullptr;
 };
 
-/// The ingestion endpoint. One per Analyzer; all calls from the sim thread.
+/// The ingestion endpoint. One per Analyzer.
 class IngestSink {
  public:
-  virtual ~IngestSink() = default;
+  /// Shard buckets keyed by prober host (host.value % kShards). Fixes the
+  /// record order drain_period() returns (see the file comment).
+  static constexpr std::size_t kShards = 8;
+  /// Per host, batch seqs within this many of the highest seen are
+  /// remembered and repeats dropped (dedup_accept).
+  static constexpr std::uint64_t kDedupWindow = 1024;
+
+  explicit IngestSink(IngestHooks hooks = {});
 
   /// Transport delivery path: dedup by (host, seq), then shard. Dropped
   /// silently while paused (Analyzer outage).
-  virtual void submit(UploadBatch&& batch) = 0;
+  void submit(UploadBatch&& batch);
 
   /// Trusted local path: no seq, no duplicate suppression, ignores pause
   /// (matching the historical Analyzer::upload contract).
-  virtual void submit_trusted(HostId host,
-                              std::vector<ProbeRecord>&& records) = 0;
+  void submit_trusted(HostId host, std::vector<ProbeRecord>&& records);
 
-  /// Merge every shard bucket into one period-ordered vector and reset the
-  /// buckets (capacity kept). Worker-pool backend: barrier first.
-  [[nodiscard]] virtual std::vector<ProbeRecord> drain_period() = 0;
+  /// Merge every shard bucket into one shard-major vector and reset the
+  /// buckets (capacity kept).
+  [[nodiscard]] std::vector<ProbeRecord> drain_period();
 
-  /// Merge and reset the per-shard HostSummary accumulation (sketch-mode
-  /// upload thinning). Call after drain_period() on the sim thread — the
-  /// pool backend relies on drain_period()'s barrier having run. Summaries
-  /// are merged per shard in submission order and across shards in shard
-  /// index order, so — like the record vector — the result is byte-identical
-  /// for any thread count. Empty whenever Agents ship no summaries
-  /// (sketch_mode == kOff).
-  [[nodiscard]] virtual sketch::HostSummary drain_summary() = 0;
+  /// The HostSummary folded from every accepted batch since the last call
+  /// (sketch-mode upload thinning), then reset. Empty whenever Agents ship
+  /// no summaries (sketch_mode == kOff).
+  [[nodiscard]] sketch::HostSummary drain_summary();
 
   /// Analyzer outage: while paused, submit() drops on the floor.
-  virtual void set_paused(bool paused) = 0;
+  void set_paused(bool paused) { paused_ = paused; }
 
   /// Canonical snapshot of the per-host dedup windows for the StateJournal.
-  /// Sim thread only; the pool backend runs its drain barrier first, so the
-  /// snapshot reflects every batch submitted before the call.
-  [[nodiscard]] virtual IngestCheckpoint checkpoint() = 0;
+  [[nodiscard]] IngestCheckpoint checkpoint() const {
+    return checkpoint_windows(dedup_);
+  }
 
   /// Restart path: replace the dedup windows from a journaled snapshot so
   /// re-delivered batches (spill-ring drains, transport retries from before
-  /// the crash) are suppressed instead of re-counted. Call on a fresh or
-  /// drained sink — buckets are untouched.
-  virtual void restore(const IngestCheckpoint& cp) = 0;
+  /// the crash) are suppressed instead of re-counted. Buckets are untouched.
+  void restore(const IngestCheckpoint& cp) { dedup_ = restore_windows(cp); }
 
-  [[nodiscard]] virtual std::size_t num_shards() const = 0;
-  /// 0 for the inline backend.
-  [[nodiscard]] virtual std::size_t num_threads() const = 0;
+ private:
+  void ingest(HostId host, std::vector<ProbeRecord>&& records);
 
-  /// Test-only: park the worker pool so queued batches provably pile up
-  /// (deterministic queue-full coverage); drain_period() then processes the
-  /// queues on the calling thread. Call before the first submit. No-op on
-  /// the inline backend.
-  virtual void stall_workers_for_test(bool /*stalled*/) {}
+  IngestHooks hooks_;
+  std::array<std::vector<ProbeRecord>, kShards> buckets_;
+  sketch::HostSummary summary_;
+  DedupWindows dedup_;  // by host id
+  bool paused_ = false;
+
+  telemetry::Counter uploads_;
+  telemetry::Counter records_;
+  telemetry::Counter batches_accepted_;
+  telemetry::Counter batches_duplicate_;
+  std::array<telemetry::Histogram, kShards> bucket_records_;
 };
-
-/// Build the backend `cfg.threads` selects. Throws via cfg.validate().
-std::unique_ptr<IngestSink> make_ingest_sink(const IngestConfig& cfg,
-                                             IngestHooks hooks);
 
 }  // namespace rpm::core

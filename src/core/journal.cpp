@@ -1,8 +1,10 @@
 #include "core/journal.h"
 
 #include <array>
+#include <span>
 #include <stdexcept>
 
+#include "common/codec.h"
 #include "telemetry/metrics.h"
 
 namespace rpm::core {
@@ -31,47 +33,28 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
+using codec::get_u32;
+using codec::get_u64;
+using codec::put_u32;
+using codec::put_u64;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+/// A length prefix, checked against the bytes left: `n` entries of at least
+/// `min_bytes` each must fit, so a corrupt count fails as a decode error
+/// instead of reaching reserve().
+std::uint64_t get_count(std::span<const std::uint8_t> in, std::size_t& off,
+                        std::size_t min_bytes) {
+  const std::uint64_t n = get_u64(in, off);
+  if (n > (in.size() - off) / min_bytes) {
+    throw std::runtime_error("AnalyzerCheckpoint: count exceeds input");
   }
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 4 > in.size()) {
-    throw std::runtime_error("AnalyzerCheckpoint: truncated input");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[off + i]) << (8 * i);
-  }
-  off += 4;
-  return v;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 8 > in.size()) {
-    throw std::runtime_error("AnalyzerCheckpoint: truncated input");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[off + i]) << (8 * i);
-  }
-  off += 8;
-  return v;
+  return n;
 }
 
 void put_time(std::vector<std::uint8_t>& out, TimeNs t) {
   put_u64(out, static_cast<std::uint64_t>(t));
 }
 
-TimeNs get_time(const std::vector<std::uint8_t>& in, std::size_t& off) {
+TimeNs get_time(std::span<const std::uint8_t> in, std::size_t& off) {
   return static_cast<TimeNs>(get_u64(in, off));
 }
 
@@ -85,16 +68,16 @@ void put_ingest(std::vector<std::uint8_t>& out, const IngestCheckpoint& cp) {
   }
 }
 
-IngestCheckpoint get_ingest(const std::vector<std::uint8_t>& in,
+IngestCheckpoint get_ingest(std::span<const std::uint8_t> in,
                             std::size_t& off) {
   IngestCheckpoint cp;
-  const std::uint64_t n = get_u64(in, off);
+  const std::uint64_t n = get_count(in, off, 4 + 8 + 8);
   cp.hosts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     IngestCheckpoint::HostWindow w;
     w.host = get_u32(in, off);
     w.max_seq = get_u64(in, off);
-    const std::uint64_t ns = get_u64(in, off);
+    const std::uint64_t ns = get_count(in, off, 8);
     w.seen.reserve(ns);
     for (std::uint64_t j = 0; j < ns; ++j) w.seen.push_back(get_u64(in, off));
     cp.hosts.push_back(std::move(w));
@@ -112,9 +95,9 @@ void put_id_times(std::vector<std::uint8_t>& out,
 }
 
 std::vector<std::pair<std::uint32_t, TimeNs>> get_id_times(
-    const std::vector<std::uint8_t>& in, std::size_t& off) {
+    std::span<const std::uint8_t> in, std::size_t& off) {
   std::vector<std::pair<std::uint32_t, TimeNs>> v;
-  const std::uint64_t n = get_u64(in, off);
+  const std::uint64_t n = get_count(in, off, 4 + 8);
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint32_t id = get_u32(in, off);
@@ -146,28 +129,28 @@ AnalyzerCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& in) {
   if (in.size() < 4) {
     throw std::runtime_error("AnalyzerCheckpoint: truncated input");
   }
-  const std::size_t payload = in.size() - 4;
-  std::size_t tail = payload;
-  if (get_u32(in, tail) != crc32(in.data(), payload)) {
+  const std::span<const std::uint8_t> body(in.data(), in.size() - 4);
+  std::size_t tail = body.size();
+  if (get_u32(in, tail) != crc32(body.data(), body.size())) {
     throw std::runtime_error("AnalyzerCheckpoint: checksum mismatch");
   }
   AnalyzerCheckpoint cp;
   std::size_t off = 0;
-  cp.last_period_end = get_time(in, off);
-  cp.next_problem_id = get_u64(in, off);
-  cp.next_evidence_id = get_u64(in, off);
-  cp.last_upload = get_id_times(in, off);
-  const std::uint64_t nk = get_u64(in, off);
+  cp.last_period_end = get_time(body, off);
+  cp.next_problem_id = get_u64(body, off);
+  cp.next_evidence_id = get_u64(body, off);
+  cp.last_upload = get_id_times(body, off);
+  const std::uint64_t nk = get_count(body, off, 4);
   cp.known_hosts.reserve(nk);
   for (std::uint64_t i = 0; i < nk; ++i) {
-    cp.known_hosts.push_back(get_u32(in, off));
+    cp.known_hosts.push_back(get_u32(body, off));
   }
-  cp.rnic_blamed_until = get_id_times(in, off);
-  cp.host_noise_until = get_id_times(in, off);
-  cp.ingest = get_ingest(in, off);
-  cp.digest_seq = get_u64(in, off);
-  cp.digest_dedup = get_ingest(in, off);
-  if (off != payload) {
+  cp.rnic_blamed_until = get_id_times(body, off);
+  cp.host_noise_until = get_id_times(body, off);
+  cp.ingest = get_ingest(body, off);
+  cp.digest_seq = get_u64(body, off);
+  cp.digest_dedup = get_ingest(body, off);
+  if (off != body.size()) {
     throw std::runtime_error("AnalyzerCheckpoint: trailing bytes");
   }
   return cp;

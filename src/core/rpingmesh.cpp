@@ -78,8 +78,7 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
     // Agent -> Analyzer: the upload stream hands off into the (pod's)
     // IngestSink. Records are moved out of the payload on first delivery;
     // the sink dedups retried batches by (host, seq) before touching the
-    // body, and with ingest.threads > 0 the delivery only enqueues — the
-    // worker pool does the rest off the sim thread.
+    // body.
     transport::Channel& up = cp.make_channel(
         "upload" + suffix, [this, pod](std::uint64_t, std::any& payload) {
           if (auto* batch = std::any_cast<UploadBatch>(&payload)) {

@@ -14,11 +14,11 @@ namespace rpm::prof {
 namespace {
 
 constexpr const char* kStageNames[kNumStages] = {
-    "sim.dispatch",   "ingest.submit", "ingest.drain_barrier",
-    "drain.triage",   "drain.vote",    "drain.bottleneck",
-    "drain.sla",      "drain.impact",  "drain.diaglog",
-    "digest.flush",   "global.merge",  "transport.deliver",
-    "sketch.flush",   "period.close",  "sim.sync_barrier",
+    "sim.dispatch",  "ingest.submit",     "drain.triage",
+    "drain.vote",    "drain.bottleneck",  "drain.sla",
+    "drain.impact",  "drain.diaglog",     "digest.flush",
+    "global.merge",  "transport.deliver", "sketch.flush",
+    "period.close",  "sim.sync_barrier",
 };
 
 /// Thread-local cache of the calling thread's buffer. Keyed by (owner,

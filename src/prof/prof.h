@@ -3,11 +3,11 @@
 // Sim-time metrics and the flight recorder explain *causality*; neither says
 // where wall-clock time actually goes between submit and verdict. This
 // module does: a fixed enum of pipeline stages (event dispatch, ingest
-// submit/drain, the analyze_period sub-stages, digest flush, global merge,
+// submit, the analyze_period sub-stages, digest flush, global merge,
 // transport delivery, sketch flush), each measured with std::chrono::
 // steady_clock by a RAII `StageScope`, accumulated in per-thread buffers —
-// ingest workers record without touching anyone else's state — and folded on
-// demand into per-stage count/total/min/max plus a mergeable
+// ParallelScheduler workers record without touching anyone else's state —
+// and folded on demand into per-stage count/total/min/max plus a mergeable
 // `sketch::QuantileSketch` for p50/p99.
 //
 // Design constraints (shared with the tracer and flight recorder):
@@ -59,8 +59,7 @@ namespace rpm::prof {
 /// hierarchical profile, not a partition.
 enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
-  kIngestSubmit,        // IngestSink submit + (pool) worker-side processing
-  kIngestDrainBarrier,  // WorkerPoolSink barrier at period close
+  kIngestSubmit,        // IngestSink submit
   kDrainTriage,         // analyze_period: classify + rnic_detect + attribute
   kDrainVote,           // analyze_period: Algorithm-1 localization
   kDrainBottleneck,     // analyze_period: bottleneck scan
@@ -74,7 +73,7 @@ enum class Stage : std::uint8_t {
   kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
   kSimSyncBarrier,      // ParallelScheduler cross-partition merge per window
 };
-inline constexpr std::size_t kNumStages = 15;
+inline constexpr std::size_t kNumStages = 14;
 
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);

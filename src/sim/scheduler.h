@@ -78,8 +78,7 @@ class EventHandle {
 };
 
 /// Abstract simulation scheduler. Components depend on this interface only,
-/// so the single-queue and partitioned backends are swappable (the same move
-/// core::IngestSink made for ingestion).
+/// so the single-queue and partitioned backends are swappable.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -178,11 +177,6 @@ class InlineScheduler final : public Scheduler {
   DispatchObserver dispatch_observer_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
 };
-
-/// One-release compatibility shim: out-of-tree code that names the concrete
-/// backend keeps compiling. New code should hold `Scheduler&` and construct
-/// `InlineScheduler` (or `ParallelScheduler`).
-using EventScheduler = InlineScheduler;
 
 /// Repeatedly invokes a callback with a fixed period until cancelled.
 /// The callback may adjust the period for the next firing via set_period().

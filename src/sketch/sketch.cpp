@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 
+#include "common/codec.h"
 #include "obs/flight_recorder.h"
 
 namespace rpm::sketch {
@@ -24,38 +24,6 @@ std::int32_t bucket_index(double v) {
 // both bucket edges, 2*gamma^i / (gamma+1).
 double bucket_value(std::int32_t i) {
   return 2.0 * std::pow(kGamma, static_cast<double>(i)) / (kGamma + 1.0);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 8 > in.size()) throw std::runtime_error("sketch decode: truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[off + i]) << (8 * i);
-  }
-  off += 8;
-  return v;
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 4 > in.size()) throw std::runtime_error("sketch decode: truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[off + i]) << (8 * i);
-  }
-  off += 4;
-  return v;
 }
 
 }  // namespace
@@ -116,24 +84,24 @@ std::size_t QuantileSketch::serialized_bytes() const {
 }
 
 void QuantileSketch::encode(std::vector<std::uint8_t>& out) const {
-  put_u64(out, count_);
-  put_u64(out, zero_count_);
-  put_u32(out, static_cast<std::uint32_t>(buckets_.size()));
+  codec::put_u64(out, count_);
+  codec::put_u64(out, zero_count_);
+  codec::put_u32(out, static_cast<std::uint32_t>(buckets_.size()));
   for (const auto& [i, n] : buckets_) {
-    put_u32(out, static_cast<std::uint32_t>(i));
-    put_u64(out, n);
+    codec::put_u32(out, static_cast<std::uint32_t>(i));
+    codec::put_u64(out, n);
   }
 }
 
 QuantileSketch QuantileSketch::decode(const std::vector<std::uint8_t>& in,
                                       std::size_t& off) {
   QuantileSketch s;
-  s.count_ = get_u64(in, off);
-  s.zero_count_ = get_u64(in, off);
-  const std::uint32_t n = get_u32(in, off);
+  s.count_ = codec::get_u64(in, off);
+  s.zero_count_ = codec::get_u64(in, off);
+  const std::uint32_t n = codec::get_u32(in, off);
   for (std::uint32_t k = 0; k < n; ++k) {
-    const auto i = static_cast<std::int32_t>(get_u32(in, off));
-    s.buckets_[i] = get_u64(in, off);
+    const auto i = static_cast<std::int32_t>(codec::get_u32(in, off));
+    s.buckets_[i] = codec::get_u64(in, off);
   }
   return s;
 }
@@ -227,20 +195,10 @@ std::vector<std::pair<std::uint32_t, LinkSketch>> LinkSketchBank::flush() {
 // ---- SketchStore ----
 
 bool SketchStore::ingest(SketchReport&& rep) {
-  Dedup& d = dedup_[rep.exporter];
-  if (d.seen.contains(rep.seq) ||
-      (d.max_seq > dedup_window_ && rep.seq < d.max_seq - dedup_window_)) {
+  if (!dedup_accept(dedup_[rep.exporter], rep.seq, dedup_window_)) {
     ++duplicates_;
     m_duplicate_.inc();
     return false;
-  }
-  d.seen.insert(rep.seq);
-  if (rep.seq > d.max_seq) {
-    d.max_seq = rep.seq;
-    if (d.max_seq > dedup_window_) {
-      const std::uint64_t floor = d.max_seq - dedup_window_;
-      std::erase_if(d.seen, [floor](std::uint64_t s) { return s < floor; });
-    }
   }
   for (auto& [link, sk] : rep.links) links_[link].merge(sk);
   ++merged_;

@@ -15,12 +15,12 @@
 // `UploadBatch` instead of shipping each record.
 //
 // Determinism is load-bearing (the repo-wide invariant: same seed =>
-// byte-identical verdicts for any ingest thread count), so the quantile
-// sketch is a fixed-boundary DDSketch: logarithmic buckets at positions
-// fixed by the relative-accuracy constant alone, integer counts, and a
-// bucket-wise merge that is commutative and associative. Merging sketches in
-// any grouping/order yields byte-identical state — no RNG, no data-dependent
-// boundaries, no merge-order sensitivity.
+// byte-identical verdicts), so the quantile sketch is a fixed-boundary
+// DDSketch: logarithmic buckets at positions fixed by the relative-accuracy
+// constant alone, integer counts, and a bucket-wise merge that is
+// commutative and associative. Merging sketches in any grouping/order
+// yields byte-identical state — no RNG, no data-dependent boundaries, no
+// merge-order sensitivity.
 //
 // Everything is sized in bytes (`serialized_bytes`/`wire_bytes`) so the
 // transport's per-channel bandwidth cost model can charge reports and
@@ -30,11 +30,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/dedup.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
 
@@ -192,13 +192,8 @@ class SketchStore {
   [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
 
  private:
-  struct Dedup {
-    std::uint64_t max_seq = 0;
-    std::set<std::uint64_t> seen;
-  };
-
   std::uint64_t dedup_window_;
-  std::unordered_map<std::uint64_t, Dedup> dedup_;  // by exporter tag
+  std::unordered_map<std::uint64_t, DedupState> dedup_;  // by exporter tag
   std::map<std::uint32_t, LinkSketch> links_;
   std::uint64_t merged_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -30,7 +30,7 @@ enum class ExportFormat { kPrometheus, kJson };
 /// Periodically snapshots a registry on the simulated clock and hands the
 /// rendered text to a sink (stdout, a file, a test buffer). This is the
 /// simulated equivalent of a Prometheus scrape: examples hook it into the
-/// cluster's EventScheduler next to the Analyzer's 20 s loop.
+/// cluster's scheduler next to the Analyzer's 20 s loop.
 class PeriodicDumper {
  public:
   using Sink = std::function<void(const std::string&)>;

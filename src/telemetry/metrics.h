@@ -25,8 +25,9 @@
 // Thread-safety: registration, collectors, and snapshots take a mutex;
 // Counter::inc / Gauge::set are lock-free atomics. Histogram::observe (and
 // its readers: count/sum/percentile, snapshots) is guarded by a per-series
-// mutex, so concurrent observers — e.g. the Analyzer's ingest worker pool —
-// are safe; the lock is uncontended (~ns) in single-threaded use.
+// mutex, so concurrent observers — e.g. events dispatched on
+// ParallelScheduler workers — are safe; the lock is uncontended (~ns) in
+// single-threaded use.
 #pragma once
 
 #include <atomic>

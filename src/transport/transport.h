@@ -92,11 +92,9 @@ class Channel {
   /// Receiver callback. `payload` is mutable so handlers can move large
   /// message bodies out; on duplicate deliveries the payload may therefore
   /// be moved-from — dedup on header fields before touching the body.
-  /// Handlers always run on the simulation thread (deliveries are scheduler
-  /// events); a handler that wants multi-threaded processing hands off to
-  /// its own machinery — e.g. the upload handler moves the batch into
-  /// `Analyzer::sink().submit()`, which routes to worker queues when
-  /// `ingest.threads > 0`.
+  /// Handlers run on the thread that dispatches the delivery event — the
+  /// simulation thread, or the receiving partition's worker under a
+  /// `sim::ParallelScheduler` (see `bind_delivery_scheduler`).
   using HandlerFn = std::function<void(std::uint64_t seq, std::any& payload)>;
   /// Expiry/abandon callback. `payload` is handed back mutable so the
   /// application can move the message body out and re-queue it at its own

@@ -11,7 +11,6 @@
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
-#include "telemetry/metrics.h"
 #include "topo/topology.h"
 
 namespace rpm::core {
@@ -495,27 +494,22 @@ TEST_F(AnalyzerTest, RecordTapSeesEveryUpload) {
 
 TEST_F(AnalyzerTest, ShardedIngestMergesEveryHostsRecords) {
   // Records spread across all ingest buckets must all reach the same
-  // period report, independent of the shard count.
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    AnalyzerConfig cfg;
-    cfg.ingest.shards = shards;
-    Analyzer a(topo_, ctrl_, sched_, cfg);
-    std::size_t total = 0;
-    std::uint64_t seq = 1;
-    for (const topo::HostInfo& h : topo_.hosts()) {
-      UploadBatch b;
-      b.host = h.id;
-      b.seq = seq++;
-      for (int i = 0; i < 5; ++i) {
-        b.records.push_back(
-            make_record(h.rnics[0], h.rnics[1], ProbeStatus::kOk));
-      }
-      total += b.records.size();
-      a.sink().submit(std::move(b));
+  // period report.
+  std::size_t total = 0;
+  std::uint64_t seq = 1;
+  for (const topo::HostInfo& h : topo_.hosts()) {
+    UploadBatch b;
+    b.host = h.id;
+    b.seq = seq++;
+    for (int i = 0; i < 5; ++i) {
+      b.records.push_back(
+          make_record(h.rnics[0], h.rnics[1], ProbeStatus::kOk));
     }
-    const PeriodReport& rep = a.analyze_now();
-    EXPECT_EQ(rep.records_processed, total) << "shards=" << shards;
+    total += b.records.size();
+    analyzer_.sink().submit(std::move(b));
   }
+  const PeriodReport& rep = analyzer_.analyze_now();
+  EXPECT_EQ(rep.records_processed, total);
 }
 
 TEST_F(AnalyzerTest, DuplicateBatchesAreSuppressed) {
@@ -541,9 +535,6 @@ TEST_F(AnalyzerTest, DuplicateBatchesAreSuppressed) {
 }
 
 TEST_F(AnalyzerTest, StaleBatchBehindDedupWindowIsDropped) {
-  AnalyzerConfig cfg;
-  cfg.ingest.dedup_window = 4;
-  Analyzer a(topo_, ctrl_, sched_, cfg);
   auto batch = [&](std::uint64_t seq) {
     UploadBatch b;
     b.host = HostId{0};
@@ -551,11 +542,12 @@ TEST_F(AnalyzerTest, StaleBatchBehindDedupWindowIsDropped) {
     b.records.push_back(make_record(RnicId{0}, RnicId{1}, ProbeStatus::kOk));
     return b;
   };
-  a.sink().submit(batch(100));
-  a.sink().submit(batch(101));
+  constexpr std::uint64_t kTop = IngestSink::kDedupWindow + 100;
+  analyzer_.sink().submit(batch(kTop));
+  analyzer_.sink().submit(batch(kTop + 1));
   // Far behind the window: can only be an ancient retransmit.
-  a.sink().submit(batch(10));
-  const PeriodReport& rep = a.analyze_now();
+  analyzer_.sink().submit(batch(10));
+  const PeriodReport& rep = analyzer_.analyze_now();
   EXPECT_EQ(rep.records_processed, 2u);
 }
 
@@ -724,31 +716,6 @@ TEST_F(AnalyzerTest, ConfigValidation) {
   EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, bad), std::invalid_argument);
   EXPECT_THROW(analyzer_.register_service({ServiceId{1}, nullptr}),
                std::invalid_argument);
-
-  // IngestConfig::validate rejects nonsense instead of silently clamping.
-  AnalyzerConfig zero_shards;
-  zero_shards.ingest.shards = 0;
-  EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, zero_shards),
-               std::invalid_argument);
-  AnalyzerConfig too_many_threads;
-  too_many_threads.ingest.shards = 2;
-  too_many_threads.ingest.threads = 3;
-  EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, too_many_threads),
-               std::invalid_argument);
-  AnalyzerConfig no_queue;
-  no_queue.ingest.threads = 1;
-  no_queue.ingest.queue_capacity = 0;
-  EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, no_queue),
-               std::invalid_argument);
-  AnalyzerConfig no_window;
-  no_window.ingest.dedup_window = 0;
-  EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, no_window),
-               std::invalid_argument);
-
-  // A sane worker-pool config constructs (and joins its threads) cleanly.
-  AnalyzerConfig pool;
-  pool.ingest.threads = 2;
-  EXPECT_NO_THROW(Analyzer(topo_, ctrl_, sched_, pool));
 }
 
 TEST_F(AnalyzerTest, SinkSubmitIsTheIngestSurface) {
@@ -762,12 +729,10 @@ TEST_F(AnalyzerTest, SinkSubmitIsTheIngestSurface) {
   EXPECT_EQ(analyzer_.analyze_now().records_processed, 1u);
 }
 
-TEST_F(AnalyzerTest, WorkerPoolVerdictsMatchInlineForAnyThreadCount) {
-  // Determinism property (the tentpole's core guarantee): the same uploads
-  // produce byte-identical verdicts, SLA tables, and diagnosis JSON whether
-  // ingestion ran inline (threads = 0) or on a 1- or 4-thread worker pool.
-  // Per-shard FIFO queues + single-consumer shards + shard-index-order merge
-  // make the merged record vector identical to the inline path's.
+TEST_F(AnalyzerTest, SameUploadsYieldByteIdenticalVerdicts) {
+  // Determinism: the same uploads — at-least-once duplicates included —
+  // produce byte-identical verdicts, SLA tables, and diagnosis JSON in two
+  // fresh Analyzers.
 
   // Build the scenario once; each run replays copies of the same batches.
   std::vector<UploadBatch> batches;
@@ -813,11 +778,8 @@ TEST_F(AnalyzerTest, WorkerPoolVerdictsMatchInlineForAnyThreadCount) {
     batches.push_back(std::move(hot));
   }
 
-  const auto digest = [&](std::size_t threads) {
-    AnalyzerConfig cfg;
-    cfg.ingest.threads = threads;
-    Analyzer a(topo_, ctrl_, sched_, cfg);
-    EXPECT_EQ(a.sink().num_threads(), threads);
+  const auto digest = [&] {
+    Analyzer a(topo_, ctrl_, sched_);
     for (const UploadBatch& b : batches) {
       a.sink().submit(UploadBatch(b));
       a.sink().submit(UploadBatch(b));  // at-least-once duplicate
@@ -839,53 +801,34 @@ TEST_F(AnalyzerTest, WorkerPoolVerdictsMatchInlineForAnyThreadCount) {
     return os.str();
   };
 
-  const std::string inline_digest = digest(0);
-  EXPECT_GT(inline_digest.size(), 100u);
-  EXPECT_EQ(digest(1), inline_digest);
-  EXPECT_EQ(digest(4), inline_digest);
+  const std::string first = digest();
+  EXPECT_GT(first.size(), 100u);
+  EXPECT_EQ(digest(), first);
 }
 
-TEST(IngestSinkTest, QueueFullDropsOldestAndCountsIt) {
-  // Bounded per-shard queues shed load by dropping the OLDEST queued batch,
-  // counted in rpm_analyzer_ingest_dropped_total. Workers are parked via the
-  // test hook so the overflow is deterministic.
-  IngestConfig cfg;
-  cfg.shards = 2;
-  cfg.threads = 2;
-  cfg.queue_capacity = 4;
-  auto sink = make_ingest_sink(cfg, {});
-  sink->stall_workers_for_test(true);
-
-  const double dropped_before =
-      telemetry::registry().snapshot().sum("rpm_analyzer_ingest_dropped_total");
-  for (std::uint64_t s = 1; s <= 10; ++s) {  // host 0 -> shard 0, capacity 4
+TEST(IngestSinkTest, DrainIsShardMajorInSubmissionOrder) {
+  // drain_period() returns records shard by shard (prober host % kShards,
+  // ascending) and in submission order within a shard. Verdicts depend on
+  // this order: with a different shard count some chaos-fuzz seeds report
+  // different problems.
+  static_assert(IngestSink::kShards == 8);
+  IngestSink sink;
+  const std::vector<std::uint32_t> hosts = {12, 9, 2, 1, 17, 8, 5, 2};
+  for (std::uint64_t i = 0; i < hosts.size(); ++i) {
     UploadBatch b;
-    b.host = HostId{0};
-    b.seq = s;
+    b.host = HostId{hosts[i]};
+    b.seq = i + 1;
     ProbeRecord r;
-    r.id = s;
+    r.id = i;
     b.records.push_back(r);
-    sink->submit(std::move(b));
+    sink.submit(std::move(b));
   }
-  const double dropped_after =
-      telemetry::registry().snapshot().sum("rpm_analyzer_ingest_dropped_total");
-  EXPECT_DOUBLE_EQ(dropped_after - dropped_before, 6.0);
-
-  // Drain processes what survived: the four NEWEST batches, in order.
-  const std::vector<ProbeRecord> records = sink->drain_period();
-  ASSERT_EQ(records.size(), 4u);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].id, 7u + i);
-  }
-
-  // Unstall + a fresh submit: the pool processes it normally again.
-  sink->stall_workers_for_test(false);
-  UploadBatch fresh;
-  fresh.host = HostId{0};
-  fresh.seq = 11;
-  fresh.records.emplace_back();
-  sink->submit(std::move(fresh));
-  EXPECT_EQ(sink->drain_period().size(), 1u);
+  // Shard 0: host 8; shard 1: hosts 9, 1, 17; shard 2: host 2 twice;
+  // shard 4: host 12; shard 5: host 5.
+  std::vector<std::uint64_t> ids;
+  for (const ProbeRecord& r : sink.drain_period()) ids.push_back(r.id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{5, 1, 3, 4, 2, 7, 0, 6}));
+  EXPECT_TRUE(sink.drain_period().empty());
 }
 
 }  // namespace

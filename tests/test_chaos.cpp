@@ -34,8 +34,8 @@ topo::ClosConfig clos_cfg() {
 /// A deployment with 5 s analysis periods so a 160 s campaign yields enough
 /// periods to score recovery.
 struct Deployment {
-  explicit Deployment(std::uint64_t seed = 7, std::size_t ingest_threads = 0,
-                      bool sketch_on = false, std::uint32_t sim_partitions = 1)
+  explicit Deployment(std::uint64_t seed = 7, bool sketch_on = false,
+                      std::uint32_t sim_partitions = 1)
       : cluster(topo::build_clos(clos_cfg()),
                 [seed, sim_partitions] {
                   host::ClusterConfig c;
@@ -44,10 +44,9 @@ struct Deployment {
                   return c;
                 }()),
         rpm(cluster,
-            [ingest_threads, sketch_on] {
+            [sketch_on] {
               core::RPingmeshConfig c;
               c.analyzer.period = sec(5);
-              c.analyzer.ingest.threads = ingest_threads;
               c.analyzer.sketch_mode = sketch_on ? core::SketchMode::kOn
                                                  : core::SketchMode::kOff;
               return c;
@@ -171,28 +170,6 @@ TEST(Chaos, SameSeedYieldsByteIdenticalReports) {
   EXPECT_FALSE(first.empty());
 }
 
-TEST(Chaos, ReportBytesIdenticalForAnyIngestThreadCount) {
-  // The worker-pool ingestion backend must not leak thread scheduling into
-  // results: the same seed and plan yield byte-for-byte identical
-  // ChaosReport JSON for inline (0), 1-thread, and 4-thread ingestion.
-  // Per-shard FIFO + single-consumer shards + shard-order merge make the
-  // merged period records — and therefore every verdict — identical.
-  std::string inline_json;
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
-    Deployment d(11, threads);
-    ChaosRunner runner(d.cluster, d.rpm, d.injector);
-    const std::string json =
-        runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
-    if (threads == 0) {
-      inline_json = json;
-    } else {
-      EXPECT_EQ(json, inline_json) << "ingest_threads=" << threads;
-    }
-  }
-  EXPECT_FALSE(inline_json.empty());
-}
-
 TEST(Chaos, PartitionedSimIsByteIdenticalAcrossRuns) {
   // Pod-partitioned event loop (2 partitions over the 2-pod Clos): the
   // cross-partition merge order is fixed by (time, src-partition, seq), so
@@ -201,7 +178,7 @@ TEST(Chaos, PartitionedSimIsByteIdenticalAcrossRuns) {
   // expected to match the single-queue schedule.)
   std::string first;
   for (int run = 0; run < 2; ++run) {
-    Deployment d(11, 0, false, 2);
+    Deployment d(11, false, 2);
     ASSERT_NE(d.cluster.parallel_scheduler(), nullptr);
     EXPECT_EQ(d.cluster.partition_map().num_partitions, 2u);
     ChaosRunner runner(d.cluster, d.rpm, d.injector);
@@ -229,7 +206,7 @@ TEST(Chaos, SinglePartitionMatchesDefaultPipelineBytes) {
         runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
   }
   {
-    Deployment d(11, 0, false, 1);
+    Deployment d(11, false, 1);
     EXPECT_EQ(d.cluster.parallel_scheduler(), nullptr);
     ChaosRunner runner(d.cluster, d.rpm, d.injector);
     single_json =
@@ -246,7 +223,7 @@ TEST(Chaos, SketchModeMatchesRawVerdictsOnChaosGroundTruth) {
   // pipeline (every timeout still rides the wire raw, so detection and
   // localization see the same evidence).
   const auto run_campaign = [](bool sketch_on) {
-    Deployment d(7, 0, sketch_on);
+    Deployment d(7, sketch_on);
     ChaosRunner runner(d.cluster, d.rpm, d.injector);
     return runner.run(acceptance_plan(7, d.first_fabric_link()));
   };
@@ -267,22 +244,20 @@ TEST(Chaos, SketchModeMatchesRawVerdictsOnChaosGroundTruth) {
   }
 }
 
-TEST(Chaos, SketchModeReportBytesIdenticalAcrossRunsAndThreads) {
+TEST(Chaos, SketchModeReportBytesIdenticalAcrossRuns) {
   // sketch_mode=on must be deterministically reproducible: same seed =>
-  // byte-identical ChaosReport JSON across repeated runs and for any ingest
-  // thread count (the summary merge is per-shard in submission order, and
-  // the fixed-boundary sketches merge bucket-wise — no order sensitivity).
+  // byte-identical ChaosReport JSON across repeated runs (the fixed-boundary
+  // sketches merge bucket-wise — no order sensitivity).
   std::string first;
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{0}, std::size_t{4}}) {
-    Deployment d(11, threads, /*sketch_on=*/true);
+  for (int run = 0; run < 2; ++run) {
+    Deployment d(11, /*sketch_on=*/true);
     ChaosRunner runner(d.cluster, d.rpm, d.injector);
     const std::string json =
         runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
-    if (first.empty()) {
+    if (run == 0) {
       first = json;
     } else {
-      EXPECT_EQ(json, first) << "ingest_threads=" << threads;
+      EXPECT_EQ(json, first);
     }
   }
   EXPECT_FALSE(first.empty());

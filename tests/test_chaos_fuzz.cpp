@@ -21,6 +21,7 @@
 #include "chaos/oracle.h"
 #include "chaos/plan_io.h"
 #include "chaos/shrink.h"
+#include "common/codec.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "faults/catalog.h"
@@ -415,6 +416,17 @@ TEST(Fuzz, BrokenRecoveryBudgetShrinksAndWritesReplayableArtifact) {
   EXPECT_EQ(json::Value::parse(rep.to_json()).dump(2) + "\n", rep.to_json());
 }
 
+TEST(Fuzz, DeploymentSpecIgnoresUnknownKeys) {
+  // Artifacts written by older builds may carry deployment keys this build
+  // no longer reads (a retired ingest thread count, for one); they must
+  // still load, with those keys ignored.
+  const DeploymentSpec spec = DeploymentSpec::from_value(json::Value::parse(
+      R"({"cluster_seed": 9, "pods": 2, "retired_knob": 4})"));
+  EXPECT_EQ(spec.cluster_seed, 9u);
+  EXPECT_EQ(spec.pods, 2u);
+  EXPECT_EQ(spec.to_value().find("retired_knob"), nullptr);
+}
+
 // ---- regression corpus replay ----
 
 TEST(Fuzz, CheckedInCorpusReplaysCleanly) {
@@ -469,6 +481,46 @@ TEST(JournalCorruption, BitFlipFallsBackToCleanStartAndIsCounted) {
   journal.save_checkpoint("analyzer", cp);
   EXPECT_TRUE(journal.load_checkpoint("analyzer").has_value());
   EXPECT_FALSE(journal.corrupt_checkpoint("no-such-role", 0));
+}
+
+std::uint32_t crc32_ieee(const std::vector<std::uint8_t>& bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalCorruption, HugeCountWithValidCrcIsADecodeError) {
+  // A CRC-valid payload whose length prefix claims 2^61 last_upload entries
+  // must fail as std::runtime_error (the journal's clean-start contract),
+  // not as an allocation failure.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+  std::vector<std::uint8_t> bytes;
+  codec::put_u64(bytes, 0);      // last_period_end
+  codec::put_u64(bytes, 1);      // next_problem_id
+  codec::put_u64(bytes, 1);      // next_evidence_id
+  codec::put_u64(bytes, kHuge);  // last_upload count
+  codec::put_u32(bytes, crc32_ieee(bytes));
+  ASSERT_EQ(bytes.size(), 36u);
+  EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
+
+  // Same for every length prefix of an empty checkpoint: the id-time lists,
+  // known_hosts, and both dedup-window lists.
+  std::vector<std::uint8_t> empty;
+  core::encode_checkpoint(core::AnalyzerCheckpoint{}, empty);
+  ASSERT_EQ(empty.size(), 84u);
+  for (const std::size_t at : {24u, 32u, 40u, 48u, 56u, 72u}) {
+    std::vector<std::uint8_t> bad(empty.begin(), empty.begin() + at);
+    codec::put_u64(bad, kHuge);
+    bad.insert(bad.end(), empty.begin() + at + 8, empty.end() - 4);
+    codec::put_u32(bad, crc32_ieee(bad));
+    EXPECT_THROW(core::decode_checkpoint(bad), std::runtime_error)
+        << "count at byte " << at;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
-// Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics.
+// Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics,
+// seq dedup, little-endian fields.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
+#include "common/codec.h"
+#include "common/dedup.h"
 #include "common/five_tuple.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -200,6 +206,38 @@ TEST(LogHistogram, RejectsInvalidBounds) {
 TEST(LogHistogram, MergeRejectsShapeMismatch) {
   LogHistogram a(1.0, 1e6), b(1.0, 1e9);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+TEST(Dedup, SlidingWindowAcceptsEachSeqOnce) {
+  DedupState st;
+  constexpr std::uint64_t kWindow = 4;
+  EXPECT_TRUE(dedup_accept(st, 100, kWindow));
+  EXPECT_TRUE(dedup_accept(st, 101, kWindow));
+  EXPECT_FALSE(dedup_accept(st, 100, kWindow));  // repeat
+  EXPECT_FALSE(dedup_accept(st, 10, kWindow));   // far behind the window
+  EXPECT_TRUE(dedup_accept(st, 97, kWindow));    // late, but inside
+  EXPECT_FALSE(dedup_accept(st, 96, kWindow));   // just behind
+  EXPECT_EQ(st.max_seq, 101u);
+  // Sliding forward forgets seqs that can no longer arrive fresh.
+  EXPECT_TRUE(dedup_accept(st, 110, kWindow));
+  EXPECT_EQ(st.seen, (std::unordered_set<std::uint64_t>{110}));
+  EXPECT_FALSE(dedup_accept(st, 101, kWindow));
+}
+
+TEST(Codec, LittleEndianFieldsAndTruncation) {
+  std::vector<std::uint8_t> out;
+  codec::put_u32(out, 0x01020304u);
+  codec::put_u64(out, 0x0a0b0c0d0e0f1011ull);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0x04, 0x03, 0x02, 0x01, 0x11,
+                                            0x10, 0x0f, 0x0e, 0x0d, 0x0c,
+                                            0x0b, 0x0a}));
+  std::size_t off = 0;
+  EXPECT_EQ(codec::get_u32(out, off), 0x01020304u);
+  EXPECT_EQ(codec::get_u64(out, off), 0x0a0b0c0d0e0f1011ull);
+  EXPECT_EQ(off, out.size());
+  EXPECT_THROW(codec::get_u32(out, off), std::runtime_error);
+  off = out.size() - 7;
+  EXPECT_THROW(codec::get_u64(out, off), std::runtime_error);
 }
 
 }  // namespace

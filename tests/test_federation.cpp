@@ -4,8 +4,7 @@
 //  * a federated deployment under a chaos campaign that kills the primary
 //    Controller mid-period and a PodAnalyzer mid-drain still reaches full
 //    precision/recall on injected ground truth;
-//  * same seed => byte-identical ChaosReport JSON for pods in {1, 2, 4},
-//    and for any ingest thread count at a fixed pod count;
+//  * same seed => byte-identical ChaosReport JSON for pods in {1, 2, 4};
 //  * a restarted Analyzer role reloads its journaled (pod, seq) dedup
 //    windows, so replayed digests never re-count drained history;
 //  * standby promotion follows the Controller::restart() contract (fresh
@@ -56,7 +55,6 @@ topo::ClosConfig clos_cfg() {
 /// A federated deployment with 5 s analysis periods and a warm standby.
 struct Deployment {
   explicit Deployment(std::uint64_t seed, std::size_t pods, bool standby,
-                      std::size_t ingest_threads = 0,
                       std::size_t history_limit = 512)
       : cluster(topo::build_clos(clos_cfg()),
                 [seed] {
@@ -65,10 +63,9 @@ struct Deployment {
                   return c;
                 }()),
         rpm(cluster,
-            [pods, standby, ingest_threads, history_limit] {
+            [pods, standby, history_limit] {
               core::RPingmeshConfig c;
               c.analyzer.period = sec(5);
-              c.analyzer.ingest.threads = ingest_threads;
               c.analyzer.history_limit = history_limit;
               c.federation.pods = pods;
               c.federation.standby_controller = standby;
@@ -206,24 +203,6 @@ TEST(Federation, SameSeedByteIdenticalReportsForEachPodCount) {
   }
 }
 
-TEST(Federation, ReportBytesIdenticalForAnyIngestThreadCount) {
-  // Thread-count invariance must survive federation: per-pod worker pools
-  // cannot leak scheduling into the merged verdict stream.
-  std::string inline_json;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    Deployment d(11, 2, /*standby=*/true, threads);
-    ChaosRunner runner(d.cluster, d.rpm, d.injector);
-    const std::string json =
-        runner.run(failover_plan(11, d.first_fabric_link(), true)).to_json();
-    if (threads == 0) {
-      inline_json = json;
-    } else {
-      EXPECT_EQ(json, inline_json) << "ingest_threads=" << threads;
-    }
-  }
-  EXPECT_FALSE(inline_json.empty());
-}
-
 TEST(Federation, GlobalDedupWindowSurvivesJournalRestart) {
   // A replayed digest (same pod, same seq) is dropped before AND after a
   // crash + journal restore: the reloaded (pod, seq) windows keep retried
@@ -325,7 +304,7 @@ TEST(Federation, TrimmedDiagnosisSpillsToArchiveAndExplainFallsBack) {
   // history_limit = 1: every period close evicts the previous period's
   // DiagnosisLog into the journal archive. explain() on an aged-out problem
   // id must come back from the archive, not vanish.
-  Deployment d(13, 1, /*standby=*/false, 0, /*history_limit=*/1);
+  Deployment d(13, 1, /*standby=*/false, /*history_limit=*/1);
   d.cluster.run_for(sec(10));  // let host 3 register + upload first
   d.injector.inject_host_down(HostId{3});
   d.cluster.run_for(sec(40));  // silence threshold (20 s) + several periods

@@ -53,8 +53,6 @@ class ProfTest : public ::testing::Test {
 TEST_F(ProfTest, StageNamesAreDotted) {
   EXPECT_STREQ(prof::stage_name(Stage::kSimDispatch), "sim.dispatch");
   EXPECT_STREQ(prof::stage_name(Stage::kIngestSubmit), "ingest.submit");
-  EXPECT_STREQ(prof::stage_name(Stage::kIngestDrainBarrier),
-               "ingest.drain_barrier");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainTriage), "drain.triage");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainVote), "drain.vote");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainSla), "drain.sla");
@@ -282,9 +280,8 @@ topo::ClosConfig clos_cfg() {
   return cfg;
 }
 
-/// One full chaos campaign (federated, threaded ingest, sketch exporters
-/// running) with the profiler in the given state; returns the deterministic
-/// ChaosReport JSON.
+/// One full chaos campaign (federated, standby Controller) with the
+/// profiler in the given state; returns the deterministic ChaosReport JSON.
 std::string campaign_report(bool profiler_on) {
   host::ClusterConfig ccfg;
   ccfg.seed = 7;
@@ -292,7 +289,6 @@ std::string campaign_report(bool profiler_on) {
 
   core::RPingmeshConfig rcfg;
   rcfg.analyzer.period = sec(5);
-  rcfg.analyzer.ingest.threads = 2;
   rcfg.federation.pods = 2;
   rcfg.federation.standby_controller = true;
   core::RPingmesh rpm(cluster, rcfg);

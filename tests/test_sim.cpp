@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "sim/clock.h"
@@ -14,7 +13,7 @@ namespace rpm::sim {
 namespace {
 
 TEST(Scheduler, RunsEventsInTimestampOrder) {
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<int> order;
   s.schedule_at(usec(30), [&] { order.push_back(3); });
   s.schedule_at(usec(10), [&] { order.push_back(1); });
@@ -25,7 +24,7 @@ TEST(Scheduler, RunsEventsInTimestampOrder) {
 }
 
 TEST(Scheduler, TiesBreakByInsertionOrder) {
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     s.schedule_at(usec(10), [&order, i] { order.push_back(i); });
@@ -35,7 +34,7 @@ TEST(Scheduler, TiesBreakByInsertionOrder) {
 }
 
 TEST(Scheduler, PastTimesClampToNow) {
-  EventScheduler s;
+  InlineScheduler s;
   s.run_until(usec(50));
   bool ran = false;
   s.schedule_at(usec(10), [&] {
@@ -47,7 +46,7 @@ TEST(Scheduler, PastTimesClampToNow) {
 }
 
 TEST(Scheduler, ScheduleAfterNegativeDelayClamps) {
-  EventScheduler s;
+  InlineScheduler s;
   s.run_until(usec(5));
   bool ran = false;
   s.schedule_after(-100, [&] { ran = true; });
@@ -56,7 +55,7 @@ TEST(Scheduler, ScheduleAfterNegativeDelayClamps) {
 }
 
 TEST(Scheduler, EventsMayScheduleMoreEvents) {
-  EventScheduler s;
+  InlineScheduler s;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 10) s.schedule_after(usec(1), recurse);
@@ -67,7 +66,7 @@ TEST(Scheduler, EventsMayScheduleMoreEvents) {
 }
 
 TEST(Scheduler, RunUntilDoesNotRunLaterEvents) {
-  EventScheduler s;
+  InlineScheduler s;
   bool ran = false;
   s.schedule_at(usec(100), [&] { ran = true; });
   s.run_until(usec(99));
@@ -78,7 +77,7 @@ TEST(Scheduler, RunUntilDoesNotRunLaterEvents) {
 }
 
 TEST(Scheduler, EventAtExactBoundaryRuns) {
-  EventScheduler s;
+  InlineScheduler s;
   bool ran = false;
   s.schedule_at(usec(100), [&] { ran = true; });
   s.run_until(usec(100));
@@ -86,19 +85,19 @@ TEST(Scheduler, EventAtExactBoundaryRuns) {
 }
 
 TEST(Scheduler, RejectsEmptyCallback) {
-  EventScheduler s;
+  InlineScheduler s;
   EXPECT_THROW(s.schedule_at(0, {}), std::invalid_argument);
 }
 
 TEST(Scheduler, CountsExecutedEvents) {
-  EventScheduler s;
+  InlineScheduler s;
   for (int i = 0; i < 7; ++i) s.schedule_after(i, [] {});
   s.run_all();
   EXPECT_EQ(s.executed_events(), 7u);
 }
 
 TEST(PeriodicTask, FiresAtFixedPeriod) {
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<TimeNs> fires;
   PeriodicTask t(s, msec(10), [&] { fires.push_back(s.now()); });
   t.start();
@@ -109,7 +108,7 @@ TEST(PeriodicTask, FiresAtFixedPeriod) {
 }
 
 TEST(PeriodicTask, FirstDelayHonoured) {
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<TimeNs> fires;
   PeriodicTask t(s, msec(10), [&] { fires.push_back(s.now()); });
   t.start(msec(5));
@@ -119,7 +118,7 @@ TEST(PeriodicTask, FirstDelayHonoured) {
 }
 
 TEST(PeriodicTask, CancelStopsFiring) {
-  EventScheduler s;
+  InlineScheduler s;
   int count = 0;
   PeriodicTask t(s, msec(1), [&] { ++count; });
   t.start();
@@ -131,7 +130,7 @@ TEST(PeriodicTask, CancelStopsFiring) {
 }
 
 TEST(PeriodicTask, CallbackMayCancelItself) {
-  EventScheduler s;
+  InlineScheduler s;
   int count = 0;
   PeriodicTask t(s, msec(1), [&] {
     if (++count == 2) t.cancel();
@@ -142,7 +141,7 @@ TEST(PeriodicTask, CallbackMayCancelItself) {
 }
 
 TEST(PeriodicTask, SafeToDestroyWithEventInFlight) {
-  EventScheduler s;
+  InlineScheduler s;
   int count = 0;
   {
     PeriodicTask t(s, msec(1), [&] { ++count; });
@@ -156,7 +155,7 @@ TEST(PeriodicTask, SafeToDestroyWithEventInFlight) {
 TEST(PeriodicTask, SetPeriodAppliesFromNextRearm) {
   // The firing already queued when set_period is called keeps its old delay;
   // subsequent firings use the new period.
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<TimeNs> fires;
   PeriodicTask t(s, msec(10), [&] { fires.push_back(s.now()); });
   t.start();
@@ -172,7 +171,7 @@ TEST(PeriodicTask, SetPeriodFromWithinCallbackAppliesToNextRearm) {
   // An Agent retunes its probe cadence from inside the probing callback
   // (pinglist refresh); the re-arm after the callback must read the new
   // period, not the one captured when the firing was queued.
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<TimeNs> fires;
   PeriodicTask t(s, msec(10), [&] {
     fires.push_back(s.now());
@@ -191,7 +190,7 @@ TEST(PeriodicTask, CancelWhileQueuedThenRestartDropsStaleFiring) {
   // cancel() with a firing already queued, then start() again before the
   // stale event's timestamp: the generation guard must swallow the stale
   // event or the task would fire on both the old and the new cadence.
-  EventScheduler s;
+  InlineScheduler s;
   std::vector<TimeNs> fires;
   PeriodicTask t(s, msec(10), [&] { fires.push_back(s.now()); });
   t.start();
@@ -206,16 +205,12 @@ TEST(PeriodicTask, CancelWhileQueuedThenRestartDropsStaleFiring) {
 }
 
 TEST(PeriodicTask, RejectsBadArguments) {
-  EventScheduler s;
+  InlineScheduler s;
   EXPECT_THROW(PeriodicTask(s, 0, [] {}), std::invalid_argument);
   EXPECT_THROW(PeriodicTask(s, msec(1), {}), std::invalid_argument);
   PeriodicTask ok(s, msec(1), [] {});
   EXPECT_THROW(ok.set_period(-1), std::invalid_argument);
 }
-
-// `EventScheduler` stays a source-compatible alias for one release while
-// call sites migrate to the Scheduler interface / InlineScheduler backend.
-static_assert(std::is_same_v<EventScheduler, InlineScheduler>);
 
 TEST(EventHandle, CancelPreventsExecution) {
   InlineScheduler s;

@@ -58,8 +58,8 @@ TEST(QuantileSketch, MergeIsOrderAndShardingInvariant) {
 }
 
 TEST(QuantileSketch, ManyWayShardingMatchesSingleSketch) {
-  // 8 shards, merged in shard-index order — the exact shape the ingest
-  // worker pool produces — equals the single-accumulator sketch.
+  // 8 shards, merged in shard-index order, equal the single-accumulator
+  // sketch.
   std::mt19937_64 gen(11);
   std::uniform_real_distribution<double> dist(100.0, 1e6);
   QuantileSketch all;
