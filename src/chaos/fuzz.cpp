@@ -1,7 +1,9 @@
 #include "chaos/fuzz.h"
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chaos/plan_io.h"
@@ -43,10 +45,22 @@ DeploymentSpec DeploymentSpec::from_value(const json::Value& v) {
   DeploymentSpec s;
   s.cluster_seed = static_cast<std::uint64_t>(
       v.get_int("cluster_seed", static_cast<std::int64_t>(s.cluster_seed)));
-  s.pods = static_cast<std::size_t>(v.get_int("pods", 1));
-  s.period = v.get_int("period_ns", s.period);
+  // Range-check every field before narrowing it: a negative int would wrap
+  // to a huge unsigned dimension, and replay would try to build it.
+  const auto ranged = [&](const char* key, std::int64_t dflt, std::int64_t lo,
+                          std::int64_t hi) {
+    const std::int64_t x = v.get_int(key, dflt);
+    if (x < lo || x > hi) {
+      throw std::runtime_error("DeploymentSpec: " + std::string(key) + " = " +
+                               std::to_string(x) + " outside [" +
+                               std::to_string(lo) + ", " + std::to_string(hi) +
+                               "]");
+    }
+    return x;
+  };
   const auto dim = [&](const char* key, std::uint32_t dflt) {
-    return static_cast<std::uint32_t>(v.get_int(key, dflt));
+    return static_cast<std::uint32_t>(
+        ranged(key, dflt, 1, std::numeric_limits<std::uint32_t>::max()));
   };
   s.clos_pods = dim("clos_pods", s.clos_pods);
   s.tors_per_pod = dim("tors_per_pod", s.tors_per_pod);
@@ -54,6 +68,9 @@ DeploymentSpec DeploymentSpec::from_value(const json::Value& v) {
   s.spines_per_plane = dim("spines_per_plane", s.spines_per_plane);
   s.hosts_per_tor = dim("hosts_per_tor", s.hosts_per_tor);
   s.rnics_per_host = dim("rnics_per_host", s.rnics_per_host);
+  s.pods = static_cast<std::size_t>(ranged("pods", 1, 1, s.clos_pods));
+  s.period = ranged("period_ns", s.period, 1,
+                    std::numeric_limits<std::int64_t>::max());
   return s;
 }
 

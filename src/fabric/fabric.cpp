@@ -1,7 +1,6 @@
 #include "fabric/fabric.h"
 
 #include "obs/flight_recorder.h"
-#include "sim/parallel.h"
 #include "sketch/sketch.h"
 
 #include <algorithm>
@@ -231,7 +230,6 @@ SendOutcome Fabric::send(const Datagram& dgram) {
   // RoCE-specific problems (§2.4).
   const bool roce_class = dgram.tuple.protocol == 17;
 
-  Rng& rng = draw_rng(dgram.src);
   TimeNs latency = 0;
   for (std::size_t i = 0; i < out.path.links.size(); ++i) {
     const LinkId lid = out.path.links[i];
@@ -256,7 +254,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       trace_drop(out.drop_link.value);
       return out;
     }
-    if (s.corrupt_prob > 0.0 && rng.chance(s.corrupt_prob)) {
+    if (s.corrupt_prob > 0.0 && rng_.chance(s.corrupt_prob)) {
       out.drop = DropReason::kCorruption;
       out.drop_link = lid;
       s.drops_corrupt++;
@@ -265,7 +263,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       return out;
     }
     if (roce_class && s.overflow_drop_frac > 0.0 &&
-        rng.chance(s.overflow_drop_frac)) {
+        rng_.chance(s.overflow_drop_frac)) {
       out.drop = DropReason::kBufferOverflow;
       out.drop_link = lid;
       s.drops_overflow++;
@@ -314,40 +312,11 @@ SendOutcome Fabric::send(const Datagram& dgram) {
   delivered_total_.inc();
   if (DeliveryFn& handler = delivery_[dgram.dst.value]; handler) {
     // Copy the datagram into the event; the caller's object may not outlive
-    // the flight time. Partitioned: delivery lands on the destination
-    // RNIC's partition queue (through the per-edge inbox when the source
-    // executes in another partition); sched_.now() is the sender's clock.
-    const TimeNs deliver_at = sched_.now() + latency;
-    sim::Scheduler& target =
-        pmap_ != nullptr && psched_ != nullptr
-            ? psched_->partition(pmap_->rnic_partition[dgram.dst.value])
-            : sched_;
-    target.schedule_at(deliver_at, [handler, dgram] { handler(dgram); });
+    // the flight time.
+    sched_.schedule_at(sched_.now() + latency,
+                       [handler, dgram] { handler(dgram); });
   }
   return out;
-}
-
-Rng& Fabric::draw_rng(RnicId src) {
-  if (pmap_ != nullptr && !part_rng_.empty()) {
-    return part_rng_[pmap_->rnic_partition[src.value]];
-  }
-  return rng_;
-}
-
-void Fabric::set_partitioning(const topo::PartitionMap* map,
-                              sim::ParallelScheduler* psched) {
-  pmap_ = map;
-  psched_ = psched;
-  part_rng_.clear();
-  if (pmap_ == nullptr) return;
-  // One independent drop-lottery stream per partition, forked from the
-  // fabric's seed stream in partition order — deterministic per partition
-  // count (the unpartitioned path never forks, so `partitions = 1` via the
-  // inline backend keeps the seed pipeline's exact draw sequence).
-  part_rng_.reserve(pmap_->num_partitions);
-  for (std::uint32_t p = 0; p < pmap_->num_partitions; ++p) {
-    part_rng_.push_back(rng_.fork());
-  }
 }
 
 FlowId Fabric::add_flow(const FlowSpec& spec) {

@@ -34,16 +34,11 @@
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
-#include "topo/partition.h"
 #include "topo/topology.h"
 
 namespace rpm::sketch {
 class LinkSketchBank;
 }  // namespace rpm::sketch
-
-namespace rpm::sim {
-class ParallelScheduler;
-}  // namespace rpm::sim
 
 namespace rpm::fabric {
 
@@ -245,17 +240,6 @@ class Fabric {
   void attach_sketches(sketch::LinkSketchBank* bank) { sketches_ = bank; }
   [[nodiscard]] sketch::LinkSketchBank* sketches() const { return sketches_; }
 
-  /// Partition the packet plane (sim/parallel.h): delivery events are
-  /// scheduled on the destination RNIC's partition and per-packet drop
-  /// draws come from per-partition RNG streams keyed by the *source* RNIC's
-  /// partition — each partition's dispatch loop consumes its own stream, so
-  /// outcomes are identical for any worker-thread mapping. Both arguments
-  /// must outlive the fabric; pass (nullptr, nullptr) to detach. The fluid
-  /// plane keeps running as periodic events on the scheduler the fabric was
-  /// constructed with (partition 0 when that is a ParallelScheduler facade).
-  void set_partitioning(const topo::PartitionMap* map,
-                        sim::ParallelScheduler* psched);
-
  private:
   struct Flow {
     FlowSpec spec;
@@ -273,9 +257,6 @@ class Fabric {
   };
 
   void resolve_flow_path(Flow& f);
-  /// Drop-lottery stream for a packet injected at `src` (partition-local
-  /// when partitioned, the shared legacy stream otherwise).
-  [[nodiscard]] Rng& draw_rng(RnicId src);
   [[nodiscard]] double effective_capacity(const topo::Link& l,
                                           const LinkState& s) const;
   [[nodiscard]] double ecn_mark_prob(const LinkState& s) const;
@@ -289,9 +270,6 @@ class Fabric {
   sim::Scheduler& sched_;
   FabricConfig cfg_;
   Rng rng_;
-  const topo::PartitionMap* pmap_ = nullptr;       // optional, not owned
-  sim::ParallelScheduler* psched_ = nullptr;       // optional, not owned
-  std::vector<Rng> part_rng_;  // per-partition drop-lottery streams
 
   std::vector<LinkState> links_;
   std::vector<std::vector<AclRule>> acl_;  // per switch

@@ -2,65 +2,38 @@
 
 namespace rpm::host {
 
-namespace {
-
-std::unique_ptr<sim::ParallelScheduler> maybe_parallel(
-    const topo::PartitionMap& map, std::uint32_t workers) {
-  if (map.num_partitions <= 1) return nullptr;
-  sim::ParallelConfig cfg;
-  cfg.partitions = map.num_partitions;
-  cfg.lookahead = map.cut_lookahead;
-  cfg.workers = workers;
-  return std::make_unique<sim::ParallelScheduler>(cfg);
-}
-
-}  // namespace
-
 Cluster::Cluster(topo::Topology topology, ClusterConfig cfg)
     : topo_(std::move(topology)),
       router_(topo_, cfg.seed ^ 0xEC3Cull),
-      pmap_(topo::build_pod_partitions(topo_, cfg.sim_partitions)),
-      psched_(maybe_parallel(pmap_, cfg.sim_workers)),
-      sched_(psched_ ? static_cast<sim::Scheduler*>(psched_.get())
-                     : &inline_sched_),
-      fabric_(topo_, router_, *sched_, cfg.fabric),
+      fabric_(topo_, router_, sched_, cfg.fabric),
       tracer_(router_, cfg.traceroute_responses_per_sec),
       int_(fabric_),
       rng_(cfg.seed) {
-  if (psched_) fabric_.set_partitioning(&pmap_, psched_.get());
   hosts_.reserve(topo_.num_hosts());
   for (const topo::HostInfo& h : topo_.hosts()) {
-    sim::Scheduler& hs =
-        psched_ ? psched_->partition(pmap_.host_partition[h.id.value])
-                : *sched_;
     hosts_.push_back(std::make_unique<HostModel>(
-        h.id, hs, sim::DeviceClock::random(rng_), rng_.fork(), cfg.host));
+        h.id, sched_, sim::DeviceClock::random(rng_), rng_.fork(), cfg.host));
   }
   rnics_.reserve(topo_.num_rnics());
   for (const topo::RnicInfo& r : topo_.rnics()) {
-    sim::Scheduler& rs =
-        psched_ ? psched_->partition(pmap_.rnic_partition[r.id.value])
-                : *sched_;
     rnics_.push_back(std::make_unique<rnic::RnicDevice>(
-        r.id, fabric_, rs, sim::DeviceClock::random(rng_), rng_.fork(),
+        r.id, fabric_, sched_, sim::DeviceClock::random(rng_), rng_.fork(),
         cfg.rnic));
   }
   // Forked last so the control plane's stream never perturbs the host/RNIC
   // clock draws above (fixed-seed runs stay reproducible across versions).
-  // The control plane lives on partition 0 (the global facade's home).
   control_plane_ = std::make_unique<transport::ControlPlane>(
-      *sched_, rng_.fork(), cfg.control_plane);
+      sched_, rng_.fork(), cfg.control_plane);
   // Event-loop throughput: mirrored into the registry at snapshot time so
-  // the scheduler's hot loop stays untouched. Counts aggregate across
-  // partitions (Scheduler::pending_events/executed_events contract).
+  // the scheduler's hot loop stays untouched.
   sched_collector_ = telemetry::CollectorGuard(
       telemetry::registry(), [this](telemetry::MetricsRegistry& reg) {
         reg.gauge("rpm_sim_executed_events", "Events executed by the scheduler")
-            .set(static_cast<double>(sched_->executed_events()));
+            .set(static_cast<double>(sched_.executed_events()));
         reg.gauge("rpm_sim_pending_events", "Events currently queued")
-            .set(static_cast<double>(sched_->pending_events()));
+            .set(static_cast<double>(sched_.pending_events()));
         reg.gauge("rpm_sim_now_seconds", "Current simulated time")
-            .set(to_seconds(sched_->now()));
+            .set(to_seconds(sched_.now()));
       });
 }
 
@@ -69,7 +42,7 @@ void Cluster::run_for(TimeNs duration) {
     fabric_.start();
     started_ = true;
   }
-  sched_->run_until(sched_->now() + duration);
+  sched_.run_until(sched_.now() + duration);
 }
 
 }  // namespace rpm::host

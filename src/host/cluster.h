@@ -12,10 +12,8 @@
 #include "host/host.h"
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
-#include "topo/partition.h"
 #include "topo/topology.h"
 #include "transport/transport.h"
 #include "verbs/verbs.h"
@@ -29,14 +27,6 @@ struct ClusterConfig {
   double traceroute_responses_per_sec = 100.0;  // per switch (§4.2.3)
   transport::ChannelConfig control_plane{};     // latency/loss/backoff knobs
   std::uint64_t seed = 7;
-  /// Partition the event loop per pod (1 = classic inline scheduler, which
-  /// is byte-identical to pre-partitioning builds). Clamped to the pod
-  /// count; conservative sync with lookahead = min cut-edge propagation.
-  std::uint32_t sim_partitions = 1;
-  /// Worker threads for partitioned runs. Default 1 (sequential round-robin
-  /// over partitions — deterministic and safe with the shared fluid plane);
-  /// >1 requires callers to know their handlers are partition-local.
-  std::uint32_t sim_workers = 1;
 };
 
 class Cluster {
@@ -46,15 +36,7 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  [[nodiscard]] sim::Scheduler& scheduler() { return *sched_; }
-  /// Pod partition assignment (num_partitions == 1 when unpartitioned).
-  [[nodiscard]] const topo::PartitionMap& partition_map() const {
-    return pmap_;
-  }
-  /// Non-null iff sim_partitions resolved to > 1.
-  [[nodiscard]] sim::ParallelScheduler* parallel_scheduler() {
-    return psched_.get();
-  }
+  [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const routing::EcmpRouter& router() const { return router_; }
   [[nodiscard]] fabric::Fabric& fabric() { return fabric_; }
@@ -90,10 +72,7 @@ class Cluster {
  private:
   topo::Topology topo_;
   routing::EcmpRouter router_;
-  topo::PartitionMap pmap_;
-  sim::InlineScheduler inline_sched_;
-  std::unique_ptr<sim::ParallelScheduler> psched_;  // null when 1 partition
-  sim::Scheduler* sched_;  // facade in use: psched_ ? psched_ : inline_sched_
+  sim::InlineScheduler sched_;
   fabric::Fabric fabric_;
   routing::TracerouteService tracer_;
   fabric::IntTelemetry int_;

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 
 namespace rpm::prof {
@@ -18,7 +17,7 @@ constexpr const char* kStageNames[kNumStages] = {
     "drain.vote",    "drain.bottleneck",  "drain.sla",
     "drain.impact",  "drain.diaglog",     "digest.flush",
     "global.merge",  "transport.deliver", "sketch.flush",
-    "period.close",  "sim.sync_barrier",
+    "period.close",
 };
 
 /// Thread-local cache of the calling thread's buffer. Keyed by (owner,
@@ -304,27 +303,13 @@ std::size_t Profiler::num_thread_buffers() const {
 
 void Profiler::attach_scheduler(sim::Scheduler& sched) {
   sched.set_dispatch_observer(
-      [this](std::uint32_t /*partition*/, std::uint64_t wall_ns) {
+      [this](std::uint32_t /*always 0*/, std::uint64_t wall_ns) {
         record(Stage::kSimDispatch, wall_ns);
       });
 }
 
-void Profiler::attach_scheduler(sim::ParallelScheduler& sched) {
-  attach_scheduler(static_cast<sim::Scheduler&>(sched));
-  // Dispatch samples land in per-worker thread buffers (per-partition wall
-  // accounting falls out of the fold); the barrier merge is its own stage.
-  sched.set_barrier_observer([this](std::uint64_t wall_ns) {
-    record(Stage::kSimSyncBarrier, wall_ns);
-  });
-}
-
 void Profiler::detach_scheduler(sim::Scheduler& sched) {
   sched.set_dispatch_observer(nullptr);
-}
-
-void Profiler::detach_scheduler(sim::ParallelScheduler& sched) {
-  sched.set_dispatch_observer(nullptr);
-  sched.set_barrier_observer(nullptr);
 }
 
 Profiler& profiler() {

@@ -6,8 +6,8 @@
 // submit, the analyze_period sub-stages, digest flush, global merge,
 // transport delivery, sketch flush), each measured with std::chrono::
 // steady_clock by a RAII `StageScope`, accumulated in per-thread buffers —
-// ParallelScheduler workers record without touching anyone else's state —
-// and folded on demand into per-stage count/total/min/max plus a mergeable
+// a recording thread never touches another thread's state — and folded on
+// demand into per-stage count/total/min/max plus a mergeable
 // `sketch::QuantileSketch` for p50/p99.
 //
 // Design constraints (shared with the tracer and flight recorder):
@@ -48,7 +48,6 @@
 
 namespace rpm::sim {
 class Scheduler;
-class ParallelScheduler;
 }  // namespace rpm::sim
 
 namespace rpm::prof {
@@ -71,9 +70,8 @@ enum class Stage : std::uint8_t {
   kTransportDeliver,    // one Channel handler invocation
   kSketchFlush,         // SketchExporter flushed a period's link sketches
   kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
-  kSimSyncBarrier,      // ParallelScheduler cross-partition merge per window
 };
-inline constexpr std::size_t kNumStages = 14;
+inline constexpr std::size_t kNumStages = 13;
 
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);
@@ -153,14 +151,9 @@ class Profiler {
   /// Install a dispatch observer on `sched` that folds every executed
   /// event's wall cost into sim.dispatch. The observer stays installed (and
   /// keeps paying two clock reads per event) until detach_scheduler; it
-  /// records nothing while the profiler is disabled. In a partitioned run
-  /// each worker thread records into its own buffer, so per-partition
-  /// dispatch cost folds deterministically; the ParallelScheduler overload
-  /// additionally hooks the per-window inbox merge as sim.sync_barrier.
+  /// records nothing while the profiler is disabled.
   void attach_scheduler(sim::Scheduler& sched);
-  void attach_scheduler(sim::ParallelScheduler& sched);
   static void detach_scheduler(sim::Scheduler& sched);
-  static void detach_scheduler(sim::ParallelScheduler& sched);
 
   /// Deterministic fold of every thread buffer (order-independent).
   /// Readable while enabled and after disable().

@@ -1,15 +1,10 @@
 // Discrete-event simulation core.
 //
 // `Scheduler` is the abstract clock + event-queue interface every component
-// holds (`now`/`schedule_at`/`schedule_after`/`run_until`). Two backends
-// implement it:
-//
-//  * InlineScheduler — the classic single binary heap. One queue owns
-//    simulated time; `run_until` drains events in timestamp order with ties
-//    broken by insertion order, so runs are fully deterministic.
-//  * ParallelScheduler (sim/parallel.h) — one queue per topology partition,
-//    synchronized conservatively in lookahead windows; components hold the
-//    per-partition `Scheduler` facade and never see the difference.
+// holds (`now`/`schedule_at`/`schedule_after`/`run_until`). Its one backend,
+// InlineScheduler, is a single binary heap: one queue owns simulated time,
+// and `run_until` drains events in timestamp order with ties broken by
+// insertion order, so runs are fully deterministic.
 //
 // `schedule_at`/`schedule_after` return a cancellable EventHandle: cancel()
 // guarantees the callback never runs (the queue entry is skipped when it
@@ -70,7 +65,6 @@ class EventHandle {
 
  private:
   friend class InlineScheduler;
-  friend class ParallelScheduler;
   explicit EventHandle(std::shared_ptr<detail::EventCtl> ctl)
       : ctl_(std::move(ctl)) {}
 
@@ -78,7 +72,7 @@ class EventHandle {
 };
 
 /// Abstract simulation scheduler. Components depend on this interface only,
-/// so the single-queue and partitioned backends are swappable.
+/// never on the backend.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -86,7 +80,7 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Current simulated time (partition-local for a partition facade).
+  /// Current simulated time.
   [[nodiscard]] virtual TimeNs now() const = 0;
 
   /// Schedule `fn` at absolute simulated time `t` (clamped to now()).
@@ -108,30 +102,23 @@ class Scheduler {
   /// Consume at most one pending entry; returns false if the queue is empty.
   virtual bool step() = 0;
 
-  /// Events currently queued (cancelled-but-not-yet-surfaced entries count;
-  /// a partitioned backend aggregates across every partition and in-flight
-  /// cross-partition inbox).
+  /// Events currently queued (cancelled-but-not-yet-surfaced entries count).
   [[nodiscard]] virtual std::size_t pending_events() const = 0;
 
-  /// Total events executed so far (aggregated across partitions; cancelled
-  /// entries are skipped, not executed).
+  /// Total events executed so far (cancelled entries are skipped, not
+  /// executed).
   [[nodiscard]] virtual std::uint64_t executed_events() const = 0;
 
   /// Wall-clock dispatch observer: when set, every executed event's callback
   /// is timed with std::chrono::steady_clock and the elapsed nanoseconds are
-  /// reported together with the partition that ran it (always 0 for the
-  /// single-queue backend). Purely observational — it cannot affect event
-  /// order or simulated time (the profiler installs one; see
-  /// prof::Profiler::attach_scheduler). One branch per event when unset.
-  /// A partitioned backend invokes it concurrently from worker threads; the
-  /// observer must be thread-safe.
+  /// reported as the second argument. The first argument is always 0; it is
+  /// kept so existing two-argument observers still bind. Purely
+  /// observational — it cannot affect event order or simulated time (the
+  /// profiler installs one; see prof::Profiler::attach_scheduler). One branch
+  /// per event when unset.
   using DispatchObserver =
-      std::function<void(std::uint32_t partition, std::uint64_t wall_ns)>;
+      std::function<void(std::uint32_t, std::uint64_t wall_ns)>;
   virtual void set_dispatch_observer(DispatchObserver obs) = 0;
-
-  /// Partition this handle schedules into (0 for single-queue backends and
-  /// for a partitioned backend's global facade).
-  [[nodiscard]] virtual std::uint32_t partition_id() const { return 0; }
 };
 
 /// The single-threaded single-queue backend: one binary heap owns simulated

@@ -25,9 +25,8 @@
 // Thread-safety: registration, collectors, and snapshots take a mutex;
 // Counter::inc / Gauge::set are lock-free atomics. Histogram::observe (and
 // its readers: count/sum/percentile, snapshots) is guarded by a per-series
-// mutex, so concurrent observers — e.g. events dispatched on
-// ParallelScheduler workers — are safe; the lock is uncontended (~ns) in
-// single-threaded use.
+// mutex, so concurrent observers are safe; the simulator itself is
+// single-threaded, so the lock is uncontended (~ns).
 #pragma once
 
 #include <atomic>

@@ -51,10 +51,6 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   };
 
   sim::Scheduler& sched;
-  // Where delivery events (handler invocations) run; defaults to the
-  // sender's scheduler, rebound by bind_delivery_scheduler() to the
-  // receiver's partition in partitioned runs.
-  sim::Scheduler* deliver_sched = &sched;
   std::string name;
   Rng rng;
   ChannelConfig cfg;
@@ -151,7 +147,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
       if (cfg.reorder_prob > 0.0 && rng.chance(cfg.reorder_prob)) {
         lat += cfg.reorder_extra;
       }
-      deliver_sched->schedule_at(sched.now() + lat, [weak, m] {
+      sched.schedule_after(lat, [weak, m] {
         auto self = weak.lock();
         if (!self || m->cancelled) return;
         if (self->peer_is_down) {
@@ -247,10 +243,6 @@ std::uint64_t Channel::send(std::any payload, Bytes wire_bytes) {
 
 void Channel::set_handler(HandlerFn handler) {
   impl_->handler = std::move(handler);
-}
-
-void Channel::bind_delivery_scheduler(sim::Scheduler& sched) {
-  impl_->deliver_sched = &sched;
 }
 
 void Channel::set_on_expire(ExpireFn fn) { impl_->on_expire = std::move(fn); }

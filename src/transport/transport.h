@@ -92,9 +92,7 @@ class Channel {
   /// Receiver callback. `payload` is mutable so handlers can move large
   /// message bodies out; on duplicate deliveries the payload may therefore
   /// be moved-from — dedup on header fields before touching the body.
-  /// Handlers run on the thread that dispatches the delivery event — the
-  /// simulation thread, or the receiving partition's worker under a
-  /// `sim::ParallelScheduler` (see `bind_delivery_scheduler`).
+  /// Handlers run inside the delivery event, on the simulation thread.
   using HandlerFn = std::function<void(std::uint64_t seq, std::any& payload)>;
   /// Expiry/abandon callback. `payload` is handed back mutable so the
   /// application can move the message body out and re-queue it at its own
@@ -133,14 +131,6 @@ class Channel {
   /// Sender-side handler swap (nullptr detaches: messages still count as
   /// delivered but are discarded). The consumer calls this once at setup.
   void set_handler(HandlerFn handler);
-
-  /// Bind the receiving endpoint to a partition: delivery events (the
-  /// handler invocations) are scheduled on `sched` instead of the channel's
-  /// construction scheduler. Pass a ParallelScheduler::partition(p) facade
-  /// to make a cross-partition channel's handler run on the receiver's
-  /// partition clock; retry timers and ack bookkeeping stay on the sender's
-  /// scheduler. Call before traffic flows.
-  void bind_delivery_scheduler(sim::Scheduler& sched);
 
   /// Invoked when a message exhausts max_attempts without an ack (or is
   /// abandoned by backpressure / cancel_unacked), with the payload returned.

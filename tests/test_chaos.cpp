@@ -34,13 +34,11 @@ topo::ClosConfig clos_cfg() {
 /// A deployment with 5 s analysis periods so a 160 s campaign yields enough
 /// periods to score recovery.
 struct Deployment {
-  explicit Deployment(std::uint64_t seed = 7, bool sketch_on = false,
-                      std::uint32_t sim_partitions = 1)
+  explicit Deployment(std::uint64_t seed = 7, bool sketch_on = false)
       : cluster(topo::build_clos(clos_cfg()),
-                [seed, sim_partitions] {
+                [seed] {
                   host::ClusterConfig c;
                   c.seed = seed;
-                  c.sim_partitions = sim_partitions;
                   return c;
                 }()),
         rpm(cluster,
@@ -168,52 +166,6 @@ TEST(Chaos, SameSeedYieldsByteIdenticalReports) {
     }
   }
   EXPECT_FALSE(first.empty());
-}
-
-TEST(Chaos, PartitionedSimIsByteIdenticalAcrossRuns) {
-  // Pod-partitioned event loop (2 partitions over the 2-pod Clos): the
-  // cross-partition merge order is fixed by (time, src-partition, seq), so
-  // the same seed yields byte-for-byte identical ChaosReport JSON across
-  // runs. (Determinism is per partition count; 2-partition reports are not
-  // expected to match the single-queue schedule.)
-  std::string first;
-  for (int run = 0; run < 2; ++run) {
-    Deployment d(11, false, 2);
-    ASSERT_NE(d.cluster.parallel_scheduler(), nullptr);
-    EXPECT_EQ(d.cluster.partition_map().num_partitions, 2u);
-    ChaosRunner runner(d.cluster, d.rpm, d.injector);
-    const std::string json =
-        runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
-    if (run == 0) {
-      first = json;
-    } else {
-      EXPECT_EQ(json, first);
-    }
-  }
-  EXPECT_FALSE(first.empty());
-}
-
-TEST(Chaos, SinglePartitionMatchesDefaultPipelineBytes) {
-  // sim_partitions=1 must stay on the inline single-queue backend and
-  // reproduce the default pipeline's report bytes exactly — the
-  // compatibility guarantee for every pre-partitioning seed.
-  std::string default_json;
-  std::string single_json;
-  {
-    Deployment d(11);
-    ChaosRunner runner(d.cluster, d.rpm, d.injector);
-    default_json =
-        runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
-  }
-  {
-    Deployment d(11, false, 1);
-    EXPECT_EQ(d.cluster.parallel_scheduler(), nullptr);
-    ChaosRunner runner(d.cluster, d.rpm, d.injector);
-    single_json =
-        runner.run(acceptance_plan(11, d.first_fabric_link())).to_json();
-  }
-  EXPECT_EQ(single_json, default_json);
-  EXPECT_FALSE(default_json.empty());
 }
 
 TEST(Chaos, SketchModeMatchesRawVerdictsOnChaosGroundTruth) {

@@ -427,6 +427,43 @@ TEST(Fuzz, DeploymentSpecIgnoresUnknownKeys) {
   EXPECT_EQ(spec.to_value().find("retired_knob"), nullptr);
 }
 
+TEST(Fuzz, DeploymentSpecRejectsOutOfRangeFields) {
+  // A negative or zero dimension must be a load error naming the key, not a
+  // value that wraps to ~2^32 hosts per ToR and hangs the replay.
+  const auto rejects = [](const std::string& text, const std::string& key) {
+    try {
+      (void)DeploymentSpec::from_value(json::Value::parse(text));
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << text << ": " << e.what();
+      return;
+    }
+    ADD_FAILURE() << text << " loaded";
+  };
+  for (const char* key : {"clos_pods", "tors_per_pod", "aggs_per_pod",
+                          "spines_per_plane", "hosts_per_tor",
+                          "rnics_per_host"}) {
+    const std::string k = key;
+    rejects(R"({")" + k + R"(": -1})", k);
+    rejects(R"({")" + k + R"(": 0})", k);
+    rejects(R"({")" + k + R"(": 4294967296})", k);
+  }
+  rejects(R"({"pods": -1})", "pods");
+  rejects(R"({"pods": 0})", "pods");
+  rejects(R"({"pods": 3})", "pods");  // more than the default 2 Clos pods
+  rejects(R"({"period_ns": 0})", "period_ns");
+  rejects(R"({"period_ns": -5000000000})", "period_ns");
+
+  // The bounds themselves load.
+  const DeploymentSpec spec = DeploymentSpec::from_value(json::Value::parse(
+      R"({"clos_pods": 4, "pods": 4, "hosts_per_tor": 1,
+          "rnics_per_host": 4294967295, "period_ns": 1})"));
+  EXPECT_EQ(spec.pods, 4u);
+  EXPECT_EQ(spec.hosts_per_tor, 1u);
+  EXPECT_EQ(spec.rnics_per_host, 4294967295u);
+  EXPECT_EQ(spec.period, 1);
+}
+
 // ---- regression corpus replay ----
 
 TEST(Fuzz, CheckedInCorpusReplaysCleanly) {

@@ -2,11 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/clock.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 
 namespace rpm::sim {
@@ -31,6 +29,19 @@ TEST(Scheduler, TiesBreakByInsertionOrder) {
   }
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  // Ties scheduled from inside a dispatched event run after the entries
+  // queued at that timestamp earlier, in the order they were scheduled.
+  order.clear();
+  for (int src : {10, 20}) {
+    s.schedule_at(usec(20), [&s, &order, src] {
+      s.schedule_at(usec(30), [&order, src] { order.push_back(src + 1); });
+      s.schedule_at(usec(30), [&order, src] { order.push_back(src + 2); });
+    });
+  }
+  s.schedule_at(usec(30), [&order] { order.push_back(0); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 11, 12, 21, 22}));
 }
 
 TEST(Scheduler, PastTimesClampToNow) {
@@ -245,6 +256,10 @@ TEST(EventHandle, LifecycleAndDefaultHandle) {
 
 TEST(EventHandle, CancelledEventsAreNotCountedExecuted) {
   InlineScheduler s;
+  std::vector<std::uint32_t> observed;
+  s.set_dispatch_observer([&observed](std::uint32_t first, std::uint64_t) {
+    observed.push_back(first);
+  });
   s.schedule_at(usec(1), [] {});
   EventHandle h = s.schedule_at(usec(2), [] {});
   h.cancel();
@@ -252,209 +267,14 @@ TEST(EventHandle, CancelledEventsAreNotCountedExecuted) {
   EXPECT_EQ(s.pending_events(), 2u);
   s.run_all();
   EXPECT_EQ(s.executed_events(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// ParallelScheduler
-
-// Deterministic self-expanding workload: every event records "(time):(id)"
-// into its partition's trace and spawns one local and one cross-partition
-// child until `depth` runs out. Identical traces across runs/worker counts
-// is the determinism invariant the partitioned backend guarantees.
-struct MatrixWorkload {
-  explicit MatrixWorkload(ParallelScheduler& s)
-      : ps(s), trace(s.num_partitions()) {}
-
-  void spawn(std::uint32_t p, TimeNs t, std::uint64_t id, int depth) {
-    ps.partition(p).schedule_at(t, [this, p, id, depth] {
-      const TimeNs now = ps.partition(p).now();
-      trace[p].push_back(std::to_string(now) + ":" + std::to_string(id));
-      if (depth == 0) return;
-      const std::uint64_t h = id * 2654435761ull + p;
-      spawn(p, now + 31 + static_cast<TimeNs>(h % 97), 2 * id + 1, depth - 1);
-      const auto q = static_cast<std::uint32_t>((p + 1 + h % 3) %
-                                                ps.num_partitions());
-      spawn(q, now + 113 + static_cast<TimeNs>(h % 57), 2 * id + 2,
-            depth - 1);
-    });
-  }
-
-  ParallelScheduler& ps;
-  std::vector<std::vector<std::string>> trace;
-};
-
-std::vector<std::vector<std::string>> run_matrix(std::uint32_t partitions,
-                                                 std::uint32_t workers) {
-  ParallelConfig cfg;
-  cfg.partitions = partitions;
-  cfg.workers = workers;
-  cfg.lookahead = nsec(100);
-  ParallelScheduler ps(cfg);
-  MatrixWorkload w(ps);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      w.spawn(p, nsec(10 + 7 * i + p), p * 100 + i, 6);
-    }
-  }
-  ps.run_until(usec(50));
-  return w.trace;
-}
-
-TEST(ParallelScheduler, DeterministicAcrossRunsAndWorkerCounts) {
-  for (std::uint32_t partitions : {1u, 2u, 4u}) {
-    const auto reference = run_matrix(partitions, 1);
-    std::size_t total = 0;
-    for (const auto& t : reference) total += t.size();
-    ASSERT_GT(total, 100u) << partitions;
-    for (std::uint32_t workers : {1u, 2u, 4u}) {
-      for (int rep = 0; rep < 2; ++rep) {
-        EXPECT_EQ(run_matrix(partitions, workers), reference)
-            << "partitions=" << partitions << " workers=" << workers
-            << " rep=" << rep;
-      }
-    }
-  }
-}
-
-// With one partition the window loop degenerates to a single-queue drain:
-// the event order must match InlineScheduler exactly.
-struct LinearWorkload {
-  explicit LinearWorkload(Scheduler& s) : sched(s) {}
-  void spawn(TimeNs t, std::uint64_t id, int depth) {
-    sched.schedule_at(t, [this, id, depth] {
-      const TimeNs now = sched.now();
-      trace.push_back(std::to_string(now) + ":" + std::to_string(id));
-      if (depth == 0) return;
-      spawn(now + 31 + static_cast<TimeNs>(id % 97), 2 * id + 1, depth - 1);
-      spawn(now + 113 + static_cast<TimeNs>(id % 57), 2 * id + 2, depth - 1);
-    });
-  }
-  Scheduler& sched;
-  std::vector<std::string> trace;
-};
-
-TEST(ParallelScheduler, OnePartitionMatchesInlineScheduler) {
-  InlineScheduler inline_s;
-  LinearWorkload a(inline_s);
-  ParallelConfig cfg;
-  cfg.partitions = 1;
-  ParallelScheduler ps(cfg);
-  LinearWorkload b(ps);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    a.spawn(nsec(10 + 7 * i), i, 6);
-    b.spawn(nsec(10 + 7 * i), i, 6);
-  }
-  inline_s.run_until(usec(50));
-  ps.run_until(usec(50));
-  ASSERT_GT(a.trace.size(), 100u);
-  EXPECT_EQ(b.trace, a.trace);
-}
-
-// Regression for cross-cut tie-breaking: seed events with the SAME
-// timestamp on opposite sides of a cut edge each post cross-partition
-// events at the same target time. The destination must merge them by
-// (time, src-partition, edge-seq), after its own same-tick local events.
-TEST(ParallelScheduler, CrossCutTiesMergeBySourcePartitionThenSeq) {
-  ParallelConfig cfg;
-  cfg.partitions = 3;
-  cfg.lookahead = nsec(100);
-  cfg.workers = 1;
-  ParallelScheduler ps(cfg);
-  std::vector<std::string> order;
-  // Both seeds fire at t=1000 in the same window; their cross events target
-  // t=1040, inside the lookahead horizon, so both clamp to the next window
-  // boundary (t=1100) — a forced tie.
-  for (std::uint32_t src : {1u, 2u}) {
-    ps.partition(src).schedule_at(nsec(1000), [&ps, &order, src] {
-      ps.partition(0).schedule_at(nsec(1040), [&order, src] {
-        order.push_back("s" + std::to_string(src) + "a");
-      });
-      ps.partition(0).schedule_at(nsec(1040), [&order, src] {
-        order.push_back("s" + std::to_string(src) + "b");
-      });
-    });
-  }
-  ps.partition(0).schedule_at(nsec(1100), [&order] {
-    order.push_back("local");
-  });
-  ps.run_until(usec(2));
-  EXPECT_EQ(order, (std::vector<std::string>{"local", "s1a", "s1b", "s2a",
-                                             "s2b"}));
-  EXPECT_EQ(ps.cross_events(), 4u);
-  EXPECT_GE(ps.sync_windows(), 2u);
-}
-
-TEST(ParallelScheduler, AggregatesCountsAndObserverSeesPartitionIds) {
-  ParallelConfig cfg;
-  cfg.partitions = 2;
-  cfg.lookahead = nsec(50);
-  ParallelScheduler ps(cfg);
-  std::vector<std::uint32_t> observed;
-  ps.set_dispatch_observer(
-      [&observed](std::uint32_t partition, std::uint64_t) {
-        observed.push_back(partition);
-      });
-  for (int i = 0; i < 3; ++i) ps.partition(0).schedule_at(nsec(10 + i), [] {});
-  for (int i = 0; i < 2; ++i) ps.partition(1).schedule_at(nsec(10 + i), [] {});
-  EXPECT_EQ(ps.pending_events(), 5u);
-  EXPECT_EQ(ps.partition(0).pending_events(), 3u);
-  EXPECT_EQ(ps.partition(1).pending_events(), 2u);
-  ps.run_all();
-  EXPECT_EQ(ps.executed_events(), 5u);
-  EXPECT_EQ(ps.partition_executed(0), 3u);
-  EXPECT_EQ(ps.partition_executed(1), 2u);
-  EXPECT_EQ(ps.pending_events(), 0u);
-  std::size_t p0 = 0;
-  for (std::uint32_t p : observed) p0 += p == 0 ? 1 : 0;
-  EXPECT_EQ(observed.size(), 5u);
-  EXPECT_EQ(p0, 3u);
-  EXPECT_EQ(ps.partition(0).partition_id(), 0u);
-  EXPECT_EQ(ps.partition(1).partition_id(), 1u);
-}
-
-TEST(ParallelScheduler, RunUntilBoundarySemantics) {
-  ParallelConfig cfg;
-  cfg.partitions = 2;
-  cfg.lookahead = nsec(10);
-  ParallelScheduler ps(cfg);
-  int at_boundary = 0;
-  int after = 0;
-  ps.partition(1).schedule_at(usec(100), [&] { ++at_boundary; });
-  ps.partition(0).schedule_at(usec(100) + 1, [&] { ++after; });
-  ps.run_until(usec(100));
-  EXPECT_EQ(at_boundary, 1);  // event at exactly t_end runs
-  EXPECT_EQ(after, 0);
-  EXPECT_EQ(ps.now(), usec(100));
-  ps.run_until(usec(200));
-  EXPECT_EQ(after, 1);
-}
-
-TEST(ParallelScheduler, HandleCancelWorksAcrossPartitions) {
-  ParallelConfig cfg;
-  cfg.partitions = 2;
-  ParallelScheduler ps(cfg);
-  int fired = 0;
-  EventHandle h = ps.partition(1).schedule_at(usec(10), [&] { ++fired; });
-  EXPECT_TRUE(h.cancel());
-  ps.run_all();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(ps.executed_events(), 0u);
-}
-
-TEST(ParallelScheduler, PeriodicTaskRunsOnPartitionFacade) {
-  ParallelConfig cfg;
-  cfg.partitions = 2;
-  cfg.lookahead = nsec(100);
-  ParallelScheduler ps(cfg);
-  int fired = 0;
-  PeriodicTask task(ps.partition(1), usec(10), [&] { ++fired; });
-  task.start();
-  ps.run_until(usec(35));
-  EXPECT_EQ(fired, 4);  // t = 0, 10, 20, 30 us, all on partition 1
-  EXPECT_EQ(ps.partition_executed(1), 4u);
-  task.cancel();
-  ps.run_until(usec(100));
-  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(s.pending_events(), 0u);
+  // The observer sees the executed event only, with first argument 0.
+  EXPECT_EQ(observed, (std::vector<std::uint32_t>{0u}));
+  // Clearing the observer stops the calls.
+  s.set_dispatch_observer(nullptr);
+  s.schedule_after(0, [] {});
+  s.run_all();
+  EXPECT_EQ(observed.size(), 1u);
 }
 
 TEST(DeviceClock, AppliesOffset) {

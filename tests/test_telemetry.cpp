@@ -477,10 +477,9 @@ TEST(Tracer, ChromeJsonIsStructurallyBalanced) {
 
 TEST(Histogram, ConcurrentObserveIsThreadSafe) {
   // Histogram::observe is documented thread-safe (guarded by a per-series
-  // mutex) since events dispatched on ParallelScheduler workers observe off
-  // the sim thread. Hammer one series from several threads — under TSan
-  // this is the race detector's target; everywhere it must not lose a
-  // single sample.
+  // mutex). Hammer one series from several threads — under TSan this is
+  // the race detector's target; everywhere it must not lose a single
+  // sample.
   MetricsRegistry reg;
   Histogram h = reg.histogram("t_concurrent_ns", "concurrent observes");
   constexpr int kThreads = 4;

@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "topo/partition.h"
 #include "topo/topology.h"
 
 namespace rpm::topo {
@@ -55,6 +54,17 @@ TEST(Clos, RnicsOfAHostShareOneTor) {
     std::set<SwitchId> tors;
     for (RnicId r : h.rnics) tors.insert(t.rnic(r).tor);
     EXPECT_EQ(tors.size(), 1u);
+  }
+}
+
+TEST(Clos, TorAggLinksStayInsideOnePod) {
+  const Topology t = build_clos(small_clos());
+  for (const Link& l : t.links()) {
+    if (l.from.is_host() || l.to.is_host()) continue;
+    const SwitchInfo& a = t.switch_info(l.from.as_switch());
+    const SwitchInfo& b = t.switch_info(l.to.as_switch());
+    if (a.tier == SwitchTier::kSpine || b.tier == SwitchTier::kSpine) continue;
+    EXPECT_EQ(a.pod, b.pod) << t.link_name(l.id);
   }
 }
 
@@ -180,55 +190,6 @@ TEST(Topology, CapacityStoredAsBytesPerSecond) {
   const Topology t = build_clos(cfg);
   const RnicInfo& r = t.rnic(RnicId{0});
   EXPECT_DOUBLE_EQ(t.link(r.uplink).capacity_Bps, 200e9 / 8.0);
-}
-
-TEST(PartitionMap, PodsStayWholeAndHostsFollowTheirTor) {
-  const Topology t = build_clos(small_clos());
-  const PartitionMap map = build_pod_partitions(t, 2);
-  EXPECT_EQ(map.num_partitions, 2u);
-  // Every non-spine switch of a pod shares one partition.
-  for (const SwitchInfo& s : t.switches()) {
-    if (s.tier == SwitchTier::kSpine) continue;
-    EXPECT_EQ(map.switch_partition[s.id.value], s.pod % 2)
-        << "switch " << s.id.value;
-  }
-  // Hosts and RNICs inherit their attachment ToR's partition, so no
-  // RNIC<->ToR link is ever a cut edge.
-  for (const RnicInfo& r : t.rnics()) {
-    EXPECT_EQ(map.rnic_partition[r.id.value],
-              map.switch_partition[r.tor.value]);
-    EXPECT_EQ(map.host_partition[r.host.value],
-              map.switch_partition[r.tor.value]);
-  }
-  for (const Link& l : t.links()) {
-    if (l.from.is_host() || l.to.is_host()) EXPECT_FALSE(map.is_cut(l));
-  }
-}
-
-TEST(PartitionMap, ClampsToPodCountAndComputesCutLookahead) {
-  const Topology t = build_clos(small_clos());  // 2 pods
-  const PartitionMap over = build_pod_partitions(t, 8);
-  EXPECT_EQ(over.num_partitions, 2u);  // clamped: more partitions than pods
-
-  const PartitionMap map = build_pod_partitions(t, 2);
-  EXPECT_GT(map.cut_links, 0u);
-  // Lookahead = min propagation over cut edges only.
-  TimeNs want = 0;
-  for (const Link& l : t.links()) {
-    if (!map.is_cut(l)) continue;
-    if (want == 0 || l.propagation < want) want = l.propagation;
-  }
-  EXPECT_EQ(map.cut_lookahead, want);
-  EXPECT_GE(map.cut_lookahead, 1);
-}
-
-TEST(PartitionMap, SinglePartitionHasNoCutEdges) {
-  const Topology t = build_clos(small_clos());
-  const PartitionMap map = build_pod_partitions(t, 1);
-  EXPECT_EQ(map.num_partitions, 1u);
-  EXPECT_EQ(map.cut_links, 0u);
-  EXPECT_GE(map.cut_lookahead, 1);  // falls back to topology-wide minimum
-  for (const Link& l : t.links()) EXPECT_FALSE(map.is_cut(l));
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "transport/transport.h"
 
@@ -421,47 +420,6 @@ TEST_F(TransportTest, ControlPlaneCountsItsChannels) {
   cp_.make_channel("t.a", nullptr);
   cp_.make_rpc_channel("t.b", [](const std::any&) { return std::any(); });
   EXPECT_EQ(cp_.num_channels(), 3u);  // one plain + req/rsp pair
-}
-
-// Partition binding: a channel whose sender lives on partition 0 and whose
-// receiver is bound to partition 1 must run its handler on partition 1's
-// clock, at the same simulated latency, deterministically.
-TEST(TransportPartitioned, DeliveryRunsOnBoundPartition) {
-  sim::ParallelConfig pcfg;
-  pcfg.partitions = 2;
-  pcfg.lookahead = usec(10);
-  ChannelConfig ccfg;
-  ccfg.base_latency = usec(50);
-  ccfg.latency_jitter = 0;
-  ccfg.retry_jitter = 0;
-
-  auto run_once = [&] {
-    sim::ParallelScheduler ps(pcfg);
-    std::vector<std::pair<std::uint64_t, TimeNs>> deliveries;
-    // Sender endpoint on partition 0 (the control-plane partition).
-    ControlPlane cp(ps.partition(0), Rng(42));
-    Channel& ch = cp.make_channel(
-        "t.part",
-        [&](std::uint64_t seq, std::any&) {
-          deliveries.emplace_back(seq, ps.partition(1).now());
-        },
-        ccfg);
-    ch.bind_delivery_scheduler(ps.partition(1));
-    for (int i = 0; i < 4; ++i) ch.send(std::any(i));
-    ps.run_until(sec(1));
-    EXPECT_EQ(ch.counters().delivered, 4u);
-    EXPECT_EQ(ch.in_flight(), 0u);  // acks crossed back to partition 0
-    // The delivery events themselves executed on partition 1.
-    EXPECT_GE(ps.partition_executed(1), 4u);
-    return deliveries;
-  };
-
-  const auto first = run_once();
-  ASSERT_EQ(first.size(), 4u);
-  // All handler invocations saw partition 1's clock at the delivery time.
-  for (const auto& [seq, t] : first) EXPECT_GE(t, usec(50));
-  // Byte-identical across runs (the partitioned determinism invariant).
-  EXPECT_EQ(run_once(), first);
 }
 
 }  // namespace
