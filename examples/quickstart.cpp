@@ -3,7 +3,7 @@
 // localized, and prioritized — all in ~40 lines of API use. Along the way
 // the telemetry subsystem watches R-Pingmesh itself: a Prometheus-style
 // scrape loop on the simulation clock, a final metrics dump, and a
-// chrome://tracing span file.
+// chrome://tracing file.
 //
 //   $ ./examples/quickstart
 #include <cstdint>
@@ -15,12 +15,12 @@
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
+#include "obs/chrome_trace.h"
 #include "obs/diagnosis.h"
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "topo/topology.h"
 
 namespace {
@@ -62,10 +62,8 @@ int main() {
               cluster.num_hosts(), cluster.num_rnics(),
               cluster.topology().num_switches());
 
-  // 2. Turn on self-observability: trace spans stamped with simulated time,
-  // and a periodic "scrape" of the metrics registry every 20 s of sim time.
-  telemetry::tracer().enable(
-      [&cluster]() -> TimeNs { return cluster.scheduler().now(); });
+  // 2. Turn on self-observability: a periodic "scrape" of the metrics
+  // registry every 20 s of sim time...
   std::uint64_t scrape_bytes = 0;
   telemetry::PeriodicDumper scraper(
       cluster.scheduler(), sec(20),
@@ -76,7 +74,9 @@ int main() {
 
   // ...and the probe flight recorder: with sample_rate 1.0 every probe's
   // causal timeline (Agent enqueue -> RNIC CQEs -> per-hop fabric traversal
-  // -> upload attempts -> Analyzer ingest) is kept in a bounded ring.
+  // -> upload attempts -> Analyzer ingest) is kept in a bounded ring, next
+  // to a marker track of process-level events (fault injections, period
+  // closes) stamped with simulated time.
   obs::FlightRecorderConfig flight_cfg;
   flight_cfg.sample_rate = 1.0;
   flight_cfg.capacity = 1 << 15;
@@ -181,22 +181,17 @@ int main() {
   std::printf("\nevent loop:\n");
   print_filtered(prom, {"rpm_sim_"});
 
-  // The trace of everything above — telemetry spans, one track per sampled
-  // probe, and the profiler's wall-clock stage tracks (pid 3) — viewable in
-  // chrome://tracing / Perfetto.
-  std::string extra = obs::recorder().chrome_events();
-  const std::string prof_events = prof::profiler().chrome_events();
-  if (!prof_events.empty()) {
-    if (!extra.empty()) extra += ',';
-    extra += prof_events;
-  }
-  const std::string trace = telemetry::tracer().chrome_json(extra);
+  // The trace of everything above — the marker track (pid 1), one track per
+  // sampled probe (pid 2), and the profiler's wall-clock stage tracks
+  // (pid 3) — viewable in chrome://tracing / Perfetto.
+  const std::string trace = obs::chrome_trace(
+      {obs::recorder().chrome_events(), prof::profiler().chrome_events()});
   if (std::FILE* f = std::fopen("quickstart_trace.json", "w")) {
     std::fwrite(trace.data(), 1, trace.size(), f);
     std::fclose(f);
-    std::printf("\ntrace: %zu span events + %llu probe timelines"
+    std::printf("\ntrace: %zu markers + %llu probe timelines"
                 " -> quickstart_trace.json\n",
-                telemetry::tracer().num_events(),
+                obs::recorder().markers().size(),
                 static_cast<unsigned long long>(
                     obs::recorder().live_timelines()));
   }

@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "telemetry/trace.h"
+#include "common/json.h"
+#include "obs/flight_recorder.h"
 
 namespace rpm::chaos {
 
@@ -128,17 +129,6 @@ struct Window {
   }
 };
 
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-}
-
 void append_f6(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
@@ -173,8 +163,8 @@ ChaosReport ChaosRunner::run(const ChaosPlan& plan) {
   for (const ChaosStep* sp : ordered) {
     const ChaosStep& step = *sp;
     sched.schedule_at(t0 + step.at, [this, &step, t0, truths] {
-      telemetry::tracer().instant(
-          std::string("chaos.") + chaos_step_name(step.kind), "chaos");
+      obs::recorder().marker(chaos_step_name(step.kind),
+                             static_cast<std::uint64_t>(step.at));
       const TimeNs rel = cluster_.scheduler().now() - t0;
       switch (step.kind) {
         case ChaosStep::Kind::kControllerCrash:
@@ -526,11 +516,11 @@ std::string ChaosReport::to_json() const {
   for (std::size_t i = 0; i < ground_truths.size(); ++i) {
     const GroundTruthScore& g = ground_truths[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"label\": \"";
-    append_json_escaped(out, g.label);
-    out += "\", \"kind\": \"";
-    append_json_escaped(out, g.kind);
-    out += "\", \"scored\": ";
+    out += "    {\"label\": ";
+    json::append_quoted(out, g.label);
+    out += ", \"kind\": ";
+    json::append_quoted(out, g.kind);
+    out += ", \"scored\": ";
     out += g.scored ? "true" : "false";
     out += ", \"matched\": ";
     out += g.matched ? "true" : "false";
@@ -543,9 +533,9 @@ std::string ChaosReport::to_json() const {
   for (std::size_t i = 0; i < recoveries.size(); ++i) {
     const Recovery& r = recoveries[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"event\": \"";
-    append_json_escaped(out, r.event);
-    out += "\", \"at_ns\": " + std::to_string(r.at);
+    out += "    {\"event\": ";
+    json::append_quoted(out, r.event);
+    out += ", \"at_ns\": " + std::to_string(r.at);
     out += ", \"periods_to_recover\": " + std::to_string(r.periods_to_recover);
     out += "}";
   }

@@ -290,6 +290,17 @@ void append_quoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
+std::string fmt_double(double v) {
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
 Value::Type Value::type() const {
   switch (v_.index()) {
     case 0: return Type::kNull;

@@ -93,4 +93,9 @@ class Value {
 /// Escape + quote a string into `out` (the repo-wide JSON string contract).
 void append_quoted(std::string& out, std::string_view s);
 
+/// Fixed-format number for the write-only dumps (metrics exports, diagnosis
+/// logs): integral values print without a fraction ("42"), everything else
+/// as %.9g. Deterministic across runs given identical doubles.
+std::string fmt_double(double v);
+
 }  // namespace rpm::json

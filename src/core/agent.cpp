@@ -5,7 +5,6 @@
 #include "common/log.h"
 #include "obs/flight_recorder.h"
 #include "rnic/rnic.h"
-#include "telemetry/trace.h"
 
 namespace rpm::core {
 
@@ -161,7 +160,7 @@ void Agent::register_with_controller() {
       rereg_pending_ = false;
       ++reregistrations_;
       metrics_.reregistrations.inc();
-      telemetry::tracer().instant("agent-reregistered", "control");
+      obs::recorder().marker("agent-reregistered", host_.value);
       if (obs::recorder().enabled()) {
         for (const ProbeRecord& r : outbox_) {
           if (r.flight_sampled) {
@@ -195,7 +194,7 @@ void Agent::heartbeat_tick() {
     registered_ = false;
     ++lease_expiries_;
     metrics_.lease_expired.inc();
-    telemetry::tracer().instant("agent-lease-expired", "control");
+    obs::recorder().marker("agent-lease-expired", host_.value);
     if (obs::recorder().enabled()) {
       for (const ProbeRecord& r : outbox_) {
         if (r.flight_sampled) {
@@ -388,7 +387,7 @@ void Agent::deliver_pinglist_response(PinglistPullResponse rsp) {
           {{"host", std::to_string(host_.value)}});
     }
     stale_pinglists_total_.inc();
-    telemetry::tracer().instant("agent-stale-pinglist", "control");
+    obs::recorder().marker("agent-stale-pinglist", host_.value);
     return;
   }
   if (rsp.controller_epoch > ctrl_epoch_seen_) {
@@ -560,10 +559,6 @@ void Agent::send_probe(std::uint32_t slot, const PinglistEntry& entry) {
       /*trace_id=*/sampled ? pid : 0);
   ++probes_sent_;
   metrics_.probes_sent[static_cast<std::uint8_t>(entry.kind)].inc();
-  if (telemetry::tracer().enabled()) {
-    telemetry::tracer().async_begin("probe", probe_kind_name(entry.kind),
-                                    pid);
-  }
 
   cluster_.scheduler().schedule_after(cfg_.probe_timeout, [this, pid] {
     finalize_timeout(pid);
@@ -723,10 +718,6 @@ void Agent::finalize_if_complete(std::uint64_t probe_id) {
                            static_cast<std::uint64_t>(p.record.network_rtt),
                            static_cast<std::uint64_t>(p.record.prober_delay));
   }
-  if (telemetry::tracer().enabled()) {
-    telemetry::tracer().async_end("probe", probe_kind_name(p.record.kind),
-                                  probe_id);
-  }
   if (cfg_.sketch_thin_uploads && foldable(p.record)) {
     fold_record(p.record);
   } else {
@@ -767,9 +758,6 @@ void Agent::finalize_timeout(std::uint64_t probe_id) {
   metrics_.probe_timeouts[static_cast<std::uint8_t>(kind)].inc();
   if (it->second.record.flight_sampled) {
     obs::recorder().record(probe_id, obs::ProbeEventKind::kTimedOut);
-  }
-  if (telemetry::tracer().enabled()) {
-    telemetry::tracer().async_end("probe", probe_kind_name(kind), probe_id);
   }
   outbox_.push_back(std::move(it->second.record));
   pending_.erase(it);

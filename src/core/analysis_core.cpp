@@ -9,7 +9,6 @@
 #include "fabric/fabric.h"
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
-#include "telemetry/trace.h"
 
 namespace rpm::core {
 
@@ -345,12 +344,9 @@ const PeriodReport& AnalysisCore::analyze_period(
   };
 
   metrics_.periods.inc();
-  const std::uint64_t period_span =
-      telemetry::tracer().begin_span("analyzer.period", "analyzer");
   int cur_stage = -1;
-  std::uint64_t stage_span = 0;
   std::chrono::steady_clock::time_point stage_t0{};
-  // Transition between pipeline stages: close the previous stage's span and
+  // Transition between pipeline stages: close the previous stage's
   // wall-clock histogram sample, open the next. enter_stage(-1) closes out.
   // The wall-clock profiler reuses enter_stage's clock reads; its coarser
   // stage set folds classify/rnic_detect/attribute into drain.triage.
@@ -370,14 +366,9 @@ const PeriodReport& AnalysisCore::analyze_period(
       metrics_.stage_ns[cur_stage].observe(static_cast<double>(ns));
       prof::profiler().record(kProfStage[cur_stage],
                               static_cast<std::uint64_t>(ns));
-      telemetry::tracer().end_span(stage_span);
     }
     cur_stage = next;
     stage_t0 = wall;
-    if (next >= 0) {
-      stage_span = telemetry::tracer().begin_span(
-          std::string("analyzer.") + stage_name(next), "analyzer");
-    }
   };
 
   // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
@@ -1219,7 +1210,6 @@ const PeriodReport& AnalysisCore::analyze_period(
   }
 
   enter_stage(-1);
-  telemetry::tracer().end_span(period_span);
 
   // Period-end bookkeeping (metric tallies, history/diagnosis retention,
   // journal spill) is its own profiled stage: it runs outside the

@@ -3,8 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/flight_recorder.h"
 #include "prof/prof.h"
-#include "telemetry/trace.h"
 
 namespace rpm::core {
 
@@ -52,10 +52,10 @@ void Analyzer::set_outage(bool outage) {
   outage_ = outage;
   sink_.set_paused(outage);
   if (outage) {
-    telemetry::tracer().instant("analyzer-outage-begin", "control");
+    obs::recorder().marker("analyzer-outage-begin");
     return;
   }
-  telemetry::tracer().instant("analyzer-outage-end", "control");
+  obs::recorder().marker("analyzer-outage-end");
   const TimeNs now = sched_.now();
   core_->forgive_silence(now);
   core_->set_period_boundary(now);
@@ -91,7 +91,7 @@ void Analyzer::save_checkpoint() {
 }
 
 void Analyzer::crash() {
-  telemetry::tracer().instant("analyzer-crash", "control");
+  obs::recorder().marker("analyzer-crash");
   outage_ = true;
   // Everything in process memory dies: buffered records, the folded
   // summary, dedup windows, pipeline history. Rebuild the sink empty and
@@ -110,7 +110,7 @@ bool Analyzer::restore_from_journal() {
   }
   outage_ = false;
   sink_.set_paused(false);
-  telemetry::tracer().instant("analyzer-restart", "control");
+  obs::recorder().marker("analyzer-restart");
   const TimeNs now = sched_.now();
   // Same contract as outage recovery: the downtime never reads as host
   // silence, and the next period spans from the restart, not the crash.

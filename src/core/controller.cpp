@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/flight_recorder.h"
-#include "telemetry/trace.h"
 
 namespace rpm::core {
 
@@ -129,14 +128,14 @@ void Controller::crash() {
   registry_.clear();
   registered_hosts_.clear();
   metrics_.registered_agents.set(0.0);
-  telemetry::tracer().instant("controller-crash", "control");
+  obs::recorder().marker("controller-crash", epoch_);
 }
 
 void Controller::restart() {
   if (!down_) return;
   down_ = false;
   ++epoch_;
-  telemetry::tracer().instant("controller-restart", "control");
+  obs::recorder().marker("controller-restart", epoch_);
 }
 
 void Controller::promote(std::uint64_t new_epoch) {
@@ -149,7 +148,7 @@ void Controller::promote(std::uint64_t new_epoch) {
   metrics_.registered_agents.set(0.0);
   down_ = false;
   epoch_ = new_epoch;
-  telemetry::tracer().instant("controller-promote", "control");
+  obs::recorder().marker("controller-promote", epoch_);
 }
 
 std::optional<RnicCommInfo> Controller::comm_info(RnicId rnic) const {
@@ -373,18 +372,7 @@ void ControllerGroup::check_failover() {
     ++failovers_;
     epoch_gauge_.set(static_cast<double>(max_epoch + 1));
     failovers_total_.inc();
-    telemetry::tracer().instant("controller-failover", "control");
-    obs::FlightRecorder& fr = obs::recorder();
-    if (fr.enabled()) {
-      // Failovers get a flight-recorder timeline too (trace ids far above
-      // the probe id space), so a dump shows WHEN the standby took over
-      // between the probe/digest events it explains.
-      const std::uint64_t trace = (1ull << 60) | failovers_;
-      if (fr.begin_probe(trace, "controller-failover",
-                         static_cast<std::uint64_t>(sched_.now()))) {
-        fr.record(trace, obs::ProbeEventKind::kFailover, max_epoch + 1, i);
-      }
-    }
+    obs::recorder().marker("controller-failover", max_epoch + 1, i);
     if (on_failover_) on_failover_(*members_[i]);
     return;
   }

@@ -11,7 +11,6 @@
 
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
-#include "telemetry/trace.h"
 
 namespace rpm::core {
 
@@ -196,10 +195,10 @@ void GlobalAnalyzer::set_outage(bool outage) {
   outage_ = outage;
   if (outage_) {
     pending_.clear();
-    telemetry::tracer().instant("global-analyzer-outage-begin", "control");
+    obs::recorder().marker("global-analyzer-outage-begin");
     return;
   }
-  telemetry::tracer().instant("global-analyzer-outage-end", "control");
+  obs::recorder().marker("global-analyzer-outage-end");
   // The blackout never reads as a giant merge period.
   last_period_end_ = sched_.now();
 }
@@ -209,7 +208,7 @@ void GlobalAnalyzer::attach_journal(StateJournal* journal) {
 }
 
 void GlobalAnalyzer::crash() {
-  telemetry::tracer().instant("global-analyzer-crash", "control");
+  obs::recorder().marker("global-analyzer-crash");
   outage_ = true;
   pending_.clear();
   digest_dedup_.clear();
@@ -231,7 +230,7 @@ bool GlobalAnalyzer::restart_from_journal() {
   outage_ = false;
   // Fresh boundary either way — downtime is not a merge period.
   last_period_end_ = sched_.now();
-  telemetry::tracer().instant("global-analyzer-restart", "control");
+  obs::recorder().marker("global-analyzer-restart");
   return cp.has_value();
 }
 
@@ -326,8 +325,6 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   ++merges_;
   merges_total_.inc();
   digests_merged_total_.inc(static_cast<double>(digests.size()));
-  const std::uint64_t span =
-      telemetry::tracer().begin_span("global.merge", "analyzer");
 
   obs::FlightRecorder& fr = obs::recorder();
   for (const PodDigest& d : digests) {
@@ -789,8 +786,6 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
                 " this period";
     dlog.chains.push_back(std::move(c));
   }
-
-  telemetry::tracer().end_span(span);
 
   history_.push_back(std::move(rep));
   while (history_.size() > cfg_.analyzer.history_limit) history_.pop_front();

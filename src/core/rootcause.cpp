@@ -5,22 +5,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace rpm::core {
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string hints_json(const std::vector<RootCauseHint>& hints) {
   std::string out = "[";
@@ -29,13 +16,13 @@ std::string hints_json(const std::vector<RootCauseHint>& hints) {
   for (const RootCauseHint& h : hints) {
     if (!first) out += ',';
     first = false;
-    out += "{\"cause\":\"";
-    append_json_escaped(out, h.cause);
-    std::snprintf(buf, sizeof(buf), "\",\"confidence\":%.3f", h.confidence);
+    out += "{\"cause\":";
+    json::append_quoted(out, h.cause);
+    std::snprintf(buf, sizeof(buf), ",\"confidence\":%.3f", h.confidence);
     out += buf;
-    out += ",\"evidence\":\"";
-    append_json_escaped(out, h.evidence);
-    out += "\"}";
+    out += ",\"evidence\":";
+    json::append_quoted(out, h.evidence);
+    out += '}';
   }
   out += ']';
   return out;

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace rpm::faults {
 
@@ -109,7 +109,8 @@ int FaultInjector::register_fault(FaultRecord rec,
       .counter("rpm_faults_injected_total", "Fault injections by kind",
                {{"kind", fault_kind_name(rec.kind)}})
       .inc();
-  telemetry::tracer().instant(fault_kind_name(rec.kind), "fault.inject");
+  obs::recorder().marker(fault_kind_name(rec.kind),
+                         static_cast<std::uint64_t>(rec.handle), 1);
   Active a;
   a.rec = rec;
   a.flapper = std::move(flapper);
@@ -327,8 +328,8 @@ void FaultInjector::clear(int handle) {
       .counter("rpm_faults_cleared_total", "Fault reverts by kind",
                {{"kind", fault_kind_name(it->second.rec.kind)}})
       .inc();
-  telemetry::tracer().instant(fault_kind_name(it->second.rec.kind),
-                              "fault.clear");
+  obs::recorder().marker(fault_kind_name(it->second.rec.kind),
+                         static_cast<std::uint64_t>(handle), 0);
   it->second.revert();
   active_.erase(it);
 }

@@ -72,7 +72,7 @@ class Cluster {
  private:
   topo::Topology topo_;
   routing::EcmpRouter router_;
-  sim::InlineScheduler sched_;
+  sim::Scheduler sched_;
   fabric::Fabric fabric_;
   routing::TracerouteService tracer_;
   fabric::IntTelemetry int_;

@@ -1,42 +1,10 @@
 #include "obs/diagnosis.h"
 
-#include <cmath>
-#include <cstdio>
+#include "common/json.h"
 
 namespace rpm::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string fmt_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 void append_votes(std::string& out, const std::vector<VoteCount>& votes) {
   out += '[';
@@ -69,10 +37,10 @@ const EvidenceChain* DiagnosisLog::find_problem(
 }
 
 std::string to_json(const ThresholdCheck& t) {
-  std::string out = "{\"name\":\"";
-  append_json_escaped(out, t.name);
-  out += "\",\"threshold\":" + fmt_double(t.threshold) +
-         ",\"observed\":" + fmt_double(t.observed) + ",\"exceeded\":";
+  std::string out = "{\"name\":";
+  json::append_quoted(out, t.name);
+  out += ",\"threshold\":" + json::fmt_double(t.threshold) +
+         ",\"observed\":" + json::fmt_double(t.observed) + ",\"exceeded\":";
   out += t.exceeded ? "true" : "false";
   out += '}';
   return out;
@@ -83,11 +51,10 @@ std::string to_json(const EvidenceChain& c) {
   if (c.problem_id != 0) {
     out += ",\"problem_id\":" + std::to_string(c.problem_id);
   }
-  out += ",\"verdict\":\"";
-  append_json_escaped(out, c.verdict);
-  out += "\",\"triage_branch\":\"";
-  append_json_escaped(out, c.triage_branch);
-  out += '"';
+  out += ",\"verdict\":";
+  json::append_quoted(out, c.verdict);
+  out += ",\"triage_branch\":";
+  json::append_quoted(out, c.triage_branch);
   if (c.service != 0) out += ",\"service\":" + std::to_string(c.service);
   out += ",\"total_probes\":" + std::to_string(c.total_probes);
   out += ",\"probe_ids\":[";
@@ -117,15 +84,15 @@ std::string to_json(const EvidenceChain& c) {
     for (const auto& [site, count] : c.drop_sites) {
       if (!first) out += ',';
       first = false;
-      out += "{\"site\":\"";
-      append_json_escaped(out, site);
-      out += "\",\"count\":" + std::to_string(count) + '}';
+      out += "{\"site\":";
+      json::append_quoted(out, site);
+      out += ",\"count\":" + std::to_string(count) + '}';
     }
     out += ']';
   }
-  out += ",\"summary\":\"";
-  append_json_escaped(out, c.summary);
-  out += "\"}";
+  out += ",\"summary\":";
+  json::append_quoted(out, c.summary);
+  out += '}';
   return out;
 }
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
+#include "obs/chrome_trace.h"
+
 namespace rpm::obs {
 
 const char* probe_event_name(ProbeEventKind k) {
@@ -35,37 +38,9 @@ const char* probe_event_name(ProbeEventKind k) {
     case ProbeEventKind::kSketchMerge: return "sketch-merge";
     case ProbeEventKind::kDigestFlush: return "digest-flush";
     case ProbeEventKind::kDigestMerge: return "digest-merge";
-    case ProbeEventKind::kFailover: return "controller-failover";
-    case ProbeEventKind::kPeriodClose: return "period-close";
-    case ProbeEventKind::kBudgetOverrun: return "budget-overrun";
   }
   return "?";
 }
-
-namespace {
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void FlightRecorder::enable(FlightRecorderConfig cfg, ClockFn clock) {
   cfg_ = cfg;
@@ -105,14 +80,9 @@ void FlightRecorder::disable() {
   next_slot_ = 0;
 }
 
-void FlightRecorder::marker_slow(ProbeEventKind k, std::uint64_t a,
+void FlightRecorder::marker_slow(const char* name, std::uint64_t a,
                                  std::uint64_t b) {
-  Marker m;
-  m.t = stamp();
-  m.kind = k;
-  m.a = a;
-  m.b = b;
-  markers_.push_back(m);
+  markers_.push_back({stamp(), name, a, b});
   while (markers_.size() > cfg_.max_markers) markers_.pop_front();
 }
 
@@ -222,16 +192,16 @@ std::string FlightRecorder::to_json() const {
   out += ",\"evicted\":" + std::to_string(evicted_);
   out += ",\"dropped_events\":" + std::to_string(dropped_);
   if (!markers_.empty()) {
-    // Process-level markers (period closes, budget overruns). Omitted when
-    // empty so dumps from runs without a profiler stay unchanged.
+    // Omitted when empty so dumps from runs that emit no marker stay
+    // unchanged.
     out += ",\"markers\":[";
     bool mfirst = true;
     for (const Marker& m : markers_) {
       if (!mfirst) out += ',';
       mfirst = false;
-      out += "{\"t\":" + std::to_string(m.t) + ",\"event\":\"";
-      append_json_escaped(out, probe_event_name(m.kind));
-      out += "\",\"a\":" + std::to_string(m.a) +
+      out += "{\"t\":" + std::to_string(m.t) + ",\"event\":";
+      json::append_quoted(out, m.name);
+      out += ",\"a\":" + std::to_string(m.a) +
              ",\"b\":" + std::to_string(m.b) + '}';
     }
     out += ']';
@@ -241,18 +211,18 @@ std::string FlightRecorder::to_json() const {
   for (const ProbeTimeline* tl : timelines()) {
     if (!first) out += ',';
     first = false;
-    out += "{\"probe_id\":" + std::to_string(tl->probe_id) + ",\"kind\":\"";
-    append_json_escaped(out, tl->kind_name);
-    out += "\",\"closed\":";
+    out += "{\"probe_id\":" + std::to_string(tl->probe_id) + ",\"kind\":";
+    json::append_quoted(out, tl->kind_name);
+    out += ",\"closed\":";
     out += tl->closed() ? "true" : "false";
     out += ",\"events\":[";
     bool efirst = true;
     for (const TimelineEvent& e : tl->events) {
       if (!efirst) out += ',';
       efirst = false;
-      out += "{\"t\":" + std::to_string(e.t) + ",\"event\":\"";
-      append_json_escaped(out, probe_event_name(e.kind));
-      out += "\",\"a\":" + std::to_string(e.a) +
+      out += "{\"t\":" + std::to_string(e.t) + ",\"event\":";
+      json::append_quoted(out, probe_event_name(e.kind));
+      out += ",\"a\":" + std::to_string(e.a) +
              ",\"b\":" + std::to_string(e.b) + '}';
     }
     out += "]}";
@@ -262,45 +232,43 @@ std::string FlightRecorder::to_json() const {
 }
 
 std::string FlightRecorder::chrome_events() const {
-  // Trace Event Format 'X' spans, ts/dur in microseconds. pid 2 keeps the
-  // probe tracks separate from the telemetry tracer's span track (pid 1);
-  // tid = ring slot gives every sampled probe its own row. The probe's whole
-  // life is the outer span; each layer crossing nests inside it (chrome
-  // nests same-tid 'X' events by containment).
+  // Markers are global instants on pid 1. Probe tracks are pid 2 with
+  // tid = ring slot, so every sampled probe gets its own row: the probe's
+  // whole life is the outer span, and each layer crossing nests inside it
+  // (chrome nests same-tid 'X' events by containment).
   std::string out;
-  char buf[64];
-  const auto emit = [&](const char* name, const char* args_kind,
-                        std::uint64_t probe_id, std::size_t tid, TimeNs ts,
-                        TimeNs dur) {
-    if (!out.empty()) out += ',';
-    out += "{\"name\":\"";
-    append_json_escaped(out, name);
-    out += "\",\"cat\":\"probe\",\"ph\":\"X\",\"pid\":2,\"tid\":" +
-           std::to_string(tid);
-    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                  static_cast<double>(ts) / 1e3,
-                  static_cast<double>(dur) / 1e3);
-    out += buf;
-    out += ",\"args\":{\"probe_id\":" + std::to_string(probe_id) +
-           ",\"kind\":\"";
-    append_json_escaped(out, args_kind);
-    out += "\"}}";
-  };
+  std::string args;
+  for (const Marker& m : markers_) {
+    args = "{\"a\":" + std::to_string(m.a) + ",\"b\":" + std::to_string(m.b) +
+           '}';
+    append_chrome_event(out, {.name = m.name,
+                              .cat = "marker",
+                              .ph = 'i',
+                              .pid = 1,
+                              .ts = m.t,
+                              .args = args});
+  }
   for (const ProbeTimeline* tl : timelines()) {
     if (tl->events.empty()) continue;
     const auto it = index_.find(tl->probe_id);
     const std::size_t tid = it == index_.end() ? 0 : it->second;
-    const TimeNs begin = tl->events.front().t;
-    const TimeNs end = tl->events.back().t;
-    std::string outer = "probe ";
-    outer += std::to_string(tl->probe_id);
-    emit(outer.c_str(), tl->kind_name, tl->probe_id, tid, begin,
-         std::max<TimeNs>(end - begin, 1));
+    args = "{\"probe_id\":" + std::to_string(tl->probe_id) + ",\"kind\":";
+    json::append_quoted(args, tl->kind_name);
+    args += '}';
+    const auto span = [&](std::string_view name, TimeNs begin, TimeNs end) {
+      append_chrome_event(out, {.name = name,
+                                .cat = "probe",
+                                .pid = 2,
+                                .tid = tid,
+                                .ts = begin,
+                                .dur = std::max<TimeNs>(end - begin, 1),
+                                .args = args});
+    };
+    span("probe " + std::to_string(tl->probe_id), tl->events.front().t,
+         tl->events.back().t);
     for (std::size_t i = 1; i < tl->events.size(); ++i) {
-      const TimelineEvent& prev = tl->events[i - 1];
-      const TimelineEvent& cur = tl->events[i];
-      emit(probe_event_name(cur.kind), tl->kind_name, tl->probe_id, tid,
-           prev.t, std::max<TimeNs>(cur.t - prev.t, 1));
+      span(probe_event_name(tl->events[i].kind), tl->events[i - 1].t,
+           tl->events[i].t);
     }
   }
   return out;

@@ -19,9 +19,13 @@
 //  * Bounded: `capacity` timelines (oldest evicted) with a per-probe event
 //    cap; batch bindings (transport correlation) are capped the same way.
 //
-// Rendering: `to_json()` for dumps, `chrome_events()` for a per-probe track
-// (nested 'X' spans) embeddable in the telemetry tracer's chrome://tracing
-// output via Tracer::chrome_json(extra_events).
+// Process-level events (period closes, fault injections, control-plane
+// crashes and failovers) go on a separate marker track: a bounded FIFO of
+// named markers that never touches sampling.
+//
+// Rendering: `to_json()` for dumps, `chrome_events()` for the marker track
+// (pid 1 instants) and one track per sampled probe (pid 2, nested 'X'
+// spans), written through obs/chrome_trace.h.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +75,6 @@ enum class ProbeEventKind : std::uint8_t {
   kSketchMerge,      // Analyzer merged a SketchReport; a = seq, b = links
   kDigestFlush,      // PodAnalyzer flushed a PodDigest; a = seq, b = problems
   kDigestMerge,      // GlobalAnalyzer merged a PodDigest; a = pod, b = seq
-  kFailover,         // standby Controller promoted; a = new epoch, b = member
-  kPeriodClose,      // Analyzer period close finished; a = wall ns,
-                     // b = prof::Stage index of the close's top-cost stage
-  kBudgetOverrun,    // period close exceeded the profiler's wall budget;
-                     // a = wall ns, b = top-cost prof::Stage index
 };
 
 const char* probe_event_name(ProbeEventKind k);
@@ -118,12 +117,19 @@ struct FlightRecorderConfig {
   std::uint64_t seed = 0x0b5f11447ULL; // sampling Rng seed (determinism)
 };
 
-/// A process-level (not per-probe) event: period closes, budget overruns.
-/// Markers bypass sampling — they never touch the sampling Rng, so emitting
-/// one cannot perturb which probes get recorded.
+/// A process-level (not per-probe) event. Markers bypass sampling — they
+/// never touch the sampling Rng, so emitting one cannot perturb which probes
+/// get recorded. `a`/`b` are documented per name:
+///   period-close, budget-overrun  a = wall ns, b = top-cost prof::Stage
+///   <fault_kind_name>             a = fault handle, b = 1 inject / 0 clear
+///   <chaos_step_name>             a = the step's campaign-relative time
+///   controller-crash, -restart, -promote   a = Controller epoch
+///   controller-failover           a = new epoch, b = promoted member
+///   agent-*                       a = host id
+///   analyzer-*, global-analyzer-* (none)
 struct Marker {
   TimeNs t = 0;
-  ProbeEventKind kind{};
+  const char* name = "";  // static storage, like ProbeTimeline::kind_name
   std::uint64_t a = 0;
   std::uint64_t b = 0;
 };
@@ -158,12 +164,12 @@ class FlightRecorder {
     return enabled_ && index_.contains(probe_id);
   }
 
-  /// Append a process-level marker (kPeriodClose, kBudgetOverrun, ...).
-  /// One branch when disabled; no sampling decision, no Rng draw. Bounded
-  /// FIFO: oldest markers fall off past `max_markers`.
-  void marker(ProbeEventKind k, std::uint64_t a = 0, std::uint64_t b = 0) {
+  /// Append a process-level marker; `name` must have static storage. One
+  /// branch when disabled; no sampling decision, no Rng draw. Bounded FIFO:
+  /// oldest markers fall off past `max_markers`.
+  void marker(const char* name, std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!enabled_) return;
-    marker_slow(k, a, b);
+    marker_slow(name, a, b);
   }
   [[nodiscard]] const std::deque<Marker>& markers() const { return markers_; }
 
@@ -188,9 +194,10 @@ class FlightRecorder {
   /// {"config":{...},"sampled":N,...,"timelines":[...]}
   [[nodiscard]] std::string to_json() const;
   /// Comma-joined chrome://tracing event objects (no surrounding array):
-  /// one track (pid 2, tid = ring slot) per sampled probe, the probe's whole
-  /// life as an outer 'X' span with one nested 'X' span per layer crossing.
-  /// Feed to telemetry::Tracer::chrome_json(extra_events).
+  /// every marker as a global instant on pid 1, then one track (pid 2,
+  /// tid = ring slot) per sampled probe, the probe's whole life as an outer
+  /// 'X' span with one nested 'X' span per layer crossing. Feed to
+  /// obs::chrome_trace().
   [[nodiscard]] std::string chrome_events() const;
 
   [[nodiscard]] std::uint64_t probes_sampled() const { return sampled_; }
@@ -202,7 +209,7 @@ class FlightRecorder {
  private:
   void record_slow(std::uint64_t probe_id, ProbeEventKind k, std::uint64_t a,
                    std::uint64_t b);
-  void marker_slow(ProbeEventKind k, std::uint64_t a, std::uint64_t b);
+  void marker_slow(const char* name, std::uint64_t a, std::uint64_t b);
   [[nodiscard]] TimeNs stamp();
 
   bool enabled_ = false;
@@ -231,7 +238,7 @@ class FlightRecorder {
 };
 
 /// Process-wide recorder used by the built-in instrumentation (Agent, fabric,
-/// verbs, Analyzer) — mirrors telemetry::tracer().
+/// verbs, Analyzer, Controller, faults, chaos).
 FlightRecorder& recorder();
 
 }  // namespace rpm::obs

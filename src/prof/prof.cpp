@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
+#include "obs/chrome_trace.h"
 #include "obs/flight_recorder.h"
 #include "sim/scheduler.h"
 
@@ -66,9 +68,9 @@ std::string ProfileReport::to_json() const {
     const StageStats& st = stages[i];
     if (!first) out += ',';
     first = false;
-    out += "{\"stage\":\"";
-    out += kStageNames[i];
-    out += "\",";
+    out += "{\"stage\":";
+    json::append_quoted(out, kStageNames[i]);
+    out += ',';
     append_u64(out, "count", st.count);
     out += ',';
     append_u64(out, "total_ns", st.total_ns);
@@ -150,7 +152,10 @@ void Profiler::record_slow(Stage s, std::uint64_t ns) {
   ++st.count;
   st.total_ns += ns;
   st.sketch.add(static_cast<double>(ns));
-  if (cfg_.max_trace_events > 0) {
+  // sim.dispatch fires once per simulated event — millions per run — and
+  // would fill the trace buffer within milliseconds, crowding out every
+  // other stage's spans. It stays in the stats only.
+  if (cfg_.max_trace_events > 0 && s != Stage::kSimDispatch) {
     if (buf->trace.size() < cfg_.max_trace_events) {
       const auto now = std::chrono::steady_clock::now();
       const auto since_epoch = static_cast<std::uint64_t>(
@@ -195,22 +200,21 @@ ProfileReport Profiler::report() const {
 
 std::string Profiler::chrome_events() const {
   std::string out;
-  char buf[96];
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::unique_ptr<ThreadBuf>& tb : bufs_) {
     std::lock_guard<std::mutex> buf_lock(tb->mu);
     for (const ThreadBuf::TraceEvent& e : tb->trace) {
-      if (!out.empty()) out += ',';
-      out += "{\"name\":\"";
-      out += stage_name(e.stage);
-      // pid 3 keeps the wall-clock stage tracks separate from the telemetry
-      // tracer (pid 1, sim time) and the flight recorder (pid 2).
-      out += "\",\"cat\":\"prof\",\"ph\":\"X\",\"pid\":3,\"tid\":" +
-             std::to_string(tb->index);
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f}",
-                    static_cast<double>(e.start_ns) / 1e3,
-                    std::max(static_cast<double>(e.dur_ns) / 1e3, 0.001));
-      out += buf;
+      // pid 3 keeps the wall-clock stage tracks apart from the flight
+      // recorder's sim-time markers (pid 1) and probe tracks (pid 2).
+      obs::append_chrome_event(
+          out, {.name = stage_name(e.stage),
+                .cat = "prof",
+                .pid = 3,
+                .tid = tb->index,
+                .ts = static_cast<TimeNs>(e.start_ns),
+                .dur = static_cast<TimeNs>(std::max<std::uint64_t>(
+                    e.dur_ns, 1)),
+                .args = {}});
     }
   }
   return out;
@@ -256,11 +260,11 @@ void Profiler::note_period_close(
     last_close_.top_stage = static_cast<Stage>(top);
     last_close_.overrun = overrun;
   }
-  obs::recorder().marker(obs::ProbeEventKind::kPeriodClose, wall_ns, top);
+  obs::recorder().marker("period-close", wall_ns, top);
   if (overrun) {
     overruns_.fetch_add(1, std::memory_order_relaxed);
     m_overruns_.inc();
-    obs::recorder().marker(obs::ProbeEventKind::kBudgetOverrun, wall_ns, top);
+    obs::recorder().marker("budget-overrun", wall_ns, top);
   }
 }
 

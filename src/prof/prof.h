@@ -10,7 +10,7 @@
 // demand into per-stage count/total/min/max plus a mergeable
 // `sketch::QuantileSketch` for p50/p99.
 //
-// Design constraints (shared with the tracer and flight recorder):
+// Design constraints (shared with the flight recorder):
 //  * Always compiled, one branch when disabled: StageScope's constructor is
 //    a single relaxed atomic load when the profiler is off — no allocation,
 //    no clock read (tests/test_prof pins this).
@@ -23,13 +23,14 @@
 //
 // Outputs: `rpm_prof_stage_*{stage}` metrics (registry collector, installed
 // while enabled), `ProfileReport::to_json()` dumps, and `chrome_events()` —
-// per-thread chrome://tracing tracks (pid 3, wall-clock timeline) spliced
-// into the existing tracer via telemetry::Tracer::chrome_json(extra).
+// per-thread chrome://tracing tracks (pid 3, wall-clock timeline) that
+// obs::chrome_trace() puts next to the flight recorder's sim-time tracks.
+// sim.dispatch samples feed the stats but not the tracks.
 //
 // The period-close watchdog: `PeriodCloseScope` wraps one Analyzer period
 // close (drain -> verdict -> checkpoint) or GlobalAnalyzer merge. When the
 // close exceeds `ProfilerConfig::period_close_budget`, it bumps
-// `rpm_prof_budget_overruns_total` and emits a kBudgetOverrun flight-
+// `rpm_prof_budget_overruns_total` and emits a "budget-overrun" flight-
 // recorder marker naming the top-cost stage of that close.
 #pragma once
 
@@ -109,6 +110,7 @@ struct ProfilerConfig {
   TimeNs period_close_budget = 0;
   /// Per-thread cap on buffered chrome://tracing events (0 = no tracks;
   /// stage statistics are always collected). Overflow is counted, not kept.
+  /// sim.dispatch samples never enter the tracks.
   std::size_t max_trace_events = 4096;
 };
 
@@ -161,7 +163,7 @@ class Profiler {
 
   /// Comma-joined chrome://tracing 'X' events — one track per recording
   /// thread (pid 3, tid = registration index), ts = wall microseconds since
-  /// enable(). Feed to telemetry::Tracer::chrome_json(extra_events).
+  /// enable(). Feed to obs::chrome_trace().
   [[nodiscard]] std::string chrome_events() const;
 
   [[nodiscard]] std::uint64_t budget_overruns() const {
@@ -196,7 +198,7 @@ class Profiler {
 };
 
 /// The process-wide profiler every built-in instrumentation point uses —
-/// mirrors telemetry::tracer() and obs::recorder().
+/// mirrors obs::recorder().
 Profiler& profiler();
 
 /// RAII stage measurement. Constructor cost when the profiler is disabled:
@@ -229,9 +231,9 @@ class StageScope {
 /// RAII watchdog around one period close (Analyzer::analyze_now,
 /// GlobalAnalyzer::merge_now). Records the close's wall cost as
 /// Stage::kPeriodClose; on destruction it diffs per-stage totals to name
-/// the top-cost stage of this close, emits a kPeriodClose flight-recorder
+/// the top-cost stage of this close, emits a "period-close" flight-recorder
 /// marker, and — when the configured budget is exceeded — bumps
-/// rpm_prof_budget_overruns_total and emits a kBudgetOverrun marker.
+/// rpm_prof_budget_overruns_total and emits a "budget-overrun" marker.
 class PeriodCloseScope {
  public:
   PeriodCloseScope();

@@ -6,7 +6,7 @@
 
 namespace rpm::sim {
 
-EventHandle InlineScheduler::schedule_at(TimeNs t, EventFn fn) {
+EventHandle Scheduler::schedule_at(TimeNs t, EventFn fn) {
   if (!fn) throw std::invalid_argument("schedule_at: empty callback");
   if (t < now_) t = now_;
   auto ctl = std::make_shared<detail::EventCtl>();
@@ -14,7 +14,7 @@ EventHandle InlineScheduler::schedule_at(TimeNs t, EventFn fn) {
   return EventHandle(std::move(ctl));
 }
 
-void InlineScheduler::execute(Entry& e) {
+void Scheduler::execute(Entry& e) {
   now_ = e.time;
   // Claim the event: a concurrently-held EventHandle that already cancelled
   // it wins, and the entry is skipped without running or counting.
@@ -40,7 +40,7 @@ void InlineScheduler::execute(Entry& e) {
   }
 }
 
-void InlineScheduler::run_until(TimeNs t_end) {
+void Scheduler::run_until(TimeNs t_end) {
   while (!queue_.empty() && queue_.top().time <= t_end) {
     // priority_queue::top() is const; the Entry must be moved out to pop
     // before running so re-entrant scheduling is safe.
@@ -51,12 +51,12 @@ void InlineScheduler::run_until(TimeNs t_end) {
   if (t_end > now_) now_ = t_end;
 }
 
-void InlineScheduler::run_all() {
+void Scheduler::run_all() {
   while (step()) {
   }
 }
 
-bool InlineScheduler::step() {
+bool Scheduler::step() {
   if (queue_.empty()) return false;
   Entry e = std::move(const_cast<Entry&>(queue_.top()));
   queue_.pop();

@@ -1,10 +1,9 @@
 // Discrete-event simulation core.
 //
-// `Scheduler` is the abstract clock + event-queue interface every component
-// holds (`now`/`schedule_at`/`schedule_after`/`run_until`). Its one backend,
-// InlineScheduler, is a single binary heap: one queue owns simulated time,
-// and `run_until` drains events in timestamp order with ties broken by
-// insertion order, so runs are fully deterministic.
+// `Scheduler` is the clock + event queue every component holds
+// (`now`/`schedule_at`/`schedule_after`/`run_until`): a single binary heap
+// owns simulated time, and `run_until` drains events in timestamp order with
+// ties broken by insertion order, so runs are fully deterministic.
 //
 // `schedule_at`/`schedule_after` return a cancellable EventHandle: cancel()
 // guarantees the callback never runs (the queue entry is skipped when it
@@ -64,27 +63,25 @@ class EventHandle {
   explicit operator bool() const { return ctl_ != nullptr; }
 
  private:
-  friend class InlineScheduler;
+  friend class Scheduler;
   explicit EventHandle(std::shared_ptr<detail::EventCtl> ctl)
       : ctl_(std::move(ctl)) {}
 
   std::shared_ptr<detail::EventCtl> ctl_;
 };
 
-/// Abstract simulation scheduler. Components depend on this interface only,
-/// never on the backend.
+/// The simulation scheduler: one single-threaded binary heap.
 class Scheduler {
  public:
   Scheduler() = default;
-  virtual ~Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Current simulated time.
-  [[nodiscard]] virtual TimeNs now() const = 0;
+  [[nodiscard]] TimeNs now() const { return now_; }
 
   /// Schedule `fn` at absolute simulated time `t` (clamped to now()).
-  virtual EventHandle schedule_at(TimeNs t, EventFn fn) = 0;
+  EventHandle schedule_at(TimeNs t, EventFn fn);
 
   /// Schedule `fn` `delay` nanoseconds from now (delay < 0 is clamped to 0).
   EventHandle schedule_after(TimeNs delay, EventFn fn) {
@@ -93,21 +90,21 @@ class Scheduler {
 
   /// Run events until simulated time would exceed `t_end`; afterwards
   /// now() == t_end. Events scheduled exactly at t_end are executed.
-  virtual void run_until(TimeNs t_end) = 0;
+  void run_until(TimeNs t_end);
 
   /// Run until the event queue is empty (use with care: self-rescheduling
   /// periodic events make this unbounded).
-  virtual void run_all() = 0;
+  void run_all();
 
   /// Consume at most one pending entry; returns false if the queue is empty.
-  virtual bool step() = 0;
+  bool step();
 
   /// Events currently queued (cancelled-but-not-yet-surfaced entries count).
-  [[nodiscard]] virtual std::size_t pending_events() const = 0;
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Total events executed so far (cancelled entries are skipped, not
   /// executed).
-  [[nodiscard]] virtual std::uint64_t executed_events() const = 0;
+  [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
   /// Wall-clock dispatch observer: when set, every executed event's callback
   /// is timed with std::chrono::steady_clock and the elapsed nanoseconds are
@@ -118,27 +115,7 @@ class Scheduler {
   /// per event when unset.
   using DispatchObserver =
       std::function<void(std::uint32_t, std::uint64_t wall_ns)>;
-  virtual void set_dispatch_observer(DispatchObserver obs) = 0;
-};
-
-/// The single-threaded single-queue backend: one binary heap owns simulated
-/// time. This is the seed pipeline's scheduler, unchanged in behavior.
-class InlineScheduler final : public Scheduler {
- public:
-  InlineScheduler() = default;
-
-  [[nodiscard]] TimeNs now() const override { return now_; }
-  EventHandle schedule_at(TimeNs t, EventFn fn) override;
-  void run_until(TimeNs t_end) override;
-  void run_all() override;
-  bool step() override;
-  [[nodiscard]] std::size_t pending_events() const override {
-    return queue_.size();
-  }
-  [[nodiscard]] std::uint64_t executed_events() const override {
-    return executed_;
-  }
-  void set_dispatch_observer(DispatchObserver obs) override {
+  void set_dispatch_observer(DispatchObserver obs) {
     dispatch_observer_ = std::move(obs);
   }
 
@@ -164,6 +141,10 @@ class InlineScheduler final : public Scheduler {
   DispatchObserver dispatch_observer_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
 };
+
+/// Kept for code that constructs the scheduler by its backend name (tests,
+/// bench/, perfbench/).
+using InlineScheduler = Scheduler;
 
 /// Repeatedly invokes a callback with a fixed period until cancelled.
 /// The callback may adjust the period for the next firing via set_period().

@@ -1,28 +1,14 @@
 #include "telemetry/export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
+#include "common/json.h"
+
 namespace rpm::telemetry {
 
 namespace {
-
-// Fixed-format double rendering: integral values print without a fraction
-// ("42"), everything else as shortest-ish %.9g. Deterministic across runs
-// given identical doubles.
-std::string fmt_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 // Prometheus exposition format: inside a label value, backslash, double
 // quote, and newline MUST be escaped (\\, \", \n) or the scrape breaks.
@@ -78,40 +64,6 @@ std::string prometheus_labels(const Labels& labels, const char* extra_key,
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string to_prometheus(const Snapshot& snap) {
@@ -136,7 +88,7 @@ std::string to_prometheus(const Snapshot& snap) {
         break;
       case MetricType::kGauge:
         out += s.name + prometheus_labels(s.labels, nullptr, nullptr) + ' ' +
-               fmt_double(s.gauge_value) + '\n';
+               json::fmt_double(s.gauge_value) + '\n';
         break;
       case MetricType::kHistogram: {
         static constexpr std::pair<const char*, double SeriesSample::*>
@@ -146,10 +98,10 @@ std::string to_prometheus(const Snapshot& snap) {
                             {"0.999", &SeriesSample::hist_p999}};
         for (const auto& [q, member] : kQuantiles) {
           out += s.name + prometheus_labels(s.labels, "quantile", q) + ' ' +
-                 fmt_double(s.*member) + '\n';
+                 json::fmt_double(s.*member) + '\n';
         }
         out += s.name + "_sum" + prometheus_labels(s.labels, nullptr, nullptr) +
-               ' ' + fmt_double(s.hist_sum) + '\n';
+               ' ' + json::fmt_double(s.hist_sum) + '\n';
         out += s.name + "_count" +
                prometheus_labels(s.labels, nullptr, nullptr) + ' ' +
                std::to_string(s.hist_count) + '\n';
@@ -166,14 +118,18 @@ std::string to_json(const Snapshot& snap) {
   for (const SeriesSample& s : snap.series) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + json_escape(s.name) + "\",\"type\":\"";
-    out += metric_type_name(s.type);
-    out += "\",\"labels\":{";
+    out += "{\"name\":";
+    json::append_quoted(out, s.name);
+    out += ",\"type\":";
+    json::append_quoted(out, metric_type_name(s.type));
+    out += ",\"labels\":{";
     bool lfirst = true;
     for (const Label& l : s.labels) {
       if (!lfirst) out += ',';
       lfirst = false;
-      out += '"' + json_escape(l.key) + "\":\"" + json_escape(l.value) + '"';
+      json::append_quoted(out, l.key);
+      out += ':';
+      json::append_quoted(out, l.value);
     }
     out += '}';
     switch (s.type) {
@@ -181,15 +137,15 @@ std::string to_json(const Snapshot& snap) {
         out += ",\"value\":" + std::to_string(s.counter_value);
         break;
       case MetricType::kGauge:
-        out += ",\"value\":" + fmt_double(s.gauge_value);
+        out += ",\"value\":" + json::fmt_double(s.gauge_value);
         break;
       case MetricType::kHistogram:
         out += ",\"count\":" + std::to_string(s.hist_count) +
-               ",\"sum\":" + fmt_double(s.hist_sum) +
-               ",\"p50\":" + fmt_double(s.hist_p50) +
-               ",\"p90\":" + fmt_double(s.hist_p90) +
-               ",\"p99\":" + fmt_double(s.hist_p99) +
-               ",\"p999\":" + fmt_double(s.hist_p999);
+               ",\"sum\":" + json::fmt_double(s.hist_sum) +
+               ",\"p50\":" + json::fmt_double(s.hist_p50) +
+               ",\"p90\":" + json::fmt_double(s.hist_p90) +
+               ",\"p99\":" + json::fmt_double(s.hist_p99) +
+               ",\"p999\":" + json::fmt_double(s.hist_p999);
         break;
     }
     out += '}';

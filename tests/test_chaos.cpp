@@ -226,6 +226,27 @@ TEST(Chaos, StepNamesAndPlanValidation) {
                std::invalid_argument);
 }
 
+TEST(Chaos, ReportEscapesControlCharactersInLabels) {
+  // Plan labels arrive from corpus and replay files; a control character in
+  // one must come out escaped, or the report is not JSON.
+  ChaosReport rep;
+  ChaosReport::GroundTruthScore g;
+  g.label = "l\t\r\x01";
+  g.kind = "k\t\r\x01";
+  rep.ground_truths.push_back(g);
+  ChaosReport::Recovery r;
+  r.event = "e\t\r\x01";
+  rep.recoveries.push_back(r);
+  const std::string json = rep.to_json();
+  EXPECT_NE(json.find("\"label\": \"l\\t\\r\\u0001\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\": \"k\\t\\r\\u0001\""), std::string::npos);
+  EXPECT_NE(json.find("\"event\": \"e\\t\\r\\u0001\""), std::string::npos);
+  for (const char c : json) {
+    if (c == '\n') continue;  // the report's own line breaks
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+  }
+}
+
 TEST(Chaos, ClearOfUnknownLabelThrows) {
   Deployment d;
   ChaosRunner runner(d.cluster, d.rpm, d.injector);

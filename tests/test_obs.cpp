@@ -1,16 +1,22 @@
 // Tests of src/obs: flight-recorder sampling/eviction/correlation semantics,
-// diagnosis evidence-chain lookup and rendering, and end-to-end recorder
-// behavior under injected faults (anomalous RNIC + degraded control plane).
+// the marker track, the chrome://tracing document, diagnosis evidence-chain
+// lookup and rendering, and end-to-end recorder behavior under injected
+// faults (anomalous RNIC + degraded control plane).
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
+#include "obs/chrome_trace.h"
 #include "obs/diagnosis.h"
 #include "obs/flight_recorder.h"
+#include "prof/prof.h"
 #include "telemetry/metrics.h"
 
 namespace rpm {
@@ -172,6 +178,76 @@ TEST(FlightRecorderTest, JsonAndChromeRenderings) {
   EXPECT_NE(chrome.find("\"probe_id\":7"), std::string::npos);
 }
 
+TEST(FlightRecorderTest, MarkersUseRecorderClockAndNeverDrawFromSampling) {
+  FlightRecorderConfig cfg;
+  cfg.sample_rate = 0.3;
+  cfg.capacity = 256;
+  FlightRecorder plain;
+  plain.enable(cfg);
+  TimeNs now = 0;
+  FlightRecorder marked;
+  marked.enable(cfg, [&now] { return now; });
+  for (std::uint64_t id = 1; id <= 200; ++id) {
+    now = static_cast<TimeNs>(id) * 1000;
+    marked.marker("period-close", id, 2 * id);
+    EXPECT_EQ(marked.begin_probe(id, "tor-mesh"),
+              plain.begin_probe(id, "tor-mesh"))
+        << id;
+  }
+  ASSERT_EQ(marked.markers().size(), 200u);
+  const obs::Marker& m = marked.markers().back();
+  EXPECT_EQ(m.t, 200'000);
+  EXPECT_STREQ(m.name, "period-close");
+  EXPECT_EQ(m.a, 200u);
+  EXPECT_EQ(m.b, 400u);
+}
+
+TEST(FlightRecorderTest, MarkerFifoDropsOldestPastCap) {
+  FlightRecorderConfig cfg = sample_all();
+  cfg.max_markers = 2;
+  FlightRecorder rec;
+  rec.enable(cfg);
+  rec.marker("first");
+  rec.marker("second");
+  rec.marker("third");
+  ASSERT_EQ(rec.markers().size(), 2u);
+  EXPECT_STREQ(rec.markers()[0].name, "second");
+  EXPECT_STREQ(rec.markers()[1].name, "third");
+}
+
+TEST(FlightRecorderTest, ChromeTraceJoinsMarkersProbesAndStages) {
+  FlightRecorder rec;
+  rec.enable(sample_all());
+  rec.marker("say \"hi\"\t", 3, 1);
+  rec.begin_probe(7, "tor-mesh", 123);
+  rec.record(7, ProbeEventKind::kCompleted, 5000, 8000);
+  prof::Profiler& p = prof::profiler();
+  p.enable();
+  p.record(prof::Stage::kPeriodClose, 1000);
+  p.disable();
+
+  const json::Value doc = json::Value::parse(
+      obs::chrome_trace({rec.chrome_events(), p.chrome_events()}));
+  EXPECT_EQ(doc.get_string("displayTimeUnit"), "ms");
+  ASSERT_NE(doc.find("traceEvents"), nullptr);
+  std::set<std::int64_t> pids;
+  for (const json::Value& e : doc.find("traceEvents")->as_array()) {
+    pids.insert(e.get_int("pid"));
+    if (e.get_int("pid") != 1) continue;
+    // Markers are global instants carrying their a/b payload.
+    EXPECT_EQ(e.get_string("name"), "say \"hi\"\t");
+    EXPECT_EQ(e.get_string("ph"), "i");
+    EXPECT_EQ(e.get_string("s"), "g");
+    EXPECT_EQ(e.find("dur"), nullptr);
+    ASSERT_NE(e.find("args"), nullptr);
+    EXPECT_EQ(e.find("args")->get_int("a"), 3);
+    EXPECT_EQ(e.find("args")->get_int("b"), 1);
+  }
+  EXPECT_EQ(pids, (std::set<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(obs::chrome_trace({"", ""}),
+            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+}
+
 // ---- diagnosis evidence chains ----
 
 TEST(DiagnosisLogTest, FindAndJsonRendering) {
@@ -238,6 +314,16 @@ TEST(FlightRecorderE2E, FaultyRunYieldsCoherentTimelinesAndEvidence) {
 
   auto& rec = obs::recorder();
   EXPECT_GT(rec.probes_sampled(), 0u);
+
+  // Each injection left a marker on the recorder clock (b = 1: inject).
+  std::vector<std::string> injected;
+  for (const obs::Marker& m : rec.markers()) {
+    if (m.b != 1) continue;
+    injected.emplace_back(m.name);
+    EXPECT_EQ(m.t, sec(25));
+  }
+  EXPECT_EQ(injected, (std::vector<std::string>{"rnic-down",
+                                                "control-plane-degradation"}));
 
   // Every sampled timed-out probe terminates coherently: opens with the
   // Agent enqueue, never reports completion, events stamped in order.

@@ -4,7 +4,7 @@
 //  * per-thread folds are deterministic: the same samples recorded from
 //    many threads and from one thread produce byte-identical reports;
 //  * the period-close watchdog fires at the configured budget, bumps
-//    rpm_prof_budget_overruns_total, and drops a kBudgetOverrun flight-
+//    rpm_prof_budget_overruns_total, and drops a "budget-overrun" flight-
 //    recorder marker naming the top-cost stage;
 //  * the repo invariant: a chaos campaign with the profiler fully enabled
 //    (scheduler hook included) emits byte-identical ChaosReport JSON to the
@@ -12,7 +12,8 @@
 //    decisions;
 //  * rpm_prof_stage_* metrics appear in the Prometheus scrape while the
 //    profiler is enabled and vanish after disable();
-//  * chrome_events() produces pid-3 tracks spliceable into the tracer.
+//  * chrome_events() produces pid-3 tracks that sim.dispatch cannot crowd
+//    out.
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -163,12 +164,12 @@ TEST_F(ProfTest, WatchdogFiresAtConfiguredBudget) {
   EXPECT_GT(close.wall_ns, 0u);
   EXPECT_EQ(close.top_stage, Stage::kDrainSla);
 
-  // Both markers landed: the always-on kPeriodClose and the overrun.
+  // Both markers landed: the always-on period-close and the overrun.
   ASSERT_EQ(obs::recorder().markers().size(), 2u);
   const obs::Marker& pc = obs::recorder().markers()[0];
   const obs::Marker& ov = obs::recorder().markers()[1];
-  EXPECT_EQ(pc.kind, obs::ProbeEventKind::kPeriodClose);
-  EXPECT_EQ(ov.kind, obs::ProbeEventKind::kBudgetOverrun);
+  EXPECT_STREQ(pc.name, "period-close");
+  EXPECT_STREQ(ov.name, "budget-overrun");
   EXPECT_EQ(ov.a, close.wall_ns);
   EXPECT_EQ(ov.b, static_cast<std::uint64_t>(Stage::kDrainSla));
   EXPECT_NE(obs::recorder().to_json().find("budget-overrun"),
@@ -242,6 +243,19 @@ TEST_F(ProfTest, ChromeEventsEmitPid3Tracks) {
   for (int i = 0; i < 5; ++i) profiler().record(Stage::kDrainVote, 10);
   profiler().disable();
   EXPECT_EQ(profiler().report().trace_events_dropped, 3u);
+
+  // sim.dispatch feeds the stats only: a flood of dispatch samples neither
+  // fills the track nor hides the period close that follows it.
+  cfg.max_trace_events = 4096;
+  profiler().enable(cfg);
+  for (int i = 0; i < 5000; ++i) profiler().record(Stage::kSimDispatch, 10);
+  profiler().record(Stage::kPeriodClose, 1000);
+  profiler().disable();
+  const std::string flood = profiler().chrome_events();
+  EXPECT_NE(flood.find("\"name\":\"period.close\""), std::string::npos);
+  EXPECT_EQ(flood.find("\"name\":\"sim.dispatch\""), std::string::npos);
+  EXPECT_EQ(profiler().report().stage(Stage::kSimDispatch).count, 5000u);
+  EXPECT_EQ(profiler().report().trace_events_dropped, 0u);
 }
 
 TEST_F(ProfTest, SchedulerDispatchHookRecordsAndDetaches) {

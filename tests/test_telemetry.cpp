@@ -1,6 +1,6 @@
 // Tests for the self-observability subsystem: MetricsRegistry lifecycle,
 // label deduplication, histogram percentiles, deterministic Prometheus/JSON
-// golden output, the PeriodicDumper scrape loop, and trace-span nesting.
+// golden output, and the PeriodicDumper scrape loop.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -11,7 +11,6 @@
 #include "sim/scheduler.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace rpm::telemetry {
 namespace {
@@ -383,98 +382,6 @@ TEST(Export, PeriodicDumperFollowsSimClock) {
   EXPECT_EQ(dumper.dumps(), 3u);
 }
 
-// ---- trace spans ----
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  Tracer t;
-  EXPECT_FALSE(t.enabled());
-  EXPECT_EQ(t.begin_span("x", "c"), 0u);
-  t.end_span(0);
-  t.instant("x", "c");
-  t.async_begin("x", "c", 1);
-  EXPECT_EQ(t.num_events(), 0u);
-}
-
-TEST(Tracer, NestedSpansEmitCompleteEventsWithDepth) {
-  Tracer t;
-  TimeNs sim_now = 0;
-  t.enable([&sim_now] { return sim_now; });
-  sim_now = usec(10);
-  const auto outer = t.begin_span("period", "analyzer");
-  const auto inner = t.begin_span("classify", "analyzer");
-  ASSERT_NE(outer, 0u);
-  ASSERT_NE(inner, 0u);
-  t.end_span(inner);
-  t.end_span(outer);
-  EXPECT_EQ(t.num_events(), 2u);
-  const std::string json = t.chrome_json();
-  // Inner span ends first and sits at depth 1; outer at depth 0.
-  EXPECT_NE(json.find("\"name\":\"classify\",\"cat\":\"analyzer\","
-                      "\"ph\":\"X\",\"pid\":1,\"tid\":1"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"period\",\"cat\":\"analyzer\","
-                      "\"ph\":\"X\",\"pid\":1,\"tid\":0"),
-            std::string::npos);
-  // ts is simulated microseconds: 10us.
-  EXPECT_NE(json.find("\"ts\":10.000"), std::string::npos);
-}
-
-TEST(Tracer, EndingOuterSpanClosesAbandonedInnerSpans) {
-  Tracer t;
-  t.enable([] { return TimeNs{0}; });
-  const auto outer = t.begin_span("outer", "c");
-  (void)t.begin_span("inner", "c");  // never explicitly ended
-  t.end_span(outer);
-  EXPECT_EQ(t.num_events(), 2u);  // both emitted
-}
-
-TEST(Tracer, AsyncSpansCarryIdAndSimDuration) {
-  Tracer t;
-  TimeNs sim_now = 0;
-  t.enable([&sim_now] { return sim_now; });
-  t.async_begin("probe", "tormesh", 42);
-  sim_now = usec(5);
-  t.async_end("probe", "tormesh", 42);
-  const std::string json = t.chrome_json();
-  EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-  EXPECT_NE(json.find("\"id\":\"42\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":5.000"), std::string::npos);
-}
-
-TEST(Tracer, ChromeJsonIsStructurallyBalanced) {
-  Tracer t;
-  t.enable([] { return TimeNs{0}; });
-  const auto s = t.begin_span("a\"quoted\"", "c\\slash");
-  t.instant("marker", "fault");
-  t.end_span(s);
-  const std::string json = t.chrome_json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"s\":\"g\""), std::string::npos);
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : json) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      in_string = !in_string;
-    } else if (!in_string && (c == '{' || c == '[')) {
-      ++depth;
-    } else if (!in_string && (c == '}' || c == ']')) {
-      --depth;
-      EXPECT_GE(depth, 0);
-    }
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_FALSE(in_string);
-}
-
 TEST(Histogram, ConcurrentObserveIsThreadSafe) {
   // Histogram::observe is documented thread-safe (guarded by a per-series
   // mutex). Hammer one series from several threads — under TSan this is
@@ -499,20 +406,6 @@ TEST(Histogram, ConcurrentObserveIsThreadSafe) {
   const SeriesSample* s = snap.find("t_concurrent_ns");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->hist_count, h.count());
-}
-
-TEST(Tracer, BoundedBufferCountsDrops) {
-  Tracer t;
-  t.enable([] { return TimeNs{0}; });
-  t.set_max_events(2);
-  t.instant("a", "c");
-  t.instant("b", "c");
-  t.instant("c", "c");
-  EXPECT_EQ(t.num_events(), 2u);
-  EXPECT_EQ(t.dropped_events(), 1u);
-  t.clear();
-  EXPECT_EQ(t.num_events(), 0u);
-  EXPECT_EQ(t.dropped_events(), 0u);
 }
 
 }  // namespace
