@@ -8,6 +8,9 @@
 // analysis period.
 //
 //   $ ./examples/troubleshoot_training
+//
+// Exits 1 unless scenario 1 finds a P0/P1 problem for the job and scenario 2
+// reports the job's network innocent.
 #include <cstdio>
 
 #include "core/rpingmesh.h"
@@ -46,6 +49,7 @@ int main() {
               job.relative_throughput());
 
   faults::FaultInjector faults(cluster);
+  // Returns whether a P0/P1 problem for the job was found.
   const auto diagnose = [&](const char* scenario) {
     std::printf("\n=== %s ===\n", scenario);
     std::printf("observed: training throughput=%.2f\n",
@@ -73,6 +77,7 @@ int main() {
     std::printf("network_innocent(%u) = %s\n", dml.service.value,
                 rpm.analyzer().network_innocent(dml.service) ? "true"
                                                              : "false");
+    return network_problem;
   };
 
   // --- Scenario 1: it IS the network. ---
@@ -80,7 +85,8 @@ int main() {
   const auto& path = cluster.fabric().flow_path(job.connections()[3].flow);
   const int h1 = faults.inject_corruption(path.links[1], 0.15);
   cluster.run_for(sec(41));
-  diagnose("scenario 1: throughput degraded (cause: corrupted fiber)");
+  const bool blamed =
+      diagnose("scenario 1: throughput degraded (cause: corrupted fiber)");
   faults.clear(h1);
   cluster.run_for(sec(61));  // heal + let the blame window expire
 
@@ -88,8 +94,15 @@ int main() {
   job.set_compute_slowdown(3.0);  // the paper's buggy training code
   cluster.run_for(sec(41));
   diagnose("scenario 2: throughput degraded (cause: compute-side bug)");
+  const bool cleared = rpm.analyzer().network_innocent(dml.service);
 
   job.stop();
   rpm.stop();
+  if (!blamed || !cleared) {
+    std::fprintf(stderr,
+                 "troubleshoot_training: expected the network blamed in "
+                 "scenario 1 and innocent in scenario 2\n");
+    return 1;
+  }
   return 0;
 }

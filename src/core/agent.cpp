@@ -440,6 +440,7 @@ std::size_t Agent::approx_memory_bytes() const {
     bytes += (st.tormesh.entries.size() + st.intertor.entries.size() +
               st.service.size()) *
              sizeof(PinglistEntry);
+    bytes += st.parked_services.size() * sizeof(verbs::ModifyQpEvent);
     bytes += st.paths.size() * (sizeof(PathCacheEntry) + 16 * sizeof(LinkId));
   }
   bytes += pending_.size() * sizeof(Pending);
@@ -466,6 +467,10 @@ void Agent::probe_next(std::uint32_t slot, ProbeKind kind) {
       return;
     }
     case ProbeKind::kServiceTracing: {
+      std::erase_if(st.parked_services,
+                    [this, &st](const verbs::ModifyQpEvent& e) {
+                      return track_service(st, e);
+                    });
       if (st.service.empty()) return;  // Service Tracing paused (§4.2.2)
       if (st.service_next >= st.service.size()) {
         // New round: shuffle so probes never phase-lock with the service's
@@ -972,33 +977,42 @@ void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {
   // Find which of our RNICs this connection uses.
   for (RnicState& st : rnics_) {
     if (st.rnic != e.rnic) continue;
-    // Ignore our own probing QPs (they are UD and never call modify_qp, but
-    // be defensive about other monitors). The lookup hits the host-local
-    // registry replica synchronously; the tracepoint path cannot wait for a
-    // control-plane round trip.
-    const auto info = directory_->comm_info_by_ip(e.tuple.dst_ip);
-    if (!info) {
+    if (!track_service(st, e)) {
+      // The peer's Agent has not registered yet (registration is an
+      // asynchronous RPC, and a job may connect right after start). Park
+      // the connection; each service-tracing tick retries the lookup.
       log_warn() << "agent(" << host_.value
-                 << "): no comm info for service target ip";
-      return;
+                 << "): no comm info for service target ip; parked";
+      st.parked_services.push_back(e);
     }
-    PinglistEntry entry;
-    entry.target = info->rnic;
-    entry.target_gid = info->gid;
-    entry.target_qpn = info->qpn;
-    entry.tuple = e.tuple;  // the service flow's exact 5-tuple
-    entry.kind = ProbeKind::kServiceTracing;
-    entry.service = e.service;
-    st.service_by_qpn[e.local_qpn.value] = entry;
-    st.service.push_back(entry);
     return;
   }
+}
+
+bool Agent::track_service(RnicState& st, const verbs::ModifyQpEvent& e) {
+  // The lookup hits the host-local registry replica synchronously; the
+  // tracepoint path cannot wait for a control-plane round trip.
+  const auto info = directory_->comm_info_by_ip(e.tuple.dst_ip);
+  if (!info) return false;
+  PinglistEntry entry;
+  entry.target = info->rnic;
+  entry.target_gid = info->gid;
+  entry.target_qpn = info->qpn;
+  entry.tuple = e.tuple;  // the service flow's exact 5-tuple
+  entry.kind = ProbeKind::kServiceTracing;
+  entry.service = e.service;
+  st.service_by_qpn[e.local_qpn.value] = entry;
+  st.service.push_back(entry);
+  return true;
 }
 
 void Agent::on_service_disconnect(const verbs::DestroyQpEvent& e) {
   if (!running_) return;
   for (RnicState& st : rnics_) {
     if (st.rnic != e.rnic) continue;
+    std::erase_if(st.parked_services, [&e](const verbs::ModifyQpEvent& p) {
+      return p.local_qpn == e.local_qpn;
+    });
     const auto it = st.service_by_qpn.find(e.local_qpn.value);
     if (it == st.service_by_qpn.end()) return;
     const FiveTuple tuple = it->second.tuple;

@@ -218,6 +218,9 @@ class Agent {
     std::size_t intertor_next = 0;
     std::size_t service_next = 0;
     std::unordered_map<std::uint32_t, PinglistEntry> service_by_qpn;
+    // Service connections made before their peer's Agent registered (no
+    // comm info yet): retried on every service-tracing tick.
+    std::vector<verbs::ModifyQpEvent> parked_services;
     std::unordered_map<std::uint64_t, PathCacheEntry> paths;  // by tuple hash
     std::unique_ptr<sim::PeriodicTask> tormesh_task;
     std::unique_ptr<sim::PeriodicTask> intertor_task;
@@ -265,6 +268,9 @@ class Agent {
   PathCacheEntry& traced_paths(std::uint32_t slot, const PinglistEntry& e);
   void upload_now();
   void on_service_connect(const verbs::ModifyQpEvent& e);
+  /// Add the connection to `st`'s service pinglist; false (nothing added)
+  /// while the directory has no comm info for its peer.
+  bool track_service(RnicState& st, const verbs::ModifyQpEvent& e);
   void on_service_disconnect(const verbs::DestroyQpEvent& e);
   [[nodiscard]] bool host_down() const;
 

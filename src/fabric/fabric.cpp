@@ -41,7 +41,7 @@ Fabric::Fabric(const topo::Topology& topo, const routing::EcmpRouter& router,
       delivery_(topo.num_rnics()),
       step_task_(sched, cfg.step_interval, [this] { step_once(); }),
       offered_(topo.num_links(), 0.0),
-      drop_frac_(topo.num_links(), 0.0) {
+      link_step_(topo.num_links()) {
   if (cfg_.step_interval <= 0) {
     throw std::invalid_argument("FabricConfig: step_interval must be > 0");
   }
@@ -118,11 +118,18 @@ bool Fabric::link_usable(LinkId id) const {
   return links_[id.value].usable();
 }
 
+namespace {
+
+TimeNs queue_delay(Bytes queue, double cap) {
+  if (cap <= 0.0) return 0;
+  return static_cast<TimeNs>(static_cast<double>(queue) / cap * 1e9);
+}
+
+}  // namespace
+
 TimeNs Fabric::link_queue_delay(LinkId id) const {
   const LinkState& s = links_[id.value];
-  const double cap = effective_capacity(topo_.link(id), s);
-  if (cap <= 0.0) return 0;
-  return static_cast<TimeNs>(static_cast<double>(s.queue_bytes) / cap * 1e9);
+  return queue_delay(s.queue_bytes, effective_capacity(topo_.link(id), s));
 }
 
 double Fabric::effective_capacity(const topo::Link& l,
@@ -363,6 +370,7 @@ const routing::Path& Fabric::flow_path(FlowId id) const {
 
 void Fabric::resolve_flow_path(Flow& f) {
   f.path = current_path(f.spec.src, f.spec.dst, f.spec.tuple);
+  f.base_rtt = 2 * f.path.propagation_total(topo_);
   f.path_epoch = topology_epoch_;
 }
 
@@ -371,6 +379,11 @@ void Fabric::stop() { step_task_.cancel(); }
 
 void Fabric::step_once() {
   fluid_steps_total_.inc();
+  // An idle plane stays idle: with no live flow every link's offered load is
+  // 0, so a drained link integrates back to drained whatever its flags. A
+  // frozen link keeps its queue, which keeps `idle_` false until it recovers
+  // and drains.
+  if (idle_ && live_flows_ == 0) return;
   const double ds = to_seconds(cfg_.step_interval);
 
   // 1. Refresh stale flow paths (topology changed since last resolve).
@@ -384,9 +397,6 @@ void Fabric::step_once() {
     if (!f.live || !f.path.complete) continue;
     for (LinkId l : f.path.links) offered_[l.value] += f.rate_Bps;
   }
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    offered_[i] += links_[i].extra_load_Bps;
-  }
 
   // 3. Queue integration, ECN, PFC/overflow per link.
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -396,7 +406,6 @@ void Fabric::step_once() {
     if (!s.usable() || s.flapping || s.deadlocked) {
       // No service; queue frozen (a PFC deadlock holds buffers hostage, and
       // a flapping/down port transfers nothing).
-      drop_frac_[i] = 0.0;
       continue;
     }
     const double dq = (offered_[i] - cap) * ds;
@@ -444,10 +453,25 @@ void Fabric::step_once() {
       s.pfc_paused = true;
     }
     s.queue_bytes = static_cast<Bytes>(q);
-    drop_frac_[i] = s.overflow_drop_frac;
   }
 
-  // 4. Per-flow achieved rate, loss, queue delay; CC update.
+  // 4. The link values every flow crossing a link reads. Only after step 3
+  // is done: a PFC push-back can raise the queue of a link it already passed.
+  bool drained = true;
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const LinkState& s = links_[i];
+    LinkStep& t = link_step_[i];
+    t.blocked = !s.usable() || s.flapping || s.deadlocked;
+    t.capacity = effective_capacity(
+        topo_.link(LinkId{static_cast<std::uint32_t>(i)}), s);
+    t.survive = 1.0 - std::min(1.0, s.corrupt_prob + s.overflow_drop_frac);
+    t.ecn_survive = 1.0 - ecn_mark_prob(s);
+    t.queue_delay = queue_delay(s.queue_bytes, t.capacity);
+    drained = drained && s.queue_bytes == 0 && !s.pfc_paused &&
+              s.overflow_drop_frac == 0.0;
+  }
+
+  // 5. Per-flow achieved rate, loss, queue delay; CC update.
   for (Flow& f : flows_) {
     if (!f.live) continue;
     FlowStats st;
@@ -465,19 +489,18 @@ void Fabric::step_once() {
     double bottleneck_cap = 0.0;
     bool blocked = false;
     for (LinkId lid : f.path.links) {
-      const LinkState& s = links_[lid.value];
-      const topo::Link& l = topo_.link(lid);
-      if (!s.usable() || s.flapping || s.deadlocked) {
+      const LinkStep& t = link_step_[lid.value];
+      if (t.blocked) {
         blocked = true;
         break;
       }
-      const double cap = effective_capacity(l, s);
+      const double cap = t.capacity;
       if (bottleneck_cap == 0.0 || cap < bottleneck_cap) bottleneck_cap = cap;
       const double arrival = offered_[lid.value];
       if (arrival > cap) factor = std::min(factor, cap / arrival);
-      survive *= (1.0 - std::min(1.0, s.corrupt_prob + drop_frac_[lid.value]));
-      ecn_survive *= (1.0 - ecn_mark_prob(s));
-      qdelay += link_queue_delay(lid);
+      survive *= t.survive;
+      ecn_survive *= t.ecn_survive;
+      qdelay += t.queue_delay;
     }
     if (blocked) {
       st.loss_rate = 1.0;
@@ -493,7 +516,7 @@ void Fabric::step_once() {
       CcFeedback fb;
       fb.ecn_fraction = 1.0 - ecn_survive;
       fb.queue_delay = qdelay;
-      fb.base_rtt = 2 * f.path.propagation_total(topo_);
+      fb.base_rtt = f.base_rtt;
       fb.achieved_Bps = st.achieved_Bps;
       fb.bottleneck_capacity_Bps = bottleneck_cap;
       fb.dt = cfg_.step_interval;
@@ -502,6 +525,7 @@ void Fabric::step_once() {
           f.spec.demand_Bps);
     }
   }
+  idle_ = live_flows_ == 0 && drained;
 }
 
 }  // namespace rpm::fabric

@@ -6,7 +6,8 @@
 //    a rate (optionally governed by a RateController, e.g. DCQCN). Every
 //    `step_interval` the engine integrates per-link queues from offered
 //    load, applies ECN marking, PFC backpressure (lossless) or tail drops
-//    (lossy/misconfigured), and computes achieved throughput.
+//    (lossy/misconfigured), and computes achieved throughput. A step with
+//    no live flow on a drained fabric does nothing but count itself.
 //
 //  * PACKET-level datagrams (probes, ACKs). A datagram resolves its path
 //    with the *current* link state, accumulates per-hop propagation +
@@ -123,8 +124,10 @@ struct LinkState {
   bool pfc_misconfigured = false;  // headroom wrong: overflow drops anyway
   double corrupt_prob = 0.0;   // per-packet corruption drop probability
   double service_rate_factor = 1.0;  // <1 models PCIe-downgraded endpoints
-  double extra_load_Bps = 0.0; // background load not modelled as flows
 
+  // Outputs of Fabric::step_once, and only of it: nothing else may write
+  // them. The idle-step rule depends on it (a plane with no live flow whose
+  // links all read drained skips integration until a flow arrives).
   Bytes queue_bytes = 0;
   double overflow_drop_frac = 0.0;  // fraction of offered load dropped now
   bool pfc_paused = false;          // asserted pause towards upstream
@@ -134,6 +137,8 @@ struct LinkState {
   std::uint64_t drops_overflow = 0;
   std::uint64_t drops_down = 0;
   std::uint64_t pfc_pause_events = 0;
+
+  bool operator==(const LinkState&) const = default;
 
   /// Usable for *routing* (stays in forwarding tables while flapping).
   [[nodiscard]] bool usable() const { return admin_up; }
@@ -245,10 +250,21 @@ class Fabric {
     FlowSpec spec;
     routing::Path path;
     double rate_Bps = 0.0;   // current sending rate (CC-governed)
+    TimeNs base_rtt = 0;     // 2 * propagation along `path`
     std::uint64_t path_epoch = 0;
     bool live = false;
     FlowStats stats;
     std::uint32_t cc_slot = 0;
+  };
+
+  /// Per-link values the flow walk of one step reads, computed once after
+  /// queue integration so every flow crossing a link sees the same numbers.
+  struct LinkStep {
+    bool blocked = false;      // down, flapping or deadlocked: no service
+    double capacity = 0.0;     // effective_capacity
+    double survive = 1.0;      // 1 - min(1, corrupt_prob + overflow_drop_frac)
+    double ecn_survive = 1.0;  // 1 - ecn_mark_prob
+    TimeNs queue_delay = 0;    // link_queue_delay
   };
 
   struct AclRule {
@@ -283,9 +299,13 @@ class Fabric {
 
   sim::PeriodicTask step_task_;
 
+  // Set by each full step: no flow is live and every link ended the step
+  // with an empty queue, no PAUSE and no overflow loss.
+  bool idle_ = false;
+
   // scratch buffers reused across steps
-  std::vector<double> offered_;   // per link
-  std::vector<double> drop_frac_; // per link
+  std::vector<double> offered_;       // per link
+  std::vector<LinkStep> link_step_;   // per link
 
   // self-observability (handles cached at construction; inc() on hot paths)
   telemetry::Counter sends_total_;

@@ -1,6 +1,7 @@
 #include "routing/ecmp.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <limits>
 #include <stdexcept>
@@ -99,13 +100,27 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
                          const LinkUpFn& link_up) const {
   const auto up = [&](LinkId l) { return !link_up || link_up(l); };
 
-  Path path;
+  // Hops collect on the stack and are copied out once, so a path costs two
+  // exactly sized allocations however long it is.
+  constexpr int kMaxHops = 16;
+  std::array<LinkId, kMaxHops + 1> links;
+  std::array<SwitchId, kMaxHops> switches;
+  std::size_t n_links = 0;
+  std::size_t n_switches = 0;
+  const auto finish = [&](bool complete) {
+    Path path;
+    path.links.assign(links.begin(), links.begin() + n_links);
+    path.switches.assign(switches.begin(), switches.begin() + n_switches);
+    path.complete = complete;
+    return path;
+  };
+
   const topo::RnicInfo& s = topo_.rnic(src);
   const topo::RnicInfo& d = topo_.rnic(dst);
 
   // First hop: RNIC to its ToR.
-  if (!up(s.uplink)) return path;  // blackholed at the host link
-  path.links.push_back(s.uplink);
+  if (!up(s.uplink)) return Path{};  // blackholed at the host link
+  links[n_links++] = s.uplink;
 
   SwitchId cur = s.tor;
   const std::size_t ord = tor_ordinal_.at(d.tor.value);
@@ -113,28 +128,34 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
     throw std::invalid_argument("resolve: destination not under a ToR");
   }
 
-  constexpr int kMaxHops = 16;
   for (int hop = 0; hop < kMaxHops; ++hop) {
-    path.switches.push_back(cur);
+    switches[n_switches++] = cur;
     if (cur == d.tor) {
-      if (!up(d.downlink)) return path;  // ToR -> RNIC link down
-      path.links.push_back(d.downlink);
-      path.complete = true;
-      return path;
+      if (!up(d.downlink)) return finish(false);  // ToR -> RNIC link down
+      links[n_links++] = d.downlink;
+      return finish(true);
     }
     const auto& cand = candidates_[ord][cur.value];
-    // Filter to live links; a failure re-hashes among survivors.
-    std::vector<LinkId> live;
-    live.reserve(cand.size());
-    for (LinkId l : cand) {
-      if (up(l)) live.push_back(l);
+    // Hash among the live candidates only, so a failure re-hashes among
+    // survivors. Walking to the k-th live candidate instead of building a
+    // filtered copy keeps the hop allocation-free.
+    const auto n_live = static_cast<std::size_t>(
+        std::count_if(cand.begin(), cand.end(), up));
+    if (n_live == 0) return finish(false);  // blackhole
+    std::size_t k = pick(cur, tuple, n_live);
+    LinkId next = cand[k];
+    if (n_live < cand.size()) {
+      for (LinkId l : cand) {
+        if (up(l) && k-- == 0) {
+          next = l;
+          break;
+        }
+      }
     }
-    if (live.empty()) return path;  // blackhole
-    const LinkId next = live[pick(cur, tuple, live.size())];
-    path.links.push_back(next);
+    links[n_links++] = next;
     cur = topo_.link(next).to.as_switch();
   }
-  return path;  // loop guard tripped; report incomplete
+  return finish(false);  // loop guard tripped; report incomplete
 }
 
 TracerouteService::TracerouteService(const EcmpRouter& router,

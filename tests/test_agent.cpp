@@ -269,6 +269,46 @@ TEST_F(AgentTest, ServiceTracingUsesServiceTuplesAndService) {
   }
 }
 
+TEST_F(AgentTest, ServiceConnectedBeforePeerRegistersIsTraced) {
+  // The job connects at the instant the Agents start, before any
+  // registration RPC has landed: no comm info exists for either peer yet.
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{5};
+  dml.workers = {RnicId{0}, RnicId{8}};
+  dml.compute_time = msec(100);
+  dml.comm_bytes = 10'000'000;
+  dml.base_port = 35000;
+  traffic::DmlService svc(cluster_, dml);
+  for (auto& a : agents_) a->start();
+  svc.start();
+  cluster_.run_for(sec(5) + msec(10));  // the first upload leaves at 5 s
+  std::unordered_map<std::uint16_t, std::size_t> per_port;
+  for (const auto& r : tap_) {
+    if (r.kind == ProbeKind::kServiceTracing) ++per_port[r.tuple.src_port];
+  }
+  EXPECT_GT(per_port[35000], 300u);
+  EXPECT_GT(per_port[35001], 300u);
+  EXPECT_EQ(per_port.size(), 2u);
+  svc.stop();
+}
+
+TEST_F(AgentTest, ServiceClosedBeforePeerRegistersIsNeverTraced) {
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{5};
+  dml.workers = {RnicId{0}, RnicId{8}};
+  dml.base_port = 36000;
+  traffic::DmlService svc(cluster_, dml);
+  for (auto& a : agents_) a->start();
+  svc.start();
+  svc.stop();
+  cluster_.run_for(sec(5) + msec(10));
+  for (const auto& r : tap_) {
+    EXPECT_NE(r.kind, ProbeKind::kServiceTracing)
+        << "a parked connection that closed must be forgotten";
+  }
+  for (const auto& a : agents_) EXPECT_EQ(a->service_entries(), 0u);
+}
+
 TEST_F(AgentTest, ServiceProbesFollowServicePath) {
   start_all();
   traffic::DmlConfig dml;

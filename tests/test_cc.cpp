@@ -1,6 +1,10 @@
 // Tests for congestion control: DCQCN and DelayCC behaviour on shared
-// bottlenecks, and the queue-depth difference that drives Figure 11.
+// bottlenecks, the queue-depth difference that drives Figure 11, and a
+// bit-exact pin of every fluid-plane output a CC-governed run produces.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "cc/cc.h"
 #include "fabric/fabric.h"
@@ -182,6 +186,112 @@ TEST_F(CcTest, ControllersKeepPerFlowStateSeparate) {
   r0 = cc.update(0, marked, r0);
   r1 = cc.update(1, clean, r1);
   EXPECT_LT(r0, r1);  // only flow 0 was cut
+}
+
+/// FNV-1a over the bit patterns of every value folded in: two runs agree
+/// only if every double matches to the last bit.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+};
+
+/// DCQCN that folds every feedback it is handed (and the rate it is asked
+/// to update) into the digest before deciding.
+class DigestingDcqcn : public fabric::RateController {
+ public:
+  explicit DigestingDcqcn(Digest& d) : digest_(d) {}
+  double reset(std::uint32_t slot, double demand, double line) override {
+    return inner_.reset(slot, demand, line);
+  }
+  double update(std::uint32_t slot, const fabric::CcFeedback& fb,
+                double rate) override {
+    digest_.add(std::uint64_t{slot});
+    digest_.add(fb.ecn_fraction);
+    digest_.add(fb.queue_delay);
+    digest_.add(fb.base_rtt);
+    digest_.add(fb.achieved_Bps);
+    digest_.add(fb.bottleneck_capacity_Bps);
+    digest_.add(rate);
+    return inner_.update(slot, fb, rate);
+  }
+  [[nodiscard]] std::string name() const override { return "digest"; }
+
+ private:
+  Digest& digest_;
+  Dcqcn inner_;
+};
+
+TEST_F(CcTest, FluidPlaneOutputsArePinnedBitForBit) {
+  // Every output of the fluid plane, step by step, through incast with PFC
+  // push-back, a PCIe-downgraded endpoint, corruption, a cable down and up
+  // (path re-resolve), a full drain to idle and a restart. The digest was
+  // recorded from the straightforward per-flow, per-link step; any change
+  // to the step's arithmetic order moves it.
+  Digest digest;
+  DigestingDcqcn cc(digest);
+  std::vector<FlowId> live;
+  const auto step = [&] {
+    fab_.step_once();
+    for (FlowId id : live) {
+      const fabric::FlowStats st = fab_.flow_stats(id);
+      digest.add(st.offered_Bps);
+      digest.add(st.achieved_Bps);
+      digest.add(st.loss_rate);
+      digest.add(st.queue_delay);
+    }
+    for (std::uint32_t i = 0; i < topo_.num_links(); ++i) {
+      const fabric::LinkState& s = fab_.link_state(LinkId{i});
+      digest.add(s.queue_bytes);
+      digest.add(std::uint64_t{s.pfc_paused});
+      digest.add(s.overflow_drop_frac);
+    }
+  };
+  const auto steps = [&](int n) {
+    for (int i = 0; i < n; ++i) step();
+  };
+
+  // DCQCN incast from the other ToR into rnic 0, plus a fixed-rate flow
+  // under rnic 0's own ToR that CC cannot slow down.
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    live.push_back(fab_.add_flow(flow(RnicId{4 + i}, RnicId{0}, 100.0,
+                                      static_cast<std::uint16_t>(7000 + i),
+                                      &cc)));
+  }
+  live.push_back(fab_.add_flow(flow(RnicId{1}, RnicId{0}, 60.0, 7100,
+                                    nullptr)));
+  const LinkId bottleneck = topo_.rnic(RnicId{0}).downlink;
+  steps(50);
+  fab_.link_state(bottleneck).service_rate_factor = 0.5;
+  steps(30);
+  fab_.link_state(topo_.rnic(RnicId{5}).uplink).corrupt_prob = 0.01;
+  steps(40);
+  const LinkId cable = fab_.flow_path(live[0]).links[1];
+  fab_.set_cable_up(cable, false);
+  steps(80);
+  EXPECT_NE(fab_.flow_path(live[0]).links[1], cable) << "path re-resolved";
+  fab_.set_cable_up(cable, true);
+  steps(100);
+  EXPECT_GT(fab_.link_state(bottleneck).pfc_pause_events, 0u)
+      << "the incast must overflow into PFC push-back";
+
+  for (FlowId id : live) fab_.remove_flow(id);
+  live.clear();
+  steps(1000);
+  for (std::uint32_t i = 0; i < topo_.num_links(); ++i) {
+    ASSERT_EQ(fab_.link_state(LinkId{i}).queue_bytes, 0) << "link " << i;
+  }
+
+  live.push_back(fab_.add_flow(flow(RnicId{6}, RnicId{0}, 100.0, 7200, &cc)));
+  steps(100);
+
+  EXPECT_EQ(digest.h, 0x5916fa2e60675058ULL);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "fabric/fabric.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
+#include "telemetry/metrics.h"
 #include "topo/topology.h"
 
 namespace rpm::fabric {
@@ -293,6 +294,42 @@ TEST_F(FabricTest, RemoveFlowFreesCapacity) {
   EXPECT_NEAR(fab_.flow_stats(a).achieved_Bps, gbps_to_Bps(80.0),
               gbps_to_Bps(2.0));
   EXPECT_EQ(fab_.num_flows(), 1u);
+}
+
+TEST_F(FabricTest, IdleFabricLeavesLinksUntouched) {
+  const telemetry::Counter steps =
+      telemetry::registry().counter("rpm_fabric_fluid_steps_total", "");
+  const std::uint64_t before = steps.value();
+  fab_.start();
+  sched_.run_until(msec(10));
+  // Idle steps still count: one per 100 us interval, both ends included.
+  EXPECT_EQ(steps.value() - before, 101u);
+  for (std::uint32_t i = 0; i < topo_.num_links(); ++i) {
+    EXPECT_TRUE(fab_.link_state(LinkId{i}) == LinkState{}) << "link " << i;
+  }
+}
+
+TEST_F(FabricTest, FrozenQueueKeepsPlaneBusyUntilDrained) {
+  // Queue up rnic 7's downlink, deadlock it (the queue freezes), and remove
+  // every flow. No flow is live, but the plane is not idle: once the
+  // deadlock clears, the held queue must drain.
+  const FlowId a = fab_.add_flow(flow(RnicId{0}, RnicId{7}, 80.0, 2001));
+  const FlowId b = fab_.add_flow(flow(RnicId{2}, RnicId{7}, 80.0, 2002));
+  fab_.start();
+  sched_.run_until(msec(2));
+  const LinkId down = topo_.rnic(RnicId{7}).downlink;
+  ASSERT_GT(fab_.link_state(down).queue_bytes, 0);
+  fab_.link_state(down).deadlocked = true;
+  fab_.remove_flow(a);
+  fab_.remove_flow(b);
+  sched_.run_until(sched_.now() + msec(5));
+  EXPECT_GT(fab_.link_state(down).queue_bytes, 0)
+      << "a deadlocked link holds its queue";
+  fab_.link_state(down).deadlocked = false;
+  sched_.run_until(sched_.now() + msec(10));
+  for (std::uint32_t i = 0; i < topo_.num_links(); ++i) {
+    EXPECT_EQ(fab_.link_state(LinkId{i}).queue_bytes, 0) << "link " << i;
+  }
 }
 
 TEST_F(FabricTest, FlowPathReresolvedAfterTopologyChange) {

@@ -118,6 +118,30 @@ TEST_F(EcmpTest, RehashesAroundDownLink) {
   EXPECT_NE(before.links, after.links);
 }
 
+TEST_F(EcmpTest, PicksAmongLiveCandidatesInOrder) {
+  // Reference: filter each hop's candidates to the live ones, in order, and
+  // index them with pick(). resolve() must choose the same link every hop.
+  const RnicId src{0}, dst{7};
+  const SwitchId dst_tor = topo_.rnic(dst).tor;
+  for (LinkId dead : topo_.out_links(topo::NodeRef::sw(topo_.rnic(src).tor))) {
+    if (!topo_.link(dead).to.is_switch()) continue;
+    const auto up = [dead](LinkId l) { return l != dead; };
+    for (std::uint16_t port = 1000; port < 1064; ++port) {
+      const auto t = tuple_for(topo_, src, dst, port);
+      const Path p = router_.resolve(src, dst, t, up);
+      ASSERT_TRUE(p.complete);
+      for (std::size_t i = 0; i + 1 < p.switches.size(); ++i) {
+        std::vector<LinkId> live;
+        for (LinkId l : router_.candidates(p.switches[i], dst_tor)) {
+          if (up(l)) live.push_back(l);
+        }
+        EXPECT_EQ(p.links[i + 1],
+                  live[router_.pick(p.switches[i], t, live.size())]);
+      }
+    }
+  }
+}
+
 TEST_F(EcmpTest, BlackholeWhenAllCandidatesDown) {
   const RnicId src{0}, dst{7};
   const auto t = tuple_for(topo_, src, dst, 1000);
