@@ -1,11 +1,14 @@
-#include "core/analysis_core.h"
-
+// The Analyzer's period pipeline (§4.3) over one period's drained probe
+// records: timeout triage, anomalous-RNIC detection, Algorithm-1
+// localization, bottleneck scans, SLA tables and impact. The verdict steps
+// it shares with the GlobalAnalyzer are in core/verdict.h.
 #include <algorithm>
 #include <chrono>
 #include <map>
 #include <sstream>
 
 #include "common/stats.h"
+#include "core/analyzer.h"
 #include "fabric/fabric.h"
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
@@ -40,178 +43,10 @@ struct DelayStat {
   }
 };
 
-}  // namespace
-
-const char* AnalysisCore::stage_name(int stage) {
-  static constexpr const char* kNames[kNumStages] = {
-      "classify",    // §4.3.1 noise filters (host down, QPN reset)
-      "rnic_detect",  // §4.3.2 anomalous-RNIC detection
-      "attribute",    // final per-timeout cause attribution
-      "localize",     // §4.3.3 Algorithm-1 voting + problem emission
-      "bottlenecks",  // high-RTT / high-processing-delay detection
-      "sla",          // percentile aggregation
-      "impact",       // §4.3.4 P0/P1/P2 assessment
-  };
-  return kNames[stage];
-}
-
-AnalysisCore::AnalysisCore(const topo::Topology& topo,
-                           const Controller* directory, AnalyzerConfig cfg)
-    : topo_(topo), directory_(directory), cfg_(std::move(cfg)) {
-  auto& reg = telemetry::registry();
-  metrics_.periods =
-      reg.counter("rpm_analyzer_periods_total", "Analysis periods executed");
-  for (int s = 0; s < kNumStages; ++s) {
-    metrics_.stage_ns[s] =
-        reg.histogram("rpm_analyzer_stage_ns",
-                      "Wall-clock cost of one pipeline stage per period",
-                      {{"stage", stage_name(s)}});
-  }
-  for (std::uint8_t c = 0; c < 5; ++c) {
-    metrics_.timeouts_by_cause[c] = reg.counter(
-        "rpm_analyzer_timeouts_total", "Timeout probes by attributed cause",
-        {{"cause", anomaly_cause_name(static_cast<AnomalyCause>(c))}});
-  }
-  for (std::uint8_t c = 0; c < 7; ++c) {
-    metrics_.problems_by_category[c] = reg.counter(
-        "rpm_analyzer_problems_total", "Problems emitted by category",
-        {{"category", problem_category_name(static_cast<ProblemCategory>(c))}});
-  }
-  for (std::uint8_t p = 0; p < 4; ++p) {
-    metrics_.problems_by_priority[p] = reg.counter(
-        "rpm_analyzer_problem_priority_total", "Problems emitted by priority",
-        {{"priority", priority_name(static_cast<Priority>(p))}});
-  }
-  metrics_.raw_fallback_links = reg.counter(
-      "rpm_analyzer_raw_fallback_links_total",
-      "Links whose period sketch showed drops, keeping raw records in play");
-}
-
-void AnalysisCore::register_service(ServiceBinding binding) {
-  if (!binding.metric) {
-    throw std::invalid_argument("register_service: metric required");
-  }
-  services_.push_back(std::move(binding));
-}
-
-void AnalysisCore::attach_journal(StateJournal* journal, std::string role) {
-  journal_ = journal;
-  role_ = std::move(role);
-}
-
-void AnalysisCore::fill_checkpoint(AnalyzerCheckpoint& cp) const {
-  cp.last_period_end = last_period_end_;
-  cp.next_problem_id = next_problem_id_;
-  cp.next_evidence_id = next_evidence_id_;
-  cp.last_upload.assign(last_upload_.begin(), last_upload_.end());
-  std::sort(cp.last_upload.begin(), cp.last_upload.end());
-  cp.known_hosts.assign(known_hosts_.begin(), known_hosts_.end());
-  std::sort(cp.known_hosts.begin(), cp.known_hosts.end());
-  cp.rnic_blamed_until.assign(rnic_blamed_until_.begin(),
-                              rnic_blamed_until_.end());
-  std::sort(cp.rnic_blamed_until.begin(), cp.rnic_blamed_until.end());
-  cp.host_noise_until.assign(host_noise_until_.begin(),
-                             host_noise_until_.end());
-  std::sort(cp.host_noise_until.begin(), cp.host_noise_until.end());
-}
-
-void AnalysisCore::restore(const AnalyzerCheckpoint& cp) {
-  last_period_end_ = cp.last_period_end;
-  next_problem_id_ = cp.next_problem_id;
-  next_evidence_id_ = cp.next_evidence_id;
-  last_upload_.clear();
-  last_upload_.insert(cp.last_upload.begin(), cp.last_upload.end());
-  known_hosts_.clear();
-  known_hosts_.insert(cp.known_hosts.begin(), cp.known_hosts.end());
-  rnic_blamed_until_.clear();
-  rnic_blamed_until_.insert(cp.rnic_blamed_until.begin(),
-                            cp.rnic_blamed_until.end());
-  host_noise_until_.clear();
-  host_noise_until_.insert(cp.host_noise_until.begin(),
-                           cp.host_noise_until.end());
-}
-
-void AnalysisCore::reset_volatile() {
-  last_upload_.clear();
-  known_hosts_.clear();
-  rnic_blamed_until_.clear();
-  host_noise_until_.clear();
-  history_.clear();
-  diagnosis_.clear();
-  next_evidence_id_ = 1;
-  next_problem_id_ = 1;
-  last_period_end_ = 0;
-  (void)sketch_store_.drain_period();  // pending period sketches die too
-}
-
-void AnalysisCore::vote_paths(
-    const std::vector<const ProbeRecord*>& records,
-    std::vector<LinkId>& out_links, std::vector<SwitchId>& out_switches,
-    std::vector<std::pair<LinkId, std::size_t>>* top_votes,
-    obs::EvidenceChain* chain) const {
-  // Algorithm 1: count traversals of each link (and switch) over the
-  // anomalous probes' forward and ACK paths; return the top voted.
-  std::unordered_map<std::uint32_t, std::size_t> link_votes;
-  std::unordered_map<std::uint32_t, std::size_t> switch_votes;
-  for (const ProbeRecord* r : records) {
-    if (!r->path_known) continue;
-    for (const routing::Path* p : {&r->fwd_path, &r->rev_path}) {
-      for (LinkId l : p->links) ++link_votes[l.value];
-      for (SwitchId s : p->switches) ++switch_votes[s.value];
-    }
-  }
-  std::size_t best_link = 0;
-  for (const auto& [_, v] : link_votes) best_link = std::max(best_link, v);
-  for (const auto& [l, v] : link_votes) {
-    if (v == best_link && best_link > 0) out_links.push_back(LinkId{l});
-  }
-  std::size_t best_switch = 0;
-  for (const auto& [_, v] : switch_votes) {
-    best_switch = std::max(best_switch, v);
-  }
-  for (const auto& [s, v] : switch_votes) {
-    if (v == best_switch && best_switch > 0) {
-      out_switches.push_back(SwitchId{s});
-    }
-  }
-  std::sort(out_links.begin(), out_links.end());
-  std::sort(out_switches.begin(), out_switches.end());
-  if (top_votes != nullptr) {
-    std::vector<std::pair<LinkId, std::size_t>> all;
-    all.reserve(link_votes.size());
-    for (const auto& [l, v] : link_votes) all.emplace_back(LinkId{l}, v);
-    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    if (all.size() > 10) all.resize(10);
-    *top_votes = std::move(all);
-  }
-  if (chain != nullptr) {
-    // Evidence: the full tally (descending, bounded), not just the winners —
-    // explain() must show how close the runners-up were.
-    static constexpr std::size_t kTallyCap = 64;
-    const auto fill = [](const std::unordered_map<std::uint32_t,
-                                                  std::size_t>& votes,
-                         std::vector<obs::VoteCount>& out) {
-      out.reserve(std::min(votes.size(), kTallyCap));
-      for (const auto& [id, v] : votes) out.push_back({id, v});
-      std::sort(out.begin(), out.end(),
-                [](const obs::VoteCount& a, const obs::VoteCount& b) {
-                  if (a.votes != b.votes) return a.votes > b.votes;
-                  return a.id < b.id;
-                });
-      if (out.size() > kTallyCap) out.resize(kTallyCap);
-    };
-    fill(link_votes, chain->link_votes);
-    fill(switch_votes, chain->switch_votes);
-  }
-}
-
-SlaReport AnalysisCore::make_sla(
-    const std::vector<const ProbeRecord*>& records,
-    const std::unordered_set<std::uint64_t>& rnic_timeouts,
-    const std::unordered_set<std::uint64_t>& switch_timeouts) const {
+// Exact SLA table over raw records (sketch_mode == kOff).
+SlaReport make_sla(const std::vector<const ProbeRecord*>& records,
+                   const std::unordered_set<std::uint64_t>& rnic_timeouts,
+                   const std::unordered_set<std::uint64_t>& switch_timeouts) {
   SlaReport sla;
   PercentileWindow rtt;
   PercentileWindow proc;
@@ -242,51 +77,53 @@ SlaReport AnalysisCore::make_sla(
   return sla;
 }
 
-SlaReport AnalysisCore::make_sla_sketch(
-    const std::vector<const ProbeRecord*>& records,
-    const sketch::HostSummary& summary,
-    const std::unordered_set<std::uint64_t>& rnic_timeouts,
-    const std::unordered_set<std::uint64_t>& switch_timeouts) const {
-  // Sketch-mode cluster SLA: percentiles come from the merged quantile
-  // sketches (Agents' folded summaries + this period's raw records) instead
-  // of exact order statistics. Counts stay exact: every timeout rides the
-  // wire raw, and the folded healthy probes are tallied by folded_records.
-  SlaReport sla;
-  sketch::QuantileSketch rtt;
-  sketch::QuantileSketch proc;
-  rtt.merge(summary.rtt);
-  for (const auto& [rid, sk] : summary.ok_delay_by_target) proc.merge(sk);
+// Mergeable SLA state of `records`: exact counts, sketched distributions,
+// seeded with the Agents' folded healthy probes when `summary` is given.
+// Timeouts in neither id set count as probes and timeouts but carry no drop
+// attribution (a pod's foreign timeouts: the global tier attributes them).
+SlaDigest sla_digest(const std::vector<const ProbeRecord*>& records,
+                     const sketch::HostSummary* summary,
+                     const std::unordered_set<std::uint64_t>& rnic_timeouts,
+                     const std::unordered_set<std::uint64_t>& switch_timeouts) {
+  SlaDigest d;
+  if (summary != nullptr) {
+    d.rtt.merge(summary->rtt);
+    for (const auto& [rid, sk] : summary->ok_delay_by_target) d.proc.merge(sk);
+    d.probes += summary->folded_records;
+  }
   for (const ProbeRecord* r : records) {
-    ++sla.probes;
+    ++d.probes;
     if (r->status == ProbeStatus::kTimeout) {
-      ++sla.timeouts;
-      if (rnic_timeouts.contains(r->id)) sla.rnic_drop_rate += 1.0;
-      if (switch_timeouts.contains(r->id)) sla.switch_drop_rate += 1.0;
+      ++d.timeouts;
+      if (rnic_timeouts.contains(r->id)) ++d.rnic_drops;
+      if (switch_timeouts.contains(r->id)) ++d.switch_drops;
     } else {
-      rtt.add(static_cast<double>(r->network_rtt));
-      proc.add(static_cast<double>(r->responder_delay));
+      d.rtt.add(static_cast<double>(r->network_rtt));
+      d.proc.add(static_cast<double>(r->responder_delay));
     }
   }
-  sla.probes += summary.folded_records;
-  if (sla.probes > 0) {
-    sla.rnic_drop_rate /= static_cast<double>(sla.probes);
-    sla.switch_drop_rate /= static_cast<double>(sla.probes);
-  }
-  sla.rtt_mean = rtt.mean();
-  sla.rtt_p50 = rtt.quantile(0.50);
-  sla.rtt_p90 = rtt.quantile(0.90);
-  sla.rtt_p99 = rtt.quantile(0.99);
-  sla.rtt_p999 = rtt.quantile(0.999);
-  sla.proc_p50 = proc.quantile(0.50);
-  sla.proc_p90 = proc.quantile(0.90);
-  sla.proc_p99 = proc.quantile(0.99);
-  sla.proc_p999 = proc.quantile(0.999);
-  return sla;
+  return d;
 }
 
-const PeriodReport& AnalysisCore::analyze_period(
-    std::vector<ProbeRecord> records, const sketch::HostSummary& summary,
-    TimeNs now, FederationScratch* fed) {
+}  // namespace
+
+const char* Analyzer::stage_name(int stage) {
+  static constexpr const char* kNames[kNumStages] = {
+      "classify",    // §4.3.1 noise filters (host down, QPN reset)
+      "rnic_detect",  // §4.3.2 anomalous-RNIC detection
+      "attribute",    // final per-timeout cause attribution
+      "localize",     // §4.3.3 Algorithm-1 voting + problem emission
+      "bottlenecks",  // high-RTT / high-processing-delay detection
+      "sla",          // percentile aggregation
+      "impact",       // §4.3.4 P0/P1/P2 assessment
+  };
+  return kNames[stage];
+}
+
+const PeriodReport& Analyzer::analyze_period(
+    const std::vector<ProbeRecord>& records,
+    const sketch::HostSummary& summary, TimeNs now) {
+  FederationScratch* const fed = fed_;
   PeriodReport rep;
   rep.period_start = last_period_end_;
   rep.period_end = now;
@@ -295,13 +132,9 @@ const PeriodReport& AnalysisCore::analyze_period(
   rep.records_processed = records.size();
 
   if (fed != nullptr) {
+    // The other outputs are assigned whole below.
     fed->foreign.clear();
-    fed->down_hosts.clear();
-    fed->blamed_rnics.clear();
-    fed->cpu_noise_hosts.clear();
-    fed->cluster_sla = SlaDigest{};
     fed->service_slas.clear();
-    fed->service_nets.clear();
   }
 
   // Sketch mode (ROADMAP "Switch-side sketch summaries"): the Agents' folded
@@ -317,30 +150,22 @@ const PeriodReport& AnalysisCore::analyze_period(
   obs::DiagnosisLog dlog;
   dlog.period_start = rep.period_start;
   dlog.period_end = rep.period_end;
-  const auto add_probe = [](obs::EvidenceChain& c, std::uint64_t id) {
-    ++c.total_probes;
-    if (c.probe_ids.size() < obs::kEvidenceProbeIdCap) {
-      c.probe_ids.push_back(id);
-    }
-  };
-  const auto add_probes = [&add_probe](
-                              obs::EvidenceChain& c,
-                              const std::vector<const ProbeRecord*>& ev) {
+  const auto add_probes = [](obs::EvidenceChain& c,
+                             const std::vector<const ProbeRecord*>& ev) {
     for (const ProbeRecord* r : ev) add_probe(c, r->id);
   };
-  const auto add_threshold = [](obs::EvidenceChain& c, const char* name,
-                                double threshold, double observed) {
-    c.thresholds.push_back({name, threshold, observed, observed > threshold});
-  };
-  // Cross-links Problem <-> chain. Call after p.summary is final; the chain
-  // is then pushed into dlog (chains are built locally so vector growth
-  // never invalidates a reference).
-  const auto attach_evidence = [this](Problem& p, obs::EvidenceChain& c) {
-    p.problem_id = next_problem_id_++;
-    c.id = next_evidence_id_++;
-    p.evidence.id = c.id;
-    c.problem_id = p.problem_id;
-    c.summary = p.summary;
+  // Algorithm 1 over the evidence probes' forward and ACK paths.
+  const auto vote = [](const std::vector<const ProbeRecord*>& ev, Problem& p,
+                       obs::EvidenceChain& c) {
+    VoteTally tally;
+    for (const ProbeRecord* r : ev) {
+      if (!r->path_known) continue;
+      for (const routing::Path* path : {&r->fwd_path, &r->rev_path}) {
+        for (LinkId l : path->links) tally.add_link(l.value);
+        for (SwitchId s : path->switches) tally.add_switch(s.value);
+      }
+    }
+    tally.decide(p, &c);
   };
 
   metrics_.periods.inc();
@@ -374,17 +199,14 @@ const PeriodReport& AnalysisCore::analyze_period(
   // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
   enter_stage(0);
 
-  std::unordered_set<std::uint32_t> down_hosts;
+  TriageSets triage;
+  triage.period_start = rep.period_start;
   for (std::uint32_t h : known_hosts_) {
     const auto it = last_upload_.find(h);
     if (it == last_upload_.end() ||
         now - it->second > cfg_.host_silence_threshold) {
-      down_hosts.insert(h);
+      triage.down_hosts.insert(h);
     }
-  }
-  if (fed != nullptr) {
-    fed->down_hosts.assign(down_hosts.begin(), down_hosts.end());
-    std::sort(fed->down_hosts.begin(), fed->down_hosts.end());
   }
 
   std::vector<std::optional<AnomalyCause>> cause(records.size());
@@ -392,7 +214,7 @@ const PeriodReport& AnalysisCore::analyze_period(
     const ProbeRecord& r = records[i];
     if (r.status != ProbeStatus::kTimeout) continue;
     const HostId target_host = topo_.rnic(r.target).host;
-    if (down_hosts.contains(target_host.value)) {
+    if (triage.down_hosts.contains(target_host.value)) {
       cause[i] = AnomalyCause::kHostDown;
       continue;
     }
@@ -413,7 +235,6 @@ const PeriodReport& AnalysisCore::analyze_period(
   struct RnicStat {
     std::size_t total = 0;
     std::size_t timeouts = 0;
-    PercentileWindow ok_responder_delay;
   };
   // Greedy attribution: a dead RNIC's *outgoing* probes also time out and
   // would inflate its innocent peers' timeout ratios. Repeatedly blame the
@@ -434,11 +255,7 @@ const PeriodReport& AnalysisCore::analyze_period(
       }
       RnicStat& st = per_rnic[r.target.value];
       ++st.total;
-      if (r.status == ProbeStatus::kTimeout) {
-        ++st.timeouts;
-      } else {
-        st.ok_responder_delay.add(static_cast<double>(r.responder_delay));
-      }
+      if (r.status == ProbeStatus::kTimeout) ++st.timeouts;
     }
     if (sk_on) {
       // Folded ToR-mesh OK counts dilute timeout ratios exactly as their raw
@@ -568,49 +385,34 @@ const PeriodReport& AnalysisCore::analyze_period(
   // the period folds in a healthy backlog that buries the starvation tail
   // below the 90th percentile (a healthy host's P99 sits at the µs scale,
   // three orders of magnitude under the threshold, so P99 stays specific).
-  std::unordered_set<std::uint32_t> starved_hosts;
   if (cfg_.enable_cpu_noise_filters) {
     for (auto& [h, st] : host_ok_delay) {
       if (st.count() >= 3 &&
           st.percentile(0.99) >
               static_cast<double>(cfg_.high_proc_delay_threshold)) {
-        starved_hosts.insert(h);
+        triage.cpu_noise_hosts.insert(h);
       }
     }
   }
-  const auto noisy_host = [&](HostId h) {
-    if (cpu_noise_hosts.contains(h.value)) return true;
-    if (starved_hosts.contains(h.value)) return true;
-    const auto it = host_noise_until_.find(h.value);
-    return it != host_noise_until_.end() && it->second >= rep.period_start;
-  };
-  const auto blamed = [&](RnicId r) {
-    if (anomalous_rnics.contains(r.value)) return true;
-    const auto it = rnic_blamed_until_.find(r.value);
-    return it != rnic_blamed_until_.end() && it->second >= rep.period_start;
-  };
+  // The rest of the triage sets: every host whose noise hangover reaches
+  // into this period (the Fig. 6 hosts flagged just now included), and every
+  // RNIC blamed into this period. A pod ships exactly these sets, so the
+  // global tier triages foreign timeouts against the union of every pod's
+  // state, stragglers included.
+  for (const auto& [h, until] : host_noise_until_) {
+    if (until >= rep.period_start) triage.cpu_noise_hosts.insert(h);
+  }
+  for (const auto& [r, until] : rnic_blamed_until_) {
+    if (until >= rep.period_start) triage.blamed_rnics.emplace(r, until);
+  }
   if (fed != nullptr) {
-    for (const auto& [r, until] : rnic_blamed_until_) {
-      if (until >= rep.period_start) fed->blamed_rnics.emplace_back(r, until);
-    }
+    fed->down_hosts.assign(triage.down_hosts.begin(), triage.down_hosts.end());
+    std::sort(fed->down_hosts.begin(), fed->down_hosts.end());
+    fed->blamed_rnics.assign(triage.blamed_rnics.begin(),
+                             triage.blamed_rnics.end());
     std::sort(fed->blamed_rnics.begin(), fed->blamed_rnics.end());
-    fed->cpu_noise_hosts.assign(cpu_noise_hosts.begin(),
-                                cpu_noise_hosts.end());
-    // The hangover and the attribution-only starvation evidence travel
-    // too: the global tier triages foreign timeouts against the union of
-    // every pod's noise state, stragglers included.
-    for (const auto& [h, until] : host_noise_until_) {
-      if (until >= rep.period_start && !cpu_noise_hosts.contains(h)) {
-        fed->cpu_noise_hosts.push_back(h);
-      }
-    }
-    for (std::uint32_t h : starved_hosts) {
-      if (!cpu_noise_hosts.contains(h) &&
-          (!host_noise_until_.contains(h) ||
-           host_noise_until_[h] < rep.period_start)) {
-        fed->cpu_noise_hosts.push_back(h);
-      }
-    }
+    fed->cpu_noise_hosts.assign(triage.cpu_noise_hosts.begin(),
+                                triage.cpu_noise_hosts.end());
     std::sort(fed->cpu_noise_hosts.begin(), fed->cpu_noise_hosts.end());
   }
 
@@ -621,15 +423,10 @@ const PeriodReport& AnalysisCore::analyze_period(
     const ProbeRecord& r = records[i];
     if (r.status != ProbeStatus::kTimeout || cause[i].has_value()) continue;
     const HostId target_host = topo_.rnic(r.target).host;
-    // A starved Agent corrupts probes in BOTH directions: its responder
-    // never ACKs (timeouts to it) and its prober thread observes â¥ too
-    // late (timeouts from it). Exclude both from network localization.
-    if (noisy_host(target_host) || noisy_host(r.prober_host)) {
-      cause[i] = AnomalyCause::kAgentCpuNoise;
-    } else if (blamed(r.target) || blamed(r.prober)) {
-      cause[i] = AnomalyCause::kRnicProblem;
-    } else if (fed != nullptr &&
-               !fed->local_hosts.contains(target_host.value)) {
+    const AnomalyCause c =
+        triage.classify(target_host, r.prober_host, r.target, r.prober);
+    if (c == AnomalyCause::kSwitchProblem && fed != nullptr &&
+        !fed->local_hosts.contains(target_host.value)) {
       // Federation: the target lives in another pod, so "host down" and
       // "target RNIC blamed" are unknowable here. Voting this path locally
       // would turn every foreign host failure into a fake switch suspect —
@@ -653,7 +450,7 @@ const PeriodReport& AnalysisCore::analyze_period(
       }
       fed->foreign.push_back(std::move(f));
     } else {
-      cause[i] = AnomalyCause::kSwitchProblem;
+      cause[i] = c;
     }
   }
 
@@ -717,14 +514,15 @@ const PeriodReport& AnalysisCore::analyze_period(
       case AnomalyCause::kAgentCpuNoise: {
         ++rep.timeouts_agent_cpu;
         const std::uint32_t th = topo_.rnic(r.target).host.value;
-        cpu_noise_ids[noisy_host(HostId{th}) ? th : r.prober_host.value]
+        cpu_noise_ids[triage.noisy(HostId{th}) ? th : r.prober_host.value]
             .push_back(r.id);
         break;
       }
       case AnomalyCause::kRnicProblem:
         ++rep.timeouts_rnic;
         rnic_timeout_ids.insert(r.id);
-        rnic_evidence[blamed(r.target) ? r.target.value : r.prober.value]
+        rnic_evidence[triage.blamed(r.target) ? r.target.value
+                                              : r.prober.value]
             .push_back(&r);
         break;
       case AnomalyCause::kSwitchProblem:
@@ -742,7 +540,7 @@ const PeriodReport& AnalysisCore::analyze_period(
   // ---- emit problems ----
   enter_stage(3);
 
-  for (std::uint32_t h : down_hosts) {
+  for (std::uint32_t h : triage.down_hosts) {
     Problem p;
     p.category = ProblemCategory::kHostDown;
     p.host = HostId{h};
@@ -848,8 +646,7 @@ const PeriodReport& AnalysisCore::analyze_period(
                   static_cast<double>(ev.size()));
     add_probes(c, ev);
     fill_drop_sites(c, ev);
-    vote_paths(ev, p.suspect_links, p.suspect_switches, &p.top_link_votes,
-               &c);
+    vote(ev, p, c);
     if (sk_on && !p.suspect_links.empty()) {
       // Corroborate the vote winner with the switch-side sketch: how many
       // datagrams the fabric itself counted dropped on that link this
@@ -934,8 +731,7 @@ const PeriodReport& AnalysisCore::analyze_period(
                   static_cast<double>(cfg_.min_anomalies_for_problem),
                   static_cast<double>(ev.size()));
     add_probes(c, ev);
-    vote_paths(ev, p.suspect_links, p.suspect_switches, &p.top_link_votes,
-               &c);
+    vote(ev, p, c);
     std::ostringstream os;
     os << "network congestion: " << ev.size() << " probes above RTT threshold"
        << (from_service ? " (service tracing)" : " (cluster monitoring)");
@@ -1015,84 +811,41 @@ const PeriodReport& AnalysisCore::analyze_period(
     }
   }
   // Folded records never carry a service id, so service SLAs stay exact;
-  // the cluster SLA is sketch-driven when sketch mode is on.
-  rep.cluster_sla =
-      sk_on ? make_sla_sketch(cluster_records, summary, rnic_timeout_ids,
-                              switch_timeout_ids)
-            : make_sla(cluster_records, rnic_timeout_ids, switch_timeout_ids);
+  // the cluster SLA is its mergeable digest's table when sketch mode is on.
+  // A pod also ships the digests (exact counts + DDSketch tails), so the
+  // global cluster table is identical no matter how pods are grouped.
+  SlaDigest cluster_digest;
+  if (sk_on || fed != nullptr) {
+    cluster_digest = sla_digest(cluster_records, sk_on ? &summary : nullptr,
+                                rnic_timeout_ids, switch_timeout_ids);
+  }
+  rep.cluster_sla = sk_on ? cluster_digest.to_report()
+                          : make_sla(cluster_records, rnic_timeout_ids,
+                                     switch_timeout_ids);
   for (auto& [svc, recs] : service_records) {
     rep.service_slas.emplace_back(
         ServiceId{svc}, make_sla(recs, rnic_timeout_ids, switch_timeout_ids));
   }
   if (fed != nullptr) {
-    // Mergeable SLA state for the digest: exact counts + DDSketch tails, so
-    // the global cluster table is identical no matter how pods are grouped.
-    // Foreign timeouts count as probes/timeouts (status-based) but carry no
-    // drop attribution — the global tier adds that after its own triage.
-    const auto build_digest =
-        [&](const std::vector<const ProbeRecord*>& recs, bool with_summary) {
-          SlaDigest d;
-          if (with_summary && sk_on) {
-            d.rtt.merge(summary.rtt);
-            for (const auto& [rid, sk] : summary.ok_delay_by_target) {
-              d.proc.merge(sk);
-            }
-            d.probes += summary.folded_records;
-          }
-          for (const ProbeRecord* r : recs) {
-            ++d.probes;
-            if (r->status == ProbeStatus::kTimeout) {
-              ++d.timeouts;
-              if (rnic_timeout_ids.contains(r->id)) ++d.rnic_drops;
-              if (switch_timeout_ids.contains(r->id)) ++d.switch_drops;
-            } else {
-              d.rtt.add(static_cast<double>(r->network_rtt));
-              d.proc.add(static_cast<double>(r->responder_delay));
-            }
-          }
-          return d;
-        };
-    fed->cluster_sla = build_digest(cluster_records, /*with_summary=*/true);
+    fed->cluster_sla = std::move(cluster_digest);
     std::vector<std::uint32_t> svc_ids;
     svc_ids.reserve(service_records.size());
     for (const auto& [svc, recs] : service_records) svc_ids.push_back(svc);
     std::sort(svc_ids.begin(), svc_ids.end());
     for (std::uint32_t svc : svc_ids) {
       fed->service_slas.emplace_back(
-          svc, build_digest(service_records[svc], /*with_summary=*/false));
+          svc, sla_digest(service_records[svc], nullptr, rnic_timeout_ids,
+                          switch_timeout_ids));
     }
   }
-  if (rep.cluster_sla.rnic_drop_rate > 0.0 ||
-      rep.cluster_sla.switch_drop_rate > 0.0) {
-    // SLA violation: network-attributed drops are never in budget. The chain
-    // samples the offending probe ids so explain() leads straight to flight
-    // timelines.
-    obs::EvidenceChain c;
-    c.id = next_evidence_id_++;
-    c.verdict = "sla-violation";
-    c.triage_branch = "sla: network-attributed drop rate above target";
-    add_threshold(c, "network_drop_rate_target", 0.0,
-                  rep.cluster_sla.rnic_drop_rate +
-                      rep.cluster_sla.switch_drop_rate);
-    add_threshold(c, "high_rtt_threshold_ns",
-                  static_cast<double>(cfg_.high_rtt_threshold),
-                  rep.cluster_sla.rtt_p99);
-    c.total_probes = rep.cluster_sla.probes;
+  if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (const ProbeRecord* r : cluster_records) {
-      if (c.probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
+      if (c->probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
       if (rnic_timeout_ids.contains(r->id) ||
           switch_timeout_ids.contains(r->id)) {
-        c.probe_ids.push_back(r->id);
+        c->probe_ids.push_back(r->id);
       }
     }
-    std::ostringstream os;
-    os << "cluster SLA violated: network-attributed drop rate "
-       << (rep.cluster_sla.rnic_drop_rate +
-           rep.cluster_sla.switch_drop_rate)
-       << " over " << rep.cluster_sla.probes << " probes";
-    c.summary = os.str();
-    rep.cluster_sla.evidence.id = c.id;
-    dlog.chains.push_back(std::move(c));
   }
 
   // ---- step 6: impact (needs the service networks from this period) ----
@@ -1119,95 +872,29 @@ const PeriodReport& AnalysisCore::analyze_period(
       }
     }
   }
+  // Impact walks the networks in this map's order (a problem lands in the
+  // first network it touches); the digest ships them sorted by service.
+  std::vector<ServiceNetDigest> net_list;
+  net_list.reserve(nets.size());
+  for (const auto& [svc, net] : nets) {
+    ServiceNetDigest& d = net_list.emplace_back();
+    d.service = svc;
+    d.links.assign(net.links.begin(), net.links.end());
+    d.rnics.assign(net.rnics.begin(), net.rnics.end());
+    d.hosts.assign(net.hosts.begin(), net.hosts.end());
+    std::sort(d.links.begin(), d.links.end());
+    std::sort(d.rnics.begin(), d.rnics.end());
+    std::sort(d.hosts.begin(), d.hosts.end());
+  }
   if (fed != nullptr) {
-    std::vector<std::uint32_t> svc_ids;
-    svc_ids.reserve(nets.size());
-    for (const auto& [svc, net] : nets) svc_ids.push_back(svc);
-    std::sort(svc_ids.begin(), svc_ids.end());
-    for (std::uint32_t svc : svc_ids) {
-      const ServiceNet& net = nets[svc];
-      ServiceNetDigest d;
-      d.service = svc;
-      d.links.assign(net.links.begin(), net.links.end());
-      d.rnics.assign(net.rnics.begin(), net.rnics.end());
-      d.hosts.assign(net.hosts.begin(), net.hosts.end());
-      std::sort(d.links.begin(), d.links.end());
-      std::sort(d.rnics.begin(), d.rnics.end());
-      std::sort(d.hosts.begin(), d.hosts.end());
-      fed->service_nets.push_back(std::move(d));
-    }
+    fed->service_nets = net_list;
+    std::sort(fed->service_nets.begin(), fed->service_nets.end(),
+              [](const ServiceNetDigest& a, const ServiceNetDigest& b) {
+                return a.service < b.service;
+              });
   }
-
-  for (Problem& p : rep.problems) {
-    if (p.priority == Priority::kNoise) continue;
-    // Find a service whose network this problem touches.
-    ServiceId affected;
-    if (p.detected_by_service_tracing) {
-      affected = p.service;
-    } else {
-      for (const auto& [svc, net] : nets) {
-        const bool rnic_hit =
-            p.rnic.valid() && net.rnics.contains(p.rnic.value);
-        // Host overlap only applies to host-scoped problems (host down, CPU
-        // bottleneck). An RNIC problem on a worker host whose OTHER RNIC
-        // serves the job is still outside the service network (=> P2).
-        const bool host_hit = !p.rnic.valid() && p.host.valid() &&
-                              net.hosts.contains(p.host.value);
-        bool link_hit = false;
-        for (LinkId l : p.suspect_links) {
-          if (net.links.contains(l.value)) {
-            link_hit = true;
-            break;
-          }
-        }
-        if (rnic_hit || host_hit || link_hit) {
-          affected = ServiceId{svc};
-          break;
-        }
-      }
-    }
-    if (!affected.valid()) {
-      p.priority = Priority::kP2;  // outside every service network
-      continue;
-    }
-    p.in_service_network = true;
-    p.service = affected;
-    // Severe metric degradation => P0; otherwise P1 (fix on benefit).
-    double metric = 1.0;
-    for (const ServiceBinding& b : services_) {
-      if (b.id == affected) metric = b.metric();
-    }
-    p.priority = metric < cfg_.degradation_threshold ? Priority::kP0
-                                                     : Priority::kP1;
-  }
-
-  // Per-service "network innocent" verdicts (§4.3.4): no P0/P1 problem in
-  // the service's network this period — exoneration gets receipts too.
-  for (const ServiceBinding& b : services_) {
-    bool guilty = false;
-    for (const Problem& p : rep.problems) {
-      if ((p.priority == Priority::kP0 || p.priority == Priority::kP1) &&
-          p.service == b.id) {
-        guilty = true;
-        break;
-      }
-    }
-    if (guilty) continue;
-    obs::EvidenceChain c;
-    c.id = next_evidence_id_++;
-    c.verdict = "network-innocent";
-    c.triage_branch = "impact: no P0/P1 problem inside the service network";
-    c.service = b.id.value;
-    add_threshold(c, "degradation_threshold", cfg_.degradation_threshold,
-                  b.metric());
-    if (const auto sit = service_records.find(b.id.value);
-        sit != service_records.end()) {
-      add_probes(c, sit->second);
-    }
-    c.summary = "network innocent for service " + std::to_string(b.id.value) +
-                " this period";
-    dlog.chains.push_back(std::move(c));
-  }
+  assess_impact(rep.problems, net_list, cfg_.degradation_threshold);
+  innocent_chains(rep.problems, cfg_, dlog, &service_records);
 
   enter_stage(-1);
 
@@ -1241,56 +928,7 @@ const PeriodReport& AnalysisCore::analyze_period(
     metrics_.raw_fallback_links.inc(flagged);
   }
 
-  history_.push_back(std::move(rep));
-  while (history_.size() > cfg_.history_limit) history_.pop_front();
-  diagnosis_.push_back(std::move(dlog));
-  while (diagnosis_.size() > cfg_.history_limit) {
-    // Evidence retention (ROADMAP): aged-out DiagnosisLogs spill into the
-    // journal archive instead of vanishing; explain() falls back to it.
-    if (journal_ != nullptr) {
-      journal_->archive(role_, std::move(diagnosis_.front()));
-    }
-    diagnosis_.pop_front();
-  }
-  return history_.back();
-}
-
-std::string AnalysisCore::explain(std::uint64_t problem_id) const {
-  for (auto it = diagnosis_.rbegin(); it != diagnosis_.rend(); ++it) {
-    if (const obs::EvidenceChain* c = it->find_problem(problem_id)) {
-      return obs::to_json(*c);
-    }
-  }
-  // Post-mortem fallback: the period may have aged past history_limit into
-  // the journal archive.
-  if (journal_ != nullptr) {
-    if (const obs::EvidenceChain* c = journal_->find_problem(role_,
-                                                             problem_id)) {
-      return obs::to_json(*c);
-    }
-  }
-  return {};
-}
-
-const obs::EvidenceChain* AnalysisCore::evidence(EvidenceRef ref) const {
-  if (!ref.valid()) return nullptr;
-  for (auto it = diagnosis_.rbegin(); it != diagnosis_.rend(); ++it) {
-    if (const obs::EvidenceChain* c = it->find(ref.id)) return c;
-  }
-  if (journal_ != nullptr) return journal_->find_evidence(role_, ref.id);
-  return nullptr;
-}
-
-bool AnalysisCore::network_innocent(ServiceId service) const {
-  const PeriodReport* rep = last_report();
-  if (rep == nullptr) return true;
-  for (const Problem& p : rep->problems) {
-    if ((p.priority == Priority::kP0 || p.priority == Priority::kP1) &&
-        p.service == service) {
-      return false;
-    }
-  }
-  return true;
+  return retain(std::move(rep), std::move(dlog), cfg_.history_limit);
 }
 
 }  // namespace rpm::core

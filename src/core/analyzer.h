@@ -1,4 +1,4 @@
-// R-Pingmesh Analyzer (§4.3, §5) — the deployment facade over AnalysisCore.
+// R-Pingmesh Analyzer (§4.3, §5).
 //
 // Every `period` (20 s in production) the Analyzer processes all records
 // Agents uploaded during the period:
@@ -27,32 +27,58 @@
 //  6. Assess service impact (§4.3.4): P0 / P1 / P2 per problem, and the
 //     "network innocent" verdict when a degraded service shows no P0/P1.
 //
-// The pipeline itself lives in AnalysisCore (core/analysis_core.h); this
-// class owns what a *deployment* of the pipeline needs — the IngestSink, the
-// periodic schedule, outage/crash handling, and journal checkpointing — and
-// is the role the federation tier wraps per pod (core/federation.h).
+// The verdict steps it shares with the GlobalAnalyzer — triage sets,
+// Algorithm 1, impact, the SLA and innocent chains, the verdict history —
+// live in core/verdict.h. This class adds what works from records: the
+// IngestSink, the per-period pipeline (analysis_core.cpp), the periodic
+// schedule, outage/crash handling, and journal checkpointing. It is also
+// the role the federation tier wraps per pod (core/federation.h).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "core/analysis_core.h"
 #include "core/controller.h"
+#include "core/digest.h"
 #include "core/ingest.h"
 #include "core/journal.h"
 #include "core/types.h"
+#include "core/verdict.h"
 #include "obs/diagnosis.h"
 #include "sim/scheduler.h"
 #include "sketch/sketch.h"
+#include "telemetry/metrics.h"
 #include "topo/topology.h"
 
 namespace rpm::core {
 
-class Analyzer {
+/// Per-period federation exchange. The caller (PodAnalyzer) fills
+/// `local_hosts` once; every period close clears and refills every output
+/// field — together with the PeriodReport and DiagnosisLog they are exactly
+/// the material a PodDigest carries.
+struct FederationScratch {
+  /// Hosts this pod's Agents upload for. Timeouts targeting hosts outside
+  /// this set are deferred to the global tier instead of triaged locally.
+  std::unordered_set<std::uint32_t> local_hosts;
+
+  // Outputs (rebuilt per period):
+  std::vector<ForeignTimeout> foreign;
+  std::vector<std::uint32_t> down_hosts;                           // sorted
+  std::vector<std::pair<std::uint32_t, TimeNs>> blamed_rnics;      // sorted
+  std::vector<std::uint32_t> cpu_noise_hosts;                      // sorted
+  SlaDigest cluster_sla;
+  std::vector<std::pair<std::uint32_t, SlaDigest>> service_slas;   // sorted
+  std::vector<ServiceNetDigest> service_nets;                      // sorted
+};
+
+class Analyzer : public VerdictLog {
  public:
+  /// `controller` answers comm_info() for QPN-reset triage; set_directory()
+  /// retargets it when a standby Controller takes over.
   Analyzer(const topo::Topology& topo, const Controller& controller,
            sim::Scheduler& sched, AnalyzerConfig cfg = {});
 
@@ -85,11 +111,7 @@ class Analyzer {
 
   /// The sketch store (tests / diagnostics).
   [[nodiscard]] const sketch::SketchStore& sketch_store() const {
-    return core_->sketch_store();
-  }
-
-  void register_service(ServiceBinding binding) {
-    core_->register_service(std::move(binding));
+    return sketch_store_;
   }
 
   /// Begin periodic analysis.
@@ -107,56 +129,18 @@ class Analyzer {
   /// Run one analysis over everything buffered since the previous period.
   const PeriodReport& analyze_now();
 
-  [[nodiscard]] const std::deque<PeriodReport>& history() const {
-    return core_->history();
-  }
-  [[nodiscard]] const PeriodReport* last_report() const {
-    return core_->last_report();
-  }
-
-  /// §4.3.4: true when the last period shows no P0/P1 problem affecting
-  /// this service — the network is innocent of the service's woes.
-  [[nodiscard]] bool network_innocent(ServiceId service) const {
-    return core_->network_innocent(service);
-  }
-
-  // ---- diagnosis explainability (src/obs) ----
-
-  /// Render the evidence chain behind a Problem as structured JSON: input
-  /// probe ids, Algorithm 1 vote tally, thresholds compared, triage branch.
-  /// Searches newest-first; empty string when the id is unknown (with a
-  /// journal attached, aged-out periods are searched in its archive too).
-  [[nodiscard]] std::string explain(std::uint64_t problem_id) const {
-    return core_->explain(problem_id);
-  }
-
-  /// Resolve an EvidenceRef (Problem::evidence, SlaReport::evidence).
-  [[nodiscard]] const obs::EvidenceChain* evidence(EvidenceRef ref) const {
-    return core_->evidence(ref);
-  }
-
-  [[nodiscard]] const obs::DiagnosisLog* last_diagnosis() const {
-    return core_->last_diagnosis();
-  }
-  [[nodiscard]] const std::deque<obs::DiagnosisLog>& diagnosis_history()
-      const {
-    return core_->diagnosis_history();
-  }
-
-  [[nodiscard]] const AnalyzerConfig& config() const {
-    return core_->config();
-  }
+  [[nodiscard]] const AnalyzerConfig& config() const { return cfg_; }
 
   // ---- federation hooks (core/federation.h) ----
 
   /// Retarget QPN-reset triage at a different Controller (standby failover).
-  void set_directory(const Controller* directory) {
-    core_->set_directory(directory);
-  }
+  void set_directory(const Controller* directory) { directory_ = directory; }
 
   /// Restrict cause attribution to `scratch->local_hosts` and export
-  /// digest material per period (see FederationScratch). Null restores the
-  /// flat pipeline.
+  /// digest material per period (see FederationScratch): timeouts whose
+  /// target host is outside the local set are deferred as ForeignTimeouts
+  /// instead of voted — a pod cannot tell a dead foreign host from a switch
+  /// drop. Null restores the flat pipeline.
   void set_federation_scratch(FederationScratch* scratch) { fed_ = scratch; }
 
   /// Invoked after every completed period with the report and its
@@ -167,15 +151,11 @@ class Analyzer {
     period_hook_ = std::move(hook);
   }
 
-  /// Direct pipeline access (federation roles, tests).
-  [[nodiscard]] AnalysisCore& core() { return *core_; }
-  [[nodiscard]] const AnalysisCore& core() const { return *core_; }
-
   // ---- persistence (core::StateJournal) ----
 
   /// Checkpoint after every period under `role`, spill aged-out
-  /// DiagnosisLogs into the journal archive, and allow
-  /// restore_from_journal() after a crash.
+  /// DiagnosisLogs into the journal archive (explain() falls back to it),
+  /// and allow restore_from_journal() after a crash.
   void attach_journal(StateJournal* journal, std::string role);
 
   /// Lets the owner stamp extra fields (e.g. the PodAnalyzer's digest_seq)
@@ -184,9 +164,10 @@ class Analyzer {
     checkpoint_hook_ = std::move(hook);
   }
 
-  /// Process crash: volatile pipeline state is lost, ingestion stops (the
-  /// sink is rebuilt empty and paused). Journaled state survives for
-  /// restore_from_journal().
+  /// Process crash: volatile pipeline state is lost — liveness clocks,
+  /// blame windows, history, pending sketches, id counters — and ingestion
+  /// stops (the sink is rebuilt empty and paused). Journaled state survives
+  /// for restore_from_journal().
   void crash();
 
   /// Restart after crash(): reload the journaled checkpoint — (host, seq)
@@ -198,24 +179,63 @@ class Analyzer {
   bool restore_from_journal();
 
  private:
+  // Self-observability stages of the period pipeline (telemetry labels).
+  static constexpr int kNumStages = 7;
+  static const char* stage_name(int stage);
+
   IngestHooks sink_hooks();
   void save_checkpoint();
+  /// Every known host's silence clock and the period boundary restart at
+  /// `now`, so downtime never reads as host-down verdicts or one long
+  /// period.
+  void forgive_silence(TimeNs now);
+  /// The seven-stage pipeline over one period's drained records and folded
+  /// summary (analysis_core.cpp).
+  const PeriodReport& analyze_period(const std::vector<ProbeRecord>& records,
+                                     const sketch::HostSummary& summary,
+                                     TimeNs now);
 
   const topo::Topology& topo_;
+  const Controller* directory_;
   sim::Scheduler& sched_;
+  AnalyzerConfig cfg_;
 
   std::function<void(const ProbeRecord&)> tap_;
   std::function<void(const PeriodReport&, const obs::DiagnosisLog&)>
       period_hook_;
   std::function<void(AnalyzerCheckpoint&)> checkpoint_hook_;
   FederationScratch* fed_ = nullptr;
-  StateJournal* journal_ = nullptr;
-  std::string role_ = "analyzer";
   bool outage_ = false;
-  // Declared before core_ so its metrics register first: the exporter
-  // lists series in registration order.
+
+  // Cross-period pipeline state (journaled in AnalyzerCheckpoint).
+  std::unordered_map<std::uint32_t, TimeNs> last_upload_;  // by host id
+  std::unordered_set<std::uint32_t> known_hosts_;
+  std::unordered_map<std::uint32_t, TimeNs> rnic_blamed_until_;
+  // Fig. 6 noise hangover: host id -> filtered-as-noise until (see
+  // AnalyzerConfig::cpu_noise_window).
+  std::unordered_map<std::uint32_t, TimeNs> host_noise_until_;
+  TimeNs last_period_end_ = 0;
+  // Switch-side sketch reports accumulated since the last period drain
+  // (sketch_mode == kOn; idle otherwise).
+  sketch::SketchStore sketch_store_;
+
+  // Self-observability: the 20 s pipeline is the Analyzer's hot path; each
+  // stage's wall-clock cost is tracked so future sharding/batching PRs can
+  // show where the time goes.
+  struct Metrics {
+    telemetry::Counter periods;
+    telemetry::Histogram stage_ns[kNumStages];
+    telemetry::Counter timeouts_by_cause[5];    // indexed by AnomalyCause
+    telemetry::Counter problems_by_category[7];  // indexed by ProblemCategory
+    telemetry::Counter problems_by_priority[4];  // indexed by Priority
+    // Links whose period sketch showed drops — the links whose raw records
+    // the sketch pipeline still wants verbatim (sketch_mode == kOn only).
+    telemetry::Counter raw_fallback_links;
+  };
+  // The sink is declared (and registers its series) before the pipeline's
+  // metrics: the exporter lists series in registration order.
   IngestSink sink_;
-  std::unique_ptr<AnalysisCore> core_;
+  Metrics metrics_;
   std::unique_ptr<sim::PeriodicTask> period_task_;
 };
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <any>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -25,16 +24,6 @@ constexpr std::uint64_t kDigestTraceBase = 1ull << 61;
 std::uint64_t digest_trace_id(std::uint32_t pod, std::uint64_t seq) {
   return kDigestTraceBase | (static_cast<std::uint64_t>(pod) << 32) |
          (seq & 0xFFFFFFFFull);
-}
-
-void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
-                   double observed) {
-  c.thresholds.push_back({name, threshold, observed, observed > threshold});
-}
-
-void add_probe(obs::EvidenceChain& c, std::uint64_t id) {
-  ++c.total_probes;
-  if (c.probe_ids.size() < obs::kEvidenceProbeIdCap) c.probe_ids.push_back(id);
 }
 
 }  // namespace
@@ -144,7 +133,7 @@ bool PodAnalyzer::restart_from_journal() {
 
 GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
                                sim::Scheduler& sched, Config cfg)
-    : topo_(topo), sched_(sched), cfg_(std::move(cfg)) {
+    : VerdictLog("global"), topo_(topo), sched_(sched), cfg_(std::move(cfg)) {
   if (cfg_.analyzer.period <= 0) {
     throw std::invalid_argument("GlobalAnalyzer: period must be positive");
   }
@@ -169,10 +158,6 @@ void GlobalAnalyzer::ingest_digest(PodDigest&& d) {
     return;
   }
   pending_.push_back(std::move(d));
-}
-
-void GlobalAnalyzer::register_service(ServiceBinding binding) {
-  services_.push_back(std::move(binding));
 }
 
 void GlobalAnalyzer::start() {
@@ -212,19 +197,15 @@ void GlobalAnalyzer::crash() {
   outage_ = true;
   pending_.clear();
   digest_dedup_.clear();
-  history_.clear();
-  diagnosis_.clear();
-  next_evidence_id_ = 1;
-  next_problem_id_ = 1;
+  forget();
   last_period_end_ = 0;
 }
 
 bool GlobalAnalyzer::restart_from_journal() {
   std::optional<AnalyzerCheckpoint> cp;
-  if (journal_ != nullptr) cp = journal_->load_checkpoint("global");
+  if (journal_ != nullptr) cp = journal_->load_checkpoint(role_);
   if (cp.has_value()) {
-    next_problem_id_ = cp->next_problem_id;
-    next_evidence_id_ = cp->next_evidence_id;
+    restore_ids(*cp);
     digest_dedup_ = restore_windows(cp->digest_dedup);
   }
   outage_ = false;
@@ -238,64 +219,9 @@ void GlobalAnalyzer::save_checkpoint() {
   if (journal_ == nullptr) return;
   AnalyzerCheckpoint cp;
   cp.last_period_end = last_period_end_;
-  cp.next_problem_id = next_problem_id_;
-  cp.next_evidence_id = next_evidence_id_;
+  save_ids(cp);
   cp.digest_dedup = checkpoint_windows(digest_dedup_);
-  journal_->save_checkpoint("global", cp);
-}
-
-void GlobalAnalyzer::vote_foreign(
-    const std::vector<const ForeignTimeout*>& evidence, Problem& p,
-    obs::EvidenceChain& c) const {
-  // Algorithm 1 over the flattened fwd+rev paths the pods shipped — the
-  // global counterpart of AnalysisCore::vote_paths, same winner/tie rules.
-  std::unordered_map<std::uint32_t, std::size_t> link_votes;
-  std::unordered_map<std::uint32_t, std::size_t> switch_votes;
-  for (const ForeignTimeout* f : evidence) {
-    if (!f->path_known) continue;
-    for (std::uint32_t l : f->path_links) ++link_votes[l];
-    for (std::uint32_t s : f->path_switches) ++switch_votes[s];
-  }
-  std::size_t best_link = 0;
-  for (const auto& [_, v] : link_votes) best_link = std::max(best_link, v);
-  for (const auto& [l, v] : link_votes) {
-    if (v == best_link && best_link > 0) p.suspect_links.push_back(LinkId{l});
-  }
-  std::size_t best_switch = 0;
-  for (const auto& [_, v] : switch_votes) {
-    best_switch = std::max(best_switch, v);
-  }
-  for (const auto& [s, v] : switch_votes) {
-    if (v == best_switch && best_switch > 0) {
-      p.suspect_switches.push_back(SwitchId{s});
-    }
-  }
-  std::sort(p.suspect_links.begin(), p.suspect_links.end());
-  std::sort(p.suspect_switches.begin(), p.suspect_switches.end());
-  std::vector<std::pair<LinkId, std::size_t>> all;
-  all.reserve(link_votes.size());
-  for (const auto& [l, v] : link_votes) all.emplace_back(LinkId{l}, v);
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (all.size() > 10) all.resize(10);
-  p.top_link_votes = std::move(all);
-  static constexpr std::size_t kTallyCap = 64;
-  const auto fill =
-      [](const std::unordered_map<std::uint32_t, std::size_t>& votes,
-         std::vector<obs::VoteCount>& out) {
-        out.reserve(std::min(votes.size(), kTallyCap));
-        for (const auto& [id, v] : votes) out.push_back({id, v});
-        std::sort(out.begin(), out.end(),
-                  [](const obs::VoteCount& a, const obs::VoteCount& b) {
-                    if (a.votes != b.votes) return a.votes > b.votes;
-                    return a.id < b.id;
-                  });
-        if (out.size() > kTallyCap) out.resize(kTallyCap);
-      };
-  fill(link_votes, c.link_votes);
-  fill(switch_votes, c.switch_votes);
+  journal_->save_checkpoint(role_, cp);
 }
 
 const PeriodReport& GlobalAnalyzer::merge_now() {
@@ -340,69 +266,61 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     }
   }
 
-  // ---- union of pod liveness/blame state ----
-  std::unordered_set<std::uint32_t> down;
-  std::unordered_map<std::uint32_t, TimeNs> blamed;  // rnic -> max until
-  std::unordered_set<std::uint32_t> cpu_noise;
+  // ---- union of pod liveness/blame/noise state ----
+  TriageSets triage;
+  triage.period_start = rep.period_start;
   for (const PodDigest& d : digests) {
-    for (std::uint32_t h : d.down_hosts) down.insert(h);
+    triage.down_hosts.insert(d.down_hosts.begin(), d.down_hosts.end());
     for (const auto& [r, until] : d.blamed_rnics) {
-      TimeNs& u = blamed[r];
+      TimeNs& u = triage.blamed_rnics[r];
       u = std::max(u, until);
     }
-    for (std::uint32_t h : d.cpu_noise_hosts) cpu_noise.insert(h);
+    triage.cpu_noise_hosts.insert(d.cpu_noise_hosts.begin(),
+                                  d.cpu_noise_hosts.end());
   }
 
   // ---- triage of the deferred foreign timeouts ----
   // A pod could not tell whether a timeout to another pod's host was the
-  // host dying, its RNIC, or the fabric; with every pod's down-host and
-  // blame state unioned, the global tier re-runs the §4.3.1 branch.
+  // host dying, its RNIC, or the fabric; with every pod's state unioned, the
+  // global tier re-runs the §4.3.1 branch. The owning pod's digest already
+  // carries any host-down or agent-CPU-noise verdict: here those probes
+  // just stay out of Algorithm-1 voting.
   std::vector<const ForeignTimeout*> foreign_cluster;
   std::map<std::uint32_t, std::vector<const ForeignTimeout*>> foreign_service;
-  std::size_t foreign_rnic_drops = 0;
-  std::size_t foreign_switch_drops = 0;
-  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>>
-      foreign_svc_drops;  // service -> {rnic, switch} drops
+  // SLA state: the foreign drops attributed here, then the pods' digests.
+  SlaDigest cluster;
+  std::map<std::uint32_t, SlaDigest> svc_slas;
   std::vector<std::uint64_t> foreign_drop_ids;  // SLA evidence sample
   for (const PodDigest& d : digests) {
     for (const ForeignTimeout& f : d.foreign) {
-      if (down.contains(f.target_host.value)) {
-        // The owning pod's digest already carries the host-down Problem;
-        // here the probe just stops polluting network attribution.
-        ++rep.timeouts_host_down;
-        continue;
-      }
-      if (cpu_noise.contains(f.target_host.value) ||
-          cpu_noise.contains(f.prober_host.value)) {
-        // The owning pod's Fig. 6 filter flagged the host: the service is
-        // starving its Agent, so cross-pod probes to it time out without
-        // any fabric fault. The pod's digest already carries the noise
-        // verdict — here the probe just stays out of Algorithm-1 voting.
-        ++rep.timeouts_agent_cpu;
-        continue;
-      }
-      const auto bt = blamed.find(f.target.value);
-      const auto bp = blamed.find(f.prober.value);
-      const bool rnic_blamed =
-          (bt != blamed.end() && bt->second >= rep.period_start) ||
-          (bp != blamed.end() && bp->second >= rep.period_start);
-      if (rnic_blamed) {
-        ++rep.timeouts_rnic;
-        ++foreign_rnic_drops;
-        foreign_drop_ids.push_back(f.probe_id);
-        if (f.kind == ProbeKind::kServiceTracing) {
-          ++foreign_svc_drops[f.service.value].first;
-        }
-        continue;
-      }
-      ++rep.timeouts_switch;
-      ++foreign_switch_drops;
-      foreign_drop_ids.push_back(f.probe_id);
-      if (f.kind == ProbeKind::kServiceTracing) {
-        ++foreign_svc_drops[f.service.value].second;
-        foreign_service[f.service.value].push_back(&f);
-      } else {
-        foreign_cluster.push_back(&f);
+      const bool traced = f.kind == ProbeKind::kServiceTracing;
+      switch (triage.classify(f.target_host, f.prober_host, f.target,
+                              f.prober)) {
+        case AnomalyCause::kHostDown:
+          ++rep.timeouts_host_down;
+          break;
+        case AnomalyCause::kAgentCpuNoise:
+          ++rep.timeouts_agent_cpu;
+          break;
+        case AnomalyCause::kQpnReset:  // judged by the prober's pod
+          break;
+        case AnomalyCause::kRnicProblem:
+          ++rep.timeouts_rnic;
+          ++cluster.rnic_drops;
+          foreign_drop_ids.push_back(f.probe_id);
+          if (traced) ++svc_slas[f.service.value].rnic_drops;
+          break;
+        case AnomalyCause::kSwitchProblem:
+          ++rep.timeouts_switch;
+          ++cluster.switch_drops;
+          foreign_drop_ids.push_back(f.probe_id);
+          if (traced) {
+            ++svc_slas[f.service.value].switch_drops;
+            foreign_service[f.service.value].push_back(&f);
+          } else {
+            foreign_cluster.push_back(&f);
+          }
+          break;
       }
     }
   }
@@ -411,7 +329,6 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   struct PendingProblem {
     Problem p;               // evidence ref already remapped
     std::size_t chain_idx;   // its chain's index in dlog.chains
-    bool merged = false;
   };
   std::vector<PendingProblem> pool;
   constexpr std::size_t kNoChain = static_cast<std::size_t>(-1);
@@ -460,8 +377,14 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     add_threshold(c, "min_anomalies_for_problem",
                   static_cast<double>(cfg_.analyzer.min_anomalies_for_problem),
                   static_cast<double>(ev.size()));
-    for (const ForeignTimeout* f : ev) add_probe(c, f->probe_id);
-    vote_foreign(ev, p, c);
+    VoteTally tally;
+    for (const ForeignTimeout* f : ev) {
+      add_probe(c, f->probe_id);
+      if (!f->path_known) continue;
+      for (std::uint32_t l : f->path_links) tally.add_link(l);
+      for (std::uint32_t s : f->path_switches) tally.add_switch(s);
+    }
+    tally.decide(p, &c);
     std::ostringstream os;
     os << "switch network problem (" << ev.size()
        << " anomalous cross-pod probes"
@@ -499,14 +422,20 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     m.detected_by_service_tracing = first.p.detected_by_service_tracing;
     m.priority = first.p.priority;
     obs::EvidenceChain c;
-    c.verdict = dlog.chains[first.chain_idx].verdict;
+    // The verdict of the first member with a chain; a digest problem may
+    // arrive without one.
+    const auto chained =
+        std::find_if(members.begin(), members.end(), [&](std::size_t idx) {
+          return pool[idx].chain_idx != kNoChain;
+        });
+    c.verdict = chained == members.end()
+                    ? problem_category_name(m.category)
+                    : dlog.chains[pool[*chained].chain_idx].verdict;
     c.triage_branch = "global-merge: cross-pod vote union";
     c.service = m.service.valid() ? m.service.value : 0;
-    std::map<std::uint32_t, std::size_t> link_votes;
-    std::map<std::uint32_t, std::size_t> switch_votes;
+    VoteTally tally;
     for (std::size_t idx : members) {
-      PendingProblem& pp = pool[idx];
-      pp.merged = true;
+      const PendingProblem& pp = pool[idx];
       m.anomalous_probes += pp.p.anomalous_probes;
       // Most severe wins (P0 < P1 < ... numerically); the impact pass below
       // re-derives it for non-noise problems anyway.
@@ -515,48 +444,14 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
       const obs::EvidenceChain& mc = dlog.chains[pp.chain_idx];
       for (std::uint64_t id : mc.probe_ids) add_probe(c, id);
       c.total_probes += mc.total_probes - mc.probe_ids.size();
-      for (const obs::VoteCount& v : mc.link_votes) link_votes[v.id] += v.votes;
+      for (const obs::VoteCount& v : mc.link_votes) {
+        tally.add_link(v.id, v.votes);
+      }
       for (const obs::VoteCount& v : mc.switch_votes) {
-        switch_votes[v.id] += v.votes;
+        tally.add_switch(v.id, v.votes);
       }
     }
-    std::size_t best_link = 0;
-    for (const auto& [_, v] : link_votes) best_link = std::max(best_link, v);
-    for (const auto& [l, v] : link_votes) {
-      if (v == best_link && best_link > 0) m.suspect_links.push_back(LinkId{l});
-    }
-    std::size_t best_switch = 0;
-    for (const auto& [_, v] : switch_votes) {
-      best_switch = std::max(best_switch, v);
-    }
-    for (const auto& [s, v] : switch_votes) {
-      if (v == best_switch && best_switch > 0) {
-        m.suspect_switches.push_back(SwitchId{s});
-      }
-    }
-    std::vector<std::pair<LinkId, std::size_t>> all;
-    all.reserve(link_votes.size());
-    for (const auto& [l, v] : link_votes) all.emplace_back(LinkId{l}, v);
-    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    if (all.size() > 10) all.resize(10);
-    m.top_link_votes = std::move(all);
-    const auto fill = [](const std::map<std::uint32_t, std::size_t>& votes,
-                         std::vector<obs::VoteCount>& out) {
-      static constexpr std::size_t kTallyCap = 64;
-      out.reserve(std::min(votes.size(), kTallyCap));
-      for (const auto& [id, v] : votes) out.push_back({id, v});
-      std::sort(out.begin(), out.end(),
-                [](const obs::VoteCount& a, const obs::VoteCount& b) {
-                  if (a.votes != b.votes) return a.votes > b.votes;
-                  return a.id < b.id;
-                });
-      if (out.size() > kTallyCap) out.resize(kTallyCap);
-    };
-    fill(link_votes, c.link_votes);
-    fill(switch_votes, c.switch_votes);
+    tally.decide(m, &c);
     std::ostringstream os;
     os << "global-merge: " << problem_category_name(m.category) << " across "
        << members.size() << " pod reports (" << m.anomalous_probes
@@ -670,170 +565,47 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   // ---- cluster / service SLA tables from the mergeable digests ----
   // Exact counts + DDSketch tails merge associatively, so the table is the
   // same no matter how the fleet is podded; the foreign timeouts the global
-  // tier just attributed add their drop classification on top.
-  SlaDigest cluster;
-  for (const PodDigest& d : digests) cluster.merge(d.cluster_sla);
-  cluster.rnic_drops += foreign_rnic_drops;
-  cluster.switch_drops += foreign_switch_drops;
-  rep.cluster_sla = cluster.to_report();
-  std::map<std::uint32_t, SlaDigest> svc_slas;
+  // tier attributed above add their drop classification on top.
   for (const PodDigest& d : digests) {
+    cluster.merge(d.cluster_sla);
     for (const auto& [svc, sd] : d.service_slas) svc_slas[svc].merge(sd);
   }
-  for (auto& [svc, drops] : foreign_svc_drops) {
-    svc_slas[svc].rnic_drops += drops.first;
-    svc_slas[svc].switch_drops += drops.second;
-  }
+  rep.cluster_sla = cluster.to_report();
   for (auto& [svc, sd] : svc_slas) {
     rep.service_slas.emplace_back(ServiceId{svc}, sd.to_report());
   }
-  if (rep.cluster_sla.rnic_drop_rate > 0.0 ||
-      rep.cluster_sla.switch_drop_rate > 0.0) {
-    obs::EvidenceChain c;
-    c.id = next_evidence_id_++;
-    c.verdict = "sla-violation";
-    c.triage_branch = "sla: network-attributed drop rate above target";
-    add_threshold(c, "network_drop_rate_target", 0.0,
-                  rep.cluster_sla.rnic_drop_rate +
-                      rep.cluster_sla.switch_drop_rate);
-    add_threshold(c, "high_rtt_threshold_ns",
-                  static_cast<double>(cfg_.analyzer.high_rtt_threshold),
-                  rep.cluster_sla.rtt_p99);
-    c.total_probes = rep.cluster_sla.probes;
+  if (obs::EvidenceChain* c =
+          sla_violation(rep.cluster_sla, cfg_.analyzer, dlog)) {
     for (std::uint64_t id : foreign_drop_ids) {
-      if (c.probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
-      c.probe_ids.push_back(id);
+      if (c->probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
+      c->probe_ids.push_back(id);
     }
-    std::ostringstream os;
-    os << "cluster SLA violated: network-attributed drop rate "
-       << (rep.cluster_sla.rnic_drop_rate + rep.cluster_sla.switch_drop_rate)
-       << " over " << rep.cluster_sla.probes << " probes";
-    c.summary = os.str();
-    rep.cluster_sla.evidence.id = c.id;
-    dlog.chains.push_back(std::move(c));
   }
 
   // ---- impact (§4.3.4) against the union service networks ----
-  struct Net {
-    std::set<std::uint32_t> links;
-    std::set<std::uint32_t> rnics;
-    std::set<std::uint32_t> hosts;
-  };
-  std::map<std::uint32_t, Net> nets;
+  // Every pod's slice of every service network, lowest service id first: a
+  // problem touching several services lands in the lowest one it touches,
+  // whichever pod saw it. Slices are re-sorted for impact's binary search.
+  std::vector<ServiceNetDigest> nets;
   for (const PodDigest& d : digests) {
-    for (const ServiceNetDigest& sn : d.service_nets) {
-      Net& n = nets[sn.service];
-      n.links.insert(sn.links.begin(), sn.links.end());
-      n.rnics.insert(sn.rnics.begin(), sn.rnics.end());
-      n.hosts.insert(sn.hosts.begin(), sn.hosts.end());
-    }
+    nets.insert(nets.end(), d.service_nets.begin(), d.service_nets.end());
   }
-  for (Problem& p : rep.problems) {
-    if (p.priority == Priority::kNoise) continue;
-    ServiceId affected;
-    if (p.detected_by_service_tracing) {
-      affected = p.service;
-    } else {
-      for (const auto& [svc, net] : nets) {
-        const bool rnic_hit = p.rnic.valid() && net.rnics.contains(p.rnic.value);
-        const bool host_hit = !p.rnic.valid() && p.host.valid() &&
-                              net.hosts.contains(p.host.value);
-        bool link_hit = false;
-        for (LinkId l : p.suspect_links) {
-          if (net.links.contains(l.value)) {
-            link_hit = true;
-            break;
-          }
-        }
-        if (rnic_hit || host_hit || link_hit) {
-          affected = ServiceId{svc};
-          break;
-        }
-      }
-    }
-    if (!affected.valid()) {
-      p.priority = Priority::kP2;
-      continue;
-    }
-    p.in_service_network = true;
-    p.service = affected;
-    double metric = 1.0;
-    for (const ServiceBinding& b : services_) {
-      if (b.id == affected) metric = b.metric();
-    }
-    p.priority = metric < cfg_.analyzer.degradation_threshold ? Priority::kP0
-                                                              : Priority::kP1;
+  std::stable_sort(nets.begin(), nets.end(),
+                   [](const ServiceNetDigest& a, const ServiceNetDigest& b) {
+                     return a.service < b.service;
+                   });
+  for (ServiceNetDigest& n : nets) {
+    std::sort(n.links.begin(), n.links.end());
+    std::sort(n.rnics.begin(), n.rnics.end());
+    std::sort(n.hosts.begin(), n.hosts.end());
   }
+  assess_impact(rep.problems, nets, cfg_.analyzer.degradation_threshold);
+  innocent_chains(rep.problems, cfg_.analyzer, dlog, nullptr);
 
-  for (const ServiceBinding& b : services_) {
-    bool guilty = false;
-    for (const Problem& p : rep.problems) {
-      if ((p.priority == Priority::kP0 || p.priority == Priority::kP1) &&
-          p.service == b.id) {
-        guilty = true;
-        break;
-      }
-    }
-    if (guilty) continue;
-    obs::EvidenceChain c;
-    c.id = next_evidence_id_++;
-    c.verdict = "network-innocent";
-    c.triage_branch = "impact: no P0/P1 problem inside the service network";
-    c.service = b.id.value;
-    add_threshold(c, "degradation_threshold",
-                  cfg_.analyzer.degradation_threshold, b.metric());
-    c.summary = "network innocent for service " + std::to_string(b.id.value) +
-                " this period";
-    dlog.chains.push_back(std::move(c));
-  }
-
-  history_.push_back(std::move(rep));
-  while (history_.size() > cfg_.analyzer.history_limit) history_.pop_front();
-  diagnosis_.push_back(std::move(dlog));
-  while (diagnosis_.size() > cfg_.analyzer.history_limit) {
-    if (journal_ != nullptr) {
-      journal_->archive("global", std::move(diagnosis_.front()));
-    }
-    diagnosis_.pop_front();
-  }
+  const PeriodReport& out =
+      retain(std::move(rep), std::move(dlog), cfg_.analyzer.history_limit);
   save_checkpoint();
-  return history_.back();
-}
-
-bool GlobalAnalyzer::network_innocent(ServiceId service) const {
-  const PeriodReport* rep = last_report();
-  if (rep == nullptr) return true;
-  for (const Problem& p : rep->problems) {
-    if ((p.priority == Priority::kP0 || p.priority == Priority::kP1) &&
-        p.service == service) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string GlobalAnalyzer::explain(std::uint64_t problem_id) const {
-  for (auto it = diagnosis_.rbegin(); it != diagnosis_.rend(); ++it) {
-    if (const obs::EvidenceChain* c = it->find_problem(problem_id)) {
-      return obs::to_json(*c);
-    }
-  }
-  if (journal_ != nullptr) {
-    if (const obs::EvidenceChain* c =
-            journal_->find_problem("global", problem_id)) {
-      return obs::to_json(*c);
-    }
-  }
-  return {};
-}
-
-const obs::EvidenceChain* GlobalAnalyzer::evidence(EvidenceRef ref) const {
-  if (!ref.valid()) return nullptr;
-  for (auto it = diagnosis_.rbegin(); it != diagnosis_.rend(); ++it) {
-    if (const obs::EvidenceChain* c = it->find(ref.id)) return c;
-  }
-  if (journal_ != nullptr) return journal_->find_evidence("global", ref.id);
-  return nullptr;
+  return out;
 }
 
 }  // namespace rpm::core

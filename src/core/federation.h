@@ -4,7 +4,7 @@
 // At datacenter scale one Analyzer cannot hold every pod's record stream.
 // The federation splits the §4.3 pipeline by pod:
 //
-//   PodAnalyzer     a full Analyzer (IngestSink + AnalysisCore) scoped to
+//   PodAnalyzer     a full Analyzer (IngestSink + record pipeline) scoped to
 //                   the hosts of one pod. It triages locally — host-down,
 //                   QPN reset, anomalous RNICs, Algorithm-1 voting over its
 //                   own evidence — and once per period emits ONE compact
@@ -18,12 +18,14 @@
 //                   same window machinery the IngestSink uses per host),
 //                   and once per period — offset after the pods fire, so
 //                   digests have a control-plane flight's head start —
-//                   merges them: union of down-host / blamed-RNIC sets,
-//                   triage + Algorithm-1 voting of the deferred foreign
-//                   timeouts, cross-pod merge of same-category problems by
-//                   suspect-link overlap, cluster/service SLA tables from
-//                   the mergeable digests, and the §4.3.4 P0/P1/P2 impact
-//                   pass against the union service networks.
+//                   merges them: union of down-host / blamed-RNIC / noise
+//                   sets, triage + Algorithm-1 voting of the deferred
+//                   foreign timeouts, cross-pod merge of same-category
+//                   problems by suspect-link overlap, cluster/service SLA
+//                   tables from the mergeable digests, and the §4.3.4
+//                   P0/P1/P2 impact pass against the union service networks.
+//                   Triage, voting, impact and the verdict history are the
+//                   flat Analyzer's own steps (core/verdict.h).
 //
 // Wire volume is the point: a PodDigest costs O(problems + sketches), not
 // O(records). bench_federation measures the ratio.
@@ -34,16 +36,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/analyzer.h"
 #include "core/digest.h"
 #include "core/ingest.h"
 #include "core/journal.h"
+#include "core/verdict.h"
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
@@ -100,10 +101,11 @@ class PodAnalyzer {
   telemetry::Counter digest_bytes_total_;
 };
 
-/// The global merge tier. NOT an AnalysisCore: it never sees a ProbeRecord,
-/// only digests — but it emits the same PeriodReport/DiagnosisLog shapes,
-/// so ChaosRunner and the examples score it exactly like a flat Analyzer.
-class GlobalAnalyzer {
+/// The global merge tier. It never sees a ProbeRecord, only digests — but it
+/// runs the same verdict steps and emits the same PeriodReport/DiagnosisLog
+/// shapes, so ChaosRunner and the examples score it exactly like a flat
+/// Analyzer.
+class GlobalAnalyzer : public VerdictLog {
  public:
   struct Config {
     /// Thresholds + period reused from the pod pipeline (period must match
@@ -123,8 +125,6 @@ class GlobalAnalyzer {
   /// buffered until the next merge tick. Dropped during outage.
   void ingest_digest(PodDigest&& d);
 
-  void register_service(ServiceBinding binding);
-
   void start();
   void stop();
 
@@ -136,22 +136,6 @@ class GlobalAnalyzer {
   /// Run one merge over every digest buffered since the previous tick.
   const PeriodReport& merge_now();
 
-  [[nodiscard]] const std::deque<PeriodReport>& history() const {
-    return history_;
-  }
-  [[nodiscard]] const PeriodReport* last_report() const {
-    return history_.empty() ? nullptr : &history_.back();
-  }
-  [[nodiscard]] bool network_innocent(ServiceId service) const;
-  [[nodiscard]] std::string explain(std::uint64_t problem_id) const;
-  [[nodiscard]] const obs::EvidenceChain* evidence(EvidenceRef ref) const;
-  [[nodiscard]] const obs::DiagnosisLog* last_diagnosis() const {
-    return diagnosis_.empty() ? nullptr : &diagnosis_.back();
-  }
-  [[nodiscard]] const std::deque<obs::DiagnosisLog>& diagnosis_history()
-      const {
-    return diagnosis_;
-  }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t merges() const { return merges_; }
   [[nodiscard]] std::uint64_t duplicate_digests() const {
@@ -174,10 +158,6 @@ class GlobalAnalyzer {
 
  private:
   void save_checkpoint();
-  /// Algorithm-1 voting over foreign-timeout paths (the global counterpart
-  /// of AnalysisCore::vote_paths).
-  void vote_foreign(const std::vector<const ForeignTimeout*>& evidence,
-                    Problem& p, obs::EvidenceChain& c) const;
 
   const topo::Topology& topo_;
   sim::Scheduler& sched_;
@@ -185,16 +165,10 @@ class GlobalAnalyzer {
 
   std::vector<PodDigest> pending_;
   DedupWindows digest_dedup_;  // by pod
-  std::vector<ServiceBinding> services_;
-  std::deque<PeriodReport> history_;
-  std::deque<obs::DiagnosisLog> diagnosis_;
-  std::uint64_t next_evidence_id_ = 1;
-  std::uint64_t next_problem_id_ = 1;
   TimeNs last_period_end_ = 0;
   std::uint64_t merges_ = 0;
   std::uint64_t duplicate_digests_ = 0;
   bool outage_ = false;
-  StateJournal* journal_ = nullptr;
   std::unique_ptr<sim::PeriodicTask> merge_task_;
   telemetry::Counter merges_total_;
   telemetry::Counter digests_merged_total_;

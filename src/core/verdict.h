@@ -1,0 +1,230 @@
+// The verdict steps both Analyzer tiers share (§4.3).
+//
+// The flat/pod Analyzer (core/analyzer.h) judges probe records; the
+// GlobalAnalyzer (core/federation.h) judges pod digests. Everything past
+// the input side is the same pipeline and lives here, written once:
+//
+//   TriageSets    the §4.3.1 host-down / agent-CPU-noise / RNIC-blame sets
+//                 and the one classify() that routes a timeout through them;
+//   VoteTally     Algorithm 1 (§4.3.3): link and switch votes, one decide();
+//   VerdictLog    the verdict history and DiagnosisLogs (retention, journal
+//                 archive spill, explain()), the monotone problem/evidence
+//                 ids, the watched services, the §4.3.4 P0/P1/P2 impact
+//                 pass, and the verdict chains both tiers emit (SLA
+//                 violation, network innocent).
+//
+// Each tier fills TriageSets from its own inputs: the flat tier from its
+// liveness clocks, RNIC blame windows and Fig. 6 filters; the global tier
+// from the union of every pod's digest.
+#pragma once
+
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "core/digest.h"
+#include "core/journal.h"
+#include "core/types.h"
+#include "obs/diagnosis.h"
+
+namespace rpm::core {
+
+/// How the Analyzer sources its SLA tables and triage statistics (ROADMAP
+/// "Switch-side sketch summaries").
+///
+///   kOff  raw probe records only — byte-identical to the historical
+///         pipeline (the repo-wide same-seed guarantee holds against the
+///         pre-sketch baseline).
+///   kOn   Agents fold healthy OK records into mergeable HostSummary
+///         sketches and switches export per-link sketches; SLA percentiles
+///         and the Fig.-6 / bottleneck statistics are computed from the
+///         merged sketches, with raw records kept only for probes that
+///         carry diagnostic signal (timeouts, service tracing, outliers).
+///         Deterministically reproducible: same seed => byte-identical
+///         verdicts, but NOT byte-identical to kOff (percentiles come from
+///         sketch buckets, not exact order statistics).
+enum class SketchMode : std::uint8_t { kOff, kOn };
+
+struct AnalyzerConfig {
+  TimeNs period = sec(20);                     // §5
+  double rnic_timeout_threshold = 0.10;        // §5: >10% ToR-mesh timeouts
+  TimeNs rnic_blame_window = sec(60);          // §5: blame RNIC for 1 min
+  TimeNs host_silence_threshold = sec(20);     // §5: no upload for 20 s
+  std::size_t min_anomalies_for_problem = 3;   // evidence floor
+  TimeNs high_rtt_threshold = usec(500);       // congestion flag
+  TimeNs high_proc_delay_threshold = msec(5);  // CPU-overload flag
+  TimeNs starve_delay_threshold = msec(100);   // Fig. 6 responder-delay test
+  // Once the Fig. 6 filter flags a host, keep filtering its timeouts as
+  // agent-CPU noise for this long: a starved prober drains its observation
+  // backlog for several periods after the service releases the CPU, and
+  // those straggler records must not reach Algorithm-1 voting. Mirrors the
+  // §5 rnic_blame_window hangover on the noise side.
+  TimeNs cpu_noise_window = sec(60);
+  double degradation_threshold = 0.5;          // metric below => severe (P0)
+  bool enable_cpu_noise_filters = true;        // Fig. 6 improvements
+  std::size_t history_limit = 512;
+  /// Sketch-driven analysis (see SketchMode above). RPingmesh propagates
+  /// this to its Agents (upload thinning) and wires the switch-side sketch
+  /// exporter only when kOn, so kOff leaves the whole schedule untouched.
+  SketchMode sketch_mode = SketchMode::kOff;
+};
+
+/// How the Analyzer watches a service's key performance metric (§4.3.4):
+/// `metric` returns the current relative performance in [0,1].
+struct ServiceBinding {
+  ServiceId id;
+  std::function<double()> metric;
+};
+
+// ---- evidence helpers ----
+
+void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
+                   double observed);
+/// Counts the probe and keeps its id while under kEvidenceProbeIdCap.
+void add_probe(obs::EvidenceChain& c, std::uint64_t id);
+
+/// §4.3.1 timeout triage state. A timeout is explained, in this order, by
+/// its target host being down, by agent-CPU noise on either end, by a
+/// blamed RNIC on either end, and only then by the switch network.
+struct TriageSets {
+  std::unordered_set<std::uint32_t> down_hosts;
+  /// Hosts whose Agent is (or was recently) starved by the service.
+  std::unordered_set<std::uint32_t> cpu_noise_hosts;
+  /// RNIC -> end of its blame window; blamed while >= period_start.
+  std::unordered_map<std::uint32_t, TimeNs> blamed_rnics;
+  TimeNs period_start = 0;
+
+  [[nodiscard]] bool noisy(HostId h) const {
+    return cpu_noise_hosts.contains(h.value);
+  }
+  [[nodiscard]] bool blamed(RnicId r) const {
+    const auto it = blamed_rnics.find(r.value);
+    return it != blamed_rnics.end() && it->second >= period_start;
+  }
+  [[nodiscard]] AnomalyCause classify(HostId target_host, HostId prober_host,
+                                      RnicId target, RnicId prober) const;
+};
+
+/// Algorithm 1 (§4.3.3): count traversals of each link and switch over the
+/// anomalous probes' paths; the most-voted are the suspects.
+class VoteTally {
+ public:
+  void add_link(std::uint32_t link, std::size_t votes = 1) {
+    links_[link] += votes;
+  }
+  void add_switch(std::uint32_t sw, std::size_t votes = 1) {
+    switches_[sw] += votes;
+  }
+
+  /// Write the winners (every id at the top count, ascending) into
+  /// `p.suspect_links` / `p.suspect_switches`, the top 10 links (votes
+  /// descending, then id ascending) into `p.top_link_votes`, and — with a
+  /// chain — both tallies in the same order, capped at 64 entries each.
+  void decide(Problem& p, obs::EvidenceChain* chain) const;
+
+ private:
+  std::unordered_map<std::uint32_t, std::size_t> links_;
+  std::unordered_map<std::uint32_t, std::size_t> switches_;
+};
+
+/// Verdict history shared by both tiers. Analyzer and GlobalAnalyzer derive
+/// from it, so their read surface (history, explain, evidence, ...) is one.
+class VerdictLog {
+ public:
+  /// Watch a service's metric for impact assessment (§4.3.4). Throws
+  /// std::invalid_argument when the binding has no metric.
+  void register_service(ServiceBinding binding);
+
+  [[nodiscard]] const std::deque<PeriodReport>& history() const {
+    return history_;
+  }
+  [[nodiscard]] const PeriodReport* last_report() const {
+    return history_.empty() ? nullptr : &history_.back();
+  }
+
+  /// §4.3.4: true when the last period shows no P0/P1 problem affecting
+  /// this service — the network is innocent of the service's woes.
+  [[nodiscard]] bool network_innocent(ServiceId service) const;
+
+  /// Render the evidence chain behind a Problem as structured JSON: input
+  /// probe ids, Algorithm 1 vote tally, thresholds compared, triage branch.
+  /// Searches newest-first; empty string when the id is unknown (with a
+  /// journal attached, aged-out periods are searched in its archive too).
+  [[nodiscard]] std::string explain(std::uint64_t problem_id) const;
+
+  /// Resolve an EvidenceRef (Problem::evidence, SlaReport::evidence).
+  [[nodiscard]] const obs::EvidenceChain* evidence(EvidenceRef ref) const;
+
+  [[nodiscard]] const obs::DiagnosisLog* last_diagnosis() const {
+    return diagnosis_.empty() ? nullptr : &diagnosis_.back();
+  }
+  [[nodiscard]] const std::deque<obs::DiagnosisLog>& diagnosis_history()
+      const {
+    return diagnosis_;
+  }
+
+ protected:
+  using ServiceRecords =
+      std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>;
+
+  explicit VerdictLog(std::string role) : role_(std::move(role)) {}
+
+  /// §4.3.4 impact: P2 outside every service network; inside one, P0 when
+  /// the watched service's metric sits below `degradation_threshold`, else
+  /// P1. A problem lands in the FIRST network of `nets` it touches, so the
+  /// caller's order is part of the verdict. Noise keeps its priority.
+  void assess_impact(std::vector<Problem>& problems,
+                     const std::vector<ServiceNetDigest>& nets,
+                     double degradation_threshold) const;
+
+  /// Draw the next problem and evidence ids and cross-link `p` and `c`.
+  /// Call once p.summary is final.
+  void attach_evidence(Problem& p, obs::EvidenceChain& c);
+
+  /// Append the cluster SLA-violation chain to `dlog` when `sla` shows
+  /// network-attributed drops and link it from sla.evidence. Returns it so
+  /// the caller can sample the offending probe ids; nullptr otherwise.
+  obs::EvidenceChain* sla_violation(SlaReport& sla, const AnalyzerConfig& cfg,
+                                    obs::DiagnosisLog& dlog);
+
+  /// One "network-innocent" chain per watched service with no P0/P1 problem
+  /// among `problems`, citing the service's probes when `records` has them.
+  void innocent_chains(const std::vector<Problem>& problems,
+                       const AnalyzerConfig& cfg, obs::DiagnosisLog& dlog,
+                       const ServiceRecords* records);
+
+  /// Keep the period's report and DiagnosisLog, trimming both to
+  /// `history_limit`; aged-out logs spill into the journal archive.
+  const PeriodReport& retain(PeriodReport&& rep, obs::DiagnosisLog&& dlog,
+                             std::size_t history_limit);
+
+  /// Crash: history, DiagnosisLogs and id counters die with the process.
+  void forget();
+  void save_ids(AnalyzerCheckpoint& cp) const {
+    cp.next_problem_id = next_problem_id_;
+    cp.next_evidence_id = next_evidence_id_;
+  }
+  void restore_ids(const AnalyzerCheckpoint& cp) {
+    next_problem_id_ = cp.next_problem_id;
+    next_evidence_id_ = cp.next_evidence_id;
+  }
+
+  std::uint64_t next_problem_id_ = 1;
+  std::uint64_t next_evidence_id_ = 1;
+  // Checkpoints save/load and aged-out DiagnosisLogs archive under role_.
+  StateJournal* journal_ = nullptr;
+  std::string role_;
+
+ private:
+  std::vector<ServiceBinding> services_;
+  std::deque<PeriodReport> history_;
+  // One DiagnosisLog per period, trimmed in lockstep with history_.
+  std::deque<obs::DiagnosisLog> diagnosis_;
+};
+
+}  // namespace rpm::core

@@ -60,19 +60,21 @@ namespace rpm::prof {
 enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
   kIngestSubmit,        // IngestSink submit
+  kDrainCollect,        // period close: drain the sink's shard buckets
   kDrainTriage,         // analyze_period: classify + rnic_detect + attribute
   kDrainVote,           // analyze_period: Algorithm-1 localization
   kDrainBottleneck,     // analyze_period: bottleneck scan
   kDrainSla,            // analyze_period: SLA percentile tables
   kDrainImpact,         // analyze_period: P0/P1/P2 impact assessment
   kDrainDiaglog,        // period-end history/diagnosis/journal bookkeeping
+  kDrainRelease,        // period close: free the period's drained records
   kDigestFlush,         // PodAnalyzer built + sent one PodDigest
   kGlobalMerge,         // GlobalAnalyzer merged the pending digests
   kTransportDeliver,    // one Channel handler invocation
   kSketchFlush,         // SketchExporter flushed a period's link sketches
   kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
 };
-inline constexpr std::size_t kNumStages = 13;
+inline constexpr std::size_t kNumStages = 15;
 
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);

@@ -11,8 +11,15 @@
 //    registry, epoch fenced past the deposed primary) and exports the
 //    rpm_controller_epoch / rpm_controller_failovers_total series;
 //  * DiagnosisLogs trimmed past history_limit spill into the StateJournal
-//    archive and explain() falls back to them.
+//    archive and explain() falls back to them;
+//  * the whole verdict stream (every problem, SLA table and DiagnosisLog)
+//    of four deployments is pinned bit for bit against recorded digests;
+//  * the global tier rejects a service binding without a metric and merges
+//    digest problems that arrive without an evidence chain.
 #include <cstdint>
+#include <cstring>
+#include <set>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +35,7 @@
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
+#include "traffic/dml.h"
 
 namespace rpm {
 namespace {
@@ -53,20 +61,26 @@ topo::ClosConfig clos_cfg() {
 }
 
 /// A federated deployment with 5 s analysis periods and a warm standby.
+/// `fluid_step` > 0 coarsens the fabric's fluid integration step (service
+/// traffic runs cheaper; probes are packet-level either way).
 struct Deployment {
   explicit Deployment(std::uint64_t seed, std::size_t pods, bool standby,
-                      std::size_t history_limit = 512)
+                      std::size_t history_limit = 512,
+                      core::SketchMode sketch = core::SketchMode::kOff,
+                      TimeNs fluid_step = 0)
       : cluster(topo::build_clos(clos_cfg()),
-                [seed] {
+                [seed, fluid_step] {
                   host::ClusterConfig c;
                   c.seed = seed;
+                  if (fluid_step > 0) c.fabric.step_interval = fluid_step;
                   return c;
                 }()),
         rpm(cluster,
-            [pods, standby, history_limit] {
+            [pods, standby, history_limit, sketch] {
               core::RPingmeshConfig c;
               c.analyzer.period = sec(5);
               c.analyzer.history_limit = history_limit;
+              c.analyzer.sketch_mode = sketch;
               c.federation.pods = pods;
               c.federation.standby_controller = standby;
               return c;
@@ -320,6 +334,239 @@ TEST(Federation, TrimmedDiagnosisSpillsToArchiveAndExplainFallsBack) {
   const std::string post_mortem = d.rpm.analyzer().explain(old_id);
   EXPECT_FALSE(post_mortem.empty()) << "archived problem became unexplainable";
   EXPECT_NE(post_mortem.find("\"problem_id\""), std::string::npos);
+}
+
+// ---- verdict-stream pin ----
+
+/// FNV-1a over everything the scoring tier reports, integers and double bit
+/// patterns folded little-endian.
+class VerdictHash {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  void sla(const core::SlaReport& s) {
+    u64(s.probes);
+    u64(s.timeouts);
+    for (const double v : {s.rnic_drop_rate, s.switch_drop_rate, s.rtt_mean,
+                           s.rtt_p50, s.rtt_p90, s.rtt_p99, s.rtt_p999,
+                           s.proc_p50, s.proc_p90, s.proc_p99, s.proc_p999}) {
+      f64(v);
+    }
+    u64(s.evidence.id);
+  }
+  void problem(const core::Problem& p) {
+    u64(p.problem_id);
+    u64(p.evidence.id);
+    u64(static_cast<std::uint64_t>(p.category));
+    u64(static_cast<std::uint64_t>(p.priority));
+    u64(p.rnic.value);
+    u64(p.host.value);
+    u64(p.suspect_links.size());
+    for (const LinkId l : p.suspect_links) u64(l.value);
+    u64(p.suspect_switches.size());
+    for (const SwitchId s : p.suspect_switches) u64(s.value);
+    u64(p.top_link_votes.size());
+    for (const auto& [l, votes] : p.top_link_votes) {
+      u64(l.value);
+      u64(votes);
+    }
+    u64(p.anomalous_probes);
+    u64(p.in_service_network ? 1 : 0);
+    u64(p.service.value);
+    u64(p.detected_by_service_tracing ? 1 : 0);
+    str(p.summary);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+struct PinnedRun {
+  std::uint64_t digest = 0;
+  std::size_t periods = 0;
+  std::set<std::string> seen;  // coverage tags (see the test)
+};
+
+/// One deployment watching a DML job whose ranks span Clos pods 0 and 1,
+/// under a campaign of control-plane events and real faults.
+PinnedRun run_pinned(std::size_t pods, core::SketchMode sketch) {
+  Deployment d(21, pods, /*standby=*/true, /*history_limit=*/512, sketch,
+               /*fluid_step=*/msec(1));
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{9};
+  dml.workers = {RnicId{0}, RnicId{2}, RnicId{4}, RnicId{6}};
+  dml.compute_time = msec(200);
+  dml.comm_bytes = 50'000'000;
+  traffic::DmlService svc(d.cluster, dml);
+  d.rpm.watch_service(
+      {ServiceId{9}, [&svc] { return svc.relative_throughput(); }});
+  svc.start();
+
+  ChaosPlan plan;
+  plan.seed = 21;
+  plan.duration = sec(170);
+  plan.inject(sec(12), "cpu-occupied",
+              faults::FaultSpec::agent_cpu_occupation(HostId{5}));
+  plan.controller_crash(sec(32));
+  plan.controller_restart(sec(50));
+  if (pods > 1) {
+    plan.pod_analyzer_crash(sec(57), 1);
+    plan.pod_analyzer_restart(sec(68), 1);
+  }
+  plan.agent_restart(sec(74), HostId{6});
+  plan.inject(sec(85), "rnic4-down", faults::FaultSpec::rnic_down(RnicId{4}))
+      .clear(sec(110), "rnic4-down");
+  plan.inject(sec(95), "host7-down", faults::FaultSpec::host_down(HostId{7}));
+  plan.inject(sec(125), "fabric-corruption",
+              faults::FaultSpec::corruption(d.first_fabric_link(), 0.5));
+  ChaosRunner runner(d.cluster, d.rpm, d.injector);
+  (void)runner.run(plan);
+
+  const auto& history = d.rpm.scored_history();
+  const auto& diagnosis =
+      pods > 1 ? d.rpm.global_analyzer().diagnosis_history()
+               : d.rpm.analyzer().diagnosis_history();
+  PinnedRun out;
+  out.periods = history.size();
+  if (diagnosis.size() != history.size()) return out;  // digest stays 0
+  VerdictHash h;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const core::PeriodReport& rep = history[i];
+    h.u64(static_cast<std::uint64_t>(rep.period_start));
+    h.u64(static_cast<std::uint64_t>(rep.period_end));
+    h.u64(rep.records_processed);
+    h.u64(rep.timeouts_host_down);
+    h.u64(rep.timeouts_qpn_reset);
+    h.u64(rep.timeouts_agent_cpu);
+    h.u64(rep.timeouts_rnic);
+    h.u64(rep.timeouts_switch);
+    h.u64(rep.problems.size());
+    for (const core::Problem& p : rep.problems) {
+      h.problem(p);
+      out.seen.insert(core::problem_category_name(p.category));
+      if (p.category == core::ProblemCategory::kSwitchNetworkProblem &&
+          !p.detected_by_service_tracing) {
+        out.seen.insert("switch-from-cluster-monitoring");
+      }
+      if (p.priority == core::Priority::kP0 ||
+          p.priority == core::Priority::kP1) {
+        out.seen.insert("p0-or-p1");
+      }
+    }
+    h.sla(rep.cluster_sla);
+    h.u64(rep.service_slas.size());
+    for (const auto& [svc_id, sla] : rep.service_slas) {
+      h.u64(svc_id.value);
+      h.sla(sla);
+    }
+    h.str(obs::to_json(diagnosis[i]));
+    for (const obs::EvidenceChain& c : diagnosis[i].chains) {
+      out.seen.insert(c.verdict);
+      out.seen.insert(c.triage_branch);
+    }
+  }
+  out.digest = h.value();
+  return out;
+}
+
+TEST(Federation, VerdictStreamIsPinnedBitForBit) {
+  // Same-seed runs of one build are compared elsewhere; this pins the
+  // verdict stream ACROSS builds. A refactor of the Analyzer tiers that
+  // moves any summary, id, priority, SLA figure or evidence chain changes a
+  // digest. A deliberate verdict change re-records the four constants and
+  // says why.
+  struct Case {
+    const char* name;
+    std::size_t pods;
+    core::SketchMode sketch;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"flat, sketch off", 1, core::SketchMode::kOff, 0xa693ff6cd5410918ull},
+      {"flat, sketch on", 1, core::SketchMode::kOn, 0xb9847538c008f071ull},
+      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0x184e25bd6362596dull},
+      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0x409da75deb97b745ull},
+  };
+  std::set<std::string> seen;
+  for (const Case& c : cases) {
+    const PinnedRun run = run_pinned(c.pods, c.sketch);
+    EXPECT_GT(run.periods, 30u) << c.name;
+    EXPECT_EQ(run.digest, c.digest)
+        << c.name << ": digest 0x" << std::hex << run.digest;
+    seen.insert(run.seen.begin(), run.seen.end());
+  }
+  // Not vacuous: the campaign drives every verdict path the two tiers
+  // share through at least one of the four deployments.
+  for (const char* tag :
+       {"host-down", "rnic-problem", "switch-from-cluster-monitoring",
+        "agent-cpu-noise", "qpn-reset-noise", "p0-or-p1",
+        "global: cross-pod foreign-timeout voting",
+        "global-merge: cross-pod vote union", "sla-violation",
+        "network-innocent"}) {
+    EXPECT_TRUE(seen.contains(tag)) << "never exercised: " << tag;
+  }
+}
+
+// ---- global-tier satellites ----
+
+TEST(GlobalAnalyzer, RejectsServiceWithoutMetric) {
+  // Both tiers reject the binding when it is registered, instead of the
+  // global tier calling an empty std::function at its first merge.
+  const topo::Topology topo = topo::build_clos(clos_cfg());
+  sim::InlineScheduler sched;
+  core::GlobalAnalyzer::Config cfg;
+  cfg.analyzer.period = sec(5);
+  core::GlobalAnalyzer global(topo, sched, cfg);
+  EXPECT_THROW(global.register_service({ServiceId{1}, nullptr}),
+               std::invalid_argument);
+
+  Deployment fed(3, 2, /*standby=*/false);
+  EXPECT_THROW(fed.rpm.watch_service({ServiceId{1}, nullptr}),
+               std::invalid_argument);
+}
+
+TEST(GlobalAnalyzer, MergesChainlessProblemsUnderTheirCategoryVerdict) {
+  // Two pods each report host 3 down without an evidence chain (a digest
+  // is public input). The merge must not read a missing chain: the merged
+  // problem's chain takes the category name as its verdict.
+  const topo::Topology topo = topo::build_clos(clos_cfg());
+  sim::InlineScheduler sched;
+  core::GlobalAnalyzer::Config cfg;
+  cfg.analyzer.period = sec(5);
+  core::GlobalAnalyzer global(topo, sched, cfg);
+  for (const std::uint32_t pod : {0u, 1u}) {
+    core::PodDigest d;
+    d.pod = pod;
+    d.seq = 1;
+    d.period_end = sec(5);
+    core::Problem p;
+    p.category = core::ProblemCategory::kHostDown;
+    p.host = HostId{3};
+    d.problems.push_back(p);
+    global.ingest_digest(std::move(d));
+  }
+  const core::PeriodReport& rep = global.merge_now();
+  ASSERT_EQ(rep.problems.size(), 1u);
+  EXPECT_EQ(rep.problems[0].host, HostId{3});
+  const obs::EvidenceChain* c = global.evidence(rep.problems[0].evidence);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, "host-down");
+  EXPECT_EQ(c->triage_branch, "global-merge: cross-pod vote union");
 }
 
 }  // namespace
