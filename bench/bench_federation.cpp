@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench_util.h"
@@ -143,49 +142,45 @@ int run(int argc, char** argv) {
       static_cast<double>(digest_wire_bytes == 0 ? 1 : digest_wire_bytes);
 
   // ---- JSON (one BenchJson schema shared by every BENCH_*.json) ----
-  bench::BenchJson out("federation");
-  char buf[512];
-  out.param("hosts", hosts)
-      .param("pods", static_cast<std::uint64_t>(d.rpm.num_pods()))
-      .param("seconds", static_cast<std::uint64_t>(seconds))
-      .param("seed", 7);
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"periods\":%zu,\"merges\":%llu,\"problems\":%zu,"
-      "\"upload_bytes\":%llu,\"digest_bytes\":%llu,\"fan_in_x\":%.2f}",
-      rep.periods,
-      static_cast<unsigned long long>(
-          d.rpm.federated() ? d.rpm.global_analyzer().merges() : 0),
-      rep.problems_total, static_cast<unsigned long long>(upload_bytes),
-      static_cast<unsigned long long>(digest_wire_bytes), fan_in_x);
-  out.metric_raw("global", buf);
-  std::string per_pod = "[";
-  for (std::size_t p = 0; p < pod_stats.size(); ++p) {
-    const PodStats& st = pod_stats[p];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"pod\":%zu,\"hosts\":%zu,\"records_per_period\":%llu,"
-                  "\"digests\":%llu,\"digest_bytes\":%llu}",
-                  p == 0 ? "" : ",", p, st.hosts,
-                  static_cast<unsigned long long>(
-                      st.periods == 0 ? 0 : st.records / st.periods),
-                  static_cast<unsigned long long>(st.digests),
-                  static_cast<unsigned long long>(st.digest_bytes));
-    per_pod += buf;
-  }
-  per_pod += "]";
-  out.metric_raw("per_pod", per_pod);
-  std::string recoveries = "[";
-  for (std::size_t i = 0; i < rep.recoveries.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"event\":\"%s\",\"periods_to_recover\":%d}",
-                  i == 0 ? "" : ",", rep.recoveries[i].event.c_str(),
-                  rep.recoveries[i].periods_to_recover);
-    recoveries += buf;
-  }
-  recoveries += "]";
-  out.metric_raw("recoveries", recoveries);
-  out.metric("false_positives",
-             static_cast<std::uint64_t>(rep.false_positives));
+  bench::BenchJson out{"federation"};
+  out.params = [&](json::Writer& w) {
+    w.key("hosts").integer(hosts)
+        .key("pods").integer(d.rpm.num_pods())
+        .key("seconds").integer(seconds)
+        .key("seed").integer(7);
+  };
+  out.metrics = [&](json::Writer& w) {
+    w.key("global").begin_object()
+        .key("periods").integer(rep.periods)
+        .key("merges").integer(
+            d.rpm.federated() ? d.rpm.global_analyzer().merges() : 0)
+        .key("problems").integer(rep.problems_total)
+        .key("upload_bytes").integer(upload_bytes)
+        .key("digest_bytes").integer(digest_wire_bytes)
+        .key("fan_in_x").fixed(fan_in_x, 2)
+        .end_object();
+    w.key("per_pod").begin_array();
+    for (std::size_t p = 0; p < pod_stats.size(); ++p) {
+      const PodStats& st = pod_stats[p];
+      w.begin_object()
+          .key("pod").integer(p)
+          .key("hosts").integer(st.hosts)
+          .key("records_per_period")
+          .integer(st.periods == 0 ? 0 : st.records / st.periods)
+          .key("digests").integer(st.digests)
+          .key("digest_bytes").integer(st.digest_bytes)
+          .end_object();
+    }
+    w.end_array().key("recoveries").begin_array();
+    for (const chaos::ChaosReport::Recovery& r : rep.recoveries) {
+      w.begin_object()
+          .key("event").string(r.event)
+          .key("periods_to_recover").integer(r.periods_to_recover)
+          .end_object();
+    }
+    w.end_array().key("false_positives").integer(rep.false_positives);
+    if (!dump) w.key("cpu_ms").fixed(cpu_ms, 1);  // wall clock
+  };
 
   if (dump) {
     // Deterministic view only — byte-identical across same-seed runs.
@@ -193,8 +188,10 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  out.metric("cpu_ms", cpu_ms, "%.1f");
-  out.write_file(out_path);
+  if (!out.write_file(out_path)) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 1;
+  }
 
   bench::print_header("Federation fan-in + failover recovery");
   bench::print_row_header(

@@ -364,12 +364,13 @@ int write_ingest_json(const std::string& path) {
     period_bytes += core::upload_batch_wire_bytes(b);
   }
 
-  bench::BenchJson out("ingest");
-  out.param("records_per_period", static_cast<std::uint64_t>(kRecords))
-      .param("batch", static_cast<std::uint64_t>(kBatch))
-      .param("hosts", 64)
-      .param("shards", core::IngestSink::kShards);
-  out.metric("bytes_per_period", static_cast<std::uint64_t>(period_bytes));
+  bench::BenchJson out{"ingest"};
+  out.params = [&](json::Writer& w) {
+    w.key("records_per_period").integer(kRecords)
+        .key("batch").integer(kBatch)
+        .key("hosts").integer(64)
+        .key("shards").integer(core::IngestSink::kShards);
+  };
   core::IngestSink sink;
   // Warm-up period, then three measured periods.
   for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
@@ -383,8 +384,11 @@ int write_ingest_json(const std::string& path) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  out.metric("events_per_sec", static_cast<double>(kRecords * kReps) / secs,
-             "%.0f");
+  const double events_per_sec = static_cast<double>(kRecords * kReps) / secs;
+  out.metrics = [&](json::Writer& w) {
+    w.key("bytes_per_period").integer(period_bytes)
+        .key("events_per_sec").fixed(events_per_sec, 0);
+  };
 
   if (!out.write_file(path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

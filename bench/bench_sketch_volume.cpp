@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench_util.h"
@@ -86,51 +85,19 @@ ModeResult run_mode(bool sketch_on, std::uint32_t hosts, int seconds) {
   return r;
 }
 
-std::string mode_json(const ModeResult& r, bool with_cpu) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"periods\":%llu,\"records_per_period\":%llu,"
-                "\"bytes_per_period\":%llu,\"sketch_reports\":%llu,"
-                "\"folded_records\":%llu,\"sla_probes_per_period\":%llu",
-                static_cast<unsigned long long>(r.periods),
-                static_cast<unsigned long long>(
-                    r.periods == 0 ? 0 : r.records / r.periods),
-                static_cast<unsigned long long>(
-                    r.periods == 0 ? 0 : r.wire_bytes / r.periods),
-                static_cast<unsigned long long>(r.sketch_reports),
-                static_cast<unsigned long long>(r.folded_records),
-                static_cast<unsigned long long>(
-                    r.periods == 0 ? 0 : r.sla_probes / r.periods));
-  std::string out = buf;
-  if (with_cpu) {
-    std::snprintf(buf, sizeof(buf), ",\"cpu_ms\":%.1f", r.cpu_ms);
-    out += buf;
-  }
-  out += "}";
-  return out;
-}
-
-std::string result_json(std::uint32_t hosts, int seconds,
-                        const ModeResult& off, const ModeResult& on,
-                        bool with_cpu) {
-  // A fault-free cluster folds every record, so guard the denominator: the
-  // reduction is then "off.records x" rather than infinity.
-  const double rec_x = static_cast<double>(off.records) /
-                       static_cast<double>(on.records == 0 ? 1 : on.records);
-  const double byte_x =
-      static_cast<double>(off.wire_bytes) /
-      static_cast<double>(on.wire_bytes == 0 ? 1 : on.wire_bytes);
-  char buf[256];
-  bench::BenchJson out("sketch_volume");
-  out.param("hosts", hosts)
-      .param("seconds", static_cast<std::uint64_t>(seconds))
-      .param("seed", 7);
-  out.metric_raw("off", mode_json(off, with_cpu));
-  out.metric_raw("on", mode_json(on, with_cpu));
-  std::snprintf(buf, sizeof(buf),
-                "{\"records_x\":%.2f,\"bytes_x\":%.2f}", rec_x, byte_x);
-  out.metric_raw("reduction", buf);
-  return out.str();
+void write_mode(json::Writer& w, const ModeResult& r, bool with_cpu) {
+  const auto per_period = [&r](std::uint64_t total) {
+    return r.periods == 0 ? 0 : total / r.periods;
+  };
+  w.begin_object()
+      .key("periods").integer(r.periods)
+      .key("records_per_period").integer(per_period(r.records))
+      .key("bytes_per_period").integer(per_period(r.wire_bytes))
+      .key("sketch_reports").integer(r.sketch_reports)
+      .key("folded_records").integer(r.folded_records)
+      .key("sla_probes_per_period").integer(per_period(r.sla_probes));
+  if (with_cpu) w.key("cpu_ms").fixed(r.cpu_ms, 1);
+  w.end_object();
 }
 
 int run(int argc, char** argv) {
@@ -157,16 +124,38 @@ int run(int argc, char** argv) {
 
   const ModeResult off = run_mode(false, hosts, seconds);
   const ModeResult on = run_mode(true, hosts, seconds);
+  // A fault-free cluster folds every record, so guard the denominator: the
+  // reduction is then "off.records x" rather than infinity.
+  const double rec_x = static_cast<double>(off.records) /
+                       static_cast<double>(on.records == 0 ? 1 : on.records);
+  const double byte_x =
+      static_cast<double>(off.wire_bytes) /
+      static_cast<double>(on.wire_bytes == 0 ? 1 : on.wire_bytes);
 
+  bench::BenchJson out{"sketch_volume"};
+  out.params = [&](json::Writer& w) {
+    w.key("hosts").integer(hosts)
+        .key("seconds").integer(seconds)
+        .key("seed").integer(7);
+  };
+  out.metrics = [&](json::Writer& w) {
+    // cpu_ms is wall clock: kept out of --dump.
+    write_mode(w.key("off"), off, !dump);
+    write_mode(w.key("on"), on, !dump);
+    w.key("reduction").begin_object()
+        .key("records_x").fixed(rec_x, 2)
+        .key("bytes_x").fixed(byte_x, 2)
+        .end_object();
+  };
   if (dump) {
     // Deterministic view only — byte-identical across same-seed runs.
-    std::printf("%s\n", result_json(hosts, seconds, off, on, false).c_str());
+    std::printf("%s\n", out.str().c_str());
     return 0;
   }
-
-  std::ofstream f(out_path);
-  f << result_json(hosts, seconds, off, on, true) << "\n";
-  f.close();
+  if (!out.write_file(out_path)) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 1;
+  }
 
   bench::print_header("Sketch upload-volume reduction (ISSUE: >=10x @ 1k "
                       "hosts)");
@@ -183,8 +172,6 @@ int run(int argc, char** argv) {
   };
   row("off", off);
   row("on", on);
-  const double rec_x = static_cast<double>(off.records) /
-                       static_cast<double>(on.records == 0 ? 1 : on.records);
   std::printf("\nTakeaway: folding healthy records into mergeable sketches "
               "cuts Analyzer record\nvolume %.1fx at %u hosts while SLA "
               "sample counts stay equal (%llu vs %llu per\nperiod) — the "

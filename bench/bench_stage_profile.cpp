@@ -50,10 +50,12 @@ std::vector<std::uint64_t> parse_list(const char* s) {
 }
 
 struct CellResult {
+  std::uint64_t records = 0;  // records/period
   double wall_ms = 0.0;
   double events_per_sec = 0.0;
   std::uint64_t periods = 0;
-  std::string stages;  // JSON array
+  std::uint64_t budget_overruns = 0;
+  prof::ProfileReport stages;
 };
 
 /// One records/period run: fresh Analyzer, fresh profiler epoch; 1 warm-up
@@ -120,13 +122,15 @@ CellResult run_cell(const topo::Topology& topo, const core::Controller& ctrl,
   prof::profiler().disable();
 
   CellResult res;
+  res.records = records_per_period;
   res.wall_ms = secs * 1e3;
   res.events_per_sec =
       static_cast<double>(records_per_period * static_cast<std::uint64_t>(
                                                    reps)) /
       (secs > 0 ? secs : 1e-9);
   res.periods = static_cast<std::uint64_t>(reps);
-  res.stages = bench::stages_json(prof::profiler().report());
+  res.budget_overruns = prof::profiler().budget_overruns();
+  res.stages = prof::profiler().report();
   return res;
 }
 
@@ -170,55 +174,48 @@ int run(int argc, char** argv) {
   routing::EcmpRouter router(topo);
   core::Controller ctrl(topo, router);
 
-  bench::BenchJson out("stage_profile");
-  const auto join = [](const std::vector<std::uint64_t>& v) {
-    std::string s;
-    for (std::uint64_t x : v) {
-      if (!s.empty()) s += ',';
-      s += std::to_string(x);
+  bench::BenchJson out{"stage_profile"};
+  out.params = [&](json::Writer& w) {
+    std::string list;
+    for (std::uint64_t x : records) {
+      list += (list.empty() ? "" : ",") + std::to_string(x);
     }
-    return s;
+    w.key("hosts").integer(topo.hosts().size())
+        .key("shards").integer(core::IngestSink::kShards)
+        .key("batch").integer(128)
+        .key("reps").integer(reps)
+        .key("records_list").string(list)
+        .key("budget_ms").integer(budget_ms);
   };
-  out.param("hosts", static_cast<std::uint64_t>(topo.hosts().size()))
-      .param("shards", core::IngestSink::kShards)
-      .param("batch", 128)
-      .param("reps", static_cast<std::uint64_t>(reps))
-      .param("records_list", join(records))
-      .param("budget_ms", budget_ms);
 
   bench::print_header("Submit -> verdict wall-clock stage profile");
   bench::print_row_header(
       {"records/period", "wall ms/period", "events/sec", "overruns"});
 
-  std::string runs = "[";
-  bool first = true;
-  prof::ProfileReport biggest;
-  char buf[160];
+  std::vector<CellResult> cells;
   for (const std::uint64_t rpp : records) {
-    const CellResult cell = run_cell(topo, ctrl, rpp, reps,
-                                     static_cast<TimeNs>(budget_ms) * 1000000);
-    const std::uint64_t overruns = prof::profiler().budget_overruns();
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"records\":%llu,\"wall_ms\":%.1f,"
-                  "\"events_per_sec\":%.0f,\"budget_overruns\":%llu,"
-                  "\"stages\":",
-                  first ? "" : ",", static_cast<unsigned long long>(rpp),
-                  cell.wall_ms, cell.events_per_sec,
-                  static_cast<unsigned long long>(overruns));
-    runs += buf;
-    runs += cell.stages;
-    runs += '}';
-    first = false;
-    biggest = prof::profiler().report();
+    const CellResult& cell = cells.emplace_back(run_cell(
+        topo, ctrl, rpp, reps, static_cast<TimeNs>(budget_ms) * 1000000));
     std::printf("%-22llu%-22.1f%-22.0f%-22llu\n",
                 static_cast<unsigned long long>(rpp), cell.wall_ms / reps,
                 cell.events_per_sec,
-                static_cast<unsigned long long>(overruns));
+                static_cast<unsigned long long>(cell.budget_overruns));
   }
-  runs += "]";
-  out.metric_raw("runs", runs);
+  out.metrics = [&cells](json::Writer& w) {
+    w.key("runs").begin_array();
+    for (const CellResult& cell : cells) {
+      w.begin_object()
+          .key("records").integer(cell.records)
+          .key("wall_ms").fixed(cell.wall_ms, 1)
+          .key("events_per_sec").fixed(cell.events_per_sec, 0)
+          .key("budget_overruns").integer(cell.budget_overruns);
+      cell.stages.write_stage_rows(w.key("stages"), true);
+      w.end_object();
+    }
+    w.end_array();
+  };
   // Top-level stages row: the last (largest) run, for the standard schema.
-  out.stages_from(biggest);
+  out.stages = cells.back().stages;
 
   if (!out.write_file(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

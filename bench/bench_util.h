@@ -1,18 +1,17 @@
 // Shared plumbing for the per-figure/table reproduction benches: standard
 // cluster builds, a deployed R-Pingmesh wrapper, series printing, and the
-// BENCH_*.json perf-trajectory writer.
+// BENCH_*.json perf-trajectory writer (bench_json.h).
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
-#include "prof/prof.h"
 #include "traffic/dml.h"
 
 namespace rpm::bench {
@@ -67,125 +66,6 @@ inline const core::Problem* find_problem(const core::PeriodReport& rep,
     if (p.category == cat) return &p;
   }
   return nullptr;
-}
-
-/// The one BENCH_*.json schema every bench emits, so the perf trajectory is
-/// diffable across PRs with a single validator:
-///
-///   {"bench": "<name>",
-///    "params":  {...},   // workload knobs (deterministic)
-///    "metrics": {...},   // measured results
-///    "stages":  [...]}   // optional prof::ProfileReport breakdown
-///
-/// Keys keep insertion order; values are written verbatim in a deterministic
-/// format, so two same-seed runs emit byte-identical JSON as long as the
-/// caller keeps wall-clock metrics (cpu_ms and friends) out of --dump mode.
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
-
-  BenchJson& param(const std::string& k, std::uint64_t v) {
-    return add(params_, k, std::to_string(v));
-  }
-  BenchJson& param(const std::string& k, const std::string& v) {
-    return add(params_, k, quote(v));
-  }
-  /// `json` must already be valid JSON (object, array, number, ...).
-  BenchJson& param_raw(const std::string& k, const std::string& json) {
-    return add(params_, k, json);
-  }
-
-  BenchJson& metric(const std::string& k, std::uint64_t v) {
-    return add(metrics_, k, std::to_string(v));
-  }
-  BenchJson& metric(const std::string& k, double v,
-                    const char* fmt = "%.2f") {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    return add(metrics_, k, buf);
-  }
-  BenchJson& metric(const std::string& k, const std::string& v) {
-    return add(metrics_, k, quote(v));
-  }
-  BenchJson& metric_raw(const std::string& k, const std::string& json) {
-    return add(metrics_, k, json);
-  }
-
-  /// Attach the per-stage wall-clock breakdown of a profiler run (see
-  /// stages_json below).
-  BenchJson& stages_from(const prof::ProfileReport& rep);
-
-  [[nodiscard]] std::string str() const {
-    std::string out = "{\"bench\":" + quote(bench_);
-    out += ",\"params\":{" + params_ + '}';
-    out += ",\"metrics\":{" + metrics_ + '}';
-    if (has_stages_) out += ",\"stages\":[" + stages_ + ']';
-    out += '}';
-    return out;
-  }
-
-  bool write_file(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) return false;
-    f << str() << "\n";
-    return static_cast<bool>(f);
-  }
-
- private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
-  }
-  BenchJson& add(std::string& dst, const std::string& k,
-                 const std::string& v) {
-    if (!dst.empty()) dst += ',';
-    dst += quote(k) + ':' + v;
-    return *this;
-  }
-
-  std::string bench_;
-  std::string params_;
-  std::string metrics_;
-  std::string stages_;
-  bool has_stages_ = false;
-};
-
-/// JSON array of one profiler run's per-stage rows — stages with zero
-/// samples are skipped. Shared by BenchJson::stages_from and benches that
-/// embed one breakdown per workload cell.
-inline std::string stages_json(const prof::ProfileReport& rep) {
-  std::string out = "[";
-  char buf[256];
-  bool first = true;
-  for (std::size_t i = 0; i < prof::kNumStages; ++i) {
-    const prof::StageStats& st = rep.stages[i];
-    if (st.count == 0) continue;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"stage\":\"%s\",\"count\":%llu,\"total_ns\":%llu,"
-        "\"min_ns\":%llu,\"max_ns\":%llu,\"p50_ns\":%.1f,\"p99_ns\":%.1f}",
-        first ? "" : ",", prof::stage_name(static_cast<prof::Stage>(i)),
-        static_cast<unsigned long long>(st.count),
-        static_cast<unsigned long long>(st.total_ns),
-        static_cast<unsigned long long>(st.min_ns),
-        static_cast<unsigned long long>(st.max_ns), st.p50_ns(), st.p99_ns());
-    out += buf;
-    first = false;
-  }
-  out += ']';
-  return out;
-}
-
-inline BenchJson& BenchJson::stages_from(const prof::ProfileReport& rep) {
-  const std::string arr = stages_json(rep);
-  stages_ = arr.substr(1, arr.size() - 2);
-  has_stages_ = true;
-  return *this;
 }
 
 }  // namespace rpm::bench

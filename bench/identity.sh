@@ -5,13 +5,14 @@
 #   bench/identity.sh BUILD_DIR OUT_DIR
 #
 # Two runs that print the same lines produced the same verdicts, SLA tables,
-# chaos/fuzz scorecards, federation and sketch dumps, quickstart counters and
-# bench/example narration. Run it against two builds (or twice against one)
+# chaos/fuzz scorecards, federation and sketch dumps, the quickstart flight
+# dump and counters, and bench/example narration. Run it against two builds (or twice against one)
 # and diff the output. Every output is written into OUT_DIR (created if
 # missing); JSON outputs are validated with `python3 -m json.tool`. Exits
 # non-zero when any command fails or any JSON output does not parse.
 #
-# Wall-clock output is excluded: the fuzz/chaos/bench dumps carry none, and
+# Wall-clock output is excluded: the fuzz/chaos/bench dumps and the flight
+# dump carry none (the profiler keeps wall time on its own trace track), and
 # the quickstart telemetry is reduced to its counter lines without the
 # rpm_analyzer_stage_ns histograms.
 set -euo pipefail
@@ -50,7 +51,7 @@ for b in "${benches[@]}"; do "$bn/$b" > "$b.txt"; done
 for e in "${examples[@]}"; do "$ex/$e" > "$e.txt"; done
 
 jsons=(chaos.json fuzz.json federation_pods4.json federation_pods2.json
-       sketch.json quickstart_diagnosis.json)
+       sketch.json quickstart_diagnosis.json quickstart_flight.json)
 for f in "${jsons[@]}"; do python3 -m json.tool "$f" > /dev/null; done
 
 outputs=("${jsons[@]}" quickstart_counters.txt)

@@ -99,18 +99,13 @@ int main(int argc, char** argv) {
                 r.periods_to_recover);
   }
 
-  const std::string json = report.to_json();
-  if (out_path != nullptr) {
-    std::FILE* f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", out_path);
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("report written to %s (%zu bytes)\n", out_path, json.size());
+  if (out_path == nullptr) {
+    std::fputs(report.to_json().c_str(), stdout);
+  } else if (report.write_file(out_path)) {
+    std::printf("report written to %s\n", out_path);
   } else {
-    std::fputs(json.c_str(), stdout);
+    std::fprintf(stderr, "cannot write %s\n", out_path);
+    return 1;
   }
 
   rpm.stop();

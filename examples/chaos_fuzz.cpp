@@ -6,11 +6,13 @@
 //   $ ./examples/chaos_fuzz [--seeds N] [--base-seed S] [--out PATH]
 //                           [--corpus-dir DIR] [--pods P] [--duration SECS]
 //
-// Exit status: 0 when every seed passed every oracle, 1 otherwise.
+// Exit status: 0 when every seed passed every oracle, 1 otherwise, 2 on a
+// bad flag or an artifact (report or corpus file) not fully written.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "chaos/fuzz.h"
@@ -47,7 +49,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const chaos::FuzzReport rep = chaos::run_fuzz(cfg);
+  chaos::FuzzReport rep;
+  try {
+    rep = chaos::run_fuzz(cfg);
+  } catch (const std::runtime_error& e) {  // a corpus artifact not written
+    std::fprintf(stderr, "chaos_fuzz: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("chaos_fuzz: %d seed(s) from %llu, %d failure(s)\n",
               rep.num_seeds, static_cast<unsigned long long>(rep.base_seed),
@@ -61,18 +69,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string json = rep.to_json();
-  if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "chaos_fuzz: cannot open %s\n", out_path.c_str());
-      return 2;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+  if (out_path.empty()) {
+    std::fputs(rep.to_json().c_str(), stdout);
+  } else if (rep.write_file(out_path)) {
     std::printf("FuzzReport written to %s\n", out_path.c_str());
   } else {
-    std::fputs(json.c_str(), stdout);
+    std::fprintf(stderr, "chaos_fuzz: cannot write %s\n", out_path.c_str());
+    return 2;
   }
 
   return rep.ok() ? 0 : 1;

@@ -8,9 +8,12 @@
 //   $ ./examples/quickstart
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <initializer_list>
 #include <string>
+#include <utility>
 
+#include "common/json.h"
 #include "core/rootcause.h"
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
@@ -75,8 +78,8 @@ int main() {
   // ...and the probe flight recorder: with sample_rate 1.0 every probe's
   // causal timeline (Agent enqueue -> RNIC CQEs -> per-hop fabric traversal
   // -> upload attempts -> Analyzer ingest) is kept in a bounded ring, next
-  // to a marker track of process-level events (fault injections, period
-  // closes) stamped with simulated time.
+  // to a marker track of process-level events (fault injections,
+  // control-plane events) stamped with simulated time.
   obs::FlightRecorderConfig flight_cfg;
   flight_cfg.sample_rate = 1.0;
   flight_cfg.capacity = 1 << 15;
@@ -181,46 +184,8 @@ int main() {
   std::printf("\nevent loop:\n");
   print_filtered(prom, {"rpm_sim_"});
 
-  // The trace of everything above — the marker track (pid 1), one track per
-  // sampled probe (pid 2), and the profiler's wall-clock stage tracks
-  // (pid 3) — viewable in chrome://tracing / Perfetto.
-  const std::string trace = obs::chrome_trace(
-      {obs::recorder().chrome_events(), prof::profiler().chrome_events()});
-  if (std::FILE* f = std::fopen("quickstart_trace.json", "w")) {
-    std::fwrite(trace.data(), 1, trace.size(), f);
-    std::fclose(f);
-    std::printf("\ntrace: %zu markers + %llu probe timelines"
-                " -> quickstart_trace.json\n",
-                obs::recorder().markers().size(),
-                static_cast<unsigned long long>(
-                    obs::recorder().live_timelines()));
-  }
-
-  // The flight-recorder ring and the last period's full diagnosis log, as
-  // machine-readable JSON dumps (CI validates both parse).
-  const std::string flight = obs::recorder().to_json();
-  if (std::FILE* f = std::fopen("quickstart_flight.json", "w")) {
-    std::fwrite(flight.data(), 1, flight.size(), f);
-    std::fclose(f);
-    std::printf("flight recorder: %llu/%llu probes sampled"
-                " -> quickstart_flight.json\n",
-                static_cast<unsigned long long>(
-                    obs::recorder().probes_sampled()),
-                static_cast<unsigned long long>(obs::recorder().probes_seen()));
-  }
-  if (const obs::DiagnosisLog* dlog = rpm.analyzer().last_diagnosis()) {
-    const std::string diag = obs::to_json(*dlog);
-    if (std::FILE* f = std::fopen("quickstart_diagnosis.json", "w")) {
-      std::fwrite(diag.data(), 1, diag.size(), f);
-      std::fclose(f);
-      std::printf("diagnosis log: %zu evidence chains"
-                  " -> quickstart_diagnosis.json\n",
-                  dlog->chains.size());
-    }
-  }
-
-  // Where the wall-clock went, per stage (quickstart_profile.json holds the
-  // full breakdown with quantiles).
+  // Where the wall-clock went, per stage (quickstart_profile.json below
+  // holds the full breakdown with quantiles).
   const prof::ProfileReport prof_rep = prof::profiler().report();
   std::printf("\nwall-clock stage profile (count / total ms):\n");
   for (std::size_t i = 0; i < prof::kNumStages; ++i) {
@@ -231,20 +196,49 @@ int main() {
                 static_cast<unsigned long long>(st.count),
                 static_cast<double>(st.total_ns) / 1e6);
   }
-  const std::string prof_json = prof_rep.to_json();
-  if (std::FILE* f = std::fopen("quickstart_profile.json", "w")) {
-    std::fwrite(prof_json.data(), 1, prof_json.size(), f);
-    std::fclose(f);
-    std::printf("stage profile (%llu period closes, %llu budget overruns)"
-                " -> quickstart_profile.json\n",
-                static_cast<unsigned long long>(
-                    prof_rep.stage(prof::Stage::kPeriodClose).count),
-                static_cast<unsigned long long>(prof_rep.budget_overruns));
+
+  // The artifacts, each streamed to its file (CI validates that they parse):
+  // the trace of everything above — the marker track (pid 1), one track per
+  // sampled probe (pid 2), and the profiler's wall-clock stage tracks
+  // (pid 3) — for chrome://tracing / Perfetto; the flight-recorder ring; the
+  // last period's full diagnosis log; and the stage profile.
+  const obs::DiagnosisLog& dlog = *rpm.analyzer().last_diagnosis();
+  std::printf("\n%zu markers, %llu/%llu probes sampled, %zu evidence chains,"
+              " %llu budget overruns\n",
+              obs::recorder().markers().size(),
+              static_cast<unsigned long long>(obs::recorder().probes_sampled()),
+              static_cast<unsigned long long>(obs::recorder().probes_seen()),
+              dlog.chains.size(),
+              static_cast<unsigned long long>(prof_rep.budget_overruns));
+  const std::pair<const char*, std::function<void(json::Writer&)>>
+      artifacts[] = {
+          {"quickstart_trace.json",
+           [](json::Writer& w) {
+             obs::write_chrome_trace(w, [](json::Writer& events) {
+               obs::recorder().write_chrome_events(events);
+               prof::profiler().write_chrome_events(events);
+             });
+           }},
+          {"quickstart_flight.json",
+           [](json::Writer& w) { obs::recorder().write_json(w); }},
+          {"quickstart_diagnosis.json",
+           [&dlog](json::Writer& w) { obs::write_json(w, dlog); }},
+          {"quickstart_profile.json",
+           [&prof_rep](json::Writer& w) { prof_rep.write_json(w); }},
+      };
+  int status = 0;
+  for (const auto& [path, body] : artifacts) {
+    if (json::write_file(path, json::Layout::kCompact, body)) {
+      std::printf("wrote %s\n", path);
+    } else {
+      std::fprintf(stderr, "quickstart: cannot write %s\n", path);
+      status = 1;
+    }
   }
 
   rpm.stop();
   prof::profiler().disable();
   prof::Profiler::detach_scheduler(cluster.scheduler());
   obs::recorder().disable();
-  return 0;
+  return status;
 }

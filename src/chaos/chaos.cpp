@@ -1,7 +1,6 @@
 #include "chaos/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/json.h"
@@ -128,12 +127,6 @@ struct Window {
     return a <= to && b >= from;
   }
 };
-
-void append_f6(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  out += buf;
-}
 
 }  // namespace
 
@@ -490,69 +483,72 @@ ChaosReport ChaosRunner::run(const ChaosPlan& plan) {
   return rep;
 }
 
+namespace {
+
+/// The report in json::Layout::kPrettyRows, with its trailing newline.
+void write_report(json::Writer& w, const ChaosReport& r) {
+  w.begin_object()
+      .key("seed").integer(r.seed)
+      .key("duration_ns").integer(r.duration)
+      .key("periods").integer(r.periods)
+      .key("problems_total").integer(r.problems_total)
+      .key("true_positives").integer(r.true_positives)
+      .key("false_positives").integer(r.false_positives)
+      .key("switch_false_positives").integer(r.switch_false_positives)
+      .key("outage_false_positives").integer(r.outage_false_positives)
+      .key("mislocalized").integer(r.mislocalized)
+      .key("collateral_host_down").integer(r.collateral_host_down)
+      .key("noise_problems").integer(r.noise_problems)
+      .key("unscored_problems").integer(r.unscored_problems)
+      .key("precision").fixed(r.precision, 6)
+      .key("recall").fixed(r.recall, 6)
+      .key("ground_truths").begin_array();
+  for (const ChaosReport::GroundTruthScore& g : r.ground_truths) {
+    w.begin_object()
+        .key("label").string(g.label)
+        .key("kind").string(g.kind)
+        .key("scored").boolean(g.scored)
+        .key("matched").boolean(g.matched)
+        .key("injected_at_ns").integer(g.injected_at)
+        .key("cleared_at_ns");
+    if (g.cleared_at == kNoTime) {
+      w.null();
+    } else {
+      w.integer(g.cleared_at);
+    }
+    w.end_object();
+  }
+  w.end_array().key("recoveries").begin_array();
+  for (const ChaosReport::Recovery& rc : r.recoveries) {
+    w.begin_object()
+        .key("event").string(rc.event)
+        .key("at_ns").integer(rc.at)
+        .key("periods_to_recover").integer(rc.periods_to_recover)
+        .end_object();
+  }
+  w.end_array().key("period_summaries").begin_array();
+  for (const ChaosReport::PeriodSummary& p : r.period_summaries) {
+    w.begin_object()
+        .key("period_end_ns").integer(p.period_end)
+        .key("records").integer(p.records)
+        .key("problems").integer(p.problems)
+        .key("false_positives").integer(p.false_positives)
+        .key("in_outage_window").boolean(p.in_outage_window)
+        .end_object();
+  }
+  w.end_array().end_object().newline();
+}
+
+}  // namespace
+
 std::string ChaosReport::to_json() const {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"seed\": " + std::to_string(seed);
-  out += ",\n  \"duration_ns\": " + std::to_string(duration);
-  out += ",\n  \"periods\": " + std::to_string(periods);
-  out += ",\n  \"problems_total\": " + std::to_string(problems_total);
-  out += ",\n  \"true_positives\": " + std::to_string(true_positives);
-  out += ",\n  \"false_positives\": " + std::to_string(false_positives);
-  out += ",\n  \"switch_false_positives\": " +
-         std::to_string(switch_false_positives);
-  out += ",\n  \"outage_false_positives\": " +
-         std::to_string(outage_false_positives);
-  out += ",\n  \"mislocalized\": " + std::to_string(mislocalized);
-  out += ",\n  \"collateral_host_down\": " +
-         std::to_string(collateral_host_down);
-  out += ",\n  \"noise_problems\": " + std::to_string(noise_problems);
-  out += ",\n  \"unscored_problems\": " + std::to_string(unscored_problems);
-  out += ",\n  \"precision\": ";
-  append_f6(out, precision);
-  out += ",\n  \"recall\": ";
-  append_f6(out, recall);
-  out += ",\n  \"ground_truths\": [";
-  for (std::size_t i = 0; i < ground_truths.size(); ++i) {
-    const GroundTruthScore& g = ground_truths[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"label\": ";
-    json::append_quoted(out, g.label);
-    out += ", \"kind\": ";
-    json::append_quoted(out, g.kind);
-    out += ", \"scored\": ";
-    out += g.scored ? "true" : "false";
-    out += ", \"matched\": ";
-    out += g.matched ? "true" : "false";
-    out += ", \"injected_at_ns\": " + std::to_string(g.injected_at);
-    out += ", \"cleared_at_ns\": ";
-    out += g.cleared_at == kNoTime ? "null" : std::to_string(g.cleared_at);
-    out += "}";
-  }
-  out += "\n  ],\n  \"recoveries\": [";
-  for (std::size_t i = 0; i < recoveries.size(); ++i) {
-    const Recovery& r = recoveries[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"event\": ";
-    json::append_quoted(out, r.event);
-    out += ", \"at_ns\": " + std::to_string(r.at);
-    out += ", \"periods_to_recover\": " + std::to_string(r.periods_to_recover);
-    out += "}";
-  }
-  out += "\n  ],\n  \"period_summaries\": [";
-  for (std::size_t i = 0; i < period_summaries.size(); ++i) {
-    const PeriodSummary& p = period_summaries[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"period_end_ns\": " + std::to_string(p.period_end);
-    out += ", \"records\": " + std::to_string(p.records);
-    out += ", \"problems\": " + std::to_string(p.problems);
-    out += ", \"false_positives\": " + std::to_string(p.false_positives);
-    out += ", \"in_outage_window\": ";
-    out += p.in_outage_window ? "true" : "false";
-    out += "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
+  return json::to_string([this](json::Writer& w) { write_report(w, *this); },
+                         json::Layout::kPrettyRows);
+}
+
+bool ChaosReport::write_file(const std::string& path) const {
+  return json::write_file(path, json::Layout::kPrettyRows,
+                          [this](json::Writer& w) { write_report(w, *this); });
 }
 
 }  // namespace rpm::chaos

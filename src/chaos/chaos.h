@@ -140,8 +140,12 @@ struct ChaosReport {
   };
   std::vector<PeriodSummary> period_summaries;  // chronological
 
-  /// Deterministic JSON (two same-seed runs are byte-identical).
+  /// Deterministic JSON (two same-seed runs are byte-identical): one line
+  /// per field and per array row (json::Layout::kPrettyRows), ending with a
+  /// newline.
   [[nodiscard]] std::string to_json() const;
+  /// to_json()'s bytes, streamed to `path`; false when not fully written.
+  [[nodiscard]] bool write_file(const std::string& path) const;
 };
 
 /// Executes ChaosPlans against one deployment. The injector must target the

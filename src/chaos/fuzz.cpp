@@ -1,6 +1,5 @@
 #include "chaos/fuzz.h"
 
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -172,8 +171,12 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
             artifact.set("plan", plan_to_value(shrunk.plan));
             const std::string path =
                 cfg.corpus_dir + "/seed" + std::to_string(seed) + ".json";
-            std::ofstream out(path);
-            out << artifact.dump(2) << "\n";
+            if (!json::write_file(path, json::Layout::kPretty,
+                                  [&artifact](json::Writer& w) {
+                                    w.value(artifact).newline();
+                                  })) {
+              throw std::runtime_error("cannot write " + path);
+            }
           }
         } catch (const std::invalid_argument&) {
           // The failure did not reproduce under the shrinker (e.g. a pure
@@ -198,7 +201,7 @@ CampaignResult replay_artifact(const std::string& artifact_json,
                       ocfg);
 }
 
-std::string FuzzReport::to_json() const {
+json::Value FuzzReport::to_value() const {
   json::Value v{json::Object{}};
   v.set("base_seed", base_seed);
   v.set("num_seeds", static_cast<std::int64_t>(num_seeds));
@@ -232,7 +235,15 @@ std::string FuzzReport::to_json() const {
     arr.push_back(std::move(sv));
   }
   v.set("seeds", json::Value(std::move(arr)));
-  return v.dump(2) + "\n";
+  return v;
+}
+
+std::string FuzzReport::to_json() const { return to_value().dump(2) + "\n"; }
+
+bool FuzzReport::write_file(const std::string& path) const {
+  return json::write_file(path, json::Layout::kPretty, [this](json::Writer& w) {
+    w.value(to_value()).newline();
+  });
 }
 
 }  // namespace rpm::chaos

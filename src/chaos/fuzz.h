@@ -87,12 +87,16 @@ struct FuzzReport {
   std::vector<SeedResult> seeds;
 
   [[nodiscard]] bool ok() const { return failures == 0; }
+  [[nodiscard]] json::Value to_value() const;
   /// Deterministic pretty JSON with trailing newline (CI byte-diffs it).
   [[nodiscard]] std::string to_json() const;
+  /// to_json()'s bytes, streamed to `path`; false when not fully written.
+  [[nodiscard]] bool write_file(const std::string& path) const;
 };
 
 /// The fuzz loop. Writes one corpus artifact per failing seed when
-/// cfg.shrink is set and cfg.corpus_dir is non-empty.
+/// cfg.shrink is set and cfg.corpus_dir is non-empty; throws
+/// std::runtime_error when one cannot be written.
 FuzzReport run_fuzz(const FuzzConfig& cfg);
 
 /// Replay one corpus artifact ({"deployment": ..., "plan": ...}); returns

@@ -121,6 +121,9 @@ struct Parser {
       if (pos >= text.size()) fail("unterminated string", pos);
       const char c = text[pos++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character", pos - 1);
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -198,76 +201,9 @@ struct Parser {
   }
 };
 
-void dump_value(const Value& v, std::string& out, int indent, int depth);
+constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
 
-void append_newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
-
-void dump_double(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    // JSON has no inf/nan; artifacts never contain them, but stay valid.
-    out += "null";
-    return;
-  }
-  char buf[64];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), d);
-  out.append(buf, p);
-  // Keep the value recognizably a double on re-parse.
-  if (out.find_first_of(".eE", out.size() - static_cast<std::size_t>(p - buf)) ==
-      std::string::npos) {
-    out += ".0";
-  }
-}
-
-void dump_value(const Value& v, std::string& out, int indent, int depth) {
-  switch (v.type()) {
-    case Value::Type::kNull: out += "null"; return;
-    case Value::Type::kBool: out += v.as_bool() ? "true" : "false"; return;
-    case Value::Type::kInt: out += std::to_string(v.as_int()); return;
-    case Value::Type::kDouble: dump_double(out, v.as_double()); return;
-    case Value::Type::kString: append_quoted(out, v.as_string()); return;
-    case Value::Type::kArray: {
-      const Array& a = v.as_array();
-      if (a.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i > 0) out += indent < 0 ? "," : ",";
-        append_newline_indent(out, indent, depth + 1);
-        dump_value(a[i], out, indent, depth + 1);
-      }
-      append_newline_indent(out, indent, depth);
-      out += ']';
-      return;
-    }
-    case Value::Type::kObject: {
-      const Object& o = v.as_object();
-      if (o.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        if (i > 0) out += ",";
-        append_newline_indent(out, indent, depth + 1);
-        append_quoted(out, o[i].first);
-        out += indent < 0 ? ":" : ": ";
-        dump_value(o[i].second, out, indent, depth + 1);
-      }
-      append_newline_indent(out, indent, depth);
-      out += '}';
-      return;
-    }
-  }
-}
-
-}  // namespace
-
+/// Appends `s` quoted, escaping ", \\ and every control character.
 void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -290,15 +226,131 @@ void append_quoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
-std::string fmt_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+}  // namespace
+
+Writer::Writer(std::string& out, Layout layout)
+    : out_(&out),
+      pretty_(layout != Layout::kCompact),
+      row_depth_(layout == Layout::kPrettyRows ? 2 : SIZE_MAX) {}
+
+Writer::Writer(std::FILE* file, Layout layout) : Writer(buf_, layout) {
+  file_ = file;
+  buf_.reserve(kChunkBytes + 256);
+}
+
+void Writer::separate() {
+  if (file_ != nullptr && buf_.size() >= kChunkBytes) flush();
+  if (after_key_ || counts_.empty()) {
+    after_key_ = false;
+    return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  const bool row = counts_.size() > row_depth_;
+  if (counts_.back()++ > 0) *out_ += row ? ", " : ",";
+  if (pretty_ && !row) indent(counts_.size());
+}
+
+void Writer::indent(std::size_t depth) {
+  *out_ += '\n';
+  out_->append(2 * depth, ' ');
+}
+
+Writer& Writer::open(char bracket) {
+  separate();
+  *out_ += bracket;
+  counts_.push_back(0);
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const bool row = counts_.size() > row_depth_;
+  const std::size_t count = counts_.back();
+  counts_.pop_back();
+  if (pretty_ && !row && count > 0) indent(counts_.size());
+  *out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  separate();
+  append_quoted(*out_, k);
+  *out_ += pretty_ ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  separate();
+  append_quoted(*out_, s);
+  return *this;
+}
+
+Writer& Writer::token(std::string_view text) {
+  separate();
+  out_->append(text);
+  return *this;
+}
+
+// JSON has no inf/nan: artifacts never contain them, but a non-finite value
+// still writes valid JSON (null). With a precision, to_chars prints exactly
+// what printf does.
+Writer& Writer::put_double(double v, std::chars_format fmt, int precision) {
+  if (!std::isfinite(v)) return token("null");
+  char buf[400];  // %.Nf of DBL_MAX needs 309 digits before the point
+  return token(
+      {buf, std::to_chars(buf, buf + sizeof(buf), v, fmt, precision).ptr});
+}
+
+Writer& Writer::shortest(double v) {
+  if (!std::isfinite(v)) return token("null");
+  char buf[32];
+  const std::string_view s(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  token(s);
+  // Keep an integral double recognizably a double on re-parse.
+  if (s.find_first_of(".eE") == std::string_view::npos) *out_ += ".0";
+  return *this;
+}
+
+Writer& Writer::number(double v) {
+  return v == std::floor(v) && std::fabs(v) < 1e15
+             ? fixed(v, 0)
+             : put_double(v, std::chars_format::general, 9);
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kNull: return null();
+    case Value::Type::kBool: return boolean(v.as_bool());
+    case Value::Type::kInt: return integer(v.as_int());
+    case Value::Type::kDouble: return shortest(v.as_double());
+    case Value::Type::kString: return string(v.as_string());
+    case Value::Type::kArray:
+      begin_array();
+      for (const Value& e : v.as_array()) value(e);
+      return end_array();
+    case Value::Type::kObject:
+      begin_object();
+      for (const auto& [k, e] : v.as_object()) key(k).value(e);
+      return end_object();
+  }
+  return *this;
+}
+
+void Writer::flush() {
+  if (ok_ && std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
+    ok_ = false;
+  }
+  buf_.clear();
+}
+
+bool write_file(const std::string& path, Layout layout,
+                const std::function<void(Writer&)>& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  Writer w(f, layout);
+  body(w);
+  w.flush();
+  const bool closed = std::fclose(f) == 0;
+  return w.ok_ && closed;
 }
 
 Value::Type Value::type() const {
@@ -384,8 +436,7 @@ void Value::set(std::string key, Value v) {
 
 std::string Value::dump(int indent) const {
   std::string out;
-  out.reserve(256);
-  dump_value(*this, out, indent, 0);
+  Writer(out, indent < 0 ? Layout::kCompact : Layout::kPretty).value(*this);
   return out;
 }
 

@@ -1,32 +1,9 @@
 #include "core/rootcause.h"
 
-#include <cstdio>
-
 #include <algorithm>
 #include <sstream>
 
-#include "common/json.h"
-
 namespace rpm::core {
-
-std::string hints_json(const std::vector<RootCauseHint>& hints) {
-  std::string out = "[";
-  bool first = true;
-  char buf[40];
-  for (const RootCauseHint& h : hints) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"cause\":";
-    json::append_quoted(out, h.cause);
-    std::snprintf(buf, sizeof(buf), ",\"confidence\":%.3f", h.confidence);
-    out += buf;
-    out += ",\"evidence\":";
-    json::append_quoted(out, h.evidence);
-    out += '}';
-  }
-  out += ']';
-  return out;
-}
 
 RootCauseAdvisor::RootCauseAdvisor(host::Cluster& cluster)
     : cluster_(cluster),

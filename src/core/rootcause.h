@@ -25,11 +25,6 @@ struct RootCauseHint {
   std::string evidence;    // which counters/logs support it
 };
 
-/// Render hints as a JSON array ([{"cause":...,"confidence":...,
-/// "evidence":...}, ...]) — pairs with Analyzer::explain() so a diagnosis
-/// dump carries both the evidence chain and the ranked root-cause guesses.
-std::string hints_json(const std::vector<RootCauseHint>& hints);
-
 /// Rule-based advisor reading device counters from the cluster — the
 /// "integrate probing results with counters" design of §7.5. Stateless
 /// between calls except for counter baselines (rates need deltas).

@@ -1,50 +1,27 @@
 #include "obs/chrome_trace.h"
 
-#include <cstdio>
-
-#include "common/json.h"
-
 namespace rpm::obs {
 
-void append_chrome_event(std::string& out, const ChromeEvent& e) {
-  if (!out.empty()) out += ',';
-  out += "{\"name\":";
-  json::append_quoted(out, e.name);
-  out += ",\"cat\":";
-  json::append_quoted(out, e.cat);
-  out += ",\"ph\":";
-  json::append_quoted(out, std::string_view(&e.ph, 1));
-  out += ",\"pid\":" + std::to_string(e.pid) +
-         ",\"tid\":" + std::to_string(e.tid);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f",
-                static_cast<double>(e.ts) / 1e3);
-  out += buf;
+void begin_chrome_event(json::Writer& w, const ChromeEvent& e) {
+  w.begin_object()
+      .key("name").string(e.name)
+      .key("cat").string(e.cat)
+      .key("ph").string(std::string_view(&e.ph, 1))
+      .key("pid").integer(e.pid)
+      .key("tid").integer(e.tid)
+      .key("ts").fixed(static_cast<double>(e.ts) / 1e3, 3);
   if (e.ph == 'X') {
-    std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                  static_cast<double>(e.dur) / 1e3);
-    out += buf;
+    w.key("dur").fixed(static_cast<double>(e.dur) / 1e3, 3);
   } else {
-    out += ",\"s\":\"g\"";
+    w.key("s").string(std::string_view(&e.scope, 1));
   }
-  if (!e.args.empty()) {
-    out += ",\"args\":";
-    out += e.args;
-  }
-  out += '}';
 }
 
-std::string chrome_trace(std::initializer_list<std::string_view> event_lists) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const std::string_view events : event_lists) {
-    if (events.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += events;
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+void write_chrome_trace(json::Writer& w,
+                        const std::function<void(json::Writer&)>& events) {
+  w.begin_object().key("traceEvents").begin_array();
+  events(w);
+  w.end_array().key("displayTimeUnit").string("ms").end_object();
 }
 
 }  // namespace rpm::obs

@@ -1,24 +1,6 @@
 #include "obs/diagnosis.h"
 
-#include "common/json.h"
-
 namespace rpm::obs {
-
-namespace {
-
-void append_votes(std::string& out, const std::vector<VoteCount>& votes) {
-  out += '[';
-  bool first = true;
-  for (const VoteCount& v : votes) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"id\":" + std::to_string(v.id) +
-           ",\"votes\":" + std::to_string(v.votes) + '}';
-  }
-  out += ']';
-}
-
-}  // namespace
 
 const EvidenceChain* DiagnosisLog::find(std::uint64_t evidence_id) const {
   for (const EvidenceChain& c : chains) {
@@ -36,78 +18,69 @@ const EvidenceChain* DiagnosisLog::find_problem(
   return nullptr;
 }
 
-std::string to_json(const ThresholdCheck& t) {
-  std::string out = "{\"name\":";
-  json::append_quoted(out, t.name);
-  out += ",\"threshold\":" + json::fmt_double(t.threshold) +
-         ",\"observed\":" + json::fmt_double(t.observed) + ",\"exceeded\":";
-  out += t.exceeded ? "true" : "false";
-  out += '}';
-  return out;
+namespace {
+
+void write_votes(json::Writer& w, const std::vector<VoteCount>& votes) {
+  w.begin_array();
+  for (const VoteCount& v : votes) {
+    w.begin_object().key("id").integer(v.id).key("votes").integer(v.votes)
+        .end_object();
+  }
+  w.end_array();
 }
 
-std::string to_json(const EvidenceChain& c) {
-  std::string out = "{\"evidence_id\":" + std::to_string(c.id);
-  if (c.problem_id != 0) {
-    out += ",\"problem_id\":" + std::to_string(c.problem_id);
-  }
-  out += ",\"verdict\":";
-  json::append_quoted(out, c.verdict);
-  out += ",\"triage_branch\":";
-  json::append_quoted(out, c.triage_branch);
-  if (c.service != 0) out += ",\"service\":" + std::to_string(c.service);
-  out += ",\"total_probes\":" + std::to_string(c.total_probes);
-  out += ",\"probe_ids\":[";
-  bool first = true;
-  for (std::uint64_t id : c.probe_ids) {
-    if (!first) out += ',';
-    first = false;
-    out += std::to_string(id);
-  }
-  out += "],\"link_votes\":";
-  append_votes(out, c.link_votes);
-  out += ",\"switch_votes\":";
-  append_votes(out, c.switch_votes);
-  out += ",\"thresholds\":[";
-  first = true;
+}  // namespace
+
+void write_json(json::Writer& w, const EvidenceChain& c) {
+  w.begin_object().key("evidence_id").integer(c.id);
+  if (c.problem_id != 0) w.key("problem_id").integer(c.problem_id);
+  w.key("verdict").string(c.verdict);
+  w.key("triage_branch").string(c.triage_branch);
+  if (c.service != 0) w.key("service").integer(c.service);
+  w.key("total_probes").integer(c.total_probes);
+  w.key("probe_ids").begin_array();
+  for (std::uint64_t id : c.probe_ids) w.integer(id);
+  w.end_array();
+  write_votes(w.key("link_votes"), c.link_votes);
+  write_votes(w.key("switch_votes"), c.switch_votes);
+  w.key("thresholds").begin_array();
   for (const ThresholdCheck& t : c.thresholds) {
-    if (!first) out += ',';
-    first = false;
-    out += to_json(t);
+    w.begin_object()
+        .key("name").string(t.name)
+        .key("threshold").number(t.threshold)
+        .key("observed").number(t.observed)
+        .key("exceeded").boolean(t.exceeded)
+        .end_object();
   }
-  out += ']';
+  w.end_array();
   if (!c.drop_sites.empty()) {
     // Optional: absent entirely when empty so recorder-off output is
     // byte-identical to builds that predate auto-triage.
-    out += ",\"drop_sites\":[";
-    first = true;
+    w.key("drop_sites").begin_array();
     for (const auto& [site, count] : c.drop_sites) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"site\":";
-      json::append_quoted(out, site);
-      out += ",\"count\":" + std::to_string(count) + '}';
+      w.begin_object().key("site").string(site).key("count").integer(count)
+          .end_object();
     }
-    out += ']';
+    w.end_array();
   }
-  out += ",\"summary\":";
-  json::append_quoted(out, c.summary);
-  out += '}';
-  return out;
+  w.key("summary").string(c.summary).end_object();
+}
+
+void write_json(json::Writer& w, const DiagnosisLog& log) {
+  w.begin_object()
+      .key("period_start").integer(log.period_start)
+      .key("period_end").integer(log.period_end)
+      .key("chains").begin_array();
+  for (const EvidenceChain& c : log.chains) write_json(w, c);
+  w.end_array().end_object();
+}
+
+std::string to_json(const EvidenceChain& c) {
+  return json::to_string([&c](json::Writer& w) { write_json(w, c); });
 }
 
 std::string to_json(const DiagnosisLog& log) {
-  std::string out =
-      "{\"period_start\":" + std::to_string(log.period_start) +
-      ",\"period_end\":" + std::to_string(log.period_end) + ",\"chains\":[";
-  bool first = true;
-  for (const EvidenceChain& c : log.chains) {
-    if (!first) out += ',';
-    first = false;
-    out += to_json(c);
-  }
-  out += "]}";
-  return out;
+  return json::to_string([&log](json::Writer& w) { write_json(w, log); });
 }
 
 }  // namespace rpm::obs

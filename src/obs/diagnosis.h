@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 
 namespace rpm::obs {
@@ -79,7 +80,12 @@ struct DiagnosisLog {
 /// exact count when the evidence set is larger.
 inline constexpr std::size_t kEvidenceProbeIdCap = 32;
 
-std::string to_json(const ThresholdCheck& t);
+/// {"evidence_id":N,...,"summary":"..."}; "problem_id", "service" and
+/// "drop_sites" only when set.
+void write_json(json::Writer& w, const EvidenceChain& c);
+/// {"period_start":N,"period_end":N,"chains":[...]}
+void write_json(json::Writer& w, const DiagnosisLog& log);
+/// write_json() into a string.
 std::string to_json(const EvidenceChain& c);
 std::string to_json(const DiagnosisLog& log);
 

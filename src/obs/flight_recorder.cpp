@@ -1,9 +1,7 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/json.h"
 #include "obs/chrome_trace.h"
 
 namespace rpm::obs {
@@ -181,88 +179,79 @@ std::vector<const ProbeTimeline*> FlightRecorder::timelines() const {
   return out;
 }
 
-std::string FlightRecorder::to_json() const {
-  std::string out = "{\"config\":{\"sample_rate\":";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", cfg_.sample_rate);
-  out += buf;
-  out += ",\"capacity\":" + std::to_string(cfg_.capacity) + "}";
-  out += ",\"probes_seen\":" + std::to_string(seen_);
-  out += ",\"probes_sampled\":" + std::to_string(sampled_);
-  out += ",\"evicted\":" + std::to_string(evicted_);
-  out += ",\"dropped_events\":" + std::to_string(dropped_);
+void FlightRecorder::write_json(json::Writer& w) const {
+  w.begin_object()
+      .key("config").begin_object()
+      .key("sample_rate").number(cfg_.sample_rate)
+      .key("capacity").integer(cfg_.capacity)
+      .end_object()
+      .key("probes_seen").integer(seen_)
+      .key("probes_sampled").integer(sampled_)
+      .key("evicted").integer(evicted_)
+      .key("dropped_events").integer(dropped_);
+  const auto event = [&w](TimeNs t, std::string_view name, std::uint64_t a,
+                          std::uint64_t b) {
+    w.begin_object()
+        .key("t").integer(t)
+        .key("event").string(name)
+        .key("a").integer(a)
+        .key("b").integer(b)
+        .end_object();
+  };
   if (!markers_.empty()) {
     // Omitted when empty so dumps from runs that emit no marker stay
     // unchanged.
-    out += ",\"markers\":[";
-    bool mfirst = true;
-    for (const Marker& m : markers_) {
-      if (!mfirst) out += ',';
-      mfirst = false;
-      out += "{\"t\":" + std::to_string(m.t) + ",\"event\":";
-      json::append_quoted(out, m.name);
-      out += ",\"a\":" + std::to_string(m.a) +
-             ",\"b\":" + std::to_string(m.b) + '}';
-    }
-    out += ']';
+    w.key("markers").begin_array();
+    for (const Marker& m : markers_) event(m.t, m.name, m.a, m.b);
+    w.end_array();
   }
-  out += ",\"timelines\":[";
-  bool first = true;
+  w.key("timelines").begin_array();
   for (const ProbeTimeline* tl : timelines()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"probe_id\":" + std::to_string(tl->probe_id) + ",\"kind\":";
-    json::append_quoted(out, tl->kind_name);
-    out += ",\"closed\":";
-    out += tl->closed() ? "true" : "false";
-    out += ",\"events\":[";
-    bool efirst = true;
+    w.begin_object()
+        .key("probe_id").integer(tl->probe_id)
+        .key("kind").string(tl->kind_name)
+        .key("closed").boolean(tl->closed())
+        .key("events").begin_array();
     for (const TimelineEvent& e : tl->events) {
-      if (!efirst) out += ',';
-      efirst = false;
-      out += "{\"t\":" + std::to_string(e.t) + ",\"event\":";
-      json::append_quoted(out, probe_event_name(e.kind));
-      out += ",\"a\":" + std::to_string(e.a) +
-             ",\"b\":" + std::to_string(e.b) + '}';
+      event(e.t, probe_event_name(e.kind), e.a, e.b);
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
 }
 
-std::string FlightRecorder::chrome_events() const {
+std::string FlightRecorder::to_json() const {
+  return json::to_string([this](json::Writer& w) { write_json(w); });
+}
+
+void FlightRecorder::write_chrome_events(json::Writer& w) const {
   // Markers are global instants on pid 1. Probe tracks are pid 2 with
   // tid = ring slot, so every sampled probe gets its own row: the probe's
   // whole life is the outer span, and each layer crossing nests inside it
   // (chrome nests same-tid 'X' events by containment).
-  std::string out;
-  std::string args;
   for (const Marker& m : markers_) {
-    args = "{\"a\":" + std::to_string(m.a) + ",\"b\":" + std::to_string(m.b) +
-           '}';
-    append_chrome_event(out, {.name = m.name,
-                              .cat = "marker",
-                              .ph = 'i',
-                              .pid = 1,
-                              .ts = m.t,
-                              .args = args});
+    begin_chrome_event(
+        w, {.name = m.name, .cat = "marker", .ph = 'i', .pid = 1, .ts = m.t});
+    w.key("args").begin_object()
+        .key("a").integer(m.a)
+        .key("b").integer(m.b)
+        .end_object().end_object();
   }
   for (const ProbeTimeline* tl : timelines()) {
     if (tl->events.empty()) continue;
     const auto it = index_.find(tl->probe_id);
     const std::size_t tid = it == index_.end() ? 0 : it->second;
-    args = "{\"probe_id\":" + std::to_string(tl->probe_id) + ",\"kind\":";
-    json::append_quoted(args, tl->kind_name);
-    args += '}';
     const auto span = [&](std::string_view name, TimeNs begin, TimeNs end) {
-      append_chrome_event(out, {.name = name,
-                                .cat = "probe",
-                                .pid = 2,
-                                .tid = tid,
-                                .ts = begin,
-                                .dur = std::max<TimeNs>(end - begin, 1),
-                                .args = args});
+      begin_chrome_event(w, {.name = name,
+                             .cat = "probe",
+                             .pid = 2,
+                             .tid = tid,
+                             .ts = begin,
+                             .dur = std::max<TimeNs>(end - begin, 1)});
+      w.key("args").begin_object()
+          .key("probe_id").integer(tl->probe_id)
+          .key("kind").string(tl->kind_name)
+          .end_object().end_object();
     };
     span("probe " + std::to_string(tl->probe_id), tl->events.front().t,
          tl->events.back().t);
@@ -271,7 +260,6 @@ std::string FlightRecorder::chrome_events() const {
            tl->events[i].t);
     }
   }
-  return out;
 }
 
 FlightRecorder& recorder() {

@@ -19,13 +19,14 @@
 //  * Bounded: `capacity` timelines (oldest evicted) with a per-probe event
 //    cap; batch bindings (transport correlation) are capped the same way.
 //
-// Process-level events (period closes, fault injections, control-plane
+// Process-level events (fault injections, chaos steps, control-plane
 // crashes and failovers) go on a separate marker track: a bounded FIFO of
 // named markers that never touches sampling.
 //
-// Rendering: `to_json()` for dumps, `chrome_events()` for the marker track
-// (pid 1 instants) and one track per sampled probe (pid 2, nested 'X'
-// spans), written through obs/chrome_trace.h.
+// Rendering, through json::Writer: `write_json()` for dumps,
+// `write_chrome_events()` for the marker track (pid 1 instants) and one
+// track per sampled probe (pid 2, nested 'X' spans), written through
+// obs/chrome_trace.h.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
@@ -119,8 +121,9 @@ struct FlightRecorderConfig {
 
 /// A process-level (not per-probe) event. Markers bypass sampling — they
 /// never touch the sampling Rng, so emitting one cannot perturb which probes
-/// get recorded. `a`/`b` are documented per name:
-///   period-close, budget-overrun  a = wall ns, b = top-cost prof::Stage
+/// get recorded. Markers carry simulated time only (the profiler's wall-clock
+/// period closes and budget overruns live on its own pid-3 track), so
+/// same-seed runs dump identical markers. `a`/`b` are documented per name:
 ///   <fault_kind_name>             a = fault handle, b = 1 inject / 0 clear
 ///   <chaos_step_name>             a = the step's campaign-relative time
 ///   controller-crash, -restart, -promote   a = Controller epoch
@@ -191,14 +194,16 @@ class FlightRecorder {
   /// Every live timeline, oldest first.
   [[nodiscard]] std::vector<const ProbeTimeline*> timelines() const;
 
-  /// {"config":{...},"sampled":N,...,"timelines":[...]}
+  /// {"config":{...},"probes_seen":N,...,"timelines":[...]}
+  void write_json(json::Writer& w) const;
+  /// write_json() into a string.
   [[nodiscard]] std::string to_json() const;
-  /// Comma-joined chrome://tracing event objects (no surrounding array):
-  /// every marker as a global instant on pid 1, then one track (pid 2,
-  /// tid = ring slot) per sampled probe, the probe's whole life as an outer
-  /// 'X' span with one nested 'X' span per layer crossing. Feed to
-  /// obs::chrome_trace().
-  [[nodiscard]] std::string chrome_events() const;
+  /// chrome://tracing events, written into the writer's open array: every
+  /// marker as a global instant on pid 1, then one track (pid 2, tid = ring
+  /// slot) per sampled probe, the probe's whole life as an outer 'X' span
+  /// with one nested 'X' span per layer crossing. See
+  /// obs::write_chrome_trace().
+  void write_chrome_events(json::Writer& w) const;
 
   [[nodiscard]] std::uint64_t probes_sampled() const { return sampled_; }
   [[nodiscard]] std::uint64_t probes_seen() const { return seen_; }

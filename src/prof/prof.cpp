@@ -4,11 +4,8 @@
 #include "prof/prof.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/json.h"
 #include "obs/chrome_trace.h"
-#include "obs/flight_recorder.h"
 #include "sim/scheduler.h"
 
 namespace rpm::prof {
@@ -32,19 +29,6 @@ struct LocalSlot {
 };
 thread_local LocalSlot t_slot;
 
-void append_u64(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_f64(std::string& out, const char* key, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.1f", key, v);
-  out += buf;
-}
-
 }  // namespace
 
 const char* stage_name(Stage s) {
@@ -61,35 +45,35 @@ void StageStats::merge(const StageStats& o) {
   sketch.merge(o.sketch);
 }
 
-std::string ProfileReport::to_json() const {
-  std::string out = "{\"stages\":[";
-  bool first = true;
+void ProfileReport::write_stage_rows(json::Writer& w,
+                                     bool nonempty_only) const {
+  w.begin_array();
   for (std::size_t i = 0; i < kNumStages; ++i) {
     const StageStats& st = stages[i];
-    if (!first) out += ',';
-    first = false;
-    out += "{\"stage\":";
-    json::append_quoted(out, kStageNames[i]);
-    out += ',';
-    append_u64(out, "count", st.count);
-    out += ',';
-    append_u64(out, "total_ns", st.total_ns);
-    out += ',';
-    append_u64(out, "min_ns", st.min_ns);
-    out += ',';
-    append_u64(out, "max_ns", st.max_ns);
-    out += ',';
-    append_f64(out, "p50_ns", st.p50_ns());
-    out += ',';
-    append_f64(out, "p99_ns", st.p99_ns());
-    out += '}';
+    if (nonempty_only && st.count == 0) continue;
+    w.begin_object()
+        .key("stage").string(kStageNames[i])
+        .key("count").integer(st.count)
+        .key("total_ns").integer(st.total_ns)
+        .key("min_ns").integer(st.min_ns)
+        .key("max_ns").integer(st.max_ns)
+        .key("p50_ns").fixed(st.p50_ns(), 1)
+        .key("p99_ns").fixed(st.p99_ns(), 1)
+        .end_object();
   }
-  out += "],";
-  append_u64(out, "budget_overruns", budget_overruns);
-  out += ',';
-  append_u64(out, "trace_events_dropped", trace_events_dropped);
-  out += '}';
-  return out;
+  w.end_array();
+}
+
+void ProfileReport::write_json(json::Writer& w) const {
+  w.begin_object();
+  write_stage_rows(w.key("stages"));
+  w.key("budget_overruns").integer(budget_overruns)
+      .key("trace_events_dropped").integer(trace_events_dropped)
+      .end_object();
+}
+
+std::string ProfileReport::to_json() const {
+  return json::to_string([this](json::Writer& w) { write_json(w); });
 }
 
 /// One thread's private accumulation state. `mu` is per-buffer (the owning
@@ -97,10 +81,13 @@ std::string ProfileReport::to_json() const {
 /// time), following the telemetry Histogram per-series-mutex precedent —
 /// uncontended in steady state, TSan-clean at the barrier.
 struct Profiler::ThreadBuf {
+  /// A stage span, or a budget-overrun instant at `start_ns` whose `dur_ns`
+  /// is the close's wall time and `stage` its top-cost stage.
   struct TraceEvent {
     Stage stage;
     std::uint64_t start_ns;  // wall ns since enable()
     std::uint64_t dur_ns;
+    bool overrun = false;
   };
 
   std::mutex mu;
@@ -155,19 +142,24 @@ void Profiler::record_slow(Stage s, std::uint64_t ns) {
   // sim.dispatch fires once per simulated event — millions per run — and
   // would fill the trace buffer within milliseconds, crowding out every
   // other stage's spans. It stays in the stats only.
-  if (cfg_.max_trace_events > 0 && s != Stage::kSimDispatch) {
-    if (buf->trace.size() < cfg_.max_trace_events) {
-      const auto now = std::chrono::steady_clock::now();
-      const auto since_epoch = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_)
-              .count());
-      const std::uint64_t start =
-          since_epoch > ns ? since_epoch - ns : 0;
-      buf->trace.push_back({s, start, ns});
-    } else {
-      ++buf->trace_dropped;
-    }
+  if (s != Stage::kSimDispatch && trace_room(*buf)) {
+    const std::uint64_t now = since_epoch();
+    buf->trace.push_back({s, now > ns ? now - ns : 0, ns});
   }
+}
+
+std::uint64_t Profiler::since_epoch() const {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
+}
+
+bool Profiler::trace_room(ThreadBuf& buf) const {
+  if (cfg_.max_trace_events == 0) return false;
+  if (buf.trace.size() < cfg_.max_trace_events) return true;
+  ++buf.trace_dropped;
+  return false;
 }
 
 Profiler::ThreadBuf* Profiler::local_buf() {
@@ -198,26 +190,40 @@ ProfileReport Profiler::report() const {
   return rep;
 }
 
-std::string Profiler::chrome_events() const {
-  std::string out;
+void Profiler::write_chrome_events(json::Writer& w) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::unique_ptr<ThreadBuf>& tb : bufs_) {
     std::lock_guard<std::mutex> buf_lock(tb->mu);
     for (const ThreadBuf::TraceEvent& e : tb->trace) {
       // pid 3 keeps the wall-clock stage tracks apart from the flight
       // recorder's sim-time markers (pid 1) and probe tracks (pid 2).
-      obs::append_chrome_event(
-          out, {.name = stage_name(e.stage),
-                .cat = "prof",
-                .pid = 3,
-                .tid = tb->index,
-                .ts = static_cast<TimeNs>(e.start_ns),
-                .dur = static_cast<TimeNs>(std::max<std::uint64_t>(
-                    e.dur_ns, 1)),
-                .args = {}});
+      obs::begin_chrome_event(
+          w, {.name = e.overrun ? "budget-overrun" : stage_name(e.stage),
+              .cat = "prof",
+              .ph = e.overrun ? 'i' : 'X',
+              .scope = 't',
+              .pid = 3,
+              .tid = tb->index,
+              .ts = static_cast<TimeNs>(e.start_ns),
+              .dur = static_cast<TimeNs>(std::max<std::uint64_t>(e.dur_ns,
+                                                                 1))});
+      if (e.overrun) {
+        w.key("args").begin_object()
+            .key("wall_ns").integer(e.dur_ns)
+            .key("top_stage").string(stage_name(e.stage))
+            .end_object();
+      }
+      w.end_object();
     }
   }
-  return out;
+}
+
+std::string Profiler::chrome_events() const {
+  return json::to_string([this](json::Writer& w) {
+    w.begin_array();
+    write_chrome_events(w);
+    w.end_array();
+  });
 }
 
 void Profiler::fold_totals(
@@ -260,11 +266,15 @@ void Profiler::note_period_close(
     last_close_.top_stage = static_cast<Stage>(top);
     last_close_.overrun = overrun;
   }
-  obs::recorder().marker("period-close", wall_ns, top);
   if (overrun) {
     overruns_.fetch_add(1, std::memory_order_relaxed);
     m_overruns_.inc();
-    obs::recorder().marker("budget-overrun", wall_ns, top);
+    ThreadBuf* buf = local_buf();
+    std::lock_guard<std::mutex> lock(buf->mu);
+    if (trace_room(*buf)) {
+      buf->trace.push_back({static_cast<Stage>(top), since_epoch(), wall_ns,
+                            true});
+    }
   }
 }
 

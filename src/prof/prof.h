@@ -22,16 +22,18 @@
 //    the folded report does not depend on thread registration order.
 //
 // Outputs: `rpm_prof_stage_*{stage}` metrics (registry collector, installed
-// while enabled), `ProfileReport::to_json()` dumps, and `chrome_events()` —
-// per-thread chrome://tracing tracks (pid 3, wall-clock timeline) that
-// obs::chrome_trace() puts next to the flight recorder's sim-time tracks.
-// sim.dispatch samples feed the stats but not the tracks.
+// while enabled), `ProfileReport::write_json()` dumps, and
+// `write_chrome_events()` — per-thread chrome://tracing tracks (pid 3,
+// wall-clock timeline) that obs::write_chrome_trace() puts next to the
+// flight recorder's sim-time tracks. sim.dispatch samples feed the stats but
+// not the tracks. The profiler writes nothing into the flight recorder, so
+// wall time never reaches the sim-time record.
 //
 // The period-close watchdog: `PeriodCloseScope` wraps one Analyzer period
 // close (drain -> verdict -> checkpoint) or GlobalAnalyzer merge. When the
 // close exceeds `ProfilerConfig::period_close_budget`, it bumps
-// `rpm_prof_budget_overruns_total` and emits a "budget-overrun" flight-
-// recorder marker naming the top-cost stage of that close.
+// `rpm_prof_budget_overruns_total` and puts a "budget-overrun" instant on
+// the pid-3 track carrying the close's wall ns and its top-cost stage.
 #pragma once
 
 #include <array>
@@ -43,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 #include "sketch/sketch.h"
 #include "telemetry/metrics.h"
@@ -101,9 +104,13 @@ struct ProfileReport {
   [[nodiscard]] const StageStats& stage(Stage s) const {
     return stages[static_cast<std::size_t>(s)];
   }
-  /// {"stages":[{"stage":...,"count":...,"total_ns":...,"min_ns":...,
-  ///  "max_ns":...,"p50_ns":...,"p99_ns":...},...],
-  ///  "budget_overruns":N,"trace_events_dropped":N}
+  /// [{"stage":...,"count":...,"total_ns":...,"min_ns":...,"max_ns":...,
+  ///   "p50_ns":...,"p99_ns":...},...], one row per stage; `nonempty_only`
+  /// skips the stages without samples.
+  void write_stage_rows(json::Writer& w, bool nonempty_only = false) const;
+  /// {"stages":<every row>,"budget_overruns":N,"trace_events_dropped":N}
+  void write_json(json::Writer& w) const;
+  /// write_json() into a string.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -163,9 +170,12 @@ class Profiler {
   /// Readable while enabled and after disable().
   [[nodiscard]] ProfileReport report() const;
 
-  /// Comma-joined chrome://tracing 'X' events — one track per recording
-  /// thread (pid 3, tid = registration index), ts = wall microseconds since
-  /// enable(). Feed to obs::chrome_trace().
+  /// chrome://tracing events, written into the writer's open array: one
+  /// track per recording thread (pid 3, tid = registration index) of 'X'
+  /// stage spans and thread-scoped "budget-overrun" instants, ts = wall
+  /// microseconds since enable(). See obs::write_chrome_trace().
+  void write_chrome_events(json::Writer& w) const;
+  /// write_chrome_events() as one JSON array.
   [[nodiscard]] std::string chrome_events() const;
 
   [[nodiscard]] std::uint64_t budget_overruns() const {
@@ -180,6 +190,9 @@ class Profiler {
 
   void record_slow(Stage s, std::uint64_t ns);
   ThreadBuf* local_buf();
+  [[nodiscard]] std::uint64_t since_epoch() const;
+  /// True when `buf` may take one more trace event; counts the drop if not.
+  bool trace_room(ThreadBuf& buf) const;
   /// count/total only (cheap), for per-close deltas.
   void fold_totals(std::array<std::uint64_t, kNumStages>& totals) const;
   void note_period_close(std::uint64_t wall_ns,
@@ -233,9 +246,9 @@ class StageScope {
 /// RAII watchdog around one period close (Analyzer::analyze_now,
 /// GlobalAnalyzer::merge_now). Records the close's wall cost as
 /// Stage::kPeriodClose; on destruction it diffs per-stage totals to name
-/// the top-cost stage of this close, emits a "period-close" flight-recorder
-/// marker, and — when the configured budget is exceeded — bumps
-/// rpm_prof_budget_overruns_total and emits a "budget-overrun" marker.
+/// the top-cost stage of this close (last_period_close()) and — when the
+/// configured budget is exceeded — bumps rpm_prof_budget_overruns_total and
+/// adds a "budget-overrun" instant to the pid-3 track.
 class PeriodCloseScope {
  public:
   PeriodCloseScope();

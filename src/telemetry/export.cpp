@@ -1,14 +1,24 @@
 #include "telemetry/export.h"
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
-#include "common/json.h"
-
 namespace rpm::telemetry {
 
 namespace {
+
+// A sample value: integral values without a fraction ("42"), everything
+// else as %.9g. Deterministic across runs given identical doubles.
+std::string sample_value(double v) {
+  char buf[40];
+  const bool integral =
+      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.9g", v);
+  return buf;
+}
 
 // Prometheus exposition format: inside a label value, backslash, double
 // quote, and newline MUST be escaped (\\, \", \n) or the scrape breaks.
@@ -88,7 +98,7 @@ std::string to_prometheus(const Snapshot& snap) {
         break;
       case MetricType::kGauge:
         out += s.name + prometheus_labels(s.labels, nullptr, nullptr) + ' ' +
-               json::fmt_double(s.gauge_value) + '\n';
+               sample_value(s.gauge_value) + '\n';
         break;
       case MetricType::kHistogram: {
         static constexpr std::pair<const char*, double SeriesSample::*>
@@ -98,10 +108,10 @@ std::string to_prometheus(const Snapshot& snap) {
                             {"0.999", &SeriesSample::hist_p999}};
         for (const auto& [q, member] : kQuantiles) {
           out += s.name + prometheus_labels(s.labels, "quantile", q) + ' ' +
-                 json::fmt_double(s.*member) + '\n';
+                 sample_value(s.*member) + '\n';
         }
         out += s.name + "_sum" + prometheus_labels(s.labels, nullptr, nullptr) +
-               ' ' + json::fmt_double(s.hist_sum) + '\n';
+               ' ' + sample_value(s.hist_sum) + '\n';
         out += s.name + "_count" +
                prometheus_labels(s.labels, nullptr, nullptr) + ' ' +
                std::to_string(s.hist_count) + '\n';
@@ -112,54 +122,10 @@ std::string to_prometheus(const Snapshot& snap) {
   return out;
 }
 
-std::string to_json(const Snapshot& snap) {
-  std::string out = "{\"metrics\":[";
-  bool first = true;
-  for (const SeriesSample& s : snap.series) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    json::append_quoted(out, s.name);
-    out += ",\"type\":";
-    json::append_quoted(out, metric_type_name(s.type));
-    out += ",\"labels\":{";
-    bool lfirst = true;
-    for (const Label& l : s.labels) {
-      if (!lfirst) out += ',';
-      lfirst = false;
-      json::append_quoted(out, l.key);
-      out += ':';
-      json::append_quoted(out, l.value);
-    }
-    out += '}';
-    switch (s.type) {
-      case MetricType::kCounter:
-        out += ",\"value\":" + std::to_string(s.counter_value);
-        break;
-      case MetricType::kGauge:
-        out += ",\"value\":" + json::fmt_double(s.gauge_value);
-        break;
-      case MetricType::kHistogram:
-        out += ",\"count\":" + std::to_string(s.hist_count) +
-               ",\"sum\":" + json::fmt_double(s.hist_sum) +
-               ",\"p50\":" + json::fmt_double(s.hist_p50) +
-               ",\"p90\":" + json::fmt_double(s.hist_p90) +
-               ",\"p99\":" + json::fmt_double(s.hist_p99) +
-               ",\"p999\":" + json::fmt_double(s.hist_p999);
-        break;
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 PeriodicDumper::PeriodicDumper(sim::Scheduler& sched, TimeNs period,
-                               Sink sink, ExportFormat format,
-                               MetricsRegistry* reg)
+                               Sink sink, MetricsRegistry* reg)
     : reg_(reg),
       sink_(std::move(sink)),
-      format_(format),
       task_(sched, period, [this] { dump_now(); }) {
   if (!sink_) throw std::invalid_argument("PeriodicDumper: sink required");
 }
@@ -176,9 +142,7 @@ bool PeriodicDumper::running() const { return task_.running(); }
 
 void PeriodicDumper::dump_now() {
   ++dumps_;
-  const Snapshot snap = reg_->snapshot();
-  sink_(format_ == ExportFormat::kPrometheus ? to_prometheus(snap)
-                                             : to_json(snap));
+  sink_(to_prometheus(reg_->snapshot()));
 }
 
 }  // namespace rpm::telemetry

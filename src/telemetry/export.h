@@ -1,9 +1,8 @@
-// Exporters for MetricsRegistry snapshots: Prometheus text exposition
-// format and a JSON document, plus a PeriodicTask-driven dumper that
-// snapshots the registry on the simulation clock (the sim-world stand-in
-// for a scrape loop).
+// Exporter for MetricsRegistry snapshots: the Prometheus text exposition
+// format, plus a PeriodicTask-driven dumper that snapshots the registry on
+// the simulation clock (the sim-world stand-in for a scrape loop).
 //
-// Both renderings are deterministic for a deterministic snapshot: families
+// The rendering is deterministic for a deterministic snapshot: families
 // sorted by name, series by canonical label key, no timestamps, fixed float
 // formatting. That is what makes golden-file tests of a fixed-seed run
 // possible.
@@ -22,13 +21,8 @@ namespace rpm::telemetry {
 /// series; histograms render as summaries (quantile series + _sum + _count).
 std::string to_prometheus(const Snapshot& snap);
 
-/// JSON: {"metrics":[{"name":...,"type":...,"labels":{...},...}, ...]}.
-std::string to_json(const Snapshot& snap);
-
-enum class ExportFormat { kPrometheus, kJson };
-
 /// Periodically snapshots a registry on the simulated clock and hands the
-/// rendered text to a sink (stdout, a file, a test buffer). This is the
+/// Prometheus text to a sink (stdout, a file, a test buffer). This is the
 /// simulated equivalent of a Prometheus scrape: examples hook it into the
 /// cluster's scheduler next to the Analyzer's 20 s loop.
 class PeriodicDumper {
@@ -36,7 +30,6 @@ class PeriodicDumper {
   using Sink = std::function<void(const std::string&)>;
 
   PeriodicDumper(sim::Scheduler& sched, TimeNs period, Sink sink,
-                 ExportFormat format = ExportFormat::kPrometheus,
                  MetricsRegistry* reg = &registry());
   ~PeriodicDumper();
 
@@ -52,7 +45,6 @@ class PeriodicDumper {
  private:
   MetricsRegistry* reg_;
   Sink sink_;
-  ExportFormat format_;
   std::uint64_t dumps_ = 0;
   sim::PeriodicTask task_;
 };

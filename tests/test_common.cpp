@@ -1,9 +1,13 @@
 // Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics,
-// seq dedup, little-endian fields, the leveled logger.
+// seq dedup, little-endian fields, the leveled logger, the JSON writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +17,7 @@
 #include "common/codec.h"
 #include "common/dedup.h"
 #include "common/five_tuple.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -287,6 +292,177 @@ TEST(Log, ThresholdDropsLowerLevelsAndKeptLinesAreWhole) {
   log_warn() << "dropped";
   log_error() << "e";
   EXPECT_EQ(out.str(), "[ERROR] e\n");
+}
+
+// ---- the JSON writer ----
+
+json::Value writer_fixture() {
+  json::Value row{json::Object{}};
+  row.set("id", 7);
+  row.set("tags", json::Array{"a", json::Value(json::Array{}), 2.5});
+  json::Value v{json::Object{}};
+  v.set("int", -42);
+  v.set("max", std::numeric_limits<std::int64_t>::max());
+  v.set("double", 0.1);
+  v.set("integral", 3.0);
+  v.set("huge", 1e21);
+  v.set("escapes", "q\"b\\n\nr\rt\tc\x01\x1f/");
+  v.set("yes", true);
+  v.set("nothing", nullptr);
+  v.set("empty_array", json::Array{});
+  v.set("empty_object", json::Object{});
+  v.set("rows", json::Array{row, json::Value(json::Object{})});
+  return v;
+}
+
+TEST(JsonWriter, DumpBytesArePinned) {
+  // Every Value-based artifact (plans, corpus files, FuzzReport) prints in
+  // these two layouts; a byte changed here changes all of them.
+  const json::Value v = writer_fixture();
+  EXPECT_EQ(v.dump(),
+            "{\"int\":-42,\"max\":9223372036854775807,\"double\":0.1,"
+            "\"integral\":3.0,\"huge\":1e+21,"
+            "\"escapes\":\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f/\","
+            "\"yes\":true,\"nothing\":null,\"empty_array\":[],"
+            "\"empty_object\":{},"
+            "\"rows\":[{\"id\":7,\"tags\":[\"a\",[],2.5]},{}]}");
+  EXPECT_EQ(v.dump(2),
+            "{\n"
+            "  \"int\": -42,\n"
+            "  \"max\": 9223372036854775807,\n"
+            "  \"double\": 0.1,\n"
+            "  \"integral\": 3.0,\n"
+            "  \"huge\": 1e+21,\n"
+            "  \"escapes\": \"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f/\",\n"
+            "  \"yes\": true,\n"
+            "  \"nothing\": null,\n"
+            "  \"empty_array\": [],\n"
+            "  \"empty_object\": {},\n"
+            "  \"rows\": [\n"
+            "    {\n"
+            "      \"id\": 7,\n"
+            "      \"tags\": [\n"
+            "        \"a\",\n"
+            "        [],\n"
+            "        2.5\n"
+            "      ]\n"
+            "    },\n"
+            "    {}\n"
+            "  ]\n"
+            "}");
+  EXPECT_EQ(json::Value::parse(v.dump(2)).dump(), v.dump());
+}
+
+TEST(JsonWriter, PrettyRowsPutsOneArrayRowPerLine) {
+  std::string out;
+  json::Writer w(out, json::Layout::kPrettyRows);
+  w.begin_object().key("seed").integer(7).key("rows").begin_array();
+  w.begin_object().key("a").integer(1).key("b").string("x").end_object();
+  w.begin_object().key("a").integer(2).key("b").null().end_object();
+  w.end_array().key("none").begin_array().end_array().end_object().newline();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"seed\": 7,\n"
+            "  \"rows\": [\n"
+            "    {\"a\": 1, \"b\": \"x\"},\n"
+            "    {\"a\": 2, \"b\": null}\n"
+            "  ],\n"
+            "  \"none\": []\n"
+            "}\n");
+}
+
+TEST(JsonWriter, EachNumberForm) {
+  const auto one = [](const std::function<void(json::Writer&)>& put) {
+    std::string out;
+    json::Writer w(out);
+    put(w);
+    return out;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // Exact integers.
+  EXPECT_EQ(one([](json::Writer& w) {
+              w.integer(std::numeric_limits<std::int64_t>::min());
+            }),
+            "-9223372036854775808");
+  EXPECT_EQ(one([](json::Writer& w) {
+              w.integer(std::numeric_limits<std::uint64_t>::max());
+            }),
+            "18446744073709551615");
+  // Shortest round trip, integral values kept recognizably double.
+  EXPECT_EQ(one([](json::Writer& w) { w.shortest(0.1); }), "0.1");
+  EXPECT_EQ(one([](json::Writer& w) { w.shortest(3.0); }), "3.0");
+  EXPECT_EQ(one([](json::Writer& w) { w.shortest(-0.0); }), "-0.0");
+  EXPECT_EQ(one([](json::Writer& w) { w.shortest(1e21); }), "1e+21");
+  // %.0f for integral values below 1e15, %.9g otherwise.
+  EXPECT_EQ(one([](json::Writer& w) { w.number(42.0); }), "42");
+  EXPECT_EQ(one([](json::Writer& w) { w.number(-2.5); }), "-2.5");
+  EXPECT_EQ(one([](json::Writer& w) { w.number(1.0 / 3); }), "0.333333333");
+  EXPECT_EQ(one([](json::Writer& w) { w.number(1e15); }), "1e+15");
+  // Fixed decimals.
+  EXPECT_EQ(one([](json::Writer& w) { w.fixed(1234.5, 2); }), "1234.50");
+  EXPECT_EQ(one([](json::Writer& w) { w.fixed(0.0005, 3); }), "0.001");
+  // JSON has no inf/nan.
+  EXPECT_EQ(one([inf](json::Writer& w) {
+              w.begin_array().shortest(inf).number(-inf).fixed(inf, 3);
+              w.number(std::nan("")).end_array();
+            }),
+            "[null,null,null,null]");
+  // The printf-style forms print exactly what printf does.
+  char buf[64];
+  for (const double v : {0.0, 1e-9, 0.125, 2.5, 1.0 / 7, 999.9995, 12345.678,
+                         -3.14159, 4.35e6, 1e15 + 0.5, 6.02e23}) {
+    for (int d = 0; d <= 6; ++d) {
+      std::snprintf(buf, sizeof(buf), "%.*f", d, v);
+      EXPECT_EQ(one([&](json::Writer& w) { w.fixed(v, d); }), buf) << v;
+    }
+    const bool integral = v == std::floor(v) && std::fabs(v) < 1e15;
+    std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.9g", v);
+    EXPECT_EQ(one([&](json::Writer& w) { w.number(v); }), buf) << v;
+  }
+}
+
+TEST(JsonValue, ParseRejectsUnescapedControlCharacters) {
+  EXPECT_EQ(json::Value::parse("\"a\\nb\\u0001\"").as_string(), "a\nb\x01");
+  EXPECT_THROW((void)json::Value::parse("\"a\nb\""), std::runtime_error);
+  EXPECT_THROW((void)json::Value::parse("\"a\x01\""), std::runtime_error);
+}
+
+/// A document well past the file sink's 64 KiB chunk.
+void big_document(json::Writer& w) {
+  w.begin_array();
+  for (int i = 0; i < 20000; ++i) {
+    w.begin_object().key("i").integer(i).key("s").string("row \"").end_object();
+  }
+  w.end_array().newline();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(JsonWriter, FileSinkWritesTheStringSinksBytes) {
+  std::string expected;
+  json::Writer w(expected);
+  big_document(w);
+  ASSERT_GT(expected.size(), std::size_t{3} << 16);
+
+  const std::string path = ::testing::TempDir() + "json_writer_sink.json";
+  ASSERT_TRUE(json::write_file(path, json::Layout::kCompact, big_document));
+  EXPECT_EQ(slurp(path), expected);
+  std::remove(path.c_str());
+}
+
+TEST(JsonWriter, FileSinkReportsFailure) {
+  // /dev/full accepts the open and fails every write: a short document fails
+  // at the close, a long one at its first chunk.
+  EXPECT_FALSE(json::write_file("/dev/full", json::Layout::kCompact,
+                                [](json::Writer& w) { w.integer(1); }));
+  EXPECT_FALSE(
+      json::write_file("/dev/full", json::Layout::kCompact, big_document));
+  EXPECT_FALSE(json::write_file(::testing::TempDir() + "no/such/dir.json",
+                                json::Layout::kCompact,
+                                [](json::Writer& w) { w.integer(1); }));
 }
 
 }  // namespace

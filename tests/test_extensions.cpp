@@ -248,12 +248,5 @@ TEST_F(RootCauseTest, HintsAreRankedAndDeduplicated) {
   }
 }
 
-TEST(RootCauseHintsJson, EscapesControlCharacters) {
-  const std::string j = core::hints_json({{"c\t\r\x01", 0.5, "e\t\r\x01"}});
-  EXPECT_EQ(j,
-            "[{\"cause\":\"c\\t\\r\\u0001\",\"confidence\":0.500,"
-            "\"evidence\":\"e\\t\\r\\u0001\"}]");
-}
-
 }  // namespace
 }  // namespace rpm

@@ -172,7 +172,10 @@ TEST(FlightRecorderTest, JsonAndChromeRenderings) {
   EXPECT_NE(json.find("\"agent-enqueue\""), std::string::npos);
   EXPECT_NE(json.find("\"closed\":true"), std::string::npos);
   EXPECT_NE(json.find("\"probes_sampled\":1"), std::string::npos);
-  const std::string chrome = rec.chrome_events();
+  std::string chrome;
+  json::Writer w(chrome);
+  obs::write_chrome_trace(
+      w, [&rec](json::Writer& events) { rec.write_chrome_events(events); });
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(chrome.find("\"probe_id\":7"), std::string::npos);
@@ -226,8 +229,13 @@ TEST(FlightRecorderTest, ChromeTraceJoinsMarkersProbesAndStages) {
   p.record(prof::Stage::kPeriodClose, 1000);
   p.disable();
 
-  const json::Value doc = json::Value::parse(
-      obs::chrome_trace({rec.chrome_events(), p.chrome_events()}));
+  std::string trace;
+  json::Writer w(trace);
+  obs::write_chrome_trace(w, [&](json::Writer& events) {
+    rec.write_chrome_events(events);
+    p.write_chrome_events(events);
+  });
+  const json::Value doc = json::Value::parse(trace);
   EXPECT_EQ(doc.get_string("displayTimeUnit"), "ms");
   ASSERT_NE(doc.find("traceEvents"), nullptr);
   std::set<std::int64_t> pids;
@@ -244,8 +252,10 @@ TEST(FlightRecorderTest, ChromeTraceJoinsMarkersProbesAndStages) {
     EXPECT_EQ(e.find("args")->get_int("b"), 1);
   }
   EXPECT_EQ(pids, (std::set<std::int64_t>{1, 2, 3}));
-  EXPECT_EQ(obs::chrome_trace({"", ""}),
-            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+  std::string empty;
+  json::Writer ew(empty);
+  obs::write_chrome_trace(ew, [](json::Writer&) {});
+  EXPECT_EQ(empty, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
 }
 
 // ---- diagnosis evidence chains ----

@@ -4,12 +4,13 @@
 //  * per-thread folds are deterministic: the same samples recorded from
 //    many threads and from one thread produce byte-identical reports;
 //  * the period-close watchdog fires at the configured budget, bumps
-//    rpm_prof_budget_overruns_total, and drops a "budget-overrun" flight-
-//    recorder marker naming the top-cost stage;
+//    rpm_prof_budget_overruns_total, and puts a "budget-overrun" instant
+//    naming the top-cost stage on the profiler's own pid-3 track;
 //  * the repo invariant: a chaos campaign with the profiler fully enabled
 //    (scheduler hook included) emits byte-identical ChaosReport JSON to the
 //    same campaign with the profiler off — wall time never leaks into sim
-//    decisions;
+//    decisions — and two profiled same-seed runs dump byte-identical flight
+//    records;
 //  * rpm_prof_stage_* metrics appear in the Prometheus scrape while the
 //    profiler is enabled and vanish after disable();
 //  * chrome_events() produces pid-3 tracks that sim.dispatch cannot crowd
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.h"
+#include "common/json.h"
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
@@ -168,16 +170,23 @@ TEST_F(ProfTest, WatchdogFiresAtConfiguredBudget) {
   EXPECT_GT(close.wall_ns, 0u);
   EXPECT_EQ(close.top_stage, Stage::kDrainSla);
 
-  // Both markers landed: the always-on period-close and the overrun.
-  ASSERT_EQ(obs::recorder().markers().size(), 2u);
-  const obs::Marker& pc = obs::recorder().markers()[0];
-  const obs::Marker& ov = obs::recorder().markers()[1];
-  EXPECT_STREQ(pc.name, "period-close");
-  EXPECT_STREQ(ov.name, "budget-overrun");
-  EXPECT_EQ(ov.a, close.wall_ns);
-  EXPECT_EQ(ov.b, static_cast<std::uint64_t>(Stage::kDrainSla));
-  EXPECT_NE(obs::recorder().to_json().find("budget-overrun"),
-            std::string::npos);
+  // The overrun is a thread-scoped instant on the profiler's own track,
+  // carrying the close's wall ns and top-cost stage; the sim-time flight
+  // recorder gets nothing.
+  const json::Value events = json::Value::parse(profiler().chrome_events());
+  const json::Value* overrun = nullptr;
+  for (const json::Value& e : events.as_array()) {
+    if (e.get_string("name") == "budget-overrun") overrun = &e;
+  }
+  ASSERT_NE(overrun, nullptr);
+  EXPECT_EQ(overrun->get_int("pid"), 3);
+  EXPECT_EQ(overrun->get_string("ph"), "i");
+  EXPECT_EQ(overrun->get_string("s"), "t");
+  ASSERT_NE(overrun->find("args"), nullptr);
+  EXPECT_EQ(overrun->find("args")->get_int("wall_ns"),
+            static_cast<std::int64_t>(close.wall_ns));
+  EXPECT_EQ(overrun->find("args")->get_string("top_stage"), "drain.sla");
+  EXPECT_TRUE(obs::recorder().markers().empty());
 
   // Registry sees the overrun counter.
   const telemetry::Snapshot snap = telemetry::registry().snapshot();
@@ -238,7 +247,7 @@ TEST_F(ProfTest, ChromeEventsEmitPid3Tracks) {
     StageScope scope(Stage::kTransportDeliver);
   }
   profiler().disable();
-  EXPECT_EQ(profiler().chrome_events(), "");
+  EXPECT_EQ(profiler().chrome_events(), "[]");
   EXPECT_EQ(profiler().report().stage(Stage::kTransportDeliver).count, 1u);
 
   // Overflow is counted, not kept.
@@ -300,10 +309,19 @@ topo::ClosConfig clos_cfg() {
 
 /// One full chaos campaign (federated, standby Controller) with the
 /// profiler in the given state; returns the deterministic ChaosReport JSON.
-std::string campaign_report(bool profiler_on) {
+/// With `flight`, the flight recorder samples the run and `*flight` gets its
+/// dump.
+std::string campaign_report(bool profiler_on, std::string* flight = nullptr) {
   host::ClusterConfig ccfg;
   ccfg.seed = 7;
   host::Cluster cluster(topo::build_clos(clos_cfg()), ccfg);
+  if (flight != nullptr) {
+    obs::FlightRecorderConfig fcfg;
+    fcfg.sample_rate = 0.05;
+    obs::recorder().enable(fcfg, [&cluster] {
+      return cluster.scheduler().now();
+    });
+  }
 
   core::RPingmeshConfig rcfg;
   rcfg.analyzer.period = sec(5);
@@ -357,6 +375,10 @@ std::string campaign_report(bool profiler_on) {
     profiler().disable();
     Profiler::detach_scheduler(cluster.scheduler());
   }
+  if (flight != nullptr) {
+    *flight = obs::recorder().to_json();
+    obs::recorder().disable();
+  }
   return report;
 }
 
@@ -364,6 +386,18 @@ TEST_F(ProfTest, ProfilerOnVsOffByteIdenticalChaosReport) {
   const std::string off = campaign_report(false);
   const std::string on = campaign_report(true);
   EXPECT_EQ(off, on) << "wall-clock profiling leaked into sim decisions";
+}
+
+TEST_F(ProfTest, ProfiledSameSeedRunsDumpIdenticalFlightRecords) {
+  // The watchdog fires on every close, yet wall time stays on the
+  // profiler's own track: the sim-time record of two runs is the same.
+  std::string first;
+  std::string second;
+  (void)campaign_report(true, &first);
+  (void)campaign_report(true, &second);
+  EXPECT_NE(first.find("\"markers\""), std::string::npos);
+  EXPECT_NE(first.find("\"probe_id\""), std::string::npos);
+  EXPECT_TRUE(first == second) << "wall time leaked into the flight recorder";
 }
 
 }  // namespace

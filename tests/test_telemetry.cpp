@@ -1,5 +1,5 @@
 // Tests for the self-observability subsystem: MetricsRegistry lifecycle,
-// label deduplication, histogram percentiles, deterministic Prometheus/JSON
+// label deduplication, histogram percentiles, deterministic Prometheus
 // golden output, and the PeriodicDumper scrape loop.
 #include <gtest/gtest.h>
 
@@ -165,21 +165,6 @@ TEST(Export, PrometheusGolden) {
             "t_requests_total{host=\"1\",kind=\"a\"} 7\n");
 }
 
-TEST(Export, JsonGolden) {
-  MetricsRegistry reg;
-  const std::string text = to_json(golden_registry(reg).snapshot());
-  EXPECT_EQ(
-      text,
-      "{\"metrics\":["
-      "{\"name\":\"t_queue_depth\",\"type\":\"gauge\",\"labels\":{},"
-      "\"value\":2.5},"
-      "{\"name\":\"t_requests_total\",\"type\":\"counter\","
-      "\"labels\":{\"host\":\"0\",\"kind\":\"b\"},\"value\":3},"
-      "{\"name\":\"t_requests_total\",\"type\":\"counter\","
-      "\"labels\":{\"host\":\"1\",\"kind\":\"a\"},\"value\":7}"
-      "]}");
-}
-
 TEST(Export, HistogramRendersAsSummary) {
   MetricsRegistry reg;
   Histogram h = reg.histogram("t_lat_ns", "latency", {{"stage", "classify"}});
@@ -250,7 +235,7 @@ TEST(Export, HistogramCountSumSurviveTextRoundTrip) {
 
 TEST(Export, SurvivabilityMetricsRoundTrip) {
   // The five metric families the control-plane survivability layer emits
-  // (src/core agent + controller) must survive both exporters intact: a
+  // (src/core agent + controller) must survive the exporter intact: a
   // counter pair, a depth gauge, a registration gauge, and the
   // reconnect-backoff histogram (rendered as a summary).
   MetricsRegistry reg;
@@ -287,16 +272,6 @@ TEST(Export, SurvivabilityMetricsRoundTrip) {
   EXPECT_NE(
       prom.find("rpm_agent_reconnect_backoff_delay_ns_count{host=\"1\"} 2\n"),
       std::string::npos);
-
-  const std::string json = to_json(snap);
-  for (const char* name :
-       {"rpm_agent_lease_expired_total", "rpm_agent_reregistrations_total",
-        "rpm_agent_spill_ring_depth", "rpm_controller_registered_agents",
-        "rpm_agent_reconnect_backoff_delay_ns"}) {
-    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
-              std::string::npos)
-        << name;
-  }
 }
 
 TEST(Export, PrometheusEscapesHostileLabelValues) {
@@ -356,7 +331,6 @@ TEST(Export, DeterministicAcrossIdenticalRegistries) {
   MetricsRegistry b;
   EXPECT_EQ(to_prometheus(golden_registry(a).snapshot()),
             to_prometheus(golden_registry(b).snapshot()));
-  EXPECT_EQ(to_json(a.snapshot()), to_json(b.snapshot()));
 }
 
 // ---- periodic dumper on the sim clock ----
@@ -370,7 +344,7 @@ TEST(Export, PeriodicDumperFollowsSimClock) {
       sched, sec(1), [&dumps](const std::string& text) {
         dumps.push_back(text);
       },
-      ExportFormat::kPrometheus, &reg);
+      &reg);
   dumper.start(sec(1));
   ticks.inc(5);
   sched.run_until(sec(3));
