@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the R-Pingmesh pipeline: 5-tuple hashing, ECMP resolution, fabric
-// fluid steps, packet sends, a full Analyzer period, and the telemetry
-// primitives sprinkled through all of the above.
+// fluid steps, packet sends, scheduler churn, a full Analyzer period, and
+// the telemetry primitives sprinkled through all of the above.
 #include <any>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -159,6 +160,31 @@ void BM_AnalyzerPeriod(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n_records);
 }
 BENCHMARK(BM_AnalyzerPeriod)->Arg(10000)->Arg(50000);
+
+// Per-event cost of the scheduler itself: range(0) events stay pending, and
+// each one, when it runs, reschedules a copy of itself (a 40-byte capture)
+// 1-1024 ns ahead. One iteration = one event popped, run and pushed.
+void BM_SchedulerChurn(benchmark::State& state) {
+  struct Churn {
+    sim::Scheduler* sched;
+    std::uint64_t lcg;
+    std::uint64_t pad[3];
+    void operator()() {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      sched->schedule_after(static_cast<TimeNs>(1 + (lcg >> 54)), *this);
+    }
+  };
+  static_assert(sizeof(Churn) == 40);
+  sim::InlineScheduler sched;
+  const auto pending = static_cast<std::uint64_t>(state.range(0));
+  for (std::uint64_t i = 0; i < pending; ++i) {
+    sched.schedule_after(static_cast<TimeNs>(i % 1024),
+                         Churn{&sched, i, {}});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sched.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerChurn)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // Full per-message cost of the control-plane transport on a clean channel:
 // send + scheduled delivery + handler + ack + (no-op) retry timer — the

@@ -274,7 +274,10 @@ void Agent::start() {
     // Stagger task phases so hosts do not fire in lockstep.
     st.tormesh_task->start(rng_.uniform_int(0, st.tormesh.probe_interval));
     st.intertor_task->start(rng_.uniform_int(0, msec(100)));
-    st.service_task->start(rng_.uniform_int(0, cfg_.service_probe_interval));
+    const TimeNs service_phase =
+        rng_.uniform_int(0, cfg_.service_probe_interval);
+    st.service_origin = sched.now() + service_phase;
+    st.service_task->start(service_phase);
   }
   upload_task_ = std::make_unique<sim::PeriodicTask>(
       sched, cfg_.upload_interval, [this] { upload_now(); });
@@ -424,6 +427,7 @@ void Agent::apply_pinglist_response(PinglistPullResponse rsp) {
     for (const auto& [qpn, entry] : st.service_by_qpn) {
       st.service.push_back(entry);
     }
+    wake_service_tracing(st);
   }
 }
 
@@ -471,7 +475,11 @@ void Agent::probe_next(std::uint32_t slot, ProbeKind kind) {
                     [this, &st](const verbs::ModifyQpEvent& e) {
                       return track_service(st, e);
                     });
-      if (st.service.empty()) return;  // Service Tracing paused (§4.2.2)
+      if (st.service.empty()) {
+        // Service Tracing paused (§4.2.2): sleep until a connect wakes us.
+        if (st.parked_services.empty()) st.service_task->cancel();
+        return;
+      }
       if (st.service_next >= st.service.size()) {
         // New round: shuffle so probes never phase-lock with the service's
         // compute/communicate cycle (§7.3).
@@ -985,8 +993,21 @@ void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {
                  << "): no comm info for service target ip; parked";
       st.parked_services.push_back(e);
     }
+    wake_service_tracing(st);
     return;
   }
+}
+
+void Agent::wake_service_tracing(RnicState& st) {
+  if (!running_ || !st.service_task || st.service_task->running()) return;
+  if (st.service.empty() && st.parked_services.empty()) return;
+  // The task slept in a tick at or before now; resume at the first point
+  // of its phase grid strictly after now.
+  const TimeNs now = cluster_.scheduler().now();
+  const TimeNs period = cfg_.service_probe_interval;
+  const TimeNs next =
+      st.service_origin + ((now - st.service_origin) / period + 1) * period;
+  st.service_task->start(next - now);
 }
 
 bool Agent::track_service(RnicState& st, const verbs::ModifyQpEvent& e) {

@@ -26,7 +26,9 @@
 // entry reusing the service flow's exact 5-tuple (so ECMP routes probes onto
 // the service's path); destroy removes it. The service pinglist is shuffled
 // every round (§7.3: probe randomly to avoid phase-locking with the
-// compute/communicate cycle).
+// compute/communicate cycle). An RNIC's service-tracing task sleeps while it
+// has no connection to trace (none live, none parked) and a connect wakes it
+// on its original phase grid.
 //
 // Path tracing (§4.2.3): paths are traced continuously (not on failure),
 // subject to the switches' Traceroute response rate limits.
@@ -221,6 +223,9 @@ class Agent {
     // Service connections made before their peer's Agent registered (no
     // comm info yet): retried on every service-tracing tick.
     std::vector<verbs::ModifyQpEvent> parked_services;
+    // When service_task first fires: it ticks on service_origin + k *
+    // service_probe_interval, also after sleeping.
+    TimeNs service_origin = 0;
     std::unordered_map<std::uint64_t, PathCacheEntry> paths;  // by tuple hash
     std::unique_ptr<sim::PeriodicTask> tormesh_task;
     std::unique_ptr<sim::PeriodicTask> intertor_task;
@@ -268,6 +273,9 @@ class Agent {
   PathCacheEntry& traced_paths(std::uint32_t slot, const PinglistEntry& e);
   void upload_now();
   void on_service_connect(const verbs::ModifyQpEvent& e);
+  /// Restart `st`'s sleeping service-tracing task at its next grid point
+  /// after now, if it has a connection to trace.
+  void wake_service_tracing(RnicState& st);
   /// Add the connection to `st`'s service pinglist; false (nothing added)
   /// while the directory has no comm info for its peer.
   bool track_service(RnicState& st, const verbs::ModifyQpEvent& e);

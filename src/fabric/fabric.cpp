@@ -317,11 +317,11 @@ SendOutcome Fabric::send(const Datagram& dgram) {
   out.delivered = true;
   out.latency = latency;
   delivered_total_.inc();
-  if (DeliveryFn& handler = delivery_[dgram.dst.value]; handler) {
+  if (delivery_[dgram.dst.value]) {
     // Copy the datagram into the event; the caller's object may not outlive
-    // the flight time.
+    // the flight time. The handler is looked up when the event runs.
     sched_.schedule_at(sched_.now() + latency,
-                       [handler, dgram] { handler(dgram); });
+                       [this, dgram] { delivery_[dgram.dst.value](dgram); });
   }
   return out;
 }

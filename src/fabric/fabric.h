@@ -180,6 +180,8 @@ class Fabric {
   // ---- packet plane ----
 
   /// Handler invoked (as a scheduled event) when a datagram reaches an RNIC.
+  /// Delivery is scheduled only if the destination has a handler at send
+  /// time; the event calls the handler installed when it runs.
   using DeliveryFn = std::function<void(const Datagram&)>;
   void set_delivery_handler(RnicId rnic, DeliveryFn fn);
 

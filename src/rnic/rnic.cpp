@@ -116,13 +116,13 @@ TimeNs RnicDevice::qpc_touch(Qpn qpn) {
   return params_.qpc_miss_penalty;
 }
 
-void RnicDevice::wire_send(Qp& qp, const fabric::Datagram& d,
-                           std::uint64_t wr_id, bool gen_send_cqe_now) {
+void RnicDevice::wire_send(Qp& qp, fabric::Datagram d, std::uint64_t wr_id,
+                           bool gen_send_cqe_now) {
   // DMA + (possible) QPC miss stall, then the packet hits the wire.
   const TimeNs stall = qpc_touch(qp.qpn);
   const Qpn qpn = qp.qpn;
-  sched_.schedule_after(tx_delay() + stall, [this, d, wr_id, qpn,
-                                             gen_send_cqe_now] {
+  sched_.schedule_after(tx_delay() + stall, [this, d = std::move(d), wr_id,
+                                             qpn, gen_send_cqe_now] {
     Qp* q = find_qp(qpn);
     if (q == nullptr || down_ || gid_index_missing_ || route_missing_) {
       return;  // QP destroyed or device unable to transmit
@@ -167,7 +167,7 @@ void RnicDevice::post_send_ud(Qpn qpn, Gid dst_gid, Qpn dst_qpn,
   d.dst_qpn = dst_qpn;
   d.trace_id = trace_id;
   d.payload = std::move(payload);
-  wire_send(*qp, d, wr_id, /*gen_send_cqe_now=*/true);
+  wire_send(*qp, std::move(d), wr_id, /*gen_send_cqe_now=*/true);
 }
 
 void RnicDevice::post_send_connected(Qpn qpn, Bytes size, std::any payload,
@@ -203,7 +203,7 @@ void RnicDevice::post_send_connected(Qpn qpn, Bytes size, std::any payload,
   d.src_qpn = qpn;
   d.dst_qpn = qp->remote_qpn;
   d.payload = std::move(payload);
-  wire_send(*qp, d, wr_id, /*gen_send_cqe_now=*/true);
+  wire_send(*qp, std::move(d), wr_id, /*gen_send_cqe_now=*/true);
 }
 
 void RnicDevice::rc_transmit(Qpn qpn, std::uint64_t wr_id) {
@@ -230,7 +230,7 @@ void RnicDevice::rc_transmit(Qpn qpn, std::uint64_t wr_id) {
   d.payload = p.payload;
   // RC semantics: NO send CQE yet; it is generated when the hardware ACK
   // arrives (this is precisely why RC cannot observe timestamp ②).
-  wire_send(*qp, d, wr_id, /*gen_send_cqe_now=*/false);
+  wire_send(*qp, std::move(d), wr_id, /*gen_send_cqe_now=*/false);
   arm_rc_timeout(qpn, wr_id);
 }
 
@@ -275,8 +275,7 @@ void RnicDevice::on_datagram(const fabric::Datagram& d) {
     return;
   }
   // RX DMA, then demultiplex by destination QPN.
-  const fabric::Datagram copy = d;
-  sched_.schedule_after(rx_delay(), [this, copy] {
+  sched_.schedule_after(rx_delay(), [this, copy = d]() mutable {
     Qp* qp = find_qp(copy.dst_qpn);
     if (qp == nullptr || qp->state == QpState::kError) {
       // Stale QPN: the sender used outdated communication info ("QPN
@@ -327,7 +326,7 @@ void RnicDevice::on_datagram(const fabric::Datagram& d) {
     cqe.src_qpn = copy.src_qpn;
     cqe.tuple = copy.tuple;
     cqe.byte_len = copy.size;
-    cqe.payload = copy.payload;
+    cqe.payload = std::move(copy.payload);
     qp->cfg.on_cqe(cqe);
   });
 }

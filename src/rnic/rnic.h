@@ -188,7 +188,7 @@ class RnicDevice {
   };
 
   void on_datagram(const fabric::Datagram& d);
-  void wire_send(Qp& qp, const fabric::Datagram& d, std::uint64_t wr_id,
+  void wire_send(Qp& qp, fabric::Datagram d, std::uint64_t wr_id,
                  bool gen_send_cqe_now);
   void rc_transmit(Qpn qpn, std::uint64_t wr_id);
   void arm_rc_timeout(Qpn qpn, std::uint64_t wr_id);

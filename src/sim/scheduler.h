@@ -1,79 +1,63 @@
 // Discrete-event simulation core.
 //
 // `Scheduler` is the clock + event queue every component holds
-// (`now`/`schedule_at`/`schedule_after`/`run_until`): a single binary heap
-// owns simulated time, and `run_until` drains events in timestamp order with
-// ties broken by insertion order, so runs are fully deterministic.
+// (`now`/`schedule_at`/`schedule_after`/`run_until`). A 4-ary min-heap of
+// small (time, seq, slot) keys owns simulated time, and `run_until` drains
+// it in timestamp order with ties broken by insertion order, so runs are
+// fully deterministic.
 //
-// `schedule_at`/`schedule_after` return a cancellable EventHandle: cancel()
-// guarantees the callback never runs (the queue entry is skipped when it
-// surfaces). PeriodicTask is built on that guarantee.
+// Scheduling an event allocates nothing and returns nothing. The callable
+// is constructed in place in a pooled fixed-size slot with kInlineBytes of
+// inline storage (a larger capture falls back to one heap allocation). Slots
+// live in a chunked slab, so a slot never moves while its callback schedules
+// more events, and a free list recycles them. The callback runs in place;
+// its slot is destroyed and freed on every exit path, a throwing callback
+// included. Under AddressSanitizer a free slot's storage is poisoned.
+//
+// One-shot events cannot be cancelled. Only PeriodicTask cancels its queued
+// firing, through a private token (a slot plus its generation), so a stale
+// cancel never hits a recycled slot. A Scheduler must outlive every
+// PeriodicTask built on it. Single-threaded by contract: no locks, no
+// atomics.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <new>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 
 namespace rpm::sim {
 
-/// Event callback. Captures whatever state it needs; executed at most once
-/// (exactly once unless cancelled through its EventHandle).
+/// Type-erased event callback, for callers that store one (PeriodicTask).
+/// `schedule_at` takes any callable and stores it without std::function.
 using EventFn = std::function<void()>;
 
 namespace detail {
-/// Shared control block between a queued event and its EventHandle.
-/// The state machine is monotonic: kPending -> kCancelled | kDone.
-struct EventCtl {
-  static constexpr std::uint8_t kPending = 0;
-  static constexpr std::uint8_t kCancelled = 1;
-  static constexpr std::uint8_t kDone = 2;
-  std::atomic<std::uint8_t> state{kPending};
-};
+/// Callables that can be empty: scheduling an empty one is an error.
+template <class F>
+inline constexpr bool kNullable = std::is_pointer_v<F>;
+template <class R, class... A>
+inline constexpr bool kNullable<std::function<R(A...)>> = true;
 }  // namespace detail
 
-/// Cancellable reference to one scheduled event. Default-constructed handles
-/// are inert. Handles may outlive the event (cancel() after execution is a
-/// no-op) and may be cancelled from any thread.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Prevent the event from running. Returns true if this call cancelled it
-  /// (false: already executed, already cancelled, or inert handle).
-  bool cancel() {
-    if (!ctl_) return false;
-    std::uint8_t expected = detail::EventCtl::kPending;
-    return ctl_->state.compare_exchange_strong(
-        expected, detail::EventCtl::kCancelled, std::memory_order_acq_rel,
-        std::memory_order_acquire);
-  }
-
-  /// Scheduled and neither executed nor cancelled yet.
-  [[nodiscard]] bool pending() const {
-    return ctl_ && ctl_->state.load(std::memory_order_acquire) ==
-                       detail::EventCtl::kPending;
-  }
-
-  /// True for handles that refer to a real event (even a finished one).
-  explicit operator bool() const { return ctl_ != nullptr; }
-
- private:
-  friend class Scheduler;
-  explicit EventHandle(std::shared_ptr<detail::EventCtl> ctl)
-      : ctl_(std::move(ctl)) {}
-
-  std::shared_ptr<detail::EventCtl> ctl_;
-};
-
-/// The simulation scheduler: one single-threaded binary heap.
+/// The simulation scheduler: one single-threaded event queue.
 class Scheduler {
  public:
+  /// Inline capture storage per slot. The largest hot capture, the RNIC tx
+  /// hop (`this`, a Datagram, wr_id, qpn, a flag), is 96 bytes.
+  static constexpr std::size_t kInlineBytes = 96;
+  /// Slots per slab chunk.
+  static constexpr std::uint32_t kChunkSlots = 1024;
+
   Scheduler() = default;
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -81,11 +65,17 @@ class Scheduler {
   [[nodiscard]] TimeNs now() const { return now_; }
 
   /// Schedule `fn` at absolute simulated time `t` (clamped to now()).
-  EventHandle schedule_at(TimeNs t, EventFn fn);
+  /// Throws std::invalid_argument for an empty std::function or null
+  /// function pointer.
+  template <class F>
+  void schedule_at(TimeNs t, F&& fn) {
+    (void)enqueue(t, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` `delay` nanoseconds from now (delay < 0 is clamped to 0).
-  EventHandle schedule_after(TimeNs delay, EventFn fn) {
-    return schedule_at(now() + (delay > 0 ? delay : 0), std::move(fn));
+  template <class F>
+  void schedule_after(TimeNs delay, F&& fn) {
+    (void)enqueue(now_ + (delay > 0 ? delay : 0), std::forward<F>(fn));
   }
 
   /// Run events until simulated time would exceed `t_end`; afterwards
@@ -99,8 +89,9 @@ class Scheduler {
   /// Consume at most one pending entry; returns false if the queue is empty.
   bool step();
 
-  /// Events currently queued (cancelled-but-not-yet-surfaced entries count).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Events currently queued (a cancelled PeriodicTask firing counts until
+  /// it is popped).
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
 
   /// Total events executed so far (cancelled entries are skipped, not
   /// executed).
@@ -120,26 +111,99 @@ class Scheduler {
   }
 
  private:
-  struct Entry {
-    TimeNs time;
-    std::uint64_t seq;
-    std::shared_ptr<detail::EventCtl> ctl;
-    EventFn fn;
+  friend class PeriodicTask;
+
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// How a slot runs and destroys the callable in its storage.
+  struct Ops {
+    void (*invoke)(void* storage);
+    void (*destroy)(void* storage) noexcept;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+  template <class Fn>
+  struct InlineOps {
+    static Fn& get(void* p) { return *std::launder(static_cast<Fn*>(p)); }
+    static void invoke(void* p) { get(p)(); }
+    static void destroy(void* p) noexcept { get(p).~Fn(); }
+    static constexpr Ops kOps{&invoke, &destroy};
+  };
+  template <class Fn>
+  struct HeapOps {
+    static Fn*& get(void* p) { return *std::launder(static_cast<Fn**>(p)); }
+    static void invoke(void* p) { (*get(p))(); }
+    static void destroy(void* p) noexcept { delete get(p); }
+    static constexpr Ops kOps{&invoke, &destroy};
   };
 
-  void execute(Entry& e);
+  /// One pooled event. `ops` is null while the slot is free or its event
+  /// was cancelled. `gen` advances whenever the event stops being pending
+  /// (it starts running or is cancelled), which makes older tokens stale.
+  struct alignas(64) Slot {
+    const Ops* ops = nullptr;
+    std::uint64_t gen = 0;
+    std::uint32_t next_free = kNoSlot;
+    alignas(std::max_align_t) unsigned char storage[kInlineBytes];
+  };
+
+  struct Key {
+    TimeNs time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  /// Names one queued event for PeriodicTask. The default token is inert.
+  struct Token {
+    std::uint32_t slot = kNoSlot;
+    std::uint64_t gen = 0;
+  };
+
+  template <class F>
+  Token enqueue(TimeNs t, F&& fn) {
+    using Fn = std::decay_t<F>;
+    if constexpr (detail::kNullable<Fn>) {
+      if (!fn) throw std::invalid_argument("schedule_at: empty callback");
+    }
+    const std::uint32_t i = acquire();
+    Slot& s = slot(i);
+    try {
+      if constexpr (sizeof(Fn) <= kInlineBytes &&
+                    alignof(Fn) <= alignof(std::max_align_t)) {
+        ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
+        s.ops = &InlineOps<Fn>::kOps;
+      } else {
+        ::new (static_cast<void*>(s.storage)) Fn*(new Fn(std::forward<F>(fn)));
+        s.ops = &HeapOps<Fn>::kOps;
+      }
+    } catch (...) {
+      release(i);
+      throw;
+    }
+    push(t < now_ ? now_ : t, i);
+    return Token{i, s.gen};
+  }
+
+  Slot& slot(std::uint32_t i) const {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
+  /// Pop a free slot, growing the slab by one chunk when none is left.
+  std::uint32_t acquire();
+  /// Destroy the slot's callable (if any) and return it to the free list.
+  void release(std::uint32_t i) noexcept;
+  void push(TimeNs t, std::uint32_t i) noexcept;
+  Key pop() noexcept;
+  void dispatch(const Key& k);
+
+  /// Queued, and neither running, finished nor cancelled.
+  [[nodiscard]] bool pending(Token tok) const;
+  void cancel(Token tok) noexcept;
 
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   DispatchObserver dispatch_observer_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Key> heap_;  // capacity >= slab size: push never reallocates
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
 /// Kept for code that constructs the scheduler by its backend name (tests,
@@ -148,9 +212,8 @@ using InlineScheduler = Scheduler;
 
 /// Repeatedly invokes a callback with a fixed period until cancelled.
 /// The callback may adjust the period for the next firing via set_period().
-/// Built on EventHandle cancellation: cancel() (and the destructor) revoke
-/// the queued firing itself, so no stale closure ever runs — the old
-/// shared-state generation counter is gone.
+/// cancel() (and the destructor) revoke the queued firing itself, so no
+/// stale closure ever runs.
 class PeriodicTask {
  public:
   PeriodicTask(Scheduler& sched, TimeNs period, EventFn fn);
@@ -173,7 +236,7 @@ class PeriodicTask {
   TimeNs period_;
   EventFn fn_;
   bool running_ = false;
-  EventHandle pending_;
+  Scheduler::Token pending_;
 };
 
 }  // namespace rpm::sim

@@ -3,10 +3,12 @@
 // cache behaviour, and upload cadence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/agent.h"
 #include "core/analyzer.h"
@@ -36,15 +38,14 @@ topo::ClosConfig clos_cfg() {
 /// upload channels tapped. The default config flushes every upload period
 /// (coalescing off) so cadence expectations stay simple; AgentCoalesceTest
 /// below exercises the batching default.
-class AgentTestBase : public ::testing::Test {
- protected:
+struct AgentBed {
   static AgentConfig flush_every_period() {
     AgentConfig cfg;
     cfg.upload_coalesce_periods = 1;
     return cfg;
   }
 
-  explicit AgentTestBase(AgentConfig acfg = flush_every_period())
+  explicit AgentBed(AgentConfig acfg = flush_every_period())
       : cluster_(topo::build_clos(clos_cfg())),
         ctrl_(cluster_.topology(), cluster_.router()) {
     transport::ControlPlane& cp = cluster_.control_plane();
@@ -93,6 +94,12 @@ class AgentTestBase : public ::testing::Test {
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<ProbeRecord> tap_;
   std::unordered_map<std::uint32_t, int> uploads_per_host_;
+};
+
+class AgentTestBase : public ::testing::Test, public AgentBed {
+ protected:
+  explicit AgentTestBase(AgentConfig acfg = flush_every_period())
+      : AgentBed(acfg) {}
 };
 
 class AgentTest : public AgentTestBase {};
@@ -290,6 +297,60 @@ TEST_F(AgentTest, ServiceConnectedBeforePeerRegistersIsTraced) {
   EXPECT_GT(per_port[35001], 300u);
   EXPECT_EQ(per_port.size(), 2u);
   svc.stop();
+}
+
+TEST(AgentServiceTracing, IdleWindowCostDoesNotDependOnTheInterval) {
+  // With no service connection every RNIC's tracing task sleeps after its
+  // first tick, so a 10x shorter interval adds no events (§4.2.2: tracing
+  // pauses while no connection is live).
+  const auto idle_window_events = [](TimeNs interval) {
+    AgentConfig cfg = AgentBed::flush_every_period();
+    cfg.service_probe_interval = interval;
+    AgentBed bed(cfg);
+    bed.start_all();
+    bed.cluster_.run_for(msec(20));  // every task has ticked once
+    const std::uint64_t e0 = bed.cluster_.scheduler().executed_events();
+    bed.cluster_.run_for(sec(1));
+    return bed.cluster_.scheduler().executed_events() - e0;
+  };
+  EXPECT_EQ(idle_window_events(msec(10)), idle_window_events(msec(1)));
+}
+
+TEST_F(AgentTest, ServiceTracingWakesOnItsPhaseGrid) {
+  start_all();
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{5};
+  dml.workers = {RnicId{0}, RnicId{8}};
+  dml.compute_time = msec(100);
+  dml.comm_bytes = 10'000'000;
+  dml.base_port = 37000;
+  traffic::DmlService svc(cluster_, dml);
+  svc.start();
+  cluster_.run_for(sec(1));
+  svc.stop();
+  const TimeNs stopped = cluster_.scheduler().now();
+  // Asleep; reconnect off the 10 ms grid.
+  cluster_.run_for(msec(500) + usec(3'333));
+  const TimeNs woke = cluster_.scheduler().now();
+  svc.start();
+  cluster_.run_for(sec(5));  // past the next upload
+  svc.stop();
+  std::vector<TimeNs> before;
+  std::vector<TimeNs> after;
+  for (const auto& r : tap_) {
+    if (r.kind != ProbeKind::kServiceTracing || r.prober != RnicId{0}) continue;
+    EXPECT_TRUE(r.sent_at <= stopped || r.sent_at > woke)
+        << "traced while no connection was live";
+    (r.sent_at < woke ? before : after).push_back(r.sent_at);
+  }
+  ASSERT_GT(before.size(), 50u);
+  ASSERT_GT(after.size(), 50u);
+  std::sort(before.begin(), before.end());
+  std::sort(after.begin(), after.end());
+  // The first probe after the wake is the next point of the old grid.
+  EXPECT_LE(after.front() - woke, msec(10));
+  EXPECT_EQ((after.front() - before.front()) % msec(10), 0);
+  EXPECT_EQ((after.back() - before.back()) % msec(10), 0);
 }
 
 TEST_F(AgentTest, ServiceClosedBeforePeerRegistersIsNeverTraced) {

@@ -1,11 +1,83 @@
 // Unit tests for the discrete-event scheduler and device clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/clock.h"
 #include "sim/scheduler.h"
+
+// Global allocation counter: every form of operator new in this test binary
+// is replaced (so none mixes with another allocator's delete), and counts
+// while `g_count_allocations` is set.
+namespace {
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t n, std::size_t align = 0) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  if (n == 0) n = 1;
+  return align <= alignof(std::max_align_t)
+             ? std::malloc(n)
+             : std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+void* counted_alloc_or_throw(std::size_t n, std::size_t align = 0) {
+  if (void* p = counted_alloc(n, align)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+using std::align_val_t;
+using std::nothrow_t;
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(std::size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, align_val_t, const nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, align_val_t, const nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace rpm::sim {
 namespace {
@@ -97,7 +169,10 @@ TEST(Scheduler, EventAtExactBoundaryRuns) {
 
 TEST(Scheduler, RejectsEmptyCallback) {
   InlineScheduler s;
-  EXPECT_THROW(s.schedule_at(0, {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_at(0, EventFn{}), std::invalid_argument);
+  void (*none)() = nullptr;
+  EXPECT_THROW(s.schedule_after(0, none), std::invalid_argument);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(Scheduler, CountsExecutedEvents) {
@@ -106,6 +181,152 @@ TEST(Scheduler, CountsExecutedEvents) {
   s.run_all();
   EXPECT_EQ(s.executed_events(), 7u);
 }
+
+TEST(Scheduler, DispatchOrderIsStableSortedByTime) {
+  // 100k events at random times with ~50 ties per timestamp, scheduled in
+  // random order: they run in (time, insertion) order.
+  constexpr std::size_t kEvents = 100'000;
+  Rng rng(20240817);
+  std::vector<TimeNs> at(kEvents);
+  for (TimeNs& t : at) t = rng.uniform_int(0, 2'000);
+  InlineScheduler s;
+  std::vector<std::uint32_t> ran;
+  ran.reserve(kEvents);
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    s.schedule_at(at[i], [&ran, i] { ran.push_back(i); });
+  }
+  s.run_all();
+  std::vector<std::uint32_t> want(kEvents);
+  std::iota(want.begin(), want.end(), 0u);
+  std::stable_sort(want.begin(), want.end(),
+                   [&at](std::uint32_t a, std::uint32_t b) {
+                     return at[a] < at[b];
+                   });
+  EXPECT_EQ(ran, want);
+  EXPECT_EQ(s.executed_events(), kEvents);
+}
+
+TEST(Scheduler, SteadyStateSchedulingAllocatesNothing) {
+  InlineScheduler s;
+  std::uint64_t sum = 0;
+  const std::array<unsigned char, 82> pad{1};
+  const auto event = [&sum, pad] { sum += pad[0]; };
+  static_assert(sizeof(event) >= 90);
+  static_assert(sizeof(event) <= Scheduler::kInlineBytes);
+  const auto round = [&s, &event] {
+    for (int i = 0; i < 10'000; ++i) s.schedule_after(i % 97, event);
+    s.run_all();
+  };
+  round();  // warm-up: the slab and the heap grow to 10,000 events
+  g_allocations = 0;
+  g_count_allocations = true;
+  round();
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(sum, 20'000u);
+}
+
+TEST(Scheduler, OversizedCaptureRunsOnceAndIsDestroyedOnce) {
+  struct Big {
+    int* live;
+    std::array<char, 2 * Scheduler::kInlineBytes> pad{};
+    explicit Big(int* l) : live(l) { ++*live; }
+    Big(const Big& o) : live(o.live), pad(o.pad) { ++*live; }
+    ~Big() { --*live; }
+  };
+  int runs = 0;
+  int live = 0;
+  InlineScheduler s;
+  {
+    const Big big(&live);
+    const auto event = [&runs, big] { ++runs; };
+    static_assert(sizeof(event) > Scheduler::kInlineBytes);
+    s.schedule_at(usec(1), event);
+  }
+  EXPECT_EQ(live, 1);  // the one copy in the queue
+  s.run_all();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(Scheduler, DestructionReleasesEveryQueuedCapture) {
+  auto owner = std::make_shared<int>(0);
+  {
+    InlineScheduler s;
+    s.schedule_at(usec(1), [owner] {});
+    const std::array<char, 2 * Scheduler::kInlineBytes> big{};
+    s.schedule_at(usec(2), [owner, big] {});
+    PeriodicTask t(s, msec(1), [owner] {});
+    t.start();
+    s.run_until(msec(2));  // the one-shots ran; a firing is queued
+    for (int i = 0; i < 5; ++i) s.schedule_at(sec(1), [owner] {});
+    s.schedule_at(sec(1), [owner, big] {});
+    EXPECT_EQ(owner.use_count(), 8);  // 6 queued + the task's callback
+  }
+  EXPECT_EQ(owner.use_count(), 1);
+}
+
+TEST(Scheduler, ThrowingCallbackReleasesItsCaptures) {
+  InlineScheduler s;
+  auto owner = std::make_shared<int>(0);
+  std::vector<int> order;
+  s.schedule_at(usec(1), [owner] { throw std::logic_error("step failed"); });
+  s.schedule_at(usec(2), [&order] { order.push_back(2); });
+  s.schedule_at(usec(3), [&order] { order.push_back(3); });
+  EXPECT_EQ(owner.use_count(), 2);
+  EXPECT_THROW(s.run_until(usec(10)), std::logic_error);
+  EXPECT_EQ(owner.use_count(), 1);
+  EXPECT_EQ(s.now(), usec(1));
+  EXPECT_EQ(s.pending_events(), 2u);
+  // The freed slot is recycled and later events still run in order.
+  s.schedule_at(usec(2), [&order] { order.push_back(4); });
+  s.run_until(usec(10));
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 3}));
+  EXPECT_EQ(s.executed_events(), 4u);
+}
+
+TEST(Scheduler, SlabGrowthKeepsARunningCallbacksCaptures) {
+  // The running callback lives in a slot; scheduling three chunks' worth of
+  // events grows the slab under it, and its captures must stay put.
+  InlineScheduler s;
+  std::array<std::uint64_t, 6> words{};  // the whole capture fits inline
+  std::iota(words.begin(), words.end(), 0x5eed0000u);
+  const auto owner = std::make_shared<int>(0);
+  int ran = 0;
+  bool intact = false;
+  const auto event = [&s, &ran, &intact, words, owner] {
+    const std::uint64_t* before = words.data();
+    for (std::uint32_t i = 0; i < 3 * Scheduler::kChunkSlots; ++i) {
+      s.schedule_at(1, [&ran] { ++ran; });
+    }
+    std::array<std::uint64_t, 6> want{};
+    std::iota(want.begin(), want.end(), 0x5eed0000u);
+    intact = words == want && words.data() == before && owner.use_count() == 3;
+  };
+  static_assert(sizeof(event) <= Scheduler::kInlineBytes);
+  s.schedule_at(0, event);
+  s.run_all();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(ran, static_cast<int>(3 * Scheduler::kChunkSlots));
+  EXPECT_EQ(owner.use_count(), 2);  // `owner` and `event`'s copy
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(SchedulerDeathTest, AsanSeesAUseOfAFreedSlot) {
+  // A freed slot's storage is poisoned, so reading a capture after its
+  // event ran is reported even though the slab memory stays allocated.
+  EXPECT_DEATH(
+      {
+        InlineScheduler s;
+        const volatile long* seen = nullptr;
+        const long word = 42;
+        s.schedule_at(1, [&seen, word] { seen = &word; });
+        s.run_all();
+        std::fprintf(stderr, "%ld\n", *seen);
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(PeriodicTask, FiresAtFixedPeriod) {
   InlineScheduler s;
@@ -223,49 +444,21 @@ TEST(PeriodicTask, RejectsBadArguments) {
   EXPECT_THROW(ok.set_period(-1), std::invalid_argument);
 }
 
-TEST(EventHandle, CancelPreventsExecution) {
-  InlineScheduler s;
-  int fired = 0;
-  EventHandle h = s.schedule_at(usec(10), [&] { ++fired; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_TRUE(h.cancel());
-  s.run_all();
-  EXPECT_EQ(fired, 0);
-  EXPECT_FALSE(h.pending());
-  // Cancel is idempotent but only the first call wins.
-  EXPECT_FALSE(h.cancel());
-}
-
-TEST(EventHandle, LifecycleAndDefaultHandle) {
-  InlineScheduler s;
-  EventHandle none;
-  EXPECT_FALSE(none);
-  EXPECT_FALSE(none.pending());
-  EXPECT_FALSE(none.cancel());
-
-  int fired = 0;
-  EventHandle h = s.schedule_after(usec(5), [&] { ++fired; });
-  EXPECT_TRUE(static_cast<bool>(h));
-  EXPECT_TRUE(h.pending());
-  s.run_all();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(h.pending());
-  // Too late to cancel an event that already ran.
-  EXPECT_FALSE(h.cancel());
-}
-
-TEST(EventHandle, CancelledEventsAreNotCountedExecuted) {
+TEST(PeriodicTask, CancelledFiringStaysQueuedButNeverRuns) {
   InlineScheduler s;
   std::vector<std::uint32_t> observed;
   s.set_dispatch_observer([&observed](std::uint32_t first, std::uint64_t) {
     observed.push_back(first);
   });
+  int fired = 0;
+  PeriodicTask t(s, msec(1), [&] { ++fired; });
   s.schedule_at(usec(1), [] {});
-  EventHandle h = s.schedule_at(usec(2), [] {});
-  h.cancel();
-  // A queued-but-cancelled entry still counts as pending until popped.
+  t.start(usec(2));
+  t.cancel();
+  // A queued-but-cancelled firing still counts as pending until popped.
   EXPECT_EQ(s.pending_events(), 2u);
   s.run_all();
+  EXPECT_EQ(fired, 0);
   EXPECT_EQ(s.executed_events(), 1u);
   EXPECT_EQ(s.pending_events(), 0u);
   // The observer sees the executed event only, with first argument 0.
@@ -275,6 +468,37 @@ TEST(EventHandle, CancelledEventsAreNotCountedExecuted) {
   s.schedule_after(0, [] {});
   s.run_all();
   EXPECT_EQ(observed.size(), 1u);
+}
+
+TEST(PeriodicTask, StaleCancelDoesNotHitARecycledSlot) {
+  InlineScheduler s;
+  // A firing that cancels its own task: once it has run, its slot is freed
+  // while the task still names it.
+  int ticks = 0;
+  PeriodicTask self_stop(s, msec(1), [&] {
+    ++ticks;
+    self_stop.cancel();
+  });
+  self_stop.start();
+  s.run_until(msec(5));
+  EXPECT_EQ(ticks, 1);
+  bool ran = false;
+  s.schedule_after(msec(1), [&ran] { ran = true; });  // reuses the slot
+  self_stop.cancel();
+  s.run_until(msec(10));
+  EXPECT_TRUE(ran);
+
+  // A firing cancelled while queued: its slot is freed when it surfaces.
+  PeriodicTask t(s, msec(1), [] {});
+  t.start(msec(1));
+  t.cancel();
+  s.run_until(msec(20));
+  ran = false;
+  s.schedule_after(msec(1), [&ran] { ran = true; });
+  t.cancel();
+  s.run_until(msec(30));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ticks, 1);
 }
 
 TEST(DeviceClock, AppliesOffset) {
