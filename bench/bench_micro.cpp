@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the R-Pingmesh pipeline: 5-tuple hashing, ECMP resolution, fabric
-// fluid steps, packet sends, scheduler churn, a full Analyzer period, and
-// the telemetry primitives sprinkled through all of the above.
+// fluid steps (busy and quiet), DCQCN updates, packet sends, scheduler
+// churn, a full Analyzer period, and the telemetry primitives sprinkled
+// through all of the above.
 #include <any>
 #include <chrono>
 #include <cstdint>
@@ -9,10 +10,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "cc/cc.h"
 #include "core/analyzer.h"
 #include "core/controller.h"
 #include "fabric/fabric.h"
@@ -107,6 +110,63 @@ void BM_FluidStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FluidStep)->Arg(16)->Arg(128)->Arg(512);
+
+// A DML job's compute phase on the fluid plane: an 8-rank All2All (56 DCQCN
+// flows, the shape of perfbench's dml_alltoall) at zero demand on a drained
+// fabric. One iteration = range(0) steps plus the demand change that ends
+// the phase, which pays for any CC calls the steps deferred.
+void BM_FluidStepQuiet(benchmark::State& state) {
+  topo::ClosConfig c;
+  c.num_pods = 2;
+  c.tors_per_pod = 2;
+  c.aggs_per_pod = 2;
+  c.spines_per_plane = 2;
+  c.hosts_per_tor = 4;
+  c.rnics_per_host = 2;
+  const topo::Topology topo = topo::build_clos(c);
+  const routing::EcmpRouter router(topo);
+  sim::InlineScheduler sched;
+  fabric::Fabric fab(topo, router, sched);
+  cc::Dcqcn dcqcn;
+  std::vector<FlowId> flows;
+  for (std::uint32_t a = 0; a < 32; a += 4) {
+    for (std::uint32_t b = 0; b < 32; b += 4) {
+      if (a == b) continue;
+      fabric::FlowSpec f;
+      f.src = RnicId{a};
+      f.dst = RnicId{b};
+      f.tuple.src_ip = topo.rnic(f.src).ip;
+      f.tuple.dst_ip = topo.rnic(f.dst).ip;
+      f.tuple.src_port = static_cast<std::uint16_t>(20000 + flows.size());
+      f.controller = &dcqcn;
+      flows.push_back(fab.add_flow(f));
+    }
+  }
+  const auto phase = state.range(0);
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < phase; ++i) fab.step_once();
+    fab.set_flow_demand(flows.front(), 0.0);
+  }
+  state.SetItemsProcessed(state.iterations() * phase);
+}
+BENCHMARK(BM_FluidStepQuiet)->Arg(3000);
+
+// One DCQCN update on a clean path after 20k clean updates, the state of a
+// flow two seconds into a compute phase: alpha has decayed below the
+// smallest normal double.
+void BM_DcqcnUpdateAfterCleanStretch(benchmark::State& state) {
+  cc::Dcqcn dcqcn;
+  const double line = gbps_to_Bps(100);
+  double rate = dcqcn.reset(0, line, line);
+  fabric::CcFeedback fb;
+  fb.dt = usec(100);
+  for (int i = 0; i < 20'000; ++i) rate = dcqcn.update(0, fb, rate);
+  for (auto _ : state) {
+    rate = dcqcn.update(0, fb, rate);
+    benchmark::DoNotOptimize(rate);
+  }
+}
+BENCHMARK(BM_DcqcnUpdateAfterCleanStretch);
 
 void BM_Equation1(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace rpm::cc {
 
@@ -34,6 +35,19 @@ double Dcqcn::update(std::uint32_t flow_slot, const fabric::CcFeedback& fb,
     }
   } else {
     s.alpha = (1.0 - params_.g) * s.alpha;
+    // Flush alpha to 0 once it decays below the smallest normal double.
+    // Below it every multiply on alpha takes a slow microcode assist, and
+    // at the smallest subnormal (1-g)*alpha rounds back to alpha, so alpha
+    // never reaches 0 by itself. No rate moves: a subnormal alpha reaches a
+    // rate in only two places.
+    //  * The cut rate*(1 - alpha/2): 1 - alpha/2 rounds to exactly 1.0, as
+    //    it does for alpha = 0.
+    //  * The next marked EWMA (1-g)*alpha + g*ecn_fraction: (1-g)*alpha lies
+    //    far below half an ulp of g*ecn_fraction, so the sum rounds to the
+    //    same double. That holds for any marked fraction above ~1e-290; the
+    //    fabric's smallest nonzero one is about
+    //    ecn_pmax / (ecn_kmax - ecn_kmin) ~ 2.7e-8.
+    if (s.alpha < std::numeric_limits<double>::min()) s.alpha = 0.0;
     if (s.since_increase >= params_.increase_period) {
       s.since_increase = 0;
       if (s.recovery_round < params_.fast_recovery_rounds) {

@@ -8,7 +8,13 @@
 //    ECN-fraction-driven multiplicative decrease with the alpha estimator,
 //    followed by fast recovery toward the pre-cut target rate and additive /
 //    hyper increase. DCQCN keeps queues near the ECN knee, so tail latency
-//    under incast stays high.
+//    under incast stays high. Pitfall: every clean update scales alpha by
+//    (1 - g), so after ~11k of them (about a second of 100 us steps) alpha
+//    sinks below the smallest normal double. Arithmetic on subnormals takes
+//    a microcode assist (several times slower per update), and the smallest
+//    subnormal times 15/16 rounds back to itself, so alpha would stay there
+//    for good. Dcqcn flushes it to 0 instead; rates stay bit-identical
+//    (the argument is in cc.cpp).
 //
 //  * DelayCc — a Swift/HPCC-flavoured delay-based controller that steers the
 //    path queueing delay toward a small target. It keeps queues (and thus

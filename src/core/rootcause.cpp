@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace rpm::core {
 
@@ -12,8 +13,8 @@ RootCauseAdvisor::RootCauseAdvisor(host::Cluster& cluster)
 
 void RootCauseAdvisor::snapshot_baseline() {
   for (std::size_t i = 0; i < link_base_.size(); ++i) {
-    const auto& s = cluster_.fabric().link_state(
-        LinkId{static_cast<std::uint32_t>(i)});
+    const auto& s = std::as_const(cluster_.fabric())
+                        .link_state(LinkId{static_cast<std::uint32_t>(i)});
     link_base_[i] = {s.drops_corrupt, s.drops_overflow, s.drops_down,
                      s.pfc_pause_events};
   }
@@ -30,7 +31,7 @@ void RootCauseAdvisor::advise_link(LinkId link,
   const auto& topo = cluster_.topology();
   // Examine both directions of the cable: symptoms often show on one side.
   for (LinkId l : {link, topo.link(link).peer}) {
-    const auto& s = cluster_.fabric().link_state(l);
+    const auto& s = std::as_const(cluster_.fabric()).link_state(l);
     const auto& base = link_base_[l.value];
     const auto d_corrupt = s.drops_corrupt - base.drops_corrupt;
     const auto d_overflow = s.drops_overflow - base.drops_overflow;

@@ -27,7 +27,9 @@ struct RootCauseHint {
 
 /// Rule-based advisor reading device counters from the cluster — the
 /// "integrate probing results with counters" design of §7.5. Stateless
-/// between calls except for counter baselines (rates need deltas).
+/// between calls except for counter baselines (rates need deltas). It reads
+/// link state through a const Fabric, so advice never wakes a quiet fluid
+/// plane.
 class RootCauseAdvisor {
  public:
   explicit RootCauseAdvisor(host::Cluster& cluster);

@@ -4,6 +4,7 @@
 #include "sketch/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -125,6 +126,19 @@ TimeNs queue_delay(Bytes queue, double cap) {
   return static_cast<TimeNs>(static_cast<double>(queue) / cap * 1e9);
 }
 
+/// Both are zero with the same sign. A flow whose rate starts and ends a step
+/// as the same zero makes the next step repeat its stats bit for bit.
+bool same_zero(double a, double b) {
+  return a == 0.0 &&
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void check_demand(double demand_Bps, const char* who) {
+  if (!(demand_Bps >= 0.0)) {
+    throw std::invalid_argument(std::string(who) + ": negative or NaN demand");
+  }
+}
+
 }  // namespace
 
 TimeNs Fabric::link_queue_delay(LinkId id) const {
@@ -146,12 +160,16 @@ double Fabric::ecn_mark_prob(const LinkState& s) const {
   return f * cfg_.ecn_pmax;
 }
 
-LinkState& Fabric::link_state(LinkId id) { return links_.at(id.value); }
+LinkState& Fabric::link_state(LinkId id) {
+  wake();
+  return links_.at(id.value);
+}
 const LinkState& Fabric::link_state(LinkId id) const {
   return links_.at(id.value);
 }
 
 void Fabric::set_cable_up(LinkId any_direction, bool up) {
+  wake();
   const topo::Link& l = topo_.link(any_direction);
   links_[l.id.value].admin_up = up;
   links_[l.peer.value].admin_up = up;
@@ -161,6 +179,7 @@ void Fabric::set_cable_up(LinkId any_direction, bool up) {
 void Fabric::set_cable_flapping(LinkId any_direction, bool down_phase) {
   // Deliberately no topology-epoch bump: a flap is faster than routing
   // convergence, so flows keep their paths and lose packets in place.
+  wake();
   const topo::Link& l = topo_.link(any_direction);
   links_[l.id.value].flapping = down_phase;
   links_[l.peer.value].flapping = down_phase;
@@ -327,9 +346,8 @@ SendOutcome Fabric::send(const Datagram& dgram) {
 }
 
 FlowId Fabric::add_flow(const FlowSpec& spec) {
-  if (spec.demand_Bps < 0.0) {
-    throw std::invalid_argument("add_flow: negative demand");
-  }
+  check_demand(spec.demand_Bps, "add_flow");
+  wake();
   Flow f;
   f.spec = spec;
   f.live = true;
@@ -348,6 +366,7 @@ FlowId Fabric::add_flow(const FlowSpec& spec) {
 
 void Fabric::remove_flow(FlowId id) {
   Flow& f = flows_.at(id.value);
+  wake();
   if (f.live) {
     f.live = false;
     --live_flows_;
@@ -355,7 +374,9 @@ void Fabric::remove_flow(FlowId id) {
 }
 
 void Fabric::set_flow_demand(FlowId id, double demand_Bps) {
+  check_demand(demand_Bps, "set_flow_demand");
   Flow& f = flows_.at(id.value);
+  wake();
   f.spec.demand_Bps = demand_Bps;
   if (!f.spec.controller) f.rate_Bps = demand_Bps;
 }
@@ -379,11 +400,15 @@ void Fabric::stop() { step_task_.cancel(); }
 
 void Fabric::step_once() {
   fluid_steps_total_.inc();
-  // An idle plane stays idle: with no live flow every link's offered load is
-  // 0, so a drained link integrates back to drained whatever its flags. A
-  // frozen link keeps its queue, which keeps `idle_` false until it recovers
-  // and drains.
-  if (idle_ && live_flows_ == 0) return;
+  // A quiet plane stays quiet: with zero offered load every drained link
+  // integrates back to drained whatever its flags, so the step would repeat
+  // the entry step's stats and feedback. Its CC calls wait for the next
+  // wake. A frozen link keeps its queue, which keeps the plane from going
+  // quiet until it recovers and drains.
+  if (quiet_) {
+    ++quiet_steps_;
+    return;
+  }
   const double ds = to_seconds(cfg_.step_interval);
 
   // 1. Refresh stale flow paths (topology changed since last resolve).
@@ -472,60 +497,80 @@ void Fabric::step_once() {
   }
 
   // 5. Per-flow achieved rate, loss, queue delay; CC update.
+  bool quiet = drained;
   for (Flow& f : flows_) {
     if (!f.live) continue;
-    FlowStats st;
-    st.offered_Bps = f.rate_Bps;
-    if (!f.path.complete) {
-      st.loss_rate = 1.0;
-      st.achieved_Bps = 0.0;
-      f.stats = st;
-      continue;
-    }
-    double factor = 1.0;
-    double survive = 1.0;
-    double ecn_survive = 1.0;
-    TimeNs qdelay = 0;
-    double bottleneck_cap = 0.0;
-    bool blocked = false;
-    for (LinkId lid : f.path.links) {
-      const LinkStep& t = link_step_[lid.value];
-      if (t.blocked) {
-        blocked = true;
-        break;
-      }
-      const double cap = t.capacity;
-      if (bottleneck_cap == 0.0 || cap < bottleneck_cap) bottleneck_cap = cap;
-      const double arrival = offered_[lid.value];
-      if (arrival > cap) factor = std::min(factor, cap / arrival);
-      survive *= t.survive;
-      ecn_survive *= t.ecn_survive;
-      qdelay += t.queue_delay;
-    }
-    if (blocked) {
-      st.loss_rate = 1.0;
-      st.achieved_Bps = 0.0;
-    } else {
-      st.loss_rate = 1.0 - survive;
-      st.achieved_Bps = f.rate_Bps * factor * survive;
-      st.queue_delay = qdelay;
-    }
-    f.stats = st;
-
-    if (f.spec.controller && !blocked) {
-      CcFeedback fb;
-      fb.ecn_fraction = 1.0 - ecn_survive;
-      fb.queue_delay = qdelay;
-      fb.base_rtt = f.base_rtt;
-      fb.achieved_Bps = st.achieved_Bps;
-      fb.bottleneck_capacity_Bps = bottleneck_cap;
-      fb.dt = cfg_.step_interval;
+    CcFeedback fb;
+    if (walk_flow(f, f.stats, fb) && f.spec.controller) {
       f.rate_Bps = std::clamp(
           f.spec.controller->update(f.cc_slot, fb, f.rate_Bps), 0.0,
           f.spec.demand_Bps);
     }
+    // The next step repeats this one only if no demand can raise the rate
+    // and the rate started and ended this step at the same zero.
+    quiet = quiet && f.spec.demand_Bps == 0.0 &&
+            same_zero(f.rate_Bps, f.stats.offered_Bps);
   }
-  idle_ = live_flows_ == 0 && drained;
+  quiet_ = quiet;
+}
+
+bool Fabric::walk_flow(const Flow& f, FlowStats& st, CcFeedback& fb) const {
+  st = FlowStats{};
+  st.offered_Bps = f.rate_Bps;
+  if (!f.path.complete) {
+    st.loss_rate = 1.0;
+    return false;
+  }
+  double factor = 1.0;
+  double survive = 1.0;
+  double ecn_survive = 1.0;
+  TimeNs qdelay = 0;
+  double bottleneck_cap = 0.0;
+  for (LinkId lid : f.path.links) {
+    const LinkStep& t = link_step_[lid.value];
+    if (t.blocked) {
+      st.loss_rate = 1.0;
+      return false;
+    }
+    const double cap = t.capacity;
+    if (bottleneck_cap == 0.0 || cap < bottleneck_cap) bottleneck_cap = cap;
+    const double arrival = offered_[lid.value];
+    if (arrival > cap) factor = std::min(factor, cap / arrival);
+    survive *= t.survive;
+    ecn_survive *= t.ecn_survive;
+    qdelay += t.queue_delay;
+  }
+  st.loss_rate = 1.0 - survive;
+  st.achieved_Bps = f.rate_Bps * factor * survive;
+  st.queue_delay = qdelay;
+  fb.ecn_fraction = 1.0 - ecn_survive;
+  fb.queue_delay = qdelay;
+  fb.base_rtt = f.base_rtt;
+  fb.achieved_Bps = st.achieved_Bps;
+  fb.bottleneck_capacity_Bps = bottleneck_cap;
+  fb.dt = cfg_.step_interval;
+  return true;
+}
+
+void Fabric::replay_quiet_steps() {
+  // Every skipped step would have handed each fed CC flow the feedback the
+  // entry step computed (no input has changed since, so `link_step_` and
+  // `offered_` still hold its values) and clamped the result to the zero
+  // demand. Controllers keep state per flow slot, so replaying flow by flow
+  // is exact.
+  if (quiet_steps_ > 0) {
+    for (const Flow& f : flows_) {
+      if (!f.live || !f.spec.controller) continue;
+      FlowStats st;
+      CcFeedback fb;
+      if (!walk_flow(f, st, fb)) continue;
+      for (std::uint64_t i = 0; i < quiet_steps_; ++i) {
+        f.spec.controller->update(f.cc_slot, fb, f.rate_Bps);
+      }
+    }
+  }
+  quiet_ = false;
+  quiet_steps_ = 0;
 }
 
 }  // namespace rpm::fabric

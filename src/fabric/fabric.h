@@ -6,8 +6,20 @@
 //    a rate (optionally governed by a RateController, e.g. DCQCN). Every
 //    `step_interval` the engine integrates per-link queues from offered
 //    load, applies ECN marking, PFC backpressure (lossless) or tail drops
-//    (lossy/misconfigured), and computes achieved throughput. A step with
-//    no live flow on a drained fabric does nothing but count itself.
+//    (lossy/misconfigured), and computes achieved throughput.
+//
+//    The plane pays only for traffic. A step that ends with every link
+//    drained, every live flow at zero demand, and every live flow's rate at
+//    zero both when the step starts and when it ends leaves the plane QUIET:
+//    later steps only count themselves. With no offered load a drained link
+//    stays drained whatever its flags, so each skipped step would repeat
+//    that step's flow stats and CC feedback, and clamp each CC result to the
+//    zero demand. Every call that changes a fluid input (add_flow,
+//    remove_flow, set_flow_demand, the mutable link_state(), the cable
+//    setters, bump_topology_epoch) first wakes the plane: it replays the
+//    skipped RateController::update calls, flow by flow, and the next step
+//    is a full one. Reads (flow_stats, flow_path, the const link_state)
+//    and the packet plane never wake it.
 //
 //  * PACKET-level datagrams (probes, ACKs). A datagram resolves its path
 //    with the *current* link state, accumulates per-hop propagation +
@@ -95,7 +107,9 @@ struct CcFeedback {
 
 /// Congestion-control strategy interface implemented by src/cc. One
 /// controller instance may govern many flows; `flow_slot` identifies the
-/// flow's per-controller state.
+/// flow's per-controller state. A controller keeps state only per
+/// `flow_slot`: the fabric relies on it when a quiet plane replays the calls
+/// it skipped flow by flow instead of step by step.
 class RateController {
  public:
   virtual ~RateController() = default;
@@ -126,8 +140,8 @@ struct LinkState {
   double service_rate_factor = 1.0;  // <1 models PCIe-downgraded endpoints
 
   // Outputs of Fabric::step_once, and only of it: nothing else may write
-  // them. The idle-step rule depends on it (a plane with no live flow whose
-  // links all read drained skips integration until a flow arrives).
+  // them. The quiet rule depends on it (a quiet plane skips integration
+  // because its drained links would integrate back to drained).
   Bytes queue_bytes = 0;
   double overflow_drop_frac = 0.0;  // fraction of offered load dropped now
   bool pfc_paused = false;          // asserted pause towards upstream
@@ -212,6 +226,11 @@ class Fabric {
 
   // ---- state & fault hooks ----
 
+  /// Mutable access is for changing a link's inputs (fault hooks), so it
+  /// wakes a quiet plane first. Write through the reference at once and do
+  /// not hold it across simulated time: a later write would change an input
+  /// behind a quiet plane's back. Readers use the const overload, which
+  /// never wakes the plane.
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
 
@@ -236,7 +255,10 @@ class Fabric {
 
   /// Marks routing-relevant state as changed; flow paths are re-resolved on
   /// the next fluid step. Called automatically by the fault setters.
-  void bump_topology_epoch() { ++topology_epoch_; }
+  void bump_topology_epoch() {
+    wake();
+    ++topology_epoch_;
+  }
 
   /// Attach (or with nullptr, detach) a per-link sketch bank (src/sketch):
   /// every forwarded datagram updates its links' traffic/latency/queue
@@ -275,6 +297,15 @@ class Fabric {
   };
 
   void resolve_flow_path(Flow& f);
+  /// One flow's walk over `link_step_` at its current rate: fills `st`
+  /// and, when the path is complete and unblocked, `fb`. Returns whether it
+  /// filled `fb`.
+  bool walk_flow(const Flow& f, FlowStats& st, CcFeedback& fb) const;
+  /// Called before every change to a fluid input.
+  void wake() {
+    if (quiet_) replay_quiet_steps();
+  }
+  void replay_quiet_steps();
   [[nodiscard]] double effective_capacity(const topo::Link& l,
                                           const LinkState& s) const;
   [[nodiscard]] double ecn_mark_prob(const LinkState& s) const;
@@ -301,11 +332,13 @@ class Fabric {
 
   sim::PeriodicTask step_task_;
 
-  // Set by each full step: no flow is live and every link ended the step
-  // with an empty queue, no PAUSE and no overflow loss.
-  bool idle_ = false;
+  // Set by each full step that ends quiet (see the header comment); while
+  // set, a step only counts itself in `quiet_steps_` for the next wake.
+  bool quiet_ = false;
+  std::uint64_t quiet_steps_ = 0;
 
-  // scratch buffers reused across steps
+  // Per-link tables of the last full step, reused across steps; the replay
+  // of a quiet plane reads them.
   std::vector<double> offered_;       // per link
   std::vector<LinkStep> link_step_;   // per link
 

@@ -33,17 +33,18 @@ struct IntTraceResult {
 
 /// Data-plane path telemetry over the simulated fabric. Unlike
 /// routing::TracerouteService there is no rate limiting: every trace
-/// returns the full, current path.
+/// returns the full, current path. It only reads the fabric, so a trace
+/// never wakes a quiet fluid plane.
 class IntTelemetry {
  public:
-  explicit IntTelemetry(Fabric& fabric) : fabric_(fabric) {}
+  explicit IntTelemetry(const Fabric& fabric) : fabric_(fabric) {}
 
   /// Trace the current ECMP path of `tuple` and sample each hop's queue.
   [[nodiscard]] IntTraceResult trace(RnicId src, RnicId dst,
                                      const FiveTuple& tuple) const;
 
  private:
-  Fabric& fabric_;
+  const Fabric& fabric_;
 };
 
 }  // namespace rpm::fabric

@@ -109,6 +109,48 @@ TEST_F(ExtensionsTest, AgentWithIntAlwaysKnowsPaths) {
   rpm.stop();
 }
 
+/// Counts update() calls. The flow's zero demand clamps whatever it returns.
+class CountingCc : public fabric::RateController {
+ public:
+  double reset(std::uint32_t, double, double) override { return 0.0; }
+  double update(std::uint32_t, const fabric::CcFeedback&, double) override {
+    ++calls;
+    return 1.0;
+  }
+  [[nodiscard]] std::string name() const override { return "counting"; }
+  std::uint64_t calls = 0;
+};
+
+TEST_F(ExtensionsTest, ReadsNeverWakeAQuietPlane) {
+  // A zero-demand CC flow on a drained fabric: after its first step the
+  // plane is quiet and defers CC calls until a fluid input changes. INT
+  // traces and the root-cause advisor only read link state, so they must
+  // not wake it (a wake replays the deferred calls).
+  CountingCc cc;
+  fabric::FlowSpec f;
+  f.src = RnicId{0};
+  f.dst = RnicId{12};
+  f.tuple.src_ip = cluster_.topology().rnic(f.src).ip;
+  f.tuple.dst_ip = cluster_.topology().rnic(f.dst).ip;
+  f.tuple.src_port = 9;
+  f.controller = &cc;
+  const FlowId id = cluster_.fabric().add_flow(f);
+  cluster_.run_for(msec(10));
+  ASSERT_EQ(cc.calls, 1u) << "only the first step runs in full";
+
+  core::RootCauseAdvisor advisor(cluster_);
+  advisor.snapshot_baseline();
+  core::Problem p;
+  p.category = core::ProblemCategory::kSwitchNetworkProblem;
+  p.suspect_links = cluster_.fabric().flow_path(id).links;
+  EXPECT_TRUE(advisor.advise(p).empty());
+  EXPECT_TRUE(cluster_.int_telemetry().trace(f.src, f.dst, f.tuple).complete);
+  EXPECT_EQ(cc.calls, 1u) << "a read woke the plane";
+
+  cluster_.fabric().set_flow_demand(id, 0.0);  // a write does wake it
+  EXPECT_GT(cc.calls, 1u);
+}
+
 class RootCauseTest : public ExtensionsTest {
  protected:
   RootCauseTest() : rpm_(cluster_), advisor_(cluster_), faults_(cluster_) {

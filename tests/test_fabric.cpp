@@ -2,6 +2,8 @@
 // PFC backpressure vs lossy overflow, ACL, and fault hooks.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fabric/fabric.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
@@ -379,6 +381,47 @@ TEST_F(FabricTest, RejectsNegativeDemand) {
   auto f = flow(RnicId{0}, RnicId{7}, 10.0);
   f.demand_Bps = -1.0;
   EXPECT_THROW(fab_.add_flow(f), std::invalid_argument);
+}
+
+TEST_F(FabricTest, RejectsNanDemand) {
+  auto f = flow(RnicId{0}, RnicId{7}, 10.0);
+  f.demand_Bps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(fab_.add_flow(f), std::invalid_argument);
+  EXPECT_EQ(fab_.num_flows(), 0u);
+}
+
+/// Holds every flow at line rate; the fabric clamps it to the demand.
+class LineRateCc : public RateController {
+ public:
+  double reset(std::uint32_t, double demand, double) override {
+    return demand;
+  }
+  double update(std::uint32_t, const CcFeedback&, double) override {
+    return gbps_to_Bps(100.0);
+  }
+  [[nodiscard]] std::string name() const override { return "line-rate"; }
+};
+
+TEST_F(FabricTest, SetFlowDemandRejectsNegativeAndNan) {
+  // A negative demand would become a negative offered load for a fixed flow
+  // and an inverted clamp range for a CC flow; NaN poisons both.
+  LineRateCc cc;
+  const FlowId fixed = fab_.add_flow(flow(RnicId{0}, RnicId{7}, 10.0, 2001));
+  FlowSpec governed = flow(RnicId{2}, RnicId{5}, 10.0, 2002);
+  governed.controller = &cc;
+  const FlowId cc_flow = fab_.add_flow(governed);
+  for (const FlowId id : {fixed, cc_flow}) {
+    EXPECT_THROW(fab_.set_flow_demand(id, -1.0), std::invalid_argument);
+    EXPECT_THROW(
+        fab_.set_flow_demand(id, std::numeric_limits<double>::quiet_NaN()),
+        std::invalid_argument);
+  }
+  // A rejected demand leaves the flow as it was.
+  fab_.start();
+  sched_.run_until(msec(2));
+  for (const FlowId id : {fixed, cc_flow}) {
+    EXPECT_DOUBLE_EQ(fab_.flow_stats(id).offered_Bps, gbps_to_Bps(10.0));
+  }
 }
 
 TEST_F(FabricTest, DropReasonNames) {
