@@ -289,8 +289,8 @@ void BM_TransportPeerOutage(benchmark::State& state) {
 BENCHMARK(BM_TransportPeerOutage);
 
 // Analyzer ingestion: range(0) records (spread over per-host batches) into
-// the sharded IngestSink, merged and analyzed at period close.
-void BM_AnalyzerShardedIngest(benchmark::State& state) {
+// the IngestSink, drained and analyzed at period close.
+void BM_AnalyzerIngest(benchmark::State& state) {
   const topo::Topology topo = topo::build_clos(bench_clos());
   const routing::EcmpRouter router(topo);
   sim::InlineScheduler sched;
@@ -322,11 +322,11 @@ void BM_AnalyzerShardedIngest(benchmark::State& state) {
     for (core::UploadBatch& b : batches) {
       analyzer.sink().submit(std::move(b));
     }
-    benchmark::DoNotOptimize(analyzer.analyze_now());  // includes the merge
+    benchmark::DoNotOptimize(analyzer.analyze_now());  // includes the drain
   }
   state.SetItemsProcessed(state.iterations() * n_records);
 }
-BENCHMARK(BM_AnalyzerShardedIngest)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_AnalyzerIngest)->Arg(10000)->Arg(100000);
 
 // The Agent's per-probe hot path pays one begin_probe + ~7 record() calls.
 // range(0) is the sampling rate in per-mille (0, 1, 1000); -1 benchmarks the
@@ -454,8 +454,7 @@ int write_ingest_json(const std::string& path) {
   out.params = [&](json::Writer& w) {
     w.key("records_per_period").integer(kRecords)
         .key("batch").integer(kBatch)
-        .key("hosts").integer(64)
-        .key("shards").integer(core::IngestSink::kShards);
+        .key("hosts").integer(64);
   };
   core::IngestSink sink;
   // Warm-up period, then three measured periods.

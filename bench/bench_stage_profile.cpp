@@ -181,7 +181,6 @@ int run(int argc, char** argv) {
       list += (list.empty() ? "" : ",") + std::to_string(x);
     }
     w.key("hosts").integer(topo.hosts().size())
-        .key("shards").integer(core::IngestSink::kShards)
         .key("batch").integer(128)
         .key("reps").integer(reps)
         .key("records_list").string(list)

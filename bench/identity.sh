@@ -13,8 +13,8 @@
 #
 # Wall-clock output is excluded: the fuzz/chaos/bench dumps and the flight
 # dump carry none (the profiler keeps wall time on its own trace track), and
-# the quickstart telemetry is reduced to its counter lines without the
-# rpm_analyzer_stage_ns histograms.
+# the quickstart telemetry is reduced to its rpm_agent/fabric/link/analyzer/
+# pod/global lines, none of which reads a wall clock.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -38,8 +38,8 @@ bn="$build/bench"
 "$bn/bench_sketch_volume" --hosts 128 --seconds 45 --dump > sketch.json
 
 "$ex/quickstart" > quickstart.txt
-grep -E '^rpm_(agent|fabric|link|analyzer|pod|global)_' quickstart.txt |
-  grep -v '^rpm_analyzer_stage_ns' > quickstart_counters.txt
+grep -E '^rpm_(agent|fabric|link|analyzer|pod|global)_' quickstart.txt \
+  > quickstart_counters.txt
 
 benches=(bench_fig1_flapping bench_fig5_sla_timeline bench_fig8_bottlenecks
          bench_fig9_network_innocent bench_fig10_service_tracing

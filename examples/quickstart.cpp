@@ -161,7 +161,7 @@ int main() {
   }
 
   // 6. How did R-Pingmesh itself behave? Dump the self-observability
-  // metrics: Agent probe volume, Analyzer pipeline cost, and the fabric
+  // metrics: Agent probe volume, Analyzer periods, and the fabric
   // counters on the faulted link.
   scraper.stop();
   const telemetry::Snapshot snap = telemetry::registry().snapshot();
@@ -173,8 +173,8 @@ int main() {
   print_filtered(prom, {"rpm_agent_probes_sent_total{host=\"0\"",
                         "rpm_agent_probes_completed_total{host=\"0\"",
                         "rpm_agent_probe_timeouts_total{host=\"0\""});
-  std::printf("\nanalyzer pipeline (per-stage wall cost):\n");
-  print_filtered(prom, {"rpm_analyzer_stage_ns", "rpm_analyzer_periods"});
+  std::printf("\nanalyzer pipeline (stage wall cost: profile below):\n");
+  print_filtered(prom, {"rpm_analyzer_periods"});
   std::printf("\ncontrol-plane transport (uploads + RPCs, host 0):\n");
   print_filtered(prom, {"rpm_transport_msgs_total{channel=\"upload/h0\"",
                         "rpm_transport_msgs_total{channel=\"ctrl/h0",

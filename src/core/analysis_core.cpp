@@ -2,10 +2,17 @@
 // records: timeout triage, anomalous-RNIC detection, Algorithm-1
 // localization, bottleneck scans, SLA tables and impact. The verdict steps
 // it shares with the GlobalAnalyzer are in core/verdict.h.
+//
+// The report is a function of the period's record multiset, not of the
+// order in which records arrived: every tie is broken by a total order,
+// every emission loop walks ascending keys, and every evidence sample keeps
+// the smallest probe ids (sample_probe).
 #include <algorithm>
-#include <chrono>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/stats.h"
 #include "core/analyzer.h"
@@ -105,20 +112,24 @@ SlaDigest sla_digest(const std::vector<const ProbeRecord*>& records,
   return d;
 }
 
-}  // namespace
-
-const char* Analyzer::stage_name(int stage) {
-  static constexpr const char* kNames[kNumStages] = {
-      "classify",    // §4.3.1 noise filters (host down, QPN reset)
-      "rnic_detect",  // §4.3.2 anomalous-RNIC detection
-      "attribute",    // final per-timeout cause attribution
-      "localize",     // §4.3.3 Algorithm-1 voting + problem emission
-      "bottlenecks",  // high-RTT / high-processing-delay detection
-      "sla",          // percentile aggregation
-      "impact",       // §4.3.4 P0/P1/P2 assessment
-  };
-  return kNames[stage];
+// The ids of an unordered set, or the keys of an unordered map, ascending.
+// Emission loops walk these, so no verdict depends on hash order.
+template <typename Container>
+std::vector<std::uint32_t> sorted_keys(const Container& c) {
+  std::vector<std::uint32_t> keys;
+  keys.reserve(c.size());
+  for (const auto& e : c) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(e)>, std::uint32_t>) {
+      keys.push_back(e);
+    } else {
+      keys.push_back(e.first);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
+
+}  // namespace
 
 const PeriodReport& Analyzer::analyze_period(
     const std::vector<ProbeRecord>& records,
@@ -169,35 +180,13 @@ const PeriodReport& Analyzer::analyze_period(
   };
 
   metrics_.periods.inc();
-  int cur_stage = -1;
-  std::chrono::steady_clock::time_point stage_t0{};
-  // Transition between pipeline stages: close the previous stage's
-  // wall-clock histogram sample, open the next. enter_stage(-1) closes out.
-  // The wall-clock profiler reuses enter_stage's clock reads; its coarser
-  // stage set folds classify/rnic_detect/attribute into drain.triage.
-  static constexpr prof::Stage kProfStage[kNumStages] = {
-      prof::Stage::kDrainTriage,     prof::Stage::kDrainTriage,
-      prof::Stage::kDrainTriage,     prof::Stage::kDrainVote,
-      prof::Stage::kDrainBottleneck, prof::Stage::kDrainSla,
-      prof::Stage::kDrainImpact,
-  };
-  const auto enter_stage = [&](int next) {
-    const auto wall = std::chrono::steady_clock::now();
-    if (cur_stage >= 0) {
-      const auto ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(wall -
-                                                               stage_t0)
-              .count();
-      metrics_.stage_ns[cur_stage].observe(static_cast<double>(ns));
-      prof::profiler().record(kProfStage[cur_stage],
-                              static_cast<std::uint64_t>(ns));
-    }
-    cur_stage = next;
-    stage_t0 = wall;
-  };
+  // The profiled pipeline stage running now: emplace() closes the previous
+  // stage's sample and opens the next; reset() closes out. Steps 1-3 are
+  // all drain.triage.
+  std::optional<prof::StageScope> stage;
 
   // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
-  enter_stage(0);
+  stage.emplace(prof::Stage::kDrainTriage);
 
   TriageSets triage;
   triage.period_start = rep.period_start;
@@ -230,7 +219,6 @@ const PeriodReport& Analyzer::analyze_period(
   }
 
   // ---- step 2: anomalous-RNIC detection from ToR-mesh data (§4.3.2) ----
-  enter_stage(1);
 
   struct RnicStat {
     std::size_t total = 0;
@@ -240,7 +228,7 @@ const PeriodReport& Analyzer::analyze_period(
   // would inflate its innocent peers' timeout ratios. Repeatedly blame the
   // RNIC with the worst ratio, discount every probe involving it, and
   // re-evaluate — peers polluted only by the culprit come out clean.
-  std::unordered_set<std::uint32_t> anomalous_rnics;
+  std::set<std::uint32_t> anomalous_rnics;
   // Observed timeout ratio at the moment each RNIC was blamed (evidence).
   std::unordered_map<std::uint32_t, double> blamed_frac;
   std::unordered_map<std::uint32_t, RnicStat> per_rnic;
@@ -269,22 +257,32 @@ const PeriodReport& Analyzer::analyze_period(
         per_rnic[pair.second].total += cnt;
       }
     }
-    std::uint32_t worst = 0;
-    double worst_frac = cfg_.rnic_timeout_threshold;
-    bool found = false;
+    // The worst RNIC above the threshold, by a strict total order so that
+    // no tie falls to the map's iteration order: higher timeout ratio, then
+    // more timeouts (more evidence at an equal ratio), then the lower id.
+    struct Candidate {
+      std::uint32_t rnic;
+      double frac;
+      std::size_t timeouts;
+    };
+    std::optional<Candidate> worst;
     for (const auto& [rnic, st] : per_rnic) {
       if (st.total < 3) continue;
-      const double frac = static_cast<double>(st.timeouts) /
-                          static_cast<double>(st.total);
-      if (frac > worst_frac) {
-        worst = rnic;
-        worst_frac = frac;
-        found = true;
+      const Candidate c{rnic,
+                        static_cast<double>(st.timeouts) /
+                            static_cast<double>(st.total),
+                        st.timeouts};
+      if (c.frac <= cfg_.rnic_timeout_threshold) continue;
+      if (!worst || c.frac > worst->frac ||
+          (c.frac == worst->frac &&
+           (c.timeouts > worst->timeouts ||
+            (c.timeouts == worst->timeouts && c.rnic < worst->rnic)))) {
+        worst = c;
       }
     }
-    if (!found) break;
-    anomalous_rnics.insert(worst);
-    blamed_frac[worst] = worst_frac;
+    if (!worst) break;
+    anomalous_rnics.insert(worst->rnic);
+    blamed_frac[worst->rnic] = worst->frac;
   }
 
   // Responder-delay evidence per RNIC over ALL completed probes (the greedy
@@ -319,7 +317,7 @@ const PeriodReport& Analyzer::analyze_period(
   // Figure 6 false-positive filters: the service occupying the Agent's CPU
   // makes probes to *all* of a host's RNICs time out at once, and/or shows
   // up as huge responder delays on the probes that did complete.
-  std::unordered_set<std::uint32_t> cpu_noise_hosts;
+  std::set<std::uint32_t> cpu_noise_hosts;
   if (cfg_.enable_cpu_noise_filters) {
     std::unordered_map<std::uint32_t, std::size_t> anomalous_per_host;
     for (std::uint32_t r : anomalous_rnics) {
@@ -405,19 +403,16 @@ const PeriodReport& Analyzer::analyze_period(
   for (const auto& [r, until] : rnic_blamed_until_) {
     if (until >= rep.period_start) triage.blamed_rnics.emplace(r, until);
   }
+  const std::vector<std::uint32_t> down_hosts = sorted_keys(triage.down_hosts);
   if (fed != nullptr) {
-    fed->down_hosts.assign(triage.down_hosts.begin(), triage.down_hosts.end());
-    std::sort(fed->down_hosts.begin(), fed->down_hosts.end());
+    fed->down_hosts = down_hosts;
     fed->blamed_rnics.assign(triage.blamed_rnics.begin(),
                              triage.blamed_rnics.end());
     std::sort(fed->blamed_rnics.begin(), fed->blamed_rnics.end());
-    fed->cpu_noise_hosts.assign(triage.cpu_noise_hosts.begin(),
-                                triage.cpu_noise_hosts.end());
-    std::sort(fed->cpu_noise_hosts.begin(), fed->cpu_noise_hosts.end());
+    fed->cpu_noise_hosts = sorted_keys(triage.cpu_noise_hosts);
   }
 
   // ---- step 3: attribute the remaining timeouts ----
-  enter_stage(2);
 
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ProbeRecord& r = records[i];
@@ -453,12 +448,19 @@ const PeriodReport& Analyzer::analyze_period(
       cause[i] = c;
     }
   }
+  if (fed != nullptr) {
+    // A PodDigest is a function of its pod's records, not of their order.
+    std::sort(fed->foreign.begin(), fed->foreign.end(),
+              [](const ForeignTimeout& a, const ForeignTimeout& b) {
+                return a.probe_id < b.probe_id;
+              });
+  }
 
   // Tallies + per-cause evidence sets.
   std::unordered_set<std::uint64_t> rnic_timeout_ids;
   std::unordered_set<std::uint64_t> switch_timeout_ids;
   std::vector<const ProbeRecord*> switch_cluster_evidence;
-  std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
+  std::map<std::uint32_t, std::vector<const ProbeRecord*>>
       switch_service_evidence;  // by service id
   std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
       rnic_evidence;  // by rnic id
@@ -538,9 +540,9 @@ const PeriodReport& Analyzer::analyze_period(
   }
 
   // ---- emit problems ----
-  enter_stage(3);
+  stage.emplace(prof::Stage::kDrainVote);
 
-  for (std::uint32_t h : triage.down_hosts) {
+  for (std::uint32_t h : down_hosts) {
     Problem p;
     p.category = ProblemCategory::kHostDown;
     p.host = HostId{h};
@@ -676,11 +678,10 @@ const PeriodReport& Analyzer::analyze_period(
   }
 
   // ---- step 4: bottlenecks (high RTT / high processing delay) ----
-  enter_stage(4);
+  stage.emplace(prof::Stage::kDrainBottleneck);
 
   std::vector<const ProbeRecord*> hot_cluster;
-  std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
-      hot_service;
+  std::map<std::uint32_t, std::vector<const ProbeRecord*>> hot_service;
   std::unordered_map<std::uint32_t, DelayStat> host_proc_delay;
   std::unordered_map<std::uint32_t, std::vector<std::uint64_t>>
       proc_probe_ids;  // every probe whose delay entered the host's window
@@ -746,8 +747,9 @@ const PeriodReport& Analyzer::analyze_period(
   emit_hot(hot_cluster, false, ServiceId{});
   for (auto& [svc, ev] : hot_service) emit_hot(ev, true, ServiceId{svc});
 
-  for (auto& [h, st] : host_proc_delay) {
+  for (std::uint32_t h : sorted_keys(host_proc_delay)) {
     if (cpu_noise_hosts.contains(h)) continue;  // already reported as noise
+    DelayStat& st = host_proc_delay.at(h);
     // Tail-based: an overloaded host shows in its P90 even when healthy
     // probes to its other RNICs dilute the median.
     if (st.count() >= cfg_.min_anomalies_for_problem &&
@@ -798,7 +800,7 @@ const PeriodReport& Analyzer::analyze_period(
   }
 
   // ---- step 5: SLA tracking ----
-  enter_stage(5);
+  stage.emplace(prof::Stage::kDrainSla);
 
   std::vector<const ProbeRecord*> cluster_records;
   std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
@@ -822,34 +824,31 @@ const PeriodReport& Analyzer::analyze_period(
   rep.cluster_sla = sk_on ? cluster_digest.to_report()
                           : make_sla(cluster_records, rnic_timeout_ids,
                                      switch_timeout_ids);
-  for (auto& [svc, recs] : service_records) {
+  const std::vector<std::uint32_t> svc_ids = sorted_keys(service_records);
+  for (std::uint32_t svc : svc_ids) {
     rep.service_slas.emplace_back(
-        ServiceId{svc}, make_sla(recs, rnic_timeout_ids, switch_timeout_ids));
+        ServiceId{svc}, make_sla(service_records.at(svc), rnic_timeout_ids,
+                                 switch_timeout_ids));
   }
   if (fed != nullptr) {
     fed->cluster_sla = std::move(cluster_digest);
-    std::vector<std::uint32_t> svc_ids;
-    svc_ids.reserve(service_records.size());
-    for (const auto& [svc, recs] : service_records) svc_ids.push_back(svc);
-    std::sort(svc_ids.begin(), svc_ids.end());
     for (std::uint32_t svc : svc_ids) {
       fed->service_slas.emplace_back(
-          svc, sla_digest(service_records[svc], nullptr, rnic_timeout_ids,
+          svc, sla_digest(service_records.at(svc), nullptr, rnic_timeout_ids,
                           switch_timeout_ids));
     }
   }
   if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (const ProbeRecord* r : cluster_records) {
-      if (c->probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
       if (rnic_timeout_ids.contains(r->id) ||
           switch_timeout_ids.contains(r->id)) {
-        c->probe_ids.push_back(r->id);
+        sample_probe(*c, r->id);
       }
     }
   }
 
   // ---- step 6: impact (needs the service networks from this period) ----
-  enter_stage(6);
+  stage.emplace(prof::Stage::kDrainImpact);
 
   // Service network = every link/rnic/host the service's tracing probes
   // touched this period.
@@ -872,8 +871,8 @@ const PeriodReport& Analyzer::analyze_period(
       }
     }
   }
-  // Impact walks the networks in this map's order (a problem lands in the
-  // first network it touches); the digest ships them sorted by service.
+  // Lowest service id first, as in the global tier: a problem touching
+  // several service networks lands in the lowest service it touches.
   std::vector<ServiceNetDigest> net_list;
   net_list.reserve(nets.size());
   for (const auto& [svc, net] : nets) {
@@ -886,21 +885,19 @@ const PeriodReport& Analyzer::analyze_period(
     std::sort(d.rnics.begin(), d.rnics.end());
     std::sort(d.hosts.begin(), d.hosts.end());
   }
-  if (fed != nullptr) {
-    fed->service_nets = net_list;
-    std::sort(fed->service_nets.begin(), fed->service_nets.end(),
-              [](const ServiceNetDigest& a, const ServiceNetDigest& b) {
-                return a.service < b.service;
-              });
-  }
+  std::sort(net_list.begin(), net_list.end(),
+            [](const ServiceNetDigest& a, const ServiceNetDigest& b) {
+              return a.service < b.service;
+            });
+  if (fed != nullptr) fed->service_nets = net_list;
   assess_impact(rep.problems, net_list, cfg_.degradation_threshold);
   innocent_chains(rep.problems, cfg_, dlog, &service_records);
 
-  enter_stage(-1);
+  stage.reset();
 
   // Period-end bookkeeping (metric tallies, history/diagnosis retention,
-  // journal spill) is its own profiled stage: it runs outside the
-  // enter_stage window but still inside the period close.
+  // journal spill) is its own profiled stage. Its scope is declared after
+  // the pipeline's locals, so their teardown at return is not counted in it.
   prof::StageScope diaglog_scope(prof::Stage::kDrainDiaglog);
   metrics_.timeouts_by_cause[static_cast<int>(AnomalyCause::kHostDown)].inc(
       rep.timeouts_host_down);

@@ -23,12 +23,6 @@ Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
   auto& reg = telemetry::registry();
   metrics_.periods =
       reg.counter("rpm_analyzer_periods_total", "Analysis periods executed");
-  for (int s = 0; s < kNumStages; ++s) {
-    metrics_.stage_ns[s] =
-        reg.histogram("rpm_analyzer_stage_ns",
-                      "Wall-clock cost of one pipeline stage per period",
-                      {{"stage", stage_name(s)}});
-  }
   for (std::uint8_t c = 0; c < 5; ++c) {
     metrics_.timeouts_by_cause[c] = reg.counter(
         "rpm_analyzer_timeouts_total", "Timeout probes by attributed cause",

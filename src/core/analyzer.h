@@ -86,13 +86,13 @@ class Analyzer : public VerdictLog {
   /// surface: transport deliveries call sink().submit() (dedup by (host,
   /// seq); any batch — duplicate included — proves the host alive), trusted
   /// local producers call sink().submit_trusted() or the upload()
-  /// convenience below. The sink owns sharding and duplicate suppression
-  /// (core/ingest.h).
+  /// convenience below. The sink owns duplicate suppression and the
+  /// period's record buffer (core/ingest.h).
   [[nodiscard]] IngestSink& sink() { return sink_; }
 
   /// Trusted local ingestion (tests, benches, co-located producers): no
-  /// duplicate suppression, no batch seq — records go straight to a shard.
-  /// Convenience for sink().submit_trusted().
+  /// duplicate suppression, no batch seq — records go straight into the
+  /// period's buffer. Convenience for sink().submit_trusted().
   void upload(HostId host, std::vector<ProbeRecord> records) {
     sink_.submit_trusted(host, std::move(records));
   }
@@ -179,18 +179,15 @@ class Analyzer : public VerdictLog {
   bool restore_from_journal();
 
  private:
-  // Self-observability stages of the period pipeline (telemetry labels).
-  static constexpr int kNumStages = 7;
-  static const char* stage_name(int stage);
-
   IngestHooks sink_hooks();
   void save_checkpoint();
   /// Every known host's silence clock and the period boundary restart at
   /// `now`, so downtime never reads as host-down verdicts or one long
   /// period.
   void forgive_silence(TimeNs now);
-  /// The seven-stage pipeline over one period's drained records and folded
-  /// summary (analysis_core.cpp).
+  /// The pipeline over one period's drained records and folded summary
+  /// (analysis_core.cpp). Its report is a function of the record multiset:
+  /// the order of `records` never reaches a verdict.
   const PeriodReport& analyze_period(const std::vector<ProbeRecord>& records,
                                      const sketch::HostSummary& summary,
                                      TimeNs now);
@@ -219,12 +216,10 @@ class Analyzer : public VerdictLog {
   // (sketch_mode == kOn; idle otherwise).
   sketch::SketchStore sketch_store_;
 
-  // Self-observability: the 20 s pipeline is the Analyzer's hot path; each
-  // stage's wall-clock cost is tracked so future sharding/batching PRs can
-  // show where the time goes.
+  // Self-observability: what the pipeline concluded, in sim-deterministic
+  // counters. Its wall-clock cost per stage is the profiler's drain.* rows.
   struct Metrics {
     telemetry::Counter periods;
-    telemetry::Histogram stage_ns[kNumStages];
     telemetry::Counter timeouts_by_cause[5];    // indexed by AnomalyCause
     telemetry::Counter problems_by_category[7];  // indexed by ProblemCategory
     telemetry::Counter problems_by_priority[4];  // indexed by Priority

@@ -576,10 +576,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   }
   if (obs::EvidenceChain* c =
           sla_violation(rep.cluster_sla, cfg_.analyzer, dlog)) {
-    for (std::uint64_t id : foreign_drop_ids) {
-      if (c->probe_ids.size() >= obs::kEvidenceProbeIdCap) break;
-      c->probe_ids.push_back(id);
-    }
+    for (std::uint64_t id : foreign_drop_ids) sample_probe(*c, id);
   }
 
   // ---- impact (§4.3.4) against the union service networks ----

@@ -1,7 +1,6 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -50,18 +49,12 @@ IngestSink::IngestSink(IngestHooks hooks) : hooks_(std::move(hooks)) {
   batches_duplicate_ = reg.counter("rpm_analyzer_batches_total",
                                    "Transport upload batches by dedup outcome",
                                    {{"result", "duplicate"}});
-  for (std::size_t b = 0; b < kShards; ++b) {
-    bucket_records_[b] = reg.histogram(
-        "rpm_analyzer_ingest_bucket_records",
-        "Records merged from one ingest shard at period close",
-        {{"bucket", std::to_string(b)}});
-  }
 }
 
 void IngestSink::submit(UploadBatch&& batch) {
   // Belt-and-braces: during an outage the upload channels are peer-down
   // and nothing should arrive, but a delivery that races the cutover must
-  // not land in a shard no period will ever drain correctly.
+  // not land in a buffer no period will ever drain correctly.
   if (paused_) return;
   prof::StageScope prof_scope(prof::Stage::kIngestSubmit);
   if (hooks_.host_alive) hooks_.host_alive(batch.host);
@@ -73,7 +66,7 @@ void IngestSink::submit(UploadBatch&& batch) {
   uploads_.inc();
   records_.inc(batch.records.size());
   if (!batch.summary.empty()) summary_.merge(batch.summary);
-  ingest(batch.host, std::move(batch.records));
+  ingest(std::move(batch.records));
 }
 
 void IngestSink::submit_trusted(HostId host,
@@ -82,50 +75,37 @@ void IngestSink::submit_trusted(HostId host,
   uploads_.inc();
   records_.inc(records.size());
   if (hooks_.host_alive) hooks_.host_alive(host);
-  ingest(host, std::move(records));
+  ingest(std::move(records));
 }
 
 std::vector<ProbeRecord> IngestSink::drain_period() {
-  std::size_t total = 0;
-  for (const auto& b : buckets_) total += b.size();
-  std::vector<ProbeRecord> merged;
-  merged.reserve(total);
-  for (std::size_t b = 0; b < kShards; ++b) {
-    std::vector<ProbeRecord>& bucket = buckets_[b];
-    bucket_records_[b].observe(static_cast<double>(bucket.size()));
-    merged.insert(merged.end(), std::make_move_iterator(bucket.begin()),
-                  std::make_move_iterator(bucket.end()));
-    bucket.clear();  // keeps capacity for the next period
-  }
-  return merged;
+  // Buffer reuse: the period's vector leaves whole, and the next one is
+  // pre-sized to what this period held, so steady state accumulates without
+  // re-growing from zero.
+  std::vector<ProbeRecord> drained = std::exchange(pending_, {});
+  pending_.reserve(drained.size());
+  return drained;
 }
 
 sketch::HostSummary IngestSink::drain_summary() {
   return std::exchange(summary_, sketch::HostSummary{});
 }
 
-void IngestSink::ingest(HostId host, std::vector<ProbeRecord>&& records) {
+void IngestSink::ingest(std::vector<ProbeRecord>&& records) {
   if (hooks_.tap != nullptr && *hooks_.tap) {
     for (const ProbeRecord& r : records) (*hooks_.tap)(r);
   }
-  const std::size_t shard_idx = host.value % kShards;
   if (obs::recorder().enabled()) {
     for (const ProbeRecord& r : records) {
       if (r.flight_sampled) {
-        obs::recorder().record(r.id, obs::ProbeEventKind::kAnalyzerIngest,
-                               shard_idx);
+        obs::recorder().record(r.id, obs::ProbeEventKind::kAnalyzerIngest);
       }
     }
   }
-  std::vector<ProbeRecord>& bucket = buckets_[shard_idx];
-  const std::size_t needed = bucket.size() + records.size();
-  if (bucket.capacity() < needed) {
-    // Grow geometrically: an exact-size reserve per batch would force a
-    // reallocation on every append, quadratic over a period.
-    bucket.reserve(std::max(needed, bucket.capacity() * 2));
-  }
-  bucket.insert(bucket.end(), std::make_move_iterator(records.begin()),
-                std::make_move_iterator(records.end()));
+  // A range insert past capacity grows geometrically, so appends stay
+  // amortized O(1) per record.
+  pending_.insert(pending_.end(), std::make_move_iterator(records.begin()),
+                  std::make_move_iterator(records.end()));
 }
 
 }  // namespace rpm::core

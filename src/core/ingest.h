@@ -1,26 +1,21 @@
 // The Analyzer's ingestion endpoint: the IngestSink.
 //
 // Every record an Agent uploads passes through exactly one IngestSink. The
-// sink owns the §4.3 pre-analysis mechanics — sharding by prober host,
-// (host, seq) duplicate suppression for the at-least-once transport, and
-// the per-period bucket merge:
+// sink owns the §4.3 pre-analysis mechanics — (host, seq) duplicate
+// suppression for the at-least-once transport and the period's record
+// buffer:
 //
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
 //   submit_trusted(...)   local producers — tests, benches, co-located
 //                         collectors — no seq, no duplicate suppression;
-//   drain_period()        merge every shard bucket into one period-ordered
-//                         vector (called at period close).
+//   drain_period()        hand the period's records over (called at period
+//                         close).
 //
-// Everything runs on the caller's (sim) thread at submit() time.
-//
-// Record order. drain_period() returns records shard-major: shard buckets
-// (prober host % kShards) in ascending index order, submission order within
-// a bucket. The Analyzer's verdicts depend on that order — a different
-// shard count changes verdicts on some chaos-fuzz seeds — so the shard
-// count is a constant, not a knob.
+// Everything runs on the caller's (sim) thread at submit() time. Records
+// are drained in submission order, but nothing depends on that order: the
+// Analyzer's report is a function of the period's record multiset.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -70,16 +65,13 @@ struct IngestHooks {
 /// The ingestion endpoint. One per Analyzer.
 class IngestSink {
  public:
-  /// Shard buckets keyed by prober host (host.value % kShards). Fixes the
-  /// record order drain_period() returns (see the file comment).
-  static constexpr std::size_t kShards = 8;
   /// Per host, batch seqs within this many of the highest seen are
   /// remembered and repeats dropped (dedup_accept).
   static constexpr std::uint64_t kDedupWindow = 1024;
 
   explicit IngestSink(IngestHooks hooks = {});
 
-  /// Transport delivery path: dedup by (host, seq), then shard. Dropped
+  /// Transport delivery path: dedup by (host, seq), then buffer. Dropped
   /// silently while paused (Analyzer outage).
   void submit(UploadBatch&& batch);
 
@@ -87,8 +79,8 @@ class IngestSink {
   /// (matching the historical Analyzer::upload contract).
   void submit_trusted(HostId host, std::vector<ProbeRecord>&& records);
 
-  /// Merge every shard bucket into one shard-major vector and reset the
-  /// buckets (capacity kept).
+  /// Every record accepted since the last drain, in submission order. The
+  /// next period's buffer starts with the drained size reserved.
   [[nodiscard]] std::vector<ProbeRecord> drain_period();
 
   /// The HostSummary folded from every accepted batch since the last call
@@ -106,14 +98,15 @@ class IngestSink {
 
   /// Restart path: replace the dedup windows from a journaled snapshot so
   /// re-delivered batches (spill-ring drains, transport retries from before
-  /// the crash) are suppressed instead of re-counted. Buckets are untouched.
+  /// the crash) are suppressed instead of re-counted. Buffered records are
+  /// untouched.
   void restore(const IngestCheckpoint& cp) { dedup_ = restore_windows(cp); }
 
  private:
-  void ingest(HostId host, std::vector<ProbeRecord>&& records);
+  void ingest(std::vector<ProbeRecord>&& records);
 
   IngestHooks hooks_;
-  std::array<std::vector<ProbeRecord>, kShards> buckets_;
+  std::vector<ProbeRecord> pending_;  // this period's records
   sketch::HostSummary summary_;
   DedupWindows dedup_;  // by host id
   bool paused_ = false;
@@ -122,7 +115,6 @@ class IngestSink {
   telemetry::Counter records_;
   telemetry::Counter batches_accepted_;
   telemetry::Counter batches_duplicate_;
-  std::array<telemetry::Histogram, kShards> bucket_records_;
 };
 
 }  // namespace rpm::core

@@ -25,9 +25,18 @@ void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
   c.thresholds.push_back({name, threshold, observed, observed > threshold});
 }
 
+void sample_probe(obs::EvidenceChain& c, std::uint64_t id) {
+  std::vector<std::uint64_t>& ids = c.probe_ids;
+  if (ids.size() >= obs::kEvidenceProbeIdCap) {
+    if (id >= ids.back()) return;
+    ids.pop_back();
+  }
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+}
+
 void add_probe(obs::EvidenceChain& c, std::uint64_t id) {
   ++c.total_probes;
-  if (c.probe_ids.size() < obs::kEvidenceProbeIdCap) c.probe_ids.push_back(id);
+  sample_probe(c, id);
 }
 
 AnomalyCause TriageSets::classify(HostId target_host, HostId prober_host,

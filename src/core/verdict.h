@@ -85,7 +85,11 @@ struct ServiceBinding {
 
 void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
                    double observed);
-/// Counts the probe and keeps its id while under kEvidenceProbeIdCap.
+/// Keeps `id` in `c.probe_ids` when it is among the kEvidenceProbeIdCap
+/// smallest ids offered so far; the sample stays ascending. The sample is a
+/// function of the set of ids offered, not of their order.
+void sample_probe(obs::EvidenceChain& c, std::uint64_t id);
+/// Counts the probe in `c.total_probes` and samples it (sample_probe).
 void add_probe(obs::EvidenceChain& c, std::uint64_t id);
 
 /// §4.3.1 timeout triage state. A timeout is explained, in this order, by
@@ -176,8 +180,9 @@ class VerdictLog {
 
   /// §4.3.4 impact: P2 outside every service network; inside one, P0 when
   /// the watched service's metric sits below `degradation_threshold`, else
-  /// P1. A problem lands in the FIRST network of `nets` it touches, so the
-  /// caller's order is part of the verdict. Noise keeps its priority.
+  /// P1. A problem lands in the FIRST network of `nets` it touches; both
+  /// tiers pass `nets` lowest service id first, so that is the lowest
+  /// service it touches. Noise keeps its priority.
   void assess_impact(std::vector<Problem>& problems,
                      const std::vector<ServiceNetDigest>& nets,
                      double degradation_threshold) const;

@@ -5,7 +5,7 @@
 // enqueued it, when verbs posted it, the RNIC timestamps ①..⑥ of Figure 4,
 // every switch hop the fabric routed it over (and where it died, if it
 // died), the responder's wakeup, which UploadBatch carried its record, each
-// transport delivery attempt, and which Analyzer shard ingested it. The
+// transport delivery attempt, and when the Analyzer ingested it. The
 // flight recorder captures exactly that: a fixed-capacity ring of sampled
 // probe timelines, correlated by probe id threaded through `ProbeRecord`,
 // the fabric `Datagram` (`trace_id`), and the upload transport.
@@ -66,7 +66,7 @@ enum class ProbeEventKind : std::uint8_t {
   kTransportAttempt, // carrying batch transmitted; a = attempt number
   kRequeued,         // batch expired, Agent re-queued it; a = requeue count
   kUploadDropped,    // carrying batch dropped for good (cap / host down)
-  kAnalyzerIngest,   // record landed in an ingest shard; a = shard index
+  kAnalyzerIngest,   // record accepted into the Analyzer's ingest buffer
   kVerdict,          // Analyzer attributed a cause; a = AnomalyCause
   kLeaseExpired,     // Agent's Controller lease lapsed while record waited
   kReregistered,     // Agent re-registered after a lost lease

@@ -63,7 +63,7 @@ namespace rpm::prof {
 enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
   kIngestSubmit,        // IngestSink submit
-  kDrainCollect,        // period close: drain the sink's shard buckets
+  kDrainCollect,        // period close: take the sink's period buffer
   kDrainTriage,         // analyze_period: classify + rnic_detect + attribute
   kDrainVote,           // analyze_period: Algorithm-1 localization
   kDrainBottleneck,     // analyze_period: bottleneck scan

@@ -42,7 +42,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   struct Msg {
     std::uint64_t seq = 0;
     std::any payload;
-    Bytes wire_bytes = 0;  // declared size for the bandwidth cost model
+    Bytes wire_bytes = 0;  // declared size, counted per attempt
     TimeNs first_sent = 0;
     std::uint32_t attempts = 0;
     bool cancelled = false;  // abandoned: pending events become no-ops
@@ -63,7 +63,6 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   std::uint64_t next_seq = 1;
   bool peer_is_down = false;
   std::uint64_t peer_epoch = 1;  // bumped on every down -> up transition
-  TimeNs busy_until = 0;  // sender link occupied serializing earlier messages
   // Ordered by seq so backpressure can evict the oldest unacked message.
   std::map<std::uint64_t, std::shared_ptr<Msg>> unacked;
 
@@ -120,19 +119,10 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
     }
     if (on_attempt) on_attempt(m->seq, m->attempts);
     // Bandwidth cost: the bytes leave the NIC on every attempt whether or
-    // not the network delivers them, so count (and, with a configured link
-    // rate, serialize) before the loss lottery.
-    TimeNs ser_wait = 0;
+    // not the network delivers them, so count them before the loss lottery.
     if (m->wire_bytes > 0) {
       counters.bytes_sent += static_cast<std::uint64_t>(m->wire_bytes);
       m_bytes.inc(static_cast<std::uint64_t>(m->wire_bytes));
-      if (cfg.link_rate_Bps > 0.0) {
-        const auto ser = static_cast<TimeNs>(
-            static_cast<double>(m->wire_bytes) / cfg.link_rate_Bps * 1e9);
-        const TimeNs start = std::max(busy_until, sched.now());
-        busy_until = start + ser;
-        ser_wait = busy_until - sched.now();
-      }
     }
     std::weak_ptr<Impl> weak = weak_from_this();
     if (peer_is_down) {
@@ -143,7 +133,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
       ++counters.lost;
       m_lost.inc();
     } else {
-      TimeNs lat = ser_wait + sample_latency();
+      TimeNs lat = sample_latency();
       if (cfg.reorder_prob > 0.0 && rng.chance(cfg.reorder_prob)) {
         lat += cfg.reorder_extra;
       }

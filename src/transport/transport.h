@@ -68,13 +68,6 @@ struct ChannelConfig {
   // channel's own seeded Rng: channels that saw the same loss at the same
   // tick retry on different ticks (no thundering herd), deterministically.
   TimeNs retry_jitter = msec(5);
-  // Bandwidth/serialization cost model (ROADMAP "per-channel bandwidth
-  // cost"): when > 0, a message sent with a declared wire size occupies the
-  // sender's link for wire_bytes/link_rate_Bps before its propagation
-  // latency, and messages queue behind one another — large raw UploadBatches
-  // see proportionally later delivery than compact SketchReports. 0 keeps
-  // the historical size-blind behavior (byte-identical schedules).
-  double link_rate_Bps = 0.0;
 };
 
 /// Fault-injectable control-plane impairment, shared by every channel of a
@@ -121,11 +114,9 @@ class Channel {
   std::uint64_t send(std::any payload);
 
   /// As send(), declaring the message's wire size: every transmission
-  /// attempt adds `wire_bytes` to rpm_transport_bytes_total{channel}, and
-  /// when ChannelConfig::link_rate_Bps > 0 the attempt also waits for the
-  /// link to serialize those bytes (sequentially across queued messages)
-  /// before its propagation latency. wire_bytes == 0 behaves exactly like
-  /// the plain send().
+  /// attempt adds `wire_bytes` to rpm_transport_bytes_total{channel}.
+  /// Delivery timing does not depend on the size. wire_bytes == 0 behaves
+  /// exactly like the plain send().
   std::uint64_t send(std::any payload, Bytes wire_bytes);
 
   /// Sender-side handler swap (nullptr detaches: messages still count as

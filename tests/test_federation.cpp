@@ -499,8 +499,8 @@ TEST(Federation, VerdictStreamIsPinnedBitForBit) {
   const Case cases[] = {
       {"flat, sketch off", 1, core::SketchMode::kOff, 0xa693ff6cd5410918ull},
       {"flat, sketch on", 1, core::SketchMode::kOn, 0xb9847538c008f071ull},
-      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0x184e25bd6362596dull},
-      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0x409da75deb97b745ull},
+      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0x0411006a22982b02ull},
+      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0x257bd336e6406ba9ull},
   };
   std::set<std::string> seen;
   for (const Case& c : cases) {
