@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
 #include "obs/flight_recorder.h"
 #include "rnic/rnic.h"
 
@@ -989,8 +988,6 @@ void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {
       // The peer's Agent has not registered yet (registration is an
       // asynchronous RPC, and a job may connect right after start). Park
       // the connection; each service-tracing tick retries the lookup.
-      log_warn() << "agent(" << host_.value
-                 << "): no comm info for service target ip; parked";
       st.parked_services.push_back(e);
     }
     wake_service_tracing(st);

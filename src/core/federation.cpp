@@ -91,7 +91,7 @@ void PodAnalyzer::on_period(const PeriodReport& rep,
   const std::size_t bytes = pod_digest_wire_bytes(d);
   bytes_sent_ += bytes;
   digests_total_.inc();
-  digest_bytes_total_.inc(static_cast<double>(bytes));
+  digest_bytes_total_.inc(bytes);
 
   obs::FlightRecorder& fr = obs::recorder();
   if (fr.enabled()) {
@@ -250,7 +250,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
 
   ++merges_;
   merges_total_.inc();
-  digests_merged_total_.inc(static_cast<double>(digests.size()));
+  digests_merged_total_.inc(digests.size());
 
   obs::FlightRecorder& fr = obs::recorder();
   for (const PodDigest& d : digests) {

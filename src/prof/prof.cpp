@@ -1,6 +1,6 @@
 // Pipeline wall-clock stage profiler — implementation. See prof.h for the
-// contract: one branch when disabled, per-thread buffers, deterministic
-// (order-independent) folds, wall time never feeding sim decisions.
+// contract: one branch when disabled, one buffer, wall time never feeding
+// sim decisions.
 #include "prof/prof.h"
 
 #include <algorithm>
@@ -19,30 +19,11 @@ constexpr const char* kStageNames[kNumStages] = {
     "transport.deliver", "sketch.flush",  "period.close",
 };
 
-/// Thread-local cache of the calling thread's buffer. Keyed by (owner,
-/// generation): a new enable() invalidates every cached pointer without
-/// having to visit other threads.
-struct LocalSlot {
-  const void* owner = nullptr;
-  std::uint64_t generation = 0;
-  void* buf = nullptr;
-};
-thread_local LocalSlot t_slot;
-
 }  // namespace
 
 const char* stage_name(Stage s) {
   const auto i = static_cast<std::size_t>(s);
   return i < kNumStages ? kStageNames[i] : "?";
-}
-
-void StageStats::merge(const StageStats& o) {
-  if (o.count == 0) return;
-  min_ns = count == 0 ? o.min_ns : std::min(min_ns, o.min_ns);
-  max_ns = std::max(max_ns, o.max_ns);
-  count += o.count;
-  total_ns += o.total_ns;
-  sketch.merge(o.sketch);
 }
 
 void ProfileReport::write_stage_rows(json::Writer& w,
@@ -76,64 +57,34 @@ std::string ProfileReport::to_json() const {
   return json::to_string([this](json::Writer& w) { write_json(w); });
 }
 
-/// One thread's private accumulation state. `mu` is per-buffer (the owning
-/// thread takes it on every record; the folding thread takes it at report
-/// time), following the telemetry Histogram per-series-mutex precedent —
-/// uncontended in steady state, TSan-clean at the barrier.
-struct Profiler::ThreadBuf {
-  /// A stage span, or a budget-overrun instant at `start_ns` whose `dur_ns`
-  /// is the close's wall time and `stage` its top-cost stage.
-  struct TraceEvent {
-    Stage stage;
-    std::uint64_t start_ns;  // wall ns since enable()
-    std::uint64_t dur_ns;
-    bool overrun = false;
-  };
-
-  std::mutex mu;
-  std::array<StageStats, kNumStages> stats;
-  std::vector<TraceEvent> trace;
-  std::uint64_t trace_dropped = 0;
-  std::size_t index = 0;  // registration order; chrome tid
-};
-
-Profiler::Profiler() = default;
-Profiler::~Profiler() = default;
-
 void Profiler::enable(ProfilerConfig cfg) {
   disable();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cfg_ = cfg;
-    bufs_.clear();
-    last_close_ = PeriodCloseInfo{};
-    overruns_.store(0, std::memory_order_relaxed);
-    epoch_ = std::chrono::steady_clock::now();
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Registry interaction happens outside mu_: the collector snapshots via
-  // report(), which takes mu_ under the registry lock — acquiring them here
-  // in the opposite order would be a lock-order inversion.
+  cfg_ = cfg;
+  stats_ = {};
+  trace_ = std::vector<TraceEvent>();  // frees the last run's trace
+  trace_dropped_ = 0;
+  last_close_ = PeriodCloseInfo{};
+  overruns_ = 0;
+  epoch_ = std::chrono::steady_clock::now();
   auto& reg = telemetry::registry();
   m_overruns_ = reg.counter("rpm_prof_budget_overruns_total",
                             "Period closes that exceeded the profiler's "
                             "wall-clock budget");
   collector_ = telemetry::CollectorGuard(
       reg, [this](telemetry::MetricsRegistry& r) { export_metrics_to(r); });
-  enabled_.store(true, std::memory_order_release);
+  enabled_ = true;
 }
 
 void Profiler::disable() {
-  enabled_.store(false, std::memory_order_release);
-  // Buffers stay readable (report() after a run); only the collector goes,
-  // so disabled-profiler metric scrapes are byte-identical to never-enabled.
+  enabled_ = false;
+  // The buffer stays readable (report() after a run); only the collector
+  // goes, so disabled-profiler metric scrapes are byte-identical to
+  // never-enabled.
   collector_ = telemetry::CollectorGuard();
 }
 
 void Profiler::record_slow(Stage s, std::uint64_t ns) {
-  ThreadBuf* buf = local_buf();
-  std::lock_guard<std::mutex> lock(buf->mu);
-  StageStats& st = buf->stats[static_cast<std::size_t>(s)];
+  StageStats& st = stats_[static_cast<std::size_t>(s)];
   st.min_ns = st.count == 0 ? ns : std::min(st.min_ns, ns);
   st.max_ns = std::max(st.max_ns, ns);
   ++st.count;
@@ -142,9 +93,9 @@ void Profiler::record_slow(Stage s, std::uint64_t ns) {
   // sim.dispatch fires once per simulated event — millions per run — and
   // would fill the trace buffer within milliseconds, crowding out every
   // other stage's spans. It stays in the stats only.
-  if (s != Stage::kSimDispatch && trace_room(*buf)) {
+  if (s != Stage::kSimDispatch && trace_room()) {
     const std::uint64_t now = since_epoch();
-    buf->trace.push_back({s, now > ns ? now - ns : 0, ns});
+    trace_.push_back({s, now > ns ? now - ns : 0, ns});
   }
 }
 
@@ -155,66 +106,41 @@ std::uint64_t Profiler::since_epoch() const {
           .count());
 }
 
-bool Profiler::trace_room(ThreadBuf& buf) const {
+bool Profiler::trace_room() {
   if (cfg_.max_trace_events == 0) return false;
-  if (buf.trace.size() < cfg_.max_trace_events) return true;
-  ++buf.trace_dropped;
+  if (trace_.size() < cfg_.max_trace_events) return true;
+  ++trace_dropped_;
   return false;
-}
-
-Profiler::ThreadBuf* Profiler::local_buf() {
-  const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-  if (t_slot.owner == this && t_slot.generation == gen &&
-      t_slot.buf != nullptr) {
-    return static_cast<ThreadBuf*>(t_slot.buf);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  bufs_.push_back(std::make_unique<ThreadBuf>());
-  ThreadBuf* buf = bufs_.back().get();
-  buf->index = bufs_.size() - 1;
-  t_slot = {this, gen, buf};
-  return buf;
 }
 
 ProfileReport Profiler::report() const {
   ProfileReport rep;
-  std::lock_guard<std::mutex> lock(mu_);
-  rep.budget_overruns = overruns_.load(std::memory_order_relaxed);
-  for (const std::unique_ptr<ThreadBuf>& buf : bufs_) {
-    std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (std::size_t i = 0; i < kNumStages; ++i) {
-      rep.stages[i].merge(buf->stats[i]);
-    }
-    rep.trace_events_dropped += buf->trace_dropped;
-  }
+  rep.stages = stats_;
+  rep.budget_overruns = overruns_;
+  rep.trace_events_dropped = trace_dropped_;
   return rep;
 }
 
 void Profiler::write_chrome_events(json::Writer& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<ThreadBuf>& tb : bufs_) {
-    std::lock_guard<std::mutex> buf_lock(tb->mu);
-    for (const ThreadBuf::TraceEvent& e : tb->trace) {
-      // pid 3 keeps the wall-clock stage tracks apart from the flight
-      // recorder's sim-time markers (pid 1) and probe tracks (pid 2).
-      obs::begin_chrome_event(
-          w, {.name = e.overrun ? "budget-overrun" : stage_name(e.stage),
-              .cat = "prof",
-              .ph = e.overrun ? 'i' : 'X',
-              .scope = 't',
-              .pid = 3,
-              .tid = tb->index,
-              .ts = static_cast<TimeNs>(e.start_ns),
-              .dur = static_cast<TimeNs>(std::max<std::uint64_t>(e.dur_ns,
-                                                                 1))});
-      if (e.overrun) {
-        w.key("args").begin_object()
-            .key("wall_ns").integer(e.dur_ns)
-            .key("top_stage").string(stage_name(e.stage))
-            .end_object();
-      }
-      w.end_object();
+  for (const TraceEvent& e : trace_) {
+    // pid 3 keeps the wall-clock stage track apart from the flight
+    // recorder's sim-time markers (pid 1) and probe tracks (pid 2).
+    obs::begin_chrome_event(
+        w, {.name = e.overrun ? "budget-overrun" : stage_name(e.stage),
+            .cat = "prof",
+            .ph = e.overrun ? 'i' : 'X',
+            .scope = 't',
+            .pid = 3,
+            .tid = 0,
+            .ts = static_cast<TimeNs>(e.start_ns),
+            .dur = static_cast<TimeNs>(std::max<std::uint64_t>(e.dur_ns, 1))});
+    if (e.overrun) {
+      w.key("args").begin_object()
+          .key("wall_ns").integer(e.dur_ns)
+          .key("top_stage").string(stage_name(e.stage))
+          .end_object();
     }
+    w.end_object();
   }
 }
 
@@ -226,23 +152,16 @@ std::string Profiler::chrome_events() const {
   });
 }
 
-void Profiler::fold_totals(
-    std::array<std::uint64_t, kNumStages>& totals) const {
-  totals.fill(0);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<ThreadBuf>& buf : bufs_) {
-    std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (std::size_t i = 0; i < kNumStages; ++i) {
-      totals[i] += buf->stats[i].total_ns;
-    }
-  }
+std::array<std::uint64_t, kNumStages> Profiler::stage_totals() const {
+  std::array<std::uint64_t, kNumStages> totals{};
+  for (std::size_t i = 0; i < kNumStages; ++i) totals[i] = stats_[i].total_ns;
+  return totals;
 }
 
 void Profiler::note_period_close(
     std::uint64_t wall_ns,
     const std::array<std::uint64_t, kNumStages>& before) {
-  std::array<std::uint64_t, kNumStages> after{};
-  fold_totals(after);
+  const std::array<std::uint64_t, kNumStages> after = stage_totals();
   // Top-cost stage of *this* close = largest per-stage delta; the close's
   // own kPeriodClose sample is excluded (it spans everything). Ties break
   // toward the lowest stage index — deterministic.
@@ -259,21 +178,16 @@ void Profiler::note_period_close(
   const bool overrun =
       cfg_.period_close_budget > 0 &&
       wall_ns > static_cast<std::uint64_t>(cfg_.period_close_budget);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++last_close_.seq;
-    last_close_.wall_ns = wall_ns;
-    last_close_.top_stage = static_cast<Stage>(top);
-    last_close_.overrun = overrun;
-  }
+  ++last_close_.seq;
+  last_close_.wall_ns = wall_ns;
+  last_close_.top_stage = static_cast<Stage>(top);
+  last_close_.overrun = overrun;
   if (overrun) {
-    overruns_.fetch_add(1, std::memory_order_relaxed);
+    ++overruns_;
     m_overruns_.inc();
-    ThreadBuf* buf = local_buf();
-    std::lock_guard<std::mutex> lock(buf->mu);
-    if (trace_room(*buf)) {
-      buf->trace.push_back({static_cast<Stage>(top), since_epoch(), wall_ns,
-                            true});
+    if (trace_room()) {
+      trace_.push_back({static_cast<Stage>(top), since_epoch(), wall_ns,
+                        true});
     }
   }
 }
@@ -305,16 +219,6 @@ void Profiler::export_metrics_to(telemetry::MetricsRegistry& reg) {
   }
 }
 
-PeriodCloseInfo Profiler::last_period_close() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_close_;
-}
-
-std::size_t Profiler::num_thread_buffers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bufs_.size();
-}
-
 void Profiler::attach_scheduler(sim::Scheduler& sched) {
   sched.set_dispatch_observer(
       [this](std::uint32_t /*always 0*/, std::uint64_t wall_ns) {
@@ -335,7 +239,7 @@ PeriodCloseScope::PeriodCloseScope() {
   Profiler& p = profiler();
   if (!p.enabled()) return;
   prof_ = &p;
-  p.fold_totals(totals0_);
+  totals0_ = p.stage_totals();
   t0_ = std::chrono::steady_clock::now();
 }
 

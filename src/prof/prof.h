@@ -5,28 +5,25 @@
 // module does: a fixed enum of pipeline stages (event dispatch, ingest
 // submit, the analyze_period sub-stages, digest flush, global merge,
 // transport delivery, sketch flush), each measured with std::chrono::
-// steady_clock by a RAII `StageScope`, accumulated in per-thread buffers —
-// a recording thread never touches another thread's state — and folded on
-// demand into per-stage count/total/min/max plus a mergeable
-// `sketch::QuantileSketch` for p50/p99.
+// steady_clock by a RAII `StageScope`, and accumulated into one buffer of
+// per-stage count/total/min/max plus a `sketch::QuantileSketch` for
+// p50/p99. Like the event loop it observes, it is single-threaded by
+// contract (DESIGN §5b): nothing here locks.
 //
 // Design constraints (shared with the flight recorder):
-//  * Always compiled, one branch when disabled: StageScope's constructor is
-//    a single relaxed atomic load when the profiler is off — no allocation,
-//    no clock read (tests/test_prof pins this).
+//  * Always compiled, one branch when disabled: StageScope's constructor
+//    reads one bool when the profiler is off — no allocation, no clock read
+//    (tests/test_prof pins this).
 //  * Wall time NEVER feeds simulation decisions. The profiler only observes;
 //    profiler on vs off produces byte-identical verdicts/SLA/ChaosReport
 //    output (tests/test_prof pins this too).
-//  * Deterministic folds: count/total/min/max are order-independent integer
-//    reductions and QuantileSketch::merge is commutative + associative, so
-//    the folded report does not depend on thread registration order.
 //
 // Outputs: `rpm_prof_stage_*{stage}` metrics (registry collector, installed
 // while enabled), `ProfileReport::write_json()` dumps, and
-// `write_chrome_events()` — per-thread chrome://tracing tracks (pid 3,
+// `write_chrome_events()` — a chrome://tracing track (pid 3, tid 0,
 // wall-clock timeline) that obs::write_chrome_trace() puts next to the
 // flight recorder's sim-time tracks. sim.dispatch samples feed the stats but
-// not the tracks. The profiler writes nothing into the flight recorder, so
+// not the track. The profiler writes nothing into the flight recorder, so
 // wall time never reaches the sim-time record.
 //
 // The period-close watchdog: `PeriodCloseScope` wraps one Analyzer period
@@ -37,11 +34,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,7 +76,7 @@ inline constexpr std::size_t kNumStages = 15;
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);
 
-/// Folded statistics for one stage.
+/// Statistics of one stage's samples.
 struct StageStats {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
@@ -92,10 +86,9 @@ struct StageStats {
 
   [[nodiscard]] double p50_ns() const { return sketch.quantile(0.5); }
   [[nodiscard]] double p99_ns() const { return sketch.quantile(0.99); }
-  void merge(const StageStats& o);
 };
 
-/// One deterministic fold of every thread buffer.
+/// A copy of the profiler's stage statistics and drop counts.
 struct ProfileReport {
   std::array<StageStats, kNumStages> stages;
   std::uint64_t budget_overruns = 0;
@@ -117,9 +110,9 @@ struct ProfileReport {
 struct ProfilerConfig {
   /// Wall budget for one period close; 0 disables the watchdog.
   TimeNs period_close_budget = 0;
-  /// Per-thread cap on buffered chrome://tracing events (0 = no tracks;
-  /// stage statistics are always collected). Overflow is counted, not kept.
-  /// sim.dispatch samples never enter the tracks.
+  /// Cap on buffered chrome://tracing events (0 = no track; stage
+  /// statistics are always collected). Overflow is counted, not kept.
+  /// sim.dispatch samples never enter the track.
   std::size_t max_trace_events = 4096;
 };
 
@@ -133,25 +126,21 @@ struct PeriodCloseInfo {
 
 class Profiler {
  public:
-  Profiler();
-  ~Profiler();
+  Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Turn profiling on. Re-enabling resets all buffers, the overrun counter,
-  /// and the trace epoch, and (re-)installs the metrics collector.
+  /// Turn profiling on. Every enable() starts from an empty profile: it
+  /// clears the stage statistics, the trace and its drop count, the overrun
+  /// counter and the last close, resets the trace epoch, and (re-)installs
+  /// the metrics collector.
   void enable(ProfilerConfig cfg = {});
   void disable();
-  /// Acquire pairs with enable()'s release store so a recording thread that
-  /// observes `true` also observes the freshly reset epoch/config (free on
-  /// x86; a plain load-acquire on ARM).
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] const ProfilerConfig& config() const { return cfg_; }
 
-  /// Fold a measured duration into the calling thread's buffer. One branch
-  /// when disabled. Used directly by callers that already hold a duration
+  /// Fold a measured duration into the stage's statistics. One branch when
+  /// disabled. Used directly by callers that already hold a duration
   /// (scheduler dispatch hook, analyze_period's stage transitions);
   /// everything else uses StageScope.
   void record(Stage s, std::uint64_t ns) {
@@ -166,47 +155,53 @@ class Profiler {
   void attach_scheduler(sim::Scheduler& sched);
   static void detach_scheduler(sim::Scheduler& sched);
 
-  /// Deterministic fold of every thread buffer (order-independent).
-  /// Readable while enabled and after disable().
+  /// Copy of the statistics recorded since enable(). Readable while enabled
+  /// and after disable().
   [[nodiscard]] ProfileReport report() const;
 
   /// chrome://tracing events, written into the writer's open array: one
-  /// track per recording thread (pid 3, tid = registration index) of 'X'
-  /// stage spans and thread-scoped "budget-overrun" instants, ts = wall
-  /// microseconds since enable(). See obs::write_chrome_trace().
+  /// track (pid 3, tid 0) of 'X' stage spans and thread-scoped
+  /// "budget-overrun" instants, ts = wall microseconds since enable(). See
+  /// obs::write_chrome_trace().
   void write_chrome_events(json::Writer& w) const;
   /// write_chrome_events() as one JSON array.
   [[nodiscard]] std::string chrome_events() const;
 
-  [[nodiscard]] std::uint64_t budget_overruns() const {
-    return overruns_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t budget_overruns() const { return overruns_; }
+  [[nodiscard]] PeriodCloseInfo last_period_close() const {
+    return last_close_;
   }
-  [[nodiscard]] PeriodCloseInfo last_period_close() const;
-  [[nodiscard]] std::size_t num_thread_buffers() const;
 
  private:
   friend class PeriodCloseScope;
-  struct ThreadBuf;
+
+  /// A stage span, or a budget-overrun instant at `start_ns` whose `dur_ns`
+  /// is the close's wall time and `stage` its top-cost stage.
+  struct TraceEvent {
+    Stage stage;
+    std::uint64_t start_ns;  // wall ns since enable()
+    std::uint64_t dur_ns;
+    bool overrun = false;
+  };
 
   void record_slow(Stage s, std::uint64_t ns);
-  ThreadBuf* local_buf();
   [[nodiscard]] std::uint64_t since_epoch() const;
-  /// True when `buf` may take one more trace event; counts the drop if not.
-  bool trace_room(ThreadBuf& buf) const;
-  /// count/total only (cheap), for per-close deltas.
-  void fold_totals(std::array<std::uint64_t, kNumStages>& totals) const;
+  /// True when the trace may take one more event; counts the drop if not.
+  bool trace_room();
+  /// Per-stage total_ns, for per-close deltas.
+  [[nodiscard]] std::array<std::uint64_t, kNumStages> stage_totals() const;
   void note_period_close(std::uint64_t wall_ns,
                          const std::array<std::uint64_t, kNumStages>& before);
   void export_metrics_to(telemetry::MetricsRegistry& reg);
 
-  std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> generation_{0};  // bumped per enable()
-  std::atomic<std::uint64_t> overruns_{0};
+  bool enabled_ = false;
+  std::uint64_t overruns_ = 0;
   ProfilerConfig cfg_;
   std::chrono::steady_clock::time_point epoch_{};  // enable() time
 
-  mutable std::mutex mu_;  // guards bufs_ vector + last_close_ + collector
-  std::vector<std::unique_ptr<ThreadBuf>> bufs_;
+  std::array<StageStats, kNumStages> stats_;
+  std::vector<TraceEvent> trace_;
+  std::uint64_t trace_dropped_ = 0;
   PeriodCloseInfo last_close_;
   telemetry::Counter m_overruns_;
   telemetry::CollectorGuard collector_;
@@ -217,7 +212,7 @@ class Profiler {
 Profiler& profiler();
 
 /// RAII stage measurement. Constructor cost when the profiler is disabled:
-/// one relaxed atomic load and a branch — no allocation, no clock read.
+/// one bool load and a branch — no allocation, no clock read.
 class StageScope {
  public:
   explicit StageScope(Stage s) {

@@ -69,19 +69,16 @@ double Snapshot::sum(const std::string& name, const Labels& subset) const {
 
 detail::SeriesCell* MetricsRegistry::get_or_create(
     const std::string& name, const std::string& help, Labels labels,
-    MetricType type, double hist_min, double hist_max) {
+    MetricType type) {
   if (name.empty()) {
     throw std::invalid_argument("telemetry: metric name must not be empty");
   }
   const std::string key = canonical_key(labels);
-  std::lock_guard<std::mutex> lock(mu_);
   auto [fit, inserted] = families_.try_emplace(name);
   Family& fam = fit->second;
   if (inserted) {
     fam.type = type;
     fam.help = help;
-    fam.hist_min = hist_min;
-    fam.hist_max = hist_max;
   } else if (fam.type != type) {
     throw std::invalid_argument("telemetry: metric '" + name +
                                 "' re-registered as a different type");
@@ -92,8 +89,7 @@ detail::SeriesCell* MetricsRegistry::get_or_create(
     cell->labels = std::move(labels);
     cell->label_key = key;
     if (type == MetricType::kHistogram) {
-      cell->histogram = std::make_unique<detail::HistogramCell>(fam.hist_min,
-                                                                fam.hist_max);
+      cell->hist = std::make_unique<LogHistogram>();
     }
     sit->second = std::move(cell);
   }
@@ -102,50 +98,39 @@ detail::SeriesCell* MetricsRegistry::get_or_create(
 
 Counter MetricsRegistry::counter(const std::string& name,
                                  const std::string& help, Labels labels) {
-  return Counter(get_or_create(name, help, std::move(labels),
-                               MetricType::kCounter, 0, 0));
+  return Counter(
+      get_or_create(name, help, std::move(labels), MetricType::kCounter));
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name, const std::string& help,
                              Labels labels) {
-  return Gauge(get_or_create(name, help, std::move(labels), MetricType::kGauge,
-                             0, 0));
+  return Gauge(
+      get_or_create(name, help, std::move(labels), MetricType::kGauge));
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name,
-                                     const std::string& help, Labels labels,
-                                     double min_value, double max_value) {
-  return Histogram(get_or_create(name, help, std::move(labels),
-                                 MetricType::kHistogram, min_value,
-                                 max_value));
+                                     const std::string& help, Labels labels) {
+  return Histogram(
+      get_or_create(name, help, std::move(labels), MetricType::kHistogram));
 }
 
 int MetricsRegistry::add_collector(CollectorFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
   const int id = next_collector_id_++;
   collectors_.emplace_back(id, std::move(fn));
   return id;
 }
 
 void MetricsRegistry::remove_collector(int id) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::erase_if(collectors_,
                 [id](const auto& entry) { return entry.first == id; });
 }
 
 Snapshot MetricsRegistry::snapshot() {
-  // Collectors run without the lock held: they call back into counter()/
-  // gauge() on this registry to create or update series.
-  std::vector<CollectorFn> collectors;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    collectors.reserve(collectors_.size());
-    for (const auto& [id, fn] : collectors_) collectors.push_back(fn);
-  }
-  for (const CollectorFn& fn : collectors) fn(*this);
+  // Run a copy: a collector may add or remove collectors while it runs.
+  const std::vector<std::pair<int, CollectorFn>> collectors = collectors_;
+  for (const auto& [id, fn] : collectors) fn(*this);
 
   Snapshot snap;
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, fam] : families_) {
     for (const auto& [key, cell] : fam.series) {
       SeriesSample s;
@@ -154,18 +139,15 @@ Snapshot MetricsRegistry::snapshot() {
       s.label_key = key;
       s.type = fam.type;
       s.help = fam.help;
-      s.counter_value = cell->counter.load(std::memory_order_relaxed);
-      s.gauge_value = cell->gauge.load(std::memory_order_relaxed);
-      if (cell->histogram) {
-        // Per-series lock: concurrent Histogram::observe must not tear the
-        // (count, sum, percentile) sample.
-        std::lock_guard<std::mutex> hist_lock(cell->histogram->mu);
-        s.hist_count = cell->histogram->hist.count();
-        s.hist_sum = cell->histogram->sum;
-        s.hist_p50 = cell->histogram->hist.percentile(0.50);
-        s.hist_p90 = cell->histogram->hist.percentile(0.90);
-        s.hist_p99 = cell->histogram->hist.percentile(0.99);
-        s.hist_p999 = cell->histogram->hist.percentile(0.999);
+      s.counter_value = cell->counter;
+      s.gauge_value = cell->gauge;
+      if (cell->hist) {
+        s.hist_count = cell->hist->count();
+        s.hist_sum = cell->hist_sum;
+        s.hist_p50 = cell->hist->percentile(0.50);
+        s.hist_p90 = cell->hist->percentile(0.90);
+        s.hist_p99 = cell->hist->percentile(0.99);
+        s.hist_p999 = cell->hist->percentile(0.999);
       }
       snap.series.push_back(std::move(s));
     }
@@ -174,19 +156,16 @@ Snapshot MetricsRegistry::snapshot() {
 }
 
 std::size_t MetricsRegistry::num_series() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
   for (const auto& [name, fam] : families_) n += fam.series.size();
   return n;
 }
 
 std::size_t MetricsRegistry::num_collectors() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return collectors_.size();
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   families_.clear();
   collectors_.clear();
 }

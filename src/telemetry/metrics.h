@@ -5,9 +5,9 @@
 // throughput). Design goals, in order:
 //
 //  1. Cheap hot path. A Counter/Gauge/Histogram is a handle (one pointer)
-//     into registry-owned storage; `inc()` is a single relaxed atomic add.
-//     Handles are created once (construction time) and cached by the
-//     instrumented component — never looked up per event.
+//     into registry-owned storage; `inc()` is one plain add. Handles are
+//     created once (construction time) and cached by the instrumented
+//     component — never looked up per event.
 //  2. Labeled series. A metric family (name + help + type) owns one series
 //     per distinct label set, e.g. rpm_agent_probes_sent_total{host="3",
 //     kind="tormesh"}. Registration deduplicates: asking again for the same
@@ -22,19 +22,15 @@
 // unregisters on destruction so short-lived components (test fixtures,
 // benches) leave no dangling callbacks behind.
 //
-// Thread-safety: registration, collectors, and snapshots take a mutex;
-// Counter::inc / Gauge::set are lock-free atomics. Histogram::observe (and
-// its readers: count/sum/percentile, snapshots) is guarded by a per-series
-// mutex, so concurrent observers are safe; the simulator itself is
-// single-threaded, so the lock is uncontended (~ns).
+// Single-threaded by contract, like the event loop that drives every
+// instrumented component (DESIGN §5b): cells are plain fields and nothing
+// here locks.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,23 +53,15 @@ using Labels = std::vector<Label>;
 
 namespace detail {
 
-struct HistogramCell {
-  explicit HistogramCell(double min_value, double max_value)
-      : hist(min_value, max_value) {}
-  // Guards hist + sum: LogHistogram itself stays lock-free-unaware (it is
-  // also used un-shared in hot per-component state); sharing happens only
-  // through this cell.
-  mutable std::mutex mu;
-  LogHistogram hist;
-  double sum = 0.0;
-};
-
 struct SeriesCell {
   Labels labels;
   std::string label_key;  // canonical "k=v,k=v" form (sort + export key)
-  std::atomic<std::uint64_t> counter{0};
-  std::atomic<double> gauge{0.0};
-  std::unique_ptr<HistogramCell> histogram;
+  std::uint64_t counter = 0;
+  double gauge = 0.0;
+  // Set exactly for histogram series (so every Histogram handle has one):
+  // the distribution and the sum of its samples.
+  std::unique_ptr<LogHistogram> hist;
+  double hist_sum = 0.0;
 };
 
 }  // namespace detail
@@ -84,13 +72,13 @@ class Counter {
  public:
   Counter() = default;
   void inc(std::uint64_t n = 1) const {
-    if (cell_) cell_->counter.fetch_add(n, std::memory_order_relaxed);
+    if (cell_) cell_->counter += n;
   }
   void set(std::uint64_t v) const {
-    if (cell_) cell_->counter.store(v, std::memory_order_relaxed);
+    if (cell_) cell_->counter = v;
   }
   [[nodiscard]] std::uint64_t value() const {
-    return cell_ ? cell_->counter.load(std::memory_order_relaxed) : 0;
+    return cell_ ? cell_->counter : 0;
   }
   [[nodiscard]] bool valid() const { return cell_ != nullptr; }
 
@@ -105,13 +93,13 @@ class Gauge {
  public:
   Gauge() = default;
   void set(double v) const {
-    if (cell_) cell_->gauge.store(v, std::memory_order_relaxed);
+    if (cell_) cell_->gauge = v;
   }
   void add(double d) const {
-    if (cell_) cell_->gauge.fetch_add(d, std::memory_order_relaxed);
+    if (cell_) cell_->gauge += d;
   }
   [[nodiscard]] double value() const {
-    return cell_ ? cell_->gauge.load(std::memory_order_relaxed) : 0.0;
+    return cell_ ? cell_->gauge : 0.0;
   }
   [[nodiscard]] bool valid() const { return cell_ != nullptr; }
 
@@ -122,30 +110,22 @@ class Gauge {
 };
 
 /// Distribution backed by LogHistogram (log-bucketed, ~4 % resolution,
-/// bounded memory regardless of sample count).
+/// bounded memory regardless of sample count) over one range, 1..1e12:
+/// samples outside it are clamped into the edge buckets.
 class Histogram {
  public:
   Histogram() = default;
   void observe(double v) const {
-    if (!cell_ || !cell_->histogram) return;
-    std::lock_guard<std::mutex> lock(cell_->histogram->mu);
-    cell_->histogram->hist.add(v);
-    cell_->histogram->sum += v;
+    if (!cell_) return;
+    cell_->hist->add(v);
+    cell_->hist_sum += v;
   }
   [[nodiscard]] std::uint64_t count() const {
-    if (!cell_ || !cell_->histogram) return 0;
-    std::lock_guard<std::mutex> lock(cell_->histogram->mu);
-    return cell_->histogram->hist.count();
+    return cell_ ? cell_->hist->count() : 0;
   }
-  [[nodiscard]] double sum() const {
-    if (!cell_ || !cell_->histogram) return 0.0;
-    std::lock_guard<std::mutex> lock(cell_->histogram->mu);
-    return cell_->histogram->sum;
-  }
+  [[nodiscard]] double sum() const { return cell_ ? cell_->hist_sum : 0.0; }
   [[nodiscard]] double percentile(double q) const {
-    if (!cell_ || !cell_->histogram) return 0.0;
-    std::lock_guard<std::mutex> lock(cell_->histogram->mu);
-    return cell_->histogram->hist.percentile(q);
+    return cell_ ? cell_->hist->percentile(q) : 0.0;
   }
   [[nodiscard]] bool valid() const { return cell_ != nullptr; }
 
@@ -201,8 +181,7 @@ class MetricsRegistry {
   Gauge gauge(const std::string& name, const std::string& help,
               Labels labels = {});
   Histogram histogram(const std::string& name, const std::string& help,
-                      Labels labels = {}, double min_value = 1.0,
-                      double max_value = 1e12);
+                      Labels labels = {});
 
   /// Collector callback, run (in registration order) at the start of every
   /// snapshot. It may create series and set values on `*this`.
@@ -222,18 +201,14 @@ class MetricsRegistry {
   struct Family {
     MetricType type;
     std::string help;
-    double hist_min = 1.0;
-    double hist_max = 1e12;
     // key: canonical label string. unique_ptr keeps cell addresses stable.
     std::map<std::string, std::unique_ptr<detail::SeriesCell>> series;
   };
 
   detail::SeriesCell* get_or_create(const std::string& name,
                                     const std::string& help, Labels labels,
-                                    MetricType type, double hist_min,
-                                    double hist_max);
+                                    MetricType type);
 
-  mutable std::mutex mu_;
   std::map<std::string, Family> families_;
   std::vector<std::pair<int, CollectorFn>> collectors_;
   int next_collector_id_ = 1;

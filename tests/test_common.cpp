@@ -1,15 +1,13 @@
 // Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics,
-// seq dedup, little-endian fields, the leveled logger, the JSON writer.
+// seq dedup, little-endian fields, the JSON writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "common/dedup.h"
 #include "common/five_tuple.h"
 #include "common/json.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -246,52 +243,6 @@ TEST(Codec, LittleEndianFieldsAndTruncation) {
   EXPECT_THROW(codec::get_u32(out, off), std::runtime_error);
   off = out.size() - 7;
   EXPECT_THROW(codec::get_u64(out, off), std::runtime_error);
-}
-
-TEST(Log, ThresholdDropsLowerLevelsAndKeptLinesAreWhole) {
-  // Capture std::clog; restore it and the threshold even if a check fails.
-  struct Restore {
-    std::streambuf* buf;
-    LogLevel threshold;
-    ~Restore() {
-      std::clog.rdbuf(buf);
-      set_log_threshold(threshold);
-    }
-  };
-  std::ostringstream out;
-  const Restore restore{std::clog.rdbuf(out.rdbuf()), log_threshold()};
-
-  // Default: quiet below WARN.
-  EXPECT_EQ(log_threshold(), LogLevel::kWarn);
-  log_debug() << "dropped " << 1;
-  log_info() << "dropped " << 2;
-  log_warn() << "kept " << 3;
-  log_error() << "kept " << 4.5;
-  EXPECT_EQ(out.str(), "[WARN ] kept 3\n[ERROR] kept 4.5\n");
-
-  // A line reaches the sink only when it ends, as one whole line.
-  out.str("");
-  {
-    auto line = log_warn();
-    line << "part one, ";
-    EXPECT_EQ(out.str(), "");
-    line << "part two";
-  }
-  EXPECT_EQ(out.str(), "[WARN ] part one, part two\n");
-
-  out.str("");
-  set_log_threshold(LogLevel::kDebug);
-  EXPECT_EQ(log_threshold(), LogLevel::kDebug);
-  log_debug() << "d";
-  log_info() << "i";
-  EXPECT_EQ(out.str(), "[DEBUG] d\n[INFO ] i\n");
-
-  out.str("");
-  set_log_threshold(LogLevel::kError);
-  EXPECT_EQ(log_threshold(), LogLevel::kError);
-  log_warn() << "dropped";
-  log_error() << "e";
-  EXPECT_EQ(out.str(), "[ERROR] e\n");
 }
 
 // ---- the JSON writer ----

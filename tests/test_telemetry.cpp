@@ -5,7 +5,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -354,32 +353,6 @@ TEST(Export, PeriodicDumperFollowsSimClock) {
   dumper.stop();
   sched.run_until(sec(10));
   EXPECT_EQ(dumper.dumps(), 3u);
-}
-
-TEST(Histogram, ConcurrentObserveIsThreadSafe) {
-  // Histogram::observe is documented thread-safe (guarded by a per-series
-  // mutex). Hammer one series from several threads — under TSan this is
-  // the race detector's target; everywhere it must not lose a single
-  // sample.
-  MetricsRegistry reg;
-  Histogram h = reg.histogram("t_concurrent_ns", "concurrent observes");
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50'000;
-  constexpr double kValue = 100.0;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.observe(kValue);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread * kValue);
-  const Snapshot snap = reg.snapshot();
-  const SeriesSample* s = snap.find("t_concurrent_ns");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->hist_count, h.count());
 }
 
 }  // namespace
