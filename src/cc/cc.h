@@ -34,19 +34,8 @@
 
 namespace rpm::cc {
 
-struct DcqcnParams {
-  double g = 1.0 / 16.0;         // alpha EWMA gain (per update that sees ECN)
-  double rate_ai_Bps = gbps_to_Bps(0.4);   // additive increase step
-  double rate_hai_Bps = gbps_to_Bps(2.0);  // hyper increase step
-  TimeNs increase_period = usec(300);      // time between increase events
-  TimeNs decrease_min_gap = usec(50);      // at most one cut per gap
-  int fast_recovery_rounds = 3;            // rounds of (Rc+Rt)/2 averaging
-  double min_rate_Bps = gbps_to_Bps(0.1);
-};
-
 class Dcqcn final : public fabric::RateController {
  public:
-  explicit Dcqcn(DcqcnParams params = {}) : params_(params) {}
 
   double reset(std::uint32_t flow_slot, double demand_Bps,
                double line_rate_Bps) override;
@@ -63,20 +52,11 @@ class Dcqcn final : public fabric::RateController {
     int recovery_round = 0;
     double line_rate = 0.0;
   };
-  DcqcnParams params_;
   std::unordered_map<std::uint32_t, State> flows_;
-};
-
-struct DelayCcParams {
-  TimeNs target_delay = usec(8);   // steer path queueing delay here
-  double beta = 0.6;               // max multiplicative decrease strength
-  double additive_gain = 0.05;     // fraction of line rate added when below
-  double min_rate_frac = 0.01;     // floor as a fraction of line rate
 };
 
 class DelayCc final : public fabric::RateController {
  public:
-  explicit DelayCc(DelayCcParams params = {}) : params_(params) {}
 
   double reset(std::uint32_t flow_slot, double demand_Bps,
                double line_rate_Bps) override;
@@ -88,7 +68,6 @@ class DelayCc final : public fabric::RateController {
   struct State {
     double line_rate = 0.0;
   };
-  DelayCcParams params_;
   std::unordered_map<std::uint32_t, State> flows_;
 };
 

@@ -378,7 +378,7 @@ ChaosReport ChaosRunner::run(const ChaosPlan& plan) {
       // campaign, not the host. Reported as collateral, not a false claim.
       if (p.category == Cat::kHostDown) {
         const TimeNs silence_from =
-            period_end - acfg.host_silence_threshold - acfg.period;
+            period_end - core::kHostSilenceThreshold - acfg.period;
         bool collateral = false;
         for (const Window& w : outage_windows) {
           if (w.overlaps(silence_from, period_end)) collateral = true;

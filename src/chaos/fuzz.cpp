@@ -152,7 +152,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
 
     if (!first.oracle.ok()) {
       ++rep.failures;
-      if (cfg.shrink && !plan.steps.empty()) {
+      if (!plan.steps.empty()) {
         const std::vector<InvariantViolation> original =
             first.oracle.violations;
         ShrinkConfig scfg = cfg.shrink_cfg;

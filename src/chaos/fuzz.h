@@ -57,9 +57,8 @@ struct FuzzConfig {
   OracleConfig oracle;
   /// Run every seed twice and require byte-identical ChaosReport JSON.
   bool check_determinism = true;
-  /// Shrink failing plans and write {deployment, plan} JSON artifacts here
-  /// (empty = no artifacts).
-  bool shrink = true;
+  /// Failing plans are shrunk; their {deployment, plan} JSON artifacts go
+  /// here (empty = no artifacts).
   ShrinkConfig shrink_cfg;
   std::string corpus_dir;
 };
@@ -95,8 +94,8 @@ struct FuzzReport {
 };
 
 /// The fuzz loop. Writes one corpus artifact per failing seed when
-/// cfg.shrink is set and cfg.corpus_dir is non-empty; throws
-/// std::runtime_error when one cannot be written.
+/// cfg.corpus_dir is non-empty; throws std::runtime_error when one cannot be
+/// written.
 FuzzReport run_fuzz(const FuzzConfig& cfg);
 
 /// Replay one corpus artifact ({"deployment": ..., "plan": ...}); returns

@@ -1,11 +1,41 @@
 #include "chaos/gen.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace rpm::chaos {
 
 namespace {
+
+constexpr TimeNs kTimeGrid = sec(1);  // event times snap to this grid
+static_assert(kTimeGrid > 0, "CampaignGen: time_grid must be positive");
+constexpr TimeNs kMinOutage = sec(8);
+constexpr TimeNs kMaxOutage = sec(20);
+// Quiet tail before the campaign's end, reserved for recovery scoring.
+constexpr TimeNs kSettleTail = sec(35);
+// Gap reserved after each control-plane window before the next may start.
+constexpr TimeNs kWindowSpacing = sec(15);
+constexpr TimeNs kMinFaultHold = sec(15);
+constexpr TimeNs kMaxFaultHold = sec(30);
+// Probability a clearable fault gets a mid-campaign clear() step (the rest
+// stay active to the end).
+constexpr double kClearFaultProb = 0.6;
+// The weighted step menu.
+constexpr std::pair<const char*, int> kStepWeights[] = {
+    {"controller-bounce", 2}, {"analyzer-outage", 2}, {"agent-restart", 2},
+    {"pod-bounce", 2},        {"inject", 5},
+};
+// FaultCatalog constructors the "inject" step draws from: the set whose
+// verdicts the scoring rubric fully attributes.
+constexpr const char* kFaultCtors[] = {
+    "host-down",    "corruption",           "rnic-down",
+    "cpu-overload", "agent-cpu-occupation", "control-plane-degradation",
+};
 
 struct Window {
   TimeNs from = 0;
@@ -21,11 +51,8 @@ bool overlaps(const std::vector<Window>& reserved, TimeNs from, TimeNs to) {
 }  // namespace
 
 CampaignGen::CampaignGen(CampaignGenConfig cfg) : cfg_(std::move(cfg)) {
-  if (cfg_.duration <= cfg_.settle_tail + cfg_.period) {
+  if (cfg_.duration <= kSettleTail + cfg_.period) {
     throw std::invalid_argument("CampaignGen: duration too short for tail");
-  }
-  if (cfg_.time_grid <= 0) {
-    throw std::invalid_argument("CampaignGen: time_grid must be positive");
   }
 }
 
@@ -37,10 +64,8 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
   plan.duration = cfg_.duration;
 
   const TimeNs lo = cfg_.period;                     // after first warm-up
-  const TimeNs hi = cfg_.duration - cfg_.settle_tail;
-  const auto snap = [&](TimeNs t) {
-    return (t / cfg_.time_grid) * cfg_.time_grid;
-  };
+  const TimeNs hi = cfg_.duration - kSettleTail;
+  const auto snap = [&](TimeNs t) { return (t / kTimeGrid) * kTimeGrid; };
   const auto pick_time = [&](TimeNs latest) {
     return snap(rng.uniform_int(lo, std::max(lo, latest)));
   };
@@ -48,13 +73,11 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
   // The weighted step menu, with pod-bounce removed on flat deployments.
   std::vector<std::pair<std::string, int>> menu;
   int total_weight = 0;
-  for (const auto& [name, weight] : cfg_.step_weights) {
-    if (weight <= 0) continue;
-    if (name == "pod-bounce" && cfg_.pods < 2) continue;
+  for (const auto& [name, weight] : kStepWeights) {
+    if (name == std::string_view("pod-bounce") && cfg_.pods < 2) continue;
     menu.emplace_back(name, weight);
     total_weight += weight;
   }
-  if (menu.empty() || total_weight == 0) return plan;
 
   const auto pick_step = [&]() -> const std::string& {
     int roll = static_cast<int>(rng.uniform_int(1, total_weight));
@@ -73,7 +96,7 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
     for (int attempt = 0; attempt < 16; ++attempt) {
       if (hi - len < lo) return kNoTime;
       const TimeNs start = snap(rng.uniform_int(lo, hi - len));
-      const TimeNs end = start + len + cfg_.window_spacing;
+      const TimeNs end = start + len + kWindowSpacing;
       if (overlaps(reserved, start, end)) continue;
       reserved.push_back({start, end});
       return start;
@@ -89,8 +112,7 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
     const std::string& step = pick_step();
     if (step == "controller-bounce" || step == "analyzer-outage" ||
         step == "pod-bounce") {
-      const TimeNs len =
-          snap(rng.uniform_int(cfg_.min_outage, cfg_.max_outage));
+      const TimeNs len = snap(rng.uniform_int(kMinOutage, kMaxOutage));
       const TimeNs start = reserve_window(len);
       if (start == kNoTime) continue;
       if (step == "controller-bounce") {
@@ -110,20 +132,18 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
       plan.agent_restart(
           at, HostId{static_cast<std::uint32_t>(rng.index(topo.num_hosts()))});
     } else {  // "inject"
-      const std::string& ctor =
-          cfg_.fault_ctors.at(rng.index(cfg_.fault_ctors.size()));
+      const std::string ctor = kFaultCtors[rng.index(std::size(kFaultCtors))];
       const faults::FaultCatalog::Entry* entry = catalog.find(ctor);
       if (entry == nullptr) {
         throw std::invalid_argument("CampaignGen: unknown fault ctor '" +
                                     ctor + "'");
       }
-      const TimeNs hold =
-          snap(rng.uniform_int(cfg_.min_fault_hold, cfg_.max_fault_hold));
+      const TimeNs hold = snap(rng.uniform_int(kMinFaultHold, kMaxFaultHold));
       const TimeNs at = pick_time(hi - hold);
       const std::string label =
           "f" + std::to_string(fault_idx++) + "-" + ctor;
       plan.inject(at, label, entry->sample(rng, topo));
-      if (entry->clearable && rng.chance(cfg_.clear_fault_prob)) {
+      if (entry->clearable && rng.chance(kClearFaultProb)) {
         plan.clear(std::min(at + hold, hi), label);
       }
     }

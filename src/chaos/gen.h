@@ -10,12 +10,12 @@
 // not a malformed plan:
 //
 //  * control-plane events serialize: each window (crash..restart,
-//    outage begin..end) reserves [start, end + window_spacing] on a shared
-//    timeline, so recovery from one event is observable before the next;
-//  * events land on a coarse time grid (deliberately colliding timestamps —
+//    outage begin..end) reserves [start, end + 15 s] on a shared timeline,
+//    so recovery from one event is observable before the next;
+//  * events land on a coarse 1 s grid (deliberately colliding timestamps —
 //    the runner's insertion-order tie-break is part of what's under test);
-//  * everything lands in [period, duration - settle_tail]: the deployment
-//    has warmed up, and the tail leaves room for recovery scoring;
+//  * everything lands in [period, duration - 35 s]: the deployment has
+//    warmed up, and the 35 s settle tail leaves room for recovery scoring;
 //  * injected faults are cleared before the tail or left active to the end
 //    (both matchable states; a clear inside the tail would race scoring).
 //
@@ -23,10 +23,7 @@
 // plan_to_json — the fuzzer's reproducibility contract.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "chaos/chaos.h"
 #include "common/rng.h"
@@ -36,39 +33,14 @@
 namespace rpm::chaos {
 
 struct CampaignGenConfig {
+  /// Campaign length; it must exceed the 35 s settle tail plus one period.
   TimeNs duration = sec(120);
   /// Analyzer period of the target deployment (aligns the settle math).
   TimeNs period = sec(5);
-  /// Event times snap to this grid (collisions are intentional).
-  TimeNs time_grid = sec(1);
   int min_events = 4;
   int max_events = 9;
   /// Pod count of the target deployment; < 2 disables pod-bounce steps.
   std::size_t pods = 0;
-  TimeNs min_outage = sec(8);
-  TimeNs max_outage = sec(20);
-  /// Quiet tail before `duration` reserved for recovery scoring.
-  TimeNs settle_tail = sec(35);
-  /// Gap reserved after each control-plane window before the next may start.
-  TimeNs window_spacing = sec(15);
-  TimeNs min_fault_hold = sec(15);
-  TimeNs max_fault_hold = sec(30);
-  /// Probability a clearable fault gets a mid-campaign clear() step (the
-  /// rest stay active to the end).
-  double clear_fault_prob = 0.6;
-  /// Weighted step menu. Names: "controller-bounce", "analyzer-outage",
-  /// "agent-restart", "pod-bounce", "inject".
-  std::vector<std::pair<std::string, int>> step_weights = {
-      {"controller-bounce", 2}, {"analyzer-outage", 2},
-      {"agent-restart", 2},     {"pod-bounce", 2},
-      {"inject", 5},
-  };
-  /// FaultCatalog constructors the "inject" step draws from. Defaults to
-  /// the set whose verdicts the scoring rubric fully attributes.
-  std::vector<std::string> fault_ctors = {
-      "host-down",     "corruption",          "rnic-down",
-      "cpu-overload",  "agent-cpu-occupation", "control-plane-degradation",
-  };
 };
 
 class CampaignGen {

@@ -33,25 +33,22 @@ OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
                 " false positive(s) inside outage windows");
   }
 
-  if (cfg.check_recovery) {
-    for (const ChaosReport::Recovery& r : rep.recoveries) {
-      // Only enforce when the campaign left room to observe the deadline.
-      const TimeNs deadline =
-          r.at + static_cast<TimeNs>(cfg.max_recovery_periods + 1) *
-                     cfg.period;
-      if (deadline > rep.duration) continue;
-      if (r.periods_to_recover < 1 ||
-          r.periods_to_recover > cfg.max_recovery_periods) {
-        violate("recovery",
-                r.event + " at " + std::to_string(r.at) + "ns recovered in " +
-                    std::to_string(r.periods_to_recover) +
-                    " periods (budget " +
-                    std::to_string(cfg.max_recovery_periods) + ")");
-      }
+  for (const ChaosReport::Recovery& r : rep.recoveries) {
+    // Only enforce when the campaign left room to observe the deadline.
+    const TimeNs deadline =
+        r.at + static_cast<TimeNs>(cfg.max_recovery_periods + 1) * cfg.period;
+    if (deadline > rep.duration) continue;
+    if (r.periods_to_recover < 1 ||
+        r.periods_to_recover > cfg.max_recovery_periods) {
+      violate("recovery",
+              r.event + " at " + std::to_string(r.at) + "ns recovered in " +
+                  std::to_string(r.periods_to_recover) +
+                  " periods (budget " +
+                  std::to_string(cfg.max_recovery_periods) + ")");
     }
   }
 
-  if (cfg.check_digest_seq && rpm.federated()) {
+  if (rpm.federated()) {
     for (std::size_t p = 0; p < rpm.num_pods(); ++p) {
       const std::uint64_t sent = rpm.pod_analyzer(p).digests_sent();
       const std::uint64_t accepted =
@@ -65,34 +62,30 @@ OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
     }
   }
 
-  if (cfg.check_spill) {
-    for (std::size_t h = 0; h < rpm.num_agents(); ++h) {
-      const std::size_t depth =
-          rpm.agent(HostId{static_cast<std::uint32_t>(h)}).spill_depth();
-      if (depth != 0) {
-        violate("spill-drain", "host " + std::to_string(h) + " spill ring " +
-                                   std::to_string(depth) +
-                                   " deep at campaign end");
-      }
+  for (std::size_t h = 0; h < rpm.num_agents(); ++h) {
+    const std::size_t depth =
+        rpm.agent(HostId{static_cast<std::uint32_t>(h)}).spill_depth();
+    if (depth != 0) {
+      violate("spill-drain", "host " + std::to_string(h) + " spill ring " +
+                                 std::to_string(depth) +
+                                 " deep at campaign end");
     }
   }
 
-  if (cfg.check_journal) {
-    std::vector<std::string> roles;
-    if (rpm.federated()) {
-      for (std::size_t p = 0; p < rpm.num_pods(); ++p) {
-        roles.push_back("pod" + std::to_string(p));
-      }
-      roles.emplace_back("global");
-    } else {
-      roles.emplace_back("analyzer");
+  std::vector<std::string> roles;
+  if (rpm.federated()) {
+    for (std::size_t p = 0; p < rpm.num_pods(); ++p) {
+      roles.push_back("pod" + std::to_string(p));
     }
-    for (const std::string& role : roles) {
-      if (rpm.journal().checkpoint_bytes(role) == 0) continue;
-      if (!rpm.journal().load_checkpoint(role).has_value()) {
-        violate("journal-decode",
-                "role '" + role + "' checkpoint failed to decode");
-      }
+    roles.emplace_back("global");
+  } else {
+    roles.emplace_back("analyzer");
+  }
+  for (const std::string& role : roles) {
+    if (rpm.journal().checkpoint_bytes(role) == 0) continue;
+    if (!rpm.journal().load_checkpoint(role).has_value()) {
+      violate("journal-decode",
+              "role '" + role + "' checkpoint failed to decode");
     }
   }
 

@@ -40,10 +40,6 @@ struct OracleConfig {
   /// periods — checked only when the campaign leaves enough room after the
   /// event to observe that many periods.
   int max_recovery_periods = 10;
-  bool check_recovery = true;
-  bool check_digest_seq = true;
-  bool check_spill = true;
-  bool check_journal = true;
 };
 
 struct InvariantViolation {
@@ -59,7 +55,7 @@ struct OracleReport {
 };
 
 /// Score `rep` (produced by running a plan on `rpm`) plus the deployment's
-/// post-campaign state against every enabled oracle.
+/// post-campaign state against every oracle.
 OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
                               const OracleConfig& cfg = {});
 

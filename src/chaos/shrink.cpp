@@ -7,6 +7,9 @@ namespace rpm::chaos {
 
 namespace {
 
+constexpr TimeNs kMinWindow = sec(5);    // outage windows never shrink below
+constexpr TimeNs kSettleTail = sec(35);  // kept after the last step
+
 using Group = std::vector<std::size_t>;  // step indices, ascending
 
 /// Steps that only make sense together shrink together. Pairing is by plan
@@ -147,7 +150,7 @@ ShrinkResult Shrinker::shrink(const ChaosPlan& plan,
   {
     TimeNs last = 0;
     for (const ChaosStep& s : best.steps) last = std::max(last, s.at);
-    const TimeNs trimmed = last + cfg_.settle_tail;
+    const TimeNs trimmed = last + kSettleTail;
     if (trimmed < best.duration) {
       ChaosPlan candidate = best;
       candidate.duration = trimmed;
@@ -155,12 +158,12 @@ ShrinkResult Shrinker::shrink(const ChaosPlan& plan,
     }
   }
 
-  // Halve each outage window down to min_window.
+  // Halve each outage window down to kMinWindow.
   for (bool changed = true; changed && res.trials < cfg_.max_trials;) {
     changed = false;
     for (const auto& [bi, ei] : window_pairs(best)) {
       const TimeNs len = best.steps[ei].at - best.steps[bi].at;
-      const TimeNs halved = std::max(cfg_.min_window, len / 2);
+      const TimeNs halved = std::max(kMinWindow, len / 2);
       if (halved >= len) continue;
       ChaosPlan candidate = best;
       candidate.steps[ei].at = candidate.steps[bi].at + halved;

@@ -32,10 +32,6 @@ struct ShrinkConfig {
   std::size_t max_trials = 128;
   /// Period boundary for the snap-times mutation.
   TimeNs period = sec(5);
-  /// Outage windows are never shortened below this.
-  TimeNs min_window = sec(5);
-  /// Tail kept after the last step when trimming duration.
-  TimeNs settle_tail = sec(35);
 };
 
 /// True when the candidate plan still exhibits the failure being minimized.

@@ -7,15 +7,42 @@
 
 namespace rpm::core {
 
+namespace {
+
+using transport::kSpillRingCap;
+using transport::kUploadInterval;
+using transport::kUploadRequeueCap;
+
+constexpr TimeNs kProbeTimeout = msec(500);     // §5
+constexpr Bytes kProbePayloadBytes = 50;        // §5
+constexpr TimeNs kPinglistRefresh = sec(300);   // §5: every 5 minutes
+constexpr TimeNs kTraceRefresh = sec(2);        // per-tuple Traceroute cadence
+// A coalescing outbox that holds this many records flushes at once.
+constexpr std::size_t kUploadFlushRecords = 8192;
+// Control-plane survivability. The lease the Controller granted at
+// registration is renewed by heartbeats at this cadence; if renewal fails
+// past the lease, the Agent re-registers with capped exponential backoff
+// (base * 2^attempt up to max, plus uniform [0, jitter] from the Agent's
+// own seeded Rng so a restarted Controller is not hit by every Agent at
+// the same instant).
+constexpr TimeNs kHeartbeatInterval = sec(5);
+constexpr TimeNs kBackoffBase = msec(500);
+constexpr TimeNs kBackoffMax = sec(8);
+constexpr TimeNs kBackoffJitter = msec(250);
+
+}  // namespace
+
 Agent::Agent(host::Cluster& cluster, HostId host, const Controller& directory,
              transport::Channel& upload_ch, transport::RpcChannel& ctrl_rpc,
-             AgentConfig cfg)
+             AgentConfig cfg, const AnalyzerConfig& analysis)
     : cluster_(cluster),
       host_(host),
       directory_(&directory),
       upload_ch_(upload_ch),
       ctrl_rpc_(ctrl_rpc),
       cfg_(cfg),
+      fold_uploads_(analysis.sketch_mode == SketchMode::kOn),
+      keep_rtt_above_(analysis.high_rtt_threshold),
       rng_(cluster.fork_rng()),
       // Distinct id spaces per host so probe ids are globally unique (and
       // never collide with the small wr_ids used for ACK sends).
@@ -120,14 +147,13 @@ void Agent::create_qps() {
 }
 
 TimeNs Agent::backoff_delay(std::uint32_t attempt) {
-  TimeNs d = cfg_.backoff_base;
-  for (std::uint32_t i = 0; i < attempt && d < cfg_.backoff_max; ++i) d *= 2;
-  d = std::min(d, cfg_.backoff_max);
+  TimeNs d = kBackoffBase;
+  for (std::uint32_t i = 0; i < attempt && d < kBackoffMax; ++i) d *= 2;
+  d = std::min(d, kBackoffMax);
   // Per-agent jitter from the Agent's own seeded Rng: deterministic for a
   // given seed, different across Agents — no thundering herd on a restarted
   // Controller, no wall-clock nondeterminism.
-  if (cfg_.backoff_jitter > 0) d += rng_.uniform_int(0, cfg_.backoff_jitter);
-  return d;
+  return d + rng_.uniform_int(0, kBackoffJitter);
 }
 
 void Agent::register_with_controller() {
@@ -279,16 +305,16 @@ void Agent::start() {
     st.service_task->start(service_phase);
   }
   upload_task_ = std::make_unique<sim::PeriodicTask>(
-      sched, cfg_.upload_interval, [this] { upload_now(); });
-  upload_task_->start(cfg_.upload_interval);
+      sched, kUploadInterval, [this] { upload_now(); });
+  upload_task_->start(kUploadInterval);
   refresh_task_ = std::make_unique<sim::PeriodicTask>(
-      sched, cfg_.pinglist_refresh, [this] { refresh_pinglists(); });
-  refresh_task_->start(cfg_.pinglist_refresh);
+      sched, kPinglistRefresh, [this] { refresh_pinglists(); });
+  refresh_task_->start(kPinglistRefresh);
   heartbeat_task_ = std::make_unique<sim::PeriodicTask>(
-      sched, cfg_.heartbeat_interval, [this] { heartbeat_tick(); });
+      sched, kHeartbeatInterval, [this] { heartbeat_tick(); });
   // Phase-jittered like the probing tasks, so heartbeats (and therefore
   // lease-expiry detections) never fire in cluster-wide lockstep.
-  heartbeat_task_->start(rng_.uniform_int(0, cfg_.heartbeat_interval));
+  heartbeat_task_->start(rng_.uniform_int(0, kHeartbeatInterval));
 }
 
 void Agent::stop() {
@@ -496,7 +522,7 @@ Agent::PathCacheEntry& Agent::traced_paths(std::uint32_t slot,
   RnicState& st = rnics_[slot];
   PathCacheEntry& cache = st.paths[e.tuple.stable_hash()];
   const TimeNs now = cluster_.scheduler().now();
-  if (cache.traced_at != kNoTime && now - cache.traced_at < cfg_.trace_refresh) {
+  if (cache.traced_at != kNoTime && now - cache.traced_at < kTraceRefresh) {
     return cache;
   }
   cache.traced_at = now;
@@ -567,12 +593,12 @@ void Agent::send_probe(std::uint32_t slot, const PinglistEntry& entry) {
   w.sampled = sampled;
   cluster_.open_device(st.rnic).post_send_ud(
       st.ud_qpn, entry.target_gid, entry.target_qpn, entry.tuple.src_port,
-      cfg_.probe_payload_bytes, w, /*wr_id=*/pid,
+      kProbePayloadBytes, w, /*wr_id=*/pid,
       /*trace_id=*/sampled ? pid : 0);
   ++probes_sent_;
   metrics_.probes_sent[static_cast<std::uint8_t>(entry.kind)].inc();
 
-  cluster_.scheduler().schedule_after(cfg_.probe_timeout, [this, pid] {
+  cluster_.scheduler().schedule_after(kProbeTimeout, [this, pid] {
     finalize_timeout(pid);
   });
 }
@@ -606,7 +632,7 @@ void Agent::on_cqe(std::uint32_t slot, const rnic::Cqe& cqe) {
       RnicState& st = rnics_[ctx.slot];
       cluster_.open_device(st.rnic).post_send_ud(
           st.ud_qpn, ctx.prober_gid, ctx.prober_qpn, ctx.src_port,
-          cfg_.probe_payload_bytes, w, next_wr_id_++,
+          kProbePayloadBytes, w, next_wr_id_++,
           /*trace_id=*/ctx.sampled ? ctx.probe_id : 0);
       return;
     }
@@ -665,7 +691,7 @@ void Agent::handle_probe(std::uint32_t slot, const rnic::Cqe& cqe,
     // RC QPs services use (§5).
     cluster_.open_device(st.rnic).post_send_ud(
         st.ud_qpn, prober_gid, prober_qpn, src_port,
-        cfg_.probe_payload_bytes, ack1, wr,
+        kProbePayloadBytes, ack1, wr,
         /*trace_id=*/sampled ? probe_id : 0);
     ++responses_sent_;
     metrics_.responses_sent.inc();
@@ -730,7 +756,7 @@ void Agent::finalize_if_complete(std::uint64_t probe_id) {
                            static_cast<std::uint64_t>(p.record.network_rtt),
                            static_cast<std::uint64_t>(p.record.prober_delay));
   }
-  if (cfg_.sketch_thin_uploads && foldable(p.record)) {
+  if (fold_uploads_ && foldable(p.record)) {
     fold_record(p.record);
   } else {
     outbox_.push_back(std::move(p.record));
@@ -747,8 +773,8 @@ void Agent::finalize_if_complete(std::uint64_t probe_id) {
 bool Agent::foldable(const ProbeRecord& r) const {
   return r.status == ProbeStatus::kOk &&
          r.kind != ProbeKind::kServiceTracing && !r.flight_sampled &&
-         r.network_rtt <= cfg_.sketch_keep_rtt_above &&
-         r.responder_delay <= cfg_.sketch_keep_proc_above;
+         r.network_rtt <= keep_rtt_above_ &&
+         r.responder_delay <= kHighProcDelayThreshold;
 }
 
 void Agent::fold_record(const ProbeRecord& r) {
@@ -783,7 +809,7 @@ void Agent::upload_now() {
   // into one sized batch instead of one small message per timer tick —
   // unless the outbox is already large enough to flush early.
   if (periods_since_flush_ < cfg_.upload_coalesce_periods &&
-      outbox_.size() < cfg_.upload_flush_records) {
+      outbox_.size() < kUploadFlushRecords) {
     return;
   }
   flush_outbox();
@@ -865,7 +891,7 @@ void Agent::on_upload_expired(std::uint64_t chan_seq, std::any& payload) {
     drop_for_good();
     return;
   }
-  if (batch->requeues >= cfg_.upload_requeue_cap) {
+  if (batch->requeues >= kUploadRequeueCap) {
     // All transport + application retries exhausted: the Analyzer looks to
     // be in an outage. Park the batch in the spill ring instead of losing
     // the history; it drains in seq order on reconnect.
@@ -906,7 +932,7 @@ void Agent::spill_batch(UploadBatch&& batch) {
     }
   }
   spill_.insert(it, std::move(batch));
-  while (spill_.size() > cfg_.spill_ring_cap) {
+  while (spill_.size() > kSpillRingCap) {
     // Drop-oldest: under a long outage the freshest history wins, same
     // latest-wins policy as the transport's backpressure.
     const UploadBatch& victim = spill_.front();
@@ -944,7 +970,7 @@ void Agent::schedule_catchup() {
     metrics_.spill_ring_depth.set(static_cast<double>(spill_.size()));
     // Keep the requeue header at the cap so another expiry routes straight
     // back into the spill ring instead of burning requeue rounds.
-    probe.requeues = cfg_.upload_requeue_cap;
+    probe.requeues = kUploadRequeueCap;
     send_batch(std::move(probe));
     schedule_catchup();
   });
@@ -963,7 +989,7 @@ void Agent::drain_spill() {
     ready.swap(spill_);
     metrics_.spill_ring_depth.set(0.0);
     for (UploadBatch& b : ready) {
-      b.requeues = cfg_.upload_requeue_cap;
+      b.requeues = kUploadRequeueCap;
       if (obs::recorder().enabled()) {
         for (const ProbeRecord& r : b.records) {
           if (r.flight_sampled) {

@@ -18,8 +18,8 @@
 //   responder delay  = ④-③
 //   prober delay     = (⑥-①) - (⑤-②)
 // Every subtraction pairs readings of ONE clock, so the RNICs' and hosts'
-// offsets/drift cancel. A probe missing either ACK at `probe_timeout` is
-// reported as a timeout.
+// offsets/drift cancel. A probe missing either ACK at the 500 ms probe
+// timeout (§5) is reported as a timeout.
 //
 // Service tracing (§4.2.2): the Agent attaches to the host's
 // modify_qp/destroy_qp tracepoints; each RC connect contributes a pinglist
@@ -44,6 +44,7 @@
 #include "common/rng.h"
 #include "core/controller.h"
 #include "core/types.h"
+#include "core/verdict.h"
 #include "host/cluster.h"
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
@@ -52,51 +53,16 @@
 namespace rpm::core {
 
 struct AgentConfig {
-  TimeNs probe_timeout = msec(500);   // §5
-  Bytes probe_payload_bytes = 50;     // §5
-  TimeNs upload_interval = sec(5);    // §5
-  TimeNs pinglist_refresh = sec(300); // §5: every 5 minutes
   TimeNs service_probe_interval = msec(10);  // §5
-  TimeNs trace_refresh = sec(2);      // per-tuple Traceroute cadence
   // §7.4: on fabrics that support INT, path tracing uses the data plane —
   // no switch-CPU rate limits, so traced paths are always fresh.
   bool use_int_telemetry = false;
   // Batched uploads (ROADMAP): hold the outbox for this many upload periods
-  // before flushing one coalesced batch — unless it already holds
-  // `upload_flush_records`, which flushes immediately. Must stay small
-  // enough that coalesce_periods * upload_interval < the Analyzer's host
-  // silence threshold, or healthy hosts read as down.
+  // before flushing one coalesced batch — unless it already holds 8,192
+  // records, which flushes immediately. Must stay small enough that
+  // coalesce_periods * transport::kUploadInterval < kHostSilenceThreshold,
+  // or healthy hosts read as down.
   std::uint32_t upload_coalesce_periods = 2;
-  std::size_t upload_flush_records = 8192;
-  // Application-level retry (ROADMAP): when the transport gives up on an
-  // upload after max_attempts, the Agent re-queues the batch this many times
-  // before letting the records go. Keeps its ORIGINAL batch seq so Analyzer
-  // (host,seq) dedup absorbs any copy that did sneak through.
-  std::uint32_t upload_requeue_cap = 2;
-  // Control-plane survivability. The lease the Controller granted at
-  // registration is renewed by heartbeats at this cadence; if renewal fails
-  // past the lease, the Agent re-registers with capped exponential backoff
-  // (base * 2^attempt up to max, plus uniform [0, jitter] from the Agent's
-  // own seeded Rng so a restarted Controller is not hit by every Agent at
-  // the same instant).
-  TimeNs heartbeat_interval = sec(5);
-  TimeNs backoff_base = msec(500);
-  TimeNs backoff_max = sec(8);
-  TimeNs backoff_jitter = msec(250);
-  // Analyzer-outage catch-up: batches that exhausted upload_requeue_cap are
-  // parked in a bounded drop-oldest spill ring (ordered by seq) instead of
-  // being dropped, and drain in order once an upload is ACKed again.
-  std::size_t spill_ring_cap = 64;
-  // Sketch-mode upload thinning (set by RPingmesh when
-  // AnalyzerConfig::sketch_mode == kOn): healthy OK records are folded into
-  // a mergeable HostSummary instead of riding the batch raw. Records that
-  // carry diagnostic signal always stay raw: every timeout, every
-  // service-tracing probe, OK probes whose RTT / responder delay exceeds the
-  // keep thresholds below (they feed the Analyzer's outlier triage), and
-  // flight-sampled probes (their recorder timeline must stay resolvable).
-  bool sketch_thin_uploads = false;
-  TimeNs sketch_keep_rtt_above = usec(500);
-  TimeNs sketch_keep_proc_above = msec(5);
 };
 
 class Agent {
@@ -107,9 +73,18 @@ class Agent {
   /// pulls, uploads — rides the transport: `upload_ch` carries UploadBatch
   /// messages to the Analyzer, `ctrl_rpc` carries AgentRegistration and
   /// PinglistPullRequest calls to the Controller.
+  ///
+  /// `analysis` is the deployment's Analyzer config, from which the Agent
+  /// derives its upload thinning: only under sketch_mode kOn does it fold
+  /// healthy OK records into a mergeable HostSummary instead of shipping
+  /// them raw. Records that carry diagnostic signal always stay raw: every
+  /// timeout, every service-tracing probe, OK probes whose RTT exceeds the
+  /// Analyzer's high_rtt_threshold or whose responder delay exceeds
+  /// kHighProcDelayThreshold (they feed its outlier triage), and
+  /// flight-sampled probes (their recorder timeline must stay resolvable).
   Agent(host::Cluster& cluster, HostId host, const Controller& directory,
         transport::Channel& upload_ch, transport::RpcChannel& ctrl_rpc,
-        AgentConfig cfg = {});
+        AgentConfig cfg = {}, const AnalyzerConfig& analysis = {});
   ~Agent();
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
@@ -247,11 +222,11 @@ class Agent {
   /// the carrying channel message. Used by flush_outbox and requeues.
   void send_batch(UploadBatch&& batch);
   /// Channel on_expire: transport exhausted max_attempts (or abandoned the
-  /// message). Re-queues the batch up to upload_requeue_cap times, then
+  /// message). Re-queues the batch up to kUploadRequeueCap times, then
   /// parks it in the spill ring (Analyzer outage catch-up).
   void on_upload_expired(std::uint64_t chan_seq, std::any& payload);
   /// Park a fully-retried batch in the seq-ordered spill ring, evicting the
-  /// oldest batches beyond spill_ring_cap.
+  /// oldest batches beyond kSpillRingCap.
   void spill_batch(UploadBatch&& batch);
   /// Schedule a single backoff-delayed probe send of the oldest spilled
   /// batch, to discover when the Analyzer is reachable again.
@@ -288,6 +263,8 @@ class Agent {
   transport::Channel& upload_ch_;
   transport::RpcChannel& ctrl_rpc_;
   AgentConfig cfg_;
+  const bool fold_uploads_;       // analysis.sketch_mode == kOn
+  const TimeNs keep_rtt_above_;   // analysis.high_rtt_threshold
   Rng rng_;
 
   bool running_ = false;
@@ -320,7 +297,7 @@ class Agent {
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::vector<ProbeRecord> outbox_;
   // Sketch-mode thinning accumulator: healthy OK records folded since the
-  // last flush (empty, and never touched, when sketch_thin_uploads is off).
+  // last flush (empty, and never touched, when fold_uploads_ is off).
   sketch::HostSummary summary_;
   std::uint64_t next_probe_id_;
   std::uint64_t next_wr_id_ = 1;

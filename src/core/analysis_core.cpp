@@ -24,6 +24,18 @@ namespace rpm::core {
 
 namespace {
 
+// §5 analysis constants only this pipeline reads (the shared ones are in
+// core/verdict.h).
+constexpr double kRnicTimeoutThreshold = 0.10;  // §5: >10% ToR-mesh timeouts
+constexpr TimeNs kRnicBlameWindow = sec(60);    // §5: blame RNIC for 1 min
+constexpr TimeNs kStarveDelayThreshold = msec(100);  // Fig. 6 responder delay
+// Once the Fig. 6 filter flags a host, keep filtering its timeouts as
+// agent-CPU noise for this long: a starved prober drains its observation
+// backlog for several periods after the service releases the CPU, and
+// those straggler records must not reach Algorithm-1 voting. Mirrors the
+// §5 kRnicBlameWindow hangover on the noise side.
+constexpr TimeNs kCpuNoiseWindow = sec(60);
+
 // Sketch-mode adapter: a per-key delay statistic backed either by the exact
 // PercentileWindow (sketch_mode == kOff — byte-identical to the historical
 // path, the sketch member stays empty) or by a mergeable QuantileSketch
@@ -193,7 +205,7 @@ const PeriodReport& Analyzer::analyze_period(
   for (std::uint32_t h : known_hosts_) {
     const auto it = last_upload_.find(h);
     if (it == last_upload_.end() ||
-        now - it->second > cfg_.host_silence_threshold) {
+        now - it->second > kHostSilenceThreshold) {
       triage.down_hosts.insert(h);
     }
   }
@@ -272,7 +284,7 @@ const PeriodReport& Analyzer::analyze_period(
                         static_cast<double>(st.timeouts) /
                             static_cast<double>(st.total),
                         st.timeouts};
-      if (c.frac <= cfg_.rnic_timeout_threshold) continue;
+      if (c.frac <= kRnicTimeoutThreshold) continue;
       if (!worst || c.frac > worst->frac ||
           (c.frac == worst->frac &&
            (c.timeouts > worst->timeouts ||
@@ -334,7 +346,7 @@ const PeriodReport& Analyzer::analyze_period(
         starved_responder =
             st.count() > 0 &&
             st.percentile(0.9) >
-                static_cast<double>(cfg_.starve_delay_threshold);
+                static_cast<double>(kStarveDelayThreshold);
       }
       // Third Fig. 6 signal: responder processing delay (④-③) is purely
       // host-side — a switch or link fault times probes out but leaves the
@@ -350,7 +362,7 @@ const PeriodReport& Analyzer::analyze_period(
         starved_host =
             st.count() >= 3 &&
             st.percentile(0.9) >
-                static_cast<double>(cfg_.high_proc_delay_threshold);
+                static_cast<double>(kHighProcDelayThreshold);
       }
       if (multi_rnic_simultaneous || starved_responder || starved_host) {
         cpu_noise_hosts.insert(h.value);
@@ -363,15 +375,15 @@ const PeriodReport& Analyzer::analyze_period(
 
   // Blame window: anomalous now and for the next minute (§5).
   for (std::uint32_t r : anomalous_rnics) {
-    rnic_blamed_until_[r] = now + cfg_.rnic_blame_window;
+    rnic_blamed_until_[r] = now + kRnicBlameWindow;
   }
   // Noise hangover: a host the Fig. 6 filter flagged keeps filtering for
-  // cpu_noise_window. The starved prober's observation backlog produces
+  // kCpuNoiseWindow. The starved prober's observation backlog produces
   // straggler timeout records for several periods after the service lets
   // go of the CPU; without the hangover those stragglers reach Algorithm-1
   // voting and fabricate a switch problem.
   for (std::uint32_t h : cpu_noise_hosts) {
-    host_noise_until_[h] = now + cfg_.cpu_noise_window;
+    host_noise_until_[h] = now + kCpuNoiseWindow;
   }
   // Attribution-only starvation evidence: a host whose completed probes
   // show bottleneck-scale responder delay is the prime suspect for its own
@@ -387,7 +399,7 @@ const PeriodReport& Analyzer::analyze_period(
     for (auto& [h, st] : host_ok_delay) {
       if (st.count() >= 3 &&
           st.percentile(0.99) >
-              static_cast<double>(cfg_.high_proc_delay_threshold)) {
+              static_cast<double>(kHighProcDelayThreshold)) {
         triage.cpu_noise_hosts.insert(h);
       }
     }
@@ -553,7 +565,7 @@ const PeriodReport& Analyzer::analyze_period(
     c.triage_branch = "timeout-triage: target host silent past threshold";
     const auto lit = last_upload_.find(h);
     add_threshold(c, "host_silence_threshold_ns",
-                  static_cast<double>(cfg_.host_silence_threshold),
+                  static_cast<double>(kHostSilenceThreshold),
                   static_cast<double>(lit == last_upload_.end()
                                           ? now
                                           : now - lit->second));
@@ -579,10 +591,10 @@ const PeriodReport& Analyzer::analyze_period(
     c.triage_branch =
         "timeout-triage: ToR-mesh timeout ratio, greedy attribution";
     const auto fit = blamed_frac.find(r);
-    add_threshold(c, "rnic_timeout_threshold", cfg_.rnic_timeout_threshold,
+    add_threshold(c, "rnic_timeout_threshold", kRnicTimeoutThreshold,
                   fit == blamed_frac.end() ? 0.0 : fit->second);
     add_threshold(c, "min_anomalies_for_problem",
-                  static_cast<double>(cfg_.min_anomalies_for_problem),
+                  static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(rnic_evidence[r].size()));
     add_probes(c, rnic_evidence[r]);
     fill_drop_sites(c, rnic_evidence[r]);
@@ -610,12 +622,12 @@ const PeriodReport& Analyzer::analyze_period(
       }
     }
     add_threshold(c, "starve_delay_threshold_ns",
-                  static_cast<double>(cfg_.starve_delay_threshold),
+                  static_cast<double>(kStarveDelayThreshold),
                   worst_p90);
     if (auto hit = host_ok_delay.find(h); hit != host_ok_delay.end() &&
                                           hit->second.count() > 0) {
       add_threshold(c, "high_proc_delay_threshold_ns",
-                    static_cast<double>(cfg_.high_proc_delay_threshold),
+                    static_cast<double>(kHighProcDelayThreshold),
                     hit->second.percentile(0.9));
     }
     if (const auto idit = cpu_noise_ids.find(h);
@@ -629,7 +641,7 @@ const PeriodReport& Analyzer::analyze_period(
 
   const auto emit_switch_problem = [&](std::vector<const ProbeRecord*>& ev,
                                        bool from_service, ServiceId svc) {
-    if (ev.size() < cfg_.min_anomalies_for_problem) return;
+    if (ev.size() < kMinAnomaliesForProblem) return;
     Problem p;
     p.category = ProblemCategory::kSwitchNetworkProblem;
     p.anomalous_probes = ev.size();
@@ -644,7 +656,7 @@ const PeriodReport& Analyzer::analyze_period(
                             "(cluster monitoring evidence)";
     c.service = svc.valid() ? svc.value : 0;
     add_threshold(c, "min_anomalies_for_problem",
-                  static_cast<double>(cfg_.min_anomalies_for_problem),
+                  static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
     add_probes(c, ev);
     fill_drop_sites(c, ev);
@@ -712,7 +724,7 @@ const PeriodReport& Analyzer::analyze_period(
   }
   const auto emit_hot = [&](std::vector<const ProbeRecord*>& ev,
                             bool from_service, ServiceId svc) {
-    if (ev.size() < cfg_.min_anomalies_for_problem) return;
+    if (ev.size() < kMinAnomaliesForProblem) return;
     Problem p;
     p.category = ProblemCategory::kHighNetworkRtt;
     p.anomalous_probes = ev.size();
@@ -729,7 +741,7 @@ const PeriodReport& Analyzer::analyze_period(
     add_threshold(c, "high_rtt_threshold_ns",
                   static_cast<double>(cfg_.high_rtt_threshold), worst_rtt);
     add_threshold(c, "min_anomalies_for_problem",
-                  static_cast<double>(cfg_.min_anomalies_for_problem),
+                  static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
     add_probes(c, ev);
     vote(ev, p, c);
@@ -752,9 +764,9 @@ const PeriodReport& Analyzer::analyze_period(
     DelayStat& st = host_proc_delay.at(h);
     // Tail-based: an overloaded host shows in its P90 even when healthy
     // probes to its other RNICs dilute the median.
-    if (st.count() >= cfg_.min_anomalies_for_problem &&
+    if (st.count() >= kMinAnomaliesForProblem &&
         st.percentile(0.9) >
-            static_cast<double>(cfg_.high_proc_delay_threshold)) {
+            static_cast<double>(kHighProcDelayThreshold)) {
       Problem p;
       p.category = ProblemCategory::kHighProcessingDelay;
       p.host = HostId{h};
@@ -768,7 +780,7 @@ const PeriodReport& Analyzer::analyze_period(
       c.verdict = "high-processing-delay";
       c.triage_branch = "bottleneck scan: responder processing delay P90";
       add_threshold(c, "high_proc_delay_threshold_ns",
-                    static_cast<double>(cfg_.high_proc_delay_threshold),
+                    static_cast<double>(kHighProcDelayThreshold),
                     st.percentile(0.9));
       if (const auto idit = proc_probe_ids.find(h);
           idit != proc_probe_ids.end()) {
@@ -890,8 +902,8 @@ const PeriodReport& Analyzer::analyze_period(
               return a.service < b.service;
             });
   if (fed != nullptr) fed->service_nets = net_list;
-  assess_impact(rep.problems, net_list, cfg_.degradation_threshold);
-  innocent_chains(rep.problems, cfg_, dlog, &service_records);
+  assess_impact(rep.problems, net_list);
+  innocent_chains(rep.problems, dlog, &service_records);
 
   stage.reset();
 

@@ -209,7 +209,7 @@ class Analyzer : public VerdictLog {
   std::unordered_set<std::uint32_t> known_hosts_;
   std::unordered_map<std::uint32_t, TimeNs> rnic_blamed_until_;
   // Fig. 6 noise hangover: host id -> filtered-as-noise until (see
-  // AnalyzerConfig::cpu_noise_window).
+  // kCpuNoiseWindow in analysis_core.cpp).
   std::unordered_map<std::uint32_t, TimeNs> host_noise_until_;
   TimeNs last_period_end_ = 0;
   // Switch-side sketch reports accumulated since the last period drain

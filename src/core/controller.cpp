@@ -11,6 +11,20 @@ namespace rpm::core {
 
 namespace {
 
+constexpr double kCoverageProbability = 0.99;  // P in Equation (1)
+constexpr double kPerLinkProbesPerSec = 10.0;  // inter-ToR target rate (§5)
+constexpr double kTorMeshProbesPerSec = 10.0;  // per RNIC pair group (§5)
+static_assert(kPerLinkProbesPerSec > 0.0 && kTorMeshProbesPerSec > 0.0,
+              "probe rates must be > 0");
+constexpr double kRotateFraction = 0.20;  // inter-ToR tuples per rotation
+constexpr std::uint16_t kInterTorPortBase = 30000;
+constexpr std::uint64_t kSeed = 99;
+// ControllerGroup (standby only): cadence of the failover monitor, and the
+// grace between primary crash and takeover — the lease-transfer window;
+// sub-second flaps never fail over.
+constexpr TimeNs kFailoverCheck = msec(500);
+constexpr TimeNs kFailoverDelay = sec(2);
+
 double binomial(std::uint32_t n, std::uint32_t k) {
   // Exact enough in double for n <= ~1000.
   double r = 1.0;
@@ -69,12 +83,8 @@ std::uint32_t count_parallel_paths(const routing::EcmpRouter& router,
 }
 
 Controller::Controller(const topo::Topology& topo,
-                       const routing::EcmpRouter& router, ControllerConfig cfg)
-    : topo_(topo), router_(router), cfg_(cfg), rng_(cfg.seed) {
-  if (cfg_.per_link_probes_per_sec <= 0.0 ||
-      cfg_.tormesh_probes_per_sec <= 0.0) {
-    throw std::invalid_argument("ControllerConfig: probe rates must be > 0");
-  }
+                       const routing::EcmpRouter& router)
+    : topo_(topo), router_(router), rng_(kSeed) {
   auto& reg = telemetry::registry();
   metrics_.registrations = reg.counter("rpm_controller_registrations_total",
                                        "Agent (re)registrations processed");
@@ -187,7 +197,7 @@ Pinglist Controller::tormesh_pinglist(RnicId rnic) const {
   }
   // One probe every 1/rate seconds, cycling over targets (§5: 10 pps).
   out.probe_interval =
-      static_cast<TimeNs>(1e9 / cfg_.tormesh_probes_per_sec);
+      static_cast<TimeNs>(1e9 / kTorMeshProbesPerSec);
   metrics_.pinglist_requests[0].inc();
   metrics_.pinglist_entries[0].observe(
       static_cast<double>(out.entries.size()));
@@ -214,7 +224,7 @@ Controller::InterTorTuple Controller::make_tuple(SwitchId tor, Rng& rng) {
     t.dst = remote[rng.index(remote.size())];
     break;
   }
-  t.src_port = static_cast<std::uint16_t>(cfg_.intertor_port_base +
+  t.src_port = static_cast<std::uint16_t>(kInterTorPortBase +
                                           (next_port_++ % 20000));
   return t;
 }
@@ -230,17 +240,15 @@ void Controller::build_intertor_plan() {
       plan.parallel_paths = std::max(
           plan.parallel_paths, count_parallel_paths(router_, tor, other));
     }
-    plan.k = equation1_min_tuples(plan.parallel_paths,
-                                  cfg_.coverage_probability);
+    plan.k = equation1_min_tuples(plan.parallel_paths, kCoverageProbability);
     for (std::uint32_t i = 0; i < plan.k; ++i) {
       plan.tuples.push_back(make_tuple(tor, rng_));
     }
     // Cadence: k tuples spread over N parallel paths; to give every link
-    // >= per_link_probes_per_sec, each tuple fires at rate * N / k.
-    const double per_tuple_hz =
-        cfg_.per_link_probes_per_sec *
-        static_cast<double>(plan.parallel_paths) /
-        static_cast<double>(plan.k);
+    // >= kPerLinkProbesPerSec, each tuple fires at rate * N / k.
+    const double per_tuple_hz = kPerLinkProbesPerSec *
+                                static_cast<double>(plan.parallel_paths) /
+                                static_cast<double>(plan.k);
     plan.per_tuple_interval =
         static_cast<TimeNs>(1e9 / std::max(0.1, per_tuple_hz));
     plans_[tor.value] = std::move(plan);
@@ -287,7 +295,7 @@ void Controller::rotate_intertor_tuples() {
   metrics_.rotations.inc();
   for (auto& [tor_value, plan] : plans_) {
     const auto n = static_cast<std::size_t>(std::ceil(
-        cfg_.rotate_fraction * static_cast<double>(plan.tuples.size())));
+        kRotateFraction * static_cast<double>(plan.tuples.size())));
     for (std::size_t i = 0; i < n && !plan.tuples.empty(); ++i) {
       const std::size_t victim = rng_.index(plan.tuples.size());
       plan.tuples[victim] = make_tuple(SwitchId{tor_value}, rng_);
@@ -316,17 +324,17 @@ PinglistPullResponse serve_pinglist_pull(const Controller& controller,
 
 ControllerGroup::ControllerGroup(const topo::Topology& topo,
                                  const routing::EcmpRouter& router,
-                                 sim::Scheduler& sched,
-                                 ControllerConfig ccfg, Config cfg)
-    : sched_(sched), cfg_(cfg) {
-  members_.push_back(std::make_unique<Controller>(topo, router, ccfg));
-  if (cfg_.standby) {
-    // Same config => identical Equation-1 plans and pinglists; the standby
-    // differs only in registry content (empty until promoted) and epoch.
-    members_.push_back(std::make_unique<Controller>(topo, router, ccfg));
+                                 sim::Scheduler& sched, bool standby)
+    : sched_(sched) {
+  members_.push_back(std::make_unique<Controller>(topo, router));
+  if (standby) {
+    // Same construction => identical Equation-1 plans and pinglists; the
+    // standby differs only in registry content (empty until promoted) and
+    // epoch.
+    members_.push_back(std::make_unique<Controller>(topo, router));
   }
   crashed_.assign(members_.size(), false);
-  if (cfg_.standby) {
+  if (standby) {
     // Metric series exist only in replicated deployments so a flat run's
     // telemetry output is byte-identical to the pre-group code.
     auto& reg = telemetry::registry();
@@ -336,8 +344,8 @@ ControllerGroup::ControllerGroup(const topo::Topology& topo,
                                    "Standby promotions performed");
     epoch_gauge_.set(static_cast<double>(active().epoch()));
     monitor_ = std::make_unique<sim::PeriodicTask>(
-        sched_, cfg_.check_interval, [this] { check_failover(); });
-    monitor_->start(cfg_.check_interval);
+        sched_, kFailoverCheck, [this] { check_failover(); });
+    monitor_->start(kFailoverCheck);
   }
 }
 
@@ -358,7 +366,7 @@ void ControllerGroup::restart_crashed() {
 
 void ControllerGroup::check_failover() {
   if (!crashed_[active_]) return;
-  if (sched_.now() < crash_time_ + cfg_.failover_delay) return;
+  if (sched_.now() < crash_time_ + kFailoverDelay) return;
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (crashed_[i]) continue;
     // New epoch dominates every epoch any member ever stamped, including

@@ -31,17 +31,9 @@
 
 namespace rpm::core {
 
-struct ControllerConfig {
-  double coverage_probability = 0.99;  // P in Equation (1)
-  double per_link_probes_per_sec = 10.0;  // inter-ToR target rate (§5)
-  double tormesh_probes_per_sec = 10.0;   // per RNIC pair group (§5)
-  double rotate_fraction = 0.20;          // inter-ToR tuples per rotation
-  std::uint16_t intertor_port_base = 30000;
-  std::uint64_t seed = 99;
-  // Lease-based liveness: how long a registration stays on file without a
-  // renewing heartbeat from the Agent's side. Granted in RegistrationAck.
-  TimeNs lease_duration = sec(15);
-};
+/// Lease-based liveness: how long a registration stays on file without a
+/// renewing heartbeat from the Agent's side. Granted in RegistrationAck.
+inline constexpr TimeNs kLeaseDuration = sec(15);
 
 /// Solves Equation (1): smallest k >= N with
 ///   sum_{i=1..N} (-1)^{i+1} C(N,i) (1 - i/N)^k <= 1 - P.
@@ -54,8 +46,7 @@ std::uint32_t count_parallel_paths(const routing::EcmpRouter& router,
 
 class Controller {
  public:
-  Controller(const topo::Topology& topo, const routing::EcmpRouter& router,
-             ControllerConfig cfg = {});
+  Controller(const topo::Topology& topo, const routing::EcmpRouter& router);
 
   // ---- registry ----
 
@@ -105,14 +96,11 @@ class Controller {
   /// Equation-1 tuples, with the Controller-computed probe interval.
   [[nodiscard]] Pinglist intertor_pinglist(RnicId rnic) const;
 
-  /// Rotate `rotate_fraction` of every ToR's inter-ToR tuples (hourly in
-  /// production).
+  /// Rotate 20% of every ToR's inter-ToR tuples (hourly in production).
   void rotate_intertor_tuples();
 
   /// Equation-1 k for a ToR (max over destination ToRs), exposed for tests.
   [[nodiscard]] std::uint32_t tuples_for_tor(SwitchId tor) const;
-
-  [[nodiscard]] const ControllerConfig& config() const { return cfg_; }
 
  private:
   struct InterTorTuple {
@@ -126,7 +114,6 @@ class Controller {
 
   const topo::Topology& topo_;
   const routing::EcmpRouter& router_;
-  ControllerConfig cfg_;
   Rng rng_;
 
   std::unordered_map<std::uint32_t, RnicCommInfo> registry_;  // by rnic id
@@ -165,7 +152,7 @@ class Controller {
 /// Replicated control plane (ROADMAP "Hierarchical federation"): one primary
 /// Controller plus an optional warm standby with lease-transfer failover.
 ///
-/// Both members are built from the same config, so their Equation-1 plans
+/// Both members are built the same way, so their Equation-1 plans
 /// and pinglists are identical — what a standby can NEVER inherit is the
 /// registry (comm info is only fresh if an Agent sent it to YOU), which is
 /// why promotion reuses the restart() contract: empty registry, known=false
@@ -177,28 +164,14 @@ class Controller {
 /// stamped. Agents track the newest epoch heard and discard pinglist
 /// responses fenced below it (PinglistPullResponse::controller_epoch).
 ///
-/// With `standby == false` the group is a passthrough holding exactly one
+/// Without a standby the group is a passthrough holding exactly one
 /// Controller and schedules nothing — byte-identical to the pre-group
 /// deployment.
 class ControllerGroup {
  public:
-  struct Config {
-    bool standby = false;
-    /// Cadence of the failover monitor (standby only).
-    TimeNs check_interval = msec(500);
-    /// Grace between primary crash and takeover — the lease-transfer
-    /// window; sub-second flaps never fail over.
-    TimeNs failover_delay = sec(2);
-  };
-
   ControllerGroup(const topo::Topology& topo,
-                  const routing::EcmpRouter& router,
-                  sim::Scheduler& sched, ControllerConfig ccfg)
-      : ControllerGroup(topo, router, sched, std::move(ccfg), Config{}) {}
-  ControllerGroup(const topo::Topology& topo,
-                  const routing::EcmpRouter& router,
-                  sim::Scheduler& sched, ControllerConfig ccfg,
-                  Config cfg);
+                  const routing::EcmpRouter& router, sim::Scheduler& sched,
+                  bool standby);
 
   [[nodiscard]] Controller& active() { return *members_[active_]; }
   [[nodiscard]] const Controller& active() const { return *members_[active_]; }
@@ -208,7 +181,7 @@ class ControllerGroup {
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
 
   /// Crash the current primary. With a standby, the monitor promotes it
-  /// after `failover_delay`; without one, the group waits for
+  /// after a 2 s grace; without one, the group waits for
   /// restart_crashed().
   void crash_active();
   /// Restart every crashed member via Controller::restart(). A member the
@@ -228,7 +201,6 @@ class ControllerGroup {
   void check_failover();
 
   sim::Scheduler& sched_;
-  Config cfg_;
   std::vector<std::unique_ptr<Controller>> members_;
   std::vector<bool> crashed_;
   std::size_t active_ = 0;

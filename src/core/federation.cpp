@@ -21,6 +21,12 @@ namespace {
 // pod opened at flush — one causal story per digest.
 constexpr std::uint64_t kDigestTraceBase = 1ull << 61;
 
+// Global merge ticks fire this far after the pods' period boundary, giving
+// digests a control-plane flight's head start.
+constexpr TimeNs kMergeOffset = msec(500);
+// Per-pod digest seq dedup window at the global tier (retries/duplicates).
+constexpr std::uint64_t kDigestDedupWindow = 64;
+
 std::uint64_t digest_trace_id(std::uint32_t pod, std::uint64_t seq) {
   return kDigestTraceBase | (static_cast<std::uint64_t>(pod) << 32) |
          (seq & 0xFFFFFFFFull);
@@ -132,14 +138,10 @@ bool PodAnalyzer::restart_from_journal() {
 // ---------------------------------------------------------------------------
 
 GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
-                               sim::Scheduler& sched, Config cfg)
+                               sim::Scheduler& sched, AnalyzerConfig cfg)
     : VerdictLog("global"), topo_(topo), sched_(sched), cfg_(std::move(cfg)) {
-  if (cfg_.analyzer.period <= 0) {
+  if (cfg_.period <= 0) {
     throw std::invalid_argument("GlobalAnalyzer: period must be positive");
-  }
-  if (cfg_.digest_dedup_window == 0) {
-    throw std::invalid_argument(
-        "GlobalAnalyzer: digest_dedup_window must be positive");
   }
   // Federated deployments only — never present in a flat scrape.
   auto& reg = telemetry::registry();
@@ -153,7 +155,7 @@ GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
 void GlobalAnalyzer::ingest_digest(PodDigest&& d) {
   if (outage_) return;  // a blacked-out merge tier hears nothing
   DedupState& st = digest_dedup_[d.pod];
-  if (!dedup_accept(st, d.seq, cfg_.digest_dedup_window)) {
+  if (!dedup_accept(st, d.seq, kDigestDedupWindow)) {
     ++duplicate_digests_;
     return;
   }
@@ -163,11 +165,11 @@ void GlobalAnalyzer::ingest_digest(PodDigest&& d) {
 void GlobalAnalyzer::start() {
   if (merge_task_) return;
   merge_task_ = std::make_unique<sim::PeriodicTask>(
-      sched_, cfg_.analyzer.period, [this] {
+      sched_, cfg_.period, [this] {
         if (!outage_) merge_now();
       });
   // Offset past the pods' period boundary so in-flight digests land first.
-  merge_task_->start(cfg_.analyzer.period + cfg_.merge_offset);
+  merge_task_->start(cfg_.period + kMergeOffset);
 }
 
 void GlobalAnalyzer::stop() {
@@ -363,7 +365,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   // ---- vote the foreign switch evidence (cross-pod Algorithm 1) ----
   const auto emit_foreign = [&](std::vector<const ForeignTimeout*>& ev,
                                 bool from_service, ServiceId svc) {
-    if (ev.size() < cfg_.analyzer.min_anomalies_for_problem) return;
+    if (ev.size() < kMinAnomaliesForProblem) return;
     PendingProblem pp;
     Problem& p = pp.p;
     p.category = ProblemCategory::kSwitchNetworkProblem;
@@ -375,7 +377,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     c.triage_branch = "global: cross-pod foreign-timeout voting";
     c.service = svc.valid() ? svc.value : 0;
     add_threshold(c, "min_anomalies_for_problem",
-                  static_cast<double>(cfg_.analyzer.min_anomalies_for_problem),
+                  static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
     VoteTally tally;
     for (const ForeignTimeout* f : ev) {
@@ -461,7 +463,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     }
     m.summary = os.str();
     add_threshold(c, "min_anomalies_for_problem",
-                  static_cast<double>(cfg_.analyzer.min_anomalies_for_problem),
+                  static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(m.anomalous_probes));
     c.id = next_evidence_id_++;
     c.summary = m.summary;
@@ -575,7 +577,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     rep.service_slas.emplace_back(ServiceId{svc}, sd.to_report());
   }
   if (obs::EvidenceChain* c =
-          sla_violation(rep.cluster_sla, cfg_.analyzer, dlog)) {
+          sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (std::uint64_t id : foreign_drop_ids) sample_probe(*c, id);
   }
 
@@ -596,11 +598,11 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     std::sort(n.rnics.begin(), n.rnics.end());
     std::sort(n.hosts.begin(), n.hosts.end());
   }
-  assess_impact(rep.problems, nets, cfg_.analyzer.degradation_threshold);
-  innocent_chains(rep.problems, cfg_.analyzer, dlog, nullptr);
+  assess_impact(rep.problems, nets);
+  innocent_chains(rep.problems, dlog, nullptr);
 
   const PeriodReport& out =
-      retain(std::move(rep), std::move(dlog), cfg_.analyzer.history_limit);
+      retain(std::move(rep), std::move(dlog), cfg_.history_limit);
   save_checkpoint();
   return out;
 }

@@ -107,19 +107,10 @@ class PodAnalyzer {
 /// Analyzer.
 class GlobalAnalyzer : public VerdictLog {
  public:
-  struct Config {
-    /// Thresholds + period reused from the pod pipeline (period must match
-    /// the pods' so every merge tick sees one digest per live pod).
-    AnalyzerConfig analyzer{};
-    /// Merge ticks fire this far after the pods' period boundary, giving
-    /// digests a control-plane flight's head start.
-    TimeNs merge_offset = msec(500);
-    /// Per-pod digest seq dedup window (retries/duplicates).
-    std::uint64_t digest_dedup_window = 64;
-  };
-
+  /// `cfg` is the pods' own AnalyzerConfig: the period must match theirs so
+  /// every merge tick sees one digest per live pod.
   GlobalAnalyzer(const topo::Topology& topo, sim::Scheduler& sched,
-                 Config cfg);
+                 AnalyzerConfig cfg);
 
   /// Digest arrival (transport handler). Deduplicated per pod by seq;
   /// buffered until the next merge tick. Dropped during outage.
@@ -136,7 +127,7 @@ class GlobalAnalyzer : public VerdictLog {
   /// Run one merge over every digest buffered since the previous tick.
   const PeriodReport& merge_now();
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
+  [[nodiscard]] const AnalyzerConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t merges() const { return merges_; }
   [[nodiscard]] std::uint64_t duplicate_digests() const {
     return duplicate_digests_;
@@ -161,7 +152,7 @@ class GlobalAnalyzer : public VerdictLog {
 
   const topo::Topology& topo_;
   sim::Scheduler& sched_;
-  Config cfg_;
+  AnalyzerConfig cfg_;
 
   std::vector<PodDigest> pending_;
   DedupWindows digest_dedup_;  // by pod

@@ -11,6 +11,9 @@ namespace rpm::core {
 
 namespace {
 
+// Archived DiagnosisLogs retained per role (drop-oldest beyond).
+constexpr std::size_t kArchiveLimit = 4096;
+
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), software table. Guards the
 /// checkpoint encoding against bit rot, not just truncation: a real
 /// deployment fsyncs these bytes to disk and reads them back after a crash.
@@ -201,7 +204,7 @@ std::size_t StateJournal::checkpoint_bytes(const std::string& role) const {
 void StateJournal::archive(const std::string& role, obs::DiagnosisLog&& log) {
   std::deque<obs::DiagnosisLog>& q = archives_[role];
   q.push_back(std::move(log));
-  while (q.size() > cfg_.archive_limit) q.pop_front();
+  while (q.size() > kArchiveLimit) q.pop_front();
 }
 
 std::size_t StateJournal::archived(const std::string& role) const {

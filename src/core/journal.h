@@ -65,14 +65,6 @@ AnalyzerCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& in);
 
 class StateJournal {
  public:
-  struct Config {
-    /// Archived DiagnosisLogs retained per role (drop-oldest beyond).
-    std::size_t archive_limit = 4096;
-  };
-
-  StateJournal() : StateJournal(Config{}) {}
-  explicit StateJournal(Config cfg) : cfg_(cfg) {}
-
   // ---- checkpoints ----
 
   /// Persist `cp` for `role`, replacing any previous checkpoint. The state
@@ -103,10 +95,7 @@ class StateJournal {
   [[nodiscard]] const obs::EvidenceChain* find_evidence(
       const std::string& role, std::uint64_t evidence_id) const;
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
-
  private:
-  Config cfg_;
   mutable std::uint64_t corrupt_total_ = 0;
   std::unordered_map<std::string, std::vector<std::uint8_t>> checkpoints_;
   std::unordered_map<std::string, std::deque<obs::DiagnosisLog>> archives_;

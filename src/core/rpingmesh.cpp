@@ -6,29 +6,27 @@
 
 namespace rpm::core {
 
+namespace {
+
+constexpr TimeNs kTupleRotationInterval = sec(3600);  // §5: rotate 20% hourly
+// After start(), re-pull every Agent's pinglists once all registrations
+// have had time to traverse the control plane (first registration order
+// otherwise decides who sees whom).
+constexpr TimeNs kControlSettleDelay = msec(10);
+
+}  // namespace
+
 RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
     : cluster_(cluster),
       cfg_(cfg),
       group_(cluster.topology(), cluster.router(), cluster.scheduler(),
-             cfg.controller,
-             ControllerGroup::Config{cfg.federation.standby_controller,
-                                     cfg.federation.failover_check,
-                                     cfg.federation.failover_delay}) {
+             cfg.federation.standby_controller) {
   const std::size_t pods = cfg_.federation.pods;
   if (pods == 0) {
     throw std::invalid_argument("RPingmesh: federation.pods must be >= 1");
   }
   transport::ControlPlane& cp = cluster_.control_plane();
   const topo::Topology& topo = cluster_.topology();
-  const bool sketch_on = cfg_.analyzer.sketch_mode == SketchMode::kOn;
-  if (sketch_on) {
-    // Propagate sketch mode to the Agents: fold healthy OK records into the
-    // batch HostSummary, keeping raw anything the Analyzer's outlier triage
-    // inspects record by record (thresholds mirror the Analyzer's own).
-    cfg_.agent.sketch_thin_uploads = true;
-    cfg_.agent.sketch_keep_rtt_above = cfg_.analyzer.high_rtt_threshold;
-    cfg_.agent.sketch_keep_proc_above = cfg_.analyzer.high_proc_delay_threshold;
-  }
 
   // Hosts map to analysis pods by the Clos pod of their first RNIC's ToR,
   // folded modulo the configured pod count.
@@ -62,12 +60,8 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
           static_cast<std::uint32_t>(p), std::move(pod_hosts[p])));
       pod_analyzers_.back()->attach_journal(&journal_);
     }
-    GlobalAnalyzer::Config gcfg;
-    gcfg.analyzer = cfg_.analyzer;
-    gcfg.merge_offset = cfg_.federation.digest_merge_offset;
-    gcfg.digest_dedup_window = cfg_.federation.digest_dedup_window;
     global_ = std::make_unique<GlobalAnalyzer>(topo, cluster_.scheduler(),
-                                               gcfg);
+                                               cfg_.analyzer);
     global_->attach_journal(&journal_);
   }
 
@@ -96,7 +90,7 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
             RegistrationAck ack;
             ack.accepted = c.register_agent(r->host, r->rnics);
             ack.controller_epoch = c.epoch();
-            ack.lease_duration = c.config().lease_duration;
+            ack.lease_duration = kLeaseDuration;
             return std::any(ack);
           }
           if (const auto* r = std::any_cast<AgentHeartbeat>(&req)) {
@@ -109,8 +103,8 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
         });
     upload_channels_.push_back(&up);
     rpc_channels_.push_back(&rpc);
-    agents_.push_back(std::make_unique<Agent>(cluster_, h.id, group_.active(),
-                                              up, rpc, cfg_.agent));
+    agents_.push_back(std::make_unique<Agent>(
+        cluster_, h.id, group_.active(), up, rpc, cfg_.agent, cfg_.analyzer));
   }
 
   if (pods > 1) {
@@ -130,7 +124,7 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
     }
   }
 
-  if (sketch_on) {
+  if (cfg_.analyzer.sketch_mode == SketchMode::kOn) {
     // Switch-side sketches: the fabric updates one LinkSketch per link on
     // every forwarded/dropped datagram; the exporter flushes the bank on the
     // 5 s upload cadence through its own channel into the analysis tier's
@@ -152,10 +146,8 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
           }
           pod_analyzers_.back()->analyzer().ingest_sketch(std::move(*rep));
         });
-    sketch::SketchExporterConfig ecfg;
-    ecfg.period = cfg_.agent.upload_interval;
     sketch_exporter_ = std::make_unique<sketch::SketchExporter>(
-        cluster_.scheduler(), *sketch_channel_, *sketch_bank_, ecfg);
+        cluster_.scheduler(), *sketch_channel_, *sketch_bank_);
   }
 
   // Standby promotion (ControllerGroup monitor): the new primary listens
@@ -209,7 +201,7 @@ const std::deque<PeriodReport>& RPingmesh::scored_history() const {
 }
 
 const AnalyzerConfig& RPingmesh::analyzer_config() const {
-  return global_ ? global_->config().analyzer : analyzer_->config();
+  return global_ ? global_->config() : analyzer_->config();
 }
 
 void RPingmesh::watch_service(ServiceBinding binding) {
@@ -228,12 +220,12 @@ void RPingmesh::start() {
   // Registrations are in flight; once they settle, refresh every pinglist so
   // each Agent sees every peer's comm info regardless of arrival order.
   settle_task_ = std::make_unique<sim::PeriodicTask>(
-      cluster_.scheduler(), cfg_.control_settle_delay, [this] {
+      cluster_.scheduler(), kControlSettleDelay, [this] {
         settle_task_->cancel();  // one-shot
         if (!running_) return;
         for (auto& a : agents_) a->refresh_pinglists();
       });
-  settle_task_->start(cfg_.control_settle_delay);
+  settle_task_->start(kControlSettleDelay);
   if (analyzer_) {
     analyzer_->start();
   } else {
@@ -242,9 +234,9 @@ void RPingmesh::start() {
   }
   if (sketch_exporter_) sketch_exporter_->start();
   rotation_task_ = std::make_unique<sim::PeriodicTask>(
-      cluster_.scheduler(), cfg_.tuple_rotation_interval,
+      cluster_.scheduler(), kTupleRotationInterval,
       [this] { group_.active().rotate_intertor_tuples(); });
-  rotation_task_->start(cfg_.tuple_rotation_interval);
+  rotation_task_->start(kTupleRotationInterval);
 }
 
 void RPingmesh::crash_controller() {
@@ -253,7 +245,7 @@ void RPingmesh::crash_controller() {
   // The server process is gone: every Agent's RPC channel loses its peer.
   // Requests already in flight are eaten by the (dead) endpoint; retries
   // expire normally, so Agents see the crash as unanswered heartbeats. With
-  // a standby, the group monitor promotes it after failover_delay and the
+  // a standby, the group monitor promotes it after its 2 s grace and the
   // on_failover hook brings these endpoints back up.
   for (transport::RpcChannel* rpc : rpc_channels_) rpc->set_server_down(true);
 }

@@ -13,9 +13,9 @@
 //     "digest/p<N>"; a GlobalAnalyzer merges the digests into the
 //     cluster-wide verdict/SLA stream (scored_history()).
 //
-// Optionally a warm standby Controller (standby_controller) takes over
-// `failover_delay` after a primary crash: epoch-fenced promotion, Agents
-// re-register through their normal lease/backoff machinery.
+// Optionally a warm standby Controller (standby_controller) takes over 2 s
+// after a primary crash: epoch-fenced promotion, Agents re-register through
+// their normal lease/backoff machinery.
 #pragma once
 
 #include <cstdint>
@@ -41,25 +41,12 @@ struct FederationConfig {
   std::size_t pods = 1;
   /// Deploy a warm standby Controller with automatic promotion.
   bool standby_controller = false;
-  /// Standby failover monitor cadence / takeover grace (ControllerGroup).
-  TimeNs failover_check = msec(500);
-  TimeNs failover_delay = sec(2);
-  /// Global merge tick offset past the pods' period boundary.
-  TimeNs digest_merge_offset = msec(500);
-  /// Per-pod digest seq dedup window at the global tier.
-  std::uint64_t digest_dedup_window = 64;
 };
 
 struct RPingmeshConfig {
-  ControllerConfig controller{};
   AgentConfig agent{};
   AnalyzerConfig analyzer{};
   FederationConfig federation{};
-  TimeNs tuple_rotation_interval = sec(3600);  // §5: rotate 20% hourly
-  // After start(), re-pull every Agent's pinglists once all registrations
-  // have had time to traverse the control plane (first registration order
-  // otherwise decides who sees whom).
-  TimeNs control_settle_delay = msec(10);
 };
 
 /// Deploys the services onto a Cluster and wires them over its
@@ -83,7 +70,7 @@ class RPingmesh {
 
   /// Crash the active Controller: its registry is wiped and every Agent's
   /// RPC channel goes peer-down. With a standby, the ControllerGroup
-  /// monitor promotes it after failover_delay (epoch bumped past anything
+  /// monitor promotes it after a 2 s grace (epoch bumped past anything
   /// the deposed primary stamped) and the RPC endpoints come back up
   /// pointing at the new primary; without one, Agents wait for
   /// restart_controller() and re-register (capped backoff + jitter).

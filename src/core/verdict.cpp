@@ -9,6 +9,10 @@ namespace rpm::core {
 
 namespace {
 
+// A watched service whose metric sits below this is severely degraded: a
+// problem inside its network is P0, not P1 (§4.3.4).
+constexpr double kDegradationThreshold = 0.5;
+
 // A P0/P1 problem inside the service's network: the network is not
 // innocent of the service's woes (§4.3.4).
 bool guilty(const std::vector<Problem>& problems, ServiceId service) {
@@ -93,9 +97,9 @@ void VoteTally::decide(Problem& p, obs::EvidenceChain* chain) const {
   }
 }
 
-void VerdictLog::assess_impact(std::vector<Problem>& problems,
-                               const std::vector<ServiceNetDigest>& nets,
-                               double degradation_threshold) const {
+void VerdictLog::assess_impact(
+    std::vector<Problem>& problems,
+    const std::vector<ServiceNetDigest>& nets) const {
   const auto has = [](const std::vector<std::uint32_t>& v, std::uint32_t x) {
     return std::binary_search(v.begin(), v.end(), x);
   };
@@ -134,7 +138,7 @@ void VerdictLog::assess_impact(std::vector<Problem>& problems,
       if (b.id == affected) metric = b.metric();
     }
     p.priority =
-        metric < degradation_threshold ? Priority::kP0 : Priority::kP1;
+        metric < kDegradationThreshold ? Priority::kP0 : Priority::kP1;
   }
 }
 
@@ -211,7 +215,6 @@ obs::EvidenceChain* VerdictLog::sla_violation(SlaReport& sla,
 }
 
 void VerdictLog::innocent_chains(const std::vector<Problem>& problems,
-                                 const AnalyzerConfig& cfg,
                                  obs::DiagnosisLog& dlog,
                                  const ServiceRecords* records) {
   // Exoneration gets receipts too (§4.3.4).
@@ -222,7 +225,7 @@ void VerdictLog::innocent_chains(const std::vector<Problem>& problems,
     c.verdict = "network-innocent";
     c.triage_branch = "impact: no P0/P1 problem inside the service network";
     c.service = b.id.value;
-    add_threshold(c, "degradation_threshold", cfg.degradation_threshold,
+    add_threshold(c, "degradation_threshold", kDegradationThreshold,
                   b.metric());
     if (records != nullptr) {
       if (const auto it = records->find(b.id.value); it != records->end()) {

@@ -52,27 +52,24 @@ enum class SketchMode : std::uint8_t { kOff, kOn };
 
 struct AnalyzerConfig {
   TimeNs period = sec(20);                     // §5
-  double rnic_timeout_threshold = 0.10;        // §5: >10% ToR-mesh timeouts
-  TimeNs rnic_blame_window = sec(60);          // §5: blame RNIC for 1 min
-  TimeNs host_silence_threshold = sec(20);     // §5: no upload for 20 s
-  std::size_t min_anomalies_for_problem = 3;   // evidence floor
   TimeNs high_rtt_threshold = usec(500);       // congestion flag
-  TimeNs high_proc_delay_threshold = msec(5);  // CPU-overload flag
-  TimeNs starve_delay_threshold = msec(100);   // Fig. 6 responder-delay test
-  // Once the Fig. 6 filter flags a host, keep filtering its timeouts as
-  // agent-CPU noise for this long: a starved prober drains its observation
-  // backlog for several periods after the service releases the CPU, and
-  // those straggler records must not reach Algorithm-1 voting. Mirrors the
-  // §5 rnic_blame_window hangover on the noise side.
-  TimeNs cpu_noise_window = sec(60);
-  double degradation_threshold = 0.5;          // metric below => severe (P0)
   bool enable_cpu_noise_filters = true;        // Fig. 6 improvements
   std::size_t history_limit = 512;
-  /// Sketch-driven analysis (see SketchMode above). RPingmesh propagates
-  /// this to its Agents (upload thinning) and wires the switch-side sketch
-  /// exporter only when kOn, so kOff leaves the whole schedule untouched.
+  /// Sketch-driven analysis (see SketchMode above). Agents fold uploads
+  /// only when kOn, and RPingmesh wires the switch-side sketch exporter
+  /// only when kOn, so kOff leaves the whole schedule untouched.
   SketchMode sketch_mode = SketchMode::kOff;
 };
+
+// The §5 analysis constants read outside the flat Analyzer's pipeline; the
+// rest live in analysis_core.cpp and verdict.cpp.
+/// A host with no upload for this long is down (§5: 20 s).
+inline constexpr TimeNs kHostSilenceThreshold = sec(20);
+/// Evidence floor: fewer anomalies than this raise no problem.
+inline constexpr std::size_t kMinAnomaliesForProblem = 3;
+/// CPU-overload flag on responder processing delay. Sketch-mode Agents keep
+/// OK records above it raw, for the Analyzer's outlier triage.
+inline constexpr TimeNs kHighProcDelayThreshold = msec(5);
 
 /// How the Analyzer watches a service's key performance metric (§4.3.4):
 /// `metric` returns the current relative performance in [0,1].
@@ -179,13 +176,12 @@ class VerdictLog {
   explicit VerdictLog(std::string role) : role_(std::move(role)) {}
 
   /// §4.3.4 impact: P2 outside every service network; inside one, P0 when
-  /// the watched service's metric sits below `degradation_threshold`, else
-  /// P1. A problem lands in the FIRST network of `nets` it touches; both
-  /// tiers pass `nets` lowest service id first, so that is the lowest
-  /// service it touches. Noise keeps its priority.
+  /// the watched service's metric sits below the degradation threshold
+  /// (0.5), else P1. A problem lands in the FIRST network of `nets` it
+  /// touches; both tiers pass `nets` lowest service id first, so that is
+  /// the lowest service it touches. Noise keeps its priority.
   void assess_impact(std::vector<Problem>& problems,
-                     const std::vector<ServiceNetDigest>& nets,
-                     double degradation_threshold) const;
+                     const std::vector<ServiceNetDigest>& nets) const;
 
   /// Draw the next problem and evidence ids and cross-link `p` and `c`.
   /// Call once p.summary is final.
@@ -200,8 +196,7 @@ class VerdictLog {
   /// One "network-innocent" chain per watched service with no P0/P1 problem
   /// among `problems`, citing the service's probes when `records` has them.
   void innocent_chains(const std::vector<Problem>& problems,
-                       const AnalyzerConfig& cfg, obs::DiagnosisLog& dlog,
-                       const ServiceRecords* records);
+                       obs::DiagnosisLog& dlog, const ServiceRecords* records);
 
   /// Keep the period's report and DiagnosisLog, trimming both to
   /// `history_limit`; aged-out logs spill into the journal archive.

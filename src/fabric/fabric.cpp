@@ -10,6 +10,21 @@
 
 namespace rpm::fabric {
 
+namespace {
+
+constexpr Bytes kBufferBytes = 32 * 1024 * 1024;  // per-port packet buffer
+constexpr Bytes kEcnKmin = 1 * 1024 * 1024;       // RED/ECN min threshold
+constexpr Bytes kEcnKmax = 8 * 1024 * 1024;       // RED/ECN max threshold
+static_assert(kEcnKmin < kEcnKmax && kEcnKmax <= kBufferBytes,
+              "ECN thresholds: require kmin < kmax <= buffer");
+constexpr double kEcnPmax = 0.2;           // marking prob at kmax
+constexpr double kPfcThresholdFrac = 0.75;  // queue frac asserting PAUSE
+// Seed of the corruption and overflow lottery. Every Cluster seed draws the
+// same stream.
+constexpr std::uint64_t kSeed = 42;
+
+}  // namespace
+
 const char* drop_reason_name(DropReason r) {
   switch (r) {
     case DropReason::kNone:
@@ -36,7 +51,7 @@ Fabric::Fabric(const topo::Topology& topo, const routing::EcmpRouter& router,
       router_(router),
       sched_(sched),
       cfg_(cfg),
-      rng_(cfg.seed),
+      rng_(kSeed),
       links_(topo.num_links()),
       acl_(topo.num_switches()),
       delivery_(topo.num_rnics()),
@@ -45,9 +60,6 @@ Fabric::Fabric(const topo::Topology& topo, const routing::EcmpRouter& router,
       link_step_(topo.num_links()) {
   if (cfg_.step_interval <= 0) {
     throw std::invalid_argument("FabricConfig: step_interval must be > 0");
-  }
-  if (cfg_.ecn_kmin >= cfg_.ecn_kmax || cfg_.ecn_kmax > cfg_.buffer_bytes) {
-    throw std::invalid_argument("FabricConfig: require kmin < kmax <= buffer");
   }
   init_metrics();
 }
@@ -152,12 +164,11 @@ double Fabric::effective_capacity(const topo::Link& l,
 }
 
 double Fabric::ecn_mark_prob(const LinkState& s) const {
-  if (s.queue_bytes <= cfg_.ecn_kmin) return 0.0;
-  if (s.queue_bytes >= cfg_.ecn_kmax) return 1.0;
-  const double f =
-      static_cast<double>(s.queue_bytes - cfg_.ecn_kmin) /
-      static_cast<double>(cfg_.ecn_kmax - cfg_.ecn_kmin);
-  return f * cfg_.ecn_pmax;
+  if (s.queue_bytes <= kEcnKmin) return 0.0;
+  if (s.queue_bytes >= kEcnKmax) return 1.0;
+  const double f = static_cast<double>(s.queue_bytes - kEcnKmin) /
+                   static_cast<double>(kEcnKmax - kEcnKmin);
+  return f * kEcnPmax;
 }
 
 LinkState& Fabric::link_state(LinkId id) {
@@ -439,9 +450,9 @@ void Fabric::step_once() {
 
     s.overflow_drop_frac = 0.0;
     s.pfc_paused = false;
-    if (q > static_cast<double>(cfg_.buffer_bytes)) {
-      const double excess = q - static_cast<double>(cfg_.buffer_bytes);
-      q = static_cast<double>(cfg_.buffer_bytes);
+    if (q > static_cast<double>(kBufferBytes)) {
+      const double excess = q - static_cast<double>(kBufferBytes);
+      q = static_cast<double>(kBufferBytes);
       if (s.pfc_enabled && !s.pfc_misconfigured) {
         // Lossless: push the excess back into upstream egress queues. This
         // is how congestion trees and PFC storms spread hop by hop.
@@ -472,8 +483,7 @@ void Fabric::step_once() {
         ++s.drops_overflow;
       }
     } else if (s.queue_bytes > static_cast<Bytes>(
-                   cfg_.pfc_threshold_frac *
-                   static_cast<double>(cfg_.buffer_bytes)) &&
+                   kPfcThresholdFrac * static_cast<double>(kBufferBytes)) &&
                s.pfc_enabled && !s.pfc_misconfigured) {
       s.pfc_paused = true;
     }

@@ -178,12 +178,6 @@ struct FlowStats {
 
 struct FabricConfig {
   TimeNs step_interval = usec(100);  // fluid integration step
-  Bytes buffer_bytes = 32 * 1024 * 1024;   // per-port packet buffer
-  Bytes ecn_kmin = 1 * 1024 * 1024;        // RED/ECN min threshold
-  Bytes ecn_kmax = 8 * 1024 * 1024;        // RED/ECN max threshold
-  double ecn_pmax = 0.2;                   // marking prob at kmax
-  double pfc_threshold_frac = 0.75;        // queue frac asserting PAUSE
-  std::uint64_t seed = 42;
 };
 
 class Fabric {
@@ -251,7 +245,6 @@ class Fabric {
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const routing::EcmpRouter& router() const { return router_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] const FabricConfig& config() const { return cfg_; }
 
   /// Marks routing-relevant state as changed; flow paths are re-resolved on
   /// the next fluid step. Called automatically by the fault setters.

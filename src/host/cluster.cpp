@@ -12,7 +12,7 @@ Cluster::Cluster(topo::Topology topology, ClusterConfig cfg)
   hosts_.reserve(topo_.num_hosts());
   for (const topo::HostInfo& h : topo_.hosts()) {
     hosts_.push_back(std::make_unique<HostModel>(
-        h.id, sched_, sim::DeviceClock::random(rng_), rng_.fork(), cfg.host));
+        h.id, sched_, sim::DeviceClock::random(rng_), rng_.fork()));
   }
   rnics_.reserve(topo_.num_rnics());
   for (const topo::RnicInfo& r : topo_.rnics()) {

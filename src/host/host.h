@@ -20,19 +20,10 @@
 
 namespace rpm::host {
 
-struct HostParams {
-  TimeNs base_process_delay = usec(3);   // healthy-host wakeup latency
-  double overload_threshold = 0.9;       // load above this grows tails fast
-  TimeNs overload_tail = msec(30);       // typical stall when overloaded
-  double starve_threshold = 0.99;        // "service occupies every core"
-  TimeNs starve_tail = msec(900);        // stall that exceeds probe timeout
-  double starve_prob = 0.25;             // chance a wakeup hits the big stall
-};
-
 class HostModel {
  public:
   HostModel(HostId id, sim::Scheduler& sched, sim::DeviceClock clock,
-            Rng rng, HostParams params = {});
+            Rng rng);
 
   [[nodiscard]] HostId id() const { return id_; }
 
@@ -45,8 +36,8 @@ class HostModel {
   void set_down(bool down) { down_ = down; }
 
   /// Sample the delay between an event (e.g. a CQE arriving) and the
-  /// userspace process actually acting on it. Load-dependent with heavy
-  /// tails under overload; see HostParams.
+  /// userspace process actually acting on it. Load-dependent, with a heavy
+  /// tail above 90% load and probe-timeout-scale stalls above 99%.
   [[nodiscard]] TimeNs sample_process_delay();
 
   /// The host's own clock (used for application timestamps ① and ⑥; offset
@@ -65,7 +56,6 @@ class HostModel {
   sim::Scheduler& sched_;
   sim::DeviceClock clock_;
   Rng rng_;
-  HostParams params_;
   double cpu_load_ = 0.2;
   bool down_ = false;
   verbs::TracepointRegistry tracepoints_;

@@ -6,6 +6,14 @@
 
 namespace rpm::obs {
 
+namespace {
+
+constexpr std::uint64_t kSeed = 0x0b5f11447ULL;  // sampling Rng (determinism)
+// Live (owner, channel seq) -> probe ids bindings; the oldest is forgotten.
+constexpr std::size_t kMaxBatchBindings = 1024;
+
+}  // namespace
+
 const char* probe_event_name(ProbeEventKind k) {
   switch (k) {
     case ProbeEventKind::kEnqueued: return "agent-enqueue";
@@ -44,7 +52,7 @@ void FlightRecorder::enable(FlightRecorderConfig cfg, ClockFn clock) {
   cfg_ = cfg;
   if (cfg_.capacity == 0) cfg_.capacity = 1;
   clock_ = std::move(clock);
-  rng_ = Rng(cfg_.seed);
+  rng_ = Rng(kSeed);
   fallback_tick_ = 0;
   ring_.assign(cfg_.capacity, ProbeTimeline{});
   next_slot_ = 0;
@@ -139,7 +147,7 @@ void FlightRecorder::bind_batch(std::uint64_t owner_tag,
   const auto key = std::make_pair(owner_tag, chan_seq);
   if (!bindings_.contains(key)) {
     binding_order_.push_back(key);
-    while (binding_order_.size() > cfg_.max_batch_bindings) {
+    while (binding_order_.size() > kMaxBatchBindings) {
       bindings_.erase(binding_order_.front());
       binding_order_.pop_front();
     }

@@ -114,9 +114,7 @@ struct FlightRecorderConfig {
   double sample_rate = 0.0;            // P(record) per probe, drawn at birth
   std::size_t capacity = 4096;         // ring slots; oldest timeline evicted
   std::size_t max_events_per_probe = 96;
-  std::size_t max_batch_bindings = 1024;
   std::size_t max_markers = 1024;      // process-level marker FIFO cap
-  std::uint64_t seed = 0x0b5f11447ULL; // sampling Rng seed (determinism)
 };
 
 /// A process-level (not per-probe) event. Markers bypass sampling — they

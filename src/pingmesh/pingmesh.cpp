@@ -2,9 +2,17 @@
 
 namespace rpm::pingmesh {
 
-SoftwarePingmesh::SoftwarePingmesh(host::Cluster& cluster,
-                                   SoftwarePingConfig cfg)
-    : cluster_(cluster), cfg_(cfg) {
+namespace {
+
+constexpr TimeNs kTimeout = msec(500);
+constexpr Bytes kPayload = 50;
+constexpr std::uint8_t kProtocol = 6;  // TCP traffic class (Figure 2)
+constexpr std::uint16_t kSrcPortBase = 42000;
+
+}  // namespace
+
+SoftwarePingmesh::SoftwarePingmesh(host::Cluster& cluster)
+    : cluster_(cluster) {
   endpoints_.resize(cluster_.num_rnics());
   for (std::uint32_t i = 0; i < cluster_.num_rnics(); ++i) {
     const RnicId id{i};
@@ -37,18 +45,17 @@ void SoftwarePingmesh::probe(
   d.dst = dst;
   d.tuple.src_ip = dev.ip();
   d.tuple.dst_ip = cluster_.topology().rnic(dst).ip;
-  d.tuple.src_port =
-      static_cast<std::uint16_t>(cfg_.src_port_base + (id & 0x3FF));
+  d.tuple.src_port = static_cast<std::uint16_t>(kSrcPortBase + (id & 0x3FF));
   d.tuple.dst_port = 80;  // Pingmesh-style server port
-  d.tuple.protocol = cfg_.protocol;
-  d.size = cfg_.payload;
+  d.tuple.protocol = kProtocol;
+  d.size = kPayload;
   d.dst_qpn = endpoints_[dst.value].qpn;
   d.src_qpn = endpoints_[src.value].qpn;
   d.payload = Payload{id, false, endpoints_[src.value].qpn};
   cluster_.fabric().send(d);
 
   // Timeout.
-  sched.schedule_after(cfg_.timeout, [this, id] {
+  sched.schedule_after(kTimeout, [this, id] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
     auto cb = std::move(it->second.done);

@@ -25,13 +25,6 @@
 
 namespace rpm::pingmesh {
 
-struct SoftwarePingConfig {
-  TimeNs timeout = msec(500);
-  Bytes payload = 50;
-  std::uint8_t protocol = 6;  // TCP traffic class (the point of Figure 2)
-  std::uint16_t src_port_base = 42000;
-};
-
 /// Result of one software probe.
 struct SoftwarePingResult {
   bool ok = false;
@@ -42,8 +35,7 @@ struct SoftwarePingResult {
 /// software-timestamped probes between any RNIC pair.
 class SoftwarePingmesh {
  public:
-  explicit SoftwarePingmesh(host::Cluster& cluster,
-                            SoftwarePingConfig cfg = {});
+  explicit SoftwarePingmesh(host::Cluster& cluster);
 
   /// Issue one probe; `done` fires when the reply arrives or the timeout
   /// elapses.
@@ -68,7 +60,6 @@ class SoftwarePingmesh {
   void on_cqe(RnicId rnic, const rnic::Cqe& cqe);
 
   host::Cluster& cluster_;
-  SoftwarePingConfig cfg_;
   std::vector<Endpoint> endpoints_;  // per rnic
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t next_id_ = 1;

@@ -7,6 +7,9 @@ namespace rpm::rnic {
 
 namespace {
 constexpr std::uint64_t kGidBase = 0xfe80'0000'0000'0000ULL;
+// DMA latency at full PCIe width: host memory -> wire, and wire -> host.
+constexpr TimeNs kTxDma = nsec(600);
+constexpr TimeNs kRxDma = nsec(600);
 }  // namespace
 
 const char* qp_type_name(QpType t) {
@@ -47,12 +50,12 @@ IpAddr RnicDevice::ip() const { return fabric_.topology().rnic(id_).ip; }
 
 TimeNs RnicDevice::tx_delay() const {
   return static_cast<TimeNs>(
-      static_cast<double>(params_.tx_dma) / pcie_factor_);
+      static_cast<double>(kTxDma) / pcie_factor_);
 }
 
 TimeNs RnicDevice::rx_delay() const {
   return static_cast<TimeNs>(
-      static_cast<double>(params_.rx_dma) / pcie_factor_);
+      static_cast<double>(kRxDma) / pcie_factor_);
 }
 
 Qpn RnicDevice::create_qp(QpConfig cfg) {

@@ -78,8 +78,6 @@ struct QpConfig {
 
 /// Tunable physical parameters of the device.
 struct RnicParams {
-  TimeNs tx_dma = nsec(600);  // host memory -> wire, at full PCIe width
-  TimeNs rx_dma = nsec(600);  // wire -> host memory
   std::size_t qpc_cache_slots = 256;
   TimeNs qpc_miss_penalty = usec(2);
 };

@@ -13,25 +13,26 @@ namespace {
 // Flight-recorder ids for sketch reports live far above probe ids (which
 // are small monotone integers) so the two can share one recorder.
 constexpr std::uint64_t kSketchTraceBase = 1ull << 62;
+// Wire tag of every report, and the flight recorder's batch-owner tag.
+constexpr std::uint64_t kExporterId = 1;
 
 }  // namespace
 
 SketchExporter::SketchExporter(sim::Scheduler& sched,
                                transport::Channel& channel,
-                               LinkSketchBank& bank, SketchExporterConfig cfg)
+                               LinkSketchBank& bank)
     : sched_(sched),
       channel_(channel),
       bank_(bank),
-      cfg_(cfg),
-      flush_task_(sched, cfg.period, [this] { flush_now(); }) {
+      flush_task_(sched, transport::kUploadInterval, [this] { flush_now(); }) {
   channel_.set_on_expire(
       [this](std::uint64_t seq, std::any& p) { on_expired(seq, p); });
   channel_.set_on_acked([this](std::uint64_t seq) {
-    obs::recorder().unbind_batch(cfg_.exporter_id, seq);
+    obs::recorder().unbind_batch(kExporterId, seq);
     on_acked();
   });
   channel_.set_on_attempt([this](std::uint64_t seq, std::uint32_t attempt) {
-    obs::recorder().batch_event(cfg_.exporter_id, seq,
+    obs::recorder().batch_event(kExporterId, seq,
                                 obs::ProbeEventKind::kTransportAttempt,
                                 attempt);
   });
@@ -48,7 +49,7 @@ void SketchExporter::start() {
   if (running_) return;
   running_ = true;
   period_start_ = sched_.now();
-  flush_task_.start(cfg_.period);
+  flush_task_.start(transport::kUploadInterval);
 }
 
 void SketchExporter::stop() {
@@ -73,7 +74,7 @@ void SketchExporter::flush_now() {
     return;
   }
   SketchReport rep;
-  rep.exporter = cfg_.exporter_id;
+  rep.exporter = kExporterId;
   rep.seq = next_seq_++;
   rep.period_start = period_start_;
   rep.period_end = now;
@@ -99,21 +100,19 @@ void SketchExporter::send_report(SketchReport&& rep) {
   const auto wire = static_cast<Bytes>(rep.wire_bytes());
   const std::uint64_t chan_seq = channel_.send(std::any(std::move(rep)), wire);
   if (trace != 0) {
-    obs::recorder().bind_batch(cfg_.exporter_id, chan_seq, {trace});
+    obs::recorder().bind_batch(kExporterId, chan_seq, {trace});
   }
 }
 
 void SketchExporter::on_expired(std::uint64_t chan_seq, std::any& payload) {
-  obs::recorder().unbind_batch(cfg_.exporter_id, chan_seq);
+  obs::recorder().unbind_batch(kExporterId, chan_seq);
   auto* rep = std::any_cast<SketchReport>(&payload);
   // Moved-from (delivered, then abandoned by a lost ack) reports have no
   // links — nothing to recover.
   if (rep == nullptr || rep->links.empty()) return;
-  if (!running_) {
-    channel_.note_app_drop();
-    return;
-  }
-  if (rep->requeues >= cfg_.requeue_cap) {
+  // stop() abandoned it: the transport already counted the drop.
+  if (!running_) return;
+  if (rep->requeues >= transport::kUploadRequeueCap) {
     spill_report(std::move(*rep));
     return;
   }
@@ -126,7 +125,10 @@ void SketchExporter::on_expired(std::uint64_t chan_seq, std::any& payload) {
   // backpressure); never re-enter the channel synchronously.
   auto carry = std::make_shared<SketchReport>(std::move(*rep));
   sched_.schedule_after(0, [this, e = epoch_, carry] {
-    if (e != epoch_ || !running_) return;
+    if (e != epoch_ || !running_) {
+      channel_.note_app_drop();  // stop() aborted the requeue
+      return;
+    }
     send_report(std::move(*carry));
   });
 }
@@ -141,7 +143,7 @@ void SketchExporter::spill_report(SketchReport&& rep) {
   while (it != spill_.end() && it->seq < rep.seq) ++it;
   if (it != spill_.end() && it->seq == rep.seq) return;
   spill_.insert(it, std::move(rep));
-  while (spill_.size() > cfg_.spill_ring_cap) {
+  while (spill_.size() > transport::kSpillRingCap) {
     SketchReport& oldest = spill_.front();
     if (oldest.trace_id != 0) {
       obs::recorder().record(oldest.trace_id,
@@ -168,7 +170,7 @@ void SketchExporter::drain_spill() {
   std::deque<SketchReport> parked;
   parked.swap(spill_);
   for (SketchReport& rep : parked) {
-    rep.requeues = cfg_.requeue_cap;
+    rep.requeues = transport::kUploadRequeueCap;
     if (rep.trace_id != 0) {
       obs::recorder().record(rep.trace_id, obs::ProbeEventKind::kSpillDrained,
                              rep.seq);

@@ -1,8 +1,9 @@
 // SketchExporter: flushes a fabric's LinkSketchBank to the Analyzer once
-// per period over a transport Channel, with the same delivery discipline as
-// Agent uploads — monotone sequence numbers for receiver dedup,
-// application-level requeue on transport expiry, and a bounded spill ring
-// (oldest dropped) drained when the channel acks again after an outage.
+// per upload interval over a transport Channel, with the same delivery
+// discipline as Agent uploads (transport::kUploadInterval and friends) —
+// monotone sequence numbers for receiver dedup, application-level requeue
+// on transport expiry, and a bounded spill ring (oldest dropped) drained
+// when the channel acks again after an outage.
 #pragma once
 
 #include <cstdint>
@@ -17,17 +18,10 @@
 
 namespace rpm::sketch {
 
-struct SketchExporterConfig {
-  TimeNs period = sec(5);       // export cadence (matches Agent uploads)
-  std::uint64_t exporter_id = 1;  // wire tag + flight-recorder owner tag
-  std::uint32_t requeue_cap = 2;  // expiries before a report is spilled
-  std::size_t spill_ring_cap = 64;
-};
-
 class SketchExporter {
  public:
   SketchExporter(sim::Scheduler& sched, transport::Channel& channel,
-                 LinkSketchBank& bank, SketchExporterConfig cfg = {});
+                 LinkSketchBank& bank);
   ~SketchExporter();
   SketchExporter(const SketchExporter&) = delete;
   SketchExporter& operator=(const SketchExporter&) = delete;
@@ -53,7 +47,6 @@ class SketchExporter {
   sim::Scheduler& sched_;
   transport::Channel& channel_;
   LinkSketchBank& bank_;
-  SketchExporterConfig cfg_;
   sim::PeriodicTask flush_task_;
   bool running_ = false;
   std::uint64_t epoch_ = 0;  // invalidates deferred resends across stop()

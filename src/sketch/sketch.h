@@ -8,11 +8,12 @@
 // simulated switches keep a small mergeable summary per link — drop/ECN
 // counters plus quantile sketches of the link's per-hop RTT contribution and
 // queue depth — exported once per 5 s period as a `SketchReport` over the
-// control-plane transport. The Analyzer merges reports into a `SketchStore`
-// and needs raw probe records only for Algorithm-1 localization voting on
-// the links the sketches flag; Agents mirror the idea on the host side by
-// folding healthy probe records into a mergeable `HostSummary` per
-// `UploadBatch` instead of shipping each record.
+// control-plane transport. The Analyzer merges reports into a `SketchStore`;
+// the link sketches corroborate a switch verdict (its `sketch_link_drops`
+// evidence) and count the links that show drops, but select no records.
+// Agents fold healthy probe records into a mergeable `HostSummary` per
+// `UploadBatch` instead of shipping each record; every timeout and outlier
+// still ships raw.
 //
 // Determinism is load-bearing (the repo-wide invariant: same seed =>
 // byte-identical verdicts), so the quantile sketch is a fixed-boundary

@@ -5,6 +5,14 @@
 
 namespace rpm::traffic {
 
+namespace {
+
+constexpr TimeNs kPollInterval = msec(1);  // progress-integration cadence
+// Worker CPU load while a checkpoint's TCP uploads run.
+constexpr double kCheckpointCpuLoad = 0.96;
+
+}  // namespace
+
 const char* comm_pattern_name(CommPattern p) {
   switch (p) {
     case CommPattern::kAllReduceRing:
@@ -20,7 +28,7 @@ const char* comm_pattern_name(CommPattern p) {
 DmlService::DmlService(host::Cluster& cluster, DmlConfig cfg)
     : cluster_(cluster),
       cfg_(std::move(cfg)),
-      poll_task_(cluster.scheduler(), cfg_.poll_interval,
+      poll_task_(cluster.scheduler(), kPollInterval,
                  [this] { poll_progress(); }),
       keepalive_task_(cluster.scheduler(),
                       cfg_.keepalive_interval > 0 ? cfg_.keepalive_interval
@@ -234,7 +242,7 @@ void DmlService::begin_checkpoint() {
   last_checkpoint_ = cluster_.scheduler().now();
   iter_start_ = cluster_.scheduler().now();
   set_all_demands(0.0);  // RoCE network idle while TCP uploads run
-  set_worker_cpu_load(cfg_.checkpoint_cpu_load);
+  set_worker_cpu_load(kCheckpointCpuLoad);
   const std::uint64_t ep = epoch_;
   cluster_.scheduler().schedule_after(cfg_.checkpoint_duration, [this, ep] {
     if (running_ && ep == epoch_) end_checkpoint();

@@ -64,9 +64,6 @@ struct DmlConfig {
   // Checkpointing (0 interval disables).
   TimeNs checkpoint_interval = 0;
   TimeNs checkpoint_duration = sec(8);
-  double checkpoint_cpu_load = 0.96;
-
-  TimeNs poll_interval = msec(1);  // progress-integration cadence
 };
 
 /// One RC connection + fluid flow between two ranks.

@@ -8,6 +8,13 @@
 
 namespace rpm::transport {
 
+namespace {
+
+// The extra delivery delay of a reordered message.
+constexpr TimeNs kReorderExtra = usec(200);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Channel
 
@@ -135,7 +142,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
     } else {
       TimeNs lat = sample_latency();
       if (cfg.reorder_prob > 0.0 && rng.chance(cfg.reorder_prob)) {
-        lat += cfg.reorder_extra;
+        lat += kReorderExtra;
       }
       sched.schedule_after(lat, [weak, m] {
         auto self = weak.lock();

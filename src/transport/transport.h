@@ -57,8 +57,7 @@ struct ChannelConfig {
   TimeNs base_latency = usec(50);    // one-way control-plane latency
   TimeNs latency_jitter = usec(25);  // uniform [0, jitter) added per message
   double loss_prob = 0.0;            // per transmission attempt (data + ack)
-  double reorder_prob = 0.0;         // chance of an extra out-of-order delay
-  TimeNs reorder_extra = usec(200);  // the extra delay when reordered
+  double reorder_prob = 0.0;         // chance of an extra 200 us delay
   std::size_t max_in_flight = 256;   // unacked window; beyond: drop oldest
   std::uint32_t max_attempts = 6;    // transmissions before giving up
   TimeNs retry_timeout = msec(50);   // first retransmit timer
@@ -69,6 +68,16 @@ struct ChannelConfig {
   // tick retry on different ticks (no thundering herd), deterministically.
   TimeNs retry_jitter = msec(5);
 };
+
+/// Delivery discipline of the periodic uploads that ride Channels (Agent
+/// record batches and switch sketch reports), defined once for both. One
+/// upload every kUploadInterval (§5: 5 s). A message the transport expired
+/// is re-sent up to kUploadRequeueCap times, then parked in a drop-oldest
+/// spill ring of kSpillRingCap messages that drains in seq order once the
+/// channel acks again.
+inline constexpr TimeNs kUploadInterval = sec(5);
+inline constexpr std::uint32_t kUploadRequeueCap = 2;
+inline constexpr std::size_t kSpillRingCap = 64;
 
 /// Fault-injectable control-plane impairment, shared by every channel of a
 /// ControlPlane. Effective loss = 1 - (1-loss_prob)*(1-extra_loss).

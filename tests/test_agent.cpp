@@ -64,7 +64,7 @@ struct AgentBed {
               RegistrationAck ack;
               ack.accepted = ctrl_.register_agent(r->host, r->rnics);
               ack.controller_epoch = ctrl_.epoch();
-              ack.lease_duration = ctrl_.config().lease_duration;
+              ack.lease_duration = kLeaseDuration;
               return std::any(ack);
             }
             if (const auto* r = std::any_cast<AgentHeartbeat>(&req)) {

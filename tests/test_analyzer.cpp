@@ -1026,8 +1026,8 @@ TEST_F(AnalyzerTest, ImpactPicksTheLowestServiceInBothTiers) {
 
   // The global tier: pod 0 ships service 2's network, pod 1 service 1's.
   ASSERT_FALSE(suspects.empty());
-  GlobalAnalyzer::Config cfg;
-  cfg.analyzer.period = sec(5);
+  AnalyzerConfig cfg;
+  cfg.period = sec(5);
   GlobalAnalyzer global(topo_, sched_, cfg);
   global.register_service({ServiceId{1}, [] { return 0.2; }});
   global.register_service({ServiceId{2}, [] { return 0.9; }});

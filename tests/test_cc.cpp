@@ -102,15 +102,14 @@ TEST_F(CcTest, DcqcnCutsOnEcnAndRecovers) {
 }
 
 TEST_F(CcTest, DcqcnRespectsMinRate) {
-  DcqcnParams params;
-  Dcqcn cc(params);
+  Dcqcn cc;
   const double line = gbps_to_Bps(100);
   double r = cc.reset(0, line, line);
   fabric::CcFeedback fb;
   fb.dt = usec(100);
   fb.ecn_fraction = 1.0;
   for (int i = 0; i < 10000; ++i) r = cc.update(0, fb, r);
-  EXPECT_GE(r, params.min_rate_Bps);
+  EXPECT_GE(r, gbps_to_Bps(0.1));  // Dcqcn's rate floor
 }
 
 TEST_F(CcTest, DelayCcTracksTargetDelay) {

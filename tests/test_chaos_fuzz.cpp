@@ -160,7 +160,7 @@ TEST(CampaignGen, PlansStayInsideTheValidityEnvelope) {
   CampaignGenConfig cfg;  // flat: pods = 0 disables pod-bounce
   const CampaignGen gen(cfg);
   const TimeNs lo = cfg.period;
-  const TimeNs hi = cfg.duration - cfg.settle_tail;
+  const TimeNs hi = cfg.duration - sec(35);  // the settle tail
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const ChaosPlan plan = gen.generate(seed, topo);
     EXPECT_LE(plan.steps.size(),
@@ -169,7 +169,7 @@ TEST(CampaignGen, PlansStayInsideTheValidityEnvelope) {
     for (const ChaosStep& s : plan.steps) {
       EXPECT_GE(s.at, lo) << "seed " << seed;
       EXPECT_LE(s.at, hi) << "seed " << seed;
-      EXPECT_EQ(s.at % cfg.time_grid, 0) << "seed " << seed;
+      EXPECT_EQ(s.at % sec(1), 0) << "seed " << seed;  // the time grid
       EXPECT_NE(s.kind, ChaosStep::Kind::kPodAnalyzerCrash);
       EXPECT_NE(s.kind, ChaosStep::Kind::kPodAnalyzerRestart);
       if (s.kind == ChaosStep::Kind::kInject) {

@@ -240,11 +240,5 @@ TEST_F(ControllerTest, RotationReplacesSomeTuples) {
   EXPECT_EQ(before.size(), after.size());
 }
 
-TEST_F(ControllerTest, ConfigValidation) {
-  ControllerConfig bad;
-  bad.per_link_probes_per_sec = 0.0;
-  EXPECT_THROW(Controller(topo_, router_, bad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace rpm::core

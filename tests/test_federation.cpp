@@ -224,8 +224,8 @@ TEST(Federation, GlobalDedupWindowSurvivesJournalRestart) {
   const topo::Topology topo = topo::build_clos(clos_cfg());
   sim::InlineScheduler sched;
   core::StateJournal journal;
-  core::GlobalAnalyzer::Config cfg;
-  cfg.analyzer.period = sec(5);
+  core::AnalyzerConfig cfg;
+  cfg.period = sec(5);
   core::GlobalAnalyzer global(topo, sched, cfg);
   global.attach_journal(&journal);
 
@@ -293,7 +293,7 @@ TEST(Federation, StandbyPromotionFollowsRestartContractAndExports) {
 
   d.rpm.crash_controller();
   EXPECT_TRUE(d.rpm.controller_down());
-  d.cluster.run_for(sec(5));  // failover_delay (2 s) elapses
+  d.cluster.run_for(sec(5));  // the 2 s failover grace elapses
 
   // The standby is primary now: fresh (empty) registry — the restart()
   // contract — and an epoch strictly above anything the deposed primary
@@ -529,8 +529,8 @@ TEST(GlobalAnalyzer, RejectsServiceWithoutMetric) {
   // global tier calling an empty std::function at its first merge.
   const topo::Topology topo = topo::build_clos(clos_cfg());
   sim::InlineScheduler sched;
-  core::GlobalAnalyzer::Config cfg;
-  cfg.analyzer.period = sec(5);
+  core::AnalyzerConfig cfg;
+  cfg.period = sec(5);
   core::GlobalAnalyzer global(topo, sched, cfg);
   EXPECT_THROW(global.register_service({ServiceId{1}, nullptr}),
                std::invalid_argument);
@@ -546,8 +546,8 @@ TEST(GlobalAnalyzer, MergesChainlessProblemsUnderTheirCategoryVerdict) {
   // problem's chain takes the category name as its verdict.
   const topo::Topology topo = topo::build_clos(clos_cfg());
   sim::InlineScheduler sched;
-  core::GlobalAnalyzer::Config cfg;
-  cfg.analyzer.period = sec(5);
+  core::AnalyzerConfig cfg;
+  cfg.period = sec(5);
   core::GlobalAnalyzer global(topo, sched, cfg);
   for (const std::uint32_t pod : {0u, 1u}) {
     core::PodDigest d;

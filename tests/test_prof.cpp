@@ -122,6 +122,15 @@ TEST_F(ProfTest, WatchdogFiresAtConfiguredBudget) {
   prof::ProfilerConfig cfg;
   cfg.period_close_budget = 1;  // 1 ns: any real close overruns
   profiler().enable(cfg);
+  // The registry's overrun series is process-global and never reset, so
+  // the close below must add exactly one to whatever it already reads.
+  const auto overruns_scraped = [] {
+    const telemetry::Snapshot snap = telemetry::registry().snapshot();
+    const telemetry::SeriesSample* s =
+        snap.find("rpm_prof_budget_overruns_total");
+    return s == nullptr ? 0 : s->counter_value;
+  };
+  const auto scraped_before = overruns_scraped();
   {
     PeriodCloseScope close_scope;
     // Make drain.sla unambiguously the top-cost stage of this close.
@@ -154,11 +163,7 @@ TEST_F(ProfTest, WatchdogFiresAtConfiguredBudget) {
   EXPECT_TRUE(obs::recorder().markers().empty());
 
   // Registry sees the overrun counter.
-  const telemetry::Snapshot snap = telemetry::registry().snapshot();
-  const telemetry::SeriesSample* s =
-      snap.find("rpm_prof_budget_overruns_total");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->counter_value, 1u);
+  EXPECT_EQ(overruns_scraped(), scraped_before + 1);
 
   // A generous budget does not fire.
   cfg.period_close_budget = sec(30);

@@ -236,9 +236,7 @@ TEST(SketchExporter, FlushesPeriodicallyAndSpillsThroughOutage) {
         }
       });
   LinkSketchBank bank(4);
-  SketchExporterConfig ecfg;
-  ecfg.period = sec(5);
-  SketchExporter exp(sched, ch, bank, ecfg);
+  SketchExporter exp(sched, ch, bank);  // flushes every 5 s
   exp.start();
 
   // Two periods of traffic: two reports, both delivered and merged.
@@ -271,6 +269,24 @@ TEST(SketchExporter, FlushesPeriodicallyAndSpillsThroughOutage) {
 
   exp.stop();
   EXPECT_FALSE(exp.running());
+}
+
+TEST(SketchExporter, StopCountsEachAbandonedReportOnce) {
+  // The transport counts the reports stop() abandons; the exporter must not
+  // count them again.
+  sim::InlineScheduler sched;
+  transport::ControlPlane cp(sched, Rng(42), transport::ChannelConfig{});
+  transport::Channel& ch =
+      cp.make_channel("sketch/test", [](std::uint64_t, std::any&) {});
+  LinkSketchBank bank(4);
+  SketchExporter exp(sched, ch, bank);
+  exp.start();
+  ch.set_peer_down(true);
+  bank.on_forward(0, 100, 1000, 0, 0.0);
+  exp.flush_now();
+  ASSERT_EQ(exp.reports_sent(), 1u);
+  exp.stop();
+  EXPECT_EQ(ch.counters().dropped, 1u);
 }
 
 TEST(SketchE2E, SketchModeThinsAnalyzerRecordVolume) {
