@@ -266,10 +266,12 @@ void BM_TransportSendDeliver(benchmark::State& state) {
 BENCHMARK(BM_TransportSendDeliver);
 
 // Cost of a full peer outage cycle on a channel with traffic in flight:
-// messages sent against a down peer burn their (jittered) retry schedule
-// and expire, then the peer recovers and a fresh send delivers — the path
-// every Agent upload channel takes through an Analyzer brownout.
+// messages sent against a down peer retry on their (jittered) backoff
+// through a 4 s outage, long enough to reach the 2 s cap; then the peer
+// recovers, a fresh send joins them, and all nine are delivered and acked —
+// the path every Agent upload channel takes through an Analyzer brownout.
 void BM_TransportPeerOutage(benchmark::State& state) {
+  constexpr TimeNs kOutage = sec(4);
   sim::InlineScheduler sched;
   transport::ControlPlane cp(sched, Rng(9));
   std::uint64_t delivered = 0;
@@ -278,10 +280,13 @@ void BM_TransportPeerOutage(benchmark::State& state) {
   for (auto _ : state) {
     ch.set_peer_down(true);
     for (int i = 0; i < 8; ++i) ch.send(std::any(std::uint64_t{1}));
-    sched.run_all();  // all eight expire through the backoff schedule
+    sched.run_until(sched.now() + kOutage);
     ch.set_peer_down(false);
     ch.send(std::any(std::uint64_t{2}));
-    sched.run_all();
+    sched.run_all();  // every message acked: the retry timers go quiet
+  }
+  if (delivered != 9 * static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a message was not delivered after the outage");
   }
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(state.iterations() * 9);

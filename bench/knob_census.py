@@ -16,7 +16,9 @@ line per unset field, and exits 1 if any field is unset.
 The census matches names, not types: a name that two structs share (such as
 `seed`) counts as set for both when either is set, and `.f.` counts a read
 through `f` as a write. The unset count is therefore a floor, not the exact
-number of fields with one value.
+number of fields with one value. Defaulted constructor parameters (such as a
+window size no caller passes) are outside its reach: it reads struct fields
+only.
 """
 import os
 import re

@@ -1,5 +1,7 @@
 #include "chaos/oracle.h"
 
+#include "core/verdict.h"
+
 namespace rpm::chaos {
 
 std::string OracleReport::summary() const {
@@ -63,12 +65,12 @@ OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
   }
 
   for (std::size_t h = 0; h < rpm.num_agents(); ++h) {
-    const std::size_t depth =
-        rpm.agent(HostId{static_cast<std::uint32_t>(h)}).spill_depth();
-    if (depth != 0) {
-      violate("spill-drain", "host " + std::to_string(h) + " spill ring " +
-                                 std::to_string(depth) +
-                                 " deep at campaign end");
+    const TimeNs wait =
+        rpm.agent(HostId{static_cast<std::uint32_t>(h)}).upload_wait();
+    if (wait > core::kHostSilenceThreshold) {
+      violate("upload-drain", "host " + std::to_string(h) +
+                                  " upload unacked for " +
+                                  std::to_string(wait) + "ns at campaign end");
     }
   }
 

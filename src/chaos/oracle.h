@@ -15,8 +15,9 @@
 //   journal-digest-seq     a journal-restored pod never replays or reuses a
 //                          digest seq: the global tier's max accepted seq
 //                          stays <= what the pod actually sent;
-//   spill-drain            every Agent's catch-up spill ring drains to zero
-//                          by campaign end (no stranded history);
+//   upload-drain           at campaign end no Agent has an upload that has
+//                          waited for its ack longer than
+//                          kHostSilenceThreshold (no stranded history);
 //   journal-decode         every role's stored checkpoint decodes (save /
 //                          load round-trips through the CRC'd codec).
 //

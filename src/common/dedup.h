@@ -1,8 +1,9 @@
 // Sliding-window sequence dedup for at-least-once message streams.
 //
 // Every sequenced stream the Analyzer side consumes can deliver a message
-// more than once: transport retries, Agent requeues of expired batches, and
-// spill-ring drains after an outage all resend an old seq. The receiver
+// more than once: the transport retries a message until it is acked, so a
+// lost ack, or a backlog retransmitted after an outage, resends an old seq
+// (from before a receiver's crash, too). The receiver
 // keeps one DedupState per sender — Agent UploadBatches by (host, seq),
 // PodDigests by (pod, seq), switch SketchReports by (exporter, seq) — and
 // asks dedup_accept() whether a seq is a first delivery.

@@ -9,9 +9,7 @@ namespace rpm::core {
 
 namespace {
 
-using transport::kSpillRingCap;
 using transport::kUploadInterval;
-using transport::kUploadRequeueCap;
 
 constexpr TimeNs kProbeTimeout = msec(500);     // §5
 constexpr Bytes kProbePayloadBytes = 50;        // §5
@@ -78,10 +76,6 @@ Agent::Agent(host::Cluster& cluster, HostId host, const Controller& directory,
       "rpm_agent_upload_folded_total",
       "Healthy OK records folded into the batch HostSummary (sketch mode)",
       {{"host", host_label}});
-  metrics_.upload_requeues = reg.counter(
-      "rpm_agent_upload_requeues_total",
-      "Expired upload batches re-queued at the application layer",
-      {{"host", host_label}});
   metrics_.lease_expired = reg.counter(
       "rpm_agent_lease_expired_total",
       "Controller leases lost to missed heartbeat renewals",
@@ -89,19 +83,13 @@ Agent::Agent(host::Cluster& cluster, HostId host, const Controller& directory,
   metrics_.reregistrations = reg.counter(
       "rpm_agent_reregistrations_total",
       "Registrations accepted after a lost lease", {{"host", host_label}});
-  metrics_.spill_ring_depth = reg.gauge(
-      "rpm_agent_spill_ring_depth",
-      "Upload batches parked in the Analyzer-outage spill ring",
-      {{"host", host_label}});
-  metrics_.spill_dropped = reg.counter(
-      "rpm_agent_spill_dropped_total",
-      "Spilled batches evicted by the drop-oldest cap", {{"host", host_label}});
   metrics_.backoff_delay_ns = reg.histogram(
       "rpm_agent_reconnect_backoff_delay_ns",
-      "Jittered backoff delays before re-registration / catch-up retries",
+      "Jittered backoff delays before re-registration retries",
       {{"host", host_label}});
-  // Transport observers. Attempt/ack fan out to the flight recorder (no-ops
-  // while it is disabled); expiry feeds the application-level retry.
+  // Transport observers, fanning out to the flight recorder (no-ops while
+  // it is disabled). The channel retries a batch until it is acked; it
+  // hands one back only when evicting or cancelling it.
   upload_ch_.set_on_attempt([this](std::uint64_t seq, std::uint32_t attempt) {
     obs::recorder().batch_event(host_.value, seq,
                                 obs::ProbeEventKind::kTransportAttempt,
@@ -109,10 +97,6 @@ Agent::Agent(host::Cluster& cluster, HostId host, const Controller& directory,
   });
   upload_ch_.set_on_acked([this](std::uint64_t seq) {
     obs::recorder().unbind_batch(host_.value, seq);
-    // An acked upload means the Analyzer is reachable: reset the catch-up
-    // backoff and drain any history parked during the outage.
-    catchup_attempt_ = 0;
-    if (running_ && !spill_.empty()) drain_spill();
   });
   upload_ch_.set_on_expire([this](std::uint64_t seq, std::any& payload) {
     on_upload_expired(seq, payload);
@@ -129,6 +113,11 @@ Agent::~Agent() {
 }
 
 bool Agent::host_down() const { return cluster_.host(host_).is_down(); }
+
+TimeNs Agent::upload_wait() const {
+  const TimeNs sent = upload_ch_.oldest_unacked_sent();
+  return sent == kNoTime ? 0 : cluster_.scheduler().now() - sent;
+}
 
 void Agent::create_qps() {
   rnics_.clear();
@@ -319,17 +308,20 @@ void Agent::start() {
 
 void Agent::stop() {
   if (!running_) return;
-  // Flush-or-drop: measurements in the outbox must never vanish silently.
-  // A live process flushes a final batch on the way out; a dead host cannot
-  // push bytes onto the wire, so its outbox and in-flight retries are
-  // counted as transport drops (rpm_transport_msgs_total{result="dropped"}).
+  // Flush-or-drop: measurements in the outbox (and, in sketch mode, the
+  // folded summary) must never vanish silently. A live process flushes a
+  // final batch on the way out, which the transport retries until acked; a
+  // dead host cannot push bytes onto the wire, so its unsent batch and
+  // in-flight retries are counted as transport drops
+  // (rpm_transport_msgs_total{result="dropped"}).
   if (host_down()) {
-    if (!outbox_.empty()) {
+    if (!outbox_.empty() || !summary_.empty()) {
       upload_ch_.note_app_drop(1);
       outbox_.clear();
+      summary_ = sketch::HostSummary{};
     }
     upload_ch_.cancel_unacked();
-  } else if (!outbox_.empty()) {
+  } else {
     flush_outbox();
   }
   running_ = false;
@@ -352,24 +344,6 @@ void Agent::stop() {
   rereg_pending_ = false;
   lease_expiry_ = kNoTime;
   reg_attempt_ = 0;
-  catchup_attempt_ = 0;
-  catchup_scheduled_ = false;
-  if (!spill_.empty()) {
-    // The spill ring is process memory: it cannot survive a stop. Account
-    // its batches as drops like the outbox above.
-    if (obs::recorder().enabled()) {
-      for (const UploadBatch& b : spill_) {
-        for (const ProbeRecord& r : b.records) {
-          if (r.flight_sampled) {
-            obs::recorder().record(r.id, obs::ProbeEventKind::kUploadDropped);
-          }
-        }
-      }
-    }
-    upload_ch_.note_app_drop(spill_.size());
-    spill_.clear();
-    metrics_.spill_ring_depth.set(0.0);
-  }
 }
 
 void Agent::restart() {
@@ -802,7 +776,13 @@ void Agent::finalize_timeout(std::uint64_t probe_id) {
 }
 
 void Agent::upload_now() {
-  if (!running_ || host_down()) return;  // a down host uploads nothing
+  if (!running_) return;
+  if (host_down()) {
+    // A down host uploads nothing, and its unacked batches stop
+    // retransmitting (counted as drops) instead of landing after it died.
+    upload_ch_.cancel_unacked();
+    return;
+  }
   if (outbox_.empty() && summary_.empty()) return;
   ++periods_since_flush_;
   // Batched uploads (ROADMAP): coalesce several 5 s periods (and all RNICs)
@@ -837,7 +817,6 @@ void Agent::flush_outbox() {
 
 void Agent::send_batch(UploadBatch&& batch) {
   const std::uint64_t batch_seq = batch.seq;
-  const std::uint32_t requeues = batch.requeues;
   const std::uint64_t n_records = batch.records.size();
   std::vector<std::uint64_t> tracked;
   if (obs::recorder().enabled()) {
@@ -854,12 +833,7 @@ void Agent::send_batch(UploadBatch&& batch) {
   if (!tracked.empty()) {
     auto& rec = obs::recorder();
     for (std::uint64_t pid : tracked) {
-      if (requeues > 0) {
-        rec.record(pid, obs::ProbeEventKind::kRequeued, requeues);
-      } else {
-        rec.record(pid, obs::ProbeEventKind::kOutboxFlush, batch_seq,
-                   n_records);
-      }
+      rec.record(pid, obs::ProbeEventKind::kOutboxFlush, batch_seq, n_records);
     }
     rec.bind_batch(host_.value, chan_seq, std::move(tracked));
     rec.batch_event(host_.value, chan_seq,
@@ -869,140 +843,17 @@ void Agent::send_batch(UploadBatch&& batch) {
 
 void Agent::on_upload_expired(std::uint64_t chan_seq, std::any& payload) {
   obs::recorder().unbind_batch(host_.value, chan_seq);
-  auto* batch = std::any_cast<UploadBatch>(&payload);
-  // The payload is moved-from when the batch was delivered and later
-  // abandoned (lost-ack race with backpressure) — nothing to retry then.
-  // (A summary-only sketch-mode batch has empty records but a non-empty
-  // summary, so both must be empty to read as moved-from.)
-  if (batch == nullptr || (batch->records.empty() && batch->summary.empty())) {
-    return;
-  }
-  const auto drop_for_good = [&] {
-    if (obs::recorder().enabled()) {
-      for (const ProbeRecord& r : batch->records) {
-        if (r.flight_sampled) {
-          obs::recorder().record(r.id, obs::ProbeEventKind::kUploadDropped);
-        }
-      }
-    }
-    // The transport already counted the expiry/drop; no double count here.
-  };
-  if (!running_ || host_down()) {
-    drop_for_good();
-    return;
-  }
-  if (batch->requeues >= kUploadRequeueCap) {
-    // All transport + application retries exhausted: the Analyzer looks to
-    // be in an outage. Park the batch in the spill ring instead of losing
-    // the history; it drains in seq order on reconnect.
-    spill_batch(std::move(*batch));
-    return;
-  }
-  // Application-level retry (ROADMAP): give the batch fresh transport
-  // attempts, keeping its ORIGINAL seq so the Analyzer's (host,seq) dedup
-  // absorbs a copy that was delivered after all. Deferred because on_expire
-  // can fire from inside send() (drop-oldest backpressure) — re-entering
-  // the channel synchronously would recurse.
-  UploadBatch again = std::move(*batch);
-  ++again.requeues;
-  metrics_.upload_requeues.inc();
-  const std::uint64_t epoch = epoch_;
-  cluster_.scheduler().schedule_after(
-      0, [this, epoch, b = std::move(again)]() mutable {
-        if (!running_ || epoch != epoch_ || host_down()) {
-          upload_ch_.note_app_drop(1);
-          return;
-        }
-        send_batch(std::move(b));
-      });
-}
-
-void Agent::spill_batch(UploadBatch&& batch) {
-  // Insert in ascending seq — re-expiries of catch-up probes can interleave
-  // with fresh spills — and ignore a seq that is already parked.
-  const auto it = std::lower_bound(
-      spill_.begin(), spill_.end(), batch.seq,
-      [](const UploadBatch& b, std::uint64_t seq) { return b.seq < seq; });
-  if (it != spill_.end() && it->seq == batch.seq) return;
-  if (obs::recorder().enabled()) {
-    for (const ProbeRecord& r : batch.records) {
+  // The transport already counted the eviction or cancel as a drop; mark
+  // the batch's sampled records. (A batch delivered before it was abandoned
+  // may be moved-from: its records reached the Analyzer.)
+  if (!obs::recorder().enabled()) return;
+  if (const auto* batch = std::any_cast<UploadBatch>(&payload)) {
+    for (const ProbeRecord& r : batch->records) {
       if (r.flight_sampled) {
-        obs::recorder().record(r.id, obs::ProbeEventKind::kSpilled, batch.seq);
+        obs::recorder().record(r.id, obs::ProbeEventKind::kUploadDropped);
       }
     }
   }
-  spill_.insert(it, std::move(batch));
-  while (spill_.size() > kSpillRingCap) {
-    // Drop-oldest: under a long outage the freshest history wins, same
-    // latest-wins policy as the transport's backpressure.
-    const UploadBatch& victim = spill_.front();
-    if (obs::recorder().enabled()) {
-      for (const ProbeRecord& r : victim.records) {
-        if (r.flight_sampled) {
-          obs::recorder().record(r.id, obs::ProbeEventKind::kUploadDropped);
-        }
-      }
-    }
-    upload_ch_.note_app_drop(1);
-    metrics_.spill_dropped.inc();
-    spill_.pop_front();
-  }
-  metrics_.spill_ring_depth.set(static_cast<double>(spill_.size()));
-  schedule_catchup();
-}
-
-void Agent::schedule_catchup() {
-  if (catchup_scheduled_ || spill_.empty() || !running_) return;
-  catchup_scheduled_ = true;
-  const TimeNs delay = backoff_delay(catchup_attempt_);
-  metrics_.backoff_delay_ns.observe(static_cast<double>(delay));
-  const std::uint64_t epoch = epoch_;
-  cluster_.scheduler().schedule_after(delay, [this, epoch] {
-    if (epoch != epoch_) return;
-    catchup_scheduled_ = false;
-    if (!running_ || host_down() || spill_.empty()) return;
-    ++catchup_attempt_;
-    // Probe the outage with the OLDEST spilled batch; if it expires again
-    // it lands back at the front of the ring and the next probe backs off
-    // further. If it is acked, on_acked drains the rest.
-    UploadBatch probe = std::move(spill_.front());
-    spill_.pop_front();
-    metrics_.spill_ring_depth.set(static_cast<double>(spill_.size()));
-    // Keep the requeue header at the cap so another expiry routes straight
-    // back into the spill ring instead of burning requeue rounds.
-    probe.requeues = kUploadRequeueCap;
-    send_batch(std::move(probe));
-    schedule_catchup();
-  });
-}
-
-void Agent::drain_spill() {
-  // Deferred: on_acked fires from inside channel code; re-entering send()
-  // synchronously from there would recurse into the channel.
-  const std::uint64_t epoch = epoch_;
-  cluster_.scheduler().schedule_after(0, [this, epoch] {
-    if (!running_ || epoch != epoch_ || spill_.empty()) return;
-    // Snapshot the ring: anything re-spilled while draining (drop-oldest
-    // backpressure) waits for the next ack or catch-up probe instead of
-    // cycling through this loop at one instant.
-    std::deque<UploadBatch> ready;
-    ready.swap(spill_);
-    metrics_.spill_ring_depth.set(0.0);
-    for (UploadBatch& b : ready) {
-      b.requeues = kUploadRequeueCap;
-      if (obs::recorder().enabled()) {
-        for (const ProbeRecord& r : b.records) {
-          if (r.flight_sampled) {
-            obs::recorder().record(r.id, obs::ProbeEventKind::kSpillDrained,
-                                   b.seq);
-          }
-        }
-      }
-      // Ascending-seq order: the Analyzer's (host, seq) dedup and period
-      // bucketing absorb this late history without double-counting votes.
-      send_batch(std::move(b));
-    }
-  });
 }
 
 void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -133,8 +132,12 @@ class Agent {
   /// Does this Agent believe its Controller lease is live? False between a
   /// lease expiry (Controller crash) and the accepted re-registration.
   [[nodiscard]] bool registered() const { return registered_; }
-  /// Batches currently parked in the Analyzer-outage spill ring.
-  [[nodiscard]] std::size_t spill_depth() const { return spill_.size(); }
+  /// Upload batches the transport is still retrying (sent, not yet acked).
+  [[nodiscard]] std::size_t uploads_in_flight() const {
+    return upload_ch_.in_flight();
+  }
+  /// How long the oldest of those has waited for its ack; 0 when none.
+  [[nodiscard]] TimeNs upload_wait() const;
   /// Accepted re-registrations after a lease loss (lifetime count).
   [[nodiscard]] std::uint64_t reregistrations() const {
     return reregistrations_;
@@ -219,21 +222,11 @@ class Agent {
   void apply_pinglist_response(PinglistPullResponse rsp);
   void flush_outbox();
   /// Ship one batch on the upload channel and bind its sampled probe ids to
-  /// the carrying channel message. Used by flush_outbox and requeues.
+  /// the carrying channel message.
   void send_batch(UploadBatch&& batch);
-  /// Channel on_expire: transport exhausted max_attempts (or abandoned the
-  /// message). Re-queues the batch up to kUploadRequeueCap times, then
-  /// parks it in the spill ring (Analyzer outage catch-up).
+  /// Channel on_expire: the transport evicted (drop-oldest window) or
+  /// cancelled the batch; marks its sampled records dropped.
   void on_upload_expired(std::uint64_t chan_seq, std::any& payload);
-  /// Park a fully-retried batch in the seq-ordered spill ring, evicting the
-  /// oldest batches beyond kSpillRingCap.
-  void spill_batch(UploadBatch&& batch);
-  /// Schedule a single backoff-delayed probe send of the oldest spilled
-  /// batch, to discover when the Analyzer is reachable again.
-  void schedule_catchup();
-  /// An upload was ACKed: the Analyzer is back — drain the spill ring in
-  /// seq order.
-  void drain_spill();
   void attach_tracepoints();
   void detach_tracepoints();
   void probe_next(std::uint32_t slot, ProbeKind kind);
@@ -289,10 +282,6 @@ class Agent {
   bool stale_metric_registered_ = false;
   std::uint64_t lease_expiries_ = 0;
   std::uint64_t reregistrations_ = 0;
-  // Analyzer-outage spill ring: fully-retried batches, ascending seq.
-  std::deque<UploadBatch> spill_;
-  std::uint32_t catchup_attempt_ = 0;
-  bool catchup_scheduled_ = false;
   std::vector<RnicState> rnics_;
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::vector<ProbeRecord> outbox_;
@@ -331,12 +320,9 @@ class Agent {
     telemetry::Counter uploads;
     telemetry::Counter upload_records;
     telemetry::Counter upload_folded;   // records folded into HostSummary
-    telemetry::Counter upload_requeues;
     // Control-plane survivability.
     telemetry::Counter lease_expired;       // leases lost to missed renewals
     telemetry::Counter reregistrations;     // accepted re-registrations
-    telemetry::Gauge spill_ring_depth;      // batches parked during outage
-    telemetry::Counter spill_dropped;       // batches evicted (drop-oldest)
     telemetry::Histogram backoff_delay_ns;  // reconnect backoff delays
   };
   Metrics metrics_;

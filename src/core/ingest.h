@@ -31,7 +31,7 @@ namespace rpm::core {
 
 /// Canonical snapshot of per-sender seq dedup windows — what the
 /// StateJournal persists so a restarted receiver keeps rejecting
-/// re-delivered history (Agent spill rings drain old seqs after a
+/// re-delivered history (upload channels retransmit old seqs after a
 /// reconnect). Senders ascending, seen seqs ascending: same state => same
 /// bytes when encoded.
 struct IngestCheckpoint {
@@ -97,7 +97,7 @@ class IngestSink {
   }
 
   /// Restart path: replace the dedup windows from a journaled snapshot so
-  /// re-delivered batches (spill-ring drains, transport retries from before
+  /// re-delivered batches (transport retries of batches delivered before
   /// the crash) are suppressed instead of re-counted. Buffered records are
   /// untouched.
   void restore(const IngestCheckpoint& cp) { dedup_ = restore_windows(cp); }

@@ -7,9 +7,9 @@
 //     global) writes an AnalyzerCheckpoint: its (host, seq) ingest dedup
 //     windows, period boundary, monotone problem/evidence id counters,
 //     host-liveness clocks, and RNIC blame windows — everything a restarted
-//     process needs so re-delivered history (Agent spill rings, digest
-//     retries) is deduplicated instead of re-counted, and so new evidence
-//     ids never collide with archived ones. Checkpoints are stored as the
+//     process needs so re-delivered history (upload and digest
+//     retransmissions) is deduplicated instead of re-counted, and so new
+//     evidence ids never collide with archived ones. Checkpoints are stored as the
 //     canonical little-endian byte encoding (encode/decode round-trips in
 //     the production path, standing in for the disk file a real deployment
 //     would fsync).

@@ -302,7 +302,7 @@ void RPingmesh::crash_pod_analyzer(std::size_t pod) {
   if (pa.analyzer().in_outage()) return;
   pa.crash();
   // The pod's process is gone: its hosts' upload channels and its digest
-  // channel lose their peer. Agents spill into their catch-up rings.
+  // channel lose their peer; both keep retrying until the pod is back.
   for (const topo::HostInfo& h : cluster_.topology().hosts()) {
     if (host_pod_[h.id.value] == pod) {
       upload_channels_[h.id.value]->set_peer_down(true);

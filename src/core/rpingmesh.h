@@ -81,9 +81,9 @@ class RPingmesh {
   }
 
   /// Analyzer-tier brownout: upload (and digest) channels go peer-down,
-  /// periods pause, and Agents spill fully-retried batches into their
-  /// catch-up rings. Ending the outage drains the rings in seq order and
-  /// forgives upload silence.
+  /// periods pause, and the channels keep retrying their unacked batches.
+  /// Ending the outage lets those retransmissions land and forgives upload
+  /// silence.
   void begin_analyzer_outage();
   void end_analyzer_outage();
   [[nodiscard]] bool analyzer_in_outage() const;

@@ -45,8 +45,8 @@ const char* priority_name(Priority p) {
 }
 
 std::size_t upload_batch_wire_bytes(const UploadBatch& b) {
-  // Header (host + seq + requeues + record count) ...
-  std::size_t n = 4 + 8 + 4 + 4;
+  // Header (host + seq + record count) ...
+  std::size_t n = 4 + 8 + 4;
   for (const ProbeRecord& r : b.records) {
     // ... plus each record's fixed fields (ids, tuple, timestamps, status)
     // and 4 bytes per traced path element.

@@ -166,9 +166,6 @@ struct SlaReport {
 struct UploadBatch {
   HostId host;
   std::uint64_t seq = 0;
-  /// Times the Agent re-queued this batch after transport expiry (rides the
-  /// wire like a retry header; the Analyzer ignores it — dedup is by seq).
-  std::uint32_t requeues = 0;
   std::vector<ProbeRecord> records;
   /// Sketch-mode upload thinning (AnalyzerConfig::sketch_mode == kOn): the
   /// mergeable summary of the healthy probe records the Agent folded out of

@@ -22,8 +22,8 @@ Cluster::Cluster(topo::Topology topology, ClusterConfig cfg)
   }
   // Forked last so the control plane's stream never perturbs the host/RNIC
   // clock draws above (fixed-seed runs stay reproducible across versions).
-  control_plane_ = std::make_unique<transport::ControlPlane>(
-      sched_, rng_.fork(), cfg.control_plane);
+  control_plane_ =
+      std::make_unique<transport::ControlPlane>(sched_, rng_.fork());
   // Event-loop throughput: mirrored into the registry at snapshot time so
   // the scheduler's hot loop stays untouched.
   sched_collector_ = telemetry::CollectorGuard(

@@ -24,7 +24,6 @@ struct ClusterConfig {
   fabric::FabricConfig fabric{};
   rnic::RnicParams rnic{};
   double traceroute_responses_per_sec = 100.0;  // per switch (§4.2.3)
-  transport::ChannelConfig control_plane{};     // latency/loss/backoff knobs
   std::uint64_t seed = 7;
 };
 

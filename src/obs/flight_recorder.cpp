@@ -32,14 +32,11 @@ const char* probe_event_name(ProbeEventKind k) {
     case ProbeEventKind::kTimedOut: return "timed-out";
     case ProbeEventKind::kOutboxFlush: return "outbox-flush";
     case ProbeEventKind::kTransportAttempt: return "transport-attempt";
-    case ProbeEventKind::kRequeued: return "upload-requeued";
     case ProbeEventKind::kUploadDropped: return "upload-dropped";
     case ProbeEventKind::kAnalyzerIngest: return "analyzer-ingest";
     case ProbeEventKind::kVerdict: return "analyzer-verdict";
     case ProbeEventKind::kLeaseExpired: return "lease-expired";
     case ProbeEventKind::kReregistered: return "reregistered";
-    case ProbeEventKind::kSpilled: return "spill-ring-enter";
-    case ProbeEventKind::kSpillDrained: return "spill-ring-drain";
     case ProbeEventKind::kSketchFlush: return "sketch-flush";
     case ProbeEventKind::kSketchMerge: return "sketch-merge";
     case ProbeEventKind::kDigestFlush: return "digest-flush";

@@ -64,14 +64,11 @@ enum class ProbeEventKind : std::uint8_t {
   kTimedOut,         // record finalized as timeout
   kOutboxFlush,      // record left in an UploadBatch; a = batch seq, b = size
   kTransportAttempt, // carrying batch transmitted; a = attempt number
-  kRequeued,         // batch expired, Agent re-queued it; a = requeue count
-  kUploadDropped,    // carrying batch dropped for good (cap / host down)
+  kUploadDropped,    // carrying batch dropped (window eviction / cancel)
   kAnalyzerIngest,   // record accepted into the Analyzer's ingest buffer
   kVerdict,          // Analyzer attributed a cause; a = AnomalyCause
   kLeaseExpired,     // Agent's Controller lease lapsed while record waited
   kReregistered,     // Agent re-registered after a lost lease
-  kSpilled,          // carrying batch parked in spill ring; a = batch seq
-  kSpillDrained,     // batch left spill ring on reconnect; a = batch seq
   kSketchFlush,      // link sketches flushed into a SketchReport;
                      // a = report seq, b = links in the report
   kSketchMerge,      // Analyzer merged a SketchReport; a = seq, b = links

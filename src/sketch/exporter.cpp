@@ -1,7 +1,6 @@
 #include "sketch/exporter.h"
 
 #include <any>
-#include <memory>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -25,11 +24,13 @@ SketchExporter::SketchExporter(sim::Scheduler& sched,
       channel_(channel),
       bank_(bank),
       flush_task_(sched, transport::kUploadInterval, [this] { flush_now(); }) {
-  channel_.set_on_expire(
-      [this](std::uint64_t seq, std::any& p) { on_expired(seq, p); });
-  channel_.set_on_acked([this](std::uint64_t seq) {
+  // The channel retries a report until it is acked, evicted or cancelled;
+  // either way its flight-recorder binding ends there.
+  channel_.set_on_expire([](std::uint64_t seq, std::any&) {
     obs::recorder().unbind_batch(kExporterId, seq);
-    on_acked();
+  });
+  channel_.set_on_acked([](std::uint64_t seq) {
+    obs::recorder().unbind_batch(kExporterId, seq);
   });
   channel_.set_on_attempt([this](std::uint64_t seq, std::uint32_t attempt) {
     obs::recorder().batch_event(kExporterId, seq,
@@ -55,13 +56,8 @@ void SketchExporter::start() {
 void SketchExporter::stop() {
   if (!running_) return;
   running_ = false;
-  ++epoch_;  // deferred resends/drains in flight become no-ops
   flush_task_.cancel();
   channel_.cancel_unacked();
-  if (!spill_.empty()) {
-    channel_.note_app_drop(spill_.size());
-    spill_.clear();
-  }
 }
 
 void SketchExporter::flush_now() {
@@ -90,93 +86,13 @@ void SketchExporter::flush_now() {
     }
   }
   ++reports_sent_;
+  const std::size_t wire = rep.wire_bytes();
   m_reports_.inc();
-  m_bytes_.inc(rep.wire_bytes());
-  send_report(std::move(rep));
-}
-
-void SketchExporter::send_report(SketchReport&& rep) {
+  m_bytes_.inc(wire);
   const std::uint64_t trace = rep.trace_id;
-  const auto wire = static_cast<Bytes>(rep.wire_bytes());
-  const std::uint64_t chan_seq = channel_.send(std::any(std::move(rep)), wire);
-  if (trace != 0) {
-    obs::recorder().bind_batch(kExporterId, chan_seq, {trace});
-  }
-}
-
-void SketchExporter::on_expired(std::uint64_t chan_seq, std::any& payload) {
-  obs::recorder().unbind_batch(kExporterId, chan_seq);
-  auto* rep = std::any_cast<SketchReport>(&payload);
-  // Moved-from (delivered, then abandoned by a lost ack) reports have no
-  // links — nothing to recover.
-  if (rep == nullptr || rep->links.empty()) return;
-  // stop() abandoned it: the transport already counted the drop.
-  if (!running_) return;
-  if (rep->requeues >= transport::kUploadRequeueCap) {
-    spill_report(std::move(*rep));
-    return;
-  }
-  ++rep->requeues;
-  if (rep->trace_id != 0) {
-    obs::recorder().record(rep->trace_id, obs::ProbeEventKind::kRequeued,
-                           rep->requeues);
-  }
-  // Deferred: on_expire may run from inside send() (drop-oldest
-  // backpressure); never re-enter the channel synchronously.
-  auto carry = std::make_shared<SketchReport>(std::move(*rep));
-  sched_.schedule_after(0, [this, e = epoch_, carry] {
-    if (e != epoch_ || !running_) {
-      channel_.note_app_drop();  // stop() aborted the requeue
-      return;
-    }
-    send_report(std::move(*carry));
-  });
-}
-
-void SketchExporter::spill_report(SketchReport&& rep) {
-  if (rep.trace_id != 0) {
-    obs::recorder().record(rep.trace_id, obs::ProbeEventKind::kSpilled,
-                           rep.seq);
-  }
-  // Keep the ring seq-ascending (skip a seq already parked there).
-  auto it = spill_.begin();
-  while (it != spill_.end() && it->seq < rep.seq) ++it;
-  if (it != spill_.end() && it->seq == rep.seq) return;
-  spill_.insert(it, std::move(rep));
-  while (spill_.size() > transport::kSpillRingCap) {
-    SketchReport& oldest = spill_.front();
-    if (oldest.trace_id != 0) {
-      obs::recorder().record(oldest.trace_id,
-                             obs::ProbeEventKind::kUploadDropped, oldest.seq);
-    }
-    ++spill_drops_;
-    channel_.note_app_drop();
-    spill_.pop_front();
-  }
-}
-
-void SketchExporter::on_acked() {
-  if (spill_.empty() || drain_pending_) return;
-  drain_pending_ = true;
-  // Deferred: acks arrive inside channel event handling.
-  sched_.schedule_after(0, [this, e = epoch_] {
-    drain_pending_ = false;
-    if (e != epoch_ || !running_) return;
-    drain_spill();
-  });
-}
-
-void SketchExporter::drain_spill() {
-  std::deque<SketchReport> parked;
-  parked.swap(spill_);
-  for (SketchReport& rep : parked) {
-    rep.requeues = transport::kUploadRequeueCap;
-    if (rep.trace_id != 0) {
-      obs::recorder().record(rep.trace_id, obs::ProbeEventKind::kSpillDrained,
-                             rep.seq);
-    }
-    send_report(std::move(rep));
-  }
+  const std::uint64_t chan_seq =
+      channel_.send(std::any(std::move(rep)), static_cast<Bytes>(wire));
+  if (trace != 0) fr.bind_batch(kExporterId, chan_seq, {trace});
 }
 
 }  // namespace rpm::sketch

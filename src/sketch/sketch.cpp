@@ -134,8 +134,8 @@ std::size_t LinkSketch::serialized_bytes() const {
 // ---- SketchReport ----
 
 std::size_t SketchReport::wire_bytes() const {
-  // exporter + seq + requeues + period bounds + entry count header.
-  std::size_t n = 8 + 8 + 4 + 8 + 8 + 4;
+  // exporter + seq + period bounds + entry count header.
+  std::size_t n = 8 + 8 + 8 + 8 + 4;
   for (const auto& [link, sk] : links) n += 4 + sk.serialized_bytes();
   return n;
 }
@@ -195,7 +195,7 @@ std::vector<std::pair<std::uint32_t, LinkSketch>> LinkSketchBank::flush() {
 // ---- SketchStore ----
 
 bool SketchStore::ingest(SketchReport&& rep) {
-  if (!dedup_accept(dedup_[rep.exporter], rep.seq, dedup_window_)) {
+  if (!dedup_accept(dedup_[rep.exporter], rep.seq, kDedupWindow)) {
     ++duplicates_;
     m_duplicate_.inc();
     return false;

@@ -112,12 +112,11 @@ struct LinkSketch {
 };
 
 /// One period's flush from a LinkSketchBank, shipped over a transport
-/// Channel — sequenced, deduplicated, and spill-ring-buffered exactly like
+/// Channel — sequenced, deduplicated, and retried until acked exactly like
 /// an Agent's UploadBatch.
 struct SketchReport {
   std::uint64_t exporter = 0;  // owner tag (one bank per fabric)
   std::uint64_t seq = 0;       // monotone per exporter; Analyzer dedup key
-  std::uint32_t requeues = 0;  // application-level requeues (rides the wire)
   /// Flight-recorder correlation id when this report was sampled (0 = not).
   std::uint64_t trace_id = 0;
   TimeNs period_start = 0;
@@ -178,8 +177,9 @@ class LinkSketchBank {
 /// merges them per link until the Analyzer drains a period.
 class SketchStore {
  public:
-  explicit SketchStore(std::uint64_t dedup_window = 1024)
-      : dedup_window_(dedup_window) {}
+  /// Per exporter, report seqs within this many of the highest seen are
+  /// remembered and repeats dropped (dedup_accept).
+  static constexpr std::uint64_t kDedupWindow = 1024;
 
   /// Merge a report; false (and counted duplicate) on a repeat delivery of
   /// a retried report. Records kSketchMerge on sampled reports' timelines.
@@ -193,7 +193,6 @@ class SketchStore {
   [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
 
  private:
-  std::uint64_t dedup_window_;
   std::unordered_map<std::uint64_t, DedupState> dedup_;  // by exporter tag
   std::map<std::uint32_t, LinkSketch> links_;
   std::uint64_t merged_ = 0;

@@ -8,13 +8,6 @@
 
 namespace rpm::transport {
 
-namespace {
-
-// The extra delivery delay of a reordered message.
-constexpr TimeNs kReorderExtra = usec(200);
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Channel
 
@@ -67,6 +60,9 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   AttemptFn on_attempt;
   AckedFn on_acked;
   Counters counters;
+  // Transmissions before an undelivered message expires; 0 (one-way
+  // streams) retries until acked. Only RpcChannel sets it.
+  std::uint32_t max_attempts = 0;
   std::uint64_t next_seq = 1;
   bool peer_is_down = false;
   std::uint64_t peer_epoch = 1;  // bumped on every down -> up transition
@@ -80,10 +76,6 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
 
   void update_depth() {
     m_depth.set(static_cast<double>(unacked.size()));
-  }
-
-  [[nodiscard]] double effective_loss() const {
-    return 1.0 - (1.0 - cfg.loss_prob) * (1.0 - deg->extra_loss);
   }
 
   TimeNs sample_latency() {
@@ -136,15 +128,11 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
       // The peer process is gone: the bytes leave the NIC and die unread.
       ++counters.lost;
       m_lost.inc();
-    } else if (rng.chance(effective_loss())) {
+    } else if (rng.chance(deg->extra_loss)) {
       ++counters.lost;
       m_lost.inc();
     } else {
-      TimeNs lat = sample_latency();
-      if (cfg.reorder_prob > 0.0 && rng.chance(cfg.reorder_prob)) {
-        lat += kReorderExtra;
-      }
-      sched.schedule_after(lat, [weak, m] {
+      sched.schedule_after(sample_latency(), [weak, m] {
         auto self = weak.lock();
         if (!self || m->cancelled) return;
         if (self->peer_is_down) {
@@ -159,7 +147,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
     sched.schedule_after(retry_after(m->attempts), [weak, m] {
       auto self = weak.lock();
       if (!self || m->cancelled || m->acked) return;
-      if (m->attempts >= self->cfg.max_attempts) {
+      if (self->max_attempts != 0 && m->attempts >= self->max_attempts) {
         if (m->delivered) {
           // Delivered, but every ack was lost: the receiver has it, so stop
           // retrying without recording a failure (keeps the invariant
@@ -194,7 +182,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
     }
     // Ack path: same latency/loss model in the reverse direction. A lost ack
     // leaves the message unacked, so the retry timer fires a duplicate.
-    if (rng.chance(effective_loss())) return;
+    if (rng.chance(deg->extra_loss)) return;
     const TimeNs lat = sample_latency();
     std::weak_ptr<Impl> weak = weak_from_this();
     sched.schedule_after(lat, [weak, m] {
@@ -286,6 +274,11 @@ const Channel::Counters& Channel::counters() const {
 
 std::size_t Channel::in_flight() const { return impl_->unacked.size(); }
 
+TimeNs Channel::oldest_unacked_sent() const {
+  const auto& unacked = impl_->unacked;
+  return unacked.empty() ? kNoTime : unacked.begin()->second->first_sent;
+}
+
 const std::string& Channel::name() const { return impl_->name; }
 
 const ChannelConfig& Channel::config() const { return impl_->cfg; }
@@ -304,6 +297,8 @@ RpcChannel::RpcChannel(sim::Scheduler& sched, std::string name, Rng rng,
       server_(std::make_shared<ServerFn>(std::move(server))),
       pending_(std::make_shared<
                std::unordered_map<std::uint64_t, ResponseFn>>()) {
+  req_->impl_->max_attempts = kRpcMaxAttempts;
+  rsp_->impl_->max_attempts = kRpcMaxAttempts;
   // Server side: every delivered request (duplicates included — the server
   // must be idempotent) produces a response correlated by request seq.
   req_->set_handler([srv = server_, rsp = rsp_.get()](std::uint64_t seq,

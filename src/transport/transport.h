@@ -9,14 +9,21 @@
 //
 //   * delivery latency (base + uniform jitter, per message),
 //   * loss (Bernoulli per transmission attempt, on data AND acks),
-//   * reordering (a loss-free extra delay lottery per attempt),
-//   * at-least-once retry with exponential backoff and an attempt cap,
+//   * at-least-once retry with capped exponential backoff,
 //   * a bounded in-flight window with drop-oldest backpressure,
 //
 // all on the shared `sim::Scheduler` clock with a per-channel forked
 // `Rng`, so runs stay fully deterministic. Retries mean *duplicates*:
 // receivers must deduplicate (the Analyzer suppresses repeated batch
 // sequence numbers; Controller RPCs are idempotent).
+//
+// Delivery discipline. The transport is the only layer that retries. A
+// one-way Channel (Agent uploads, pod digests, sketch reports) retransmits
+// a message until it is acked, evicted by the drop-oldest window, or
+// cancelled: an outage of the receiver costs the sender its oldest history
+// beyond `max_in_flight`, never its newest. The two legs of an `RpcChannel`
+// give up after kRpcMaxAttempts transmissions instead, because an RPC's
+// caller owns its retry policy (registration backoff, heartbeats, pulls).
 //
 // `RpcChannel` composes two Channels (request/response) into a
 // request-response pair correlated by the request's sequence number; the
@@ -56,10 +63,7 @@ namespace rpm::transport {
 struct ChannelConfig {
   TimeNs base_latency = usec(50);    // one-way control-plane latency
   TimeNs latency_jitter = usec(25);  // uniform [0, jitter) added per message
-  double loss_prob = 0.0;            // per transmission attempt (data + ack)
-  double reorder_prob = 0.0;         // chance of an extra 200 us delay
-  std::size_t max_in_flight = 256;   // unacked window; beyond: drop oldest
-  std::uint32_t max_attempts = 6;    // transmissions before giving up
+  std::size_t max_in_flight = 64;    // unacked window; beyond: drop oldest
   TimeNs retry_timeout = msec(50);   // first retransmit timer
   double retry_backoff = 2.0;        // timer multiplier per attempt
   TimeNs max_retry_timeout = sec(2); // backoff ceiling
@@ -69,18 +73,16 @@ struct ChannelConfig {
   TimeNs retry_jitter = msec(5);
 };
 
-/// Delivery discipline of the periodic uploads that ride Channels (Agent
-/// record batches and switch sketch reports), defined once for both. One
-/// upload every kUploadInterval (§5: 5 s). A message the transport expired
-/// is re-sent up to kUploadRequeueCap times, then parked in a drop-oldest
-/// spill ring of kSpillRingCap messages that drains in seq order once the
-/// channel acks again.
+/// Cadence of the periodic uploads that ride Channels (Agent record batches
+/// and switch sketch reports): one every 5 s (§5).
 inline constexpr TimeNs kUploadInterval = sec(5);
-inline constexpr std::uint32_t kUploadRequeueCap = 2;
-inline constexpr std::size_t kSpillRingCap = 64;
+
+/// Transmissions an RpcChannel leg makes before it gives up on a message.
+/// One-way Channels have no such cap: they retry until acked.
+inline constexpr std::uint32_t kRpcMaxAttempts = 6;
 
 /// Fault-injectable control-plane impairment, shared by every channel of a
-/// ControlPlane. Effective loss = 1 - (1-loss_prob)*(1-extra_loss).
+/// ControlPlane: per-attempt loss on data and acks, plus extra latency.
 struct Degradation {
   TimeNs extra_latency = 0;
   double extra_loss = 0.0;
@@ -96,13 +98,12 @@ class Channel {
   /// be moved-from — dedup on header fields before touching the body.
   /// Handlers run inside the delivery event, on the simulation thread.
   using HandlerFn = std::function<void(std::uint64_t seq, std::any& payload)>;
-  /// Expiry/abandon callback. `payload` is handed back mutable so the
-  /// application can move the message body out and re-queue it at its own
-  /// layer (ROADMAP "application-level retry for expired uploads"). If the
-  /// message was already delivered when abandoned (backpressure eviction
-  /// racing a lost ack), the payload may be moved-from — check before
-  /// re-sending. May be invoked from inside send() (drop-oldest
-  /// backpressure): do not re-enter the channel synchronously.
+  /// Abandon callback: the message was evicted by the window, cancelled,
+  /// or (RPC legs only) expired undelivered. `payload` is handed back
+  /// mutable; if the message was already delivered when abandoned (eviction
+  /// racing a lost ack), it may be moved-from. May be invoked from inside
+  /// send() (drop-oldest backpressure): do not re-enter the channel
+  /// synchronously.
   using ExpireFn = std::function<void(std::uint64_t seq, std::any& payload)>;
   /// Observer of transmission attempts (attempt is 1-based).
   using AttemptFn =
@@ -132,8 +133,8 @@ class Channel {
   /// delivered but are discarded). The consumer calls this once at setup.
   void set_handler(HandlerFn handler);
 
-  /// Invoked when a message exhausts max_attempts without an ack (or is
-  /// abandoned by backpressure / cancel_unacked), with the payload returned.
+  /// Invoked when a message is abandoned (backpressure, cancel_unacked, or
+  /// an RPC leg's kRpcMaxAttempts without delivery), payload returned.
   void set_on_expire(ExpireFn fn);
 
   /// Observability hooks (flight recorder / per-message tracing). Both are
@@ -153,9 +154,10 @@ class Channel {
   /// Connection lifecycle: channels are established per (peer, epoch).
   /// While the peer process is down every transmission attempt is eaten by
   /// the network (counted lost), including deliveries already in flight;
-  /// retries keep running and expire normally, so the sender experiences the
-  /// outage as expired messages handed back through on_expire. Bringing the
-  /// peer back up starts a new connection epoch.
+  /// retries keep running on their capped backoff, so a one-way channel
+  /// delivers its window once the peer is back (an RPC leg expires its
+  /// messages instead). Bringing the peer back up starts a new connection
+  /// epoch.
   void set_peer_down(bool down);
   [[nodiscard]] bool peer_down() const;
   /// Number of times the peer has been (re)established, starting at 1.
@@ -168,15 +170,19 @@ class Channel {
     std::uint64_t lost = 0;        // transmission attempts the network ate
     std::uint64_t retries = 0;     // retransmissions
     std::uint64_t dropped = 0;     // backpressure + cancel + app drops
-    std::uint64_t expired = 0;     // gave up after max_attempts, undelivered
+    std::uint64_t expired = 0;     // RPC legs: kRpcMaxAttempts, undelivered
     std::uint64_t bytes_sent = 0;  // declared wire bytes, per attempt
   };
   [[nodiscard]] const Counters& counters() const;
   [[nodiscard]] std::size_t in_flight() const;
+  /// send() time of the oldest unacked message; kNoTime when none is.
+  [[nodiscard]] TimeNs oldest_unacked_sent() const;
   [[nodiscard]] const std::string& name() const;
   [[nodiscard]] const ChannelConfig& config() const;
 
  private:
+  friend class RpcChannel;  // caps its legs at kRpcMaxAttempts
+
   struct Impl;
   std::shared_ptr<Impl> impl_;
 };

@@ -45,7 +45,8 @@ struct AgentBed {
     return cfg;
   }
 
-  explicit AgentBed(AgentConfig acfg = flush_every_period())
+  explicit AgentBed(AgentConfig acfg = flush_every_period(),
+                    const AnalyzerConfig& analysis = {})
       : cluster_(topo::build_clos(clos_cfg())),
         ctrl_(cluster_.topology(), cluster_.router()) {
     transport::ControlPlane& cp = cluster_.control_plane();
@@ -56,8 +57,11 @@ struct AgentBed {
             auto* batch = std::any_cast<UploadBatch>(&payload);
             if (batch == nullptr) return;
             uploads_per_host_[batch->host.value]++;
+            folded_per_host_[batch->host.value] +=
+                batch->summary.folded_records;
             for (auto& r : batch->records) tap_.push_back(std::move(r));
           });
+      upload_channels_.push_back(&up);
       transport::RpcChannel& rpc = cp.make_rpc_channel(
           "ctrl" + suffix, [this](const std::any& req) -> std::any {
             if (const auto* r = std::any_cast<AgentRegistration>(&req)) {
@@ -75,8 +79,8 @@ struct AgentBed {
             }
             return std::any();
           });
-      agents_.push_back(
-          std::make_unique<Agent>(cluster_, h.id, ctrl_, up, rpc, acfg));
+      agents_.push_back(std::make_unique<Agent>(cluster_, h.id, ctrl_, up, rpc,
+                                                acfg, analysis));
     }
   }
 
@@ -92,8 +96,10 @@ struct AgentBed {
   host::Cluster cluster_;
   Controller ctrl_;
   std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<transport::Channel*> upload_channels_;  // by host id
   std::vector<ProbeRecord> tap_;
   std::unordered_map<std::uint32_t, int> uploads_per_host_;
+  std::unordered_map<std::uint32_t, std::uint64_t> folded_per_host_;
 };
 
 class AgentTestBase : public ::testing::Test, public AgentBed {
@@ -455,6 +461,45 @@ TEST_F(AgentTest, DeadHostStopDropsOutboxAndCountsIt) {
                                .value();
   EXPECT_GT(drops_after, drops_before)
       << "discarded outbox must surface as result=\"dropped\"";
+}
+
+TEST_F(AgentTest, DownHostStopsRetransmitting) {
+  start_all();
+  cluster_.run_for(sec(2));
+  // Analyzer outage: the batch uploaded at 5 s keeps retrying.
+  transport::Channel& up = *upload_channels_[0];
+  up.set_peer_down(true);
+  cluster_.run_for(sec(4));
+  ASSERT_GT(agents_[0]->uploads_in_flight(), 0u);
+  // The host dies mid-outage. Its next upload tick (10 s) cancels the
+  // retries, counted as drops, so nothing it sent lands after it died.
+  cluster_.host(HostId{0}).set_down(true);
+  const std::uint64_t dropped_before = up.counters().dropped;
+  cluster_.run_for(sec(5));
+  EXPECT_EQ(agents_[0]->uploads_in_flight(), 0u);
+  EXPECT_GT(up.counters().dropped, dropped_before);
+  const int uploads_before = uploads_per_host_[0];
+  up.set_peer_down(false);
+  cluster_.run_for(sec(5));
+  EXPECT_EQ(uploads_per_host_[0], uploads_before);
+}
+
+TEST_F(AgentTest, StopFlushesFoldedSummaryInSketchMode) {
+  // The default (coalescing) Agent under sketch_mode kOn: healthy records
+  // fold into the batch summary instead of the outbox.
+  AnalyzerConfig sketch_on;
+  sketch_on.sketch_mode = SketchMode::kOn;
+  AgentBed bed(AgentConfig{}, sketch_on);
+  bed.start_all();
+  // 7 s: the 5 s tick only counted a period (two coalesce), and every
+  // healthy record folded into the summary.
+  bed.cluster_.run_for(sec(7));
+  ASSERT_EQ(bed.uploads_per_host_[0], 0);
+  bed.agents_[0]->stop();
+  bed.cluster_.run_for(msec(10));  // final batch traverses the control plane
+  EXPECT_EQ(bed.uploads_per_host_[0], 1);
+  EXPECT_GT(bed.folded_per_host_[0], 0u)
+      << "stop() must flush, not strand, the folded summary";
 }
 
 TEST_F(AgentCoalesceTest, DefaultConfigCoalescesTwoPeriods) {

@@ -573,9 +573,9 @@ TEST_F(AnalyzerTest, DuplicateBatchStillProvesHostLiveness) {
 }
 
 TEST_F(AnalyzerTest, RetriedBatchLeavesVoteTallyUnchanged) {
-  // An at-least-once transport — and the Agent's own requeue of expired
-  // batches, which reuses the original sequence number — can deliver the
-  // same (host, seq) batch several times. Algorithm 1's vote tally and the
+  // An at-least-once transport, which retries a batch under its one
+  // sequence number until it is acked, can deliver the same (host, seq)
+  // batch several times. Algorithm 1's vote tally and the
   // evidence chain behind the switch verdict must count each probe once.
   std::vector<ProbeRecord> healthy;
   for (int i = 0; i < 50; ++i) {
@@ -634,13 +634,13 @@ TEST_F(AnalyzerTest, RetriedBatchLeavesVoteTallyUnchanged) {
   EXPECT_EQ(thrice.chain_json, once.chain_json);
 }
 
-TEST_F(AnalyzerTest, SpillDrainedBatchesLeaveVoteTallyUnchanged) {
-  // During an Analyzer outage the Agent parks fully-retried batches in its
-  // spill ring and drains them on reconnect — out of order relative to the
-  // wire, possibly duplicated by the at-least-once transport, and landing
-  // in a later analysis period than they would have. Summed across periods,
-  // the (host, seq) dedup and period bucketing must absorb that late
-  // history without double-counting a single Algorithm-1 vote.
+TEST_F(AnalyzerTest, LateRetransmittedBatchesLeaveVoteTallyUnchanged) {
+  // During an Analyzer outage the upload channel keeps retrying the Agent's
+  // batches, each on its own backoff timer, so after reconnect they land
+  // out of seq order, possibly duplicated by the at-least-once transport,
+  // and in a later analysis period than they would have. Summed across
+  // periods, the (host, seq) dedup and period bucketing must absorb that
+  // late history without double-counting a single Algorithm-1 vote.
   const auto make_batch = [&](std::uint64_t seq) {
     UploadBatch b;
     b.host = HostId{0};
@@ -694,7 +694,7 @@ TEST_F(AnalyzerTest, SpillDrainedBatchesLeaveVoteTallyUnchanged) {
   EXPECT_EQ(baseline.votes, 20u);  // 4 batches x 5 distinct timeout probes
 
   // Outage replay: batch 1 lands normally; the period closes; then the
-  // spill ring drains 3, 2, a transport-duplicated 2, and 4 into the next
+  // retransmissions deliver 3, 2, a duplicated 2, and 4 into the next
   // period.
   Analyzer replay(topo_, ctrl_, sched_);
   Tally late;

@@ -489,7 +489,9 @@ TEST(Federation, VerdictStreamIsPinnedBitForBit) {
   // verdict stream ACROSS builds. A refactor of the Analyzer tiers that
   // moves any summary, id, priority, SLA figure or evidence chain changes a
   // digest. A deliberate verdict change re-records the four constants and
-  // says why.
+  // says why. The federated runs also crash pod 1's analyzer from 57 to
+  // 68 s, so their digests pin how the upload and digest channels' retries
+  // deliver the outage's history; the flat runs never lose an upload.
   struct Case {
     const char* name;
     std::size_t pods;
@@ -499,8 +501,8 @@ TEST(Federation, VerdictStreamIsPinnedBitForBit) {
   const Case cases[] = {
       {"flat, sketch off", 1, core::SketchMode::kOff, 0xa693ff6cd5410918ull},
       {"flat, sketch on", 1, core::SketchMode::kOn, 0xb9847538c008f071ull},
-      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0x0411006a22982b02ull},
-      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0x257bd336e6406ba9ull},
+      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0xc45cf85aec6475d6ull},
+      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0xd50cbbe1eeb4ca8eull},
   };
   std::set<std::string> seen;
   for (const Case& c : cases) {

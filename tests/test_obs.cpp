@@ -377,14 +377,14 @@ TEST(FlightRecorderE2E, FaultyRunYieldsCoherentTimelinesAndEvidence) {
   rpm.stop();
 }
 
-TEST(FlightRecorderE2E, BrownoutRequeuesExpiredUploadsWithoutDoubleCount) {
+TEST(FlightRecorderE2E, BrownoutRetransmitsUploadsWithoutDoubleCount) {
   RecorderGuard guard;
-  host::ClusterConfig ccfg;
-  // Brownout: with 75% per-attempt loss a batch dies ~18% of the time
-  // after max_attempts (0.75^6), while registrations and pinglist RPCs
-  // mostly survive their retries — so Agents keep probing and uploading.
-  ccfg.control_plane.loss_prob = 0.75;
-  host::Cluster cluster(topo::build_clos(clos_cfg()), ccfg);
+  host::Cluster cluster(topo::build_clos(clos_cfg()));
+  // Brownout: with 75% per-attempt loss on data and acks, an upload is
+  // acked on a given transmission only 1 time in 16, so many need more than
+  // six; registrations and pinglist RPCs mostly survive their retries, so
+  // Agents keep probing and uploading.
+  cluster.control_plane().set_degradation(0, 0.75);
   FlightRecorderConfig fcfg;
   fcfg.sample_rate = 1.0;
   fcfg.capacity = 1 << 15;
@@ -397,19 +397,30 @@ TEST(FlightRecorderE2E, BrownoutRequeuesExpiredUploadsWithoutDoubleCount) {
   cluster.run_for(sec(90));
 
   const telemetry::Snapshot snap = telemetry::registry().snapshot();
-  EXPECT_GT(snap.sum("rpm_agent_upload_requeues_total") -
-                before.sum("rpm_agent_upload_requeues_total"),
+  const auto delta = [&](const char* name, const telemetry::Labels& l) {
+    return snap.sum(name, l) - before.sum(name, l);
+  };
+  // A retransmitted batch keeps its sequence number, so the Analyzer's
+  // (host, seq) dedup counts each batch once however often it arrives:
+  // duplicates do arrive, but acceptances never outnumber uploads.
+  const double accepted =
+      delta("rpm_analyzer_batches_total", {{"result", "accepted"}});
+  EXPECT_GT(accepted, 0.0);
+  EXPECT_GT(delta("rpm_analyzer_batches_total", {{"result", "duplicate"}}),
             0.0);
-  // Requeued batches reuse their original sequence number, so the Analyzer's
-  // (host, seq) dedup counts each batch once no matter how often the Agent
-  // re-sends it: duplicates may arrive, but every acceptance is unique.
-  EXPECT_GT(snap.sum("rpm_analyzer_batches_total", {{"result", "accepted"}}),
-            0.0);
-  bool saw_requeued = false;
+  EXPECT_LE(accepted, delta("rpm_agent_uploads_total", {}));
+  // The transport is the only retry loop: a batch it keeps retrying shows
+  // as further transmission attempts on its probes' timelines.
+  bool saw_seventh = false;
   for (const ProbeTimeline* tl : obs::recorder().timelines()) {
-    if (tl->find(ProbeEventKind::kRequeued) != nullptr) saw_requeued = true;
+    for (const obs::TimelineEvent& e : tl->events) {
+      if (e.kind == ProbeEventKind::kTransportAttempt && e.a >= 7) {
+        saw_seventh = true;
+      }
+    }
   }
-  EXPECT_TRUE(saw_requeued) << "no sampled timeline carries a requeue event";
+  EXPECT_TRUE(saw_seventh)
+      << "no sampled timeline carries a seventh transport attempt";
   rpm.stop();
 }
 

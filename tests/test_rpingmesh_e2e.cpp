@@ -409,6 +409,41 @@ TEST(RPingmeshE2E, ControlPlaneLossKeepsReportsCorrect) {
   EXPECT_FALSE(has_problem(*rep, ProblemCategory::kHostDown));
 }
 
+TEST(RPingmeshE2E, LongAnalyzerOutageLosesNoUploads) {
+  // A 60 s Analyzer outage, many times the ~3 s that six transmissions on
+  // the capped backoff span. Upload channels retry until acked and hold 64
+  // batches each (640 s of coalesced history), so once the Analyzer is back
+  // it has accepted every batch the Agents uploaded, and no upload channel
+  // dropped one.
+  Deployment d;
+  const telemetry::Snapshot before = telemetry::registry().snapshot();
+  d.cluster.run_for(sec(20));
+  d.rpm.begin_analyzer_outage();
+  d.cluster.run_for(sec(60));
+  d.rpm.end_analyzer_outage();
+  d.cluster.run_for(sec(21));  // ends off the 5 s upload grid
+
+  const telemetry::Snapshot snap = telemetry::registry().snapshot();
+  const auto delta = [&](const char* name, const telemetry::Labels& l) {
+    return snap.sum(name, l) - before.sum(name, l);
+  };
+  const double uploads = delta("rpm_agent_uploads_total", {});
+  EXPECT_GT(uploads, 0.0);
+  EXPECT_EQ(delta("rpm_analyzer_batches_total", {{"result", "accepted"}}),
+            uploads);
+  for (std::size_t h = 0; h < d.cluster.num_hosts(); ++h) {
+    const std::string channel = "upload/h" + std::to_string(h);
+    EXPECT_EQ(delta("rpm_transport_msgs_total",
+                    {{"channel", channel}, {"result", "dropped"}}),
+              0.0)
+        << channel;
+    EXPECT_EQ(d.rpm.agent(HostId{static_cast<std::uint32_t>(h)})
+                  .uploads_in_flight(),
+              0u)
+        << channel;
+  }
+}
+
 std::string serialize_history(const std::deque<PeriodReport>& hist) {
   std::ostringstream os;
   os << std::hexfloat;  // doubles must match bit for bit
@@ -447,11 +482,12 @@ TEST(RPingmeshE2E, LossyControlPlaneRunsAreDeterministic) {
   // byte-identical report histories: every loss draw, retry timer, and
   // duplicate delivery rides the one deterministic scheduler.
   const auto run_once = [] {
-    host::ClusterConfig cfg;
-    cfg.control_plane.loss_prob = 0.3;
-    Deployment d(cfg);
-    d.cluster.run_for(sec(45));
-    return serialize_history(d.rpm.analyzer().history());
+    host::Cluster cluster(topo::build_clos(clos_cfg()));
+    cluster.control_plane().set_degradation(0, 0.3);
+    RPingmesh rpm(cluster);
+    rpm.start();
+    cluster.run_for(sec(45));
+    return serialize_history(rpm.analyzer().history());
   };
   const std::string first = run_once();
   const std::string second = run_once();

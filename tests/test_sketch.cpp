@@ -1,9 +1,9 @@
 // Unit tests for src/sketch: quantile-sketch determinism (merge order and
 // sharding invariance, canonical serialization), quantile error bounds,
 // LinkSketch/HostSummary merge algebra, the bank's flush contract, the
-// store's (exporter, seq) dedup, the exporter's flush/requeue/spill
-// discipline, and a small end-to-end check that sketch_mode=on actually
-// thins the record volume an Analyzer processes.
+// store's (exporter, seq) dedup, the exporter's flush cadence and delivery
+// through an outage, and a small end-to-end check that sketch_mode=on
+// actually thins the record volume an Analyzer processes.
 #include <any>
 #include <cmath>
 #include <cstdint>
@@ -220,13 +220,12 @@ TEST(SketchStore, DeduplicatesByExporterAndSeq) {
   EXPECT_FALSE(store.ingest(make_report(2)));
 }
 
-TEST(SketchExporter, FlushesPeriodicallyAndSpillsThroughOutage) {
+TEST(SketchExporter, FlushesPeriodicallyAndRetriesThroughOutage) {
   sim::InlineScheduler sched;
   transport::ChannelConfig cc;
   cc.base_latency = usec(50);
   cc.latency_jitter = 0;
   cc.retry_jitter = 0;
-  cc.loss_prob = 0.0;
   transport::ControlPlane cp(sched, Rng(42), cc);
   SketchStore store;
   transport::Channel& ch =
@@ -246,26 +245,28 @@ TEST(SketchExporter, FlushesPeriodicallyAndSpillsThroughOutage) {
   sched.run_until(sec(11));
   EXPECT_EQ(exp.reports_sent(), 2u);
   EXPECT_EQ(store.reports_merged(), 2u);
-  EXPECT_EQ(exp.spill_depth(), 0u);
+  EXPECT_EQ(ch.in_flight(), 0u);
 
   // An empty period flushes nothing.
   sched.run_until(sec(16));
   EXPECT_EQ(exp.reports_sent(), 2u);
 
-  // Outage: reports expire through the requeue cap into the spill ring...
+  // Outage: the channel keeps retrying the report it cannot deliver...
   ch.set_peer_down(true);
   bank.on_forward(2, 100, 1000, 0, 0.0);
   sched.run_until(sec(60));
-  EXPECT_GT(exp.spill_depth(), 0u);
+  EXPECT_EQ(ch.in_flight(), 1u);
+  EXPECT_EQ(ch.counters().expired, 0u);
   const std::uint64_t merged_before = store.reports_merged();
 
-  // ...and drain in order once the peer acks again.
+  // ...and delivers it, and the next period's, once the peer is back.
   ch.set_peer_down(false);
   bank.on_forward(3, 100, 1000, 0, 0.0);
   sched.run_until(sec(90));
-  EXPECT_EQ(exp.spill_depth(), 0u);
-  EXPECT_GT(store.reports_merged(), merged_before);
+  EXPECT_EQ(ch.in_flight(), 0u);
+  EXPECT_EQ(store.reports_merged(), merged_before + 2);
   EXPECT_EQ(store.duplicates(), 0u);
+  EXPECT_EQ(ch.counters().dropped, 0u);
 
   exp.stop();
   EXPECT_FALSE(exp.running());

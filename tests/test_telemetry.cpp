@@ -234,8 +234,8 @@ TEST(Export, HistogramCountSumSurviveTextRoundTrip) {
 
 TEST(Export, SurvivabilityMetricsRoundTrip) {
   // The five metric families the control-plane survivability layer emits
-  // (src/core agent + controller) must survive the exporter intact: a
-  // counter pair, a depth gauge, a registration gauge, and the
+  // (src/core agent + controller, src/transport) must survive the exporter
+  // intact: a counter pair, a depth gauge, a registration gauge, and the
   // reconnect-backoff histogram (rendered as a summary).
   MetricsRegistry reg;
   reg.counter("rpm_agent_lease_expired_total", "Controller leases lost",
@@ -244,14 +244,14 @@ TEST(Export, SurvivabilityMetricsRoundTrip) {
   reg.counter("rpm_agent_reregistrations_total",
               "Re-registrations after a lost lease", {{"host", "1"}})
       .inc();
-  reg.gauge("rpm_agent_spill_ring_depth", "Batches parked for catch-up",
-            {{"host", "1"}})
+  reg.gauge("rpm_transport_queue_depth", "Unacked in-flight messages",
+            {{"channel", "upload/h1"}})
       .set(3);
   reg.gauge("rpm_controller_registered_agents",
             "Hosts with a live registration lease")
       .set(16);
   Histogram h = reg.histogram("rpm_agent_reconnect_backoff_delay_ns",
-                              "Backoff before re-register/catch-up attempts",
+                              "Backoff before re-registration attempts",
                               {{"host", "1"}});
   h.observe(5e8);
   h.observe(1e9);
@@ -262,7 +262,7 @@ TEST(Export, SurvivabilityMetricsRoundTrip) {
             std::string::npos);
   EXPECT_NE(prom.find("rpm_agent_reregistrations_total{host=\"1\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(prom.find("rpm_agent_spill_ring_depth{host=\"1\"} 3\n"),
+  EXPECT_NE(prom.find("rpm_transport_queue_depth{channel=\"upload/h1\"} 3\n"),
             std::string::npos);
   EXPECT_NE(prom.find("rpm_controller_registered_agents 16\n"),
             std::string::npos);

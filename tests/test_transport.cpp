@@ -1,6 +1,7 @@
 // Unit tests for the control-plane transport: delivery timing, loss/retry/
-// backoff, bounded-window backpressure, cancellation, counter invariants,
-// RPC correlation, and plane-wide degradation.
+// backoff, the delivery contract (streams retry until acked, RPC legs expire
+// after kRpcMaxAttempts), bounded-window backpressure, cancellation, counter
+// invariants, RPC correlation, and plane-wide degradation.
 #include <algorithm>
 #include <any>
 #include <cstdint>
@@ -19,14 +20,13 @@ namespace {
 
 class TransportTest : public ::testing::Test {
  protected:
-  /// A lossless, jitter-free config so timing assertions are exact.
+  /// A jitter-free config so timing assertions are exact. Loss comes from
+  /// the plane's degradation (cp_.set_degradation), which starts at none.
   static ChannelConfig lossless() {
     ChannelConfig cfg;
     cfg.base_latency = usec(50);
     cfg.latency_jitter = 0;
     cfg.retry_jitter = 0;
-    cfg.loss_prob = 0.0;
-    cfg.reorder_prob = 0.0;
     return cfg;
   }
 
@@ -67,106 +67,168 @@ TEST_F(TransportTest, JitterStaysWithinBounds) {
       [&](std::uint64_t, std::any&) { delivered_at.push_back(sched_.now()); },
       cfg);
 
-  for (int i = 0; i < 100; ++i) ch.send(std::any(i));
+  // One full window at once: nothing is evicted.
+  const std::size_t n = cfg.max_in_flight;
+  for (std::size_t i = 0; i < n; ++i) ch.send(std::any(i));
   sched_.run_until(sec(1));
 
-  ASSERT_EQ(delivered_at.size(), 100u);
+  ASSERT_EQ(delivered_at.size(), n);
   for (TimeNs t : delivered_at) {
     EXPECT_GE(t, cfg.base_latency);
     EXPECT_LE(t, cfg.base_latency + cfg.latency_jitter);
   }
 }
 
-TEST_F(TransportTest, TotalLossExpiresAfterBackoffSchedule) {
+TEST_F(TransportTest, TotalLossExpiresRpcAfterBackoffSchedule) {
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 1.0;
-  cfg.max_attempts = 3;
   cfg.retry_timeout = msec(10);
   cfg.retry_backoff = 2.0;
+  cp_.set_degradation(0, 1.0);
 
-  int deliveries = 0;
-  std::vector<std::uint64_t> expired;
-  Channel& ch = cp_.make_channel(
-      "t.blackhole", [&](std::uint64_t, std::any&) { ++deliveries; }, cfg);
-  ch.set_on_expire([&](std::uint64_t seq, std::any&) {
-    expired.push_back(seq);
-    EXPECT_EQ(sched_.now(), msec(70));  // 10 + 20 + 40 (backoff x2 each)
-  });
+  int completions = 0;
+  RpcChannel& rpc = cp_.make_rpc_channel(
+      "t.blackhole", [](const std::any&) { return std::any(0); }, cfg);
+  rpc.call(std::any(std::string("doomed")), [&](std::any&) { ++completions; });
 
-  ch.send(std::any(std::string("doomed")));
+  // One timer per transmission, doubling: the request leg gives up after
+  // kRpcMaxAttempts = 6 at 10 + 20 + 40 + 80 + 160 + 320 = 630 ms.
+  sched_.run_until(msec(629));
+  EXPECT_EQ(rpc.pending_calls(), 1u);
+  sched_.run_until(msec(630));
+  EXPECT_EQ(rpc.pending_calls(), 0u);  // expiry pruned the completion
   sched_.run_until(sec(5));
 
-  EXPECT_EQ(deliveries, 0);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0], 1u);
-  const auto& c = ch.counters();
+  EXPECT_EQ(completions, 0);
+  const auto& c = rpc.request_channel().counters();
   EXPECT_EQ(c.sent, 1u);
-  EXPECT_EQ(c.lost, 3u);     // one per attempt
-  EXPECT_EQ(c.retries, 2u);  // attempts 2 and 3
+  EXPECT_EQ(c.lost, kRpcMaxAttempts);         // one per attempt
+  EXPECT_EQ(c.retries, kRpcMaxAttempts - 1);  // attempts 2..6
   EXPECT_EQ(c.expired, 1u);
   EXPECT_EQ(c.delivered, 0u);
-  EXPECT_EQ(ch.in_flight(), 0u);
+  EXPECT_EQ(rpc.request_channel().in_flight(), 0u);
 }
 
 TEST_F(TransportTest, BackoffIsCappedAtMaxRetryTimeout) {
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 1.0;
-  cfg.max_attempts = 4;
   cfg.retry_timeout = msec(10);
   cfg.retry_backoff = 10.0;
   cfg.max_retry_timeout = msec(20);
+  cp_.set_degradation(0, 1.0);
 
-  TimeNs expired_at = -1;
+  std::vector<TimeNs> attempt_at;
   Channel& ch =
       cp_.make_channel("t.cap", [](std::uint64_t, std::any&) {}, cfg);
-  ch.set_on_expire(
-      [&](std::uint64_t, std::any&) { expired_at = sched_.now(); });
+  ch.set_on_attempt(
+      [&](std::uint64_t, std::uint32_t) { attempt_at.push_back(sched_.now()); });
 
   ch.send(std::any(0));
-  sched_.run_until(sec(5));
-  // Timers: 10, then capped at 20, 20, 20 -> expiry at 70ms, not 10+100+...
-  EXPECT_EQ(expired_at, msec(70));
+  sched_.run_until(msec(135));
+  // Timers: 10, then capped at 20 for good — not 10, 100, 1000, ... — and a
+  // stream keeps going past kRpcMaxAttempts.
+  EXPECT_EQ(attempt_at,
+            (std::vector<TimeNs>{0, msec(10), msec(30), msec(50), msec(70),
+                                 msec(90), msec(110), msec(130)}));
+  EXPECT_EQ(ch.counters().expired, 0u);
+  EXPECT_EQ(ch.in_flight(), 1u);
 }
 
 TEST_F(TransportTest, RetryExhaustionUnderTotalLossWithJitterAndCap) {
-  // The edge the two tests above leave open: jitter + backoff cap + attempt
-  // cap together. Under 100% loss every retransmit timer must stay within
-  // [capped backoff, capped backoff + retry_jitter], the message must stop
-  // at max_attempts (not retry forever), and exactly one `expired` is
-  // counted with the payload handed back through on_expire.
+  // Jitter + backoff cap + an RPC leg's attempt cap together. Under 100%
+  // loss every retransmit timer must stay within [capped backoff, capped
+  // backoff + retry_jitter], the request must stop at kRpcMaxAttempts (not
+  // retry forever), and exactly one `expired` is counted.
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 1.0;
-  cfg.max_attempts = 5;
   cfg.retry_timeout = msec(10);
   cfg.retry_backoff = 3.0;
   cfg.max_retry_timeout = msec(25);
   cfg.retry_jitter = msec(2);
+  cp_.set_degradation(0, 1.0);
 
-  TimeNs expired_at = -1;
-  std::string expired_body;
-  Channel& ch = cp_.make_channel(
-      "t.exhaust", [](std::uint64_t, std::any&) { FAIL(); }, cfg);
-  ch.set_on_expire([&](std::uint64_t, std::any& p) {
-    expired_at = sched_.now();
-    expired_body = std::any_cast<std::string>(p);
-  });
-
-  ch.send(std::any(std::string("exhausted")));
+  RpcChannel& rpc = cp_.make_rpc_channel(
+      "t.exhaust",
+      [](const std::any&) {
+        ADD_FAILURE() << "a request crossed a total-loss plane";
+        return std::any();
+      },
+      cfg);
+  std::vector<TimeNs> attempt_at;
+  rpc.request_channel().set_on_attempt(
+      [&](std::uint64_t, std::uint32_t) { attempt_at.push_back(sched_.now()); });
+  rpc.call(std::any(std::string("exhausted")), [](std::any&) { FAIL(); });
   sched_.run_until(sec(10));
 
-  // One timer per attempt (the last declares expiry): 10 ms, then
-  // 30/90/270/810 ms all capped at 25 ms, each + [0, 2] ms of jitter ->
-  // expiry in [110, 120] ms. No timer may exceed cap + jitter.
-  EXPECT_GE(expired_at, msec(110));
-  EXPECT_LE(expired_at, msec(110) + 5 * cfg.retry_jitter);
-  EXPECT_EQ(expired_body, "exhausted");
-  const auto& c = ch.counters();
+  // Timers: 10 ms, then 30/90/270/810 ms all capped at 25 ms, each + [0, 2]
+  // ms of jitter.
+  ASSERT_EQ(attempt_at.size(), kRpcMaxAttempts);
+  for (std::size_t i = 1; i < attempt_at.size(); ++i) {
+    const TimeNs backoff = i == 1 ? msec(10) : msec(25);
+    EXPECT_GE(attempt_at[i] - attempt_at[i - 1], backoff) << "attempt " << i;
+    EXPECT_LE(attempt_at[i] - attempt_at[i - 1], backoff + cfg.retry_jitter)
+        << "attempt " << i;
+  }
+  EXPECT_EQ(rpc.pending_calls(), 0u);
+  const auto& c = rpc.request_channel().counters();
   EXPECT_EQ(c.sent, 1u);
-  EXPECT_EQ(c.lost, 5u);     // one transmission per attempt, all eaten
-  EXPECT_EQ(c.retries, 4u);  // attempts 2..5
+  EXPECT_EQ(c.lost, kRpcMaxAttempts);  // every transmission eaten
+  EXPECT_EQ(c.retries, kRpcMaxAttempts - 1);
   EXPECT_EQ(c.expired, 1u);
   EXPECT_EQ(c.delivered, 0u);
-  EXPECT_EQ(ch.in_flight(), 0u);  // nothing left armed after give-up
+  EXPECT_EQ(rpc.request_channel().in_flight(), 0u);  // nothing left armed
+}
+
+TEST_F(TransportTest, StreamRetriesUntilAckedAndWindowDropsOldest) {
+  std::vector<int> deliveries(65, 0);
+  Channel& ch = cp_.make_channel(
+      "t.stream",
+      [&](std::uint64_t, std::any& p) { ++deliveries[std::any_cast<int>(p)]; },
+      lossless());
+  std::vector<std::uint64_t> evicted;
+  std::vector<int> evicted_body;
+  ch.set_on_expire([&](std::uint64_t seq, std::any& p) {
+    evicted.push_back(seq);
+    evicted_body.push_back(std::any_cast<int>(p));
+  });
+  std::uint32_t max_attempt = 0;
+  ch.set_on_attempt([&](std::uint64_t, std::uint32_t attempt) {
+    max_attempt = std::max(max_attempt, attempt);
+  });
+
+  // Peer down: one message past the 64-message window evicts the oldest.
+  ch.set_peer_down(true);
+  for (int i = 0; i < 65; ++i) ch.send(std::any(i));
+  EXPECT_EQ(ch.counters().dropped, 1u);
+  EXPECT_EQ(evicted, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(evicted_body, (std::vector<int>{0}));
+  EXPECT_EQ(ch.in_flight(), 64u);
+
+  // The rest keep retrying well past an RPC leg's cap, and never expire.
+  sched_.run_until(sec(20));
+  EXPECT_GT(max_attempt, kRpcMaxAttempts);
+  EXPECT_EQ(ch.counters().expired, 0u);
+  EXPECT_EQ(ch.in_flight(), 64u);
+  EXPECT_EQ(ch.oldest_unacked_sent(), 0);
+
+  // Recovery: each of the other 64 arrives exactly once.
+  ch.set_peer_down(false);
+  sched_.run_until(sec(25));
+  EXPECT_EQ(deliveries[0], 0);
+  for (int i = 1; i < 65; ++i) EXPECT_EQ(deliveries[i], 1) << "message " << i;
+  EXPECT_EQ(ch.counters().delivered, 64u);
+  EXPECT_EQ(ch.counters().dropped, 1u);
+  EXPECT_EQ(ch.in_flight(), 0u);
+  EXPECT_EQ(ch.oldest_unacked_sent(), kNoTime);
+
+  // An RPC leg under the same outage still expires after kRpcMaxAttempts.
+  RpcChannel& rpc = cp_.make_rpc_channel(
+      "t.stream_rpc", [](const std::any&) { return std::any(0); }, lossless());
+  rpc.set_server_down(true);
+  int completions = 0;
+  rpc.call(std::any(1), [&](std::any&) { ++completions; });
+  sched_.run_until(sec(45));
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(rpc.pending_calls(), 0u);
+  EXPECT_EQ(rpc.request_channel().counters().expired, 1u);
+  EXPECT_EQ(rpc.request_channel().counters().retries, kRpcMaxAttempts - 1);
 }
 
 TEST_F(TransportTest, FullWindowDropsOldestMessage) {
@@ -221,7 +283,6 @@ TEST_F(TransportTest, NoteAppDropOnlyBumpsTheDropCounter) {
 
 TEST_F(TransportTest, LossyChannelCountersStayConsistent) {
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 0.3;
   cfg.latency_jitter = usec(25);
   cfg.retry_timeout = msec(5);
   cfg.max_in_flight = 4096;  // no backpressure in this test
@@ -229,6 +290,7 @@ TEST_F(TransportTest, LossyChannelCountersStayConsistent) {
   int handler_runs = 0;
   Channel& ch = cp_.make_channel(
       "t.lossy", [&](std::uint64_t, std::any&) { ++handler_runs; }, cfg);
+  cp_.set_degradation(0, 0.3);
 
   constexpr int kMsgs = 300;
   for (int i = 0; i < kMsgs; ++i) ch.send(std::any(i));
@@ -236,11 +298,10 @@ TEST_F(TransportTest, LossyChannelCountersStayConsistent) {
 
   const auto& c = ch.counters();
   EXPECT_EQ(c.sent, kMsgs);
-  // Every message either reached the handler once or exhausted its retries.
-  EXPECT_EQ(c.delivered + c.expired, c.sent);
-  // 30% loss over 6 attempts: virtually everything gets through, with
-  // visible retry/duplicate traffic.
-  EXPECT_GT(c.delivered, static_cast<std::uint64_t>(0.95 * kMsgs));
+  // A stream retries until acked: every message reached the handler, with
+  // visible retry/duplicate traffic on the way.
+  EXPECT_EQ(c.delivered, c.sent);
+  EXPECT_EQ(c.expired, 0u);
   EXPECT_GT(c.retries, 0u);
   EXPECT_GT(c.lost, 0u);
   // The handler runs once per delivery, duplicates included.
@@ -273,9 +334,9 @@ TEST_F(TransportTest, RpcRoundTripReturnsServerResult) {
 
 TEST_F(TransportTest, RpcFiresEachCompletionOnceDespiteLossAndRetries) {
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 0.4;
   cfg.retry_timeout = msec(5);
   cfg.max_in_flight = 4096;
+  cp_.set_degradation(0, 0.4);
 
   int server_runs = 0;
   RpcChannel& rpc = cp_.make_rpc_channel(
@@ -335,20 +396,26 @@ TEST_F(TransportTest, DegradationAddsLatencyAndLossPlaneWide) {
   ASSERT_EQ(delivered_at.size(), 1u);
   EXPECT_EQ(delivered_at[0], msec(1) + usec(50));
 
-  // Total extra loss: nothing gets through; the message expires instead.
+  // Total extra loss: nothing gets through; the message keeps retrying.
   cp_.set_degradation(0, 1.0);
   ch.send(std::any(1));
   sched_.run_until(sec(30));
   EXPECT_EQ(delivered_at.size(), 1u);
-  EXPECT_EQ(ch.counters().expired, 1u);
+  EXPECT_EQ(ch.counters().expired, 0u);
+  EXPECT_EQ(ch.in_flight(), 1u);
 
-  // Clearing restores the configured behaviour.
+  // Clearing restores the configured behaviour: the next retransmission
+  // (at most the 2 s backoff cap away) delivers it, and a fresh send
+  // arrives after the base latency.
   cp_.clear_degradation();
+  sched_.run_until(sched_.now() + sec(3));
+  ASSERT_EQ(delivered_at.size(), 2u);
+  EXPECT_EQ(ch.in_flight(), 0u);
   ch.send(std::any(2));
   const TimeNs sent_at = sched_.now();
   sched_.run_until(sched_.now() + sec(1));
-  ASSERT_EQ(delivered_at.size(), 2u);
-  EXPECT_EQ(delivered_at[1], sent_at + usec(50));
+  ASSERT_EQ(delivered_at.size(), 3u);
+  EXPECT_EQ(delivered_at[2], sent_at + usec(50));
 }
 
 TEST_F(TransportTest, RetryJitterAvoidsThunderingHerd) {
@@ -360,8 +427,8 @@ TEST_F(TransportTest, RetryJitterAvoidsThunderingHerd) {
   // retry_jitter].
   constexpr int kChannels = 8;
   ChannelConfig cfg = lossless();
-  cfg.loss_prob = 1.0;
   cfg.retry_jitter = msec(5);
+  cp_.set_degradation(0, 1.0);
   std::vector<TimeNs> second_attempt_at;
   for (int i = 0; i < kChannels; ++i) {
     Channel& ch = cp_.make_channel("t.herd" + std::to_string(i),
@@ -399,19 +466,24 @@ TEST_F(TransportTest, PeerDownDropsTrafficAndBumpsEpochOnRecovery) {
   sched_.run_until(sec(1));
   EXPECT_EQ(delivered, 0u);
 
-  // Fresh sends against a dead peer burn their attempts and expire.
+  // Fresh sends against a dead peer are eaten too, and keep retrying.
   ch.send(std::any(2));
   sched_.run_until(sec(5));
   EXPECT_EQ(delivered, 0u);
-  EXPECT_GE(ch.counters().expired, 1u);
+  EXPECT_EQ(ch.counters().expired, 0u);
   EXPECT_GT(ch.counters().lost, 0u);
+  EXPECT_EQ(ch.in_flight(), 2u);
 
-  // Recovery: epoch bumps (stale-response guard) and delivery resumes.
+  // Recovery: epoch bumps (stale-response guard) and delivery resumes: the
+  // fresh send at once, the two retried ones on their next retransmission.
   ch.set_peer_down(false);
   EXPECT_EQ(ch.peer_epoch(), 2u);
   ch.send(std::any(3));
-  sched_.run_until(sched_.now() + sec(1));
+  sched_.run_until(sched_.now() + msec(1));
   EXPECT_EQ(delivered, 1u);
+  sched_.run_until(sched_.now() + sec(3));
+  EXPECT_EQ(delivered, 3u);
+  EXPECT_EQ(ch.in_flight(), 0u);
   EXPECT_FALSE(ch.peer_down());
 }
 
