@@ -1,15 +1,13 @@
-// Upload-volume reduction from switch-side sketch summaries (ROADMAP
-// "Switch-side sketch summaries").
+// Upload-volume reduction from sketch mode (AnalyzerConfig::sketch_mode).
 //
 // Runs the same cluster twice — sketch_mode=off (every probe record shipped
 // raw, the historical pipeline) and sketch_mode=on (Agents fold healthy OK
-// records into HostSummary sketches, switches export per-link SketchReports)
-// — and compares what the Analyzer had to ingest per 20 s period: raw
-// records, wire bytes across every control-plane channel, and the ingest
-// cost. The ISSUE acceptance bar is a >= 10x reduction in records/period at
-// 1k hosts with verdict parity (parity is asserted by
-// test_chaos.SketchModeMatchesRawVerdictsOnChaosGroundTruth; this bench
-// measures the volume side).
+// records into HostSummary sketches) — and compares what the Analyzer had
+// to ingest per 20 s period: raw records, wire bytes across every
+// control-plane channel, and the ingest cost. The target is a >= 10x
+// reduction in records/period at 1k hosts with verdict parity (parity is
+// asserted by test_chaos.SketchModeMatchesRawVerdictsOnChaosGroundTruth;
+// this bench measures the volume side).
 //
 // Flags:
 //   --hosts N    total hosts (default 1024). Topology: 3-tier Clos, 16
@@ -34,7 +32,6 @@ struct ModeResult {
   std::uint64_t periods = 0;
   std::uint64_t records = 0;       // raw records the Analyzer processed
   std::uint64_t wire_bytes = 0;    // all channels, rpm_transport_bytes_total
-  std::uint64_t sketch_reports = 0;
   std::uint64_t folded_records = 0;
   std::uint64_t sla_probes = 0;    // cluster SLA sample count (raw + folded)
   double cpu_ms = 0.0;             // wall time of the simulation run
@@ -61,7 +58,6 @@ ModeResult run_mode(bool sketch_on, std::uint32_t hosts, int seconds) {
   // The registry is process-global and both modes run in one process, so
   // measure deltas around the run instead of resetting.
   const double bytes0 = counter_sum("rpm_transport_bytes_total");
-  const double reports0 = counter_sum("rpm_sketch_reports_total");
   const double folded0 = counter_sum("rpm_agent_upload_folded_total");
 
   bench::Deployment d(tcfg, {}, rcfg);
@@ -78,8 +74,6 @@ ModeResult run_mode(bool sketch_on, std::uint32_t hosts, int seconds) {
   }
   r.wire_bytes = static_cast<std::uint64_t>(
       counter_sum("rpm_transport_bytes_total") - bytes0);
-  r.sketch_reports = static_cast<std::uint64_t>(
-      counter_sum("rpm_sketch_reports_total") - reports0);
   r.folded_records = static_cast<std::uint64_t>(
       counter_sum("rpm_agent_upload_folded_total") - folded0);
   return r;
@@ -93,7 +87,6 @@ void write_mode(json::Writer& w, const ModeResult& r, bool with_cpu) {
       .key("periods").integer(r.periods)
       .key("records_per_period").integer(per_period(r.records))
       .key("bytes_per_period").integer(per_period(r.wire_bytes))
-      .key("sketch_reports").integer(r.sketch_reports)
       .key("folded_records").integer(r.folded_records)
       .key("sla_probes_per_period").integer(per_period(r.sla_probes));
   if (with_cpu) w.key("cpu_ms").fixed(r.cpu_ms, 1);
@@ -159,15 +152,14 @@ int run(int argc, char** argv) {
 
   bench::print_header("Sketch upload-volume reduction (ISSUE: >=10x @ 1k "
                       "hosts)");
-  bench::print_row_header({"mode", "records/period", "bytes/period",
-                           "sketch_reports", "folded", "cpu_ms"});
+  bench::print_row_header(
+      {"mode", "records/period", "bytes/period", "folded", "cpu_ms"});
   const auto row = [](const char* m, const ModeResult& r) {
-    std::printf("%-22s%-22llu%-22llu%-22llu%-22llu%-22.1f\n", m,
+    std::printf("%-22s%-22llu%-22llu%-22llu%-22.1f\n", m,
                 static_cast<unsigned long long>(
                     r.periods == 0 ? 0 : r.records / r.periods),
                 static_cast<unsigned long long>(
                     r.periods == 0 ? 0 : r.wire_bytes / r.periods),
-                static_cast<unsigned long long>(r.sketch_reports),
                 static_cast<unsigned long long>(r.folded_records), r.cpu_ms);
   };
   row("off", off);

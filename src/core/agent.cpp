@@ -9,8 +9,7 @@ namespace rpm::core {
 
 namespace {
 
-using transport::kUploadInterval;
-
+constexpr TimeNs kUploadInterval = sec(5);      // §5: upload every 5 s
 constexpr TimeNs kProbeTimeout = msec(500);     // §5
 constexpr Bytes kProbePayloadBytes = 50;        // §5
 constexpr TimeNs kPinglistRefresh = sec(300);   // §5: every 5 minutes

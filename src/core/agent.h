@@ -59,8 +59,8 @@ struct AgentConfig {
   // Batched uploads (ROADMAP): hold the outbox for this many upload periods
   // before flushing one coalesced batch — unless it already holds 8,192
   // records, which flushes immediately. Must stay small enough that
-  // coalesce_periods * transport::kUploadInterval < kHostSilenceThreshold,
-  // or healthy hosts read as down.
+  // coalesce_periods * the 5 s upload interval < kHostSilenceThreshold, or
+  // healthy hosts read as down.
   std::uint32_t upload_coalesce_periods = 2;
 };
 

@@ -160,12 +160,9 @@ const PeriodReport& Analyzer::analyze_period(
     fed->service_slas.clear();
   }
 
-  // Sketch mode (ROADMAP "Switch-side sketch summaries"): the Agents' folded
-  // healthy-probe summaries and the switches' per-link sketches feed the
-  // statistics below. Both drains are empty no-ops in kOff.
+  // Sketch mode: the Agents' folded healthy-probe summary feeds the
+  // statistics below; kOff never reads it.
   const bool sk_on = cfg_.sketch_mode == SketchMode::kOn;
-  std::map<std::uint32_t, sketch::LinkSketch> link_sketches;
-  if (sk_on) link_sketches = sketch_store_.drain_period();
 
   // Diagnosis explainability (src/obs): every verdict this period gets an
   // EvidenceChain — input probe ids, thresholds compared, Algorithm 1 vote
@@ -661,17 +658,6 @@ const PeriodReport& Analyzer::analyze_period(
     add_probes(c, ev);
     fill_drop_sites(c, ev);
     vote(ev, p, c);
-    if (sk_on && !p.suspect_links.empty()) {
-      // Corroborate the vote winner with the switch-side sketch: how many
-      // datagrams the fabric itself counted dropped on that link this
-      // period. Zero with votes present usually means the drops predate the
-      // period boundary (sketches flush on the 5 s cadence).
-      const auto lsit = link_sketches.find(p.suspect_links.front().value);
-      add_threshold(c, "sketch_link_drops", 0.0,
-                    lsit == link_sketches.end()
-                        ? 0.0
-                        : static_cast<double>(lsit->second.total_drops()));
-    }
     std::ostringstream os;
     os << "switch network problem (" << ev.size() << " anomalous probes"
        << (from_service ? ", service tracing" : ", cluster monitoring")
@@ -924,17 +910,6 @@ const PeriodReport& Analyzer::analyze_period(
   for (const Problem& p : rep.problems) {
     metrics_.problems_by_category[static_cast<int>(p.category)].inc();
     metrics_.problems_by_priority[static_cast<int>(p.priority)].inc();
-  }
-  if (sk_on) {
-    // Links whose sketches show drops this period are the ones whose raw
-    // records the pipeline still wants verbatim (upload thinning keeps every
-    // timeout raw, so the fallback set is already satisfied — this counts
-    // how often it was needed).
-    std::uint64_t flagged = 0;
-    for (const auto& [lid, ls] : link_sketches) {
-      if (ls.total_drops() > 0) ++flagged;
-    }
-    metrics_.raw_fallback_links.inc(flagged);
   }
 
   return retain(std::move(rep), std::move(dlog), cfg_.history_limit);

@@ -38,9 +38,6 @@ Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
         "rpm_analyzer_problem_priority_total", "Problems emitted by priority",
         {{"priority", priority_name(static_cast<Priority>(p))}});
   }
-  metrics_.raw_fallback_links = reg.counter(
-      "rpm_analyzer_raw_fallback_links_total",
-      "Links whose period sketch showed drops, keeping raw records in play");
 }
 
 IngestHooks Analyzer::sink_hooks() {
@@ -52,11 +49,6 @@ IngestHooks Analyzer::sink_hooks() {
   };
   hooks.tap = &tap_;
   return hooks;
-}
-
-void Analyzer::ingest_sketch(sketch::SketchReport&& rep) {
-  if (outage_) return;  // a blacked-out Analyzer hears nothing
-  sketch_store_.ingest(std::move(rep));
 }
 
 void Analyzer::start() {
@@ -151,7 +143,6 @@ void Analyzer::crash() {
   host_noise_until_.clear();
   forget();
   last_period_end_ = 0;
-  (void)sketch_store_.drain_period();  // pending period sketches die too
 }
 
 bool Analyzer::restore_from_journal() {

@@ -103,17 +103,6 @@ class Analyzer : public VerdictLog {
     tap_ = std::move(tap);
   }
 
-  /// Switch-side sketch ingestion (sketch_mode == kOn): SketchReports from
-  /// the fabric exporter land here, deduplicated by (exporter, seq) and
-  /// merged per link until the period drains them. Dropped during outage —
-  /// matching the record path, a blacked-out Analyzer hears nothing.
-  void ingest_sketch(sketch::SketchReport&& rep);
-
-  /// The sketch store (tests / diagnostics).
-  [[nodiscard]] const sketch::SketchStore& sketch_store() const {
-    return sketch_store_;
-  }
-
   /// Begin periodic analysis.
   void start();
   void stop();
@@ -165,7 +154,7 @@ class Analyzer : public VerdictLog {
   }
 
   /// Process crash: volatile pipeline state is lost — liveness clocks,
-  /// blame windows, history, pending sketches, id counters — and ingestion
+  /// blame windows, history, the folded summary, id counters — and ingestion
   /// stops (the sink is rebuilt empty and paused). Journaled state survives
   /// for restore_from_journal().
   void crash();
@@ -212,9 +201,6 @@ class Analyzer : public VerdictLog {
   // kCpuNoiseWindow in analysis_core.cpp).
   std::unordered_map<std::uint32_t, TimeNs> host_noise_until_;
   TimeNs last_period_end_ = 0;
-  // Switch-side sketch reports accumulated since the last period drain
-  // (sketch_mode == kOn; idle otherwise).
-  sketch::SketchStore sketch_store_;
 
   // Self-observability: what the pipeline concluded, in sim-deterministic
   // counters. Its wall-clock cost per stage is the profiler's drain.* rows.
@@ -223,9 +209,6 @@ class Analyzer : public VerdictLog {
     telemetry::Counter timeouts_by_cause[5];    // indexed by AnomalyCause
     telemetry::Counter problems_by_category[7];  // indexed by ProblemCategory
     telemetry::Counter problems_by_priority[4];  // indexed by Priority
-    // Links whose period sketch showed drops — the links whose raw records
-    // the sketch pipeline still wants verbatim (sketch_mode == kOn only).
-    telemetry::Counter raw_fallback_links;
   };
   // The sink is declared (and registers its series) before the pipeline's
   // metrics: the exporter lists series in registration order.

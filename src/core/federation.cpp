@@ -16,9 +16,9 @@ namespace rpm::core {
 namespace {
 
 // Digest flight traces live far above the probe id space (probes count up
-// from 1; sketch reports use bit 62). The global tier reconstructs the same
-// id from (pod, seq), so its kDigestMerge event lands on the timeline the
-// pod opened at flush — one causal story per digest.
+// from 1). The global tier reconstructs the same id from (pod, seq), so its
+// kDigestMerge event lands on the timeline the pod opened at flush — one
+// causal story per digest.
 constexpr std::uint64_t kDigestTraceBase = 1ull << 61;
 
 // Global merge ticks fire this far after the pods' period boundary, giving

@@ -124,32 +124,6 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
     }
   }
 
-  if (cfg_.analyzer.sketch_mode == SketchMode::kOn) {
-    // Switch-side sketches: the fabric updates one LinkSketch per link on
-    // every forwarded/dropped datagram; the exporter flushes the bank on the
-    // 5 s upload cadence through its own channel into the analysis tier's
-    // SketchStore(s). Federated: every pod gets a copy (a pod cannot know
-    // which links its own records will vote).
-    sketch_bank_ = std::make_unique<sketch::LinkSketchBank>(topo.num_links());
-    cluster_.fabric().attach_sketches(sketch_bank_.get());
-    sketch_channel_ = &cp.make_channel(
-        "sketch/fabric", [this](std::uint64_t, std::any& payload) {
-          auto* rep = std::any_cast<sketch::SketchReport>(&payload);
-          if (rep == nullptr) return;
-          if (analyzer_) {
-            analyzer_->ingest_sketch(std::move(*rep));
-            return;
-          }
-          for (std::size_t p = 0; p + 1 < pod_analyzers_.size(); ++p) {
-            sketch::SketchReport copy = *rep;
-            pod_analyzers_[p]->analyzer().ingest_sketch(std::move(copy));
-          }
-          pod_analyzers_.back()->analyzer().ingest_sketch(std::move(*rep));
-        });
-    sketch_exporter_ = std::make_unique<sketch::SketchExporter>(
-        cluster_.scheduler(), *sketch_channel_, *sketch_bank_);
-  }
-
   // Standby promotion (ControllerGroup monitor): the new primary listens
   // where the old one did — RPC endpoints come back up — and every
   // directory pointer (Agents' comm-info lookups, Analyzers' QPN-reset
@@ -177,9 +151,6 @@ RPingmesh::~RPingmesh() {
     rpc->cancel_pending();
   }
   for (transport::Channel* ch : digest_channels_) ch->set_handler(nullptr);
-  if (sketch_channel_ != nullptr) sketch_channel_->set_handler(nullptr);
-  // The fabric outlives this deployment too — detach the bank before it dies.
-  if (sketch_bank_) cluster_.fabric().attach_sketches(nullptr);
 }
 
 IngestSink& RPingmesh::pod_sink(std::size_t pod) {
@@ -232,7 +203,6 @@ void RPingmesh::start() {
     for (auto& p : pod_analyzers_) p->start();
     global_->start();
   }
-  if (sketch_exporter_) sketch_exporter_->start();
   rotation_task_ = std::make_unique<sim::PeriodicTask>(
       cluster_.scheduler(), kTupleRotationInterval,
       [this] { group_.active().rotate_intertor_tuples(); });
@@ -274,15 +244,12 @@ void RPingmesh::begin_analyzer_outage() {
   }
   for (transport::Channel* ch : upload_channels_) ch->set_peer_down(true);
   for (transport::Channel* ch : digest_channels_) ch->set_peer_down(true);
-  // Sketch reports head to the same dead process(es).
-  if (sketch_channel_ != nullptr) sketch_channel_->set_peer_down(true);
 }
 
 void RPingmesh::end_analyzer_outage() {
   if (!analyzer_in_outage()) return;
   for (transport::Channel* ch : upload_channels_) ch->set_peer_down(false);
   for (transport::Channel* ch : digest_channels_) ch->set_peer_down(false);
-  if (sketch_channel_ != nullptr) sketch_channel_->set_peer_down(false);
   // Order matters: set_outage(false) stamps "now" as every host's silence
   // epoch AFTER the channels can deliver again, so nothing slips between.
   if (analyzer_) {
@@ -329,7 +296,6 @@ void RPingmesh::stop() {
   if (!running_) return;
   running_ = false;
   for (auto& a : agents_) a->stop();
-  if (sketch_exporter_) sketch_exporter_->stop();
   if (analyzer_) {
     analyzer_->stop();
   } else {

@@ -29,7 +29,6 @@
 #include "core/federation.h"
 #include "core/journal.h"
 #include "host/cluster.h"
-#include "sketch/exporter.h"
 
 namespace rpm::core {
 
@@ -55,7 +54,7 @@ struct RPingmeshConfig {
 /// Agent -> Controller registrations and pinglist pulls); federated
 /// deployments add one digest channel per pod ("digest/p<N>"). No component
 /// holds a direct function binding to another — a degraded control plane
-/// (latency, loss, reordering; see src/faults) exercises every interaction.
+/// (latency, loss; see src/faults) exercises every interaction.
 class RPingmesh {
  public:
   explicit RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg = {});
@@ -145,15 +144,6 @@ class RPingmesh {
   std::vector<transport::Channel*> upload_channels_;   // by host id
   std::vector<transport::RpcChannel*> rpc_channels_;   // by host id
   std::vector<transport::Channel*> digest_channels_;   // by pod (federated)
-  // Switch-side sketch pipeline (AnalyzerConfig::sketch_mode == kOn only —
-  // kOff creates none of it, leaving the schedule byte-identical to the
-  // pre-sketch deployment). The bank is attached to the Cluster's fabric and
-  // must outlive that attachment; the exporter flushes it through
-  // "sketch/fabric" into the analysis tier. Declared bank-first so the
-  // exporter (which drains the bank) is destroyed before it.
-  std::unique_ptr<sketch::LinkSketchBank> sketch_bank_;
-  transport::Channel* sketch_channel_ = nullptr;
-  std::unique_ptr<sketch::SketchExporter> sketch_exporter_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::unique_ptr<sim::PeriodicTask> rotation_task_;
   std::unique_ptr<sim::PeriodicTask> settle_task_;

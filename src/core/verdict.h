@@ -34,17 +34,16 @@
 
 namespace rpm::core {
 
-/// How the Analyzer sources its SLA tables and triage statistics (ROADMAP
-/// "Switch-side sketch summaries").
+/// How the Analyzer sources its SLA tables and triage statistics.
 ///
 ///   kOff  raw probe records only — byte-identical to the historical
 ///         pipeline (the repo-wide same-seed guarantee holds against the
 ///         pre-sketch baseline).
 ///   kOn   Agents fold healthy OK records into mergeable HostSummary
-///         sketches and switches export per-link sketches; SLA percentiles
-///         and the Fig.-6 / bottleneck statistics are computed from the
-///         merged sketches, with raw records kept only for probes that
-///         carry diagnostic signal (timeouts, service tracing, outliers).
+///         sketches; SLA percentiles and the Fig.-6 / bottleneck
+///         statistics are computed from the merged sketches, with raw
+///         records kept only for probes that carry diagnostic signal
+///         (timeouts, service tracing, outliers).
 ///         Deterministically reproducible: same seed => byte-identical
 ///         verdicts, but NOT byte-identical to kOff (percentiles come from
 ///         sketch buckets, not exact order statistics).
@@ -56,8 +55,8 @@ struct AnalyzerConfig {
   bool enable_cpu_noise_filters = true;        // Fig. 6 improvements
   std::size_t history_limit = 512;
   /// Sketch-driven analysis (see SketchMode above). Agents fold uploads
-  /// only when kOn, and RPingmesh wires the switch-side sketch exporter
-  /// only when kOn, so kOff leaves the whole schedule untouched.
+  /// only when kOn; the summary rides in the same UploadBatches, so the
+  /// mode adds no channel and no timer.
   SketchMode sketch_mode = SketchMode::kOff;
 };
 

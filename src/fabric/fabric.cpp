@@ -1,7 +1,6 @@
 #include "fabric/fabric.h"
 
 #include "obs/flight_recorder.h"
-#include "sketch/sketch.h"
 
 #include <algorithm>
 #include <bit>
@@ -223,17 +222,11 @@ SendOutcome Fabric::send(const Datagram& dgram) {
   out.path = current_path(dgram.src, dgram.dst, dgram.tuple);
   // Flight-recorder hook: one compare against 0 on the untracked fast path.
   const bool traced = dgram.trace_id != 0 && obs::recorder().enabled();
-  // `sketch_link`: which link's sketch absorbs the drop — out.drop_link
-  // everywhere except ACL denies, which are charged to the link that carried
-  // the packet into the denying switch (out.drop_link stays unset there).
-  const auto trace_drop = [&](std::uint32_t sketch_link) {
+  const auto trace_drop = [&] {
     if (traced) {
       obs::recorder().record(dgram.trace_id, obs::ProbeEventKind::kFabricDrop,
                              static_cast<std::uint64_t>(out.drop),
                              out.drop_link.value);
-    }
-    if (sketches_ != nullptr) {
-      sketches_->on_drop(sketch_link, static_cast<std::uint8_t>(out.drop));
     }
   };
 
@@ -256,7 +249,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
     }
     links_[out.drop_link.value].drops_down++;
     count_drop(out.drop);
-    trace_drop(out.drop_link.value);
+    trace_drop();
     return out;
   }
 
@@ -280,7 +273,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       out.drop_link = lid;
       s.drops_down++;
       count_drop(out.drop);
-      trace_drop(out.drop_link.value);
+      trace_drop();
       return out;
     }
     if (s.deadlocked && roce_class) {
@@ -288,7 +281,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       out.drop_link = lid;
       s.drops_down++;
       count_drop(out.drop);
-      trace_drop(out.drop_link.value);
+      trace_drop();
       return out;
     }
     if (s.corrupt_prob > 0.0 && rng_.chance(s.corrupt_prob)) {
@@ -296,7 +289,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       out.drop_link = lid;
       s.drops_corrupt++;
       count_drop(out.drop);
-      trace_drop(out.drop_link.value);
+      trace_drop();
       return out;
     }
     if (roce_class && s.overflow_drop_frac > 0.0 &&
@@ -305,7 +298,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
       out.drop_link = lid;
       s.drops_overflow++;
       count_drop(out.drop);
-      trace_drop(out.drop_link.value);
+      trace_drop();
       return out;
     }
 
@@ -315,14 +308,6 @@ SendOutcome Fabric::send(const Datagram& dgram) {
     TimeNs hop_delay = l.propagation + serialization;
     if (roce_class) hop_delay += link_queue_delay(lid);
     latency += hop_delay;
-
-    if (sketches_ != nullptr) {
-      // This link's contribution to the datagram's one-way latency, plus
-      // its current queue depth and ECN marking odds (RoCE class only:
-      // the lossy queue neither marks nor backs up on RoCE congestion).
-      sketches_->on_forward(lid.value, dgram.size, hop_delay, s.queue_bytes,
-                            roce_class ? ecn_mark_prob(s) : 0.0);
-    }
 
     if (traced) {
       // Per-hop traversal: a = link id, b = cumulative one-way latency so
@@ -338,7 +323,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
         out.drop = DropReason::kAclDeny;
         out.drop_switch = sw;
         count_drop(out.drop);
-        trace_drop(lid.value);
+        trace_drop();
         return out;
       }
     }

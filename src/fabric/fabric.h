@@ -49,10 +49,6 @@
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
 
-namespace rpm::sketch {
-class LinkSketchBank;
-}  // namespace rpm::sketch
-
 namespace rpm::fabric {
 
 /// Why a datagram was not delivered.
@@ -253,15 +249,6 @@ class Fabric {
     ++topology_epoch_;
   }
 
-  /// Attach (or with nullptr, detach) a per-link sketch bank (src/sketch):
-  /// every forwarded datagram updates its links' traffic/latency/queue
-  /// sketches, every drop its drop counters. The bank draws no randomness
-  /// and feeds nothing back into forwarding, so attaching one never perturbs
-  /// the fabric's deterministic behavior. The bank must outlive the
-  /// attachment (the owner detaches before destroying it).
-  void attach_sketches(sketch::LinkSketchBank* bank) { sketches_ = bank; }
-  [[nodiscard]] sketch::LinkSketchBank* sketches() const { return sketches_; }
-
  private:
   struct Flow {
     FlowSpec spec;
@@ -316,7 +303,6 @@ class Fabric {
   std::vector<LinkState> links_;
   std::vector<std::vector<AclRule>> acl_;  // per switch
   std::vector<DeliveryFn> delivery_;       // per rnic
-  sketch::LinkSketchBank* sketches_ = nullptr;  // optional, not owned
 
   std::vector<Flow> flows_;
   std::size_t live_flows_ = 0;

@@ -37,8 +37,6 @@ const char* probe_event_name(ProbeEventKind k) {
     case ProbeEventKind::kVerdict: return "analyzer-verdict";
     case ProbeEventKind::kLeaseExpired: return "lease-expired";
     case ProbeEventKind::kReregistered: return "reregistered";
-    case ProbeEventKind::kSketchFlush: return "sketch-flush";
-    case ProbeEventKind::kSketchMerge: return "sketch-merge";
     case ProbeEventKind::kDigestFlush: return "digest-flush";
     case ProbeEventKind::kDigestMerge: return "digest-merge";
   }

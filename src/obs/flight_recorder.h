@@ -69,9 +69,6 @@ enum class ProbeEventKind : std::uint8_t {
   kVerdict,          // Analyzer attributed a cause; a = AnomalyCause
   kLeaseExpired,     // Agent's Controller lease lapsed while record waited
   kReregistered,     // Agent re-registered after a lost lease
-  kSketchFlush,      // link sketches flushed into a SketchReport;
-                     // a = report seq, b = links in the report
-  kSketchMerge,      // Analyzer merged a SketchReport; a = seq, b = links
   kDigestFlush,      // PodAnalyzer flushed a PodDigest; a = seq, b = problems
   kDigestMerge,      // GlobalAnalyzer merged a PodDigest; a = pod, b = seq
 };

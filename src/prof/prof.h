@@ -4,7 +4,7 @@
 // where wall-clock time actually goes between submit and verdict. This
 // module does: a fixed enum of pipeline stages (event dispatch, ingest
 // submit, the analyze_period sub-stages, digest flush, global merge,
-// transport delivery, sketch flush), each measured with std::chrono::
+// transport delivery), each measured with std::chrono::
 // steady_clock by a RAII `StageScope`, and accumulated into one buffer of
 // per-stage count/total/min/max plus a `sketch::QuantileSketch` for
 // p50/p99. Like the event loop it observes, it is single-threaded by
@@ -68,7 +68,7 @@ enum class Stage : std::uint8_t {
   kDigestFlush,         // PodAnalyzer built + sent one PodDigest
   kGlobalMerge,         // GlobalAnalyzer merged the pending digests
   kTransportDeliver,    // one Channel handler invocation
-  kSketchFlush,         // SketchExporter flushed a period's link sketches
+  kSketchFlush,         // recorded by nothing (perfbench still names it)
   kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
 };
 inline constexpr std::size_t kNumStages = 15;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/codec.h"
-#include "obs/flight_recorder.h"
 
 namespace rpm::sketch {
 namespace {
@@ -106,40 +105,6 @@ QuantileSketch QuantileSketch::decode(const std::vector<std::uint8_t>& in,
   return s;
 }
 
-// ---- LinkSketch ----
-
-void LinkSketch::merge(const LinkSketch& other) {
-  pkts += other.pkts;
-  bytes += other.bytes;
-  ecn_sum += other.ecn_sum;
-  for (std::size_t i = 0; i < kDropReasonSlots; ++i) drops[i] += other.drops[i];
-  hop_delay_ns.merge(other.hop_delay_ns);
-  queue_bytes.merge(other.queue_bytes);
-}
-
-std::uint64_t LinkSketch::total_drops() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t d : drops) n += d;
-  return n;
-}
-
-bool LinkSketch::empty() const { return pkts == 0 && total_drops() == 0; }
-
-std::size_t LinkSketch::serialized_bytes() const {
-  // pkts + bytes + ecn_sum + drop slots, then the two sketches.
-  return 8 + 8 + 8 + 8 * kDropReasonSlots + hop_delay_ns.serialized_bytes() +
-         queue_bytes.serialized_bytes();
-}
-
-// ---- SketchReport ----
-
-std::size_t SketchReport::wire_bytes() const {
-  // exporter + seq + period bounds + entry count header.
-  std::size_t n = 8 + 8 + 8 + 8 + 4;
-  for (const auto& [link, sk] : links) n += 4 + sk.serialized_bytes();
-  return n;
-}
-
 // ---- HostSummary ----
 
 void HostSummary::merge(const HostSummary& other) {
@@ -159,61 +124,6 @@ std::size_t HostSummary::serialized_bytes() const {
   }
   n += rtt.serialized_bytes();
   return n;
-}
-
-// ---- LinkSketchBank ----
-
-void LinkSketchBank::on_forward(std::uint32_t link, Bytes bytes,
-                                TimeNs hop_delay_ns, Bytes queue_bytes,
-                                double ecn_prob) {
-  if (link >= links_.size()) return;
-  LinkSketch& s = links_[link];
-  s.pkts += 1;
-  s.bytes += static_cast<std::uint64_t>(bytes);
-  s.ecn_sum += ecn_prob;
-  s.hop_delay_ns.add(static_cast<double>(hop_delay_ns));
-  s.queue_bytes.add(static_cast<double>(queue_bytes));
-  ++updates_;
-}
-
-void LinkSketchBank::on_drop(std::uint32_t link, std::uint8_t reason) {
-  if (link >= links_.size()) return;
-  links_[link].drops[reason % kDropReasonSlots] += 1;
-  ++updates_;
-}
-
-std::vector<std::pair<std::uint32_t, LinkSketch>> LinkSketchBank::flush() {
-  std::vector<std::pair<std::uint32_t, LinkSketch>> out;
-  for (std::uint32_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].empty()) continue;
-    out.emplace_back(i, std::move(links_[i]));
-    links_[i] = LinkSketch{};
-  }
-  return out;
-}
-
-// ---- SketchStore ----
-
-bool SketchStore::ingest(SketchReport&& rep) {
-  if (!dedup_accept(dedup_[rep.exporter], rep.seq, kDedupWindow)) {
-    ++duplicates_;
-    m_duplicate_.inc();
-    return false;
-  }
-  for (auto& [link, sk] : rep.links) links_[link].merge(sk);
-  ++merged_;
-  m_merged_.inc();
-  if (rep.trace_id != 0) {
-    obs::recorder().record(rep.trace_id, obs::ProbeEventKind::kSketchMerge,
-                           rep.seq, rep.links.size());
-  }
-  return true;
-}
-
-std::map<std::uint32_t, LinkSketch> SketchStore::drain_period() {
-  std::map<std::uint32_t, LinkSketch> out;
-  out.swap(links_);
-  return out;
 }
 
 }  // namespace rpm::sketch

@@ -17,18 +17,12 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
       : sched(s), name(std::move(n)), rng(std::move(r)), cfg(c),
         deg(std::move(d)) {
     auto& reg = telemetry::registry();
-    const auto result_counter = [&](const char* result) {
-      return reg.counter("rpm_transport_msgs_total",
-                         "Control-plane messages by channel and result",
-                         {{"channel", name}, {"result", result}});
-    };
     m_sent = result_counter("sent");
     m_delivered = result_counter("delivered");
     m_duplicate = result_counter("duplicate");
     m_lost = result_counter("lost");
     m_retry = result_counter("retry");
     m_dropped = result_counter("dropped");
-    m_expired = result_counter("expired");
     m_depth = reg.gauge("rpm_transport_queue_depth",
                         "Unacked in-flight messages", {{"channel", name}});
     m_bytes = reg.counter("rpm_transport_bytes_total",
@@ -61,7 +55,7 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   AckedFn on_acked;
   Counters counters;
   // Transmissions before an undelivered message expires; 0 (one-way
-  // streams) retries until acked. Only RpcChannel sets it.
+  // streams) retries until acked. Only RpcChannel sets it, via cap_attempts().
   std::uint32_t max_attempts = 0;
   std::uint64_t next_seq = 1;
   bool peer_is_down = false;
@@ -70,9 +64,25 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   std::map<std::uint64_t, std::shared_ptr<Msg>> unacked;
 
   telemetry::Counter m_sent, m_delivered, m_duplicate, m_lost, m_retry,
-      m_dropped, m_expired, m_bytes;
+      m_dropped, m_bytes;
+  // Registered by cap_attempts() alone: a one-way stream never expires, so
+  // it exports no always-zero "expired" series.
+  telemetry::Counter m_expired;
   telemetry::Gauge m_depth;
   telemetry::Histogram m_latency;
+
+  [[nodiscard]] telemetry::Counter result_counter(const char* result) const {
+    return telemetry::registry().counter(
+        "rpm_transport_msgs_total",
+        "Control-plane messages by channel and result",
+        {{"channel", name}, {"result", result}});
+  }
+
+  /// Make this channel an RPC leg: messages expire after kRpcMaxAttempts.
+  void cap_attempts() {
+    max_attempts = kRpcMaxAttempts;
+    m_expired = result_counter("expired");
+  }
 
   void update_depth() {
     m_depth.set(static_cast<double>(unacked.size()));
@@ -297,8 +307,8 @@ RpcChannel::RpcChannel(sim::Scheduler& sched, std::string name, Rng rng,
       server_(std::make_shared<ServerFn>(std::move(server))),
       pending_(std::make_shared<
                std::unordered_map<std::uint64_t, ResponseFn>>()) {
-  req_->impl_->max_attempts = kRpcMaxAttempts;
-  rsp_->impl_->max_attempts = kRpcMaxAttempts;
+  req_->impl_->cap_attempts();
+  rsp_->impl_->cap_attempts();
   // Server side: every delivered request (duplicates included — the server
   // must be idempotent) produces a response correlated by request seq.
   req_->set_handler([srv = server_, rsp = rsp_.get()](std::uint64_t seq,
@@ -351,29 +361,26 @@ std::size_t RpcChannel::pending_calls() const { return pending_->size(); }
 // ---------------------------------------------------------------------------
 // ControlPlane
 
-ControlPlane::ControlPlane(sim::Scheduler& sched, Rng rng,
-                           ChannelConfig defaults)
+ControlPlane::ControlPlane(sim::Scheduler& sched, Rng rng)
     : sched_(sched),
       rng_(std::move(rng)),
-      defaults_(defaults),
       degradation_(std::make_shared<Degradation>()) {}
 
 Channel& ControlPlane::make_channel(std::string name,
                                     Channel::HandlerFn handler,
-                                    std::optional<ChannelConfig> cfg) {
+                                    ChannelConfig cfg) {
   channels_.push_back(std::make_unique<Channel>(
-      sched_, std::move(name), rng_.fork(), cfg.value_or(defaults_),
-      degradation_));
+      sched_, std::move(name), rng_.fork(), cfg, degradation_));
   channels_.back()->set_handler(std::move(handler));
   return *channels_.back();
 }
 
 RpcChannel& ControlPlane::make_rpc_channel(std::string name,
                                            RpcChannel::ServerFn server,
-                                           std::optional<ChannelConfig> cfg) {
+                                           ChannelConfig cfg) {
   rpcs_.push_back(std::make_unique<RpcChannel>(
-      sched_, std::move(name), rng_.fork(), cfg.value_or(defaults_),
-      degradation_, std::move(server)));
+      sched_, std::move(name), rng_.fork(), cfg, degradation_,
+      std::move(server)));
   return *rpcs_.back();
 }
 

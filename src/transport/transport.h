@@ -18,10 +18,10 @@
 // sequence numbers; Controller RPCs are idempotent).
 //
 // Delivery discipline. The transport is the only layer that retries. A
-// one-way Channel (Agent uploads, pod digests, sketch reports) retransmits
-// a message until it is acked, evicted by the drop-oldest window, or
-// cancelled: an outage of the receiver costs the sender its oldest history
-// beyond `max_in_flight`, never its newest. The two legs of an `RpcChannel`
+// one-way Channel (Agent uploads, pod digests) retransmits a message until
+// it is acked, evicted by the drop-oldest window, or cancelled: an outage
+// of the receiver costs the sender its oldest history beyond
+// `max_in_flight`, never its newest. The two legs of an `RpcChannel`
 // give up after kRpcMaxAttempts transmissions instead, because an RPC's
 // caller owns its retry policy (registration backoff, heartbeats, pulls).
 //
@@ -37,7 +37,8 @@
 //
 // Every channel self-reports through src/telemetry:
 //   rpm_transport_msgs_total{channel,result=sent|delivered|duplicate|lost|
-//                            retry|dropped|expired}
+//                            retry|dropped}
+//   rpm_transport_msgs_total{channel,result=expired}  (RpcChannel legs only)
 //   rpm_transport_queue_depth{channel}        (unacked in-flight window)
 //   rpm_transport_delivery_latency_ns{channel} (send -> first delivery)
 //   rpm_transport_bytes_total{channel}        (declared wire bytes, per attempt)
@@ -48,7 +49,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,10 +72,6 @@ struct ChannelConfig {
   // tick retry on different ticks (no thundering herd), deterministically.
   TimeNs retry_jitter = msec(5);
 };
-
-/// Cadence of the periodic uploads that ride Channels (Agent record batches
-/// and switch sketch reports): one every 5 s (§5).
-inline constexpr TimeNs kUploadInterval = sec(5);
 
 /// Transmissions an RpcChannel leg makes before it gives up on a message.
 /// One-way Channels have no such cap: they retry until acked.
@@ -243,19 +239,18 @@ class RpcChannel {
 /// Cluster; faults degrade the whole plane through set_degradation().
 class ControlPlane {
  public:
-  ControlPlane(sim::Scheduler& sched, Rng rng, ChannelConfig defaults = {});
+  ControlPlane(sim::Scheduler& sched, Rng rng);
 
   /// Create (and own) a channel; each gets an independent forked Rng stream.
   Channel& make_channel(std::string name, Channel::HandlerFn handler,
-                        std::optional<ChannelConfig> cfg = std::nullopt);
+                        ChannelConfig cfg = {});
   RpcChannel& make_rpc_channel(std::string name, RpcChannel::ServerFn server,
-                               std::optional<ChannelConfig> cfg = std::nullopt);
+                               ChannelConfig cfg = {});
 
   void set_degradation(TimeNs extra_latency, double extra_loss);
   void clear_degradation() { set_degradation(0, 0.0); }
   [[nodiscard]] const Degradation& degradation() const { return *degradation_; }
 
-  [[nodiscard]] const ChannelConfig& defaults() const { return defaults_; }
   [[nodiscard]] std::size_t num_channels() const {
     return channels_.size() + 2 * rpcs_.size();
   }
@@ -263,7 +258,6 @@ class ControlPlane {
  private:
   sim::Scheduler& sched_;
   Rng rng_;
-  ChannelConfig defaults_;
   std::shared_ptr<Degradation> degradation_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<RpcChannel>> rpcs_;

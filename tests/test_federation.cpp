@@ -500,9 +500,9 @@ TEST(Federation, VerdictStreamIsPinnedBitForBit) {
   };
   const Case cases[] = {
       {"flat, sketch off", 1, core::SketchMode::kOff, 0xa693ff6cd5410918ull},
-      {"flat, sketch on", 1, core::SketchMode::kOn, 0xb9847538c008f071ull},
+      {"flat, sketch on", 1, core::SketchMode::kOn, 0xe7d78a34361b886dull},
       {"pods=2, sketch off", 2, core::SketchMode::kOff, 0xc45cf85aec6475d6ull},
-      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0xd50cbbe1eeb4ca8eull},
+      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0xc7c9423dcbc0a901ull},
   };
   std::set<std::string> seen;
   for (const Case& c : cases) {

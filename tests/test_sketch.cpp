@@ -1,10 +1,8 @@
 // Unit tests for src/sketch: quantile-sketch determinism (merge order and
 // sharding invariance, canonical serialization), quantile error bounds,
-// LinkSketch/HostSummary merge algebra, the bank's flush contract, the
-// store's (exporter, seq) dedup, the exporter's flush cadence and delivery
-// through an outage, and a small end-to-end check that sketch_mode=on
-// actually thins the record volume an Analyzer processes.
-#include <any>
+// HostSummary merge algebra, and a small end-to-end check that
+// sketch_mode=on thins the record volume an Analyzer processes without
+// adding a control-plane channel.
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -12,12 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "core/rpingmesh.h"
 #include "host/cluster.h"
-#include "sim/scheduler.h"
-#include "sketch/exporter.h"
 #include "sketch/sketch.h"
 #include "topo/topology.h"
 #include "transport/transport.h"
@@ -120,36 +115,6 @@ TEST(QuantileSketch, QuantileErrorWithinRelativeAccuracyBound) {
   }
 }
 
-TEST(LinkSketch, MergeIsCommutative) {
-  LinkSketch a;
-  a.pkts = 10;
-  a.bytes = 1000;
-  a.ecn_sum = 0.25;
-  a.drops[2] = 3;
-  a.hop_delay_ns.add(500.0);
-  LinkSketch b;
-  b.pkts = 5;
-  b.bytes = 700;
-  b.drops[2] = 1;
-  b.drops[5] = 4;
-  b.hop_delay_ns.add(900.0);
-  b.queue_bytes.add(4096.0);
-
-  LinkSketch ab = a;
-  ab.merge(b);
-  LinkSketch ba = b;
-  ba.merge(a);
-  EXPECT_EQ(ab.pkts, 15u);
-  EXPECT_EQ(ab.bytes, 1700u);
-  EXPECT_EQ(ab.total_drops(), 8u);
-  EXPECT_EQ(ba.pkts, ab.pkts);
-  EXPECT_EQ(ba.total_drops(), ab.total_drops());
-  EXPECT_DOUBLE_EQ(ba.ecn_sum, ab.ecn_sum);
-  EXPECT_EQ(bytes_of(ba.hop_delay_ns), bytes_of(ab.hop_delay_ns));
-  EXPECT_FALSE(ab.empty());
-  EXPECT_TRUE(LinkSketch{}.empty());
-}
-
 TEST(HostSummary, MergeAggregatesAllComponents) {
   HostSummary a;
   a.folded_records = 2;
@@ -176,124 +141,11 @@ TEST(HostSummary, MergeAggregatesAllComponents) {
   EXPECT_FALSE(ab.empty());
 }
 
-TEST(LinkSketchBank, FlushReturnsNonEmptySortedAndClears) {
-  LinkSketchBank bank(8);
-  bank.on_forward(5, 100, 2000, 0, 0.0);
-  bank.on_forward(1, 200, 3000, 512, 0.5);
-  bank.on_drop(3, 2);
-  EXPECT_EQ(bank.updates(), 3u);
-
-  const auto flushed = bank.flush();
-  ASSERT_EQ(flushed.size(), 3u);
-  EXPECT_EQ(flushed[0].first, 1u);  // ascending link order
-  EXPECT_EQ(flushed[1].first, 3u);
-  EXPECT_EQ(flushed[2].first, 5u);
-  EXPECT_EQ(flushed[1].second.total_drops(), 1u);
-  EXPECT_EQ(flushed[2].second.pkts, 1u);
-
-  EXPECT_TRUE(bank.flush().empty());  // drained
-}
-
-TEST(SketchStore, DeduplicatesByExporterAndSeq) {
-  SketchStore store;
-  const auto make_report = [](std::uint64_t seq) {
-    SketchReport rep;
-    rep.exporter = 1;
-    rep.seq = seq;
-    LinkSketch ls;
-    ls.pkts = 1;
-    ls.bytes = 100;
-    rep.links.emplace_back(7u, ls);
-    return rep;
-  };
-  EXPECT_TRUE(store.ingest(make_report(1)));
-  EXPECT_TRUE(store.ingest(make_report(2)));
-  EXPECT_FALSE(store.ingest(make_report(1)));  // retried delivery
-  EXPECT_EQ(store.reports_merged(), 2u);
-  EXPECT_EQ(store.duplicates(), 1u);
-
-  const auto links = store.drain_period();
-  ASSERT_EQ(links.size(), 1u);
-  EXPECT_EQ(links.at(7).pkts, 2u);
-  EXPECT_TRUE(store.drain_period().empty());  // period state cleared
-  // Dedup state survives the drain.
-  EXPECT_FALSE(store.ingest(make_report(2)));
-}
-
-TEST(SketchExporter, FlushesPeriodicallyAndRetriesThroughOutage) {
-  sim::InlineScheduler sched;
-  transport::ChannelConfig cc;
-  cc.base_latency = usec(50);
-  cc.latency_jitter = 0;
-  cc.retry_jitter = 0;
-  transport::ControlPlane cp(sched, Rng(42), cc);
-  SketchStore store;
-  transport::Channel& ch =
-      cp.make_channel("sketch/test", [&](std::uint64_t, std::any& p) {
-        if (auto* rep = std::any_cast<SketchReport>(&p)) {
-          store.ingest(std::move(*rep));
-        }
-      });
-  LinkSketchBank bank(4);
-  SketchExporter exp(sched, ch, bank);  // flushes every 5 s
-  exp.start();
-
-  // Two periods of traffic: two reports, both delivered and merged.
-  bank.on_forward(0, 100, 1000, 0, 0.0);
-  sched.run_until(sec(6));
-  bank.on_forward(1, 100, 1000, 0, 0.0);
-  sched.run_until(sec(11));
-  EXPECT_EQ(exp.reports_sent(), 2u);
-  EXPECT_EQ(store.reports_merged(), 2u);
-  EXPECT_EQ(ch.in_flight(), 0u);
-
-  // An empty period flushes nothing.
-  sched.run_until(sec(16));
-  EXPECT_EQ(exp.reports_sent(), 2u);
-
-  // Outage: the channel keeps retrying the report it cannot deliver...
-  ch.set_peer_down(true);
-  bank.on_forward(2, 100, 1000, 0, 0.0);
-  sched.run_until(sec(60));
-  EXPECT_EQ(ch.in_flight(), 1u);
-  EXPECT_EQ(ch.counters().expired, 0u);
-  const std::uint64_t merged_before = store.reports_merged();
-
-  // ...and delivers it, and the next period's, once the peer is back.
-  ch.set_peer_down(false);
-  bank.on_forward(3, 100, 1000, 0, 0.0);
-  sched.run_until(sec(90));
-  EXPECT_EQ(ch.in_flight(), 0u);
-  EXPECT_EQ(store.reports_merged(), merged_before + 2);
-  EXPECT_EQ(store.duplicates(), 0u);
-  EXPECT_EQ(ch.counters().dropped, 0u);
-
-  exp.stop();
-  EXPECT_FALSE(exp.running());
-}
-
-TEST(SketchExporter, StopCountsEachAbandonedReportOnce) {
-  // The transport counts the reports stop() abandons; the exporter must not
-  // count them again.
-  sim::InlineScheduler sched;
-  transport::ControlPlane cp(sched, Rng(42), transport::ChannelConfig{});
-  transport::Channel& ch =
-      cp.make_channel("sketch/test", [](std::uint64_t, std::any&) {});
-  LinkSketchBank bank(4);
-  SketchExporter exp(sched, ch, bank);
-  exp.start();
-  ch.set_peer_down(true);
-  bank.on_forward(0, 100, 1000, 0, 0.0);
-  exp.flush_now();
-  ASSERT_EQ(exp.reports_sent(), 1u);
-  exp.stop();
-  EXPECT_EQ(ch.counters().dropped, 1u);
-}
-
 TEST(SketchE2E, SketchModeThinsAnalyzerRecordVolume) {
   // Same small cluster, same seed, 60 simulated seconds: sketch_mode=on must
   // process far fewer raw records per period than off while still counting
-  // every probe in the SLA table.
+  // every probe in the SLA table. Folding happens inside the Agents' upload
+  // path, so both modes wire the same control-plane channels.
   const auto run = [](core::SketchMode mode) {
     topo::ClosConfig tc;
     tc.num_pods = 1;
@@ -316,7 +168,9 @@ TEST(SketchE2E, SketchModeThinsAnalyzerRecordVolume) {
     struct Out {
       std::size_t records = 0;
       std::size_t sla_probes = 0;
+      std::size_t channels = 0;
     } out;
+    out.channels = cluster.control_plane().num_channels();
     for (const core::PeriodReport& rep : rpm.analyzer().history()) {
       out.records += rep.records_processed;
       out.sla_probes += rep.cluster_sla.probes;
@@ -331,6 +185,8 @@ TEST(SketchE2E, SketchModeThinsAnalyzerRecordVolume) {
       << "on=" << on.records << " off=" << off.records;
   // ...but the SLA probe population is preserved (folded records counted).
   EXPECT_EQ(on.sla_probes, off.sla_probes);
+  EXPECT_GT(off.channels, 0u);
+  EXPECT_EQ(on.channels, off.channels);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/scheduler.h"
+#include "telemetry/metrics.h"
 #include "transport/transport.h"
 
 namespace rpm::transport {
@@ -106,6 +107,34 @@ TEST_F(TransportTest, TotalLossExpiresRpcAfterBackoffSchedule) {
   EXPECT_EQ(c.expired, 1u);
   EXPECT_EQ(c.delivered, 0u);
   EXPECT_EQ(rpc.request_channel().in_flight(), 0u);
+}
+
+TEST_F(TransportTest, OnlyRpcLegsExportAnExpiredSeries) {
+  // A one-way stream never expires, so it registers no "expired" series;
+  // both RPC legs do, and the request leg counts the call it gave up on.
+  cp_.set_degradation(0, 1.0);
+  Channel& ch = cp_.make_channel(
+      "t.expiry.stream", [](std::uint64_t, std::any&) {}, lossless());
+  RpcChannel& rpc = cp_.make_rpc_channel(
+      "t.expiry.rpc", [](const std::any&) { return std::any(0); }, lossless());
+  ch.send(std::any(0));
+  rpc.call(std::any(0), [](std::any&) {});
+  sched_.run_until(sec(30));
+
+  const telemetry::Snapshot snap = telemetry::registry().snapshot();
+  const auto expired = [&](const std::string& channel) {
+    return snap.find("rpm_transport_msgs_total",
+                     {{"channel", channel}, {"result", "expired"}});
+  };
+  EXPECT_EQ(expired("t.expiry.stream"), nullptr);
+  EXPECT_EQ(ch.in_flight(), 1u);  // still retrying
+  const telemetry::SeriesSample* req = expired("t.expiry.rpc.req");
+  const telemetry::SeriesSample* rsp = expired("t.expiry.rpc.rsp");
+  ASSERT_NE(req, nullptr);
+  ASSERT_NE(rsp, nullptr);
+  EXPECT_EQ(req->counter_value, 1u);
+  EXPECT_EQ(rsp->counter_value, 0u);
+  EXPECT_EQ(rpc.pending_calls(), 0u);
 }
 
 TEST_F(TransportTest, BackoffIsCappedAtMaxRetryTimeout) {
