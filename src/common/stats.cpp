@@ -1,29 +1,9 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <sstream>
-#include <stdexcept>
 
 namespace rpm {
-
-void OnlineStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double OnlineStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::reset() { *this = OnlineStats{}; }
 
 double PercentileWindow::percentile(double q) {
   if (samples_.empty()) return 0.0;
@@ -39,77 +19,6 @@ double PercentileWindow::mean() const {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(samples_.size());
-}
-
-LogHistogram::LogHistogram(double min_value, double max_value)
-    : min_value_(min_value) {
-  if (min_value <= 0.0 || max_value <= min_value) {
-    throw std::invalid_argument("LogHistogram: invalid bounds");
-  }
-  log_step_ = std::log(1.04);  // ~4% buckets
-  log_min_ = std::log(min_value);
-  inv_log_step_ = 1.0 / log_step_;
-  const auto nbuckets = static_cast<std::size_t>(
-                            (std::log(max_value) - log_min_) * inv_log_step_) +
-                        2;
-  buckets_.assign(nbuckets, 0);
-}
-
-std::size_t LogHistogram::bucket_for(double x) const {
-  if (x <= min_value_) return 0;
-  const auto b =
-      static_cast<std::size_t>((std::log(x) - log_min_) * inv_log_step_) + 1;
-  return std::min(b, buckets_.size() - 1);
-}
-
-double LogHistogram::bucket_midpoint(std::size_t b) const {
-  if (b == 0) return min_value_;
-  return std::exp(log_min_ + (static_cast<double>(b) - 0.5) * log_step_);
-}
-
-void LogHistogram::add(double x) {
-  ++buckets_[bucket_for(x)];
-  ++count_;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.buckets_.size() != buckets_.size()) {
-    throw std::invalid_argument("LogHistogram::merge: shape mismatch");
-  }
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-}
-
-void LogHistogram::clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-}
-
-double LogHistogram::percentile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(count_ - 1) + 0.5);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (seen > target) return bucket_midpoint(b);
-  }
-  return bucket_midpoint(buckets_.size() - 1);
-}
-
-std::string quantile_summary(PercentileWindow& w, const std::string& unit,
-                             double scale) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(1);
-  os << "p50=" << w.percentile(0.50) * scale << unit
-     << " p90=" << w.percentile(0.90) * scale << unit
-     << " p99=" << w.percentile(0.99) * scale << unit
-     << " p999=" << w.percentile(0.999) * scale << unit;
-  return os.str();
 }
 
 }  // namespace rpm

@@ -1,39 +1,15 @@
-// Small statistics helpers used for SLA aggregation and reporting.
+// The exact percentile reference: the Fig. 2, 4 and 10 benches and the
+// pingmesh tests measure with it. Every Analyzer percentile, SLA table and
+// telemetry histogram comes from sketch::QuantileSketch instead.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace rpm {
 
-/// Streaming mean/variance/min/max (Welford).
-class OnlineStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-
-  void reset();
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Collects raw samples and answers percentile queries. Intended for bounded
-/// windows (e.g. one 20 s Analyzer period); for unbounded runs use
-/// LogHistogram.
+/// windows (one bench run, one test); memory grows with the sample count.
 class PercentileWindow {
  public:
   void add(double x) { samples_.push_back(x); }
@@ -42,8 +18,9 @@ class PercentileWindow {
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
-  /// q in [0, 1]; q = 0.5 is the median. Returns 0 when empty.
-  /// Non-const because it partially sorts the sample buffer in place.
+  /// q in [0, 1]; q = 0.5 is the median. The sample of nearest rank
+  /// q*(n-1); 0 when empty. Non-const because it partially sorts the sample
+  /// buffer in place.
   [[nodiscard]] double percentile(double q);
 
   [[nodiscard]] double mean() const;
@@ -51,36 +28,5 @@ class PercentileWindow {
  private:
   std::vector<double> samples_;
 };
-
-/// Logarithmically bucketed histogram for long-running latency distributions.
-/// Resolution is ~4 % per bucket, enough for P50..P999 SLA reporting.
-class LogHistogram {
- public:
-  /// `min_value` is the smallest distinguishable sample; anything below is
-  /// clamped into the first bucket.
-  explicit LogHistogram(double min_value = 1.0, double max_value = 1e12);
-
-  void add(double x);
-  void merge(const LogHistogram& other);
-  void clear();
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double percentile(double q) const;
-
- private:
-  [[nodiscard]] std::size_t bucket_for(double x) const;
-  [[nodiscard]] double bucket_midpoint(std::size_t b) const;
-
-  double min_value_;
-  double log_min_;
-  double inv_log_step_;
-  double log_step_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-};
-
-/// Pretty-print a quantile summary line like "p50=12.3us p99=45.6us".
-std::string quantile_summary(PercentileWindow& w, const std::string& unit,
-                             double scale = 1.0);
 
 }  // namespace rpm

@@ -14,7 +14,6 @@
 #include <sstream>
 #include <type_traits>
 
-#include "common/stats.h"
 #include "core/analyzer.h"
 #include "fabric/fabric.h"
 #include "obs/flight_recorder.h"
@@ -35,66 +34,6 @@ constexpr TimeNs kStarveDelayThreshold = msec(100);  // Fig. 6 responder delay
 // those straggler records must not reach Algorithm-1 voting. Mirrors the
 // §5 kRnicBlameWindow hangover on the noise side.
 constexpr TimeNs kCpuNoiseWindow = sec(60);
-
-// Sketch-mode adapter: a per-key delay statistic backed either by the exact
-// PercentileWindow (sketch_mode == kOff — byte-identical to the historical
-// path, the sketch member stays empty) or by a mergeable QuantileSketch
-// seeded from the Agents' folded summaries plus this period's raw outlier
-// records (kOn).
-struct DelayStat {
-  PercentileWindow win;
-  sketch::QuantileSketch sk;
-  bool use_sketch = false;
-
-  void add(double v) {
-    if (use_sketch) {
-      sk.add(v);
-    } else {
-      win.add(v);
-    }
-  }
-  // Non-const: PercentileWindow::percentile sorts its window lazily.
-  [[nodiscard]] std::size_t count() const {
-    return use_sketch ? static_cast<std::size_t>(sk.count()) : win.count();
-  }
-  [[nodiscard]] double percentile(double q) {
-    return use_sketch ? sk.quantile(q) : win.percentile(q);
-  }
-};
-
-// Exact SLA table over raw records (sketch_mode == kOff).
-SlaReport make_sla(const std::vector<const ProbeRecord*>& records,
-                   const std::unordered_set<std::uint64_t>& rnic_timeouts,
-                   const std::unordered_set<std::uint64_t>& switch_timeouts) {
-  SlaReport sla;
-  PercentileWindow rtt;
-  PercentileWindow proc;
-  for (const ProbeRecord* r : records) {
-    ++sla.probes;
-    if (r->status == ProbeStatus::kTimeout) {
-      ++sla.timeouts;
-      if (rnic_timeouts.contains(r->id)) sla.rnic_drop_rate += 1.0;
-      if (switch_timeouts.contains(r->id)) sla.switch_drop_rate += 1.0;
-    } else {
-      rtt.add(static_cast<double>(r->network_rtt));
-      proc.add(static_cast<double>(r->responder_delay));
-    }
-  }
-  if (sla.probes > 0) {
-    sla.rnic_drop_rate /= static_cast<double>(sla.probes);
-    sla.switch_drop_rate /= static_cast<double>(sla.probes);
-  }
-  sla.rtt_mean = rtt.mean();
-  sla.rtt_p50 = rtt.percentile(0.50);
-  sla.rtt_p90 = rtt.percentile(0.90);
-  sla.rtt_p99 = rtt.percentile(0.99);
-  sla.rtt_p999 = rtt.percentile(0.999);
-  sla.proc_p50 = proc.percentile(0.50);
-  sla.proc_p90 = proc.percentile(0.90);
-  sla.proc_p99 = proc.percentile(0.99);
-  sla.proc_p999 = proc.percentile(0.999);
-  return sla;
-}
 
 // Mergeable SLA state of `records`: exact counts, sketched distributions,
 // seeded with the Agents' folded healthy probes when `summary` is given.
@@ -159,10 +98,6 @@ const PeriodReport& Analyzer::analyze_period(
     fed->foreign.clear();
     fed->service_slas.clear();
   }
-
-  // Sketch mode: the Agents' folded healthy-probe summary feeds the
-  // statistics below; kOff never reads it.
-  const bool sk_on = cfg_.sketch_mode == SketchMode::kOn;
 
   // Diagnosis explainability (src/obs): every verdict this period gets an
   // EvidenceChain — input probe ids, thresholds compared, Algorithm 1 vote
@@ -254,17 +189,15 @@ const PeriodReport& Analyzer::analyze_period(
       ++st.total;
       if (r.status == ProbeStatus::kTimeout) ++st.timeouts;
     }
-    if (sk_on) {
-      // Folded ToR-mesh OK counts dilute timeout ratios exactly as their raw
-      // records would; pairs touching an already-blamed RNIC are discounted
-      // the same way the raw loop above discounts them.
-      for (const auto& [pair, cnt] : summary.tormesh_ok) {
-        if (anomalous_rnics.contains(pair.first) ||
-            anomalous_rnics.contains(pair.second)) {
-          continue;
-        }
-        per_rnic[pair.second].total += cnt;
+    // Folded ToR-mesh OK counts (sketch mode) dilute timeout ratios exactly
+    // as their raw records would; pairs touching an already-blamed RNIC are
+    // discounted the same way the raw loop above discounts them.
+    for (const auto& [pair, cnt] : summary.tormesh_ok) {
+      if (anomalous_rnics.contains(pair.first) ||
+          anomalous_rnics.contains(pair.second)) {
+        continue;
       }
+      per_rnic[pair.second].total += cnt;
     }
     // The worst RNIC above the threshold, by a strict total order so that
     // no tie falls to the map's iteration order: higher timeout ratio, then
@@ -296,31 +229,21 @@ const PeriodReport& Analyzer::analyze_period(
 
   // Responder-delay evidence per RNIC over ALL completed probes (the greedy
   // loop above excludes blamed RNICs from its stats, but the Fig. 6 filter
-  // below needs their delays). In sketch mode the stat is seeded from the
-  // Agents' folded per-target delay sketches, then raw outlier records merge
-  // in on top.
-  std::unordered_map<std::uint32_t, DelayStat> ok_delay_by_rnic;
-  std::unordered_map<std::uint32_t, DelayStat> host_ok_delay;
-  if (sk_on) {
-    for (const auto& [rid, sk] : summary.ok_delay_by_target) {
-      DelayStat& st = ok_delay_by_rnic[rid];
-      st.use_sketch = true;
-      st.sk.merge(sk);
-      DelayStat& hs = host_ok_delay[topo_.rnic(RnicId{rid}).host.value];
-      hs.use_sketch = true;
-      hs.sk.merge(sk);
-    }
-  }
+  // below needs their delays), seeded from the Agents' folded per-target
+  // delay sketches. A host's table merges its RNICs' sketches; a merge is
+  // bucket-wise addition, so that equals adding each record. The step-4
+  // bottleneck scan reads the same host table.
+  std::unordered_map<std::uint32_t, sketch::QuantileSketch> ok_delay_by_rnic(
+      summary.ok_delay_by_target.begin(), summary.ok_delay_by_target.end());
   for (const ProbeRecord& r : records) {
     if (r.status == ProbeStatus::kOk) {
-      auto [sit, inserted] = ok_delay_by_rnic.try_emplace(r.target.value);
-      if (inserted) sit->second.use_sketch = sk_on;
-      sit->second.add(static_cast<double>(r.responder_delay));
-      auto [hit, hinserted] =
-          host_ok_delay.try_emplace(topo_.rnic(r.target).host.value);
-      if (hinserted) hit->second.use_sketch = sk_on;
-      hit->second.add(static_cast<double>(r.responder_delay));
+      ok_delay_by_rnic[r.target.value].add(
+          static_cast<double>(r.responder_delay));
     }
+  }
+  std::map<std::uint32_t, sketch::QuantileSketch> host_ok_delay;
+  for (const auto& [rid, sk] : ok_delay_by_rnic) {
+    host_ok_delay[topo_.rnic(RnicId{rid}).host.value].merge(sk);
   }
 
   // Figure 6 false-positive filters: the service occupying the Agent's CPU
@@ -339,11 +262,10 @@ const PeriodReport& Analyzer::analyze_period(
       bool starved_responder = false;
       if (auto sit = ok_delay_by_rnic.find(*it);
           sit != ok_delay_by_rnic.end()) {
-        auto& st = sit->second;
+        const sketch::QuantileSketch& st = sit->second;
         starved_responder =
             st.count() > 0 &&
-            st.percentile(0.9) >
-                static_cast<double>(kStarveDelayThreshold);
+            st.quantile(0.9) > static_cast<double>(kStarveDelayThreshold);
       }
       // Third Fig. 6 signal: responder processing delay (④-③) is purely
       // host-side — a switch or link fault times probes out but leaves the
@@ -355,11 +277,10 @@ const PeriodReport& Analyzer::analyze_period(
       bool starved_host = false;
       if (auto hit = host_ok_delay.find(h.value);
           hit != host_ok_delay.end()) {
-        auto& st = hit->second;
+        const sketch::QuantileSketch& st = hit->second;
         starved_host =
             st.count() >= 3 &&
-            st.percentile(0.9) >
-                static_cast<double>(kHighProcDelayThreshold);
+            st.quantile(0.9) > static_cast<double>(kHighProcDelayThreshold);
       }
       if (multi_rnic_simultaneous || starved_responder || starved_host) {
         cpu_noise_hosts.insert(h.value);
@@ -393,10 +314,9 @@ const PeriodReport& Analyzer::analyze_period(
   // below the 90th percentile (a healthy host's P99 sits at the µs scale,
   // three orders of magnitude under the threshold, so P99 stays specific).
   if (cfg_.enable_cpu_noise_filters) {
-    for (auto& [h, st] : host_ok_delay) {
+    for (const auto& [h, st] : host_ok_delay) {
       if (st.count() >= 3 &&
-          st.percentile(0.99) >
-              static_cast<double>(kHighProcDelayThreshold)) {
+          st.quantile(0.99) > static_cast<double>(kHighProcDelayThreshold)) {
         triage.cpu_noise_hosts.insert(h);
       }
     }
@@ -613,9 +533,9 @@ const PeriodReport& Analyzer::analyze_period(
         "timeout-triage: Fig. 6 filter (multi-RNIC simultaneous timeouts, "
         "starved responder delays, or host-level processing-delay tail)";
     double worst_p90 = 0.0;
-    for (auto& [rid, st] : ok_delay_by_rnic) {
+    for (const auto& [rid, st] : ok_delay_by_rnic) {
       if (topo_.rnic(RnicId{rid}).host.value == h && st.count() > 0) {
-        worst_p90 = std::max(worst_p90, st.percentile(0.9));
+        worst_p90 = std::max(worst_p90, st.quantile(0.9));
       }
     }
     add_threshold(c, "starve_delay_threshold_ns",
@@ -625,7 +545,7 @@ const PeriodReport& Analyzer::analyze_period(
                                           hit->second.count() > 0) {
       add_threshold(c, "high_proc_delay_threshold_ns",
                     static_cast<double>(kHighProcDelayThreshold),
-                    hit->second.percentile(0.9));
+                    hit->second.quantile(0.9));
     }
     if (const auto idit = cpu_noise_ids.find(h);
         idit != cpu_noise_ids.end()) {
@@ -680,19 +600,9 @@ const PeriodReport& Analyzer::analyze_period(
 
   std::vector<const ProbeRecord*> hot_cluster;
   std::map<std::uint32_t, std::vector<const ProbeRecord*>> hot_service;
-  std::unordered_map<std::uint32_t, DelayStat> host_proc_delay;
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>>
-      proc_probe_ids;  // every probe whose delay entered the host's window
-  if (sk_on) {
-    // Folded healthy delays roll up to the target's host so the CPU-overload
-    // tail scan sees the same population it would with raw records (the ids
-    // list stays raw-only — it is a capped evidence sample, not a tally).
-    for (const auto& [rid, sk] : summary.ok_delay_by_target) {
-      DelayStat& st = host_proc_delay[topo_.rnic(RnicId{rid}).host.value];
-      st.use_sketch = true;
-      st.sk.merge(sk);
-    }
-  }
+  // Every raw probe whose delay entered its target host's table (folded
+  // records have no ids: this is a capped evidence sample, not a tally).
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> proc_probe_ids;
   for (const ProbeRecord& r : records) {
     if (r.status != ProbeStatus::kOk) continue;
     if (r.network_rtt > cfg_.high_rtt_threshold) {
@@ -702,11 +612,7 @@ const PeriodReport& Analyzer::analyze_period(
         hot_cluster.push_back(&r);
       }
     }
-    const std::uint32_t th = topo_.rnic(r.target).host.value;
-    auto [pit, inserted] = host_proc_delay.try_emplace(th);
-    if (inserted) pit->second.use_sketch = sk_on;
-    pit->second.add(static_cast<double>(r.responder_delay));
-    proc_probe_ids[th].push_back(r.id);
+    proc_probe_ids[topo_.rnic(r.target).host.value].push_back(r.id);
   }
   const auto emit_hot = [&](std::vector<const ProbeRecord*>& ev,
                             bool from_service, ServiceId svc) {
@@ -745,14 +651,12 @@ const PeriodReport& Analyzer::analyze_period(
   emit_hot(hot_cluster, false, ServiceId{});
   for (auto& [svc, ev] : hot_service) emit_hot(ev, true, ServiceId{svc});
 
-  for (std::uint32_t h : sorted_keys(host_proc_delay)) {
+  for (const auto& [h, st] : host_ok_delay) {  // ascending host id
     if (cpu_noise_hosts.contains(h)) continue;  // already reported as noise
-    DelayStat& st = host_proc_delay.at(h);
     // Tail-based: an overloaded host shows in its P90 even when healthy
     // probes to its other RNICs dilute the median.
     if (st.count() >= kMinAnomaliesForProblem &&
-        st.percentile(0.9) >
-            static_cast<double>(kHighProcDelayThreshold)) {
+        st.quantile(0.9) > static_cast<double>(kHighProcDelayThreshold)) {
       Problem p;
       p.category = ProblemCategory::kHighProcessingDelay;
       p.host = HostId{h};
@@ -760,14 +664,14 @@ const PeriodReport& Analyzer::analyze_period(
       std::ostringstream os;
       os << "end-host bottleneck on " << topo_.host(HostId{h}).name
          << ": p90 processing delay "
-         << st.percentile(0.9) / 1e6 << " ms";
+         << st.quantile(0.9) / 1e6 << " ms";
       p.summary = os.str();
       obs::EvidenceChain c;
       c.verdict = "high-processing-delay";
       c.triage_branch = "bottleneck scan: responder processing delay P90";
       add_threshold(c, "high_proc_delay_threshold_ns",
                     static_cast<double>(kHighProcDelayThreshold),
-                    st.percentile(0.9));
+                    st.quantile(0.9));
       if (const auto idit = proc_probe_ids.find(h);
           idit != proc_probe_ids.end()) {
         for (std::uint64_t id : idit->second) add_probe(c, id);
@@ -810,32 +714,20 @@ const PeriodReport& Analyzer::analyze_period(
       cluster_records.push_back(&r);
     }
   }
-  // Folded records never carry a service id, so service SLAs stay exact;
-  // the cluster SLA is its mergeable digest's table when sketch mode is on.
-  // A pod also ships the digests (exact counts + DDSketch tails), so the
-  // global cluster table is identical no matter how pods are grouped.
-  SlaDigest cluster_digest;
-  if (sk_on || fed != nullptr) {
-    cluster_digest = sla_digest(cluster_records, sk_on ? &summary : nullptr,
-                                rnic_timeout_ids, switch_timeout_ids);
+  // Every SLA table is its mergeable digest's table: exact counts and
+  // DDSketch tails. Folded records (sketch mode) seed the cluster digest and
+  // never carry a service id. A pod ships the digests themselves, so the
+  // global tables are identical no matter how pods are grouped.
+  SlaDigest cluster_digest = sla_digest(cluster_records, &summary,
+                                        rnic_timeout_ids, switch_timeout_ids);
+  rep.cluster_sla = cluster_digest.to_report();
+  for (std::uint32_t svc : sorted_keys(service_records)) {
+    SlaDigest d = sla_digest(service_records.at(svc), nullptr,
+                             rnic_timeout_ids, switch_timeout_ids);
+    rep.service_slas.emplace_back(ServiceId{svc}, d.to_report());
+    if (fed != nullptr) fed->service_slas.emplace_back(svc, std::move(d));
   }
-  rep.cluster_sla = sk_on ? cluster_digest.to_report()
-                          : make_sla(cluster_records, rnic_timeout_ids,
-                                     switch_timeout_ids);
-  const std::vector<std::uint32_t> svc_ids = sorted_keys(service_records);
-  for (std::uint32_t svc : svc_ids) {
-    rep.service_slas.emplace_back(
-        ServiceId{svc}, make_sla(service_records.at(svc), rnic_timeout_ids,
-                                 switch_timeout_ids));
-  }
-  if (fed != nullptr) {
-    fed->cluster_sla = std::move(cluster_digest);
-    for (std::uint32_t svc : svc_ids) {
-      fed->service_slas.emplace_back(
-          svc, sla_digest(service_records.at(svc), nullptr, rnic_timeout_ids,
-                          switch_timeout_ids));
-    }
-  }
+  if (fed != nullptr) fed->cluster_sla = std::move(cluster_digest);
   if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (const ProbeRecord* r : cluster_records) {
       if (rnic_timeout_ids.contains(r->id) ||

@@ -24,9 +24,10 @@
 
 namespace rpm::core {
 
-/// Mergeable SLA state for one probe population (pod cluster records, or one
-/// service's records within the pod). Counts are exact; distributions are
-/// DDSketches, so merging pods in any grouping yields identical tables.
+/// Mergeable SLA state for one probe population (one Analyzer's cluster
+/// records, or one service's records): every SLA table of both tiers is a
+/// digest's to_report(). Counts are exact; distributions are DDSketches, so
+/// merging pods in any grouping yields identical tables.
 struct SlaDigest {
   std::size_t probes = 0;
   std::size_t timeouts = 0;

@@ -34,19 +34,19 @@
 
 namespace rpm::core {
 
-/// How the Analyzer sources its SLA tables and triage statistics.
+/// Whether Agents fold their healthy records before uploading.
 ///
-///   kOff  raw probe records only — byte-identical to the historical
-///         pipeline (the repo-wide same-seed guarantee holds against the
-///         pre-sketch baseline).
+///   kOff  every probe record ships raw.
 ///   kOn   Agents fold healthy OK records into mergeable HostSummary
-///         sketches; SLA percentiles and the Fig.-6 / bottleneck
-///         statistics are computed from the merged sketches, with raw
-///         records kept only for probes that carry diagnostic signal
-///         (timeouts, service tracing, outliers).
-///         Deterministically reproducible: same seed => byte-identical
-///         verdicts, but NOT byte-identical to kOff (percentiles come from
-///         sketch buckets, not exact order statistics).
+///         sketches and ship raw only the probes that carry diagnostic
+///         signal (timeouts, service tracing, outliers).
+///
+/// The Analyzer never reads the mode: its SLA tables and Fig.-6 /
+/// bottleneck statistics always come from QuantileSketches over the raw
+/// records plus whatever summaries arrive (none under kOff), so the same
+/// records give the same report in either mode. Same seed =>
+/// byte-identical verdicts in each mode; the two modes differ only where
+/// folding changes what the Analyzer receives.
 enum class SketchMode : std::uint8_t { kOff, kOn };
 
 struct AnalyzerConfig {

@@ -1,13 +1,15 @@
-// Mergeable sketch summaries for sketch mode (AnalyzerConfig::sketch_mode).
+// Mergeable sketch summaries: the one statistics backend of the Analyzer and
+// of sketch mode (AnalyzerConfig::sketch_mode).
 //
 // R-Pingmesh ships every probe record to the Analyzer, which caps cluster
 // scale on ingest volume long before probing capacity runs out. In sketch
 // mode each Agent folds its healthy probe records into a mergeable
 // `HostSummary` per `UploadBatch` instead of shipping each record; every
 // timeout and outlier still ships raw, and the Analyzer reads the summaries
-// where it would have read the folded records. `QuantileSketch` also backs
-// the mergeable SLA tables of pod digests and the profiler's per-stage
-// latency percentiles.
+// where it would have read the folded records. `QuantileSketch` is also the
+// only place an Analyzer percentile comes from (its per-RNIC and per-host
+// delay tables and every SLA table, flat tier and pods alike), and it backs
+// the telemetry histograms and the profiler's per-stage percentiles.
 //
 // Determinism is load-bearing (the repo-wide invariant: same seed =>
 // byte-identical verdicts), so the quantile sketch is a fixed-boundary
@@ -17,9 +19,8 @@
 // yields byte-identical state — no RNG, no data-dependent boundaries, no
 // merge-order sensitivity.
 //
-// Both types are sized in bytes (`serialized_bytes`) so the transport's
-// per-channel bandwidth cost model can charge batches and digests for the
-// wire they occupy.
+// Both types are sized in bytes (`serialized_bytes`); the upload and digest
+// channels declare those sizes, and rpm_transport_bytes_total counts them.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,6 @@ class QuantileSketch {
 
   void add(double v, std::uint64_t n = 1);
   void merge(const QuantileSketch& other);
-  void clear();
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -55,10 +55,13 @@ class QuantileSketch {
   [[nodiscard]] double mean() const {
     return count_ == 0 ? 0.0 : sum() / static_cast<double>(count_);
   }
-  /// q in [0,1]; 0 when empty. Error relative to the true sample quantile is
-  /// bounded by kRelativeAccuracy.
+  /// q in [0,1]; 0 when empty. The value of the bucket holding the sample
+  /// of nearest rank q*(n-1) (the rank the exact reference in
+  /// common/stats.h takes), so it is within kRelativeAccuracy of the exact
+  /// percentile.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
+  /// Buckets holding at least one value (the zero bucket aside).
+  [[nodiscard]] std::size_t num_buckets() const;
 
   /// Exact wire size of encode()'s output (header + one entry per bucket).
   [[nodiscard]] std::size_t serialized_bytes() const;
@@ -66,12 +69,23 @@ class QuantileSketch {
   /// which is what the merge-determinism tests compare.
   void encode(std::vector<std::uint8_t>& out) const;
   /// Inverse of encode(); advances `off` past the consumed bytes. Throws
-  /// std::runtime_error on a truncated buffer.
+  /// std::runtime_error on a truncated buffer and on any entry encode()
+  /// cannot have written: a bucket index no finite positive double reaches,
+  /// a zero bucket count, indices not strictly ascending, or a total count
+  /// other than the zero count plus the bucket counts. Whatever it accepts
+  /// encodes back to exactly the bytes it consumed.
   static QuantileSketch decode(const std::vector<std::uint8_t>& in,
                                std::size_t& off);
 
  private:
-  std::map<std::int32_t, std::uint64_t> buckets_;  // ordered: deterministic
+  // Makes counts_ cover buckets lo..hi.
+  void widen(std::int32_t lo, std::int32_t hi);
+
+  // Dense counts of buckets offset_, offset_+1, ...: the first and last
+  // entries are the lowest and highest used buckets, so the state is
+  // canonical however it was built. Empty when no positive value was added.
+  std::vector<std::uint64_t> counts_;
+  std::int32_t offset_ = 0;
   std::uint64_t zero_count_ = 0;
   std::uint64_t count_ = 0;
 };

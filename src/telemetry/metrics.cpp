@@ -88,9 +88,6 @@ detail::SeriesCell* MetricsRegistry::get_or_create(
     auto cell = std::make_unique<detail::SeriesCell>();
     cell->labels = std::move(labels);
     cell->label_key = key;
-    if (type == MetricType::kHistogram) {
-      cell->hist = std::make_unique<LogHistogram>();
-    }
     sit->second = std::move(cell);
   }
   return sit->second.get();
@@ -141,13 +138,13 @@ Snapshot MetricsRegistry::snapshot() {
       s.help = fam.help;
       s.counter_value = cell->counter;
       s.gauge_value = cell->gauge;
-      if (cell->hist) {
-        s.hist_count = cell->hist->count();
+      if (fam.type == MetricType::kHistogram) {
+        s.hist_count = cell->hist.count();
         s.hist_sum = cell->hist_sum;
-        s.hist_p50 = cell->hist->percentile(0.50);
-        s.hist_p90 = cell->hist->percentile(0.90);
-        s.hist_p99 = cell->hist->percentile(0.99);
-        s.hist_p999 = cell->hist->percentile(0.999);
+        s.hist_p50 = cell->hist.quantile(0.50);
+        s.hist_p90 = cell->hist.quantile(0.90);
+        s.hist_p99 = cell->hist.quantile(0.99);
+        s.hist_p999 = cell->hist.quantile(0.999);
       }
       snap.series.push_back(std::move(s));
     }

@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
+#include "sketch/sketch.h"
 
 namespace rpm::telemetry {
 
@@ -58,9 +58,9 @@ struct SeriesCell {
   std::string label_key;  // canonical "k=v,k=v" form (sort + export key)
   std::uint64_t counter = 0;
   double gauge = 0.0;
-  // Set exactly for histogram series (so every Histogram handle has one):
-  // the distribution and the sum of its samples.
-  std::unique_ptr<LogHistogram> hist;
+  // Histogram series only: the distribution and the exact sum of its
+  // samples.
+  sketch::QuantileSketch hist;
   double hist_sum = 0.0;
 };
 
@@ -109,23 +109,23 @@ class Gauge {
   detail::SeriesCell* cell_ = nullptr;
 };
 
-/// Distribution backed by LogHistogram (log-bucketed, ~4 % resolution,
-/// bounded memory regardless of sample count) over one range, 1..1e12:
-/// samples outside it are clamped into the edge buckets.
+/// Distribution backed by sketch::QuantileSketch (log-bucketed, 1 % relative
+/// accuracy, memory bounded by the range of values rather than their
+/// count); non-positive samples share its zero bucket.
 class Histogram {
  public:
   Histogram() = default;
   void observe(double v) const {
     if (!cell_) return;
-    cell_->hist->add(v);
+    cell_->hist.add(v);
     cell_->hist_sum += v;
   }
   [[nodiscard]] std::uint64_t count() const {
-    return cell_ ? cell_->hist->count() : 0;
+    return cell_ ? cell_->hist.count() : 0;
   }
   [[nodiscard]] double sum() const { return cell_ ? cell_->hist_sum : 0.0; }
   [[nodiscard]] double percentile(double q) const {
-    return cell_ ? cell_->hist->percentile(q) : 0.0;
+    return cell_ ? cell_->hist.quantile(q) : 0.0;
   }
   [[nodiscard]] bool valid() const { return cell_ != nullptr; }
 

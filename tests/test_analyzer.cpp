@@ -477,6 +477,130 @@ TEST_F(AnalyzerTest, HighProcessingDelayProblem) {
   EXPECT_EQ(p->host, topo_.rnic(RnicId{4}).host);
 }
 
+/// Every field of a PeriodReport as text, doubles in hexfloat, so that two
+/// reports compare byte for byte.
+std::string report_bytes(const PeriodReport& rep) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  const auto sla = [&os](const SlaReport& s) {
+    os << "sla " << s.probes << ' ' << s.timeouts << ' ' << s.rnic_drop_rate
+       << ' ' << s.switch_drop_rate << ' ' << s.rtt_mean << ' ' << s.rtt_p50
+       << ' ' << s.rtt_p90 << ' ' << s.rtt_p99 << ' ' << s.rtt_p999 << ' '
+       << s.proc_p50 << ' ' << s.proc_p90 << ' ' << s.proc_p99 << ' '
+       << s.proc_p999 << ' ' << s.evidence.id << '\n';
+  };
+  os << rep.period_start << ' ' << rep.period_end << ' '
+     << rep.records_processed << ' ' << rep.timeouts_host_down << ' '
+     << rep.timeouts_qpn_reset << ' ' << rep.timeouts_agent_cpu << ' '
+     << rep.timeouts_rnic << ' ' << rep.timeouts_switch << '\n';
+  for (const Problem& p : rep.problems) {
+    os << "problem " << p.problem_id << ' ' << p.evidence.id << ' '
+       << static_cast<int>(p.category) << ' ' << static_cast<int>(p.priority)
+       << ' ' << p.rnic.value << ' ' << p.host.value << ' '
+       << p.anomalous_probes << ' ' << p.in_service_network << ' '
+       << p.service.value << ' ' << p.detected_by_service_tracing << ' '
+       << p.summary;
+    for (LinkId l : p.suspect_links) os << " l" << l.value;
+    for (SwitchId sw : p.suspect_switches) os << " s" << sw.value;
+    for (const auto& [l, votes] : p.top_link_votes) {
+      os << " v" << l.value << ':' << votes;
+    }
+    os << '\n';
+  }
+  sla(rep.cluster_sla);
+  for (const auto& [svc, s] : rep.service_slas) {
+    os << "service " << svc.value << ' ';
+    sla(s);
+  }
+  return os.str();
+}
+
+TEST_F(AnalyzerTest, SketchModeLeavesRawRecordVerdictsAndSlaUnchanged) {
+  // Sketch mode decides only whether Agents fold healthy records; the
+  // Analyzer has one statistics path. One period of raw records and no
+  // summaries therefore yields the same report and diagnosis bytes in
+  // either mode: SLA tables, the per-host delay tails behind the Fig. 6
+  // filters and the bottleneck scan, and every verdict.
+  std::vector<ProbeRecord> recs;
+  for (int i = 0; i < 20; ++i) {  // healthy ToR-mesh denominators
+    for (SwitchId tor : topo_.tor_switches()) {
+      const auto& group = topo_.rnics_under_tor(tor);
+      for (std::size_t a = 0; a < group.size(); ++a) {
+        ProbeRecord r = make_record(group[a], group[(a + 1) % group.size()],
+                                    ProbeStatus::kOk);
+        r.network_rtt = usec(4 + i % 7);
+        r.responder_delay = usec(6 + (i + a) % 5);
+        recs.push_back(r);
+      }
+    }
+  }
+  // Responder delays above kHighProcDelayThreshold on both RNICs of host 5.
+  for (const RnicId slow : {RnicId{10}, RnicId{11}}) {
+    for (int i = 0; i < 10; ++i) {
+      ProbeRecord r = make_record(RnicId{0}, slow, ProbeStatus::kOk);
+      r.responder_delay = msec(20 + i);
+      recs.push_back(r);
+    }
+  }
+  // An anomalous RNIC and a switch problem.
+  for (int i = 0; i < 20; ++i) {
+    recs.push_back(make_record(RnicId{4}, RnicId{6}, ProbeStatus::kTimeout));
+  }
+  for (int i = 0; i < 10; ++i) {
+    recs.push_back(make_record(RnicId{0}, RnicId{12}, ProbeStatus::kTimeout,
+                               ProbeKind::kInterTor));
+  }
+  // Two services, one of them with timeouts of its own.
+  for (const auto& [svc, target] : {std::pair{9u, RnicId{12}},
+                                    std::pair{11u, RnicId{8}}}) {
+    for (int i = 0; i < 30; ++i) {
+      ProbeRecord r = make_record(RnicId{2}, target, ProbeStatus::kOk,
+                                  ProbeKind::kServiceTracing);
+      r.service = ServiceId{svc};
+      r.network_rtt = usec(10 + i * static_cast<int>(svc) % 13);
+      r.responder_delay = usec(5 + i % 4);
+      recs.push_back(r);
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    ProbeRecord r = make_record(RnicId{2}, RnicId{12}, ProbeStatus::kTimeout,
+                                ProbeKind::kServiceTracing);
+    r.service = ServiceId{9};
+    recs.push_back(r);
+  }
+
+  struct Outcome {
+    std::string report;
+    std::string diagnosis;
+  };
+  const auto run = [&](SketchMode mode) {
+    AnalyzerConfig cfg;
+    cfg.sketch_mode = mode;
+    Analyzer a(topo_, ctrl_, sched_, cfg);
+    for (const topo::HostInfo& h : topo_.hosts()) a.upload(h.id, {});
+    a.upload(HostId{0}, recs);
+    const PeriodReport& rep = a.analyze_now();
+    // Not vacuous: the period exercises both tails and both SLA tiers.
+    const auto has = [&rep](ProblemCategory c, HostId h) {
+      return std::any_of(rep.problems.begin(), rep.problems.end(),
+                         [&](const Problem& p) {
+                           return p.category == c && p.host == h;
+                         });
+    };
+    EXPECT_TRUE(has(ProblemCategory::kHighProcessingDelay, HostId{5}));
+    EXPECT_TRUE(has(ProblemCategory::kRnicProblem, HostId{3}));
+    EXPECT_GT(rep.timeouts_switch, 0u);
+    EXPECT_EQ(rep.service_slas.size(), 2u);
+    EXPECT_GT(rep.cluster_sla.proc_p99, static_cast<double>(msec(5)));
+    return Outcome{report_bytes(rep),
+                   obs::to_json(a.diagnosis_history().back())};
+  };
+  const Outcome off = run(SketchMode::kOff);
+  const Outcome on = run(SketchMode::kOn);
+  EXPECT_EQ(on.report, off.report);
+  EXPECT_EQ(on.diagnosis, off.diagnosis);
+}
+
 TEST_F(AnalyzerTest, HistoryBounded) {
   AnalyzerConfig cfg;
   cfg.history_limit = 3;

@@ -157,19 +157,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(OnlineStats, Basics) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 6.0}) s.add(x);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(PercentileWindow, EmptyIsZero) {
   PercentileWindow w;
   EXPECT_DOUBLE_EQ(w.percentile(0.5), 0.0);
@@ -184,33 +171,6 @@ TEST(PercentileWindow, KnownQuantiles) {
   EXPECT_NEAR(w.percentile(0.0), 1.0, 0.5);
   EXPECT_NEAR(w.percentile(1.0), 100.0, 0.5);
   EXPECT_DOUBLE_EQ(w.mean(), 50.5);
-}
-
-TEST(LogHistogram, PercentilesWithinBucketError) {
-  LogHistogram h(1.0, 1e9);
-  for (int i = 1; i <= 10000; ++i) h.add(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 10000u);
-  // 4% bucket resolution.
-  EXPECT_NEAR(h.percentile(0.5), 5000.0, 5000.0 * 0.08);
-  EXPECT_NEAR(h.percentile(0.99), 9900.0, 9900.0 * 0.08);
-}
-
-TEST(LogHistogram, MergeAddsCounts) {
-  LogHistogram a(1.0, 1e6), b(1.0, 1e6);
-  a.add(10.0);
-  b.add(1000.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-}
-
-TEST(LogHistogram, RejectsInvalidBounds) {
-  EXPECT_THROW(LogHistogram(0.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(10.0, 10.0), std::invalid_argument);
-}
-
-TEST(LogHistogram, MergeRejectsShapeMismatch) {
-  LogHistogram a(1.0, 1e6), b(1.0, 1e9);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(Dedup, SlidingWindowAcceptsEachSeqOnce) {

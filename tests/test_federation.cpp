@@ -499,10 +499,10 @@ TEST(Federation, VerdictStreamIsPinnedBitForBit) {
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {"flat, sketch off", 1, core::SketchMode::kOff, 0xa693ff6cd5410918ull},
-      {"flat, sketch on", 1, core::SketchMode::kOn, 0xe7d78a34361b886dull},
-      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0xc45cf85aec6475d6ull},
-      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0xc7c9423dcbc0a901ull},
+      {"flat, sketch off", 1, core::SketchMode::kOff, 0x668ef9da6d0ea199ull},
+      {"flat, sketch on", 1, core::SketchMode::kOn, 0x94d615edab1b8774ull},
+      {"pods=2, sketch off", 2, core::SketchMode::kOff, 0x667fa0130b399cdfull},
+      {"pods=4, sketch on", 4, core::SketchMode::kOn, 0xf9081bb8ff40e068ull},
   };
   std::set<std::string> seen;
   for (const Case& c : cases) {

@@ -1,15 +1,20 @@
 // Unit tests for src/sketch: quantile-sketch determinism (merge order and
-// sharding invariance, canonical serialization), quantile error bounds,
-// HostSummary merge algebra, and a small end-to-end check that
+// sharding invariance, canonical serialization, a decoder that rejects what
+// encode() cannot write), quantile error bounds against the exact nearest
+// rank, HostSummary merge algebra, and a small end-to-end check that
 // sketch_mode=on thins the record volume an Analyzer processes without
 // adding a control-plane channel.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
+#include "common/stats.h"
 #include "common/types.h"
 #include "core/rpingmesh.h"
 #include "host/cluster.h"
@@ -91,27 +96,114 @@ TEST(QuantileSketch, SerializationRoundTripsExactly) {
   std::vector<std::uint8_t> cut(buf.begin(), buf.end() - 1);
   off = 0;
   EXPECT_THROW(QuantileSketch::decode(cut, off), std::runtime_error);
+
+  // Seeded mutants: every truncation, every single-bit flip, and random
+  // trailing bytes. Each one either throws or decodes to a sketch that
+  // encodes back to exactly the bytes it consumed.
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& m) {
+    std::size_t at = 0;
+    try {
+      const QuantileSketch d = QuantileSketch::decode(m, at);
+      EXPECT_EQ(bytes_of(d), std::vector<std::uint8_t>(
+                                 m.begin(), m.begin() + static_cast<long>(at)));
+      ++accepted;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  };
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    check(std::vector<std::uint8_t>(buf.begin(),
+                                    buf.begin() + static_cast<long>(len)));
+  }
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    std::vector<std::uint8_t> m = buf;
+    m[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    check(m);
+  }
+  std::mt19937_64 gen(29);
+  for (int trial = 0; trial < 32; ++trial) {
+    std::vector<std::uint8_t> m = buf;
+    const std::size_t extra = 1 + gen() % 16;
+    for (std::size_t k = 0; k < extra; ++k) {
+      m.push_back(static_cast<std::uint8_t>(gen()));
+    }
+    check(m);
+  }
+  EXPECT_GT(accepted, 32u);  // the trailing-byte mutants at least
+  EXPECT_GT(rejected, buf.size());
+}
+
+TEST(QuantileSketch, DecodeRejectsEntriesEncodeCannotWrite) {
+  // (index, count) entries after a count / zero-count header.
+  const auto encoding =
+      [](std::uint64_t count,
+         const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
+        std::vector<std::uint8_t> out;
+        codec::put_u64(out, count);
+        codec::put_u64(out, 0);
+        codec::put_u32(out, static_cast<std::uint32_t>(entries.size()));
+        for (const auto& [i, n] : entries) {
+          codec::put_u32(out, i);
+          codec::put_u64(out, n);
+        }
+        return out;
+      };
+  const auto decodes = [](const std::vector<std::uint8_t>& in) {
+    std::size_t off = 0;
+    (void)QuantileSketch::decode(in, off);
+  };
+  EXPECT_NO_THROW(decodes(encoding(3, {{10, 1}, {12, 2}})));
+  // An index no finite positive double reaches: the dense store would
+  // otherwise span up to 2^32 buckets.
+  EXPECT_THROW(decodes(encoding(1, {{0x7fffffffu, 1}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(2, {{10, 1}, {0x7fffffffu, 1}})),
+               std::runtime_error);
+  EXPECT_THROW(decodes(encoding(1, {{0x80000000u, 1}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(0, {{10, 0}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(2, {{10, 1}, {10, 1}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(2, {{12, 1}, {10, 1}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(4, {{10, 1}, {12, 2}})), std::runtime_error);
+  EXPECT_THROW(decodes(encoding(1, {{10, ~0ull}, {12, 2}})),
+               std::runtime_error);
+
+  // The extreme finite doubles, +inf included, land in accepted buckets.
+  QuantileSketch edges;
+  edges.add(std::numeric_limits<double>::denorm_min());
+  edges.add(std::numeric_limits<double>::max());
+  edges.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(edges.num_buckets(), 2u);
+  std::size_t off = 0;
+  const std::vector<std::uint8_t> buf = bytes_of(edges);
+  EXPECT_EQ(bytes_of(QuantileSketch::decode(buf, off)), buf);
 }
 
 TEST(QuantileSketch, QuantileErrorWithinRelativeAccuracyBound) {
+  // The truth is PercentileWindow's exact sample of nearest rank q*(n-1),
+  // the rank the sketch takes too. Three samples tell the ranks apart: p90
+  // is the sample of rank 1.8, which rounds to 3000 (a floor would take
+  // 2000).
   std::mt19937_64 gen(3);
   std::lognormal_distribution<double> dist(10.0, 1.5);
-  std::vector<double> samples;
-  QuantileSketch s;
-  for (int i = 0; i < 20000; ++i) {
-    const double v = dist(gen);
-    samples.push_back(v);
-    s.add(v);
-  }
-  std::sort(samples.begin(), samples.end());
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double truth =
-        samples[static_cast<std::size_t>(q * (samples.size() - 1))];
-    const double got = s.quantile(q);
-    // Fixed-boundary DDSketch guarantee: relative error <= a (plus a hair of
-    // slack for the discrete target index).
-    EXPECT_NEAR(got, truth, truth * 2.0 * QuantileSketch::kRelativeAccuracy)
-        << "q=" << q;
+  std::vector<double> lognormal;
+  for (int i = 0; i < 20000; ++i) lognormal.push_back(dist(gen));
+  for (const std::vector<double>& samples :
+       {lognormal, std::vector<double>{1000.0, 2000.0, 3000.0}}) {
+    QuantileSketch s;
+    PercentileWindow exact;
+    for (const double v : samples) {
+      s.add(v);
+      exact.add(v);
+    }
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const double truth = exact.percentile(q);
+      // Fixed-boundary DDSketch guarantee: relative error <= a (plus a
+      // hair of slack for the bucket's representative value).
+      EXPECT_NEAR(s.quantile(q), truth,
+                  truth * 1.01 * QuantileSketch::kRelativeAccuracy)
+          << "q=" << q << " n=" << samples.size();
+    }
   }
 }
 
