@@ -142,7 +142,8 @@ int run(int argc, char** argv) {
       static_cast<double>(digest_wire_bytes == 0 ? 1 : digest_wire_bytes);
 
   // ---- JSON (one BenchJson schema shared by every BENCH_*.json) ----
-  bench::BenchJson out{"federation"};
+  bench::BenchJson out;
+  out.bench = "federation";
   out.params = [&](json::Writer& w) {
     w.key("hosts").integer(hosts)
         .key("pods").integer(d.rpm.num_pods())

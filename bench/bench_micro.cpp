@@ -457,7 +457,8 @@ int write_ingest_json(const std::string& path) {
     period_bytes += core::upload_batch_wire_bytes(b);
   }
 
-  bench::BenchJson out{"ingest"};
+  bench::BenchJson out;
+  out.bench = "ingest";
   out.params = [&](json::Writer& w) {
     w.key("records_per_period").integer(kRecords)
         .key("batch").integer(kBatch)

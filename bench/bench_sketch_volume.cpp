@@ -125,7 +125,8 @@ int run(int argc, char** argv) {
       static_cast<double>(off.wire_bytes) /
       static_cast<double>(on.wire_bytes == 0 ? 1 : on.wire_bytes);
 
-  bench::BenchJson out{"sketch_volume"};
+  bench::BenchJson out;
+  out.bench = "sketch_volume";
   out.params = [&](json::Writer& w) {
     w.key("hosts").integer(hosts)
         .key("seconds").integer(seconds)

@@ -174,7 +174,8 @@ int run(int argc, char** argv) {
   routing::EcmpRouter router(topo);
   core::Controller ctrl(topo, router);
 
-  bench::BenchJson out{"stage_profile"};
+  bench::BenchJson out;
+  out.bench = "stage_profile";
   out.params = [&](json::Writer& w) {
     std::string list;
     for (std::uint64_t x : records) {

@@ -52,7 +52,7 @@ int main() {
   }
   cluster.run_for(msec(600));
   std::printf("[tenant] TCP checks: %d ok, %d failed -> 'network looks "
-              "fine??'\n", tcp_ok, tcp_fail);
+              "fine?\?'\n", tcp_ok, tcp_fail);
 
   cluster.run_for(sec(41));
   std::printf("[r-pingmesh] analysis:\n");

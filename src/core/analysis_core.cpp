@@ -3,16 +3,19 @@
 // localization, bottleneck scans, SLA tables and impact. The verdict steps
 // it shares with the GlobalAnalyzer are in core/verdict.h.
 //
+// One walk over the records fills every table the later steps read: vectors
+// indexed by topology id (RNIC, host, link), and ordered maps keyed by
+// service or by the few ids that carry evidence. Only the bottleneck scan
+// walks the records again, and only when a host is overloaded.
+//
 // The report is a function of the period's record multiset, not of the
 // order in which records arrived: every tie is broken by a total order,
-// every emission loop walks ascending keys, and every evidence sample keeps
+// every emission loop walks ascending ids, and every evidence sample keeps
 // the smallest probe ids (sample_probe).
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
-#include <type_traits>
 
 #include "core/analyzer.h"
 #include "fabric/fabric.h"
@@ -35,49 +38,49 @@ constexpr TimeNs kStarveDelayThreshold = msec(100);  // Fig. 6 responder delay
 // §5 kRnicBlameWindow hangover on the noise side.
 constexpr TimeNs kCpuNoiseWindow = sec(60);
 
-// Mergeable SLA state of `records`: exact counts, sketched distributions,
-// seeded with the Agents' folded healthy probes when `summary` is given.
-// Timeouts in neither id set count as probes and timeouts but carry no drop
-// attribution (a pod's foreign timeouts: the global tier attributes them).
-SlaDigest sla_digest(const std::vector<const ProbeRecord*>& records,
-                     const sketch::HostSummary* summary,
-                     const std::unordered_set<std::uint64_t>& rnic_timeouts,
-                     const std::unordered_set<std::uint64_t>& switch_timeouts) {
-  SlaDigest d;
-  if (summary != nullptr) {
-    d.rtt.merge(summary->rtt);
-    for (const auto& [rid, sk] : summary->ok_delay_by_target) d.proc.merge(sk);
-    d.probes += summary->folded_records;
+// A timeout record, the SLA digest it counts in, and the cause the pipeline
+// attributes it to (none yet, or none at all for a pod's foreign timeout).
+struct Timeout {
+  const ProbeRecord* r;
+  HostId target_host;
+  SlaDigest* sla;
+  std::optional<AnomalyCause> cause;
+};
+
+// What the greedy RNIC loop reads of a ToR-mesh record with no step-1 cause.
+struct MeshRow {
+  std::uint32_t prober;
+  std::uint32_t target;
+  bool timed_out;
+};
+
+// One service's share of the period: its SLA digest, its records, and its
+// network — every link, RNIC and host its tracing probes touched, one flag
+// per topology id.
+struct ServiceTally {
+  explicit ServiceTally(const topo::Topology& topo)
+      : links(topo.num_links()),
+        rnics(topo.num_rnics()),
+        hosts(topo.num_hosts()) {}
+  SlaDigest sla;
+  std::vector<const ProbeRecord*> records;
+  std::vector<bool> links;
+  std::vector<bool> rnics;
+  std::vector<bool> hosts;
+};
+
+// The ids set in `flags`, ascending.
+std::vector<std::uint32_t> set_ids(const std::vector<bool>& flags) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < flags.size(); ++i) {
+    if (flags[i]) ids.push_back(i);
   }
-  for (const ProbeRecord* r : records) {
-    ++d.probes;
-    if (r->status == ProbeStatus::kTimeout) {
-      ++d.timeouts;
-      if (rnic_timeouts.contains(r->id)) ++d.rnic_drops;
-      if (switch_timeouts.contains(r->id)) ++d.switch_drops;
-    } else {
-      d.rtt.add(static_cast<double>(r->network_rtt));
-      d.proc.add(static_cast<double>(r->responder_delay));
-    }
-  }
-  return d;
+  return ids;
 }
 
-// The ids of an unordered set, or the keys of an unordered map, ascending.
-// Emission loops walk these, so no verdict depends on hash order.
-template <typename Container>
-std::vector<std::uint32_t> sorted_keys(const Container& c) {
-  std::vector<std::uint32_t> keys;
-  keys.reserve(c.size());
-  for (const auto& e : c) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(e)>, std::uint32_t>) {
-      keys.push_back(e);
-    } else {
-      keys.push_back(e.first);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+// Whether `flags` holds `id`; an id outside the table is not set.
+bool flagged(const std::vector<bool>& flags, std::uint32_t id) {
+  return id < flags.size() && flags[id];
 }
 
 }  // namespace
@@ -125,40 +128,96 @@ const PeriodReport& Analyzer::analyze_period(
 
   metrics_.periods.inc();
   // The profiled pipeline stage running now: emplace() closes the previous
-  // stage's sample and opens the next; reset() closes out. Steps 1-3 are
-  // all drain.triage.
+  // stage's sample and opens the next; reset() closes out. The record walk
+  // and steps 1-3 are all drain.triage.
   std::optional<prof::StageScope> stage;
-
-  // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
   stage.emplace(prof::Stage::kDrainTriage);
 
-  TriageSets triage;
-  triage.period_start = rep.period_start;
+  const auto num_hosts = static_cast<std::uint32_t>(topo_.num_hosts());
+  const auto num_rnics = static_cast<std::uint32_t>(topo_.num_rnics());
+  TriageSets triage(topo_, rep.period_start);
   for (std::uint32_t h : known_hosts_) {
     const auto it = last_upload_.find(h);
     if (it == last_upload_.end() ||
         now - it->second > kHostSilenceThreshold) {
-      triage.down_hosts.insert(h);
+      triage.down_hosts.at(h) = true;
     }
   }
 
-  std::vector<std::optional<AnomalyCause>> cause(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProbeRecord& r = records[i];
-    if (r.status != ProbeStatus::kTimeout) continue;
+  // ---- the one walk over the records ----
+  // It settles step 1 for every timeout and fills every table the later
+  // steps read: the timeouts, the greedy loop's ToR-mesh rows, per-RNIC
+  // responder delays, the SLA digests, the hot-RTT evidence, and each
+  // service's records and network.
+  std::vector<Timeout> timeouts;
+  std::vector<MeshRow> mesh;
+  // Responder delay per RNIC over ALL completed probes (the greedy loop
+  // excludes blamed RNICs from its stats, but the Fig. 6 filter below needs
+  // their delays), seeded from the Agents' folded per-target sketches.
+  std::vector<sketch::QuantileSketch> ok_delay(num_rnics);
+  // Every SLA table is its mergeable digest's table: exact counts and
+  // DDSketch tails. Folded records (sketch mode) seed the cluster digest and
+  // never carry a service id. A pod ships the digests themselves, so the
+  // global tables are identical no matter how pods are grouped.
+  SlaDigest cluster_sla;
+  cluster_sla.rtt.merge(summary.rtt);
+  for (const auto& [rid, sk] : summary.ok_delay_by_target) {
+    ok_delay.at(rid).merge(sk);
+    cluster_sla.proc.merge(sk);
+  }
+  cluster_sla.probes += summary.folded_records;
+  std::map<std::uint32_t, ServiceTally> services;
+  std::vector<const ProbeRecord*> hot_cluster;
+  std::map<std::uint32_t, std::vector<const ProbeRecord*>> hot_service;
+  for (const ProbeRecord& r : records) {
     const HostId target_host = topo_.rnic(r.target).host;
-    if (triage.down_hosts.contains(target_host.value)) {
-      cause[i] = AnomalyCause::kHostDown;
-      continue;
+    ServiceTally* svc = nullptr;
+    if (r.kind == ProbeKind::kServiceTracing) {
+      svc = &services.try_emplace(r.service.value, topo_).first->second;
+      svc->records.push_back(&r);
+      svc->hosts[topo_.rnic(r.prober).host.value] = true;
+      svc->hosts[target_host.value] = true;
+      svc->rnics[r.prober.value] = true;
+      svc->rnics[r.target.value] = true;
+      if (r.path_known) {
+        for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
+          for (LinkId l : p->links) svc->links.at(l.value) = true;
+        }
+      }
     }
-    // QPN-reset noise: the probe addressed a QPN older than the freshest
-    // registration the Controller holds — or a QPN the Controller has no
-    // registration for at all (it restarted and lost its registry, and the
-    // target has not re-registered yet). Both are control-plane staleness,
-    // not network loss.
-    if (const auto info = directory_->comm_info(r.target);
-        !info || info->qpn != r.target_qpn) {
-      cause[i] = AnomalyCause::kQpnReset;
+    SlaDigest& sla = svc != nullptr ? svc->sla : cluster_sla;
+    ++sla.probes;
+    std::optional<AnomalyCause> cause;
+    if (r.status == ProbeStatus::kTimeout) {
+      ++sla.timeouts;
+      // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
+      if (triage.down(target_host)) {
+        cause = AnomalyCause::kHostDown;
+      } else if (const auto info = directory_->comm_info(r.target);
+                 !info || info->qpn != r.target_qpn) {
+        // QPN-reset noise: the probe addressed a QPN older than the
+        // freshest registration the Controller holds — or a QPN the
+        // Controller has no registration for at all (it restarted and lost
+        // its registry, and the target has not re-registered yet). Both are
+        // control-plane staleness, not network loss.
+        cause = AnomalyCause::kQpnReset;
+      }
+      timeouts.push_back({&r, target_host, &sla, cause});
+    } else {
+      sla.rtt.add(static_cast<double>(r.network_rtt));
+      sla.proc.add(static_cast<double>(r.responder_delay));
+      ok_delay[r.target.value].add(static_cast<double>(r.responder_delay));
+      if (r.network_rtt > cfg_.high_rtt_threshold) {
+        if (svc != nullptr) {
+          hot_service[r.service.value].push_back(&r);
+        } else {
+          hot_cluster.push_back(&r);
+        }
+      }
+    }
+    if (r.kind == ProbeKind::kTorMesh && !cause.has_value()) {
+      mesh.push_back({r.prober.value, r.target.value,
+                      r.status == ProbeStatus::kTimeout});
     }
   }
 
@@ -172,101 +231,75 @@ const PeriodReport& Analyzer::analyze_period(
   // would inflate its innocent peers' timeout ratios. Repeatedly blame the
   // RNIC with the worst ratio, discount every probe involving it, and
   // re-evaluate — peers polluted only by the culprit come out clean.
-  std::set<std::uint32_t> anomalous_rnics;
-  // Observed timeout ratio at the moment each RNIC was blamed (evidence).
-  std::unordered_map<std::uint32_t, double> blamed_frac;
-  std::unordered_map<std::uint32_t, RnicStat> per_rnic;
+  std::vector<bool> blamed(num_rnics);
+  // Blamed RNIC -> its observed timeout ratio when blamed (evidence).
+  std::map<std::uint32_t, double> anomalous_rnics;
+  std::vector<RnicStat> per_rnic(num_rnics);
   for (;;) {
-    per_rnic.clear();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const ProbeRecord& r = records[i];
-      if (r.kind != ProbeKind::kTorMesh || cause[i].has_value()) continue;
-      if (anomalous_rnics.contains(r.prober.value) ||
-          anomalous_rnics.contains(r.target.value)) {
-        continue;
-      }
-      RnicStat& st = per_rnic[r.target.value];
+    std::fill(per_rnic.begin(), per_rnic.end(), RnicStat{});
+    for (const MeshRow& row : mesh) {
+      if (flagged(blamed, row.prober) || blamed[row.target]) continue;
+      RnicStat& st = per_rnic[row.target];
       ++st.total;
-      if (r.status == ProbeStatus::kTimeout) ++st.timeouts;
+      if (row.timed_out) ++st.timeouts;
     }
     // Folded ToR-mesh OK counts (sketch mode) dilute timeout ratios exactly
     // as their raw records would; pairs touching an already-blamed RNIC are
-    // discounted the same way the raw loop above discounts them.
+    // discounted the same way the rows above are.
     for (const auto& [pair, cnt] : summary.tormesh_ok) {
-      if (anomalous_rnics.contains(pair.first) ||
-          anomalous_rnics.contains(pair.second)) {
+      if (flagged(blamed, pair.first) || flagged(blamed, pair.second)) {
         continue;
       }
-      per_rnic[pair.second].total += cnt;
+      per_rnic.at(pair.second).total += cnt;
     }
-    // The worst RNIC above the threshold, by a strict total order so that
-    // no tie falls to the map's iteration order: higher timeout ratio, then
-    // more timeouts (more evidence at an equal ratio), then the lower id.
-    struct Candidate {
-      std::uint32_t rnic;
-      double frac;
-      std::size_t timeouts;
-    };
-    std::optional<Candidate> worst;
-    for (const auto& [rnic, st] : per_rnic) {
+    // The worst RNIC above the threshold, by a strict total order: higher
+    // timeout ratio, then more timeouts (more evidence at an equal ratio),
+    // then the lower id — the ascending walk keeps the first of equals.
+    std::optional<std::uint32_t> worst;
+    double worst_frac = 0.0;
+    for (std::uint32_t rnic = 0; rnic < num_rnics; ++rnic) {
+      const RnicStat& st = per_rnic[rnic];
       if (st.total < 3) continue;
-      const Candidate c{rnic,
-                        static_cast<double>(st.timeouts) /
-                            static_cast<double>(st.total),
-                        st.timeouts};
-      if (c.frac <= kRnicTimeoutThreshold) continue;
-      if (!worst || c.frac > worst->frac ||
-          (c.frac == worst->frac &&
-           (c.timeouts > worst->timeouts ||
-            (c.timeouts == worst->timeouts && c.rnic < worst->rnic)))) {
-        worst = c;
+      const double frac =
+          static_cast<double>(st.timeouts) / static_cast<double>(st.total);
+      if (frac <= kRnicTimeoutThreshold) continue;
+      if (!worst || frac > worst_frac ||
+          (frac == worst_frac && st.timeouts > per_rnic[*worst].timeouts)) {
+        worst = rnic;
+        worst_frac = frac;
       }
     }
     if (!worst) break;
-    anomalous_rnics.insert(worst->rnic);
-    blamed_frac[worst->rnic] = worst->frac;
+    blamed[*worst] = true;
+    anomalous_rnics.emplace(*worst, worst_frac);
   }
 
-  // Responder-delay evidence per RNIC over ALL completed probes (the greedy
-  // loop above excludes blamed RNICs from its stats, but the Fig. 6 filter
-  // below needs their delays), seeded from the Agents' folded per-target
-  // delay sketches. A host's table merges its RNICs' sketches; a merge is
-  // bucket-wise addition, so that equals adding each record. The step-4
-  // bottleneck scan reads the same host table.
-  std::unordered_map<std::uint32_t, sketch::QuantileSketch> ok_delay_by_rnic(
-      summary.ok_delay_by_target.begin(), summary.ok_delay_by_target.end());
-  for (const ProbeRecord& r : records) {
-    if (r.status == ProbeStatus::kOk) {
-      ok_delay_by_rnic[r.target.value].add(
-          static_cast<double>(r.responder_delay));
-    }
-  }
-  std::map<std::uint32_t, sketch::QuantileSketch> host_ok_delay;
-  for (const auto& [rid, sk] : ok_delay_by_rnic) {
-    host_ok_delay[topo_.rnic(RnicId{rid}).host.value].merge(sk);
+  // A host's delay table merges its RNICs' sketches; a merge is bucket-wise
+  // addition, so that equals adding each record. The step-4 bottleneck scan
+  // reads the same table.
+  std::vector<sketch::QuantileSketch> host_ok_delay(num_hosts);
+  for (std::uint32_t rnic = 0; rnic < num_rnics; ++rnic) {
+    host_ok_delay[topo_.rnic(RnicId{rnic}).host.value].merge(ok_delay[rnic]);
   }
 
   // Figure 6 false-positive filters: the service occupying the Agent's CPU
   // makes probes to *all* of a host's RNICs time out at once, and/or shows
   // up as huge responder delays on the probes that did complete.
-  std::set<std::uint32_t> cpu_noise_hosts;
+  std::vector<bool> cpu_noise_hosts(num_hosts);
   if (cfg_.enable_cpu_noise_filters) {
-    std::unordered_map<std::uint32_t, std::size_t> anomalous_per_host;
-    for (std::uint32_t r : anomalous_rnics) {
+    std::map<std::uint32_t, std::size_t> anomalous_per_host;
+    for (const auto& [r, frac] : anomalous_rnics) {
       ++anomalous_per_host[topo_.rnic(RnicId{r}).host.value];
     }
     for (auto it = anomalous_rnics.begin(); it != anomalous_rnics.end();) {
-      const HostId h = topo_.rnic(RnicId{*it}).host;
+      const HostId h = topo_.rnic(RnicId{it->first}).host;
       const bool multi_rnic_simultaneous =
           anomalous_per_host[h.value] >= 2;
-      bool starved_responder = false;
-      if (auto sit = ok_delay_by_rnic.find(*it);
-          sit != ok_delay_by_rnic.end()) {
-        const sketch::QuantileSketch& st = sit->second;
-        starved_responder =
-            st.count() > 0 &&
-            st.quantile(0.9) > static_cast<double>(kStarveDelayThreshold);
-      }
+      const sketch::QuantileSketch& rnic_delay = ok_delay[it->first];
+      const bool starved_responder =
+          rnic_delay.count() > 0 &&
+          rnic_delay.quantile(0.9) >
+              static_cast<double>(kStarveDelayThreshold);
       // Third Fig. 6 signal: responder processing delay (④-③) is purely
       // host-side — a switch or link fault times probes out but leaves the
       // delay of the probes that DID complete at the µs scale. An anomalous
@@ -274,16 +307,19 @@ const PeriodReport& Analyzer::analyze_period(
       // is therefore the service starving the Agent, even when only one of
       // the host's RNICs crossed the timeout threshold and the per-RNIC p90
       // sits below the starve bar.
-      bool starved_host = false;
-      if (auto hit = host_ok_delay.find(h.value);
-          hit != host_ok_delay.end()) {
-        const sketch::QuantileSketch& st = hit->second;
-        starved_host =
-            st.count() >= 3 &&
-            st.quantile(0.9) > static_cast<double>(kHighProcDelayThreshold);
-      }
+      const sketch::QuantileSketch& host_delay = host_ok_delay[h.value];
+      const bool starved_host =
+          host_delay.count() >= 3 &&
+          host_delay.quantile(0.9) >
+              static_cast<double>(kHighProcDelayThreshold);
       if (multi_rnic_simultaneous || starved_responder || starved_host) {
-        cpu_noise_hosts.insert(h.value);
+        cpu_noise_hosts[h.value] = true;
+        // Noise hangover: a host the Fig. 6 filter flagged keeps filtering
+        // for kCpuNoiseWindow. The starved prober's observation backlog
+        // produces straggler timeout records for several periods after the
+        // service lets go of the CPU; without the hangover those stragglers
+        // reach Algorithm-1 voting and fabricate a switch problem.
+        host_noise_until_[h.value] = now + kCpuNoiseWindow;
         it = anomalous_rnics.erase(it);
       } else {
         ++it;
@@ -292,16 +328,8 @@ const PeriodReport& Analyzer::analyze_period(
   }
 
   // Blame window: anomalous now and for the next minute (§5).
-  for (std::uint32_t r : anomalous_rnics) {
+  for (const auto& [r, frac] : anomalous_rnics) {
     rnic_blamed_until_[r] = now + kRnicBlameWindow;
-  }
-  // Noise hangover: a host the Fig. 6 filter flagged keeps filtering for
-  // kCpuNoiseWindow. The starved prober's observation backlog produces
-  // straggler timeout records for several periods after the service lets
-  // go of the CPU; without the hangover those stragglers reach Algorithm-1
-  // voting and fabricate a switch problem.
-  for (std::uint32_t h : cpu_noise_hosts) {
-    host_noise_until_[h] = now + kCpuNoiseWindow;
   }
   // Attribution-only starvation evidence: a host whose completed probes
   // show bottleneck-scale responder delay is the prime suspect for its own
@@ -314,10 +342,11 @@ const PeriodReport& Analyzer::analyze_period(
   // below the 90th percentile (a healthy host's P99 sits at the µs scale,
   // three orders of magnitude under the threshold, so P99 stays specific).
   if (cfg_.enable_cpu_noise_filters) {
-    for (const auto& [h, st] : host_ok_delay) {
+    for (std::uint32_t h = 0; h < num_hosts; ++h) {
+      const sketch::QuantileSketch& st = host_ok_delay[h];
       if (st.count() >= 3 &&
           st.quantile(0.99) > static_cast<double>(kHighProcDelayThreshold)) {
-        triage.cpu_noise_hosts.insert(h);
+        triage.cpu_noise_hosts[h] = true;
       }
     }
   }
@@ -327,30 +356,32 @@ const PeriodReport& Analyzer::analyze_period(
   // global tier triages foreign timeouts against the union of every pod's
   // state, stragglers included.
   for (const auto& [h, until] : host_noise_until_) {
-    if (until >= rep.period_start) triage.cpu_noise_hosts.insert(h);
+    if (until >= rep.period_start) triage.cpu_noise_hosts[h] = true;
   }
   for (const auto& [r, until] : rnic_blamed_until_) {
-    if (until >= rep.period_start) triage.blamed_rnics.emplace(r, until);
+    if (until >= rep.period_start) triage.blamed_rnics[r] = until;
   }
-  const std::vector<std::uint32_t> down_hosts = sorted_keys(triage.down_hosts);
+  const std::vector<std::uint32_t> down_hosts = set_ids(triage.down_hosts);
   if (fed != nullptr) {
     fed->down_hosts = down_hosts;
-    fed->blamed_rnics.assign(triage.blamed_rnics.begin(),
-                             triage.blamed_rnics.end());
-    std::sort(fed->blamed_rnics.begin(), fed->blamed_rnics.end());
-    fed->cpu_noise_hosts = sorted_keys(triage.cpu_noise_hosts);
+    fed->blamed_rnics.clear();
+    for (std::uint32_t r = 0; r < num_rnics; ++r) {
+      if (triage.blamed(RnicId{r})) {
+        fed->blamed_rnics.emplace_back(r, triage.blamed_rnics[r]);
+      }
+    }
+    fed->cpu_noise_hosts = set_ids(triage.cpu_noise_hosts);
   }
 
   // ---- step 3: attribute the remaining timeouts ----
 
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProbeRecord& r = records[i];
-    if (r.status != ProbeStatus::kTimeout || cause[i].has_value()) continue;
-    const HostId target_host = topo_.rnic(r.target).host;
+  for (Timeout& t : timeouts) {
+    if (t.cause.has_value()) continue;
+    const ProbeRecord& r = *t.r;
     const AnomalyCause c =
-        triage.classify(target_host, r.prober_host, r.target, r.prober);
+        triage.classify(t.target_host, r.prober_host, r.target, r.prober);
     if (c == AnomalyCause::kSwitchProblem && fed != nullptr &&
-        !fed->local_hosts.contains(target_host.value)) {
+        !fed->local_hosts.contains(t.target_host.value)) {
       // Federation: the target lives in another pod, so "host down" and
       // "target RNIC blamed" are unknowable here. Voting this path locally
       // would turn every foreign host failure into a fake switch suspect —
@@ -363,7 +394,7 @@ const PeriodReport& Analyzer::analyze_period(
       f.prober = r.prober;
       f.target = r.target;
       f.prober_host = r.prober_host;
-      f.target_host = target_host;
+      f.target_host = t.target_host;
       f.service = r.service;
       f.path_known = r.path_known;
       if (r.path_known) {
@@ -374,7 +405,7 @@ const PeriodReport& Analyzer::analyze_period(
       }
       fed->foreign.push_back(std::move(f));
     } else {
-      cause[i] = c;
+      t.cause = c;
     }
   }
   if (fed != nullptr) {
@@ -385,17 +416,15 @@ const PeriodReport& Analyzer::analyze_period(
               });
   }
 
-  // Tallies + per-cause evidence sets.
-  std::unordered_set<std::uint64_t> rnic_timeout_ids;
-  std::unordered_set<std::uint64_t> switch_timeout_ids;
+  // Tallies, the SLA drop split, and per-cause evidence sets.
   std::vector<const ProbeRecord*> switch_cluster_evidence;
   std::map<std::uint32_t, std::vector<const ProbeRecord*>>
       switch_service_evidence;  // by service id
-  std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
+  std::map<std::uint32_t, std::vector<const ProbeRecord*>>
       rnic_evidence;  // by rnic id
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> host_down_ids;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> host_down_ids;
   std::vector<std::uint64_t> qpn_reset_ids;
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> cpu_noise_ids;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> cpu_noise_ids;
   const bool flight_on = obs::recorder().enabled();
   // Recorder-driven auto-triage: aggregate WHERE the evidence probes died
   // from their sampled flight timelines, so an evidence chain cites the
@@ -424,41 +453,40 @@ const PeriodReport& Analyzer::analyze_period(
     }
     for (auto& [site, cnt] : sites) c.drop_sites.emplace_back(site, cnt);
   };
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!cause[i].has_value()) continue;
-    const ProbeRecord& r = records[i];
+  for (const Timeout& t : timeouts) {
+    if (!t.cause.has_value()) continue;
+    const ProbeRecord& r = *t.r;
     if (flight_on && r.flight_sampled) {
       // Close the loop on the probe's timeline: which cause the Analyzer
       // attributed its timeout to.
       obs::recorder().record(r.id, obs::ProbeEventKind::kVerdict,
-                             static_cast<std::uint64_t>(*cause[i]));
+                             static_cast<std::uint64_t>(*t.cause));
     }
-    switch (*cause[i]) {
+    switch (*t.cause) {
       case AnomalyCause::kHostDown:
         ++rep.timeouts_host_down;
-        host_down_ids[topo_.rnic(r.target).host.value].push_back(r.id);
+        host_down_ids[t.target_host.value].push_back(r.id);
         break;
       case AnomalyCause::kQpnReset:
         ++rep.timeouts_qpn_reset;
         qpn_reset_ids.push_back(r.id);
         break;
-      case AnomalyCause::kAgentCpuNoise: {
+      case AnomalyCause::kAgentCpuNoise:
         ++rep.timeouts_agent_cpu;
-        const std::uint32_t th = topo_.rnic(r.target).host.value;
-        cpu_noise_ids[triage.noisy(HostId{th}) ? th : r.prober_host.value]
+        cpu_noise_ids[triage.noisy(t.target_host) ? t.target_host.value
+                                                   : r.prober_host.value]
             .push_back(r.id);
         break;
-      }
       case AnomalyCause::kRnicProblem:
         ++rep.timeouts_rnic;
-        rnic_timeout_ids.insert(r.id);
+        ++t.sla->rnic_drops;
         rnic_evidence[triage.blamed(r.target) ? r.target.value
                                               : r.prober.value]
             .push_back(&r);
         break;
       case AnomalyCause::kSwitchProblem:
         ++rep.timeouts_switch;
-        switch_timeout_ids.insert(r.id);
+        ++t.sla->switch_drops;
         if (r.kind == ProbeKind::kServiceTracing) {
           switch_service_evidence[r.service.value].push_back(&r);
         } else {
@@ -486,41 +514,38 @@ const PeriodReport& Analyzer::analyze_period(
                   static_cast<double>(lit == last_upload_.end()
                                           ? now
                                           : now - lit->second));
-    if (const auto idit = host_down_ids.find(h);
-        idit != host_down_ids.end()) {
-      for (std::uint64_t id : idit->second) add_probe(c, id);
-    }
+    for (std::uint64_t id : host_down_ids[h]) add_probe(c, id);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
     rep.problems.push_back(std::move(p));
   }
 
-  for (std::uint32_t r : anomalous_rnics) {
+  for (const auto& [r, frac] : anomalous_rnics) {
+    const std::vector<const ProbeRecord*>& ev = rnic_evidence[r];
     Problem p;
     p.category = ProblemCategory::kRnicProblem;
     p.rnic = RnicId{r};
     p.host = topo_.rnic(RnicId{r}).host;
-    p.anomalous_probes = rnic_evidence[r].size();
+    p.anomalous_probes = ev.size();
     p.summary = "RNIC " + topo_.rnic(RnicId{r}).name +
                 " anomalous (ToR-mesh timeout ratio exceeded)";
     obs::EvidenceChain c;
     c.verdict = "anomalous-rnic";
     c.triage_branch =
         "timeout-triage: ToR-mesh timeout ratio, greedy attribution";
-    const auto fit = blamed_frac.find(r);
-    add_threshold(c, "rnic_timeout_threshold", kRnicTimeoutThreshold,
-                  fit == blamed_frac.end() ? 0.0 : fit->second);
+    add_threshold(c, "rnic_timeout_threshold", kRnicTimeoutThreshold, frac);
     add_threshold(c, "min_anomalies_for_problem",
                   static_cast<double>(kMinAnomaliesForProblem),
-                  static_cast<double>(rnic_evidence[r].size()));
-    add_probes(c, rnic_evidence[r]);
-    fill_drop_sites(c, rnic_evidence[r]);
+                  static_cast<double>(ev.size()));
+    add_probes(c, ev);
+    fill_drop_sites(c, ev);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
     rep.problems.push_back(std::move(p));
   }
 
-  for (std::uint32_t h : cpu_noise_hosts) {
+  for (std::uint32_t h = 0; h < num_hosts; ++h) {
+    if (!cpu_noise_hosts[h]) continue;
     Problem p;
     p.category = ProblemCategory::kAgentCpuNoise;
     p.priority = Priority::kNoise;
@@ -533,24 +558,19 @@ const PeriodReport& Analyzer::analyze_period(
         "timeout-triage: Fig. 6 filter (multi-RNIC simultaneous timeouts, "
         "starved responder delays, or host-level processing-delay tail)";
     double worst_p90 = 0.0;
-    for (const auto& [rid, st] : ok_delay_by_rnic) {
-      if (topo_.rnic(RnicId{rid}).host.value == h && st.count() > 0) {
-        worst_p90 = std::max(worst_p90, st.quantile(0.9));
-      }
+    for (RnicId rnic : topo_.host(HostId{h}).rnics) {
+      const sketch::QuantileSketch& st = ok_delay[rnic.value];
+      if (st.count() > 0) worst_p90 = std::max(worst_p90, st.quantile(0.9));
     }
     add_threshold(c, "starve_delay_threshold_ns",
                   static_cast<double>(kStarveDelayThreshold),
                   worst_p90);
-    if (auto hit = host_ok_delay.find(h); hit != host_ok_delay.end() &&
-                                          hit->second.count() > 0) {
+    if (host_ok_delay[h].count() > 0) {
       add_threshold(c, "high_proc_delay_threshold_ns",
                     static_cast<double>(kHighProcDelayThreshold),
-                    hit->second.quantile(0.9));
+                    host_ok_delay[h].quantile(0.9));
     }
-    if (const auto idit = cpu_noise_ids.find(h);
-        idit != cpu_noise_ids.end()) {
-      for (std::uint64_t id : idit->second) add_probe(c, id);
-    }
+    for (std::uint64_t id : cpu_noise_ids[h]) add_probe(c, id);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
     rep.problems.push_back(std::move(p));
@@ -598,22 +618,6 @@ const PeriodReport& Analyzer::analyze_period(
   // ---- step 4: bottlenecks (high RTT / high processing delay) ----
   stage.emplace(prof::Stage::kDrainBottleneck);
 
-  std::vector<const ProbeRecord*> hot_cluster;
-  std::map<std::uint32_t, std::vector<const ProbeRecord*>> hot_service;
-  // Every raw probe whose delay entered its target host's table (folded
-  // records have no ids: this is a capped evidence sample, not a tally).
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> proc_probe_ids;
-  for (const ProbeRecord& r : records) {
-    if (r.status != ProbeStatus::kOk) continue;
-    if (r.network_rtt > cfg_.high_rtt_threshold) {
-      if (r.kind == ProbeKind::kServiceTracing) {
-        hot_service[r.service.value].push_back(&r);
-      } else {
-        hot_cluster.push_back(&r);
-      }
-    }
-    proc_probe_ids[topo_.rnic(r.target).host.value].push_back(r.id);
-  }
   const auto emit_hot = [&](std::vector<const ProbeRecord*>& ev,
                             bool from_service, ServiceId svc) {
     if (ev.size() < kMinAnomaliesForProblem) return;
@@ -651,35 +655,51 @@ const PeriodReport& Analyzer::analyze_period(
   emit_hot(hot_cluster, false, ServiceId{});
   for (auto& [svc, ev] : hot_service) emit_hot(ev, true, ServiceId{svc});
 
-  for (const auto& [h, st] : host_ok_delay) {  // ascending host id
-    if (cpu_noise_hosts.contains(h)) continue;  // already reported as noise
-    // Tail-based: an overloaded host shows in its P90 even when healthy
-    // probes to its other RNICs dilute the median.
-    if (st.count() >= kMinAnomaliesForProblem &&
+  // Tail-based: an overloaded host shows in its P90 even when healthy probes
+  // to its other RNICs dilute the median. Hosts already reported as noise
+  // are skipped.
+  std::vector<bool> overloaded(num_hosts);
+  bool any_overloaded = false;
+  for (std::uint32_t h = 0; h < num_hosts; ++h) {
+    const sketch::QuantileSketch& st = host_ok_delay[h];
+    if (!cpu_noise_hosts[h] && st.count() >= kMinAnomaliesForProblem &&
         st.quantile(0.9) > static_cast<double>(kHighProcDelayThreshold)) {
-      Problem p;
-      p.category = ProblemCategory::kHighProcessingDelay;
-      p.host = HostId{h};
-      p.anomalous_probes = st.count();
-      std::ostringstream os;
-      os << "end-host bottleneck on " << topo_.host(HostId{h}).name
-         << ": p90 processing delay "
-         << st.quantile(0.9) / 1e6 << " ms";
-      p.summary = os.str();
-      obs::EvidenceChain c;
-      c.verdict = "high-processing-delay";
-      c.triage_branch = "bottleneck scan: responder processing delay P90";
-      add_threshold(c, "high_proc_delay_threshold_ns",
-                    static_cast<double>(kHighProcDelayThreshold),
-                    st.quantile(0.9));
-      if (const auto idit = proc_probe_ids.find(h);
-          idit != proc_probe_ids.end()) {
-        for (std::uint64_t id : idit->second) add_probe(c, id);
-      }
-      attach_evidence(p, c);
-      dlog.chains.push_back(std::move(c));
-      rep.problems.push_back(std::move(p));
+      overloaded[h] = true;
+      any_overloaded = true;
     }
+  }
+  // Evidence: every raw probe whose delay entered an overloaded host's table
+  // (folded records have no ids: this is a capped evidence sample, not a
+  // tally). Only overloaded hosts read ids, so the walk runs only for them.
+  std::map<std::uint32_t, std::vector<std::uint64_t>> proc_probe_ids;
+  if (any_overloaded) {
+    for (const ProbeRecord& r : records) {
+      if (r.status != ProbeStatus::kOk) continue;
+      const std::uint32_t h = topo_.rnic(r.target).host.value;
+      if (overloaded[h]) proc_probe_ids[h].push_back(r.id);
+    }
+  }
+  for (std::uint32_t h = 0; h < num_hosts; ++h) {
+    if (!overloaded[h]) continue;
+    const sketch::QuantileSketch& st = host_ok_delay[h];
+    Problem p;
+    p.category = ProblemCategory::kHighProcessingDelay;
+    p.host = HostId{h};
+    p.anomalous_probes = st.count();
+    std::ostringstream os;
+    os << "end-host bottleneck on " << topo_.host(HostId{h}).name
+       << ": p90 processing delay " << st.quantile(0.9) / 1e6 << " ms";
+    p.summary = os.str();
+    obs::EvidenceChain c;
+    c.verdict = "high-processing-delay";
+    c.triage_branch = "bottleneck scan: responder processing delay P90";
+    add_threshold(c, "high_proc_delay_threshold_ns",
+                  static_cast<double>(kHighProcDelayThreshold),
+                  st.quantile(0.9));
+    for (std::uint64_t id : proc_probe_ids[h]) add_probe(c, id);
+    attach_evidence(p, c);
+    dlog.chains.push_back(std::move(c));
+    rep.problems.push_back(std::move(p));
   }
 
   // QPN-reset noise visibility (not a problem, but operators see it).
@@ -704,35 +724,18 @@ const PeriodReport& Analyzer::analyze_period(
   // ---- step 5: SLA tracking ----
   stage.emplace(prof::Stage::kDrainSla);
 
-  std::vector<const ProbeRecord*> cluster_records;
-  std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
-      service_records;
-  for (const ProbeRecord& r : records) {
-    if (r.kind == ProbeKind::kServiceTracing) {
-      service_records[r.service.value].push_back(&r);
-    } else {
-      cluster_records.push_back(&r);
-    }
+  rep.cluster_sla = cluster_sla.to_report();
+  for (auto& [svc, t] : services) {
+    rep.service_slas.emplace_back(ServiceId{svc}, t.sla.to_report());
+    if (fed != nullptr) fed->service_slas.emplace_back(svc, std::move(t.sla));
   }
-  // Every SLA table is its mergeable digest's table: exact counts and
-  // DDSketch tails. Folded records (sketch mode) seed the cluster digest and
-  // never carry a service id. A pod ships the digests themselves, so the
-  // global tables are identical no matter how pods are grouped.
-  SlaDigest cluster_digest = sla_digest(cluster_records, &summary,
-                                        rnic_timeout_ids, switch_timeout_ids);
-  rep.cluster_sla = cluster_digest.to_report();
-  for (std::uint32_t svc : sorted_keys(service_records)) {
-    SlaDigest d = sla_digest(service_records.at(svc), nullptr,
-                             rnic_timeout_ids, switch_timeout_ids);
-    rep.service_slas.emplace_back(ServiceId{svc}, d.to_report());
-    if (fed != nullptr) fed->service_slas.emplace_back(svc, std::move(d));
-  }
-  if (fed != nullptr) fed->cluster_sla = std::move(cluster_digest);
+  if (fed != nullptr) fed->cluster_sla = std::move(cluster_sla);
   if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
-    for (const ProbeRecord* r : cluster_records) {
-      if (rnic_timeout_ids.contains(r->id) ||
-          switch_timeout_ids.contains(r->id)) {
-        sample_probe(*c, r->id);
+    for (const Timeout& t : timeouts) {
+      if (t.r->kind != ProbeKind::kServiceTracing &&
+          (t.cause == AnomalyCause::kRnicProblem ||
+           t.cause == AnomalyCause::kSwitchProblem)) {
+        sample_probe(*c, t.r->id);
       }
     }
   }
@@ -740,45 +743,19 @@ const PeriodReport& Analyzer::analyze_period(
   // ---- step 6: impact (needs the service networks from this period) ----
   stage.emplace(prof::Stage::kDrainImpact);
 
-  // Service network = every link/rnic/host the service's tracing probes
-  // touched this period.
-  struct ServiceNet {
-    std::unordered_set<std::uint32_t> links;
-    std::unordered_set<std::uint32_t> rnics;
-    std::unordered_set<std::uint32_t> hosts;
-  };
-  std::unordered_map<std::uint32_t, ServiceNet> nets;
-  for (const ProbeRecord& r : records) {
-    if (r.kind != ProbeKind::kServiceTracing) continue;
-    ServiceNet& n = nets[r.service.value];
-    n.rnics.insert(r.prober.value);
-    n.rnics.insert(r.target.value);
-    n.hosts.insert(topo_.rnic(r.prober).host.value);
-    n.hosts.insert(topo_.rnic(r.target).host.value);
-    if (r.path_known) {
-      for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
-        for (LinkId l : p->links) n.links.insert(l.value);
-      }
-    }
-  }
   // Lowest service id first, as in the global tier: a problem touching
   // several service networks lands in the lowest service it touches.
   std::vector<ServiceNetDigest> net_list;
-  net_list.reserve(nets.size());
-  for (const auto& [svc, net] : nets) {
+  net_list.reserve(services.size());
+  ServiceRecords service_records;
+  for (auto& [svc, t] : services) {
     ServiceNetDigest& d = net_list.emplace_back();
     d.service = svc;
-    d.links.assign(net.links.begin(), net.links.end());
-    d.rnics.assign(net.rnics.begin(), net.rnics.end());
-    d.hosts.assign(net.hosts.begin(), net.hosts.end());
-    std::sort(d.links.begin(), d.links.end());
-    std::sort(d.rnics.begin(), d.rnics.end());
-    std::sort(d.hosts.begin(), d.hosts.end());
+    d.links = set_ids(t.links);
+    d.rnics = set_ids(t.rnics);
+    d.hosts = set_ids(t.hosts);
+    service_records.emplace(svc, std::move(t.records));
   }
-  std::sort(net_list.begin(), net_list.end(),
-            [](const ServiceNetDigest& a, const ServiceNetDigest& b) {
-              return a.service < b.service;
-            });
   if (fed != nullptr) fed->service_nets = net_list;
   assess_impact(rep.problems, net_list);
   innocent_chains(rep.problems, dlog, &service_records);

@@ -269,16 +269,18 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   }
 
   // ---- union of pod liveness/blame/noise state ----
-  TriageSets triage;
-  triage.period_start = rep.period_start;
+  // Digest ids index the topology's tables; one outside it is dropped.
+  TriageSets triage(topo_, rep.period_start);
+  const auto mark = [](std::vector<bool>& hosts, std::uint32_t h) {
+    if (h < hosts.size()) hosts[h] = true;
+  };
   for (const PodDigest& d : digests) {
-    triage.down_hosts.insert(d.down_hosts.begin(), d.down_hosts.end());
+    for (std::uint32_t h : d.down_hosts) mark(triage.down_hosts, h);
     for (const auto& [r, until] : d.blamed_rnics) {
-      TimeNs& u = triage.blamed_rnics[r];
-      u = std::max(u, until);
+      if (r >= triage.blamed_rnics.size()) continue;
+      triage.blamed_rnics[r] = std::max(triage.blamed_rnics[r], until);
     }
-    triage.cpu_noise_hosts.insert(d.cpu_noise_hosts.begin(),
-                                  d.cpu_noise_hosts.end());
+    for (std::uint32_t h : d.cpu_noise_hosts) mark(triage.cpu_noise_hosts, h);
   }
 
   // ---- triage of the deferred foreign timeouts ----

@@ -45,7 +45,7 @@ void add_probe(obs::EvidenceChain& c, std::uint64_t id) {
 
 AnomalyCause TriageSets::classify(HostId target_host, HostId prober_host,
                                   RnicId target, RnicId prober) const {
-  if (down_hosts.contains(target_host.value)) return AnomalyCause::kHostDown;
+  if (down(target_host)) return AnomalyCause::kHostDown;
   // A starved Agent corrupts probes in BOTH directions: its responder never
   // ACKs (timeouts to it) and its prober thread observes ⑥ too late
   // (timeouts from it).

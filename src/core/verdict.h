@@ -21,9 +21,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
+#include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "core/journal.h"
 #include "core/types.h"
 #include "obs/diagnosis.h"
+#include "topo/topology.h"
 
 namespace rpm::core {
 
@@ -88,23 +90,37 @@ void sample_probe(obs::EvidenceChain& c, std::uint64_t id);
 /// Counts the probe in `c.total_probes` and samples it (sample_probe).
 void add_probe(obs::EvidenceChain& c, std::uint64_t id);
 
-/// §4.3.1 timeout triage state. A timeout is explained, in this order, by
-/// its target host being down, by agent-CPU noise on either end, by a
-/// blamed RNIC on either end, and only then by the switch network.
+/// §4.3.1 timeout triage state, one entry per topology id. A timeout is
+/// explained, in this order, by its target host being down, by agent-CPU
+/// noise on either end, by a blamed RNIC on either end, and only then by
+/// the switch network. The queries read an id outside the topology as
+/// neither down, noisy nor blamed.
 struct TriageSets {
-  std::unordered_set<std::uint32_t> down_hosts;
+  /// Blame-window end of an RNIC never blamed: before every period.
+  static constexpr TimeNs kNeverBlamed = std::numeric_limits<TimeNs>::min();
+
+  TriageSets(const topo::Topology& topo, TimeNs start)
+      : down_hosts(topo.num_hosts()),
+        cpu_noise_hosts(topo.num_hosts()),
+        blamed_rnics(topo.num_rnics(), kNeverBlamed),
+        period_start(start) {}
+
+  std::vector<bool> down_hosts;  // by host id
   /// Hosts whose Agent is (or was recently) starved by the service.
-  std::unordered_set<std::uint32_t> cpu_noise_hosts;
-  /// RNIC -> end of its blame window; blamed while >= period_start.
-  std::unordered_map<std::uint32_t, TimeNs> blamed_rnics;
+  std::vector<bool> cpu_noise_hosts;  // by host id
+  /// By RNIC id: the end of its blame window; blamed while >= period_start.
+  std::vector<TimeNs> blamed_rnics;
   TimeNs period_start = 0;
 
+  [[nodiscard]] bool down(HostId h) const {
+    return h.value < down_hosts.size() && down_hosts[h.value];
+  }
   [[nodiscard]] bool noisy(HostId h) const {
-    return cpu_noise_hosts.contains(h.value);
+    return h.value < cpu_noise_hosts.size() && cpu_noise_hosts[h.value];
   }
   [[nodiscard]] bool blamed(RnicId r) const {
-    const auto it = blamed_rnics.find(r.value);
-    return it != blamed_rnics.end() && it->second >= period_start;
+    return r.value < blamed_rnics.size() &&
+           blamed_rnics[r.value] >= period_start;
   }
   [[nodiscard]] AnomalyCause classify(HostId target_host, HostId prober_host,
                                       RnicId target, RnicId prober) const;
@@ -170,7 +186,7 @@ class VerdictLog {
 
  protected:
   using ServiceRecords =
-      std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>;
+      std::map<std::uint32_t, std::vector<const ProbeRecord*>>;
 
   explicit VerdictLog(std::string role) : role_(std::move(role)) {}
 

@@ -58,11 +58,11 @@ enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
   kIngestSubmit,        // IngestSink submit
   kDrainCollect,        // period close: take the sink's period buffer
-  kDrainTriage,         // analyze_period: classify + rnic_detect + attribute
-  kDrainVote,           // analyze_period: Algorithm-1 localization
-  kDrainBottleneck,     // analyze_period: bottleneck scan
-  kDrainSla,            // analyze_period: SLA percentile tables
-  kDrainImpact,         // analyze_period: P0/P1/P2 impact assessment
+  kDrainTriage,         // analyze_period: the one record walk, steps 1-3
+  kDrainVote,           // analyze_period: emission, Algorithm-1 localization
+  kDrainBottleneck,     // analyze_period: RTT + processing-delay verdicts
+  kDrainSla,            // analyze_period: SLA tables from their digests
+  kDrainImpact,         // analyze_period: service networks + impact
   kDrainDiaglog,        // period-end history/diagnosis/journal bookkeeping
   kDrainRelease,        // period close: free the period's drained records
   kDigestFlush,         // PodAnalyzer built + sent one PodDigest

@@ -372,29 +372,39 @@ TEST_F(AnalyzerTest, RnicBlameWindowPersistsAcrossPeriods) {
 }
 
 TEST_F(AnalyzerTest, SlaSplitsRnicAndSwitchDropRates) {
-  heartbeat_all_hosts();
-  upload_healthy_tormesh(10);  // 160 OK probes
-  std::vector<ProbeRecord> recs;
-  // An anomalous RNIC (20 timeouts)...
-  for (int i = 0; i < 20; ++i) {
-    recs.push_back(make_record(RnicId{4}, RnicId{6}, ProbeStatus::kTimeout));
+  // The split is per record. In the second period the switch-attributed
+  // timeouts reuse the ids of RNIC-attributed ones (tests and local
+  // producers may upload any id), and each record still counts once, in its
+  // own class.
+  for (const bool shared_ids : {false, true}) {
+    SCOPED_TRACE(shared_ids ? "shared ids" : "distinct ids");
+    heartbeat_all_hosts();
+    upload_healthy_tormesh(10);  // 160 OK probes
+    std::vector<ProbeRecord> recs;
+    // An anomalous RNIC (20 timeouts)...
+    for (int i = 0; i < 20; ++i) {
+      recs.push_back(make_record(RnicId{4}, RnicId{6}, ProbeStatus::kTimeout));
+    }
+    // ...and a switch problem (10 timeouts on one inter-ToR tuple).
+    ProbeRecord proto = make_record(RnicId{0}, RnicId{12},
+                                    ProbeStatus::kTimeout,
+                                    ProbeKind::kInterTor);
+    for (std::size_t i = 0; i < 10; ++i) {
+      ProbeRecord r = proto;
+      r.id = shared_ids ? recs[i].id : next_id_++;
+      recs.push_back(r);
+    }
+    analyzer_.upload(HostId{0}, std::move(recs));
+    const PeriodReport& rep = analyzer_.analyze_now();
+    EXPECT_EQ(rep.timeouts_rnic, 20u);
+    EXPECT_EQ(rep.timeouts_switch, 10u);
+    const auto& sla = rep.cluster_sla;
+    EXPECT_EQ(sla.probes, 160u + 30u);
+    EXPECT_EQ(sla.timeouts, 30u);
+    EXPECT_NEAR(sla.rnic_drop_rate, 20.0 / 190.0, 1e-9);
+    EXPECT_NEAR(sla.switch_drop_rate, 10.0 / 190.0, 1e-9);
+    EXPECT_GT(sla.rtt_p50, 0.0);
   }
-  // ...and a switch problem (10 timeouts on one inter-ToR tuple).
-  ProbeRecord proto = make_record(RnicId{0}, RnicId{12},
-                                  ProbeStatus::kTimeout, ProbeKind::kInterTor);
-  for (int i = 0; i < 10; ++i) {
-    ProbeRecord r = proto;
-    r.id = next_id_++;
-    recs.push_back(r);
-  }
-  analyzer_.upload(HostId{0}, std::move(recs));
-  const PeriodReport& rep = analyzer_.analyze_now();
-  const auto& sla = rep.cluster_sla;
-  EXPECT_EQ(sla.probes, 160u + 30u);
-  EXPECT_EQ(sla.timeouts, 30u);
-  EXPECT_NEAR(sla.rnic_drop_rate, 20.0 / 190.0, 1e-9);
-  EXPECT_NEAR(sla.switch_drop_rate, 10.0 / 190.0, 1e-9);
-  EXPECT_GT(sla.rtt_p50, 0.0);
 }
 
 TEST_F(AnalyzerTest, ServiceImpactPriorities) {
@@ -981,6 +991,16 @@ TEST_F(AnalyzerTest, GreedyTieBlamesTheRnicWithMoreTimeouts) {
   EXPECT_EQ(rep.timeouts_switch, 0u);
 }
 
+/// 64-bit FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 // Every field of a PeriodReport, doubles in hex so no bit is rounded away.
 std::string serialize(const PeriodReport& rep) {
   std::ostringstream os;
@@ -1092,8 +1112,15 @@ TEST_F(AnalyzerTest, VerdictsDoNotDependOnRecordOrder) {
   EXPECT_NE(base.find("stopped uploading"), std::string::npos);
   EXPECT_NE(base.find("anomalous-rnic"), std::string::npos);
   EXPECT_NE(base.find("end-host bottleneck"), std::string::npos);
+  EXPECT_NE(base.find("high-processing-delay"), std::string::npos);
+  EXPECT_NE(base.find("high-network-rtt"), std::string::npos);
   EXPECT_NE(base.find("service tracing"), std::string::npos);
   EXPECT_NE(base.find("sla-violation"), std::string::npos);
+  // Pinned across builds, as the federation verdict stream is: the report
+  // and DiagnosisLog bytes of this period. A deliberate verdict change
+  // re-records the constant.
+  EXPECT_EQ(base.size(), 8108u);
+  EXPECT_EQ(fnv1a(base), 0x0b382e6adbe1ef4fULL);
   for (std::uint32_t seed = 1; seed <= 5; ++seed) {
     std::mt19937 rng(seed);
     std::vector<std::uint32_t> silent_order = silent;

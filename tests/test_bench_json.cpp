@@ -12,7 +12,8 @@ namespace {
 
 TEST(BenchJson, EscapesQuotesNewlinesAndControlCharacters) {
   const std::string hostile = "say \"hi\"\nthen\x01 stop\\";
-  bench::BenchJson out{"escape"};
+  bench::BenchJson out;
+  out.bench = "escape";
   out.params = [&](json::Writer& w) {
     w.key("label").string(hostile).key("n").integer(3);
   };

@@ -188,7 +188,7 @@ TEST_F(FaultsTest, RecordsCarryGroundTruth) {
   EXPECT_EQ(inj_.active_faults().size(), 1u);
   inj_.clear(h);
   EXPECT_TRUE(inj_.active_faults().empty());
-  EXPECT_THROW(inj_.record(h), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(inj_.record(h)), std::out_of_range);
 }
 
 TEST_F(FaultsTest, ClearAllRevertsEverything) {

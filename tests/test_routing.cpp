@@ -175,7 +175,7 @@ TEST_F(EcmpTest, CandidatesExposedForEquationOne) {
 }
 
 TEST_F(EcmpTest, PickRejectsZeroCandidates) {
-  EXPECT_THROW(router_.pick(SwitchId{0}, FiveTuple{}, 0),
+  EXPECT_THROW(static_cast<void>(router_.pick(SwitchId{0}, FiveTuple{}, 0)),
                std::invalid_argument);
 }
 
