@@ -3,6 +3,7 @@
 // host-LOCAL inter-NIC probes must traverse the top-tier spines: with enough
 // 5-tuples, self-probing covers every fabric link without any Controller
 // pinglist — and a fabric fault is localized from those probes alone.
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -34,8 +35,11 @@ void run() {
   probe.dst_ip = topo.rnic(RnicId{1}).ip;
   probe.src_port = 1;
   const auto p = cluster.router().resolve(RnicId{0}, RnicId{1}, probe);
-  std::printf("NIC0 -> NIC1 of host 0 crosses %zu switches (rail, spine, "
-              "rail)\n", p.switches.size());
+  const auto crossed = std::count_if(
+      p.links.begin(), p.links.end(),
+      [&](LinkId l) { return topo.link(l).to.is_switch(); });
+  std::printf("NIC0 -> NIC1 of host 0 crosses %td switches (rail, spine, "
+              "rail)\n", crossed);
 
   // Coverage: how many 5-tuples per host until every fabric link is seen by
   // some host-local probe (both directions)?

@@ -308,6 +308,7 @@ void BM_AnalyzerIngest(benchmark::State& state) {
   proto.kind = core::ProbeKind::kTorMesh;
   proto.prober = RnicId{0};
   proto.target = RnicId{1};
+  proto.prober_host = HostId{0};
   proto.status = core::ProbeStatus::kOk;
   proto.network_rtt = usec(5);
 
@@ -436,6 +437,7 @@ int write_ingest_json(const std::string& path) {
   proto.kind = core::ProbeKind::kTorMesh;
   proto.prober = RnicId{0};
   proto.target = RnicId{1};
+  proto.prober_host = HostId{0};
   proto.status = core::ProbeStatus::kOk;
   proto.network_rtt = usec(5);
 
@@ -464,7 +466,8 @@ int write_ingest_json(const std::string& path) {
         .key("batch").integer(kBatch)
         .key("hosts").integer(64);
   };
-  core::IngestSink sink;
+  const topo::Topology topo = topo::build_clos(bench_clos());  // 64 hosts
+  core::IngestSink sink(topo);
   // Warm-up period, then three measured periods.
   for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
   (void)sink.drain_period();

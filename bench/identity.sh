@@ -6,10 +6,12 @@
 #
 # Two runs that print the same lines produced the same verdicts, SLA tables,
 # chaos/fuzz scorecards, federation and sketch dumps, the quickstart flight
-# dump and counters, and bench/example narration. Run it against two builds (or twice against one)
-# and diff the output. Every output is written into OUT_DIR (created if
-# missing); JSON outputs are validated with `python3 -m json.tool`. Exits
-# non-zero when any command fails or any JSON output does not parse.
+# dump and counters, and bench/example narration (path tracing included:
+# the Traceroute-vs-INT ablation and the rail-optimized paths of Fig. 12).
+# Run it against two builds (or twice against one) and diff the output.
+# Every output is written into OUT_DIR (created if missing); JSON outputs are
+# validated with `python3 -m json.tool`. Exits non-zero when any command
+# fails or any JSON output does not parse.
 #
 # Wall-clock output is excluded: the fuzz/chaos/bench dumps and the flight
 # dump carry none (the profiler keeps wall time on its own trace track), and
@@ -43,8 +45,9 @@ grep -E '^rpm_(agent|fabric|link|analyzer|pod|global)_' quickstart.txt \
 
 benches=(bench_fig1_flapping bench_fig5_sla_timeline bench_fig8_bottlenecks
          bench_fig9_network_innocent bench_fig10_service_tracing
-         bench_fig11_cc_comparison bench_fig13_congestion_causes
-         bench_table2_problem_catalog)
+         bench_fig11_cc_comparison bench_fig12_rail_optimized
+         bench_fig13_congestion_causes bench_table2_problem_catalog
+         bench_ablation_path_tracing)
 examples=(troubleshoot_training service_tracing_loadbalance
           public_cloud_diagnosis)
 for b in "${benches[@]}"; do "$bn/$b" > "$b.txt"; done

@@ -13,16 +13,22 @@
 
 namespace rpm {
 
+/// Seqs within this many of the highest seen are remembered: the transport's
+/// default in-flight window (`ChannelConfig::max_in_flight`). A sender keeps
+/// at most that many seqs unacked, so a seq further behind was acked or
+/// abandoned, and a copy of it can only be an old retransmit.
+inline constexpr std::uint64_t kDedupWindow = 64;
+
 /// Per-sender sliding-window seq memory.
 struct DedupState {
   std::uint64_t max_seq = 0;
   std::unordered_set<std::uint64_t> seen;
 };
 
-/// True when `seq` is a first delivery inside the window of `window` seqs
-/// below the highest seen; records the seq and slides the window forward.
-/// A seq that fell behind the window counts as a duplicate: it can only be
-/// an ancient retransmit, and dropping it never double-counts.
-bool dedup_accept(DedupState& st, std::uint64_t seq, std::uint64_t window);
+/// True when `seq` is a first delivery inside the kDedupWindow seqs below
+/// the highest seen; records the seq and slides the window forward. A seq
+/// that fell behind the window counts as a duplicate: it can only be an
+/// ancient retransmit, and dropping it never double-counts.
+bool dedup_accept(DedupState& st, std::uint64_t seq);
 
 }  // namespace rpm

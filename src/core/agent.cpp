@@ -503,18 +503,16 @@ Agent::PathCacheEntry& Agent::traced_paths(std::uint32_t slot,
   FiveTuple rev_tuple = e.tuple;
   std::swap(rev_tuple.src_ip, rev_tuple.dst_ip);
 
+  auto& fab = cluster_.fabric();
   if (cfg_.use_int_telemetry) {
     // §7.4: INT stamps the path in the data plane — always answers, always
-    // current.
-    auto fwd = cluster_.int_telemetry().trace(st.rnic, e.target, e.tuple);
-    auto rev = cluster_.int_telemetry().trace(e.target, st.rnic, rev_tuple);
-    cache.fwd = std::move(fwd.path);
-    cache.rev = std::move(rev.path);
+    // current: the fabric's current path, with no switch CPU in the loop.
+    cache.fwd = fab.current_path(st.rnic, e.target, e.tuple);
+    cache.rev = fab.current_path(e.target, st.rnic, rev_tuple);
     cache.known = true;
     return cache;
   }
 
-  auto& fab = cluster_.fabric();
   const auto link_up = [&fab](LinkId l) { return fab.link_usable(l); };
   auto fwd = cluster_.traceroute().trace(st.rnic, e.target, e.tuple, now,
                                          link_up);

@@ -113,14 +113,13 @@ const PeriodReport& Analyzer::analyze_period(
     for (const ProbeRecord* r : ev) add_probe(c, r->id);
   };
   // Algorithm 1 over the evidence probes' forward and ACK paths.
-  const auto vote = [](const std::vector<const ProbeRecord*>& ev, Problem& p,
-                       obs::EvidenceChain& c) {
+  const auto vote = [this](const std::vector<const ProbeRecord*>& ev,
+                           Problem& p, obs::EvidenceChain& c) {
     VoteTally tally;
     for (const ProbeRecord* r : ev) {
       if (!r->path_known) continue;
       for (const routing::Path* path : {&r->fwd_path, &r->rev_path}) {
-        for (LinkId l : path->links) tally.add_link(l.value);
-        for (SwitchId s : path->switches) tally.add_switch(s.value);
+        for (LinkId l : path->links) tally.add_hop(topo_, l);
       }
     }
     tally.decide(p, &c);
@@ -400,7 +399,6 @@ const PeriodReport& Analyzer::analyze_period(
       if (r.path_known) {
         for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
           for (LinkId l : p->links) f.path_links.push_back(l.value);
-          for (SwitchId s : p->switches) f.path_switches.push_back(s.value);
         }
       }
       fed->foreign.push_back(std::move(f));

@@ -16,7 +16,7 @@ Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
       directory_(&controller),
       sched_(sched),
       cfg_(std::move(cfg)),
-      sink_(sink_hooks()) {
+      sink_(topo, sink_hooks()) {
   if (cfg_.period <= 0) {
     throw std::invalid_argument("AnalyzerConfig: period must be > 0");
   }
@@ -135,7 +135,7 @@ void Analyzer::crash() {
   // Everything in process memory dies: buffered records, the folded
   // summary, dedup windows, pipeline history. Rebuild the sink empty and
   // hold it paused until restore_from_journal().
-  sink_ = IngestSink(sink_hooks());
+  sink_ = IngestSink(topo_, sink_hooks());
   sink_.set_paused(true);
   last_upload_.clear();
   known_hosts_.clear();

@@ -73,7 +73,7 @@ std::size_t pod_digest_wire_bytes(const PodDigest& d) {
   b += 8;
   for (const ForeignTimeout& f : d.foreign) {
     b += 8 + 1 + 4 * 4 + 4 + 1;  // probe id, kind, endpoints, service, flag
-    b += 8 + f.path_links.size() * 4 + 8 + f.path_switches.size() * 4;
+    b += 8 + f.path_links.size() * 4;
   }
   b += sla_digest_wire_bytes(d.cluster_sla);
   b += 8;

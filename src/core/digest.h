@@ -62,8 +62,7 @@ struct ForeignTimeout {
   HostId target_host;
   ServiceId service;
   bool path_known = false;
-  std::vector<std::uint32_t> path_links;     // fwd + rev, in path order
-  std::vector<std::uint32_t> path_switches;  // fwd + rev, in path order
+  std::vector<std::uint32_t> path_links;  // fwd + rev, in path order
 };
 
 /// The links/RNICs/hosts one service's tracing probes touched inside the

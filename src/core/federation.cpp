@@ -24,8 +24,6 @@ constexpr std::uint64_t kDigestTraceBase = 1ull << 61;
 // Global merge ticks fire this far after the pods' period boundary, giving
 // digests a control-plane flight's head start.
 constexpr TimeNs kMergeOffset = msec(500);
-// Per-pod digest seq dedup window at the global tier (retries/duplicates).
-constexpr std::uint64_t kDigestDedupWindow = 64;
 
 std::uint64_t digest_trace_id(std::uint32_t pod, std::uint64_t seq) {
   return kDigestTraceBase | (static_cast<std::uint64_t>(pod) << 32) |
@@ -155,7 +153,7 @@ GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
 void GlobalAnalyzer::ingest_digest(PodDigest&& d) {
   if (outage_) return;  // a blacked-out merge tier hears nothing
   DedupState& st = digest_dedup_[d.pod];
-  if (!dedup_accept(st, d.seq, kDigestDedupWindow)) {
+  if (!dedup_accept(st, d.seq)) {
     ++duplicate_digests_;
     return;
   }
@@ -385,8 +383,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
     for (const ForeignTimeout* f : ev) {
       add_probe(c, f->probe_id);
       if (!f->path_known) continue;
-      for (std::uint32_t l : f->path_links) tally.add_link(l);
-      for (std::uint32_t s : f->path_switches) tally.add_switch(s);
+      for (std::uint32_t l : f->path_links) tally.add_hop(topo_, LinkId{l});
     }
     tally.decide(p, &c);
     std::ostringstream os;

@@ -2,7 +2,8 @@
 //
 // Every record an Agent uploads passes through exactly one IngestSink. The
 // sink owns the §4.3 pre-analysis mechanics — (host, seq) duplicate
-// suppression for the at-least-once transport and the period's record
+// suppression for the at-least-once transport, the id check that keeps
+// every id the pipeline indexes inside the topology, and the period's record
 // buffer:
 //
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
@@ -26,6 +27,7 @@
 #include "core/types.h"
 #include "sketch/sketch.h"
 #include "telemetry/metrics.h"
+#include "topo/topology.h"
 
 namespace rpm::core {
 
@@ -65,18 +67,19 @@ struct IngestHooks {
 /// The ingestion endpoint. One per Analyzer.
 class IngestSink {
  public:
-  /// Per host, batch seqs within this many of the highest seen are
-  /// remembered and repeats dropped (dedup_accept).
-  static constexpr std::uint64_t kDedupWindow = 1024;
+  /// Uploads are checked against `topo`: a batch from a host outside it or
+  /// whose summary folds an RNIC outside it, and a record whose prober,
+  /// prober host, target or any path link lies outside it, are dropped and
+  /// counted.
+  explicit IngestSink(const topo::Topology& topo, IngestHooks hooks = {});
 
-  explicit IngestSink(IngestHooks hooks = {});
-
-  /// Transport delivery path: dedup by (host, seq), then buffer. Dropped
-  /// silently while paused (Analyzer outage).
+  /// Transport delivery path: id check, dedup by (host, seq), then buffer.
+  /// Dropped silently while paused (Analyzer outage).
   void submit(UploadBatch&& batch);
 
   /// Trusted local path: no seq, no duplicate suppression, ignores pause
-  /// (matching the historical Analyzer::upload contract).
+  /// (matching the historical Analyzer::upload contract). Ids are checked
+  /// as in submit().
   void submit_trusted(HostId host, std::vector<ProbeRecord>&& records);
 
   /// Every record accepted since the last drain, in submission order. The
@@ -103,8 +106,12 @@ class IngestSink {
   void restore(const IngestCheckpoint& cp) { dedup_ = restore_windows(cp); }
 
  private:
+  /// False (and counted) when `host`, or an RNIC `summary` folds, lies
+  /// outside the topology.
+  bool accept_batch(HostId host, const sketch::HostSummary* summary);
   void ingest(std::vector<ProbeRecord>&& records);
 
+  const topo::Topology* topo_;
   IngestHooks hooks_;
   std::vector<ProbeRecord> pending_;  // this period's records
   sketch::HostSummary summary_;
@@ -115,6 +122,9 @@ class IngestSink {
   telemetry::Counter records_;
   telemetry::Counter batches_accepted_;
   telemetry::Counter batches_duplicate_;
+  // Registered on the first rejection: a run with none exports no series.
+  telemetry::Counter batches_rejected_;
+  telemetry::Counter records_rejected_;
 };
 
 }  // namespace rpm::core

@@ -49,11 +49,10 @@ std::size_t upload_batch_wire_bytes(const UploadBatch& b) {
   std::size_t n = 4 + 8 + 4;
   for (const ProbeRecord& r : b.records) {
     // ... plus each record's fixed fields (ids, tuple, timestamps, status)
-    // and 4 bytes per traced path element.
+    // and 4 bytes per traced path link.
     n += 96;
     if (r.path_known) {
-      n += 4 * (r.fwd_path.links.size() + r.fwd_path.switches.size() +
-                r.rev_path.links.size() + r.rev_path.switches.size());
+      n += 4 * (r.fwd_path.links.size() + r.rev_path.links.size());
     }
   }
   if (!b.summary.empty()) n += b.summary.serialized_bytes();

@@ -130,6 +130,13 @@ struct TriageSets {
 /// anomalous probes' paths; the most-voted are the suspects.
 class VoteTally {
  public:
+  /// One traversal of path link `link`: a vote for the link and one for the
+  /// switch it enters (a host-bound last link enters none).
+  void add_hop(const topo::Topology& topo, LinkId link) {
+    add_link(link.value);
+    const topo::NodeRef to = topo.link(link).to;
+    if (to.is_switch()) add_switch(to.index);
+  }
   void add_link(std::uint32_t link, std::size_t votes = 1) {
     links_[link] += votes;
   }

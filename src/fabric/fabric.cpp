@@ -236,16 +236,14 @@ SendOutcome Fabric::send(const Datagram& dgram) {
     if (out.path.links.empty()) {
       out.drop = DropReason::kLinkDown;
       out.drop_link = topo_.rnic(dgram.src).uplink;  // src edge link down
-    } else if (!out.path.switches.empty() &&
-               out.path.switches.back() == topo_.rnic(dgram.dst).tor) {
+    } else if (const topo::NodeRef last = topo_.link(out.path.links.back()).to;
+               last == topo::NodeRef::sw(topo_.rnic(dgram.dst).tor)) {
       out.drop = DropReason::kLinkDown;
       out.drop_link = topo_.rnic(dgram.dst).downlink;  // dst edge link down
     } else {
       out.drop = DropReason::kBlackhole;
       out.drop_link = out.path.links.back();
-      if (!out.path.switches.empty()) {
-        out.drop_switch = out.path.switches.back();
-      }
+      out.drop_switch = last.as_switch();
     }
     links_[out.drop_link.value].drops_down++;
     count_drop(out.drop);
@@ -261,8 +259,7 @@ SendOutcome Fabric::send(const Datagram& dgram) {
   const bool roce_class = dgram.tuple.protocol == 17;
 
   TimeNs latency = 0;
-  for (std::size_t i = 0; i < out.path.links.size(); ++i) {
-    const LinkId lid = out.path.links[i];
+  for (const LinkId lid : out.path.links) {
     LinkState& s = links_[lid.value];
     const topo::Link& l = topo_.link(lid);
 
@@ -317,8 +314,8 @@ SendOutcome Fabric::send(const Datagram& dgram) {
     }
 
     // ACL is evaluated at the switch the packet just arrived at.
-    if (i < out.path.switches.size()) {
-      const SwitchId sw = out.path.switches[i];
+    if (l.to.is_switch()) {
+      const SwitchId sw = l.to.as_switch();
       if (!acl_[sw.value].empty() && acl_denies(sw, dgram.tuple)) {
         out.drop = DropReason::kAclDeny;
         out.drop_switch = sw;

@@ -7,7 +7,6 @@ Cluster::Cluster(topo::Topology topology, ClusterConfig cfg)
       router_(topo_, cfg.seed ^ 0xEC3Cull),
       fabric_(topo_, router_, sched_, cfg.fabric),
       tracer_(router_, cfg.traceroute_responses_per_sec),
-      int_(fabric_),
       rng_(cfg.seed) {
   hosts_.reserve(topo_.num_hosts());
   for (const topo::HostInfo& h : topo_.hosts()) {

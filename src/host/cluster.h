@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "fabric/fabric.h"
-#include "fabric/int_telemetry.h"
 #include "host/host.h"
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
@@ -39,7 +38,6 @@ class Cluster {
   [[nodiscard]] const routing::EcmpRouter& router() const { return router_; }
   [[nodiscard]] fabric::Fabric& fabric() { return fabric_; }
   [[nodiscard]] routing::TracerouteService& traceroute() { return tracer_; }
-  [[nodiscard]] fabric::IntTelemetry& int_telemetry() { return int_; }
   [[nodiscard]] transport::ControlPlane& control_plane() {
     return *control_plane_;
   }
@@ -73,7 +71,6 @@ class Cluster {
   sim::Scheduler sched_;
   fabric::Fabric fabric_;
   routing::TracerouteService tracer_;
-  fabric::IntTelemetry int_;
   Rng rng_;
   std::vector<std::unique_ptr<HostModel>> hosts_;
   std::vector<std::unique_ptr<rnic::RnicDevice>> rnics_;

@@ -100,17 +100,14 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
                          const LinkUpFn& link_up) const {
   const auto up = [&](LinkId l) { return !link_up || link_up(l); };
 
-  // Hops collect on the stack and are copied out once, so a path costs two
-  // exactly sized allocations however long it is.
+  // Links collect on the stack and are copied out once, so a path costs one
+  // exactly sized allocation however long it is.
   constexpr int kMaxHops = 16;
   std::array<LinkId, kMaxHops + 1> links;
-  std::array<SwitchId, kMaxHops> switches;
   std::size_t n_links = 0;
-  std::size_t n_switches = 0;
   const auto finish = [&](bool complete) {
     Path path;
     path.links.assign(links.begin(), links.begin() + n_links);
-    path.switches.assign(switches.begin(), switches.begin() + n_switches);
     path.complete = complete;
     return path;
   };
@@ -129,7 +126,6 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
   }
 
   for (int hop = 0; hop < kMaxHops; ++hop) {
-    switches[n_switches++] = cur;
     if (cur == d.tor) {
       if (!up(d.downlink)) return finish(false);  // ToR -> RNIC link down
       links[n_links++] = d.downlink;
@@ -186,16 +182,12 @@ TracerouteService::Result TracerouteService::trace(RnicId src, RnicId dst,
   Result r;
   r.path = router_.resolve(src, dst, tuple, link_up);
   r.all_responded = true;
-  for (std::size_t i = 0; i < r.path.switches.size(); ++i) {
-    Hop h;
-    h.ingress = i < r.path.links.size() ? r.path.links[i] : LinkId{};
-    if (consume_token(r.path.switches[i], now)) {
-      h.sw = r.path.switches[i];
-      h.responded = true;
-    } else {
+  // Every switch the path enters answers from its own budget.
+  for (LinkId l : r.path.links) {
+    const topo::NodeRef to = router_.topology().link(l).to;
+    if (to.is_switch() && !consume_token(to.as_switch(), now)) {
       r.all_responded = false;
     }
-    r.hops.push_back(h);
   }
   return r;
 }

@@ -28,12 +28,12 @@ namespace rpm::routing {
 /// Predicate deciding whether a directed link is currently usable.
 using LinkUpFn = std::function<bool(LinkId)>;
 
-/// A resolved forwarding path. `links` and `switches` are in traversal
-/// order; `complete` is false when the packet was blackholed (all candidate
-/// next-hops down), in which case the vectors hold the prefix traversed.
+/// A resolved forwarding path: its links in traversal order. The switch a
+/// hop enters is `topo.link(l).to`; only a complete path's last link enters
+/// a host. `complete` is false when the packet was blackholed (all candidate
+/// next-hops down), in which case `links` holds the prefix traversed.
 struct Path {
   std::vector<LinkId> links;
-  std::vector<SwitchId> switches;
   bool complete = false;
 
   [[nodiscard]] TimeNs propagation_total(const topo::Topology& topo) const;
@@ -72,17 +72,12 @@ class EcmpRouter {
 
 /// Traceroute facade with per-switch response rate limiting, mimicking the
 /// switch-CPU constraint of §4.2.3. A trace re-resolves the *current* path
-/// (post-failure rehash included). Switches whose per-second budget is
-/// exhausted do not answer: their hop is recorded as unknown.
+/// (post-failure rehash included). Every switch on it spends a token from
+/// its per-second budget; a switch with none left does not answer, and the
+/// trace is then incomplete.
 class TracerouteService {
  public:
-  struct Hop {
-    SwitchId sw;        // invalid if the switch did not respond
-    LinkId ingress;     // link whose `to` is this switch (invalid if unknown)
-    bool responded = false;
-  };
   struct Result {
-    std::vector<Hop> hops;
     Path path;  // the underlying resolved path (ground truth for the sim)
     bool all_responded = false;
   };

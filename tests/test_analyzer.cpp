@@ -14,6 +14,7 @@
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
+#include "telemetry/metrics.h"
 #include "topo/topology.h"
 
 namespace rpm::core {
@@ -678,13 +679,79 @@ TEST_F(AnalyzerTest, StaleBatchBehindDedupWindowIsDropped) {
     b.records.push_back(make_record(RnicId{0}, RnicId{1}, ProbeStatus::kOk));
     return b;
   };
-  constexpr std::uint64_t kTop = IngestSink::kDedupWindow + 100;
+  constexpr std::uint64_t kTop = kDedupWindow + 100;
   analyzer_.sink().submit(batch(kTop));
   analyzer_.sink().submit(batch(kTop + 1));
-  // Far behind the window: can only be an ancient retransmit.
-  analyzer_.sink().submit(batch(10));
+  // Inside the window: a late first delivery.
+  analyzer_.sink().submit(batch(kTop + 1 - kDedupWindow));
+  // Just behind the window: can only be an ancient retransmit.
+  analyzer_.sink().submit(batch(kTop - kDedupWindow));
   const PeriodReport& rep = analyzer_.analyze_now();
-  EXPECT_EQ(rep.records_processed, 2u);
+  EXPECT_EQ(rep.records_processed, 3u);
+}
+
+/// A counter series' value now, 0 when it is not registered. The registry
+/// is process-global, so tests compare deltas.
+std::uint64_t scraped(const std::string& name,
+                      const telemetry::Labels& labels = {}) {
+  const telemetry::Snapshot snap = telemetry::registry().snapshot();
+  const telemetry::SeriesSample* s = snap.find(name, labels);
+  return s == nullptr ? 0 : s->counter_value;
+}
+
+const telemetry::Labels kOutsideTopology = {{"result", "outside-topology"}};
+
+TEST_F(AnalyzerTest, UploadFromOutsideTopologyIsDropped) {
+  // Ids index the topology's tables at period close, so ingest drops an
+  // upload naming one outside it, before the upload proves a host alive,
+  // and counts the drop.
+  const auto batches_before =
+      scraped("rpm_analyzer_batches_total", kOutsideTopology);
+  const auto records_before = scraped("rpm_analyzer_records_rejected_total");
+
+  UploadBatch stranger;
+  stranger.host = HostId{999};
+  stranger.seq = 1;
+  analyzer_.sink().submit(std::move(stranger));
+  UploadBatch stray;
+  stray.host = HostId{0};
+  stray.seq = 1;
+  stray.records.push_back(make_record(RnicId{0}, RnicId{1}, ProbeStatus::kOk));
+  stray.records.back().target = RnicId{999};
+  analyzer_.sink().submit(std::move(stray));
+
+  sched_.run_until(sec(30));
+  const PeriodReport* rep = nullptr;
+  ASSERT_NO_THROW(rep = &analyzer_.analyze_now());
+  EXPECT_EQ(rep->records_processed, 0u);
+  for (const Problem& p : rep->problems) EXPECT_NE(p.host, HostId{999});
+  EXPECT_EQ(scraped("rpm_analyzer_batches_total", kOutsideTopology),
+            batches_before + 1);
+  EXPECT_EQ(scraped("rpm_analyzer_records_rejected_total"),
+            records_before + 1);
+}
+
+TEST_F(AnalyzerTest, SummaryOutsideTopologyIsDropped) {
+  // A folded summary's RNIC ids index the per-RNIC tables too: a batch
+  // whose summary names an RNIC outside the topology is dropped whole.
+  const auto before = scraped("rpm_analyzer_batches_total", kOutsideTopology);
+  UploadBatch delays;
+  delays.host = HostId{0};
+  delays.seq = 1;
+  delays.summary.folded_records = 1;
+  delays.summary.ok_delay_by_target[999].add(1000.0);
+  analyzer_.sink().submit(std::move(delays));
+  UploadBatch mesh;
+  mesh.host = HostId{0};
+  mesh.seq = 2;
+  mesh.summary.folded_records = 5;
+  mesh.summary.tormesh_ok[{0u, 999u}] = 5;
+  analyzer_.sink().submit(std::move(mesh));
+  const PeriodReport* rep = nullptr;
+  ASSERT_NO_THROW(rep = &analyzer_.analyze_now());
+  EXPECT_EQ(rep->cluster_sla.probes, 0u);
+  EXPECT_EQ(scraped("rpm_analyzer_batches_total", kOutsideTopology),
+            before + 2);
 }
 
 TEST_F(AnalyzerTest, DuplicateBatchStillProvesHostLiveness) {
@@ -942,8 +1009,61 @@ TEST_F(AnalyzerTest, SameUploadsYieldByteIdenticalVerdicts) {
   EXPECT_EQ(digest(), first);
 }
 
+TEST(VoteTallyTest, HopVotesItsLinkAndTheSwitchItEnters) {
+  const topo::Topology topo = topo::build_clos(clos_cfg());
+  const routing::EcmpRouter router(topo);
+  const RnicId src{0};
+  const RnicId dst{static_cast<std::uint32_t>(topo.num_rnics() - 1)};
+  FiveTuple t;
+  t.src_ip = topo.rnic(src).ip;
+  t.dst_ip = topo.rnic(dst).ip;
+  t.src_port = 1000;
+  // Cross-pod: host-tor, tor-agg, agg-spine, spine-agg, agg-tor, tor-host.
+  const routing::Path path = router.resolve(src, dst, t);
+  ASSERT_TRUE(path.complete);
+  ASSERT_EQ(path.links.size(), 6u);
+  VoteTally tally;
+  for (LinkId l : path.links) tally.add_hop(topo, l);
+  Problem p;
+  obs::EvidenceChain c;
+  tally.decide(p, &c);
+  EXPECT_EQ(c.link_votes.size(), 6u);
+  for (const obs::VoteCount& v : c.link_votes) EXPECT_EQ(v.votes, 1u);
+  // The first five links enter the five switches; the host-bound last link
+  // enters none.
+  std::vector<std::uint32_t> entered;
+  for (std::size_t i = 0; i + 1 < path.links.size(); ++i) {
+    entered.push_back(topo.link(path.links[i]).to.as_switch().value);
+  }
+  std::sort(entered.begin(), entered.end());
+  std::vector<std::uint32_t> voted;
+  for (const obs::VoteCount& v : c.switch_votes) {
+    EXPECT_EQ(v.votes, 1u);
+    voted.push_back(v.id);
+  }
+  EXPECT_EQ(voted, entered);
+
+  // A prefix blackholed at the source ToR (every uplink down) votes its one
+  // link and the ToR that link enters.
+  const SwitchId tor = topo.rnic(src).tor;
+  const routing::Path prefix = router.resolve(src, dst, t, [&](LinkId l) {
+    return topo.link(l).from != topo::NodeRef::sw(tor);
+  });
+  ASSERT_FALSE(prefix.complete);
+  ASSERT_EQ(prefix.links, std::vector<LinkId>{topo.rnic(src).uplink});
+  VoteTally blackhole;
+  for (LinkId l : prefix.links) blackhole.add_hop(topo, l);
+  Problem q;
+  blackhole.decide(q, nullptr);
+  EXPECT_EQ(q.suspect_links, prefix.links);
+  EXPECT_EQ(q.suspect_switches, std::vector<SwitchId>{tor});
+}
+
 TEST(IngestSinkTest, DrainReturnsEachAcceptedRecordOnceInSubmissionOrder) {
-  IngestSink sink;
+  topo::ClosConfig cfg = clos_cfg();
+  cfg.hosts_per_tor = 5;  // 20 hosts
+  const topo::Topology topo = topo::build_clos(cfg);
+  IngestSink sink(topo);
   const std::vector<std::uint32_t> hosts = {12, 9, 2, 1, 17, 8, 5, 2};
   for (std::uint64_t i = 0; i < hosts.size(); ++i) {
     UploadBatch b;
@@ -951,6 +1071,9 @@ TEST(IngestSinkTest, DrainReturnsEachAcceptedRecordOnceInSubmissionOrder) {
     b.seq = i + 1;
     ProbeRecord r;
     r.id = i;
+    r.prober = topo.host(b.host).rnics[0];
+    r.target = topo.host(b.host).rnics[1];
+    r.prober_host = b.host;
     b.records.push_back(r);
     sink.submit(UploadBatch(b));
     sink.submit(std::move(b));  // at-least-once duplicate: dropped

@@ -175,18 +175,19 @@ TEST(PercentileWindow, KnownQuantiles) {
 
 TEST(Dedup, SlidingWindowAcceptsEachSeqOnce) {
   DedupState st;
-  constexpr std::uint64_t kWindow = 4;
-  EXPECT_TRUE(dedup_accept(st, 100, kWindow));
-  EXPECT_TRUE(dedup_accept(st, 101, kWindow));
-  EXPECT_FALSE(dedup_accept(st, 100, kWindow));  // repeat
-  EXPECT_FALSE(dedup_accept(st, 10, kWindow));   // far behind the window
-  EXPECT_TRUE(dedup_accept(st, 97, kWindow));    // late, but inside
-  EXPECT_FALSE(dedup_accept(st, 96, kWindow));   // just behind
-  EXPECT_EQ(st.max_seq, 101u);
+  constexpr std::uint64_t kTop = 1000;
+  EXPECT_TRUE(dedup_accept(st, kTop - 1));
+  EXPECT_TRUE(dedup_accept(st, kTop));
+  EXPECT_FALSE(dedup_accept(st, kTop - 1));  // repeat
+  EXPECT_FALSE(dedup_accept(st, 10));        // far behind the window
+  EXPECT_TRUE(dedup_accept(st, kTop - kDedupWindow));  // late, but inside
+  EXPECT_FALSE(dedup_accept(st, kTop - kDedupWindow - 1));  // just behind
+  EXPECT_EQ(st.max_seq, kTop);
   // Sliding forward forgets seqs that can no longer arrive fresh.
-  EXPECT_TRUE(dedup_accept(st, 110, kWindow));
-  EXPECT_EQ(st.seen, (std::unordered_set<std::uint64_t>{110}));
-  EXPECT_FALSE(dedup_accept(st, 101, kWindow));
+  constexpr std::uint64_t kNext = kTop + kDedupWindow + 10;
+  EXPECT_TRUE(dedup_accept(st, kNext));
+  EXPECT_EQ(st.seen, (std::unordered_set<std::uint64_t>{kNext}));
+  EXPECT_FALSE(dedup_accept(st, kTop));
 }
 
 TEST(Codec, LittleEndianFieldsAndTruncation) {

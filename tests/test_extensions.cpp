@@ -1,10 +1,10 @@
-// Tests for the two §7.4/§7.5 extensions: INT-based path tracing and the
-// root-cause advisor.
+// Tests for the two §7.4/§7.5 extensions: INT-mode path tracing (the
+// fabric's current path, with no switch CPU in the loop) and the root-cause
+// advisor.
 #include <gtest/gtest.h>
 
 #include "core/rootcause.h"
 #include "core/rpingmesh.h"
-#include "fabric/int_telemetry.h"
 #include "faults/faults.h"
 
 namespace rpm {
@@ -29,49 +29,6 @@ class ExtensionsTest : public ::testing::Test {
   host::Cluster cluster_;
 };
 
-TEST_F(ExtensionsTest, IntTraceMatchesCurrentEcmpPath) {
-  FiveTuple t;
-  t.src_ip = cluster_.topology().rnic(RnicId{0}).ip;
-  t.dst_ip = cluster_.topology().rnic(RnicId{12}).ip;
-  t.src_port = 4242;
-  const auto r = cluster_.int_telemetry().trace(RnicId{0}, RnicId{12}, t);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.hops.size(), r.path.links.size());
-  EXPECT_EQ(r.path.links,
-            cluster_.fabric().current_path(RnicId{0}, RnicId{12}, t).links);
-}
-
-TEST_F(ExtensionsTest, IntReportsPerHopQueues) {
-  // Congest one downlink and check INT sees the queue exactly there.
-  fabric::FlowSpec f;
-  f.src = RnicId{0};
-  f.dst = RnicId{12};
-  f.tuple.src_ip = cluster_.topology().rnic(f.src).ip;
-  f.tuple.dst_ip = cluster_.topology().rnic(f.dst).ip;
-  f.tuple.src_port = 9;
-  f.demand_Bps = gbps_to_Bps(90);
-  cluster_.fabric().add_flow(f);
-  fabric::FlowSpec g = f;
-  g.src = RnicId{2};
-  g.tuple.src_ip = cluster_.topology().rnic(g.src).ip;
-  g.tuple.src_port = 10;
-  cluster_.fabric().add_flow(g);
-  cluster_.run_for(msec(10));
-
-  const auto r = cluster_.int_telemetry().trace(RnicId{0}, RnicId{12}, f.tuple);
-  ASSERT_TRUE(r.complete);
-  const LinkId hot = cluster_.topology().rnic(RnicId{12}).downlink;
-  bool saw_queue = false;
-  for (const auto& hop : r.hops) {
-    if (hop.link == hot) {
-      EXPECT_GT(hop.queue_bytes, 0);
-      EXPECT_GT(hop.queue_delay, 0);
-      saw_queue = true;
-    }
-  }
-  EXPECT_TRUE(saw_queue);
-}
-
 TEST_F(ExtensionsTest, IntHasNoRateLimitUnlikeTraceroute) {
   FiveTuple t;
   t.src_ip = cluster_.topology().rnic(RnicId{0}).ip;
@@ -85,7 +42,7 @@ TEST_F(ExtensionsTest, IntHasNoRateLimitUnlikeTraceroute) {
             .all_responded) {
       ++traceroute_complete;
     }
-    if (cluster_.int_telemetry().trace(RnicId{0}, RnicId{12}, t).complete) {
+    if (cluster_.fabric().current_path(RnicId{0}, RnicId{12}, t).complete) {
       ++int_complete;
     }
   }
@@ -97,15 +54,21 @@ TEST_F(ExtensionsTest, AgentWithIntAlwaysKnowsPaths) {
   core::RPingmeshConfig cfg;
   cfg.agent.use_int_telemetry = true;
   core::RPingmesh rpm(cluster_, cfg);
-  std::size_t with_path = 0, total = 0;
+  std::size_t with_path = 0, total = 0, current = 0;
   rpm.analyzer().set_record_tap([&](const core::ProbeRecord& r) {
     ++total;
     if (r.path_known) ++with_path;
+    // No link changes state here, so a cached path is the current one.
+    if (r.fwd_path.links ==
+        cluster_.fabric().current_path(r.prober, r.target, r.tuple).links) {
+      ++current;
+    }
   });
   rpm.start();
   cluster_.run_for(sec(12));
   EXPECT_GT(total, 500u);
   EXPECT_EQ(with_path, total) << "INT-traced paths are never rate-limited";
+  EXPECT_EQ(current, total);
   rpm.stop();
 }
 
@@ -123,9 +86,9 @@ class CountingCc : public fabric::RateController {
 
 TEST_F(ExtensionsTest, ReadsNeverWakeAQuietPlane) {
   // A zero-demand CC flow on a drained fabric: after its first step the
-  // plane is quiet and defers CC calls until a fluid input changes. INT
-  // traces and the root-cause advisor only read link state, so they must
-  // not wake it (a wake replays the deferred calls).
+  // plane is quiet and defers CC calls until a fluid input changes. The
+  // INT-mode path read and the root-cause advisor only read link state, so
+  // they must not wake it (a wake replays the deferred calls).
   CountingCc cc;
   fabric::FlowSpec f;
   f.src = RnicId{0};
@@ -144,7 +107,7 @@ TEST_F(ExtensionsTest, ReadsNeverWakeAQuietPlane) {
   p.category = core::ProblemCategory::kSwitchNetworkProblem;
   p.suspect_links = cluster_.fabric().flow_path(id).links;
   EXPECT_TRUE(advisor.advise(p).empty());
-  EXPECT_TRUE(cluster_.int_telemetry().trace(f.src, f.dst, f.tuple).complete);
+  EXPECT_TRUE(cluster_.fabric().current_path(f.src, f.dst, f.tuple).complete);
   EXPECT_EQ(cc.calls, 1u) << "a read woke the plane";
 
   cluster_.fabric().set_flow_demand(id, 0.0);  // a write does wake it

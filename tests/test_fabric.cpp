@@ -181,7 +181,7 @@ TEST_F(FabricTest, AclDenyMatchesExactPair) {
   const RnicId src{0}, dst{7};
   const SendOutcome probe = fab_.send(dgram(src, dst));
   ASSERT_TRUE(probe.delivered);
-  const SwitchId sw = probe.path.switches[0];
+  const SwitchId sw = topo_.link(probe.path.links[0]).to.as_switch();
   fab_.add_acl_deny(sw, topo_.rnic(src).ip, topo_.rnic(dst).ip);
   const SendOutcome out = fab_.send(dgram(src, dst));
   EXPECT_FALSE(out.delivered);
@@ -196,7 +196,8 @@ TEST_F(FabricTest, AclDenyMatchesExactPair) {
 TEST_F(FabricTest, AclWildcardSource) {
   const RnicId src{0}, dst{7};
   const SendOutcome probe = fab_.send(dgram(src, dst));
-  fab_.add_acl_deny(probe.path.switches[0], IpAddr{}, topo_.rnic(dst).ip);
+  fab_.add_acl_deny(topo_.link(probe.path.links[0]).to.as_switch(), IpAddr{},
+                    topo_.rnic(dst).ip);
   EXPECT_FALSE(fab_.send(dgram(src, dst)).delivered);
 }
 

@@ -150,7 +150,8 @@ TEST_F(FaultsTest, MisconfigurationsMakeRnicUnreachable) {
 TEST_F(FaultsTest, AclErrorBlocksPairAndClears) {
   const auto probe = send(RnicId{0}, RnicId{12});
   ASSERT_TRUE(probe.delivered);
-  const SwitchId sw = probe.path.switches[1];
+  const SwitchId sw =
+      cluster_.topology().link(probe.path.links[1]).to.as_switch();
   const int h = inj_.inject_acl_error(sw, cluster_.topology().rnic(RnicId{0}).ip,
                                       cluster_.topology().rnic(RnicId{12}).ip);
   // The specific pair may or may not hash through `sw`; wildcard-check by
