@@ -2,9 +2,9 @@
 //
 // Deploys a federated R-Pingmesh (per-pod Analyzers + global merge tier +
 // warm standby Controller) and runs the acceptance chaos drill: kill the
-// primary Controller mid-period, kill one PodAnalyzer mid-drain, let the
+// primary Controller mid-period, kill one pod's Analyzer mid-drain, let the
 // lease/epoch/journal machinery recover. Reports, per pod, the record rate
-// the PodAnalyzer absorbed and the digest bytes it pushed upstream; at the
+// the pod's Analyzer absorbed and the digest bytes it pushed upstream; at the
 // cluster level, the fan-in ratio between raw upload volume (what a flat
 // Analyzer would have ingested over the wire) and the digest volume the
 // global tier actually consumed; and the periods-to-recovery after each
@@ -98,8 +98,8 @@ int run(int argc, char** argv) {
   bench::Deployment d(tcfg, {}, rcfg);
   chaos::ChaosRunner runner(d.cluster, d.rpm, d.faults);
 
-  // The acceptance drill: primary Controller killed mid-period, one
-  // PodAnalyzer killed mid-drain, both recovered through lease transfer /
+  // The acceptance drill: primary Controller killed mid-period, one pod's
+  // Analyzer killed mid-drain, both recovered through lease transfer /
   // journal restore. No network faults — the bench measures plumbing cost
   // and recovery, parity is test_federation's job.
   chaos::ChaosPlan plan;
@@ -121,10 +121,12 @@ int run(int argc, char** argv) {
   std::vector<PodStats> pod_stats;
   std::uint64_t digest_bytes_total = 0;
   for (std::size_t p = 0; p < d.rpm.num_pods() && d.rpm.federated(); ++p) {
-    core::PodAnalyzer& pa = d.rpm.pod_analyzer(p);
+    core::Analyzer& pa = d.rpm.pod_analyzer(p);
     PodStats st;
-    st.hosts = pa.hosts().size();
-    for (const core::PeriodReport& r : pa.analyzer().history()) {
+    for (const topo::HostInfo& h : d.cluster.topology().hosts()) {
+      if (d.rpm.pod_of(h.id) == p) ++st.hosts;
+    }
+    for (const core::PeriodReport& r : pa.history()) {
       ++st.periods;
       st.records += r.records_processed;
     }

@@ -179,7 +179,8 @@ int run(int argc, char** argv) {
   out.params = [&](json::Writer& w) {
     std::string list;
     for (std::uint64_t x : records) {
-      list += (list.empty() ? "" : ",") + std::to_string(x);
+      if (!list.empty()) list += ',';
+      list += std::to_string(x);
     }
     w.key("hosts").integer(topo.hosts().size())
         .key("batch").integer(128)

@@ -140,8 +140,10 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
       }
       const TimeNs hold = snap(rng.uniform_int(kMinFaultHold, kMaxFaultHold));
       const TimeNs at = pick_time(hi - hold);
-      const std::string label =
-          "f" + std::to_string(fault_idx++) + "-" + ctor;
+      std::string label = "f";
+      label += std::to_string(fault_idx++);
+      label += '-';
+      label += ctor;
       plan.inject(at, label, entry->sample(rng, topo));
       if (entry->clearable && rng.chance(kClearFaultProb)) {
         plan.clear(std::min(at + hold, hi), label);

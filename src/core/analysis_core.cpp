@@ -87,20 +87,13 @@ bool flagged(const std::vector<bool>& flags, std::uint32_t id) {
 
 const PeriodReport& Analyzer::analyze_period(
     const std::vector<ProbeRecord>& records,
-    const sketch::HostSummary& summary, TimeNs now) {
-  FederationScratch* const fed = fed_;
+    const sketch::HostSummary& summary, TimeNs now, PodDigest* digest) {
   PeriodReport rep;
   rep.period_start = last_period_end_;
   rep.period_end = now;
   last_period_end_ = now;
 
   rep.records_processed = records.size();
-
-  if (fed != nullptr) {
-    // The other outputs are assigned whole below.
-    fed->foreign.clear();
-    fed->service_slas.clear();
-  }
 
   // Diagnosis explainability (src/obs): every verdict this period gets an
   // EvidenceChain — input probe ids, thresholds compared, Algorithm 1 vote
@@ -135,11 +128,10 @@ const PeriodReport& Analyzer::analyze_period(
   const auto num_hosts = static_cast<std::uint32_t>(topo_.num_hosts());
   const auto num_rnics = static_cast<std::uint32_t>(topo_.num_rnics());
   TriageSets triage(topo_, rep.period_start);
-  for (std::uint32_t h : known_hosts_) {
-    const auto it = last_upload_.find(h);
-    if (it == last_upload_.end() ||
-        now - it->second > kHostSilenceThreshold) {
-      triage.down_hosts.at(h) = true;
+  for (std::uint32_t h = 0; h < num_hosts; ++h) {
+    const TimeNs last = last_upload_[h];
+    if (last != kNoTime && now - last > kHostSilenceThreshold) {
+      triage.down_hosts[h] = true;
     }
   }
 
@@ -354,22 +346,25 @@ const PeriodReport& Analyzer::analyze_period(
   // RNIC blamed into this period. A pod ships exactly these sets, so the
   // global tier triages foreign timeouts against the union of every pod's
   // state, stragglers included.
-  for (const auto& [h, until] : host_noise_until_) {
-    if (until >= rep.period_start) triage.cpu_noise_hosts[h] = true;
+  for (std::uint32_t h = 0; h < num_hosts; ++h) {
+    if (host_noise_until_[h] >= rep.period_start) {
+      triage.cpu_noise_hosts[h] = true;
+    }
   }
-  for (const auto& [r, until] : rnic_blamed_until_) {
-    if (until >= rep.period_start) triage.blamed_rnics[r] = until;
+  for (std::uint32_t r = 0; r < num_rnics; ++r) {
+    if (rnic_blamed_until_[r] >= rep.period_start) {
+      triage.blamed_rnics[r] = rnic_blamed_until_[r];
+    }
   }
   const std::vector<std::uint32_t> down_hosts = set_ids(triage.down_hosts);
-  if (fed != nullptr) {
-    fed->down_hosts = down_hosts;
-    fed->blamed_rnics.clear();
+  if (digest != nullptr) {
+    digest->down_hosts = down_hosts;
     for (std::uint32_t r = 0; r < num_rnics; ++r) {
       if (triage.blamed(RnicId{r})) {
-        fed->blamed_rnics.emplace_back(r, triage.blamed_rnics[r]);
+        digest->blamed_rnics.emplace_back(r, triage.blamed_rnics[r]);
       }
     }
-    fed->cpu_noise_hosts = set_ids(triage.cpu_noise_hosts);
+    digest->cpu_noise_hosts = set_ids(triage.cpu_noise_hosts);
   }
 
   // ---- step 3: attribute the remaining timeouts ----
@@ -379,8 +374,8 @@ const PeriodReport& Analyzer::analyze_period(
     const ProbeRecord& r = *t.r;
     const AnomalyCause c =
         triage.classify(t.target_host, r.prober_host, r.target, r.prober);
-    if (c == AnomalyCause::kSwitchProblem && fed != nullptr &&
-        !fed->local_hosts.contains(t.target_host.value)) {
+    if (c == AnomalyCause::kSwitchProblem && digest != nullptr &&
+        !flagged(local_hosts_, t.target_host.value)) {
       // Federation: the target lives in another pod, so "host down" and
       // "target RNIC blamed" are unknowable here. Voting this path locally
       // would turn every foreign host failure into a fake switch suspect —
@@ -401,14 +396,14 @@ const PeriodReport& Analyzer::analyze_period(
           for (LinkId l : p->links) f.path_links.push_back(l.value);
         }
       }
-      fed->foreign.push_back(std::move(f));
+      digest->foreign.push_back(std::move(f));
     } else {
       t.cause = c;
     }
   }
-  if (fed != nullptr) {
+  if (digest != nullptr) {
     // A PodDigest is a function of its pod's records, not of their order.
-    std::sort(fed->foreign.begin(), fed->foreign.end(),
+    std::sort(digest->foreign.begin(), digest->foreign.end(),
               [](const ForeignTimeout& a, const ForeignTimeout& b) {
                 return a.probe_id < b.probe_id;
               });
@@ -506,12 +501,9 @@ const PeriodReport& Analyzer::analyze_period(
     obs::EvidenceChain c;
     c.verdict = "host-down";
     c.triage_branch = "timeout-triage: target host silent past threshold";
-    const auto lit = last_upload_.find(h);
     add_threshold(c, "host_silence_threshold_ns",
                   static_cast<double>(kHostSilenceThreshold),
-                  static_cast<double>(lit == last_upload_.end()
-                                          ? now
-                                          : now - lit->second));
+                  static_cast<double>(now - last_upload_[h]));
     for (std::uint64_t id : host_down_ids[h]) add_probe(c, id);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
@@ -725,9 +717,11 @@ const PeriodReport& Analyzer::analyze_period(
   rep.cluster_sla = cluster_sla.to_report();
   for (auto& [svc, t] : services) {
     rep.service_slas.emplace_back(ServiceId{svc}, t.sla.to_report());
-    if (fed != nullptr) fed->service_slas.emplace_back(svc, std::move(t.sla));
+    if (digest != nullptr) {
+      digest->service_slas.emplace_back(svc, std::move(t.sla));
+    }
   }
-  if (fed != nullptr) fed->cluster_sla = std::move(cluster_sla);
+  if (digest != nullptr) digest->cluster_sla = std::move(cluster_sla);
   if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (const Timeout& t : timeouts) {
       if (t.r->kind != ProbeKind::kServiceTracing &&
@@ -754,7 +748,7 @@ const PeriodReport& Analyzer::analyze_period(
     d.hosts = set_ids(t.hosts);
     service_records.emplace(svc, std::move(t.records));
   }
-  if (fed != nullptr) fed->service_nets = net_list;
+  if (digest != nullptr) digest->service_nets = net_list;
   assess_impact(rep.problems, net_list);
   innocent_chains(rep.problems, dlog, &service_records);
 

@@ -1,13 +1,38 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
+#include <any>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
+#include "transport/transport.h"
 
 namespace rpm::core {
+
+namespace {
+
+using IdTimes = std::vector<std::pair<std::uint32_t, TimeNs>>;
+
+// A table's entries in ascending id order; an id at kNoTime has none.
+IdTimes table_entries(const std::vector<TimeNs>& table) {
+  IdTimes out;
+  for (std::uint32_t id = 0; id < table.size(); ++id) {
+    if (table[id] != kNoTime) out.emplace_back(id, table[id]);
+  }
+  return out;
+}
+
+// Refill `table` from checkpoint entries; an id outside it is dropped.
+void load_table(std::vector<TimeNs>& table, const IdTimes& entries) {
+  std::fill(table.begin(), table.end(), kNoTime);
+  for (const auto& [id, t] : entries) {
+    if (id < table.size()) table[id] = t;
+  }
+}
+
+}  // namespace
 
 Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
                    sim::Scheduler& sched, AnalyzerConfig cfg)
@@ -16,6 +41,9 @@ Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
       directory_(&controller),
       sched_(sched),
       cfg_(std::move(cfg)),
+      last_upload_(topo.num_hosts(), kNoTime),
+      rnic_blamed_until_(topo.num_rnics(), kNoTime),
+      host_noise_until_(topo.num_hosts(), kNoTime),
       sink_(topo, sink_hooks()) {
   if (cfg_.period <= 0) {
     throw std::invalid_argument("AnalyzerConfig: period must be > 0");
@@ -45,10 +73,24 @@ IngestHooks Analyzer::sink_hooks() {
   // Receipt of ANY upload — duplicate included — proves the host alive.
   hooks.host_alive = [this](HostId h) {
     last_upload_[h.value] = sched_.now();
-    known_hosts_.insert(h.value);
   };
   hooks.tap = &tap_;
   return hooks;
+}
+
+void Analyzer::serve_pod(std::uint32_t pod, std::vector<bool> hosts,
+                         transport::Channel* channel) {
+  pod_ = pod;
+  local_hosts_ = std::move(hosts);
+  digest_channel_ = channel;
+  // Only pods register these series, so a flat run's scrape has none.
+  auto& reg = telemetry::registry();
+  digests_total_ =
+      reg.counter("rpm_pod_digests_total", "PodDigests flushed by this pod",
+                  {{"pod", std::to_string(pod)}});
+  digest_bytes_total_ = reg.counter("rpm_pod_digest_bytes_total",
+                                    "Declared wire bytes of flushed digests",
+                                    {{"pod", std::to_string(pod)}});
 }
 
 void Analyzer::start() {
@@ -66,7 +108,9 @@ void Analyzer::stop() {
 }
 
 void Analyzer::forgive_silence(TimeNs now) {
-  for (auto& [host, last] : last_upload_) last = std::max(last, now);
+  for (TimeNs& last : last_upload_) {
+    if (last != kNoTime) last = std::max(last, now);
+  }
   last_period_end_ = now;
 }
 
@@ -83,7 +127,7 @@ void Analyzer::set_outage(bool outage) {
 }
 
 const PeriodReport& Analyzer::analyze_now() {
-  // Watchdog over the whole close: drain -> analyze -> hooks -> checkpoint.
+  // Watchdog over the whole close: drain -> analyze -> digest -> checkpoint.
   prof::PeriodCloseScope close_scope;
   const TimeNs now = sched_.now();
   std::vector<ProbeRecord> records;
@@ -95,14 +139,52 @@ const PeriodReport& Analyzer::analyze_now() {
     // never leak across a sketch-mode flip.
     summary = sink_.drain_summary();
   }
-  const PeriodReport& rep = analyze_period(records, summary, now);
+  PodDigest digest;
+  const bool pod = !local_hosts_.empty();
+  const PeriodReport& rep =
+      analyze_period(records, summary, now, pod ? &digest : nullptr);
   {
     prof::StageScope release_scope(prof::Stage::kDrainRelease);
     std::vector<ProbeRecord>().swap(records);
   }
-  if (period_hook_) period_hook_(rep, *last_diagnosis());
+  if (pod) send_digest(std::move(digest), rep);
   if (journal_ != nullptr) save_checkpoint();
   return rep;
+}
+
+void Analyzer::send_digest(PodDigest&& d, const PeriodReport& rep) {
+  prof::StageScope prof_scope(prof::Stage::kDigestFlush);
+  d.pod = pod_;
+  d.seq = ++digest_seq_;
+  d.period_start = rep.period_start;
+  d.period_end = rep.period_end;
+  d.records_processed = rep.records_processed;
+  d.problems = rep.problems;
+  d.chains = last_diagnosis()->chains;
+  d.timeouts_host_down = rep.timeouts_host_down;
+  d.timeouts_qpn_reset = rep.timeouts_qpn_reset;
+  d.timeouts_agent_cpu = rep.timeouts_agent_cpu;
+  d.timeouts_rnic = rep.timeouts_rnic;
+  d.timeouts_switch = rep.timeouts_switch;
+
+  const std::size_t bytes = pod_digest_wire_bytes(d);
+  digest_bytes_sent_ += bytes;
+  digests_total_.inc();
+  digest_bytes_total_.inc(bytes);
+
+  obs::FlightRecorder& fr = obs::recorder();
+  if (fr.enabled()) {
+    const std::uint64_t trace = digest_trace_id(pod_, d.seq);
+    if (fr.begin_probe(trace, "pod-digest",
+                       static_cast<std::uint64_t>(d.period_end))) {
+      fr.record(trace, obs::ProbeEventKind::kDigestFlush, d.seq,
+                d.problems.size());
+    }
+  }
+
+  if (digest_channel_ != nullptr) {
+    digest_channel_->send(std::any(std::move(d)), bytes);
+  }
 }
 
 void Analyzer::attach_journal(StateJournal* journal, std::string role) {
@@ -114,18 +196,11 @@ void Analyzer::save_checkpoint() {
   AnalyzerCheckpoint cp;
   cp.last_period_end = last_period_end_;
   save_ids(cp);
-  cp.last_upload.assign(last_upload_.begin(), last_upload_.end());
-  std::sort(cp.last_upload.begin(), cp.last_upload.end());
-  cp.known_hosts.assign(known_hosts_.begin(), known_hosts_.end());
-  std::sort(cp.known_hosts.begin(), cp.known_hosts.end());
-  cp.rnic_blamed_until.assign(rnic_blamed_until_.begin(),
-                              rnic_blamed_until_.end());
-  std::sort(cp.rnic_blamed_until.begin(), cp.rnic_blamed_until.end());
-  cp.host_noise_until.assign(host_noise_until_.begin(),
-                             host_noise_until_.end());
-  std::sort(cp.host_noise_until.begin(), cp.host_noise_until.end());
+  cp.last_upload = table_entries(last_upload_);
+  cp.rnic_blamed_until = table_entries(rnic_blamed_until_);
+  cp.host_noise_until = table_entries(host_noise_until_);
   cp.ingest = sink_.checkpoint();
-  if (checkpoint_hook_) checkpoint_hook_(cp);
+  cp.digest_seq = digest_seq_;
   journal_->save_checkpoint(role_, cp);
 }
 
@@ -137,12 +212,12 @@ void Analyzer::crash() {
   // hold it paused until restore_from_journal().
   sink_ = IngestSink(topo_, sink_hooks());
   sink_.set_paused(true);
-  last_upload_.clear();
-  known_hosts_.clear();
-  rnic_blamed_until_.clear();
-  host_noise_until_.clear();
+  std::fill(last_upload_.begin(), last_upload_.end(), kNoTime);
+  std::fill(rnic_blamed_until_.begin(), rnic_blamed_until_.end(), kNoTime);
+  std::fill(host_noise_until_.begin(), host_noise_until_.end(), kNoTime);
   forget();
   last_period_end_ = 0;
+  digest_seq_ = 0;
 }
 
 bool Analyzer::restore_from_journal() {
@@ -150,17 +225,11 @@ bool Analyzer::restore_from_journal() {
   if (journal_ != nullptr) cp = journal_->load_checkpoint(role_);
   if (cp.has_value()) {
     restore_ids(*cp);
-    last_upload_.clear();
-    last_upload_.insert(cp->last_upload.begin(), cp->last_upload.end());
-    known_hosts_.clear();
-    known_hosts_.insert(cp->known_hosts.begin(), cp->known_hosts.end());
-    rnic_blamed_until_.clear();
-    rnic_blamed_until_.insert(cp->rnic_blamed_until.begin(),
-                              cp->rnic_blamed_until.end());
-    host_noise_until_.clear();
-    host_noise_until_.insert(cp->host_noise_until.begin(),
-                             cp->host_noise_until.end());
+    load_table(last_upload_, cp->last_upload);
+    load_table(rnic_blamed_until_, cp->rnic_blamed_until);
+    load_table(host_noise_until_, cp->host_noise_until);
     sink_.restore(cp->ingest);
+    digest_seq_ = cp->digest_seq;
   }
   outage_ = false;
   sink_.set_paused(false);

@@ -31,15 +31,16 @@
 // Algorithm 1, impact, the SLA and innocent chains, the verdict history —
 // live in core/verdict.h. This class adds what works from records: the
 // IngestSink, the per-period pipeline (analysis_core.cpp), the periodic
-// schedule, outage/crash handling, and journal checkpointing. It is also
-// the role the federation tier wraps per pod (core/federation.h).
+// schedule, outage/crash handling, and journal checkpointing. In a
+// federated deployment each pod runs one Analyzer in its pod role
+// (serve_pod): it defers foreign timeouts and sends a PodDigest per period
+// to the GlobalAnalyzer (core/federation.h).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/controller.h"
@@ -54,26 +55,11 @@
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
 
+namespace rpm::transport {
+class Channel;
+}  // namespace rpm::transport
+
 namespace rpm::core {
-
-/// Per-period federation exchange. The caller (PodAnalyzer) fills
-/// `local_hosts` once; every period close clears and refills every output
-/// field — together with the PeriodReport and DiagnosisLog they are exactly
-/// the material a PodDigest carries.
-struct FederationScratch {
-  /// Hosts this pod's Agents upload for. Timeouts targeting hosts outside
-  /// this set are deferred to the global tier instead of triaged locally.
-  std::unordered_set<std::uint32_t> local_hosts;
-
-  // Outputs (rebuilt per period):
-  std::vector<ForeignTimeout> foreign;
-  std::vector<std::uint32_t> down_hosts;                           // sorted
-  std::vector<std::pair<std::uint32_t, TimeNs>> blamed_rnics;      // sorted
-  std::vector<std::uint32_t> cpu_noise_hosts;                      // sorted
-  SlaDigest cluster_sla;
-  std::vector<std::pair<std::uint32_t, SlaDigest>> service_slas;   // sorted
-  std::vector<ServiceNetDigest> service_nets;                      // sorted
-};
 
 class Analyzer : public VerdictLog {
  public:
@@ -120,24 +106,26 @@ class Analyzer : public VerdictLog {
 
   [[nodiscard]] const AnalyzerConfig& config() const { return cfg_; }
 
-  // ---- federation hooks (core/federation.h) ----
-
   /// Retarget QPN-reset triage at a different Controller (standby failover).
   void set_directory(const Controller* directory) { directory_ = directory; }
 
-  /// Restrict cause attribution to `scratch->local_hosts` and export
-  /// digest material per period (see FederationScratch): timeouts whose
-  /// target host is outside the local set are deferred as ForeignTimeouts
-  /// instead of voted — a pod cannot tell a dead foreign host from a switch
-  /// drop. Null restores the flat pipeline.
-  void set_federation_scratch(FederationScratch* scratch) { fed_ = scratch; }
+  // ---- the pod role (federated deployments, core/federation.h) ----
 
-  /// Invoked after every completed period with the report and its
-  /// DiagnosisLog — the PodAnalyzer builds and sends its digest here.
-  void set_period_hook(
-      std::function<void(const PeriodReport&, const obs::DiagnosisLog&)>
-          hook) {
-    period_hook_ = std::move(hook);
+  /// Serve pod `pod`: the hosts flagged in `hosts` (one flag per host id)
+  /// upload here. A timeout whose target host is not flagged is deferred to
+  /// the global tier as a ForeignTimeout instead of voted — a pod cannot
+  /// tell a dead foreign host from a switch drop — and every period close
+  /// sends one PodDigest over `channel` (wire bytes from
+  /// pod_digest_wire_bytes; null builds and counts digests without sending
+  /// them). Called once, before start().
+  void serve_pod(std::uint32_t pod, std::vector<bool> hosts,
+                 transport::Channel* channel);
+  [[nodiscard]] std::uint32_t pod() const { return pod_; }
+  /// Digests sent, which is the last digest's seq. It is journaled, so a
+  /// restarted pod neither reuses nor skips a sequence number.
+  [[nodiscard]] std::uint64_t digests_sent() const { return digest_seq_; }
+  [[nodiscard]] std::size_t digest_bytes_sent() const {
+    return digest_bytes_sent_;
   }
 
   // ---- persistence (core::StateJournal) ----
@@ -147,24 +135,19 @@ class Analyzer : public VerdictLog {
   /// and allow restore_from_journal() after a crash.
   void attach_journal(StateJournal* journal, std::string role);
 
-  /// Lets the owner stamp extra fields (e.g. the PodAnalyzer's digest_seq)
-  /// into every saved checkpoint.
-  void set_checkpoint_hook(std::function<void(AnalyzerCheckpoint&)> hook) {
-    checkpoint_hook_ = std::move(hook);
-  }
-
   /// Process crash: volatile pipeline state is lost — liveness clocks,
-  /// blame windows, history, the folded summary, id counters — and ingestion
-  /// stops (the sink is rebuilt empty and paused). Journaled state survives
-  /// for restore_from_journal().
+  /// blame windows, history, the folded summary, id counters, the digest
+  /// seq — and ingestion stops (the sink is rebuilt empty and paused).
+  /// Journaled state survives for restore_from_journal().
   void crash();
 
   /// Restart after crash(): reload the journaled checkpoint — (host, seq)
-  /// dedup windows, period boundary, id counters, liveness clocks — so
-  /// drained history is never re-counted. Returns false when no checkpoint
-  /// was ever saved (cold start: the Analyzer still leaves the outage, with
-  /// fresh state). Upload silence across the downtime is forgiven either
-  /// way.
+  /// dedup windows, period boundary, id counters, liveness clocks, blame
+  /// and noise windows, the digest seq — so drained history is never
+  /// re-counted. Returns false when no checkpoint was ever saved, or it
+  /// fails to decode (cold start: the Analyzer still leaves the outage,
+  /// with fresh state and digest seq 0). Upload silence across the downtime
+  /// is forgiven either way.
   bool restore_from_journal();
 
  private:
@@ -176,10 +159,15 @@ class Analyzer : public VerdictLog {
   void forgive_silence(TimeNs now);
   /// The pipeline over one period's drained records and folded summary
   /// (analysis_core.cpp). Its report is a function of the record multiset:
-  /// the order of `records` never reaches a verdict.
+  /// the order of `records` never reaches a verdict. A pod passes the
+  /// digest it will send, and the pipeline writes the foreign timeouts, the
+  /// triage sets and the SLA and service-network digests into it; a flat
+  /// Analyzer passes null.
   const PeriodReport& analyze_period(const std::vector<ProbeRecord>& records,
                                      const sketch::HostSummary& summary,
-                                     TimeNs now);
+                                     TimeNs now, PodDigest* digest);
+  /// Stamp the period's report and DiagnosisLog into `d` and send it.
+  void send_digest(PodDigest&& d, const PeriodReport& rep);
 
   const topo::Topology& topo_;
   const Controller* directory_;
@@ -187,20 +175,25 @@ class Analyzer : public VerdictLog {
   AnalyzerConfig cfg_;
 
   std::function<void(const ProbeRecord&)> tap_;
-  std::function<void(const PeriodReport&, const obs::DiagnosisLog&)>
-      period_hook_;
-  std::function<void(AnalyzerCheckpoint&)> checkpoint_hook_;
-  FederationScratch* fed_ = nullptr;
   bool outage_ = false;
 
-  // Cross-period pipeline state (journaled in AnalyzerCheckpoint).
-  std::unordered_map<std::uint32_t, TimeNs> last_upload_;  // by host id
-  std::unordered_set<std::uint32_t> known_hosts_;
-  std::unordered_map<std::uint32_t, TimeNs> rnic_blamed_until_;
-  // Fig. 6 noise hangover: host id -> filtered-as-noise until (see
+  // Cross-period pipeline state (journaled in AnalyzerCheckpoint), indexed
+  // by topology id; kNoTime marks an id with no entry.
+  std::vector<TimeNs> last_upload_;  // by host id; kNoTime: never heard from
+  std::vector<TimeNs> rnic_blamed_until_;  // by RNIC id
+  // Fig. 6 noise hangover: by host id, filtered as noise until (see
   // kCpuNoiseWindow in analysis_core.cpp).
-  std::unordered_map<std::uint32_t, TimeNs> host_noise_until_;
+  std::vector<TimeNs> host_noise_until_;
   TimeNs last_period_end_ = 0;
+
+  // The pod role (serve_pod). A flat Analyzer has no local-host flags.
+  std::uint32_t pod_ = 0;
+  std::vector<bool> local_hosts_;  // by host id
+  transport::Channel* digest_channel_ = nullptr;
+  std::uint64_t digest_seq_ = 0;  // digests sent; journaled across crashes
+  std::size_t digest_bytes_sent_ = 0;
+  telemetry::Counter digests_total_;
+  telemetry::Counter digest_bytes_total_;
 
   // Self-observability: what the pipeline concluded, in sim-deterministic
   // counters. Its wall-clock cost per stage is the profiler's drain.* rows.
@@ -210,8 +203,6 @@ class Analyzer : public VerdictLog {
     telemetry::Counter problems_by_category[7];  // indexed by ProblemCategory
     telemetry::Counter problems_by_priority[4];  // indexed by Priority
   };
-  // The sink is declared (and registers its series) before the pipeline's
-  // metrics: the exporter lists series in registration order.
   IngestSink sink_;
   Metrics metrics_;
   std::unique_ptr<sim::PeriodicTask> period_task_;

@@ -1,5 +1,5 @@
-// Federation wire types: the compact per-pod summary a PodAnalyzer flushes
-// to the GlobalAnalyzer at every period close (ROADMAP "Hierarchical
+// Federation wire types: the compact per-pod summary a pod's Analyzer
+// flushes to the GlobalAnalyzer at every period close (ROADMAP "Hierarchical
 // federation"). A PodDigest carries the pod's *verdicts* (Problems plus the
 // evidence chains behind them), its mergeable SLA state (exact counts +
 // DDSketch quantiles, so the global cluster table is byte-identical for any
@@ -75,9 +75,10 @@ struct ServiceNetDigest {
   std::vector<std::uint32_t> hosts;
 };
 
-/// One pod period, flushed by the PodAnalyzer after its local analyze pass.
-/// `seq` is monotone per pod (journaled across restarts) so the global tier
-/// dedups retried deliveries exactly like the Analyzer dedups UploadBatches.
+/// One pod period, flushed by the pod's Analyzer after its local analyze
+/// pass. `seq` is monotone per pod (journaled across restarts) so the global
+/// tier dedups retried deliveries exactly like the Analyzer dedups
+/// UploadBatches.
 struct PodDigest {
   std::uint32_t pod = 0;
   std::uint64_t seq = 0;
@@ -114,6 +115,16 @@ struct PodDigest {
   std::vector<std::pair<std::uint32_t, SlaDigest>> service_slas;  // sorted
   std::vector<ServiceNetDigest> service_nets;                     // sorted
 };
+
+/// The flight-recorder trace of one digest, far above the probe id space
+/// (probes count up from 1). The pod opens it when it sends the digest and
+/// the global tier records its merge on the same trace, so each digest has
+/// one causal timeline.
+[[nodiscard]] constexpr std::uint64_t digest_trace_id(std::uint32_t pod,
+                                                      std::uint64_t seq) {
+  return (std::uint64_t{1} << 61) | (static_cast<std::uint64_t>(pod) << 32) |
+         (seq & 0xFFFFFFFFull);
+}
 
 /// Declared wire size for the transport byte accounting / bandwidth model.
 /// Mirrors upload_batch_wire_bytes' role for UploadBatch: a deterministic

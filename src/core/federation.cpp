@@ -1,7 +1,6 @@
 #include "core/federation.h"
 
 #include <algorithm>
-#include <any>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -15,125 +14,11 @@ namespace rpm::core {
 
 namespace {
 
-// Digest flight traces live far above the probe id space (probes count up
-// from 1). The global tier reconstructs the same id from (pod, seq), so its
-// kDigestMerge event lands on the timeline the pod opened at flush — one
-// causal story per digest.
-constexpr std::uint64_t kDigestTraceBase = 1ull << 61;
-
 // Global merge ticks fire this far after the pods' period boundary, giving
 // digests a control-plane flight's head start.
 constexpr TimeNs kMergeOffset = msec(500);
 
-std::uint64_t digest_trace_id(std::uint32_t pod, std::uint64_t seq) {
-  return kDigestTraceBase | (static_cast<std::uint64_t>(pod) << 32) |
-         (seq & 0xFFFFFFFFull);
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// PodAnalyzer
-// ---------------------------------------------------------------------------
-
-PodAnalyzer::PodAnalyzer(const topo::Topology& topo,
-                         const Controller& controller,
-                         sim::Scheduler& sched, AnalyzerConfig cfg,
-                         std::uint32_t pod, std::vector<HostId> hosts)
-    : pod_(pod),
-      hosts_(std::move(hosts)),
-      role_("pod" + std::to_string(pod)),
-      analyzer_(topo, controller, sched, std::move(cfg)) {
-  if (hosts_.empty()) {
-    throw std::invalid_argument("PodAnalyzer: empty host set");
-  }
-  for (HostId h : hosts_) scratch_.local_hosts.insert(h.value);
-  analyzer_.set_federation_scratch(&scratch_);
-  analyzer_.set_period_hook(
-      [this](const PeriodReport& rep, const obs::DiagnosisLog& dlog) {
-        on_period(rep, dlog);
-      });
-  analyzer_.set_checkpoint_hook(
-      [this](AnalyzerCheckpoint& cp) { cp.digest_seq = seq_; });
-  // PodAnalyzers exist only in federated deployments (pods >= 2), so these
-  // series never appear in a flat run's scrape.
-  auto& reg = telemetry::registry();
-  digests_total_ =
-      reg.counter("rpm_pod_digests_total", "PodDigests flushed by this pod",
-                  {{"pod", std::to_string(pod_)}});
-  digest_bytes_total_ = reg.counter("rpm_pod_digest_bytes_total",
-                                    "Declared wire bytes of flushed digests",
-                                    {{"pod", std::to_string(pod_)}});
-}
-
-void PodAnalyzer::on_period(const PeriodReport& rep,
-                            const obs::DiagnosisLog& dlog) {
-  prof::StageScope prof_scope(prof::Stage::kDigestFlush);
-  PodDigest d;
-  d.pod = pod_;
-  d.seq = ++seq_;
-  d.period_start = rep.period_start;
-  d.period_end = rep.period_end;
-  d.records_processed = rep.records_processed;
-  d.problems = rep.problems;
-  d.chains = dlog.chains;
-  d.timeouts_host_down = rep.timeouts_host_down;
-  d.timeouts_qpn_reset = rep.timeouts_qpn_reset;
-  d.timeouts_agent_cpu = rep.timeouts_agent_cpu;
-  d.timeouts_rnic = rep.timeouts_rnic;
-  d.timeouts_switch = rep.timeouts_switch;
-  // The scratch outputs are rebuilt by the next analyze pass — move, don't
-  // copy.
-  d.down_hosts = std::move(scratch_.down_hosts);
-  d.blamed_rnics = std::move(scratch_.blamed_rnics);
-  d.cpu_noise_hosts = std::move(scratch_.cpu_noise_hosts);
-  d.foreign = std::move(scratch_.foreign);
-  d.cluster_sla = std::move(scratch_.cluster_sla);
-  d.service_slas = std::move(scratch_.service_slas);
-  d.service_nets = std::move(scratch_.service_nets);
-
-  const std::size_t bytes = pod_digest_wire_bytes(d);
-  bytes_sent_ += bytes;
-  digests_total_.inc();
-  digest_bytes_total_.inc(bytes);
-
-  obs::FlightRecorder& fr = obs::recorder();
-  if (fr.enabled()) {
-    const std::uint64_t trace = digest_trace_id(pod_, d.seq);
-    if (fr.begin_probe(trace, "pod-digest",
-                       static_cast<std::uint64_t>(d.period_end))) {
-      fr.record(trace, obs::ProbeEventKind::kDigestFlush, d.seq,
-                d.problems.size());
-    }
-  }
-
-  if (channel_ != nullptr) {
-    channel_->send(std::any(std::move(d)), bytes);
-  }
-}
-
-void PodAnalyzer::attach_journal(StateJournal* journal) {
-  journal_ = journal;
-  analyzer_.attach_journal(journal, role_);
-}
-
-void PodAnalyzer::crash() {
-  analyzer_.crash();
-  seq_ = 0;  // lost with the process; restart_from_journal reloads it
-}
-
-bool PodAnalyzer::restart_from_journal() {
-  if (journal_ != nullptr) {
-    if (const auto cp = journal_->load_checkpoint(role_)) {
-      seq_ = cp->digest_seq;
-    }
-  }
-  return analyzer_.restore_from_journal();
-}
-
-// ---------------------------------------------------------------------------
-// GlobalAnalyzer
-// ---------------------------------------------------------------------------
 
 GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
                                sim::Scheduler& sched, AnalyzerConfig cfg)

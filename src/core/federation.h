@@ -4,10 +4,11 @@
 // At datacenter scale one Analyzer cannot hold every pod's record stream.
 // The federation splits the §4.3 pipeline by pod:
 //
-//   PodAnalyzer     a full Analyzer (IngestSink + record pipeline) scoped to
-//                   the hosts of one pod. It triages locally — host-down,
-//                   QPN reset, anomalous RNICs, Algorithm-1 voting over its
-//                   own evidence — and once per period emits ONE compact
+//   pod Analyzer    a full Analyzer (IngestSink + record pipeline) in its pod
+//                   role (Analyzer::serve_pod), scoped to the hosts of one
+//                   pod. It triages locally — host-down, QPN reset,
+//                   anomalous RNICs, Algorithm-1 voting over its own
+//                   evidence — and once per period emits ONE compact
 //                   PodDigest over a transport::Channel: problems, evidence
 //                   chains, mergeable SLA sketches, service networks, and
 //                   the foreign timeouts it could not triage (the target
@@ -37,10 +38,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "core/analyzer.h"
 #include "core/digest.h"
 #include "core/ingest.h"
 #include "core/journal.h"
@@ -48,58 +47,8 @@
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
-#include "transport/transport.h"
 
 namespace rpm::core {
-
-/// One pod's Analyzer: the flat Analyzer plus federation scoping and the
-/// per-period digest flush. Owns its role's journal checkpoints under
-/// "pod<N>".
-class PodAnalyzer {
- public:
-  PodAnalyzer(const topo::Topology& topo, const Controller& controller,
-              sim::Scheduler& sched, AnalyzerConfig cfg,
-              std::uint32_t pod, std::vector<HostId> hosts);
-
-  /// Where digests go (wire bytes accounted via pod_digest_wire_bytes).
-  /// Unset: digests are built and counted but not sent (tests).
-  void set_digest_channel(transport::Channel* ch) { channel_ = ch; }
-
-  [[nodiscard]] Analyzer& analyzer() { return analyzer_; }
-  [[nodiscard]] const Analyzer& analyzer() const { return analyzer_; }
-  [[nodiscard]] std::uint32_t pod() const { return pod_; }
-  [[nodiscard]] const std::vector<HostId>& hosts() const { return hosts_; }
-  [[nodiscard]] std::uint64_t digests_sent() const { return seq_; }
-  [[nodiscard]] std::size_t digest_bytes_sent() const { return bytes_sent_; }
-
-  void start() { analyzer_.start(); }
-  void stop() { analyzer_.stop(); }
-
-  /// Journal under role "pod<N>": checkpoints carry the digest seq so a
-  /// restarted pod never reuses (and never skips) a sequence number.
-  void attach_journal(StateJournal* journal);
-
-  /// Process crash / journal-restore (see Analyzer::crash). The digest seq
-  /// reloads from the checkpoint; with no checkpoint it restarts at 0 —
-  /// the GlobalAnalyzer's dedup window tolerates the replay.
-  void crash();
-  bool restart_from_journal();
-
- private:
-  void on_period(const PeriodReport& rep, const obs::DiagnosisLog& dlog);
-
-  std::uint32_t pod_;
-  std::vector<HostId> hosts_;
-  std::string role_;
-  Analyzer analyzer_;
-  FederationScratch scratch_;
-  transport::Channel* channel_ = nullptr;
-  StateJournal* journal_ = nullptr;
-  std::uint64_t seq_ = 0;  // digests emitted; journaled across crashes
-  std::size_t bytes_sent_ = 0;
-  telemetry::Counter digests_total_;
-  telemetry::Counter digest_bytes_total_;
-};
 
 /// The global merge tier. It never sees a ProbeRecord, only digests — but it
 /// runs the same verdict steps and emits the same PeriodReport/DiagnosisLog

@@ -118,8 +118,6 @@ void encode_checkpoint(const AnalyzerCheckpoint& cp,
   put_u64(out, cp.next_problem_id);
   put_u64(out, cp.next_evidence_id);
   put_id_times(out, cp.last_upload);
-  put_u64(out, cp.known_hosts.size());
-  for (std::uint32_t h : cp.known_hosts) put_u32(out, h);
   put_id_times(out, cp.rnic_blamed_until);
   put_id_times(out, cp.host_noise_until);
   put_ingest(out, cp.ingest);
@@ -143,11 +141,6 @@ AnalyzerCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& in) {
   cp.next_problem_id = get_u64(body, off);
   cp.next_evidence_id = get_u64(body, off);
   cp.last_upload = get_id_times(body, off);
-  const std::uint64_t nk = get_count(body, off, 4);
-  cp.known_hosts.reserve(nk);
-  for (std::uint64_t i = 0; i < nk; ++i) {
-    cp.known_hosts.push_back(get_u32(body, off));
-  }
   cp.rnic_blamed_until = get_id_times(body, off);
   cp.host_noise_until = get_id_times(body, off);
   cp.ingest = get_ingest(body, off);

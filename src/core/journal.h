@@ -6,13 +6,13 @@
 //  1. Checkpoints. After every period close an Analyzer (flat, pod, or
 //     global) writes an AnalyzerCheckpoint: its (host, seq) ingest dedup
 //     windows, period boundary, monotone problem/evidence id counters,
-//     host-liveness clocks, and RNIC blame windows — everything a restarted
-//     process needs so re-delivered history (upload and digest
-//     retransmissions) is deduplicated instead of re-counted, and so new
-//     evidence ids never collide with archived ones. Checkpoints are stored as the
-//     canonical little-endian byte encoding (encode/decode round-trips in
-//     the production path, standing in for the disk file a real deployment
-//     would fsync).
+//     host-liveness clocks, RNIC blame and host noise windows, and a pod's
+//     digest seq — everything a restarted process needs so re-delivered
+//     history (upload and digest retransmissions) is deduplicated instead
+//     of re-counted, and so new evidence ids never collide with archived
+//     ones. Checkpoints are stored as the canonical little-endian byte
+//     encoding (encode/decode round-trips in the production path, standing
+//     in for the disk file a real deployment would fsync).
 //
 //  2. DiagnosisLog archive (ROADMAP "Evidence retention policy"). Logs that
 //     age past AnalyzerConfig::history_limit spill here instead of being
@@ -40,17 +40,17 @@
 namespace rpm::core {
 
 /// Everything one Analyzer role persists at a period close. The generic
-/// fields cover the flat/pod/global pipeline state; digest_seq is the
-/// PodAnalyzer's next outgoing digest sequence number and digest_dedup the
+/// fields cover the flat/pod/global pipeline state; digest_seq is a pod
+/// Analyzer's last sent digest sequence number and digest_dedup the
 /// GlobalAnalyzer's per-pod (pod, seq) windows — unused fields stay empty.
+/// The (id, time) lists hold an Analyzer's id-table entries, ascending by id.
 struct AnalyzerCheckpoint {
   TimeNs last_period_end = 0;
   std::uint64_t next_problem_id = 1;
   std::uint64_t next_evidence_id = 1;
-  std::vector<std::pair<std::uint32_t, TimeNs>> last_upload;  // by host, asc
-  std::vector<std::uint32_t> known_hosts;                     // ascending
-  std::vector<std::pair<std::uint32_t, TimeNs>> rnic_blamed_until;  // asc
-  std::vector<std::pair<std::uint32_t, TimeNs>> host_noise_until;   // asc
+  std::vector<std::pair<std::uint32_t, TimeNs>> last_upload;  // by host id
+  std::vector<std::pair<std::uint32_t, TimeNs>> rnic_blamed_until;  // by RNIC
+  std::vector<std::pair<std::uint32_t, TimeNs>> host_noise_until;   // by host
   IngestCheckpoint ingest;
   std::uint64_t digest_seq = 0;
   IngestCheckpoint digest_dedup;  // "host" field holds the pod id

@@ -1,5 +1,6 @@
 #include "core/rpingmesh.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,30 +37,22 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
     host_pod_[h.id.value] = topo.switch_info(tor).pod % pods;
   }
 
-  // Analysis tier. Constructed before the channels/Agents so the metric
-  // registration order matches the historical deployment (sink series, then
-  // pipeline series, then per-Agent series).
-  if (pods == 1) {
-    analyzer_ = std::make_unique<Analyzer>(topo, group_.active(),
-                                           cluster_.scheduler(), cfg_.analyzer);
-    analyzer_->attach_journal(&journal_, "analyzer");
-  } else {
-    std::vector<std::vector<HostId>> pod_hosts(pods);
-    for (const topo::HostInfo& h : topo.hosts()) {
-      pod_hosts[host_pod_[h.id.value]].push_back(h.id);
+  // Analysis tier: one Analyzer per pod, and the merge tier over two or
+  // more. A federated pod's Analyzer journals as "pod<N>".
+  for (std::size_t p = 0; p < pods; ++p) {
+    if (pods > 1 &&
+        std::find(host_pod_.begin(), host_pod_.end(), p) == host_pod_.end()) {
+      throw std::invalid_argument(
+          "RPingmesh: federation.pods exceeds the populated Clos pods "
+          "(pod " +
+          std::to_string(p) + " has no hosts)");
     }
-    for (std::size_t p = 0; p < pods; ++p) {
-      if (pod_hosts[p].empty()) {
-        throw std::invalid_argument(
-            "RPingmesh: federation.pods exceeds the populated Clos pods "
-            "(pod " +
-            std::to_string(p) + " has no hosts)");
-      }
-      pod_analyzers_.push_back(std::make_unique<PodAnalyzer>(
-          topo, group_.active(), cluster_.scheduler(), cfg_.analyzer,
-          static_cast<std::uint32_t>(p), std::move(pod_hosts[p])));
-      pod_analyzers_.back()->attach_journal(&journal_);
-    }
+    analyzers_.push_back(std::make_unique<Analyzer>(
+        topo, group_.active(), cluster_.scheduler(), cfg_.analyzer));
+    analyzers_.back()->attach_journal(
+        &journal_, pods == 1 ? "analyzer" : "pod" + std::to_string(p));
+  }
+  if (pods > 1) {
     global_ = std::make_unique<GlobalAnalyzer>(topo, cluster_.scheduler(),
                                                cfg_.analyzer);
     global_->attach_journal(&journal_);
@@ -69,14 +62,14 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
   for (const topo::HostInfo& h : topo.hosts()) {
     const std::string suffix = "/h" + std::to_string(h.id.value);
     const std::size_t pod = host_pod_[h.id.value];
-    // Agent -> Analyzer: the upload stream hands off into the (pod's)
+    // Agent -> Analyzer: the upload stream hands off into the pod's
     // IngestSink. Records are moved out of the payload on first delivery;
     // the sink dedups retried batches by (host, seq) before touching the
     // body.
     transport::Channel& up = cp.make_channel(
         "upload" + suffix, [this, pod](std::uint64_t, std::any& payload) {
           if (auto* batch = std::any_cast<UploadBatch>(&payload)) {
-            pod_sink(pod).submit(std::move(*batch));
+            analyzers_[pod]->sink().submit(std::move(*batch));
           }
         });
     // Agent -> Controller: registration + pinglist pulls. Both handlers are
@@ -120,7 +113,12 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
             }
           });
       digest_channels_.push_back(&dch);
-      pod_analyzers_[p]->set_digest_channel(&dch);
+      std::vector<bool> hosts(topo.num_hosts());
+      for (std::size_t h = 0; h < hosts.size(); ++h) {
+        hosts[h] = host_pod_[h] == p;
+      }
+      analyzers_[p]->serve_pod(static_cast<std::uint32_t>(p),
+                               std::move(hosts), &dch);
     }
   }
 
@@ -135,8 +133,7 @@ RPingmesh::RPingmesh(host::Cluster& cluster, RPingmeshConfig cfg)
       rpc->set_server_down(false);
     }
     for (auto& a : agents_) a->set_directory(&promoted);
-    if (analyzer_) analyzer_->set_directory(&promoted);
-    for (auto& p : pod_analyzers_) p->analyzer().set_directory(&promoted);
+    for (auto& a : analyzers_) a->set_directory(&promoted);
   });
 }
 
@@ -153,35 +150,27 @@ RPingmesh::~RPingmesh() {
   for (transport::Channel* ch : digest_channels_) ch->set_handler(nullptr);
 }
 
-IngestSink& RPingmesh::pod_sink(std::size_t pod) {
-  if (analyzer_) return analyzer_->sink();
-  return pod_analyzers_[pod]->analyzer().sink();
-}
-
 Analyzer& RPingmesh::analyzer() {
-  if (analyzer_ == nullptr) {
+  if (federated()) {
     throw std::logic_error(
         "RPingmesh::analyzer(): no flat Analyzer in a federated deployment; "
         "use pod_analyzer()/global_analyzer()/scored_history()");
   }
-  return *analyzer_;
+  return *analyzers_.front();
+}
+
+VerdictLog& RPingmesh::scoring_tier() const {
+  if (global_) return *global_;
+  return *analyzers_.front();
 }
 
 const std::deque<PeriodReport>& RPingmesh::scored_history() const {
-  return global_ ? global_->history() : analyzer_->history();
-}
-
-const AnalyzerConfig& RPingmesh::analyzer_config() const {
-  return global_ ? global_->config() : analyzer_->config();
+  return scoring_tier().history();
 }
 
 void RPingmesh::watch_service(ServiceBinding binding) {
-  if (analyzer_) {
-    analyzer_->register_service(std::move(binding));
-    return;
-  }
   // Impact assessment runs where the union service networks live.
-  global_->register_service(std::move(binding));
+  scoring_tier().register_service(std::move(binding));
 }
 
 void RPingmesh::start() {
@@ -197,12 +186,8 @@ void RPingmesh::start() {
         for (auto& a : agents_) a->refresh_pinglists();
       });
   settle_task_->start(kControlSettleDelay);
-  if (analyzer_) {
-    analyzer_->start();
-  } else {
-    for (auto& p : pod_analyzers_) p->start();
-    global_->start();
-  }
+  for (auto& a : analyzers_) a->start();
+  if (global_) global_->start();
   rotation_task_ = std::make_unique<sim::PeriodicTask>(
       cluster_.scheduler(), kTupleRotationInterval,
       [this] { group_.active().rotate_intertor_tuples(); });
@@ -236,12 +221,8 @@ void RPingmesh::restart_controller() {
 
 void RPingmesh::begin_analyzer_outage() {
   if (analyzer_in_outage()) return;
-  if (analyzer_) {
-    analyzer_->set_outage(true);
-  } else {
-    for (auto& p : pod_analyzers_) p->analyzer().set_outage(true);
-    global_->set_outage(true);
-  }
+  for (auto& a : analyzers_) a->set_outage(true);
+  if (global_) global_->set_outage(true);
   for (transport::Channel* ch : upload_channels_) ch->set_peer_down(true);
   for (transport::Channel* ch : digest_channels_) ch->set_peer_down(true);
 }
@@ -252,56 +233,54 @@ void RPingmesh::end_analyzer_outage() {
   for (transport::Channel* ch : digest_channels_) ch->set_peer_down(false);
   // Order matters: set_outage(false) stamps "now" as every host's silence
   // epoch AFTER the channels can deliver again, so nothing slips between.
-  if (analyzer_) {
-    analyzer_->set_outage(false);
-  } else {
-    for (auto& p : pod_analyzers_) p->analyzer().set_outage(false);
-    global_->set_outage(false);
-  }
+  for (auto& a : analyzers_) a->set_outage(false);
+  if (global_) global_->set_outage(false);
 }
 
 bool RPingmesh::analyzer_in_outage() const {
-  return global_ ? global_->in_outage() : analyzer_->in_outage();
+  return global_ ? global_->in_outage() : analyzers_.front()->in_outage();
+}
+
+Analyzer& RPingmesh::federated_pod(std::size_t pod) {
+  if (!federated()) {
+    throw std::logic_error(
+        "RPingmesh: a flat deployment has no pod Analyzer to crash or "
+        "restart");
+  }
+  return *analyzers_.at(pod);
+}
+
+void RPingmesh::set_pod_peer_down(std::size_t pod, bool down) {
+  for (std::size_t h = 0; h < host_pod_.size(); ++h) {
+    if (host_pod_[h] == pod) upload_channels_[h]->set_peer_down(down);
+  }
+  digest_channels_[pod]->set_peer_down(down);
 }
 
 void RPingmesh::crash_pod_analyzer(std::size_t pod) {
-  PodAnalyzer& pa = *pod_analyzers_.at(pod);
-  if (pa.analyzer().in_outage()) return;
-  pa.crash();
+  Analyzer& a = federated_pod(pod);
+  if (a.in_outage()) return;
+  a.crash();
   // The pod's process is gone: its hosts' upload channels and its digest
   // channel lose their peer; both keep retrying until the pod is back.
-  for (const topo::HostInfo& h : cluster_.topology().hosts()) {
-    if (host_pod_[h.id.value] == pod) {
-      upload_channels_[h.id.value]->set_peer_down(true);
-    }
-  }
-  digest_channels_.at(pod)->set_peer_down(true);
+  set_pod_peer_down(pod, true);
 }
 
 void RPingmesh::restart_pod_analyzer(std::size_t pod) {
-  PodAnalyzer& pa = *pod_analyzers_.at(pod);
-  if (!pa.analyzer().in_outage()) return;
-  for (const topo::HostInfo& h : cluster_.topology().hosts()) {
-    if (host_pod_[h.id.value] == pod) {
-      upload_channels_[h.id.value]->set_peer_down(false);
-    }
-  }
-  digest_channels_.at(pod)->set_peer_down(false);
+  Analyzer& a = federated_pod(pod);
+  if (!a.in_outage()) return;
   // Channels first, then the journal restore stamps the recovery boundary —
   // same ordering contract as end_analyzer_outage().
-  pa.restart_from_journal();
+  set_pod_peer_down(pod, false);
+  a.restore_from_journal();
 }
 
 void RPingmesh::stop() {
   if (!running_) return;
   running_ = false;
   for (auto& a : agents_) a->stop();
-  if (analyzer_) {
-    analyzer_->stop();
-  } else {
-    for (auto& p : pod_analyzers_) p->stop();
-    global_->stop();
-  }
+  for (auto& a : analyzers_) a->stop();
+  if (global_) global_->stop();
   if (rotation_task_) rotation_task_->cancel();
   if (settle_task_) settle_task_->cancel();
 }

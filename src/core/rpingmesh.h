@@ -2,14 +2,14 @@
 // host + the analysis tier) onto a Cluster. This is the public entry point
 // most examples and benches use.
 //
-// Two deployment shapes (FederationConfig):
+// One Analyzer runs per pod (FederationConfig):
 //
-//   pods == 1 (flat, default)  one Analyzer ingests every host's uploads —
-//     byte-identical to the historical single-Analyzer pipeline.
+//   pods == 1 (flat, default)  the one Analyzer ingests every host's
+//     uploads — byte-identical to the historical single-Analyzer pipeline.
 //
 //   pods >= 2 (federated)      hosts map to pods by their ToR's Clos pod
-//     (folded modulo `pods`); each pod runs a PodAnalyzer over its own
-//     hosts' uploads and flushes a compact PodDigest per period over
+//     (folded modulo `pods`); each pod's Analyzer, in its pod role, ingests
+//     its own hosts' uploads and flushes a compact PodDigest per period over
 //     "digest/p<N>"; a GlobalAnalyzer merges the digests into the
 //     cluster-wide verdict/SLA stream (scored_history()).
 //
@@ -87,10 +87,11 @@ class RPingmesh {
   void end_analyzer_outage();
   [[nodiscard]] bool analyzer_in_outage() const;
 
-  /// Crash one pod's Analyzer process (federated only): its upload and
-  /// digest channels lose their peer, its volatile pipeline state dies. The
-  /// restart reloads the journaled checkpoint — dedup windows, period
-  /// boundary, digest seq — so drained history is never re-counted.
+  /// Crash one pod's Analyzer process (federated only; a flat deployment
+  /// throws std::logic_error): its upload and digest channels lose their
+  /// peer, its volatile pipeline state dies. The restart reloads the
+  /// journaled checkpoint — dedup windows, period boundary, digest seq — so
+  /// drained history is never re-counted.
   void crash_pod_analyzer(std::size_t pod);
   void restart_pod_analyzer(std::size_t pod);
 
@@ -101,11 +102,14 @@ class RPingmesh {
   /// use pod_analyzer()/global_analyzer()/scored_history() there.
   [[nodiscard]] Analyzer& analyzer();
   [[nodiscard]] bool federated() const { return global_ != nullptr; }
-  [[nodiscard]] std::size_t num_pods() const {
-    return federated() ? pod_analyzers_.size() : 1;
+  [[nodiscard]] std::size_t num_pods() const { return analyzers_.size(); }
+  /// Pod `pod`'s Analyzer (the flat Analyzer is pod 0).
+  [[nodiscard]] Analyzer& pod_analyzer(std::size_t pod) {
+    return *analyzers_.at(pod);
   }
-  [[nodiscard]] PodAnalyzer& pod_analyzer(std::size_t pod) {
-    return *pod_analyzers_.at(pod);
+  /// The pod whose Analyzer `host`'s Agent uploads to.
+  [[nodiscard]] std::size_t pod_of(HostId host) const {
+    return host_pod_.at(host.value);
   }
   [[nodiscard]] GlobalAnalyzer& global_analyzer() { return *global_; }
 
@@ -113,7 +117,9 @@ class RPingmesh {
   /// Analyzer's history, or the GlobalAnalyzer's merged history.
   [[nodiscard]] const std::deque<PeriodReport>& scored_history() const;
   /// The analysis thresholds/period backing scored_history().
-  [[nodiscard]] const AnalyzerConfig& analyzer_config() const;
+  [[nodiscard]] const AnalyzerConfig& analyzer_config() const {
+    return cfg_.analyzer;
+  }
 
   [[nodiscard]] StateJournal& journal() { return journal_; }
 
@@ -126,7 +132,13 @@ class RPingmesh {
   void watch_service(ServiceBinding binding);
 
  private:
-  [[nodiscard]] IngestSink& pod_sink(std::size_t pod);
+  /// The tier whose verdicts are scored: the merge tier, or the flat
+  /// Analyzer.
+  [[nodiscard]] VerdictLog& scoring_tier() const;
+  /// Pod `pod`'s Analyzer; throws std::logic_error when flat.
+  [[nodiscard]] Analyzer& federated_pod(std::size_t pod);
+  /// Take pod `pod`'s upload and digest channels' peer down, or back up.
+  void set_pod_peer_down(std::size_t pod, bool down);
 
   host::Cluster& cluster_;
   RPingmeshConfig cfg_;
@@ -135,9 +147,8 @@ class RPingmesh {
   // journals to (checkpoints + evidence archive). Declared before the
   // analyzers that hold pointers into it.
   StateJournal journal_;
-  std::unique_ptr<Analyzer> analyzer_;                      // pods == 1
-  std::vector<std::unique_ptr<PodAnalyzer>> pod_analyzers_;  // pods >= 2
-  std::unique_ptr<GlobalAnalyzer> global_;                   // pods >= 2
+  std::vector<std::unique_ptr<Analyzer>> analyzers_;  // by pod
+  std::unique_ptr<GlobalAnalyzer> global_;            // pods >= 2
   std::vector<std::size_t> host_pod_;  // pod index by host id
   // Channels live in the Cluster's ControlPlane (they model the network);
   // these pointers let the destructor detach handlers that capture `this`.

@@ -69,7 +69,7 @@ enum class ProbeEventKind : std::uint8_t {
   kVerdict,          // Analyzer attributed a cause; a = AnomalyCause
   kLeaseExpired,     // Agent's Controller lease lapsed while record waited
   kReregistered,     // Agent re-registered after a lost lease
-  kDigestFlush,      // PodAnalyzer flushed a PodDigest; a = seq, b = problems
+  kDigestFlush,      // a pod flushed a PodDigest; a = seq, b = problems
   kDigestMerge,      // GlobalAnalyzer merged a PodDigest; a = pod, b = seq
 };
 

@@ -65,7 +65,7 @@ enum class Stage : std::uint8_t {
   kDrainImpact,         // analyze_period: service networks + impact
   kDrainDiaglog,        // period-end history/diagnosis/journal bookkeeping
   kDrainRelease,        // period close: free the period's drained records
-  kDigestFlush,         // PodAnalyzer built + sent one PodDigest
+  kDigestFlush,         // a pod's Analyzer built + sent one PodDigest
   kGlobalMerge,         // GlobalAnalyzer merged the pending digests
   kTransportDeliver,    // one Channel handler invocation
   kSketchFlush,         // recorded by nothing (perfbench still names it)

@@ -11,6 +11,7 @@
 #include "core/controller.h"
 #include "core/federation.h"
 #include "core/ingest.h"
+#include "core/journal.h"
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
@@ -369,6 +370,61 @@ TEST_F(AnalyzerTest, RnicBlameWindowPersistsAcrossPeriods) {
   sched_.run_until(sec(40));
   const PeriodReport& rep = analyzer_.analyze_now();
   EXPECT_EQ(rep.timeouts_rnic, 2u);
+  EXPECT_EQ(rep.timeouts_switch, 0u);
+}
+
+TEST_F(AnalyzerTest, JournalRestoreKeepsLivenessBlameAndNoiseWindows) {
+  StateJournal journal;
+  analyzer_.attach_journal(&journal, "analyzer");
+  // Period 1: RNIC 6 is blamed (as in RnicBlameWindowPersistsAcrossPeriods)
+  // and host 1 is flagged as agent-CPU noise (as in
+  // MultiRnicSimultaneousTimeoutsAreCpuNoise).
+  heartbeat_all_hosts();
+  upload_healthy_tormesh();
+  std::vector<ProbeRecord> recs;
+  for (int i = 0; i < 20; ++i) {
+    recs.push_back(make_record(RnicId{4}, RnicId{6}, ProbeStatus::kTimeout));
+  }
+  for (RnicId victim : topo_.host(HostId{1}).rnics) {
+    for (int i = 0; i < 14; ++i) {
+      recs.push_back(make_record(RnicId{0}, victim, ProbeStatus::kOk));
+    }
+    for (int i = 0; i < 6; ++i) {
+      recs.push_back(make_record(RnicId{0}, victim, ProbeStatus::kTimeout));
+    }
+  }
+  analyzer_.upload(HostId{2}, std::move(recs));
+  sched_.run_until(sec(20));
+  const PeriodReport& first = analyzer_.analyze_now();
+  ASSERT_GT(first.timeouts_rnic, 0u);
+  ASSERT_GT(first.timeouts_agent_cpu, 0u);
+
+  // The process dies; the checkpoint saved at 20 s is all that survives.
+  analyzer_.crash();
+  sched_.run_until(sec(25));
+  ASSERT_TRUE(analyzer_.restore_from_journal());
+
+  // 50 s: every host but host 6 uploads. Host 6 was last heard from at the
+  // restart (25 s), past the 20 s silence threshold; the blame and noise
+  // windows run to 80 s.
+  sched_.run_until(sec(50));
+  for (const topo::HostInfo& h : topo_.hosts()) {
+    if (h.id != HostId{6}) analyzer_.upload(h.id, {});
+  }
+  const RnicId host6_rnic = topo_.host(HostId{6}).rnics[0];
+  recs.clear();
+  for (RnicId target : {RnicId{6}, RnicId{2}, host6_rnic}) {
+    for (int i = 0; i < 2; ++i) {
+      recs.push_back(make_record(RnicId{0}, target, ProbeStatus::kTimeout,
+                                 ProbeKind::kInterTor));
+    }
+  }
+  analyzer_.upload(HostId{0}, std::move(recs));
+  const PeriodReport& rep = analyzer_.analyze_now();
+  EXPECT_EQ(rep.period_start, sec(25));
+  EXPECT_EQ(rep.timeouts_rnic, 2u);       // RNIC 6's blame window
+  EXPECT_EQ(rep.timeouts_agent_cpu, 2u);  // host 1's noise window
+  EXPECT_EQ(rep.timeouts_host_down, 2u);  // host 6's liveness clock
   EXPECT_EQ(rep.timeouts_switch, 0u);
 }
 

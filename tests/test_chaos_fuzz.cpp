@@ -497,7 +497,7 @@ TEST(JournalCorruption, BitFlipFallsBackToCleanStartAndIsCounted) {
   cp.last_period_end = sec(10);
   cp.next_problem_id = 42;
   cp.next_evidence_id = 7;
-  cp.known_hosts = {1, 2, 3};
+  cp.last_upload = {{1, sec(8)}, {2, sec(9)}, {3, sec(10)}};
   cp.rnic_blamed_until = {{4, sec(9)}};
   cp.host_noise_until = {{2, sec(70)}};
   journal.save_checkpoint("analyzer", cp);
@@ -505,6 +505,7 @@ TEST(JournalCorruption, BitFlipFallsBackToCleanStartAndIsCounted) {
   const auto loaded = journal.load_checkpoint("analyzer");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->next_problem_id, 42u);
+  EXPECT_EQ(loaded->last_upload, cp.last_upload);
   EXPECT_EQ(loaded->host_noise_until, cp.host_noise_until);
   EXPECT_EQ(journal.corrupt_total(), 0u);
 
@@ -545,12 +546,12 @@ TEST(JournalCorruption, HugeCountWithValidCrcIsADecodeError) {
   ASSERT_EQ(bytes.size(), 36u);
   EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
 
-  // Same for every length prefix of an empty checkpoint: the id-time lists,
-  // known_hosts, and both dedup-window lists.
+  // Same for every length prefix of an empty checkpoint: the three id-time
+  // lists and both dedup-window lists (byte 56 is digest_seq).
   std::vector<std::uint8_t> empty;
   core::encode_checkpoint(core::AnalyzerCheckpoint{}, empty);
-  ASSERT_EQ(empty.size(), 84u);
-  for (const std::size_t at : {24u, 32u, 40u, 48u, 56u, 72u}) {
+  ASSERT_EQ(empty.size(), 76u);
+  for (const std::size_t at : {24u, 32u, 40u, 48u, 64u}) {
     std::vector<std::uint8_t> bad(empty.begin(), empty.begin() + at);
     codec::put_u64(bad, kHuge);
     bad.insert(bad.end(), empty.begin() + at + 8, empty.end() - 4);

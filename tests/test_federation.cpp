@@ -2,11 +2,13 @@
 // merge) and the ControllerGroup standby failover:
 //
 //  * a federated deployment under a chaos campaign that kills the primary
-//    Controller mid-period and a PodAnalyzer mid-drain still reaches full
+//    Controller mid-period and a pod's Analyzer mid-drain still reaches full
 //    precision/recall on injected ground truth;
 //  * same seed => byte-identical ChaosReport JSON for pods in {1, 2, 4};
 //  * a restarted Analyzer role reloads its journaled (pod, seq) dedup
-//    windows, so replayed digests never re-count drained history;
+//    windows, so replayed digests never re-count drained history, and a
+//    restarted pod reloads its digest seq from the one checkpoint it
+//    decodes;
 //  * standby promotion follows the Controller::restart() contract (fresh
 //    registry, epoch fenced past the deposed primary) and exports the
 //    rpm_controller_epoch / rpm_controller_failovers_total series;
@@ -101,7 +103,7 @@ struct Deployment {
 };
 
 /// The issue's acceptance campaign: kill the primary mid-period (the warm
-/// standby must take over), kill one PodAnalyzer mid-drain (journal
+/// standby must take over), kill one pod's Analyzer mid-drain (journal
 /// restart), then layer real faults on top — a host failure and a
 /// corrupting fabric link, both still active at campaign end.
 ChaosPlan failover_plan(std::uint64_t seed, LinkId fabric_link,
@@ -131,6 +133,11 @@ TEST(Federation, StepAndAccessorSurfaces) {
   EXPECT_FALSE(flat.rpm.federated());
   EXPECT_EQ(flat.rpm.num_pods(), 1u);
   EXPECT_NO_THROW((void)flat.rpm.analyzer());
+  // The flat Analyzer is pod 0; it has no pod role to crash or restart.
+  EXPECT_EQ(&flat.rpm.pod_analyzer(0), &flat.rpm.analyzer());
+  EXPECT_THROW(flat.rpm.crash_pod_analyzer(0), std::logic_error);
+  EXPECT_THROW(flat.rpm.restart_pod_analyzer(0), std::logic_error);
+  EXPECT_FALSE(flat.rpm.analyzer().in_outage());
 
   Deployment fed(3, 2, /*standby=*/false);
   EXPECT_TRUE(fed.rpm.federated());
@@ -139,11 +146,13 @@ TEST(Federation, StepAndAccessorSurfaces) {
   EXPECT_EQ(fed.rpm.pod_analyzer(0).pod(), 0u);
   EXPECT_EQ(fed.rpm.pod_analyzer(1).pod(), 1u);
   // Every host lands in exactly one pod; both pods are populated.
-  EXPECT_GT(fed.rpm.pod_analyzer(0).hosts().size(), 0u);
-  EXPECT_GT(fed.rpm.pod_analyzer(1).hosts().size(), 0u);
-  EXPECT_EQ(fed.rpm.pod_analyzer(0).hosts().size() +
-                fed.rpm.pod_analyzer(1).hosts().size(),
-            fed.cluster.num_hosts());
+  std::size_t pod_hosts[2] = {0, 0};
+  for (const topo::HostInfo& h : fed.cluster.topology().hosts()) {
+    ++pod_hosts[fed.rpm.pod_of(h.id)];
+  }
+  EXPECT_GT(pod_hosts[0], 0u);
+  EXPECT_GT(pod_hosts[1], 0u);
+  EXPECT_EQ(pod_hosts[0] + pod_hosts[1], fed.cluster.num_hosts());
 }
 
 TEST(Federation, CampaignSurvivesPrimaryKillAndPodAnalyzerKill) {
@@ -267,7 +276,7 @@ TEST(Federation, GlobalDedupWindowSurvivesJournalRestart) {
 TEST(Federation, PodAnalyzerReloadsDigestSeqFromJournal) {
   Deployment d(5, 2, /*standby=*/false);
   d.cluster.run_for(sec(32));  // a few closed periods, mid-period pause
-  core::PodAnalyzer& pod = d.rpm.pod_analyzer(1);
+  core::Analyzer& pod = d.rpm.pod_analyzer(1);
   const std::uint64_t before = pod.digests_sent();
   ASSERT_GT(before, 0u);
 
@@ -282,6 +291,31 @@ TEST(Federation, PodAnalyzerReloadsDigestSeqFromJournal) {
   d.cluster.run_for(sec(20));
   EXPECT_GT(pod.digests_sent(), before);
   EXPECT_EQ(d.rpm.global_analyzer().duplicate_digests(), dups);
+}
+
+TEST(Federation, CorruptPodCheckpointIsCountedOnce) {
+  Deployment d(5, 2, /*standby=*/false);
+  d.cluster.run_for(sec(12));  // two closed periods: pod 1 has a checkpoint
+  core::Analyzer& pod = d.rpm.pod_analyzer(1);
+  ASSERT_GT(pod.digests_sent(), 0u);
+  const auto corrupt_metric = [] {
+    const telemetry::Snapshot snap = telemetry::registry().snapshot();
+    const telemetry::SeriesSample* s =
+        snap.find("rpm_journal_corrupt_total", {{"role", "pod1"}});
+    return s == nullptr ? std::uint64_t{0} : s->counter_value;
+  };
+  const std::uint64_t metric_before = corrupt_metric();
+
+  d.rpm.crash_pod_analyzer(1);
+  ASSERT_TRUE(d.rpm.journal().corrupt_checkpoint("pod1", 77));
+  d.rpm.restart_pod_analyzer(1);
+
+  // The restart decodes the checkpoint once: one corrupt checkpoint is one
+  // count, and the pod starts clean, digest seq included.
+  EXPECT_EQ(d.rpm.journal().corrupt_total(), 1u);
+  EXPECT_EQ(corrupt_metric(), metric_before + 1);
+  EXPECT_EQ(pod.digests_sent(), 0u);
+  EXPECT_FALSE(pod.in_outage());
 }
 
 TEST(Federation, StandbyPromotionFollowsRestartContractAndExports) {
