@@ -22,6 +22,7 @@
 #include "host/cluster.h"
 #include "obs/flight_recorder.h"
 #include "routing/ecmp.h"
+#include "sketch/sketch.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
@@ -294,7 +295,7 @@ void BM_TransportPeerOutage(benchmark::State& state) {
 BENCHMARK(BM_TransportPeerOutage);
 
 // Analyzer ingestion: range(0) records (spread over per-host batches) into
-// the IngestSink, drained and analyzed at period close.
+// the IngestSink, analyzed in place at period close.
 void BM_AnalyzerIngest(benchmark::State& state) {
   const topo::Topology topo = topo::build_clos(bench_clos());
   const routing::EcmpRouter router(topo);
@@ -328,7 +329,7 @@ void BM_AnalyzerIngest(benchmark::State& state) {
     for (core::UploadBatch& b : batches) {
       analyzer.sink().submit(std::move(b));
     }
-    benchmark::DoNotOptimize(analyzer.analyze_now());  // includes the drain
+    benchmark::DoNotOptimize(analyzer.analyze_now());  // includes the close
   }
   state.SetItemsProcessed(state.iterations() * n_records);
 }
@@ -398,6 +399,22 @@ void BM_TelemetryHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryHistogramObserve);
 
+// The Analyzer's record walk pays one of these per completed probe and
+// table: a responder delay (integer ns, 2-8 us) into a sketch whose dense
+// range already covers it, so an add is one logarithm and an increment.
+void BM_QuantileSketchAdd(benchmark::State& state) {
+  sketch::QuantileSketch s;
+  s.add(2000.0);
+  s.add(8000.0);
+  double v = 2000.0;
+  for (auto _ : state) {
+    s.add(v);
+    v = v >= 8000.0 ? 2000.0 : v + 1.0;
+  }
+  benchmark::DoNotOptimize(s.count());
+}
+BENCHMARK(BM_QuantileSketchAdd);
+
 // Cold path: get-or-create lookup by (name, labels) — what a component pays
 // once at construction, never per event.
 void BM_TelemetryCounterLookup(benchmark::State& state) {
@@ -426,7 +443,7 @@ BENCHMARK(BM_TelemetrySnapshotExport)->Arg(100)->Arg(1000);
 
 // Standalone ingest-throughput measurement behind `--ingest-json[=PATH]`:
 // the bare IngestSink (100k records, 128-record batches over 64 hosts)
-// submitted and drained per period, written as BENCH_ingest.json — events/sec
+// submitted and cleared per period, written as BENCH_ingest.json — events/sec
 // plus the period's record and wire-byte volume — so re-anchors can see the
 // ingest perf curve without running the whole google-benchmark suite.
 int write_ingest_json(const std::string& path) {
@@ -470,12 +487,12 @@ int write_ingest_json(const std::string& path) {
   core::IngestSink sink(topo);
   // Warm-up period, then three measured periods.
   for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
-  (void)sink.drain_period();
+  sink.end_period();
   const auto t0 = std::chrono::steady_clock::now();
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
     for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
-    (void)sink.drain_period();
+    sink.end_period();
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

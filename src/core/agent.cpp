@@ -443,7 +443,7 @@ std::size_t Agent::approx_memory_bytes() const {
               st.service.size()) *
              sizeof(PinglistEntry);
     bytes += st.parked_services.size() * sizeof(verbs::ModifyQpEvent);
-    bytes += st.paths.size() * (sizeof(PathCacheEntry) + 16 * sizeof(LinkId));
+    bytes += st.paths.size() * sizeof(PathCacheEntry);  // links inline
   }
   bytes += pending_.size() * sizeof(Pending);
   bytes += outbox_.capacity() * sizeof(ProbeRecord);

@@ -1,4 +1,4 @@
-// The Analyzer's period pipeline (§4.3) over one period's drained probe
+// The Analyzer's period pipeline (§4.3) over one period's probe
 // records: timeout triage, anomalous-RNIC detection, Algorithm-1
 // localization, bottleneck scans, SLA tables and impact. The verdict steps
 // it shares with the GlobalAnalyzer are in core/verdict.h.
@@ -196,8 +196,11 @@ const PeriodReport& Analyzer::analyze_period(
       timeouts.push_back({&r, target_host, &sla, cause});
     } else {
       sla.rtt.add(static_cast<double>(r.network_rtt));
-      sla.proc.add(static_cast<double>(r.responder_delay));
-      ok_delay[r.target.value].add(static_cast<double>(r.responder_delay));
+      // One logarithm for both tables the responder delay feeds.
+      const auto delay = sketch::QuantileSketch::bucket_of(
+          static_cast<double>(r.responder_delay));
+      sla.proc.add(delay);
+      ok_delay[r.target.value].add(delay);
       if (r.network_rtt > cfg_.high_rtt_threshold) {
         if (svc != nullptr) {
           hot_service[r.service.value].push_back(&r);

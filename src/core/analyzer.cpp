@@ -127,26 +127,19 @@ void Analyzer::set_outage(bool outage) {
 }
 
 const PeriodReport& Analyzer::analyze_now() {
-  // Watchdog over the whole close: drain -> analyze -> digest -> checkpoint.
+  // Watchdog over the whole close: analyze -> digest -> checkpoint.
   prof::PeriodCloseScope close_scope;
   const TimeNs now = sched_.now();
-  std::vector<ProbeRecord> records;
-  sketch::HostSummary summary;
-  {
-    prof::StageScope collect_scope(prof::Stage::kDrainCollect);
-    records = sink_.drain_period();
-    // The summary is drained unconditionally so a stray test summary can
-    // never leak across a sketch-mode flip.
-    summary = sink_.drain_summary();
-  }
+  // The summary is drained unconditionally so a stray test summary can
+  // never leak across a sketch-mode flip.
+  const sketch::HostSummary summary = sink_.drain_summary();
   PodDigest digest;
   const bool pod = !local_hosts_.empty();
-  const PeriodReport& rep =
-      analyze_period(records, summary, now, pod ? &digest : nullptr);
-  {
-    prof::StageScope release_scope(prof::Stage::kDrainRelease);
-    std::vector<ProbeRecord>().swap(records);
-  }
+  // The sink's buffer is analyzed in place, then emptied with its capacity
+  // kept: the close has no records to move or free.
+  const PeriodReport& rep = analyze_period(sink_.period_records(), summary,
+                                           now, pod ? &digest : nullptr);
+  sink_.end_period();
   if (pod) send_digest(std::move(digest), rep);
   if (journal_ != nullptr) save_checkpoint();
   return rep;

@@ -157,7 +157,7 @@ class Analyzer : public VerdictLog {
   /// `now`, so downtime never reads as host-down verdicts or one long
   /// period.
   void forgive_silence(TimeNs now);
-  /// The pipeline over one period's drained records and folded summary
+  /// The pipeline over one period's records and folded summary
   /// (analysis_core.cpp). Its report is a function of the record multiset:
   /// the order of `records` never reaches a verdict. A pod passes the
   /// digest it will send, and the pipeline writes the foreign timeouts, the

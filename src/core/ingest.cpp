@@ -105,15 +105,6 @@ bool IngestSink::accept_batch(HostId host,
   return false;
 }
 
-std::vector<ProbeRecord> IngestSink::drain_period() {
-  // Buffer reuse: the period's vector leaves whole, and the next one is
-  // pre-sized to what this period held, so steady state accumulates without
-  // re-growing from zero.
-  std::vector<ProbeRecord> drained = std::exchange(pending_, {});
-  pending_.reserve(drained.size());
-  return drained;
-}
-
 sketch::HostSummary IngestSink::drain_summary() {
   return std::exchange(summary_, sketch::HostSummary{});
 }
@@ -152,9 +143,8 @@ void IngestSink::ingest(std::vector<ProbeRecord>&& records) {
     }
   }
   // A range insert past capacity grows geometrically, so appends stay
-  // amortized O(1) per record.
-  pending_.insert(pending_.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
+  // amortized O(1) per record; records copy as plain bytes.
+  pending_.insert(pending_.end(), records.begin(), records.end());
 }
 
 }  // namespace rpm::core

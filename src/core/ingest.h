@@ -9,11 +9,13 @@
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
 //   submit_trusted(...)   local producers — tests, benches, co-located
 //                         collectors — no seq, no duplicate suppression;
-//   drain_period()        hand the period's records over (called at period
-//                         close).
+//   period_records()      the period's records, read in place at period
+//                         close;
+//   end_period()          empty the buffer for the next period, keeping its
+//                         capacity.
 //
 // Everything runs on the caller's (sim) thread at submit() time. Records
-// are drained in submission order, but nothing depends on that order: the
+// are kept in submission order, but nothing depends on that order: the
 // Analyzer's report is a function of the period's record multiset.
 #pragma once
 
@@ -82,9 +84,15 @@ class IngestSink {
   /// as in submit().
   void submit_trusted(HostId host, std::vector<ProbeRecord>&& records);
 
-  /// Every record accepted since the last drain, in submission order. The
-  /// next period's buffer starts with the drained size reserved.
-  [[nodiscard]] std::vector<ProbeRecord> drain_period();
+  /// Every record accepted since the last end_period(), in submission
+  /// order. Valid until the next submit or end_period().
+  [[nodiscard]] const std::vector<ProbeRecord>& period_records() const {
+    return pending_;
+  }
+
+  /// Empty the period's buffer. Records own no heap memory, so this frees
+  /// nothing, and the capacity stays for the next period.
+  void end_period() { pending_.clear(); }
 
   /// The HostSummary folded from every accepted batch since the last call
   /// (sketch-mode upload thinning), then reset. Empty whenever Agents ship

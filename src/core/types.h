@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/five_tuple.h"
@@ -74,6 +75,9 @@ struct ProbeRecord {
   // single flag check instead of a hash lookup.
   bool flight_sampled = false;
 };
+// Paths keep their links inline, so a record owns no heap memory: uploads,
+// transport batches and the ingest buffer move records as plain bytes.
+static_assert(std::is_trivially_copyable_v<ProbeRecord>);
 
 /// Final categorization of an anomalous probe (§4.3).
 enum class AnomalyCause : std::uint8_t {

@@ -12,11 +12,11 @@ namespace rpm::prof {
 namespace {
 
 constexpr const char* kStageNames[kNumStages] = {
-    "sim.dispatch",      "ingest.submit", "drain.collect",
-    "drain.triage",      "drain.vote",    "drain.bottleneck",
-    "drain.sla",         "drain.impact",  "drain.diaglog",
-    "drain.release",     "digest.flush",  "global.merge",
-    "transport.deliver", "sketch.flush",  "period.close",
+    "sim.dispatch",  "ingest.submit",     "drain.triage",
+    "drain.vote",    "drain.bottleneck",  "drain.sla",
+    "drain.impact",  "drain.diaglog",     "digest.flush",
+    "global.merge",  "transport.deliver", "sketch.flush",
+    "period.close",
 };
 
 }  // namespace

@@ -27,7 +27,7 @@
 // wall time never reaches the sim-time record.
 //
 // The period-close watchdog: `PeriodCloseScope` wraps one Analyzer period
-// close (drain -> verdict -> checkpoint) or GlobalAnalyzer merge. When the
+// close (verdict -> digest -> checkpoint) or GlobalAnalyzer merge. When the
 // close exceeds `ProfilerConfig::period_close_budget`, it bumps
 // `rpm_prof_budget_overruns_total` and puts a "budget-overrun" instant on
 // the pid-3 track carrying the close's wall ns and its top-cost stage.
@@ -57,21 +57,19 @@ namespace rpm::prof {
 enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
   kIngestSubmit,        // IngestSink submit
-  kDrainCollect,        // period close: take the sink's period buffer
   kDrainTriage,         // analyze_period: the one record walk, steps 1-3
   kDrainVote,           // analyze_period: emission, Algorithm-1 localization
   kDrainBottleneck,     // analyze_period: RTT + processing-delay verdicts
   kDrainSla,            // analyze_period: SLA tables from their digests
   kDrainImpact,         // analyze_period: service networks + impact
   kDrainDiaglog,        // period-end history/diagnosis/journal bookkeeping
-  kDrainRelease,        // period close: free the period's drained records
   kDigestFlush,         // a pod's Analyzer built + sent one PodDigest
   kGlobalMerge,         // GlobalAnalyzer merged the pending digests
   kTransportDeliver,    // one Channel handler invocation
   kSketchFlush,         // recorded by nothing (perfbench still names it)
-  kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
+  kPeriodClose,         // whole Analyzer close: verdict -> checkpoint
 };
-inline constexpr std::size_t kNumStages = 15;
+inline constexpr std::size_t kNumStages = 13;
 
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);

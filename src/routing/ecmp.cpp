@@ -1,7 +1,6 @@
 #include "routing/ecmp.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <limits>
 #include <stdexcept>
@@ -100,24 +99,17 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
                          const LinkUpFn& link_up) const {
   const auto up = [&](LinkId l) { return !link_up || link_up(l); };
 
-  // Links collect on the stack and are copied out once, so a path costs one
-  // exactly sized allocation however long it is.
-  constexpr int kMaxHops = 16;
-  std::array<LinkId, kMaxHops + 1> links;
-  std::size_t n_links = 0;
-  const auto finish = [&](bool complete) {
-    Path path;
-    path.links.assign(links.begin(), links.begin() + n_links);
-    path.complete = complete;
-    return path;
-  };
+  // Every hop after the first adds one link, so the loop guard keeps a path
+  // within its inline capacity.
+  constexpr std::size_t kMaxHops = kMaxPathLinks - 1;
+  Path path;
 
   const topo::RnicInfo& s = topo_.rnic(src);
   const topo::RnicInfo& d = topo_.rnic(dst);
 
   // First hop: RNIC to its ToR.
-  if (!up(s.uplink)) return Path{};  // blackholed at the host link
-  links[n_links++] = s.uplink;
+  if (!up(s.uplink)) return path;  // blackholed at the host link
+  path.links.push_back(s.uplink);
 
   SwitchId cur = s.tor;
   const std::size_t ord = tor_ordinal_.at(d.tor.value);
@@ -125,11 +117,12 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
     throw std::invalid_argument("resolve: destination not under a ToR");
   }
 
-  for (int hop = 0; hop < kMaxHops; ++hop) {
+  for (std::size_t hop = 0; hop < kMaxHops; ++hop) {
     if (cur == d.tor) {
-      if (!up(d.downlink)) return finish(false);  // ToR -> RNIC link down
-      links[n_links++] = d.downlink;
-      return finish(true);
+      if (!up(d.downlink)) return path;  // ToR -> RNIC link down
+      path.links.push_back(d.downlink);
+      path.complete = true;
+      return path;
     }
     const auto& cand = candidates_[ord][cur.value];
     // Hash among the live candidates only, so a failure re-hashes among
@@ -137,7 +130,7 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
     // filtered copy keeps the hop allocation-free.
     const auto n_live = static_cast<std::size_t>(
         std::count_if(cand.begin(), cand.end(), up));
-    if (n_live == 0) return finish(false);  // blackhole
+    if (n_live == 0) return path;  // blackhole
     std::size_t k = pick(cur, tuple, n_live);
     LinkId next = cand[k];
     if (n_live < cand.size()) {
@@ -148,10 +141,10 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
         }
       }
     }
-    links[n_links++] = next;
+    path.links.push_back(next);
     cur = topo_.link(next).to.as_switch();
   }
-  return finish(false);  // loop guard tripped; report incomplete
+  return path;  // loop guard tripped; report incomplete
 }
 
 TracerouteService::TracerouteService(const EcmpRouter& router,

@@ -14,9 +14,13 @@
 // tracing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/five_tuple.h"
@@ -28,12 +32,61 @@ namespace rpm::routing {
 /// Predicate deciding whether a directed link is currently usable.
 using LinkUpFn = std::function<bool(LinkId)>;
 
+/// The longest path either topology builder makes: a cross-pod 3-tier Clos
+/// path (RNIC, ToR, agg, spine, agg, ToR, RNIC) has 6 links, a rail path 4.
+inline constexpr std::size_t kMaxPathLinks = 6;
+
+/// A path's links, stored inline: a Path owns no heap memory, so a
+/// ProbeRecord carrying two of them copies as plain bytes.
+class LinkList {
+ public:
+  using value_type = LinkId;
+  using iterator = const LinkId*;
+  using const_iterator = const LinkId*;
+
+  LinkList() = default;
+  LinkList(std::initializer_list<LinkId> links) {
+    for (LinkId l : links) push_back(l);
+  }
+
+  [[nodiscard]] const LinkId* begin() const { return links_.data(); }
+  [[nodiscard]] const LinkId* end() const { return links_.data() + size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] LinkId front() const { return links_[0]; }
+  [[nodiscard]] LinkId back() const { return links_[size_ - 1]; }
+  [[nodiscard]] LinkId operator[](std::size_t i) const { return links_[i]; }
+
+  /// Throws std::length_error past kMaxPathLinks.
+  void push_back(LinkId l) {
+    if (size_ == kMaxPathLinks) {
+      throw std::length_error("LinkList: more than kMaxPathLinks links");
+    }
+    links_[size_++] = l;
+  }
+  void clear() { size_ = 0; }
+
+  friend bool operator==(const LinkList& a, const LinkList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+  /// Kept only for perfbench/replay.cpp, which binds a path's links to
+  /// `const std::vector<LinkId>&` and changes only with the benchmark
+  /// itself (ROADMAP item 8). Nothing else may use it; it goes with that
+  /// edit.
+  operator std::vector<LinkId>() const { return {begin(), end()}; }
+
+ private:
+  std::array<LinkId, kMaxPathLinks> links_{};
+  std::uint8_t size_ = 0;
+};
+
 /// A resolved forwarding path: its links in traversal order. The switch a
 /// hop enters is `topo.link(l).to`; only a complete path's last link enters
 /// a host. `complete` is false when the packet was blackholed (all candidate
 /// next-hops down), in which case `links` holds the prefix traversed.
 struct Path {
-  std::vector<LinkId> links;
+  LinkList links;
   bool complete = false;
 
   [[nodiscard]] TimeNs propagation_total(const topo::Topology& topo) const;

@@ -53,16 +53,9 @@ void QuantileSketch::widen(std::int32_t lo, std::int32_t hi) {
   if (need > counts_.size()) counts_.resize(need, 0);
 }
 
-void QuantileSketch::add(double v, std::uint64_t n) {
-  if (n == 0) return;
-  count_ += n;
-  if (v > 0.0) {
-    const std::int32_t i = bucket_index(v);
-    widen(i, i);
-    counts_[static_cast<std::size_t>(i - offset_)] += n;
-  } else {
-    zero_count_ += n;  // renders as 0 and contributes 0 to sum()
-  }
+QuantileSketch::Bucket QuantileSketch::bucket_of(double v) {
+  if (!(v > 0.0)) return {};
+  return {bucket_index(v), false};
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {

@@ -41,7 +41,31 @@ class QuantileSketch {
  public:
   static constexpr double kRelativeAccuracy = 0.01;
 
-  void add(double v, std::uint64_t n = 1);
+  /// The bucket a value lands in. Computing it takes the logarithm, so a
+  /// value added to several sketches is bucketed once.
+  struct Bucket {
+    std::int32_t index = 0;
+    bool zero = true;  // non-positive or NaN: the zero bucket
+  };
+  /// +inf lands in the top finite bucket.
+  [[nodiscard]] static Bucket bucket_of(double v);
+
+  /// Adds n values of bucket `b`, as bucket_of() returned it. A bucket
+  /// inside the dense range is one increment.
+  void add(Bucket b, std::uint64_t n = 1) {
+    if (n == 0) return;
+    count_ += n;
+    if (b.zero) {
+      zero_count_ += n;  // renders as 0 and contributes 0 to sum()
+      return;
+    }
+    if (b.index < offset_ ||
+        static_cast<std::size_t>(b.index - offset_) >= counts_.size()) {
+      widen(b.index, b.index);
+    }
+    counts_[static_cast<std::size_t>(b.index - offset_)] += n;
+  }
+  void add(double v, std::uint64_t n = 1) { add(bucket_of(v), n); }
   void merge(const QuantileSketch& other);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }

@@ -1106,16 +1106,16 @@ TEST(VoteTallyTest, HopVotesItsLinkAndTheSwitchItEnters) {
     return topo.link(l).from != topo::NodeRef::sw(tor);
   });
   ASSERT_FALSE(prefix.complete);
-  ASSERT_EQ(prefix.links, std::vector<LinkId>{topo.rnic(src).uplink});
+  ASSERT_EQ(prefix.links, routing::LinkList{topo.rnic(src).uplink});
   VoteTally blackhole;
   for (LinkId l : prefix.links) blackhole.add_hop(topo, l);
   Problem q;
   blackhole.decide(q, nullptr);
-  EXPECT_EQ(q.suspect_links, prefix.links);
+  EXPECT_EQ(q.suspect_links, std::vector<LinkId>{topo.rnic(src).uplink});
   EXPECT_EQ(q.suspect_switches, std::vector<SwitchId>{tor});
 }
 
-TEST(IngestSinkTest, DrainReturnsEachAcceptedRecordOnceInSubmissionOrder) {
+TEST(IngestSinkTest, PeriodHoldsEachAcceptedRecordOnceInSubmissionOrder) {
   topo::ClosConfig cfg = clos_cfg();
   cfg.hosts_per_tor = 5;  // 20 hosts
   const topo::Topology topo = topo::build_clos(cfg);
@@ -1135,9 +1135,13 @@ TEST(IngestSinkTest, DrainReturnsEachAcceptedRecordOnceInSubmissionOrder) {
     sink.submit(std::move(b));  // at-least-once duplicate: dropped
   }
   std::vector<std::uint64_t> ids;
-  for (const ProbeRecord& r : sink.drain_period()) ids.push_back(r.id);
+  for (const ProbeRecord& r : sink.period_records()) ids.push_back(r.id);
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_TRUE(sink.drain_period().empty());
+  // The next period starts empty in the same buffer.
+  const std::size_t capacity = sink.period_records().capacity();
+  sink.end_period();
+  EXPECT_TRUE(sink.period_records().empty());
+  EXPECT_EQ(sink.period_records().capacity(), capacity);
 }
 
 TEST_F(AnalyzerTest, GreedyTieBlamesTheRnicWithMoreTimeouts) {

@@ -105,7 +105,8 @@ TEST_F(ExtensionsTest, ReadsNeverWakeAQuietPlane) {
   advisor.snapshot_baseline();
   core::Problem p;
   p.category = core::ProblemCategory::kSwitchNetworkProblem;
-  p.suspect_links = cluster_.fabric().flow_path(id).links;
+  const routing::LinkList& links = cluster_.fabric().flow_path(id).links;
+  p.suspect_links.assign(links.begin(), links.end());
   EXPECT_TRUE(advisor.advise(p).empty());
   EXPECT_TRUE(cluster_.fabric().current_path(f.src, f.dst, f.tuple).complete);
   EXPECT_EQ(cc.calls, 1u) << "a read woke the plane";

@@ -53,14 +53,12 @@ class ProfTest : public ::testing::Test {
 TEST_F(ProfTest, StageNamesAreDotted) {
   EXPECT_STREQ(prof::stage_name(Stage::kSimDispatch), "sim.dispatch");
   EXPECT_STREQ(prof::stage_name(Stage::kIngestSubmit), "ingest.submit");
-  EXPECT_STREQ(prof::stage_name(Stage::kDrainCollect), "drain.collect");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainTriage), "drain.triage");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainVote), "drain.vote");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainBottleneck), "drain.bottleneck");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainSla), "drain.sla");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainImpact), "drain.impact");
   EXPECT_STREQ(prof::stage_name(Stage::kDrainDiaglog), "drain.diaglog");
-  EXPECT_STREQ(prof::stage_name(Stage::kDrainRelease), "drain.release");
   EXPECT_STREQ(prof::stage_name(Stage::kDigestFlush), "digest.flush");
   EXPECT_STREQ(prof::stage_name(Stage::kGlobalMerge), "global.merge");
   EXPECT_STREQ(prof::stage_name(Stage::kTransportDeliver),
@@ -368,10 +366,6 @@ std::string campaign_report(bool profiler_on, std::string* flight = nullptr) {
     EXPECT_GT(rep.stage(Stage::kIngestSubmit).count, 0u);
     EXPECT_GT(rep.stage(Stage::kDrainTriage).count, 0u);
     EXPECT_GT(rep.stage(Stage::kPeriodClose).count, 0u);
-    // Every pod close drains its sink and frees the drained records.
-    EXPECT_GT(rep.stage(Stage::kDrainCollect).count, 0u);
-    EXPECT_EQ(rep.stage(Stage::kDrainRelease).count,
-              rep.stage(Stage::kDrainCollect).count);
     EXPECT_GT(rep.stage(Stage::kTransportDeliver).count, 0u);
     EXPECT_GT(rep.stage(Stage::kDigestFlush).count, 0u);
     EXPECT_GT(rep.stage(Stage::kGlobalMerge).count, 0u);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "routing/ecmp.h"
 #include "topo/topology.h"
@@ -91,8 +92,8 @@ TEST_F(EcmpTest, DifferentPortsSpreadAcrossParallelPaths) {
   const RnicId src{0}, dst{7};  // cross-pod
   std::set<std::vector<LinkId>> distinct;
   for (std::uint16_t port = 1000; port < 1200; ++port) {
-    distinct.insert(
-        router_.resolve(src, dst, tuple_for(topo_, src, dst, port)).links);
+    const Path p = router_.resolve(src, dst, tuple_for(topo_, src, dst, port));
+    distinct.emplace(p.links.begin(), p.links.end());
   }
   // 4 parallel cross-pod paths; 200 ports must find all of them.
   EXPECT_EQ(distinct.size(), 4u);
@@ -105,7 +106,8 @@ TEST_F(EcmpTest, SpreadIsRoughlyUniform) {
   for (int i = 0; i < n; ++i) {
     const auto t =
         tuple_for(topo_, src, dst, static_cast<std::uint16_t>(1000 + i));
-    counts[router_.resolve(src, dst, t).links]++;
+    const Path p = router_.resolve(src, dst, t);
+    counts[std::vector<LinkId>(p.links.begin(), p.links.end())]++;
   }
   ASSERT_EQ(counts.size(), 4u);
   for (const auto& [path, c] : counts) {
@@ -208,6 +210,43 @@ TEST_F(EcmpTest, PropagationTotalSumsHops) {
   TimeNs expect = 0;
   for (LinkId l : p.links) expect += topo_.link(l).propagation;
   EXPECT_EQ(p.propagation_total(topo_), expect);
+}
+
+// Paths keep their links inline, so every path either builder makes must
+// fit kMaxPathLinks; a cross-pod Clos path is the longest, at exactly 6.
+TEST_F(EcmpTest, LongestPathsFitInline) {
+  ClosConfig clos = cfg3tier();
+  clos.num_pods = 3;
+  clos.rnics_per_host = 2;
+  topo::RailConfig rail;
+  rail.num_hosts = 3;
+  rail.rails = 2;
+  rail.num_spines = 2;
+  for (const Topology& t : {build_clos(clos), build_rail_optimized(rail)}) {
+    const EcmpRouter router(t);
+    for (std::uint32_t s = 0; s < t.num_rnics(); ++s) {
+      for (std::uint32_t d = 0; d < t.num_rnics(); ++d) {
+        if (s == d) continue;
+        const RnicId src{s}, dst{d};
+        const Path p = router.resolve(src, dst, tuple_for(t, src, dst, 7));
+        ASSERT_TRUE(p.complete) << s << "->" << d;
+        EXPECT_LE(p.links.size(), kMaxPathLinks) << s << "->" << d;
+        const topo::SwitchInfo& from = t.switch_info(t.rnic(src).tor);
+        const topo::SwitchInfo& to = t.switch_info(t.rnic(dst).tor);
+        if (from.tier == topo::SwitchTier::kTor && from.pod != to.pod) {
+          EXPECT_EQ(p.links.size(), 6u) << s << "->" << d;
+        }
+      }
+    }
+  }
+
+  LinkList full;
+  for (std::size_t i = 0; i < kMaxPathLinks; ++i) {
+    full.push_back(LinkId{static_cast<std::uint32_t>(i)});
+  }
+  EXPECT_EQ(full.size(), kMaxPathLinks);
+  EXPECT_THROW(full.push_back(LinkId{99}), std::length_error);
+  EXPECT_EQ(full.size(), kMaxPathLinks);
 }
 
 TEST(EcmpRail, RoutesAcrossRails) {

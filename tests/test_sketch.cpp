@@ -179,6 +179,58 @@ TEST(QuantileSketch, DecodeRejectsEntriesEncodeCannotWrite) {
   EXPECT_EQ(bytes_of(QuantileSketch::decode(buf, off)), buf);
 }
 
+// A fixed value list over every edge of bucket_of: the zero bucket (0, a
+// negative, NaN), the extreme finite doubles and +inf, and integer
+// nanoseconds from 2 us to 10^12 (every one up to 8 us, the probe delays'
+// range, then steps finer than a bucket).
+std::vector<double> pinned_values() {
+  std::vector<double> v = {0.0,
+                           -1.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min(),
+                           1.0,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity()};
+  for (double ns = 2000; ns <= 8000; ++ns) v.push_back(ns);
+  for (double ns = 8000; ns <= 1e12; ns = std::floor(ns * 1.001) + 1) {
+    v.push_back(ns);
+  }
+  return v;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(QuantileSketch, BucketBoundariesArePinned) {
+  QuantileSketch by_value;
+  QuantileSketch by_bucket;
+  for (const double v : pinned_values()) {
+    by_value.add(v);
+    by_bucket.add(QuantileSketch::bucket_of(v));
+  }
+  // The encoding of the list is pinned: a moved boundary, zero-bucket rule
+  // or +inf rule changes it.
+  EXPECT_EQ(fnv1a(bytes_of(by_value)), 0x3b0aebd17683707aull);
+  EXPECT_EQ(bytes_of(by_bucket), bytes_of(by_value));
+
+  // Adds that land inside, below and above the dense range, with counts.
+  QuantileSketch a;
+  QuantileSketch b;
+  for (const auto& [v, n] : std::vector<std::pair<double, std::uint64_t>>{
+           {5000, 1}, {5100, 2}, {10, 1}, {1e9, 3}, {4000, 1}, {0, 2},
+           {1e12, 1}, {1, 1}, {7000, 0}}) {
+    a.add(v, n);
+    b.add(QuantileSketch::bucket_of(v), n);
+    EXPECT_EQ(bytes_of(b), bytes_of(a)) << v;
+  }
+}
+
 TEST(QuantileSketch, QuantileErrorWithinRelativeAccuracyBound) {
   // The truth is PercentileWindow's exact sample of nearest rank q*(n-1),
   // the rank the sketch takes too. Three samples tell the ranks apart: p90
