@@ -40,7 +40,7 @@ Result run(bool use_int, double traceroute_budget_per_sec) {
       break;
     }
   }
-  d.faults.inject_corruption(victim, 0.6);
+  d.faults.inject(faults::FaultSpec::corruption(victim, 0.6));
   d.cluster.run_for(sec(41));
 
   const auto* p = bench::find_problem(

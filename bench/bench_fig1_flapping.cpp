@@ -57,12 +57,13 @@ void run_panel(const char* title, bool flap_rnic) {
   // Flap: 3 s down / 1 s up (inside the 7 x 600 ms retry budget).
   int handle = 0;
   if (flap_rnic) {
-    handle = d.faults.inject_rnic_flapping(RnicId{4}, msec(3000), msec(1000));
+    handle = d.faults.inject(
+        faults::FaultSpec::rnic_flapping(RnicId{4}, msec(3000), msec(1000)));
   } else {
     const auto path =
         d.cluster.fabric().flow_path(svc.connections()[1].flow);
-    handle = d.faults.inject_switch_port_flapping(path.links[1], msec(3000),
-                                                  msec(1000));
+    handle = d.faults.inject(faults::FaultSpec::switch_port_flapping(
+        path.links[1], msec(3000), msec(1000)));
   }
   std::printf("-- flapping starts --\n");
   print_window(d, svc, 20, t);

@@ -70,6 +70,9 @@ void run() {
                            "(c)proc_p99_us", "(d)svc_drop", "(e)clus_drop",
                            "verdict"});
 
+  const auto corrupt = [](LinkId link) {
+    return faults::FaultSpec::corruption(link, 0.15);
+  };
   int fault_handle = -1;
   for (int period = 1; period <= 12; ++period) {
     const int t_end = period * 20;
@@ -84,14 +87,15 @@ void run() {
     bool acted = false;
     for (const auto& [ts, action] :
          std::vector<std::pair<int, std::function<void()>>>{
-             {80, [&] { fault_handle = d.faults.inject_corruption(svc_link1, 0.15); }},
+             {80, [&] { fault_handle = d.faults.inject(corrupt(svc_link1)); }},
              {100, [&] { d.faults.clear(fault_handle); }},
-             {150, [&] { fault_handle = d.faults.inject_corruption(svc_link2, 0.15); }},
+             {150,
+              [&] { fault_handle = d.faults.inject(corrupt(svc_link2)); }},
              {170, [&] { d.faults.clear(fault_handle); }},
              {200,
               [&] {
-                fault_handle = d.faults.inject_corruption(
-                    d.cluster.topology().rnic(outside_rnic).uplink, 0.6);
+                fault_handle = d.faults.inject(faults::FaultSpec::corruption(
+                    d.cluster.topology().rnic(outside_rnic).uplink, 0.6));
               }},
              {220, [&] { d.faults.clear(fault_handle); }}}) {
       if (t_end - 20 <= ts && ts < t_end) {

@@ -53,11 +53,12 @@ void run_episode(EpisodeKind kind, std::uint64_t seed, bool filters,
       const int pick = static_cast<int>(rng.uniform_int(0, 2));
       int h = 0;
       if (pick == 0) {
-        h = d.faults.inject_switch_port_flapping(victim, msec(400), msec(400));
+        h = d.faults.inject(faults::FaultSpec::switch_port_flapping(
+            victim, msec(400), msec(400)));
       } else if (pick == 1) {
-        h = d.faults.inject_corruption(victim, 0.5);
+        h = d.faults.inject(faults::FaultSpec::corruption(victim, 0.5));
       } else {
-        h = d.faults.inject_pfc_deadlock(victim);
+        h = d.faults.inject(faults::FaultSpec::pfc_deadlock(victim));
       }
       truth = d.faults.record(h);
       break;
@@ -68,11 +69,12 @@ void run_episode(EpisodeKind kind, std::uint64_t seed, bool filters,
       const int pick = static_cast<int>(rng.uniform_int(0, 2));
       int h = 0;
       if (pick == 0) {
-        h = d.faults.inject_rnic_down(victim);
+        h = d.faults.inject(faults::FaultSpec::rnic_down(victim));
       } else if (pick == 1) {
-        h = d.faults.inject_gid_index_missing(victim);
+        h = d.faults.inject(faults::FaultSpec::gid_index_missing(victim));
       } else {
-        h = d.faults.inject_rnic_flapping(victim, msec(500), msec(300));
+        h = d.faults.inject(
+            faults::FaultSpec::rnic_flapping(victim, msec(500), msec(300)));
       }
       truth = d.faults.record(h);
       break;
@@ -80,7 +82,8 @@ void run_episode(EpisodeKind kind, std::uint64_t seed, bool filters,
     case EpisodeKind::kAgentCpu: {
       const HostId victim{
           static_cast<std::uint32_t>(rng.index(d.cluster.num_hosts()))};
-      truth = d.faults.record(d.faults.inject_agent_cpu_occupation(victim));
+      truth = d.faults.record(
+          d.faults.inject(faults::FaultSpec::agent_cpu_occupation(victim)));
       break;
     }
   }
@@ -154,7 +157,7 @@ void run_right_panel() {
   ccfg.fabric.step_interval = msec(1);
   bench::Deployment d(bench::default_clos(), ccfg);
   d.cluster.run_for(sec(21));
-  d.faults.inject_agent_cpu_occupation(HostId{2});
+  d.faults.inject(faults::FaultSpec::agent_cpu_occupation(HostId{2}));
   d.cluster.run_for(sec(41));
   const auto* rep = d.rpm.analyzer().last_report();
   bench::print_header(

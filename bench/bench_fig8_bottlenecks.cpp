@@ -23,7 +23,10 @@ void left_panel() {
       {"period", "overload", "proc_p99_ms", "rtt_p99_us", "verdict"});
   int handle = -1;
   for (int period = 1; period <= 6; ++period) {
-    if (period == 3) handle = d.faults.inject_cpu_overload(HostId{1}, 0.97);
+    if (period == 3) {
+      handle =
+          d.faults.inject(faults::FaultSpec::cpu_overload(HostId{1}, 0.97));
+    }
     if (period == 5) d.faults.clear(handle);
     d.cluster.run_for(sec(20));
     const auto* rep = d.rpm.analyzer().last_report();
@@ -61,7 +64,10 @@ void right_panel() {
       {"period", "downgrade", "svc_rtt_p99_us", "proc_p99_ms", "verdict"});
   int handle = -1;
   for (int period = 1; period <= 6; ++period) {
-    if (period == 3) handle = d.faults.inject_pcie_downgrade(RnicId{4}, 0.25);
+    if (period == 3) {
+      handle =
+          d.faults.inject(faults::FaultSpec::pcie_downgrade(RnicId{4}, 0.25));
+    }
     if (period == 5) d.faults.clear(handle);
     d.cluster.run_for(sec(20));
     const auto* rep = d.rpm.analyzer().last_report();

@@ -66,12 +66,14 @@ RowResult summarize(bench::Deployment& d, core::ProblemCategory expect_cat) {
   return r;
 }
 
-/// Simple fault rows: inject, run 21 s warmup + 41 s faulted, summarize.
-RowResult simple_row(core::ProblemCategory expect,
-                     const std::function<int(bench::Deployment&)>& inject) {
+/// Simple fault rows: run 21 s warmup, inject the spec, run 41 s faulted,
+/// summarize.
+RowResult simple_row(
+    core::ProblemCategory expect,
+    const std::function<faults::FaultSpec(bench::Deployment&)>& spec) {
   auto d = make_deployment();
   d->cluster.run_for(sec(21));
-  inject(*d);
+  d->faults.inject(spec(*d));
   d->cluster.run_for(sec(41));
   return summarize(*d, expect);
 }
@@ -108,7 +110,7 @@ RowResult row_pfc_misconfigured() {
   for (LinkId out : d->cluster.topology().out_links(topo::NodeRef::sw(tor))) {
     const LinkId in = d->cluster.topology().link(out).peer;
     if (d->cluster.topology().link(in).from.is_switch()) {
-      d->faults.inject_pfc_misconfigured(in);
+      d->faults.inject(faults::FaultSpec::pfc_misconfigured(in));
     }
   }
   d->cluster.run_for(sec(41));
@@ -240,7 +242,8 @@ RowResult row_pcie_downgrade() {
   traffic::DmlService svc(d->cluster, dml);
   svc.start();
   d->cluster.run_for(sec(21));
-  d->faults.inject_pcie_downgrade(RnicId{4}, 0.25);  // 100G -> 25G drain
+  // 100G -> 25G drain.
+  d->faults.inject(faults::FaultSpec::pcie_downgrade(RnicId{4}, 0.25));
   d->cluster.run_for(sec(41));
   auto r = summarize(*d, core::ProblemCategory::kHighNetworkRtt);
   svc.stop();
@@ -253,73 +256,67 @@ RowResult row_pcie_downgrade() {
 int main() {
   using rpm::core::ProblemCategory;
   using rpm::bench::Deployment;
+  using rpm::faults::FaultSpec;
 
   std::vector<rpm::Row> rows = {
       {1, "RNIC flapping", "rnic-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kRnicProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_rnic_flapping(
-                                      rpm::RnicId{5}, rpm::msec(400),
-                                      rpm::msec(400));
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kRnicProblem, [](Deployment&) {
+               return FaultSpec::rnic_flapping(rpm::RnicId{5}, rpm::msec(400),
+                                               rpm::msec(400));
+             });
        }},
       {1, "switch port flapping", "switch-network-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kSwitchNetworkProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_switch_port_flapping(
-                                      rpm::fabric_link(d, 2), rpm::msec(400),
-                                      rpm::msec(400));
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kSwitchNetworkProblem, [](Deployment& d) {
+               return FaultSpec::switch_port_flapping(rpm::fabric_link(d, 2),
+                                                      rpm::msec(400),
+                                                      rpm::msec(400));
+             });
        }},
       {2, "packet corruption (fiber/module)", "switch-network-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kSwitchNetworkProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_corruption(
-                                      rpm::fabric_link(d, 5), 0.5);
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kSwitchNetworkProblem, [](Deployment& d) {
+               return FaultSpec::corruption(rpm::fabric_link(d, 5), 0.5);
+             });
        }},
       {3, "accidental RNIC down (*)", "rnic-problem",
        [] {
          return rpm::simple_row(ProblemCategory::kRnicProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_rnic_down(
-                                      rpm::RnicId{9});
+                                [](Deployment&) {
+                                  return FaultSpec::rnic_down(rpm::RnicId{9});
                                 });
        }},
       {4, "accidental host down (*)", "host-down",
        [] {
          return rpm::simple_row(ProblemCategory::kHostDown,
-                                [](Deployment& d) {
-                                  return d.faults.inject_host_down(
-                                      rpm::HostId{3});
+                                [](Deployment&) {
+                                  return FaultSpec::host_down(rpm::HostId{3});
                                 });
        }},
       {5, "PFC deadlock (*)", "switch-network-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kSwitchNetworkProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_pfc_deadlock(
-                                      rpm::fabric_link(d, 7));
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kSwitchNetworkProblem, [](Deployment& d) {
+               return FaultSpec::pfc_deadlock(rpm::fabric_link(d, 7));
+             });
        }},
       {6, "RNIC route config missing (*)", "rnic-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kRnicProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_route_missing(
-                                      rpm::RnicId{11});
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kRnicProblem, [](Deployment&) {
+               return FaultSpec::route_missing(rpm::RnicId{11});
+             });
        }},
       {7, "RNIC GID index missing (*)", "rnic-problem",
        [] {
-         return rpm::simple_row(ProblemCategory::kRnicProblem,
-                                [](Deployment& d) {
-                                  return d.faults.inject_gid_index_missing(
-                                      rpm::RnicId{6});
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kRnicProblem, [](Deployment&) {
+               return FaultSpec::gid_index_missing(rpm::RnicId{6});
+             });
        }},
       {8, "switch ACL misconfiguration (*)", "switch-network-problem",
        [] {
@@ -328,7 +325,7 @@ int main() {
                // Deny one tenant pair at an agg switch.
                for (const auto& sw : d.cluster.topology().switches()) {
                  if (sw.tier == rpm::topo::SwitchTier::kAgg) {
-                   return d.faults.inject_acl_error(
+                   return FaultSpec::acl_error(
                        sw.id, rpm::IpAddr{},
                        d.cluster.topology().rnic(rpm::RnicId{12}).ip);
                  }
@@ -344,11 +341,10 @@ int main() {
        [] { return rpm::row_service_interference(); }},
       {12, "CPU overload", "high-processing-delay",
        [] {
-         return rpm::simple_row(ProblemCategory::kHighProcessingDelay,
-                                [](Deployment& d) {
-                                  return d.faults.inject_cpu_overload(
-                                      rpm::HostId{5}, 0.97);
-                                });
+         return rpm::simple_row(
+             ProblemCategory::kHighProcessingDelay, [](Deployment&) {
+               return FaultSpec::cpu_overload(rpm::HostId{5}, 0.97);
+             });
        }},
       {13, "PCIe link speed/width downgraded", "high-network-rtt (PFC storm)",
        [] { return rpm::row_pcie_downgrade(); }},

@@ -11,7 +11,10 @@ prints old, new and new/old. Paths found in only one file are listed.
 
 The exit status is 1 when a cost metric (name ending in _ms, _ns or _bytes)
 rose past the threshold or a rate metric (_per_sec, _x) fell past it, and 0
-otherwise. Added or missing paths never fail the diff.
+otherwise. A time metric (_ms, _ns) must also have risen by more than
+TIME_FLOOR_NS: a stage row of a few microseconds from one run can double
+without costing anything. Byte and rate metrics are deterministic estimates
+and keep the ratio rule alone. Added or missing paths never fail the diff.
 """
 import argparse
 import json
@@ -21,6 +24,9 @@ import sys
 ROW_KEYS = ("stage", "records", "pod", "event")
 COST_SUFFIXES = ("_ms", "_ns", "_bytes")
 RATE_SUFFIXES = ("_per_sec", "_x")
+# A time metric regresses only when it also rose by more than 0.1 ms.
+TIME_FLOOR_NS = 100_000
+NS_PER_UNIT = {"_ms": 1e6, "_ns": 1.0}
 
 
 def is_number(v):
@@ -64,8 +70,11 @@ def relative_change(old, new):
     return 0.0 if new == 0 else math.copysign(math.inf, new)
 
 
-def regressed(path, change, threshold):
+def regressed(path, old, new, change, threshold):
     name = path.rsplit("/", 1)[-1]
+    for suffix, ns in NS_PER_UNIT.items():
+        if name.endswith(suffix):
+            return change > threshold and (new - old) * ns > TIME_FLOOR_NS
     if name.endswith(COST_SUFFIXES):
         return change > threshold
     if name.endswith(RATE_SUFFIXES):
@@ -91,7 +100,7 @@ def main(argv):
         if abs(change) <= args.threshold:
             continue
         ratio = new[path] / old[path] if old[path] != 0 else math.inf
-        bad = regressed(path, change, args.threshold)
+        bad = regressed(path, old[path], new[path], change, args.threshold)
         failed = failed or bad
         print(f"{path}: {old[path]:g} -> {new[path]:g} (x{ratio:.3f})"
               + ("  REGRESSION" if bad else ""))

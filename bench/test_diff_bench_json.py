@@ -37,9 +37,9 @@ class DiffBenchJsonTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def diff(self, new_doc, *extra):
+    def diff(self, new_doc, *extra, base=BASE):
         paths = []
-        for name, doc in (("old.json", BASE), ("new.json", new_doc)):
+        for name, doc in (("old.json", base), ("new.json", new_doc)):
             path = os.path.join(self.tmp.name, name)
             with open(path, "w") as f:
                 json.dump(doc, f)
@@ -57,6 +57,30 @@ class DiffBenchJsonTest(unittest.TestCase):
         code, out = self.diff(doc)
         self.assertEqual(code, 1)
         self.assertIn("runs[records=20000]/wall_ms: 10 -> 12", out)
+        self.assertIn("REGRESSION", out)
+
+    def test_small_time_rises_pass(self):
+        # Stage rows of a few microseconds, from one uncalibrated run.
+        doc = copy.deepcopy(BASE)
+        base = copy.deepcopy(BASE)
+        base["metrics"]["runs"][0]["stages"] = [
+            {"stage": "drain.diaglog", "min_ns": 207},
+            {"stage": "drain.bottleneck", "total_ns": 8761}]
+        doc["metrics"]["runs"][0]["stages"] = [
+            {"stage": "drain.diaglog", "min_ns": 429},
+            {"stage": "drain.bottleneck", "total_ns": 9647}]
+        code, out = self.diff(doc, base=base)
+        self.assertEqual(code, 0)
+        self.assertIn("stages[stage=drain.diaglog]/min_ns: 207 -> 429", out)
+        self.assertNotIn("REGRESSION", out)
+
+    def test_time_rise_past_the_floor_fails(self):
+        doc = copy.deepcopy(BASE)
+        doc["metrics"]["runs"][0]["stages"][0]["total_ns"] = 2_000_500
+        code, out = self.diff(doc)
+        self.assertEqual(code, 1)
+        self.assertIn("stages[stage=drain.sla]/total_ns: 500 -> 2.0005e+06",
+                      out)
         self.assertIn("REGRESSION", out)
 
     def test_events_per_sec_rise_passes(self):

@@ -37,7 +37,7 @@ int main() {
       break;
     }
   }
-  const int h1 = faults.inject_pfc_deadlock(deadlocked);
+  const int h1 = faults.inject(faults::FaultSpec::pfc_deadlock(deadlocked));
   std::printf("[cloud] tenant reports: some RDMA connections cannot "
               "communicate; suspects switch ACLs\n");
 
@@ -78,8 +78,8 @@ int main() {
       break;
     }
   }
-  faults.inject_acl_error(agg, IpAddr{},
-                          cluster.topology().rnic(RnicId{12}).ip);
+  faults.inject(faults::FaultSpec::acl_error(
+      agg, IpAddr{}, cluster.topology().rnic(RnicId{12}).ip));
   std::printf("\n[cloud] ops re-ran the tenant-isolation ACL script; "
               "a rule now wrongly drops traffic to one RNIC at %s\n",
               cluster.topology().switch_info(agg).name.c_str());

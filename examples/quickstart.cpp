@@ -116,7 +116,7 @@ int main() {
   // 5. Break an RNIC, then a switch port, and watch both get localized.
   faults::FaultInjector faults(cluster);
   std::printf("\n-- injecting: RNIC 5 down --\n");
-  const int h1 = faults.inject_rnic_down(RnicId{5});
+  const int h1 = faults.inject(faults::FaultSpec::rnic_down(RnicId{5}));
   cluster.run_for(sec(21));
   for (const core::Problem& p : rpm.analyzer().last_report()->problems) {
     std::printf("[%s] %s\n", core::priority_name(p.priority),
@@ -134,7 +134,7 @@ int main() {
   }
   core::RootCauseAdvisor advisor(cluster);
   advisor.snapshot_baseline();
-  faults.inject_corruption(victim, 0.5);
+  faults.inject(faults::FaultSpec::corruption(victim, 0.5));
   cluster.run_for(sec(41));
   for (const core::Problem& p : rpm.analyzer().last_report()->problems) {
     std::printf("[%s] %s\n", core::priority_name(p.priority),

@@ -83,7 +83,8 @@ int main() {
   // --- Scenario 1: it IS the network. ---
   // Corrupt a link one of the job's flows crosses.
   const auto& path = cluster.fabric().flow_path(job.connections()[3].flow);
-  const int h1 = faults.inject_corruption(path.links[1], 0.15);
+  const int h1 =
+      faults.inject(faults::FaultSpec::corruption(path.links[1], 0.15));
   cluster.run_for(sec(41));
   const bool blamed =
       diagnose("scenario 1: throughput degraded (cause: corrupted fiber)");

@@ -178,26 +178,15 @@ ChaosReport ChaosRunner::run(const ChaosPlan& plan) {
         case ChaosStep::Kind::kPodAnalyzerRestart:
           rpm_.restart_pod_analyzer(step.pod);
           return;
-        case ChaosStep::Kind::kAgentRestart: {
-          // Ground truth first (the injector only flags QPN resets; the
-          // restart itself recreates the QPs), then the actual restart.
-          const int h = injector_.inject_qpn_reset(step.host);
-          GroundTruth gt;
-          gt.label = step.label;
-          gt.rec = injector_.record(h);
-          gt.injected_at = rel;
-          truths->push_back(std::move(gt));
-          rpm_.agent(step.host).restart();
-          return;
-        }
+        case ChaosStep::Kind::kAgentRestart:
         case ChaosStep::Kind::kInject: {
-          const int h =
-              faults::FaultCatalog::instance().apply(injector_, step.spec);
-          GroundTruth gt;
-          gt.label = step.label;
-          gt.rec = injector_.record(h);
-          gt.injected_at = rel;
-          truths->push_back(std::move(gt));
+          // An Agent restart's ground truth is a QPN reset, injected first
+          // (the injector only flags it); the restart recreates the QPs.
+          const bool restart = step.kind == ChaosStep::Kind::kAgentRestart;
+          const int h = injector_.inject(
+              restart ? faults::FaultSpec::qpn_reset(step.host) : step.spec);
+          truths->push_back({step.label, injector_.record(h), rel});
+          if (restart) rpm_.agent(step.host).restart();
           return;
         }
         case ChaosStep::Kind::kClear: {

@@ -32,7 +32,6 @@
 
 #include "common/types.h"
 #include "core/rpingmesh.h"
-#include "faults/catalog.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
 
@@ -45,10 +44,10 @@ struct ChaosStep {
     kControllerRestart,
     kAnalyzerOutageBegin,
     kAnalyzerOutageEnd,
-    kAgentRestart,  // inject_qpn_reset ground truth + Agent::restart()
+    kAgentRestart,  // FaultSpec::qpn_reset ground truth + Agent::restart()
     kPodAnalyzerCrash,    // federated: crash pod `pod`'s Analyzer process
     kPodAnalyzerRestart,  // federated: journal-restore pod `pod`'s Analyzer
-    kInject,        // apply `spec` via the FaultCatalog
+    kInject,        // FaultInjector::inject(spec)
     kClear,         // clear the kInject step labeled `clear_ref`
   };
   Kind kind{};

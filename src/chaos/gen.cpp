@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "faults/catalog.h"
+
 namespace rpm::chaos {
 
 namespace {
@@ -22,7 +24,7 @@ constexpr TimeNs kSettleTail = sec(35);
 constexpr TimeNs kWindowSpacing = sec(15);
 constexpr TimeNs kMinFaultHold = sec(15);
 constexpr TimeNs kMaxFaultHold = sec(30);
-// Probability a clearable fault gets a mid-campaign clear() step (the rest
+// Probability an injected fault gets a mid-campaign clear() step (the rest
 // stay active to the end).
 constexpr double kClearFaultProb = 0.6;
 // The weighted step menu.
@@ -30,11 +32,59 @@ constexpr std::pair<const char*, int> kStepWeights[] = {
     {"controller-bounce", 2}, {"analyzer-outage", 2}, {"agent-restart", 2},
     {"pod-bounce", 2},        {"inject", 5},
 };
-// FaultCatalog constructors the "inject" step draws from: the set whose
-// verdicts the scoring rubric fully attributes.
-constexpr const char* kFaultCtors[] = {
-    "host-down",    "corruption",           "rnic-down",
-    "cpu-overload", "agent-cpu-occupation", "control-plane-degradation",
+
+RnicId pick_rnic(Rng& rng, const topo::Topology& topo) {
+  return RnicId{static_cast<std::uint32_t>(rng.index(topo.num_rnics()))};
+}
+
+HostId pick_host(Rng& rng, const topo::Topology& topo) {
+  return HostId{static_cast<std::uint32_t>(rng.index(topo.num_hosts()))};
+}
+
+/// Switch-to-switch links only: faulting a host uplink is indistinguishable
+/// from an RNIC fault at the Analyzer's granularity, so the generator keeps
+/// link faults on the fabric where switch localization is well-defined.
+LinkId pick_fabric_link(Rng& rng, const topo::Topology& topo) {
+  std::vector<LinkId> fabric;
+  for (const topo::Link& l : topo.links()) {
+    if (l.from.is_switch() && l.to.is_switch()) fabric.push_back(l.id);
+  }
+  if (fabric.empty()) {
+    // Degenerate single-switch topology: fall back to any link.
+    return topo.links().at(rng.index(topo.num_links())).id;
+  }
+  return fabric[rng.index(fabric.size())];
+}
+
+// The faults an "inject" step draws from, each with its sampler: the kinds
+// whose verdicts the scoring rubric fully attributes. All of them are
+// clearable. The order is part of every generated plan (the menu index is a
+// draw), and so is each sampler's draw order, which statements fix: the
+// evaluation order of a call's arguments is unspecified.
+using Sampler = faults::FaultSpec (*)(Rng&, const topo::Topology&);
+constexpr Sampler kFaultMenu[] = {
+    [](Rng& rng, const topo::Topology& topo) {
+      return faults::FaultSpec::host_down(pick_host(rng, topo));
+    },
+    [](Rng& rng, const topo::Topology& topo) {
+      const double prob = 0.3 + 0.4 * rng.uniform();
+      return faults::FaultSpec::corruption(pick_fabric_link(rng, topo), prob);
+    },
+    [](Rng& rng, const topo::Topology& topo) {
+      return faults::FaultSpec::rnic_down(pick_rnic(rng, topo));
+    },
+    [](Rng& rng, const topo::Topology& topo) {
+      const double load = 0.90 + 0.09 * rng.uniform();
+      return faults::FaultSpec::cpu_overload(pick_host(rng, topo), load);
+    },
+    [](Rng& rng, const topo::Topology& topo) {
+      return faults::FaultSpec::agent_cpu_occupation(pick_host(rng, topo));
+    },
+    [](Rng& rng, const topo::Topology&) {
+      const double loss = 0.05 + 0.15 * rng.uniform();
+      return faults::FaultSpec::control_plane_degradation(
+          msec(rng.uniform_int(10, 50)), loss);
+    },
 };
 
 struct Window {
@@ -104,7 +154,6 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
     return kNoTime;
   };
 
-  const faults::FaultCatalog& catalog = faults::FaultCatalog::instance();
   const int events =
       static_cast<int>(rng.uniform_int(cfg_.min_events, cfg_.max_events));
   int fault_idx = 0;
@@ -132,20 +181,16 @@ ChaosPlan CampaignGen::generate(std::uint64_t seed,
       plan.agent_restart(
           at, HostId{static_cast<std::uint32_t>(rng.index(topo.num_hosts()))});
     } else {  // "inject"
-      const std::string ctor = kFaultCtors[rng.index(std::size(kFaultCtors))];
-      const faults::FaultCatalog::Entry* entry = catalog.find(ctor);
-      if (entry == nullptr) {
-        throw std::invalid_argument("CampaignGen: unknown fault ctor '" +
-                                    ctor + "'");
-      }
+      const Sampler sample = kFaultMenu[rng.index(std::size(kFaultMenu))];
       const TimeNs hold = snap(rng.uniform_int(kMinFaultHold, kMaxFaultHold));
       const TimeNs at = pick_time(hi - hold);
+      faults::FaultSpec spec = sample(rng, topo);
       std::string label = "f";
       label += std::to_string(fault_idx++);
       label += '-';
-      label += ctor;
-      plan.inject(at, label, entry->sample(rng, topo));
-      if (entry->clearable && rng.chance(kClearFaultProb)) {
+      label += faults::spec_name(spec.kind);
+      plan.inject(at, label, std::move(spec));
+      if (rng.chance(kClearFaultProb)) {
         plan.clear(std::min(at + hold, hi), label);
       }
     }

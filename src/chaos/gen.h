@@ -1,10 +1,12 @@
 // chaos::CampaignGen — seeded random ChaosPlan generator (the ROADMAP's
 // "randomized chaos generator (seeded event times/targets + shrinking)").
 //
-// Samples a *valid* campaign from a weighted step catalog: controller
+// Samples a *valid* campaign from a weighted step menu: controller
 // crash/restart pairs, Analyzer outage windows, Agent restarts, pod-Analyzer
-// bounces (federated deployments), and fault injections drawn from
-// faults::FaultCatalog. Validity constraints keep generated plans inside the
+// bounces (federated deployments), and fault injections: a FaultSpec of one
+// of six kinds, each drawn by its own sampler (host down, corruption, RNIC
+// down, CPU overload, Agent-CPU occupation, control-plane degradation).
+// Validity constraints keep generated plans inside the
 // envelope the scoring rubric defines — the point is to randomize *within*
 // the supported behaviour space so every oracle violation is a real bug,
 // not a malformed plan:

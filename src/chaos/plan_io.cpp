@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "faults/catalog.h"
+
 namespace rpm::chaos {
 
 json::Value plan_to_value(const ChaosPlan& plan) {

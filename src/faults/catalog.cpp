@@ -1,6 +1,9 @@
 #include "faults/catalog.h"
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace rpm::faults {
 
@@ -8,155 +11,42 @@ namespace {
 
 constexpr std::uint32_t kNone = HostId::kInvalidValue;
 
-RnicId pick_rnic(Rng& rng, const topo::Topology& topo) {
-  return RnicId{static_cast<std::uint32_t>(rng.index(topo.num_rnics()))};
-}
-
-HostId pick_host(Rng& rng, const topo::Topology& topo) {
-  return HostId{static_cast<std::uint32_t>(rng.index(topo.num_hosts()))};
-}
-
-/// Switch-to-switch links only: faulting a host uplink is indistinguishable
-/// from an RNIC fault at the Analyzer's granularity, so the generator keeps
-/// link faults on the fabric where switch localization is well-defined.
-LinkId pick_fabric_link(Rng& rng, const topo::Topology& topo) {
-  std::vector<LinkId> fabric;
-  for (const topo::Link& l : topo.links()) {
-    if (l.from.is_switch() && l.to.is_switch()) fabric.push_back(l.id);
-  }
-  if (fabric.empty()) {
-    // Degenerate single-switch topology: fall back to any link.
-    return topo.links().at(rng.index(topo.num_links())).id;
-  }
-  return fabric[rng.index(fabric.size())];
-}
-
-TimeNs pick_dwell(Rng& rng) { return sec(rng.uniform_int(2, 6)); }
+constexpr std::pair<FaultKind, const char*> kSpecNames[] = {
+    {FaultKind::kRnicFlapping, "rnic-flapping"},
+    {FaultKind::kSwitchPortFlapping, "switch-port-flapping"},
+    {FaultKind::kPacketCorruption, "corruption"},
+    {FaultKind::kRnicDown, "rnic-down"},
+    {FaultKind::kHostDown, "host-down"},
+    {FaultKind::kPfcDeadlock, "pfc-deadlock"},
+    {FaultKind::kRnicRouteMissing, "route-missing"},
+    {FaultKind::kRnicGidIndexMissing, "gid-index-missing"},
+    {FaultKind::kSwitchAclError, "acl-error"},
+    {FaultKind::kPfcMisconfigured, "pfc-misconfigured"},
+    {FaultKind::kCpuOverload, "cpu-overload"},
+    {FaultKind::kPcieDowngrade, "pcie-downgrade"},
+    {FaultKind::kAgentCpuOccupation, "agent-cpu-occupation"},
+    {FaultKind::kQpnReset, "qpn-reset"},
+    {FaultKind::kControlPlaneDegradation, "control-plane-degradation"},
+};
 
 }  // namespace
 
-FaultSpec FaultSpec::rnic_flapping(RnicId rnic, TimeNs down, TimeNs up) {
-  FaultSpec s;
-  s.ctor = "rnic-flapping";
-  s.rnic = rnic.value;
-  s.down_time = down;
-  s.up_time = up;
-  return s;
-}
-
-FaultSpec FaultSpec::switch_port_flapping(LinkId link, TimeNs down,
-                                          TimeNs up) {
-  FaultSpec s;
-  s.ctor = "switch-port-flapping";
-  s.link = link.value;
-  s.down_time = down;
-  s.up_time = up;
-  return s;
-}
-
-FaultSpec FaultSpec::corruption(LinkId link, double drop_prob) {
-  FaultSpec s;
-  s.ctor = "corruption";
-  s.link = link.value;
-  s.prob = drop_prob;
-  return s;
-}
-
-FaultSpec FaultSpec::rnic_down(RnicId rnic) {
-  FaultSpec s;
-  s.ctor = "rnic-down";
-  s.rnic = rnic.value;
-  return s;
-}
-
-FaultSpec FaultSpec::host_down(HostId host) {
-  FaultSpec s;
-  s.ctor = "host-down";
-  s.host = host.value;
-  return s;
-}
-
-FaultSpec FaultSpec::pfc_deadlock(LinkId link) {
-  FaultSpec s;
-  s.ctor = "pfc-deadlock";
-  s.link = link.value;
-  return s;
-}
-
-FaultSpec FaultSpec::route_missing(RnicId rnic) {
-  FaultSpec s;
-  s.ctor = "route-missing";
-  s.rnic = rnic.value;
-  return s;
-}
-
-FaultSpec FaultSpec::gid_index_missing(RnicId rnic) {
-  FaultSpec s;
-  s.ctor = "gid-index-missing";
-  s.rnic = rnic.value;
-  return s;
-}
-
-FaultSpec FaultSpec::acl_error(SwitchId sw) {
-  FaultSpec s;
-  s.ctor = "acl-error";
-  s.sw = sw.value;
-  return s;
-}
-
-FaultSpec FaultSpec::pfc_misconfigured(LinkId link) {
-  FaultSpec s;
-  s.ctor = "pfc-misconfigured";
-  s.link = link.value;
-  return s;
-}
-
-FaultSpec FaultSpec::cpu_overload(HostId host, double load) {
-  FaultSpec s;
-  s.ctor = "cpu-overload";
-  s.host = host.value;
-  s.load = load;
-  return s;
-}
-
-FaultSpec FaultSpec::pcie_downgrade(RnicId rnic, double factor) {
-  FaultSpec s;
-  s.ctor = "pcie-downgrade";
-  s.rnic = rnic.value;
-  s.factor = factor;
-  return s;
-}
-
-FaultSpec FaultSpec::agent_cpu_occupation(HostId host) {
-  FaultSpec s;
-  s.ctor = "agent-cpu-occupation";
-  s.host = host.value;
-  return s;
-}
-
-FaultSpec FaultSpec::control_plane_degradation(TimeNs extra_latency,
-                                               double extra_loss) {
-  FaultSpec s;
-  s.ctor = "control-plane-degradation";
-  s.extra_latency = extra_latency;
-  s.extra_loss = extra_loss;
-  return s;
-}
-
-FaultSpec FaultSpec::qpn_reset(HostId host) {
-  FaultSpec s;
-  s.ctor = "qpn-reset";
-  s.host = host.value;
-  return s;
+const char* spec_name(FaultKind k) {
+  for (const auto& [kind, name] : kSpecNames) {
+    if (kind == k) return name;
+  }
+  return "";
 }
 
 json::Value spec_to_value(const FaultSpec& spec) {
   json::Value v{json::Object{}};
-  v.set("ctor", spec.ctor);
-  if (spec.rnic != kNone) v.set("rnic", spec.rnic);
-  if (spec.host != kNone) v.set("host", spec.host);
-  if (spec.link != kNone) v.set("link", spec.link);
-  if (spec.sw != kNone) v.set("switch", spec.sw);
+  v.set("ctor", spec_name(spec.kind));
+  if (spec.rnic.valid()) v.set("rnic", spec.rnic.value);
+  if (spec.host.valid()) v.set("host", spec.host.value);
+  if (spec.link.valid()) v.set("link", spec.link.value);
+  if (spec.sw.valid()) v.set("switch", spec.sw.value);
+  if (spec.src_ip.value != 0) v.set("src_ip", spec.src_ip.value);
+  if (spec.dst_ip.value != 0) v.set("dst_ip", spec.dst_ip.value);
   if (spec.down_time != 0) v.set("down_time_ns", spec.down_time);
   if (spec.up_time != 0) v.set("up_time_ns", spec.up_time);
   if (spec.extra_latency != 0) v.set("extra_latency_ns", spec.extra_latency);
@@ -169,13 +59,29 @@ json::Value spec_to_value(const FaultSpec& spec) {
 
 FaultSpec spec_from_value(const json::Value& v) {
   if (!v.is_object()) throw std::runtime_error("FaultSpec: not an object");
+  const std::string name = v.get_string("ctor");
+  if (name.empty()) throw std::runtime_error("FaultSpec: missing ctor");
   FaultSpec s;
-  s.ctor = v.get_string("ctor");
-  if (s.ctor.empty()) throw std::runtime_error("FaultSpec: missing ctor");
-  s.rnic = static_cast<std::uint32_t>(v.get_int("rnic", kNone));
-  s.host = static_cast<std::uint32_t>(v.get_int("host", kNone));
-  s.link = static_cast<std::uint32_t>(v.get_int("link", kNone));
-  s.sw = static_cast<std::uint32_t>(v.get_int("switch", kNone));
+  for (const auto& [kind, json_name] : kSpecNames) {
+    if (name == json_name) s.kind = kind;
+  }
+  if (!s.valid()) {
+    throw std::runtime_error("FaultSpec: unknown ctor '" + name + "'");
+  }
+  const auto u32 = [&v](const char* key, std::uint32_t dflt) {
+    const std::int64_t x = v.get_int(key, dflt);
+    if (x < 0 || x > std::int64_t{kNone}) {
+      throw std::runtime_error(std::string("FaultSpec: ") + key +
+                               " out of range");
+    }
+    return static_cast<std::uint32_t>(x);
+  };
+  s.rnic = RnicId{u32("rnic", kNone)};
+  s.host = HostId{u32("host", kNone)};
+  s.link = LinkId{u32("link", kNone)};
+  s.sw = SwitchId{u32("switch", kNone)};
+  s.src_ip = IpAddr{u32("src_ip", 0)};
+  s.dst_ip = IpAddr{u32("dst_ip", 0)};
   s.down_time = v.get_int("down_time_ns", 0);
   s.up_time = v.get_int("up_time_ns", 0);
   s.extra_latency = v.get_int("extra_latency_ns", 0);
@@ -184,148 +90,6 @@ FaultSpec spec_from_value(const json::Value& v) {
   s.load = v.get_double("load", 0.0);
   s.extra_loss = v.get_double("extra_loss", 0.0);
   return s;
-}
-
-const FaultCatalog& FaultCatalog::instance() {
-  static const FaultCatalog catalog;
-  return catalog;
-}
-
-FaultCatalog::FaultCatalog() {
-  entries_ = {
-      {"rnic-flapping", /*clearable=*/true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::rnic_flapping(pick_rnic(rng, topo),
-                                         pick_dwell(rng), pick_dwell(rng));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_rnic_flapping(RnicId{s.rnic}, s.down_time,
-                                         s.up_time);
-       }},
-      {"switch-port-flapping", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::switch_port_flapping(
-             pick_fabric_link(rng, topo), pick_dwell(rng), pick_dwell(rng));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_switch_port_flapping(LinkId{s.link}, s.down_time,
-                                                s.up_time);
-       }},
-      {"corruption", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::corruption(pick_fabric_link(rng, topo),
-                                      0.3 + 0.4 * rng.uniform());
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_corruption(LinkId{s.link}, s.prob);
-       }},
-      {"rnic-down", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::rnic_down(pick_rnic(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_rnic_down(RnicId{s.rnic});
-       }},
-      {"host-down", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::host_down(pick_host(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_host_down(HostId{s.host});
-       }},
-      {"pfc-deadlock", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::pfc_deadlock(pick_fabric_link(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_pfc_deadlock(LinkId{s.link});
-       }},
-      {"route-missing", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::route_missing(pick_rnic(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_route_missing(RnicId{s.rnic});
-       }},
-      {"gid-index-missing", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::gid_index_missing(pick_rnic(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_gid_index_missing(RnicId{s.rnic});
-       }},
-      {"acl-error", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::acl_error(SwitchId{
-             static_cast<std::uint32_t>(rng.index(topo.num_switches()))});
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         // Wildcard src/dst: the switch denies all probe traffic through it.
-         return inj.inject_acl_error(SwitchId{s.sw}, IpAddr{}, IpAddr{});
-       }},
-      {"pfc-misconfigured", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::pfc_misconfigured(pick_fabric_link(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_pfc_misconfigured(LinkId{s.link});
-       }},
-      {"cpu-overload", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::cpu_overload(pick_host(rng, topo),
-                                        0.90 + 0.09 * rng.uniform());
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_cpu_overload(HostId{s.host}, s.load);
-       }},
-      {"pcie-downgrade", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::pcie_downgrade(pick_rnic(rng, topo),
-                                          0.2 + 0.3 * rng.uniform());
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_pcie_downgrade(RnicId{s.rnic}, s.factor);
-       }},
-      {"agent-cpu-occupation", true,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::agent_cpu_occupation(pick_host(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_agent_cpu_occupation(HostId{s.host});
-       }},
-      {"control-plane-degradation", true,
-       [](Rng& rng, const topo::Topology&) {
-         return FaultSpec::control_plane_degradation(
-             msec(rng.uniform_int(10, 50)), 0.05 + 0.15 * rng.uniform());
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_control_plane_degradation(s.extra_latency,
-                                                     s.extra_loss);
-       }},
-      {"qpn-reset", /*clearable=*/false,
-       [](Rng& rng, const topo::Topology& topo) {
-         return FaultSpec::qpn_reset(pick_host(rng, topo));
-       },
-       [](FaultInjector& inj, const FaultSpec& s) {
-         return inj.inject_qpn_reset(HostId{s.host});
-       }},
-  };
-}
-
-const FaultCatalog::Entry* FaultCatalog::find(std::string_view name) const {
-  for (const Entry& e : entries_) {
-    if (name == e.name) return &e;
-  }
-  return nullptr;
-}
-
-int FaultCatalog::apply(FaultInjector& injector, const FaultSpec& spec) const {
-  const Entry* e = find(spec.ctor);
-  if (e == nullptr) {
-    throw std::invalid_argument("FaultCatalog: unknown constructor '" +
-                                spec.ctor + "'");
-  }
-  return e->apply(injector, spec);
 }
 
 }  // namespace rpm::faults

@@ -1,102 +1,25 @@
-// faults::FaultCatalog — data-driven, named fault constructors.
+// The JSON codec of faults::FaultSpec, which makes chaos plans replayable: a
+// minimized failing plan is a small JSON file, not a core dump.
 //
-// The chaos harness originally carried fault injections as opaque
-// std::functions, so a ChaosPlan could be scripted but never serialized:
-// every repro artifact had to be C++. FaultSpec replaces the closure with a
-// plain parameter record (constructor name + the entity ids and knobs that
-// constructor takes), and the catalog maps each name to
-//
-//   * apply(injector, spec)  — run the named FaultInjector constructor,
-//   * sample(rng, topo)      — draw a valid spec against a topology (the
-//                              chaos::CampaignGen's weighted step source),
-//   * clearable              — whether a generated plan may schedule a
-//                              mid-campaign clear() for it.
-//
-// Specs round-trip through JSON (spec_to_value / spec_from_value), which is
-// what makes fuzzer counterexamples replayable: a minimized failing plan is
-// a small JSON file, not a core dump.
+// A spec is one object. Its "ctor" key holds the kind's JSON name, the name
+// of its FaultSpec constructor ("corruption", "route-missing", ...); the
+// other keys are the spec's non-default fields, in a fixed order.
 #pragma once
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/json.h"
-#include "common/rng.h"
-#include "common/types.h"
 #include "faults/faults.h"
-#include "topo/topology.h"
 
 namespace rpm::faults {
 
-/// Serializable parameter record for one catalog constructor. Only the
-/// fields the named constructor reads are meaningful; the rest stay at
-/// their defaults (and are omitted from JSON).
-struct FaultSpec {
-  std::string ctor;  // catalog entry name ("" = invalid)
-  std::uint32_t rnic = HostId::kInvalidValue;
-  std::uint32_t host = HostId::kInvalidValue;
-  std::uint32_t link = HostId::kInvalidValue;
-  std::uint32_t sw = HostId::kInvalidValue;
-  TimeNs down_time = 0;      // flapping dwell
-  TimeNs up_time = 0;        // flapping dwell
-  TimeNs extra_latency = 0;  // control-plane degradation
-  double prob = 0.0;         // corruption drop probability
-  double factor = 0.0;       // pcie downgrade factor
-  double load = 0.0;         // cpu overload target
-  double extra_loss = 0.0;   // control-plane degradation
+/// The kind's JSON name; "" for a spec that names no fault. Four kinds'
+/// JSON names differ from their report name (fault_kind_name):
+/// corruption, route-missing, gid-index-missing and acl-error.
+const char* spec_name(FaultKind k);
 
-  [[nodiscard]] bool valid() const { return !ctor.empty(); }
-
-  // Named constructors mirroring FaultInjector's surface (Table 2 + noise).
-  static FaultSpec rnic_flapping(RnicId rnic, TimeNs down, TimeNs up);
-  static FaultSpec switch_port_flapping(LinkId link, TimeNs down, TimeNs up);
-  static FaultSpec corruption(LinkId link, double drop_prob);
-  static FaultSpec rnic_down(RnicId rnic);
-  static FaultSpec host_down(HostId host);
-  static FaultSpec pfc_deadlock(LinkId link);
-  static FaultSpec route_missing(RnicId rnic);
-  static FaultSpec gid_index_missing(RnicId rnic);
-  static FaultSpec acl_error(SwitchId sw);
-  static FaultSpec pfc_misconfigured(LinkId link);
-  static FaultSpec cpu_overload(HostId host, double load = 0.97);
-  static FaultSpec pcie_downgrade(RnicId rnic, double factor = 0.25);
-  static FaultSpec agent_cpu_occupation(HostId host);
-  static FaultSpec control_plane_degradation(TimeNs extra_latency,
-                                             double extra_loss);
-  static FaultSpec qpn_reset(HostId host);
-};
-
-/// JSON codec: only non-default fields are emitted, deterministically.
 json::Value spec_to_value(const FaultSpec& spec);
-FaultSpec spec_from_value(const json::Value& v);  // throws std::runtime_error
-
-class FaultCatalog {
- public:
-  struct Entry {
-    const char* name;
-    /// Whether a generated campaign may schedule a mid-run clear() (faults
-    /// whose revert is itself an interesting event). Non-clearable entries
-    /// stay active to the end of the campaign.
-    bool clearable;
-    FaultSpec (*sample)(Rng& rng, const topo::Topology& topo);
-    int (*apply)(FaultInjector& injector, const FaultSpec& spec);
-  };
-
-  /// The process-wide catalog (immutable, thread-safe after first use).
-  static const FaultCatalog& instance();
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-  /// nullptr when unknown.
-  [[nodiscard]] const Entry* find(std::string_view name) const;
-
-  /// Run the spec's named constructor; returns the injector handle.
-  /// Throws std::invalid_argument on an unknown constructor name.
-  int apply(FaultInjector& injector, const FaultSpec& spec) const;
-
- private:
-  FaultCatalog();
-  std::vector<Entry> entries_;
-};
+/// Throws std::runtime_error on a malformed object or an unknown name.
+FaultSpec spec_from_value(const json::Value& v);
 
 }  // namespace rpm::faults

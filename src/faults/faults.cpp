@@ -1,8 +1,7 @@
 #include "faults/faults.h"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -32,10 +31,6 @@ const char* fault_kind_name(FaultKind k) {
       return "switch-acl-error";
     case FaultKind::kPfcMisconfigured:
       return "pfc-misconfigured";
-    case FaultKind::kUnevenLoadBalance:
-      return "uneven-load-balance";
-    case FaultKind::kServiceInterference:
-      return "service-interference";
     case FaultKind::kCpuOverload:
       return "cpu-overload";
     case FaultKind::kPcieDowngrade:
@@ -61,8 +56,6 @@ bool is_network_fault(FaultKind k) {
     case FaultKind::kRnicGidIndexMissing:
     case FaultKind::kSwitchAclError:
     case FaultKind::kPfcMisconfigured:
-    case FaultKind::kUnevenLoadBalance:
-    case FaultKind::kServiceInterference:
     case FaultKind::kPcieDowngrade:
       return true;
     case FaultKind::kHostDown:
@@ -88,23 +81,12 @@ bool is_rnic_fault(FaultKind k) {
   }
 }
 
-std::string FaultRecord::describe(const topo::Topology& topo) const {
-  std::ostringstream os;
-  os << fault_kind_name(kind);
-  if (rnic.valid()) os << " @" << topo.rnic(rnic).name;
-  if (host.valid()) os << " @" << topo.host(host).name;
-  if (link.valid()) os << " @" << topo.link(link).name;
-  if (sw.valid()) os << " @" << topo.switch_info(sw).name;
-  return os.str();
-}
-
 FaultInjector::FaultInjector(host::Cluster& cluster) : cluster_(cluster) {}
 
 int FaultInjector::register_fault(FaultRecord rec,
                                   std::function<void()> revert,
                                   std::unique_ptr<sim::PeriodicTask> flapper) {
   rec.handle = next_handle_++;
-  rec.active = true;
   telemetry::registry()
       .counter("rpm_faults_injected_total", "Fault injections by kind",
                {{"kind", fault_kind_name(rec.kind)}})
@@ -147,177 +129,137 @@ std::unique_ptr<sim::PeriodicTask> make_flapper(
 
 }  // namespace
 
-int FaultInjector::inject_rnic_flapping(RnicId rnic, TimeNs down_time,
-                                        TimeNs up_time) {
-  const LinkId link = cluster_.topology().rnic(rnic).uplink;
+int FaultInjector::inject(const FaultSpec& spec) {
   auto& fab = cluster_.fabric();
-  auto flapper = make_flapper(
-      cluster_.scheduler(), down_time, up_time,
-      [&fab, link](bool down) { fab.set_cable_flapping(link, down); });
+  const topo::Topology& topo = cluster_.topology();
   FaultRecord rec;
-  rec.kind = FaultKind::kRnicFlapping;
-  rec.rnic = rnic;
-  rec.link = link;
-  return register_fault(
-      rec, [&fab, link] { fab.set_cable_flapping(link, false); },
-      std::move(flapper));
-}
-
-int FaultInjector::inject_switch_port_flapping(LinkId link, TimeNs down_time,
-                                               TimeNs up_time) {
-  auto& fab = cluster_.fabric();
-  auto flapper = make_flapper(
-      cluster_.scheduler(), down_time, up_time,
-      [&fab, link](bool down) { fab.set_cable_flapping(link, down); });
-  FaultRecord rec;
-  rec.kind = FaultKind::kSwitchPortFlapping;
-  rec.link = link;
-  const topo::Link& l = cluster_.topology().link(link);
-  if (l.from.is_switch()) rec.sw = l.from.as_switch();
-  return register_fault(
-      rec, [&fab, link] { fab.set_cable_flapping(link, false); },
-      std::move(flapper));
-}
-
-int FaultInjector::inject_corruption(LinkId link, double drop_prob) {
-  if (drop_prob < 0.0 || drop_prob > 1.0) {
-    throw std::invalid_argument("inject_corruption: prob out of range");
+  rec.kind = spec.kind;
+  switch (spec.kind) {
+    case FaultKind::kRnicFlapping: {
+      const LinkId link = topo.rnic(spec.rnic).uplink;
+      auto flapper = make_flapper(
+          cluster_.scheduler(), spec.down_time, spec.up_time,
+          [&fab, link](bool down) { fab.set_cable_flapping(link, down); });
+      rec.rnic = spec.rnic;
+      rec.link = link;
+      return register_fault(
+          rec, [&fab, link] { fab.set_cable_flapping(link, false); },
+          std::move(flapper));
+    }
+    case FaultKind::kSwitchPortFlapping: {
+      const LinkId link = spec.link;
+      auto flapper = make_flapper(
+          cluster_.scheduler(), spec.down_time, spec.up_time,
+          [&fab, link](bool down) { fab.set_cable_flapping(link, down); });
+      rec.link = link;
+      const topo::Link& l = topo.link(link);
+      if (l.from.is_switch()) rec.sw = l.from.as_switch();
+      return register_fault(
+          rec, [&fab, link] { fab.set_cable_flapping(link, false); },
+          std::move(flapper));
+    }
+    case FaultKind::kPacketCorruption: {
+      if (spec.prob < 0.0 || spec.prob > 1.0) {
+        throw std::invalid_argument("corruption: prob out of range");
+      }
+      const LinkId link = spec.link;
+      const LinkId peer = topo.link(link).peer;
+      fab.link_state(link).corrupt_prob = spec.prob;
+      fab.link_state(peer).corrupt_prob = spec.prob;
+      rec.link = link;
+      return register_fault(rec, [&fab, link, peer] {
+        fab.link_state(link).corrupt_prob = 0.0;
+        fab.link_state(peer).corrupt_prob = 0.0;
+      });
+    }
+    case FaultKind::kRnicDown: {
+      auto& dev = cluster_.rnic_device(spec.rnic);
+      dev.set_down(true);
+      rec.rnic = spec.rnic;
+      return register_fault(rec, [&dev] { dev.set_down(false); });
+    }
+    case FaultKind::kHostDown: {
+      auto& h = cluster_.host(spec.host);
+      h.set_down(true);
+      // Power loss: every RNIC in the host goes down with it.
+      std::vector<RnicId> rnics = topo.host(spec.host).rnics;
+      for (RnicId r : rnics) cluster_.rnic_device(r).set_down(true);
+      rec.host = spec.host;
+      host::Cluster* cl = &cluster_;
+      return register_fault(rec, [cl, &h, rnics] {
+        h.set_down(false);
+        for (RnicId r : rnics) cl->rnic_device(r).set_down(false);
+      });
+    }
+    case FaultKind::kPfcDeadlock: {
+      const LinkId link = spec.link;
+      const LinkId peer = topo.link(link).peer;
+      fab.link_state(link).deadlocked = true;
+      fab.link_state(peer).deadlocked = true;
+      rec.link = link;
+      return register_fault(rec, [&fab, link, peer] {
+        fab.link_state(link).deadlocked = false;
+        fab.link_state(peer).deadlocked = false;
+      });
+    }
+    case FaultKind::kRnicRouteMissing: {
+      auto& dev = cluster_.rnic_device(spec.rnic);
+      dev.set_routing_config_missing(true);
+      rec.rnic = spec.rnic;
+      return register_fault(
+          rec, [&dev] { dev.set_routing_config_missing(false); });
+    }
+    case FaultKind::kRnicGidIndexMissing: {
+      auto& dev = cluster_.rnic_device(spec.rnic);
+      dev.set_gid_index_missing(true);
+      rec.rnic = spec.rnic;
+      return register_fault(rec,
+                            [&dev] { dev.set_gid_index_missing(false); });
+    }
+    case FaultKind::kSwitchAclError: {
+      const SwitchId sw = spec.sw;
+      fab.add_acl_deny(sw, spec.src_ip, spec.dst_ip);
+      rec.sw = sw;
+      return register_fault(rec, [&fab, sw] { fab.clear_acl(sw); });
+    }
+    case FaultKind::kPfcMisconfigured: {
+      const LinkId link = spec.link;
+      fab.link_state(link).pfc_misconfigured = true;
+      rec.link = link;
+      const topo::Link& l = topo.link(link);
+      if (l.from.is_switch()) rec.sw = l.from.as_switch();
+      return register_fault(rec, [&fab, link] {
+        fab.link_state(link).pfc_misconfigured = false;
+      });
+    }
+    case FaultKind::kCpuOverload:
+    case FaultKind::kAgentCpuOccupation: {
+      // Occupation pegs every core; overload sets the spec's load.
+      auto& h = cluster_.host(spec.host);
+      const double before = h.cpu_load();
+      h.set_cpu_load(spec.kind == FaultKind::kCpuOverload ? spec.load : 1.0);
+      rec.host = spec.host;
+      return register_fault(rec, [&h, before] { h.set_cpu_load(before); });
+    }
+    case FaultKind::kPcieDowngrade: {
+      auto& dev = cluster_.rnic_device(spec.rnic);
+      dev.set_pcie_factor(spec.factor);
+      rec.rnic = spec.rnic;
+      return register_fault(rec, [&dev] { dev.set_pcie_factor(1.0); });
+    }
+    case FaultKind::kQpnReset: {
+      // Nothing to write, but a host outside the topology still throws.
+      static_cast<void>(topo.host(spec.host));
+      rec.host = spec.host;
+      return register_fault(rec, [] {});
+    }
+    case FaultKind::kControlPlaneDegradation: {
+      transport::ControlPlane& cp = cluster_.control_plane();
+      cp.set_degradation(spec.extra_latency, spec.extra_loss);
+      return register_fault(rec, [&cp] { cp.clear_degradation(); });
+    }
   }
-  auto& fab = cluster_.fabric();
-  const LinkId peer = cluster_.topology().link(link).peer;
-  fab.link_state(link).corrupt_prob = drop_prob;
-  fab.link_state(peer).corrupt_prob = drop_prob;
-  FaultRecord rec;
-  rec.kind = FaultKind::kPacketCorruption;
-  rec.link = link;
-  return register_fault(rec, [&fab, link, peer] {
-    fab.link_state(link).corrupt_prob = 0.0;
-    fab.link_state(peer).corrupt_prob = 0.0;
-  });
-}
-
-int FaultInjector::inject_rnic_down(RnicId rnic) {
-  auto& dev = cluster_.rnic_device(rnic);
-  dev.set_down(true);
-  FaultRecord rec;
-  rec.kind = FaultKind::kRnicDown;
-  rec.rnic = rnic;
-  return register_fault(rec, [&dev] { dev.set_down(false); });
-}
-
-int FaultInjector::inject_host_down(HostId host) {
-  auto& h = cluster_.host(host);
-  h.set_down(true);
-  // Power loss: every RNIC in the host goes down with it.
-  std::vector<RnicId> rnics = cluster_.topology().host(host).rnics;
-  for (RnicId r : rnics) cluster_.rnic_device(r).set_down(true);
-  FaultRecord rec;
-  rec.kind = FaultKind::kHostDown;
-  rec.host = host;
-  host::Cluster* cl = &cluster_;
-  return register_fault(rec, [cl, &h, rnics] {
-    h.set_down(false);
-    for (RnicId r : rnics) cl->rnic_device(r).set_down(false);
-  });
-}
-
-int FaultInjector::inject_pfc_deadlock(LinkId link) {
-  auto& fab = cluster_.fabric();
-  const LinkId peer = cluster_.topology().link(link).peer;
-  fab.link_state(link).deadlocked = true;
-  fab.link_state(peer).deadlocked = true;
-  FaultRecord rec;
-  rec.kind = FaultKind::kPfcDeadlock;
-  rec.link = link;
-  return register_fault(rec, [&fab, link, peer] {
-    fab.link_state(link).deadlocked = false;
-    fab.link_state(peer).deadlocked = false;
-  });
-}
-
-int FaultInjector::inject_route_missing(RnicId rnic) {
-  auto& dev = cluster_.rnic_device(rnic);
-  dev.set_routing_config_missing(true);
-  FaultRecord rec;
-  rec.kind = FaultKind::kRnicRouteMissing;
-  rec.rnic = rnic;
-  return register_fault(rec,
-                        [&dev] { dev.set_routing_config_missing(false); });
-}
-
-int FaultInjector::inject_gid_index_missing(RnicId rnic) {
-  auto& dev = cluster_.rnic_device(rnic);
-  dev.set_gid_index_missing(true);
-  FaultRecord rec;
-  rec.kind = FaultKind::kRnicGidIndexMissing;
-  rec.rnic = rnic;
-  return register_fault(rec, [&dev] { dev.set_gid_index_missing(false); });
-}
-
-int FaultInjector::inject_acl_error(SwitchId sw, IpAddr src, IpAddr dst) {
-  auto& fab = cluster_.fabric();
-  fab.add_acl_deny(sw, src, dst);
-  FaultRecord rec;
-  rec.kind = FaultKind::kSwitchAclError;
-  rec.sw = sw;
-  return register_fault(rec, [&fab, sw] { fab.clear_acl(sw); });
-}
-
-int FaultInjector::inject_pfc_misconfigured(LinkId link) {
-  auto& fab = cluster_.fabric();
-  fab.link_state(link).pfc_misconfigured = true;
-  FaultRecord rec;
-  rec.kind = FaultKind::kPfcMisconfigured;
-  rec.link = link;
-  const topo::Link& l = cluster_.topology().link(link);
-  if (l.from.is_switch()) rec.sw = l.from.as_switch();
-  return register_fault(
-      rec, [&fab, link] { fab.link_state(link).pfc_misconfigured = false; });
-}
-
-int FaultInjector::inject_cpu_overload(HostId host, double load) {
-  auto& h = cluster_.host(host);
-  const double before = h.cpu_load();
-  h.set_cpu_load(load);
-  FaultRecord rec;
-  rec.kind = FaultKind::kCpuOverload;
-  rec.host = host;
-  return register_fault(rec, [&h, before] { h.set_cpu_load(before); });
-}
-
-int FaultInjector::inject_pcie_downgrade(RnicId rnic, double factor) {
-  auto& dev = cluster_.rnic_device(rnic);
-  dev.set_pcie_factor(factor);
-  FaultRecord rec;
-  rec.kind = FaultKind::kPcieDowngrade;
-  rec.rnic = rnic;
-  return register_fault(rec, [&dev] { dev.set_pcie_factor(1.0); });
-}
-
-int FaultInjector::inject_agent_cpu_occupation(HostId host) {
-  auto& h = cluster_.host(host);
-  const double before = h.cpu_load();
-  h.set_cpu_load(1.0);
-  FaultRecord rec;
-  rec.kind = FaultKind::kAgentCpuOccupation;
-  rec.host = host;
-  return register_fault(rec, [&h, before] { h.set_cpu_load(before); });
-}
-
-int FaultInjector::inject_qpn_reset(HostId host) {
-  FaultRecord rec;
-  rec.kind = FaultKind::kQpnReset;
-  rec.host = host;
-  return register_fault(rec, [] {});
-}
-
-int FaultInjector::inject_control_plane_degradation(TimeNs extra_latency,
-                                                    double extra_loss) {
-  FaultRecord rec;
-  rec.kind = FaultKind::kControlPlaneDegradation;
-  transport::ControlPlane& cp = cluster_.control_plane();
-  cp.set_degradation(extra_latency, extra_loss);
-  return register_fault(rec, [&cp] { cp.clear_degradation(); });
+  throw std::invalid_argument("FaultInjector::inject: spec names no fault");
 }
 
 void FaultInjector::clear(int handle) {
@@ -335,16 +277,9 @@ void FaultInjector::clear(int handle) {
 }
 
 void FaultInjector::clear_all() {
-  // Revert in ascending-handle (injection) order. Iterating the
-  // unordered_map directly would let the platform's hashing decide the
-  // revert order, and stacked faults that capture "before" state (two CPU
-  // loads on one host, say) then settle on implementation-defined values —
-  // breaking seeded-run byte-identity across a clear_all().
-  std::vector<int> handles;
-  handles.reserve(active_.size());
-  for (const auto& [h, a] : active_) handles.push_back(h);
-  std::sort(handles.begin(), handles.end());
-  for (int h : handles) clear(h);
+  // Reverting in injection order keeps stacked faults that capture "before"
+  // state (two CPU loads on one host, say) deterministic.
+  while (!active_.empty()) clear(active_.begin()->first);
 }
 
 const FaultRecord& FaultInjector::record(int handle) const {

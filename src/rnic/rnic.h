@@ -142,7 +142,9 @@ class RnicDevice {
   void set_down(bool down);
   [[nodiscard]] bool is_down() const { return down_; }
   void set_gid_index_missing(bool missing) { gid_index_missing_ = missing; }
+  [[nodiscard]] bool gid_index_missing() const { return gid_index_missing_; }
   void set_routing_config_missing(bool missing) { route_missing_ = missing; }
+  [[nodiscard]] bool routing_config_missing() const { return route_missing_; }
   /// PCIe width/speed factor in (0,1]; also degrades the fabric-facing
   /// service rate of the host link (PFC-storm precursor, §7.1 #13-#14).
   void set_pcie_factor(double factor);

@@ -1,5 +1,6 @@
-// Tests for the property-based chaos fuzzing stack: FaultCatalog specs and
-// their JSON codec, CampaignGen determinism + validity envelope, the
+// Tests for the property-based chaos fuzzing stack: the FaultSpec JSON
+// codec, CampaignGen determinism + validity envelope (every generated
+// inject applies to an injector), the
 // ChaosRunner same-`at` tie-break, the invariant oracles, ddmin shrinking
 // (a deliberately broken oracle must reduce a ~20-step generated plan to a
 // minimal counterexample), the run_fuzz loop's corpus artifacts, replay of
@@ -23,7 +24,6 @@
 #include "chaos/shrink.h"
 #include "common/codec.h"
 #include "common/json.h"
-#include "common/rng.h"
 #include "faults/catalog.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
@@ -43,7 +43,7 @@ LinkId first_fabric_link(const topo::Topology& topo) {
   return LinkId{};
 }
 
-// ---- FaultCatalog + FaultSpec JSON ----
+// ---- FaultSpec JSON ----
 
 TEST(FaultSpecJson, EveryConstructorRoundTrips) {
   const std::vector<faults::FaultSpec> specs = {
@@ -56,6 +56,8 @@ TEST(FaultSpecJson, EveryConstructorRoundTrips) {
       faults::FaultSpec::route_missing(RnicId{1}),
       faults::FaultSpec::gid_index_missing(RnicId{6}),
       faults::FaultSpec::acl_error(SwitchId{8}),
+      faults::FaultSpec::acl_error(SwitchId{8}, IpAddr{0x0a000001},
+                                   IpAddr{0x0a000102}),
       faults::FaultSpec::pfc_misconfigured(LinkId{3}),
       faults::FaultSpec::cpu_overload(HostId{2}, 0.95),
       faults::FaultSpec::pcie_downgrade(RnicId{4}, 0.5),
@@ -68,11 +70,13 @@ TEST(FaultSpecJson, EveryConstructorRoundTrips) {
     const std::string text = faults::spec_to_value(s).dump();
     const faults::FaultSpec back =
         faults::spec_from_value(json::Value::parse(text));
-    EXPECT_EQ(back.ctor, s.ctor) << text;
+    EXPECT_EQ(back.kind, s.kind) << text;
     EXPECT_EQ(back.rnic, s.rnic) << text;
     EXPECT_EQ(back.host, s.host) << text;
     EXPECT_EQ(back.link, s.link) << text;
     EXPECT_EQ(back.sw, s.sw) << text;
+    EXPECT_EQ(back.src_ip, s.src_ip) << text;
+    EXPECT_EQ(back.dst_ip, s.dst_ip) << text;
     EXPECT_EQ(back.down_time, s.down_time) << text;
     EXPECT_EQ(back.up_time, s.up_time) << text;
     EXPECT_EQ(back.extra_latency, s.extra_latency) << text;
@@ -83,29 +87,33 @@ TEST(FaultSpecJson, EveryConstructorRoundTrips) {
   }
 }
 
-TEST(FaultCatalog, EverySampledSpecAppliesToAnInjector) {
-  const topo::Topology topo = topo::build_clos(small_clos());
-  host::Cluster cluster(topo::build_clos(small_clos()), host::ClusterConfig{});
-  faults::FaultInjector injector(cluster);
-  Rng rng(11);
-  const faults::FaultCatalog& catalog = faults::FaultCatalog::instance();
-  ASSERT_FALSE(catalog.entries().empty());
-  for (const faults::FaultCatalog::Entry& e : catalog.entries()) {
-    const faults::FaultSpec spec = e.sample(rng, topo);
-    ASSERT_TRUE(spec.valid()) << e.name;
-    EXPECT_EQ(spec.ctor, e.name);
-    EXPECT_GE(catalog.apply(injector, spec), 0) << e.name;
-  }
+TEST(FaultSpecJson, AclAddressesAreWrittenOnlyWhenSet) {
+  EXPECT_EQ(faults::spec_to_value(faults::FaultSpec::acl_error(SwitchId{8}))
+                .dump(),
+            R"({"ctor":"acl-error","switch":8})");
+  EXPECT_EQ(faults::spec_to_value(
+                faults::FaultSpec::acl_error(SwitchId{8}, IpAddr{}, IpAddr{7}))
+                .dump(),
+            R"({"ctor":"acl-error","switch":8,"dst_ip":7})");
 }
 
-TEST(FaultCatalog, UnknownConstructorIsRejected) {
-  host::Cluster cluster(topo::build_clos(small_clos()), host::ClusterConfig{});
-  faults::FaultInjector injector(cluster);
-  EXPECT_EQ(faults::FaultCatalog::instance().find("no-such-fault"), nullptr);
-  faults::FaultSpec bogus;
-  bogus.ctor = "no-such-fault";
-  EXPECT_THROW(faults::FaultCatalog::instance().apply(injector, bogus),
-               std::invalid_argument);
+TEST(FaultSpecJson, UnknownNamesAndWideIdsAreRejected) {
+  EXPECT_THROW(faults::spec_from_value(
+                   json::Value::parse(R"({"ctor": "no-such-fault"})")),
+               std::runtime_error);
+  EXPECT_THROW(faults::spec_from_value(json::Value::parse(R"({"host": 1})")),
+               std::runtime_error);
+  // An id that does not fit 32 bits is rejected, not truncated.
+  EXPECT_THROW(faults::spec_from_value(json::Value::parse(
+                   R"({"ctor": "host-down", "host": 4294967298})")),
+               std::runtime_error);
+  EXPECT_THROW(faults::spec_from_value(json::Value::parse(
+                   R"({"ctor": "host-down", "host": -1})")),
+               std::runtime_error);
+  // A plan passes the spec's error on.
+  EXPECT_THROW(plan_from_json(R"({"steps": [{"kind": "inject", "at_ns": 1,
+      "label": "x", "spec": {"ctor": "no-such-fault"}}]})"),
+               std::runtime_error);
 }
 
 // ---- ChaosPlan JSON ----
@@ -184,6 +192,27 @@ TEST(CampaignGen, PlansStayInsideTheValidityEnvelope) {
       }
     }
   }
+}
+
+TEST(CampaignGen, EveryGeneratedInjectAppliesToAnInjector) {
+  const topo::Topology topo = topo::build_clos(small_clos());
+  host::Cluster cluster(topo::build_clos(small_clos()), host::ClusterConfig{});
+  faults::FaultInjector injector(cluster);
+  std::set<faults::FaultKind> drawn;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const ChaosStep& s : CampaignGen{}.generate(seed, topo).steps) {
+      if (s.kind != ChaosStep::Kind::kInject) continue;
+      // Labels carry the spec's JSON name.
+      EXPECT_TRUE(s.label.ends_with(std::string("-") +
+                                    faults::spec_name(s.spec.kind)))
+          << s.label;
+      const int h = injector.inject(s.spec);
+      EXPECT_EQ(injector.record(h).kind, s.spec.kind) << s.label;
+      drawn.insert(s.spec.kind);
+    }
+  }
+  EXPECT_EQ(drawn.size(), 6u);  // every kind on the generator's menu
+  injector.clear_all();
 }
 
 TEST(CampaignGen, FederatedConfigEmitsPodBouncesWithValidPodIds) {

@@ -151,7 +151,7 @@ TEST_F(RootCauseTest, CorruptionHintedFromCrcCounters) {
             break;
           }
         }
-        faults_.inject_corruption(fabric_link, 0.5);
+        faults_.inject(faults::FaultSpec::corruption(fabric_link, 0.5));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("corruption"), std::string::npos)
@@ -171,7 +171,8 @@ TEST_F(RootCauseTest, FlappingHintedFromDownDrops) {
             break;
           }
         }
-        faults_.inject_switch_port_flapping(fabric_link, msec(400), msec(400));
+        faults_.inject(faults::FaultSpec::switch_port_flapping(
+            fabric_link, msec(400), msec(400)));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("flapping"), std::string::npos)
@@ -189,7 +190,7 @@ TEST_F(RootCauseTest, DeadlockHintedFromLinkState) {
             break;
           }
         }
-        faults_.inject_pfc_deadlock(fabric_link);
+        faults_.inject(faults::FaultSpec::pfc_deadlock(fabric_link));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("deadlock"), std::string::npos)
@@ -199,7 +200,7 @@ TEST_F(RootCauseTest, DeadlockHintedFromLinkState) {
 TEST_F(RootCauseTest, MisconfigHintedFromRnicCounters) {
   const auto hints =
       run_and_advise(core::ProblemCategory::kRnicProblem, [this] {
-        faults_.inject_gid_index_missing(RnicId{6});
+        faults_.inject(faults::FaultSpec::gid_index_missing(RnicId{6}));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("misconfiguration"), std::string::npos)
@@ -209,7 +210,7 @@ TEST_F(RootCauseTest, MisconfigHintedFromRnicCounters) {
 TEST_F(RootCauseTest, RnicDownHinted) {
   const auto hints =
       run_and_advise(core::ProblemCategory::kRnicProblem, [this] {
-        faults_.inject_rnic_down(RnicId{6});
+        faults_.inject(faults::FaultSpec::rnic_down(RnicId{6}));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("RNIC down"), std::string::npos)
@@ -219,7 +220,7 @@ TEST_F(RootCauseTest, RnicDownHinted) {
 TEST_F(RootCauseTest, HostDownHinted) {
   const auto hints =
       run_and_advise(core::ProblemCategory::kHostDown, [this] {
-        faults_.inject_host_down(HostId{3});
+        faults_.inject(faults::FaultSpec::host_down(HostId{3}));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("host power"), std::string::npos);
@@ -228,7 +229,7 @@ TEST_F(RootCauseTest, HostDownHinted) {
 TEST_F(RootCauseTest, CpuOverloadHinted) {
   const auto hints =
       run_and_advise(core::ProblemCategory::kHighProcessingDelay, [this] {
-        faults_.inject_cpu_overload(HostId{1}, 0.97);
+        faults_.inject(faults::FaultSpec::cpu_overload(HostId{1}, 0.97));
       });
   ASSERT_FALSE(hints.empty());
   EXPECT_NE(hints.front().cause.find("CPU overload"), std::string::npos);
@@ -244,7 +245,7 @@ TEST_F(RootCauseTest, HintsAreRankedAndDeduplicated) {
             break;
           }
         }
-        faults_.inject_corruption(fabric_link, 0.5);
+        faults_.inject(faults::FaultSpec::corruption(fabric_link, 0.5));
       });
   for (std::size_t i = 1; i < hints.size(); ++i) {
     EXPECT_GE(hints[i - 1].confidence, hints[i].confidence);

@@ -354,7 +354,7 @@ TEST(Federation, TrimmedDiagnosisSpillsToArchiveAndExplainFallsBack) {
   // id must come back from the archive, not vanish.
   Deployment d(13, 1, /*standby=*/false, /*history_limit=*/1);
   d.cluster.run_for(sec(10));  // let host 3 register + upload first
-  d.injector.inject_host_down(HostId{3});
+  d.injector.inject(faults::FaultSpec::host_down(HostId{3}));
   d.cluster.run_for(sec(40));  // silence threshold (20 s) + several periods
 
   const core::PeriodReport* rep = d.rpm.analyzer().last_report();

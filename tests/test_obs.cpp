@@ -318,8 +318,8 @@ TEST(FlightRecorderE2E, FaultyRunYieldsCoherentTimelinesAndEvidence) {
   rpm.start();
   cluster.run_for(sec(25));
   faults::FaultInjector inj(cluster);
-  inj.inject_rnic_down(RnicId{5});
-  inj.inject_control_plane_degradation(msec(5), 0.3);
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{5}));
+  inj.inject(faults::FaultSpec::control_plane_degradation(msec(5), 0.3));
   cluster.run_for(sec(21));
 
   auto& rec = obs::recorder();

@@ -69,7 +69,7 @@ TEST_F(PingmeshTest, SoftwareRttIncludesHostSchedulingDelay) {
 
 TEST_F(PingmeshTest, TimesOutWhenPathIsDown) {
   faults::FaultInjector inj(cluster_);
-  inj.inject_rnic_down(RnicId{7});
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{7}));
   int timeouts = 0;
   auto win = run_probes(RnicId{0}, RnicId{7}, 10, &timeouts);
   EXPECT_EQ(win.count(), 0u);
@@ -89,7 +89,7 @@ TEST_F(PingmeshTest, TcpProbesAreBlindToRocePfcDeadlock) {
   ASSERT_TRUE(ground.delivered);
 
   faults::FaultInjector inj(cluster_);
-  inj.inject_pfc_deadlock(ground.path.links[2]);
+  inj.inject(faults::FaultSpec::pfc_deadlock(ground.path.links[2]));
 
   // RoCE traffic on that path is dead...
   EXPECT_FALSE(cluster_.fabric().send(roce).delivered);

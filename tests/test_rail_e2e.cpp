@@ -45,7 +45,7 @@ TEST(RailE2E, SpineFaultLocalizedOnRailTopology) {
     }
   }
   faults::FaultInjector inj(cluster);
-  inj.inject_corruption(victim, 0.6);
+  inj.inject(faults::FaultSpec::corruption(victim, 0.6));
   cluster.run_for(sec(41));
   const PeriodReport* rep = rpm.analyzer().last_report();
   const Problem* p = nullptr;
@@ -72,7 +72,7 @@ TEST(RailE2E, RnicDownLocalizedOnRailTopology) {
   rpm.start();
   cluster.run_for(sec(25));
   faults::FaultInjector inj(cluster);
-  inj.inject_rnic_down(RnicId{3});
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{3}));
   cluster.run_for(sec(21));
   const PeriodReport* rep = rpm.analyzer().last_report();
   bool flagged = false;

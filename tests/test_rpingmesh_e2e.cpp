@@ -118,7 +118,7 @@ TEST(RPingmeshE2E, RnicDownDetectedAsRnicProblem) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_rnic_down(RnicId{5});
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{5}));
   d.cluster.run_for(sec(21));
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   ASSERT_NE(rep, nullptr);
@@ -135,7 +135,7 @@ TEST(RPingmeshE2E, HostDownClassifiedAsNonNetwork) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_host_down(HostId{3});
+  inj.inject(faults::FaultSpec::host_down(HostId{3}));
   d.cluster.run_for(sec(45));  // > silence threshold + a full period
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   ASSERT_NE(rep, nullptr);
@@ -228,7 +228,8 @@ TEST(RPingmeshE2E, SwitchPortFlappingLocalizedByVoting) {
   }
   ASSERT_TRUE(victim.valid());
   faults::FaultInjector inj(d.cluster);
-  inj.inject_switch_port_flapping(victim, msec(300), msec(300));
+  inj.inject(
+      faults::FaultSpec::switch_port_flapping(victim, msec(300), msec(300)));
   d.cluster.run_for(sec(41));
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   ASSERT_NE(rep, nullptr);
@@ -274,7 +275,7 @@ TEST(RPingmeshE2E, AgentCpuOccupationFilteredAsNoise) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_agent_cpu_occupation(HostId{2});
+  inj.inject(faults::FaultSpec::agent_cpu_occupation(HostId{2}));
   d.cluster.run_for(sec(41));  // include one fully-starved analysis period
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   ASSERT_NE(rep, nullptr);
@@ -289,7 +290,7 @@ TEST(RPingmeshE2E, CpuOverloadSurfacesAsProcessingDelayBottleneck) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_cpu_overload(HostId{1}, 0.97);
+  inj.inject(faults::FaultSpec::cpu_overload(HostId{1}, 0.97));
   d.cluster.run_for(sec(41));  // include one fully-overloaded period
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   ASSERT_NE(rep, nullptr);
@@ -351,7 +352,7 @@ TEST(RPingmeshE2E, ImpactAssessmentAssignsPriorities) {
 
   // A problem on a worker RNIC is in the service network: P0 or P1.
   faults::FaultInjector inj(d.cluster);
-  const int h = inj.inject_rnic_down(RnicId{4});
+  const int h = inj.inject(faults::FaultSpec::rnic_down(RnicId{4}));
   // Coalesced uploads traverse the control plane: a batch flushed at a
   // period boundary lands in the NEXT period, so cover one extra period.
   d.cluster.run_for(sec(41));
@@ -366,7 +367,7 @@ TEST(RPingmeshE2E, ImpactAssessmentAssignsPriorities) {
   inj.clear(h);
 
   // A problem far from the service (different pod, unused RNIC) is P2.
-  inj.inject_rnic_down(RnicId{15});
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{15}));
   // Long enough that the last analyzed period holds no late-delivered
   // timeouts of the (cleared) RNIC-4 fault, only RNIC 15's.
   d.cluster.run_for(sec(61));
@@ -385,7 +386,7 @@ TEST(RPingmeshE2E, ControlPlaneLossKeepsReportsCorrect) {
   Deployment d;
   d.cluster.run_for(sec(5));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_control_plane_degradation(msec(2), 0.25);
+  inj.inject(faults::FaultSpec::control_plane_degradation(msec(2), 0.25));
   d.cluster.run_for(sec(46));  // analyses at t = 20 s and t = 40 s
 
   const telemetry::Snapshot snap = telemetry::registry().snapshot();
@@ -499,7 +500,7 @@ TEST(RPingmeshE2E, GidMissingMakesRnicUnreachable) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_gid_index_missing(RnicId{6});
+  inj.inject(faults::FaultSpec::gid_index_missing(RnicId{6}));
   d.cluster.run_for(sec(21));
   const PeriodReport* rep = d.rpm.analyzer().last_report();
   const Problem* p = find_problem(*rep, ProblemCategory::kRnicProblem);
@@ -514,7 +515,7 @@ TEST(RPingmeshE2E, FullRunExportsNonZeroTelemetry) {
   Deployment d;
   d.cluster.run_for(sec(25));
   faults::FaultInjector inj(d.cluster);
-  inj.inject_rnic_down(RnicId{5});
+  inj.inject(faults::FaultSpec::rnic_down(RnicId{5}));
   d.cluster.run_for(sec(21));
 
   const telemetry::Snapshot snap = telemetry::registry().snapshot();

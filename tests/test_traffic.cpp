@@ -122,7 +122,8 @@ TEST_F(DmlTest, BarrelEffectSlowestFlowGatesIteration) {
   faults::FaultInjector inj(cluster_);
   // 50% corruption on one worker's host link halves that flow's goodput;
   // the iteration completes only when the SLOWEST flow finishes.
-  inj.inject_corruption(cluster_.topology().rnic(RnicId{2}).uplink, 0.5);
+  inj.inject(faults::FaultSpec::corruption(
+      cluster_.topology().rnic(RnicId{2}).uplink, 0.5));
   const auto before = svc.iterations_completed();
   cluster_.run_for(sec(2));
   const double degraded_iters =
@@ -141,7 +142,8 @@ TEST_F(DmlTest, FlappingBreaksConnectionWithSmallRetryBudget) {
   svc.start();
   cluster_.run_for(msec(500));
   faults::FaultInjector inj(cluster_);
-  inj.inject_rnic_flapping(RnicId{2}, msec(200), msec(100));
+  inj.inject(
+      faults::FaultSpec::rnic_flapping(RnicId{2}, msec(200), msec(100)));
   cluster_.run_for(sec(3));
   EXPECT_TRUE(svc.failed());
   EXPECT_DOUBLE_EQ(svc.relative_throughput(), 0.0);
@@ -159,7 +161,8 @@ TEST_F(DmlTest, MaxRetriesSurvivesTheSameFlap) {
   svc.start();
   cluster_.run_for(msec(500));
   faults::FaultInjector inj(cluster_);
-  const int h = inj.inject_rnic_flapping(RnicId{2}, msec(200), msec(100));
+  const int h = inj.inject(
+      faults::FaultSpec::rnic_flapping(RnicId{2}, msec(200), msec(100)));
   cluster_.run_for(sec(3));
   EXPECT_FALSE(svc.failed());
   inj.clear(h);
@@ -229,7 +232,8 @@ TEST_F(DmlTest, HostDownDuringTrainingFailsTheTask) {
   svc.start();
   cluster_.run_for(msec(500));
   faults::FaultInjector inj(cluster_);
-  inj.inject_host_down(cluster_.topology().rnic(RnicId{4}).host);
+  inj.inject(
+      faults::FaultSpec::host_down(cluster_.topology().rnic(RnicId{4}).host));
   cluster_.run_for(sec(3));
   EXPECT_TRUE(svc.failed());
   svc.stop();
