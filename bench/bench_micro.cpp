@@ -294,8 +294,9 @@ void BM_TransportPeerOutage(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportPeerOutage);
 
-// Analyzer ingestion: range(0) records (spread over per-host batches) into
-// the IngestSink, analyzed in place at period close.
+// Analyzer ingestion: range(0) records (spread over per-host batches)
+// submitted through the Analyzer's sink, which folds each batch into the
+// period's tables as it arrives, then one period close over those tables.
 void BM_AnalyzerIngest(benchmark::State& state) {
   const topo::Topology topo = topo::build_clos(bench_clos());
   const routing::EcmpRouter router(topo);
@@ -442,10 +443,11 @@ void BM_TelemetrySnapshotExport(benchmark::State& state) {
 BENCHMARK(BM_TelemetrySnapshotExport)->Arg(100)->Arg(1000);
 
 // Standalone ingest-throughput measurement behind `--ingest-json[=PATH]`:
-// the bare IngestSink (100k records, 128-record batches over 64 hosts)
-// submitted and cleared per period, written as BENCH_ingest.json — events/sec
-// plus the period's record and wire-byte volume — so re-anchors can see the
-// ingest perf curve without running the whole google-benchmark suite.
+// 100k records per period in 128-record batches over 64 hosts, submitted
+// through an Analyzer's sink and closed, since a bare IngestSink keeps
+// nothing. Written as BENCH_ingest.json — events/sec over submit plus close,
+// and the period's wire-byte volume — so re-anchors can see the ingest perf
+// curve without running the whole google-benchmark suite.
 int write_ingest_json(const std::string& path) {
   constexpr std::size_t kRecords = 100000;
   constexpr std::size_t kBatch = 128;
@@ -484,16 +486,21 @@ int write_ingest_json(const std::string& path) {
         .key("hosts").integer(64);
   };
   const topo::Topology topo = topo::build_clos(bench_clos());  // 64 hosts
-  core::IngestSink sink(topo);
+  const routing::EcmpRouter router(topo);
+  sim::InlineScheduler sched;
+  core::Controller ctrl(topo, router);
+  core::Analyzer analyzer(topo, ctrl, sched);
+  const auto period = [&] {
+    for (core::UploadBatch& b : make_batches(seq)) {
+      analyzer.sink().submit(std::move(b));
+    }
+    analyzer.analyze_now();
+  };
   // Warm-up period, then three measured periods.
-  for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
-  sink.end_period();
+  period();
   const auto t0 = std::chrono::steady_clock::now();
   constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (core::UploadBatch& b : make_batches(seq)) sink.submit(std::move(b));
-    sink.end_period();
-  }
+  for (int rep = 0; rep < kReps; ++rep) period();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

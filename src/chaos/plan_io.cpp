@@ -1,10 +1,27 @@
 #include "chaos/plan_io.h"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "faults/catalog.h"
 
 namespace rpm::chaos {
+
+namespace {
+
+// A step's host or pod id, rejected rather than truncated when it is
+// negative or does not fit 32 bits (as spec_from_value rejects a spec's).
+std::uint32_t step_id(const json::Value& sv, const char* key) {
+  const std::int64_t x = sv.get_int(key);
+  if (x < 0 || x > std::int64_t{std::numeric_limits<std::uint32_t>::max()}) {
+    throw std::runtime_error(std::string("ChaosPlan: ") + key +
+                             " out of range");
+  }
+  return static_cast<std::uint32_t>(x);
+}
+
+}  // namespace
 
 json::Value plan_to_value(const ChaosPlan& plan) {
   json::Value v{json::Object{}};
@@ -83,16 +100,13 @@ ChaosPlan plan_from_value(const json::Value& v) {
         break;
       }
       case ChaosStep::Kind::kAgentRestart:
-        plan.agent_restart(
-            at, HostId{static_cast<std::uint32_t>(sv.get_int("host"))});
+        plan.agent_restart(at, HostId{step_id(sv, "host")});
         break;
       case ChaosStep::Kind::kPodAnalyzerCrash:
-        plan.pod_analyzer_crash(at,
-                                static_cast<std::size_t>(sv.get_int("pod")));
+        plan.pod_analyzer_crash(at, step_id(sv, "pod"));
         break;
       case ChaosStep::Kind::kPodAnalyzerRestart:
-        plan.pod_analyzer_restart(at,
-                                  static_cast<std::size_t>(sv.get_int("pod")));
+        plan.pod_analyzer_restart(at, step_id(sv, "pod"));
         break;
       case ChaosStep::Kind::kInject: {
         const json::Value* spec = sv.find("spec");

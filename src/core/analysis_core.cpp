@@ -1,15 +1,19 @@
-// The Analyzer's period pipeline (§4.3) over one period's probe
-// records: timeout triage, anomalous-RNIC detection, Algorithm-1
+// The Analyzer's period pipeline (§4.3): the fold that takes each accepted
+// batch into the period's tables as it arrives, and the close that turns
+// those tables into timeout triage, anomalous-RNIC detection, Algorithm-1
 // localization, bottleneck scans, SLA tables and impact. The verdict steps
 // it shares with the GlobalAnalyzer are in core/verdict.h.
 //
-// One walk over the records fills every table the later steps read: vectors
-// indexed by topology id (RNIC, host, link), and ordered maps keyed by
-// service or by the few ids that carry evidence. Only the bottleneck scan
-// walks the records again, and only when a host is overloaded.
+// The fold is the period's only walk over its records. It fills every table
+// the close reads: vectors indexed by topology id (RNIC, host, link), and
+// ordered maps keyed by service or by the few ids that carry evidence. It
+// keeps timeouts and hot-RTT records as copies, and of every other record
+// only counts, sketches and probe-id samples. The close walks no records but
+// the kept timeouts.
 //
 // The report is a function of the period's record multiset, not of the
-// order in which records arrived: every tie is broken by a total order,
+// order in which records arrived or of how they were batched: every table
+// is a sum, a sketch or a kept copy, every tie is broken by a total order,
 // every emission loop walks ascending ids, and every evidence sample keeps
 // the smallest probe ids (sample_probe).
 #include <algorithm>
@@ -38,8 +42,9 @@ constexpr TimeNs kStarveDelayThreshold = msec(100);  // Fig. 6 responder delay
 // §5 kRnicBlameWindow hangover on the noise side.
 constexpr TimeNs kCpuNoiseWindow = sec(60);
 
-// A timeout record, the SLA digest it counts in, and the cause the pipeline
-// attributes it to (none yet, or none at all for a pod's foreign timeout).
+// A kept timeout record, the SLA digest it counts in, and the cause the
+// pipeline attributes it to (none yet, or none at all for a pod's foreign
+// timeout).
 struct Timeout {
   const ProbeRecord* r;
   HostId target_host;
@@ -47,27 +52,13 @@ struct Timeout {
   std::optional<AnomalyCause> cause;
 };
 
-// What the greedy RNIC loop reads of a ToR-mesh record with no step-1 cause.
-struct MeshRow {
-  std::uint32_t prober;
-  std::uint32_t target;
-  bool timed_out;
-};
-
-// One service's share of the period: its SLA digest, its records, and its
-// network — every link, RNIC and host its tracing probes touched, one flag
-// per topology id.
-struct ServiceTally {
-  explicit ServiceTally(const topo::Topology& topo)
-      : links(topo.num_links()),
-        rnics(topo.num_rnics()),
-        hosts(topo.num_hosts()) {}
-  SlaDigest sla;
-  std::vector<const ProbeRecord*> records;
-  std::vector<bool> links;
-  std::vector<bool> rnics;
-  std::vector<bool> hosts;
-};
+// Evidence lists point into the period's kept records.
+std::vector<const ProbeRecord*> pointers(const std::vector<ProbeRecord>& v) {
+  std::vector<const ProbeRecord*> out;
+  out.reserve(v.size());
+  for (const ProbeRecord& r : v) out.push_back(&r);
+  return out;
+}
 
 // The ids set in `flags`, ascending.
 std::vector<std::uint32_t> set_ids(const std::vector<bool>& flags) {
@@ -85,15 +76,87 @@ bool flagged(const std::vector<bool>& flags, std::uint32_t id) {
 
 }  // namespace
 
-const PeriodReport& Analyzer::analyze_period(
-    const std::vector<ProbeRecord>& records,
-    const sketch::HostSummary& summary, TimeNs now, PodDigest* digest) {
+void Analyzer::PeriodTables::reset() {
+  records = 0;
+  cluster_sla = SlaDigest{};
+  services.clear();
+  std::fill(ok_delay.begin(), ok_delay.end(), sketch::QuantileSketch{});
+  for (ProbeSample& s : host_ok_probes) s.clear();
+  mesh.clear();
+  tormesh_ok.clear();
+  timeouts.clear();
+  hot_cluster.clear();
+  hot_service.clear();
+}
+
+void Analyzer::fold(const std::vector<ProbeRecord>& records,
+                    const sketch::HostSummary* summary) {
+  PeriodTables& t = period_;
+  if (summary != nullptr) {
+    // A merge is bucket-wise addition, so merging each batch's summary here
+    // gives the bytes merging the period's summary at close would.
+    t.cluster_sla.rtt.merge(summary->rtt);
+    for (const auto& [rid, sk] : summary->ok_delay_by_target) {
+      t.ok_delay[rid].merge(sk);
+      t.cluster_sla.proc.merge(sk);
+    }
+    t.cluster_sla.probes += summary->folded_records;
+    for (const auto& [pair, cnt] : summary->tormesh_ok) {
+      t.tormesh_ok[pair] += cnt;
+    }
+  }
+  t.records += records.size();
+  for (const ProbeRecord& r : records) {
+    const HostId target_host = topo_.rnic(r.target).host;
+    ServiceTally* svc = nullptr;
+    if (r.kind == ProbeKind::kServiceTracing) {
+      svc = &t.services.try_emplace(r.service.value, topo_).first->second;
+      svc->probes.add(r.id);
+      svc->hosts[topo_.rnic(r.prober).host.value] = true;
+      svc->hosts[target_host.value] = true;
+      svc->rnics[r.prober.value] = true;
+      svc->rnics[r.target.value] = true;
+      if (r.path_known) {
+        for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
+          for (LinkId l : p->links) svc->links.at(l.value) = true;
+        }
+      }
+    }
+    SlaDigest& sla = svc != nullptr ? svc->sla : t.cluster_sla;
+    ++sla.probes;
+    if (r.status == ProbeStatus::kTimeout) {
+      // Step 1 reads host liveness and the QPN directory at close.
+      ++sla.timeouts;
+      t.timeouts.push_back(r);
+      continue;
+    }
+    sla.rtt.add(static_cast<double>(r.network_rtt));
+    // One logarithm for both tables the responder delay feeds.
+    const auto delay = sketch::QuantileSketch::bucket_of(
+        static_cast<double>(r.responder_delay));
+    sla.proc.add(delay);
+    t.ok_delay[r.target.value].add(delay);
+    t.host_ok_probes[target_host.value].add(r.id);
+    if (r.network_rtt > cfg_.high_rtt_threshold) {
+      if (svc != nullptr) {
+        t.hot_service[r.service.value].push_back(r);
+      } else {
+        t.hot_cluster.push_back(r);
+      }
+    }
+    if (r.kind == ProbeKind::kTorMesh) {
+      t.mesh.push_back({r.prober.value, r.target.value, false});
+    }
+  }
+}
+
+const PeriodReport& Analyzer::analyze_period(TimeNs now, PodDigest* digest) {
   PeriodReport rep;
   rep.period_start = last_period_end_;
   rep.period_end = now;
   last_period_end_ = now;
 
-  rep.records_processed = records.size();
+  rep.records_processed = period_.records;
 
   // Diagnosis explainability (src/obs): every verdict this period gets an
   // EvidenceChain — input probe ids, thresholds compared, Algorithm 1 vote
@@ -101,8 +164,8 @@ const PeriodReport& Analyzer::analyze_period(
   obs::DiagnosisLog dlog;
   dlog.period_start = rep.period_start;
   dlog.period_end = rep.period_end;
-  const auto add_probes = [](obs::EvidenceChain& c,
-                             const std::vector<const ProbeRecord*>& ev) {
+  const auto cite_records = [](obs::EvidenceChain& c,
+                               const std::vector<const ProbeRecord*>& ev) {
     for (const ProbeRecord* r : ev) add_probe(c, r->id);
   };
   // Algorithm 1 over the evidence probes' forward and ACK paths.
@@ -120,8 +183,8 @@ const PeriodReport& Analyzer::analyze_period(
 
   metrics_.periods.inc();
   // The profiled pipeline stage running now: emplace() closes the previous
-  // stage's sample and opens the next; reset() closes out. The record walk
-  // and steps 1-3 are all drain.triage.
+  // stage's sample and opens the next; reset() closes out. Steps 1-3 are
+  // all drain.triage.
   std::optional<prof::StageScope> stage;
   stage.emplace(prof::Stage::kDrainTriage);
 
@@ -135,83 +198,32 @@ const PeriodReport& Analyzer::analyze_period(
     }
   }
 
-  // ---- the one walk over the records ----
-  // It settles step 1 for every timeout and fills every table the later
-  // steps read: the timeouts, the greedy loop's ToR-mesh rows, per-RNIC
-  // responder delays, the SLA digests, the hot-RTT evidence, and each
-  // service's records and network.
+  // ---- step 1 over the kept timeouts (§4.3.1) ----
+  // Host-down and QPN-reset noise need the liveness clocks and the
+  // Controller's directory as they stand at close. A ToR-mesh timeout with
+  // no step-1 cause joins the greedy loop's rows.
   std::vector<Timeout> timeouts;
-  std::vector<MeshRow> mesh;
-  // Responder delay per RNIC over ALL completed probes (the greedy loop
-  // excludes blamed RNICs from its stats, but the Fig. 6 filter below needs
-  // their delays), seeded from the Agents' folded per-target sketches.
-  std::vector<sketch::QuantileSketch> ok_delay(num_rnics);
-  // Every SLA table is its mergeable digest's table: exact counts and
-  // DDSketch tails. Folded records (sketch mode) seed the cluster digest and
-  // never carry a service id. A pod ships the digests themselves, so the
-  // global tables are identical no matter how pods are grouped.
-  SlaDigest cluster_sla;
-  cluster_sla.rtt.merge(summary.rtt);
-  for (const auto& [rid, sk] : summary.ok_delay_by_target) {
-    ok_delay.at(rid).merge(sk);
-    cluster_sla.proc.merge(sk);
-  }
-  cluster_sla.probes += summary.folded_records;
-  std::map<std::uint32_t, ServiceTally> services;
-  std::vector<const ProbeRecord*> hot_cluster;
-  std::map<std::uint32_t, std::vector<const ProbeRecord*>> hot_service;
-  for (const ProbeRecord& r : records) {
+  timeouts.reserve(period_.timeouts.size());
+  for (const ProbeRecord& r : period_.timeouts) {
     const HostId target_host = topo_.rnic(r.target).host;
-    ServiceTally* svc = nullptr;
-    if (r.kind == ProbeKind::kServiceTracing) {
-      svc = &services.try_emplace(r.service.value, topo_).first->second;
-      svc->records.push_back(&r);
-      svc->hosts[topo_.rnic(r.prober).host.value] = true;
-      svc->hosts[target_host.value] = true;
-      svc->rnics[r.prober.value] = true;
-      svc->rnics[r.target.value] = true;
-      if (r.path_known) {
-        for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
-          for (LinkId l : p->links) svc->links.at(l.value) = true;
-        }
-      }
-    }
-    SlaDigest& sla = svc != nullptr ? svc->sla : cluster_sla;
-    ++sla.probes;
+    SlaDigest& sla = r.kind == ProbeKind::kServiceTracing
+                         ? period_.services.at(r.service.value).sla
+                         : period_.cluster_sla;
     std::optional<AnomalyCause> cause;
-    if (r.status == ProbeStatus::kTimeout) {
-      ++sla.timeouts;
-      // ---- step 1: non-network timeouts and probe noise (§4.3.1) ----
-      if (triage.down(target_host)) {
-        cause = AnomalyCause::kHostDown;
-      } else if (const auto info = directory_->comm_info(r.target);
-                 !info || info->qpn != r.target_qpn) {
-        // QPN-reset noise: the probe addressed a QPN older than the
-        // freshest registration the Controller holds — or a QPN the
-        // Controller has no registration for at all (it restarted and lost
-        // its registry, and the target has not re-registered yet). Both are
-        // control-plane staleness, not network loss.
-        cause = AnomalyCause::kQpnReset;
-      }
-      timeouts.push_back({&r, target_host, &sla, cause});
-    } else {
-      sla.rtt.add(static_cast<double>(r.network_rtt));
-      // One logarithm for both tables the responder delay feeds.
-      const auto delay = sketch::QuantileSketch::bucket_of(
-          static_cast<double>(r.responder_delay));
-      sla.proc.add(delay);
-      ok_delay[r.target.value].add(delay);
-      if (r.network_rtt > cfg_.high_rtt_threshold) {
-        if (svc != nullptr) {
-          hot_service[r.service.value].push_back(&r);
-        } else {
-          hot_cluster.push_back(&r);
-        }
-      }
+    if (triage.down(target_host)) {
+      cause = AnomalyCause::kHostDown;
+    } else if (const auto info = directory_->comm_info(r.target);
+               !info || info->qpn != r.target_qpn) {
+      // QPN-reset noise: the probe addressed a QPN older than the freshest
+      // registration the Controller holds — or a QPN the Controller has no
+      // registration for at all (it restarted and lost its registry, and
+      // the target has not re-registered yet). Both are control-plane
+      // staleness, not network loss.
+      cause = AnomalyCause::kQpnReset;
     }
+    timeouts.push_back({&r, target_host, &sla, cause});
     if (r.kind == ProbeKind::kTorMesh && !cause.has_value()) {
-      mesh.push_back({r.prober.value, r.target.value,
-                      r.status == ProbeStatus::kTimeout});
+      period_.mesh.push_back({r.prober.value, r.target.value, true});
     }
   }
 
@@ -231,7 +243,7 @@ const PeriodReport& Analyzer::analyze_period(
   std::vector<RnicStat> per_rnic(num_rnics);
   for (;;) {
     std::fill(per_rnic.begin(), per_rnic.end(), RnicStat{});
-    for (const MeshRow& row : mesh) {
+    for (const MeshRow& row : period_.mesh) {
       if (flagged(blamed, row.prober) || blamed[row.target]) continue;
       RnicStat& st = per_rnic[row.target];
       ++st.total;
@@ -240,7 +252,7 @@ const PeriodReport& Analyzer::analyze_period(
     // Folded ToR-mesh OK counts (sketch mode) dilute timeout ratios exactly
     // as their raw records would; pairs touching an already-blamed RNIC are
     // discounted the same way the rows above are.
-    for (const auto& [pair, cnt] : summary.tormesh_ok) {
+    for (const auto& [pair, cnt] : period_.tormesh_ok) {
       if (flagged(blamed, pair.first) || flagged(blamed, pair.second)) {
         continue;
       }
@@ -271,6 +283,7 @@ const PeriodReport& Analyzer::analyze_period(
   // A host's delay table merges its RNICs' sketches; a merge is bucket-wise
   // addition, so that equals adding each record. The step-4 bottleneck scan
   // reads the same table.
+  const std::vector<sketch::QuantileSketch>& ok_delay = period_.ok_delay;
   std::vector<sketch::QuantileSketch> host_ok_delay(num_hosts);
   for (std::uint32_t rnic = 0; rnic < num_rnics; ++rnic) {
     host_ok_delay[topo_.rnic(RnicId{rnic}).host.value].merge(ok_delay[rnic]);
@@ -530,7 +543,7 @@ const PeriodReport& Analyzer::analyze_period(
     add_threshold(c, "min_anomalies_for_problem",
                   static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
-    add_probes(c, ev);
+    cite_records(c, ev);
     fill_drop_sites(c, ev);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
@@ -588,7 +601,7 @@ const PeriodReport& Analyzer::analyze_period(
     add_threshold(c, "min_anomalies_for_problem",
                   static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
-    add_probes(c, ev);
+    cite_records(c, ev);
     fill_drop_sites(c, ev);
     vote(ev, p, c);
     std::ostringstream os;
@@ -632,7 +645,7 @@ const PeriodReport& Analyzer::analyze_period(
     add_threshold(c, "min_anomalies_for_problem",
                   static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
-    add_probes(c, ev);
+    cite_records(c, ev);
     vote(ev, p, c);
     std::ostringstream os;
     os << "network congestion: " << ev.size() << " probes above RTT threshold"
@@ -645,36 +658,22 @@ const PeriodReport& Analyzer::analyze_period(
     dlog.chains.push_back(std::move(c));
     rep.problems.push_back(std::move(p));
   };
+  std::vector<const ProbeRecord*> hot_cluster = pointers(period_.hot_cluster);
   emit_hot(hot_cluster, false, ServiceId{});
-  for (auto& [svc, ev] : hot_service) emit_hot(ev, true, ServiceId{svc});
+  for (const auto& [svc, kept] : period_.hot_service) {
+    std::vector<const ProbeRecord*> ev = pointers(kept);
+    emit_hot(ev, true, ServiceId{svc});
+  }
 
   // Tail-based: an overloaded host shows in its P90 even when healthy probes
   // to its other RNICs dilute the median. Hosts already reported as noise
   // are skipped.
-  std::vector<bool> overloaded(num_hosts);
-  bool any_overloaded = false;
   for (std::uint32_t h = 0; h < num_hosts; ++h) {
     const sketch::QuantileSketch& st = host_ok_delay[h];
-    if (!cpu_noise_hosts[h] && st.count() >= kMinAnomaliesForProblem &&
-        st.quantile(0.9) > static_cast<double>(kHighProcDelayThreshold)) {
-      overloaded[h] = true;
-      any_overloaded = true;
+    if (cpu_noise_hosts[h] || st.count() < kMinAnomaliesForProblem ||
+        st.quantile(0.9) <= static_cast<double>(kHighProcDelayThreshold)) {
+      continue;
     }
-  }
-  // Evidence: every raw probe whose delay entered an overloaded host's table
-  // (folded records have no ids: this is a capped evidence sample, not a
-  // tally). Only overloaded hosts read ids, so the walk runs only for them.
-  std::map<std::uint32_t, std::vector<std::uint64_t>> proc_probe_ids;
-  if (any_overloaded) {
-    for (const ProbeRecord& r : records) {
-      if (r.status != ProbeStatus::kOk) continue;
-      const std::uint32_t h = topo_.rnic(r.target).host.value;
-      if (overloaded[h]) proc_probe_ids[h].push_back(r.id);
-    }
-  }
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    if (!overloaded[h]) continue;
-    const sketch::QuantileSketch& st = host_ok_delay[h];
     Problem p;
     p.category = ProblemCategory::kHighProcessingDelay;
     p.host = HostId{h};
@@ -689,7 +688,9 @@ const PeriodReport& Analyzer::analyze_period(
     add_threshold(c, "high_proc_delay_threshold_ns",
                   static_cast<double>(kHighProcDelayThreshold),
                   st.quantile(0.9));
-    for (std::uint64_t id : proc_probe_ids[h]) add_probe(c, id);
+    // Evidence: the raw probes whose delay entered the host's table (folded
+    // records have no ids: this is a capped evidence sample, not a tally).
+    add_probes(c, period_.host_ok_probes[h]);
     attach_evidence(p, c);
     dlog.chains.push_back(std::move(c));
     rep.problems.push_back(std::move(p));
@@ -717,14 +718,14 @@ const PeriodReport& Analyzer::analyze_period(
   // ---- step 5: SLA tracking ----
   stage.emplace(prof::Stage::kDrainSla);
 
-  rep.cluster_sla = cluster_sla.to_report();
-  for (auto& [svc, t] : services) {
-    rep.service_slas.emplace_back(ServiceId{svc}, t.sla.to_report());
+  rep.cluster_sla = period_.cluster_sla.to_report();
+  for (auto& [svc, tally] : period_.services) {
+    rep.service_slas.emplace_back(ServiceId{svc}, tally.sla.to_report());
     if (digest != nullptr) {
-      digest->service_slas.emplace_back(svc, std::move(t.sla));
+      digest->service_slas.emplace_back(svc, std::move(tally.sla));
     }
   }
-  if (digest != nullptr) digest->cluster_sla = std::move(cluster_sla);
+  if (digest != nullptr) digest->cluster_sla = std::move(period_.cluster_sla);
   if (obs::EvidenceChain* c = sla_violation(rep.cluster_sla, cfg_, dlog)) {
     for (const Timeout& t : timeouts) {
       if (t.r->kind != ProbeKind::kServiceTracing &&
@@ -741,19 +742,19 @@ const PeriodReport& Analyzer::analyze_period(
   // Lowest service id first, as in the global tier: a problem touching
   // several service networks lands in the lowest service it touches.
   std::vector<ServiceNetDigest> net_list;
-  net_list.reserve(services.size());
-  ServiceRecords service_records;
-  for (auto& [svc, t] : services) {
+  net_list.reserve(period_.services.size());
+  ServiceProbes service_probes;
+  for (auto& [svc, tally] : period_.services) {
     ServiceNetDigest& d = net_list.emplace_back();
     d.service = svc;
-    d.links = set_ids(t.links);
-    d.rnics = set_ids(t.rnics);
-    d.hosts = set_ids(t.hosts);
-    service_records.emplace(svc, std::move(t.records));
+    d.links = set_ids(tally.links);
+    d.rnics = set_ids(tally.rnics);
+    d.hosts = set_ids(tally.hosts);
+    service_probes.emplace(svc, std::move(tally.probes));
   }
   if (digest != nullptr) digest->service_nets = net_list;
   assess_impact(rep.problems, net_list);
-  innocent_chains(rep.problems, dlog, &service_records);
+  innocent_chains(rep.problems, dlog, &service_probes);
 
   stage.reset();
 

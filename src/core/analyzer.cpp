@@ -44,6 +44,7 @@ Analyzer::Analyzer(const topo::Topology& topo, const Controller& controller,
       last_upload_(topo.num_hosts(), kNoTime),
       rnic_blamed_until_(topo.num_rnics(), kNoTime),
       host_noise_until_(topo.num_hosts(), kNoTime),
+      period_(topo),
       sink_(topo, sink_hooks()) {
   if (cfg_.period <= 0) {
     throw std::invalid_argument("AnalyzerConfig: period must be > 0");
@@ -75,6 +76,10 @@ IngestHooks Analyzer::sink_hooks() {
     last_upload_[h.value] = sched_.now();
   };
   hooks.tap = &tap_;
+  hooks.fold = [this](const std::vector<ProbeRecord>& records,
+                      const sketch::HostSummary* summary) {
+    fold(records, summary);
+  };
   return hooks;
 }
 
@@ -129,17 +134,13 @@ void Analyzer::set_outage(bool outage) {
 const PeriodReport& Analyzer::analyze_now() {
   // Watchdog over the whole close: analyze -> digest -> checkpoint.
   prof::PeriodCloseScope close_scope;
-  const TimeNs now = sched_.now();
-  // The summary is drained unconditionally so a stray test summary can
-  // never leak across a sketch-mode flip.
-  const sketch::HostSummary summary = sink_.drain_summary();
   PodDigest digest;
   const bool pod = !local_hosts_.empty();
-  // The sink's buffer is analyzed in place, then emptied with its capacity
-  // kept: the close has no records to move or free.
-  const PeriodReport& rep = analyze_period(sink_.period_records(), summary,
-                                           now, pod ? &digest : nullptr);
-  sink_.end_period();
+  // The close starts from the tables each batch was folded into on arrival,
+  // then empties them with their capacity kept.
+  const PeriodReport& rep =
+      analyze_period(sched_.now(), pod ? &digest : nullptr);
+  period_.reset();
   if (pod) send_digest(std::move(digest), rep);
   if (journal_ != nullptr) save_checkpoint();
   return rep;
@@ -200,9 +201,10 @@ void Analyzer::save_checkpoint() {
 void Analyzer::crash() {
   obs::recorder().marker("analyzer-crash");
   outage_ = true;
-  // Everything in process memory dies: buffered records, the folded
-  // summary, dedup windows, pipeline history. Rebuild the sink empty and
-  // hold it paused until restore_from_journal().
+  // Everything in process memory dies: the period's tables, dedup windows,
+  // pipeline history. Rebuild the sink empty and hold it paused until
+  // restore_from_journal().
+  period_.reset();
   sink_ = IngestSink(topo_, sink_hooks());
   sink_.set_paused(true);
   std::fill(last_upload_.begin(), last_upload_.end(), kNoTime);

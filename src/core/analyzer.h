@@ -30,8 +30,9 @@
 // The verdict steps it shares with the GlobalAnalyzer — triage sets,
 // Algorithm 1, impact, the SLA and innocent chains, the verdict history —
 // live in core/verdict.h. This class adds what works from records: the
-// IngestSink, the per-period pipeline (analysis_core.cpp), the periodic
-// schedule, outage/crash handling, and journal checkpointing. In a
+// IngestSink, the period tables every accepted batch is folded into as it
+// arrives, the close that starts from them (analysis_core.cpp), the
+// periodic schedule, outage/crash handling, and journal checkpointing. In a
 // federated deployment each pod runs one Analyzer in its pod role
 // (serve_pod): it defers foreign timeouts and sends a PodDigest per period
 // to the GlobalAnalyzer (core/federation.h).
@@ -39,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,13 +74,14 @@ class Analyzer : public VerdictLog {
   /// surface: transport deliveries call sink().submit() (dedup by (host,
   /// seq); any batch — duplicate included — proves the host alive), trusted
   /// local producers call sink().submit_trusted() or the upload()
-  /// convenience below. The sink owns duplicate suppression and the
-  /// period's record buffer (core/ingest.h).
+  /// convenience below. The sink owns duplicate suppression and the id
+  /// check (core/ingest.h); each batch it accepts is folded into this
+  /// period's tables before submit returns.
   [[nodiscard]] IngestSink& sink() { return sink_; }
 
   /// Trusted local ingestion (tests, benches, co-located producers): no
-  /// duplicate suppression, no batch seq — records go straight into the
-  /// period's buffer. Convenience for sink().submit_trusted().
+  /// duplicate suppression, no batch seq — records are folded straight into
+  /// the period's tables. Convenience for sink().submit_trusted().
   void upload(HostId host, std::vector<ProbeRecord> records) {
     sink_.submit_trusted(host, std::move(records));
   }
@@ -101,7 +104,8 @@ class Analyzer : public VerdictLog {
   void set_outage(bool outage);
   [[nodiscard]] bool in_outage() const { return outage_; }
 
-  /// Run one analysis over everything buffered since the previous period.
+  /// Close the period: run the analysis over the tables folded since the
+  /// previous close, then empty them.
   const PeriodReport& analyze_now();
 
   [[nodiscard]] const AnalyzerConfig& config() const { return cfg_; }
@@ -135,10 +139,10 @@ class Analyzer : public VerdictLog {
   /// and allow restore_from_journal() after a crash.
   void attach_journal(StateJournal* journal, std::string role);
 
-  /// Process crash: volatile pipeline state is lost — liveness clocks,
-  /// blame windows, history, the folded summary, id counters, the digest
-  /// seq — and ingestion stops (the sink is rebuilt empty and paused).
-  /// Journaled state survives for restore_from_journal().
+  /// Process crash: volatile pipeline state is lost — the period's tables,
+  /// liveness clocks, blame windows, history, id counters, the digest seq —
+  /// and ingestion stops (the sink is rebuilt empty and paused). Journaled
+  /// state survives for restore_from_journal().
   void crash();
 
   /// Restart after crash(): reload the journaled checkpoint — (host, seq)
@@ -151,21 +155,78 @@ class Analyzer : public VerdictLog {
   bool restore_from_journal();
 
  private:
+  /// What the greedy RNIC loop reads of a ToR-mesh record with no step-1
+  /// cause.
+  struct MeshRow {
+    std::uint32_t prober;
+    std::uint32_t target;
+    bool timed_out;
+  };
+  /// One service's share of the period: its SLA digest, a sample of its
+  /// probe ids, and its network — every link, RNIC and host its tracing
+  /// probes touched, one flag per topology id.
+  struct ServiceTally {
+    explicit ServiceTally(const topo::Topology& topo)
+        : links(topo.num_links()),
+          rnics(topo.num_rnics()),
+          hosts(topo.num_hosts()) {}
+    SlaDigest sla;
+    ProbeSample probes;
+    std::vector<bool> links;
+    std::vector<bool> rnics;
+    std::vector<bool> hosts;
+  };
+  /// The period's tables: what fold() writes as batches arrive and the
+  /// close reads. Each holds what a walk over the period's records at close
+  /// would give it, whatever the batch boundaries and record order.
+  /// Timeouts stay records, since step 1 reads host liveness and the QPN
+  /// directory at close; so do hot-RTT records, whose paths Algorithm 1
+  /// votes. Every other record leaves only counts, sketches and id samples.
+  struct PeriodTables {
+    explicit PeriodTables(const topo::Topology& topo)
+        : ok_delay(topo.num_rnics()), host_ok_probes(topo.num_hosts()) {}
+    /// Empty every table; the record and row vectors keep their capacity.
+    void reset();
+
+    std::size_t records = 0;  // raw records accepted
+    // The SLA digests: folded records (sketch mode) seed the cluster
+    // digest and never carry a service id.
+    SlaDigest cluster_sla;
+    std::map<std::uint32_t, ServiceTally> services;
+    // Responder delay per RNIC over ALL completed probes, folded ones
+    // included: the greedy loop excludes blamed RNICs from its stats, but
+    // the Fig. 6 filter needs their delays.
+    std::vector<sketch::QuantileSketch> ok_delay;  // by target RNIC id
+    // The raw OK records whose delay entered a host's table, by target host
+    // id: the processing-delay evidence.
+    std::vector<ProbeSample> host_ok_probes;
+    // OK ToR-mesh rows; close adds the rows of uncaused timeouts.
+    std::vector<MeshRow> mesh;
+    // Folded ToR-mesh OK counts by (prober, target) RNIC id.
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
+        tormesh_ok;
+    std::vector<ProbeRecord> timeouts;
+    std::vector<ProbeRecord> hot_cluster;  // OK, RTT above the threshold
+    std::map<std::uint32_t, std::vector<ProbeRecord>> hot_service;
+  };
+
   IngestHooks sink_hooks();
+  /// The sink's fold hook: one accepted batch into period_
+  /// (analysis_core.cpp).
+  void fold(const std::vector<ProbeRecord>& records,
+            const sketch::HostSummary* summary);
   void save_checkpoint();
   /// Every known host's silence clock and the period boundary restart at
   /// `now`, so downtime never reads as host-down verdicts or one long
   /// period.
   void forgive_silence(TimeNs now);
-  /// The pipeline over one period's records and folded summary
-  /// (analysis_core.cpp). Its report is a function of the record multiset:
-  /// the order of `records` never reaches a verdict. A pod passes the
-  /// digest it will send, and the pipeline writes the foreign timeouts, the
-  /// triage sets and the SLA and service-network digests into it; a flat
-  /// Analyzer passes null.
-  const PeriodReport& analyze_period(const std::vector<ProbeRecord>& records,
-                                     const sketch::HostSummary& summary,
-                                     TimeNs now, PodDigest* digest);
+  /// The pipeline over the period's tables (analysis_core.cpp). Its report
+  /// is a function of the period's record multiset: neither record order
+  /// nor batch boundaries reach a verdict. A pod passes the digest it will
+  /// send, and the pipeline writes the foreign timeouts, the triage sets and
+  /// the SLA and service-network digests into it; a flat Analyzer passes
+  /// null.
+  const PeriodReport& analyze_period(TimeNs now, PodDigest* digest);
   /// Stamp the period's report and DiagnosisLog into `d` and send it.
   void send_digest(PodDigest&& d, const PeriodReport& rep);
 
@@ -203,6 +264,7 @@ class Analyzer : public VerdictLog {
     telemetry::Counter problems_by_category[7];  // indexed by ProblemCategory
     telemetry::Counter problems_by_priority[4];  // indexed by Priority
   };
+  PeriodTables period_;
   IngestSink sink_;
   Metrics metrics_;
   std::unique_ptr<sim::PeriodicTask> period_task_;

@@ -70,8 +70,7 @@ void IngestSink::submit(UploadBatch&& batch) {
   }
   batches_accepted_.inc();
   uploads_.inc();
-  if (!batch.summary.empty()) summary_.merge(batch.summary);
-  ingest(std::move(batch.records));
+  ingest(batch.records, batch.summary.empty() ? nullptr : &batch.summary);
 }
 
 void IngestSink::submit_trusted(HostId host,
@@ -80,7 +79,7 @@ void IngestSink::submit_trusted(HostId host,
   if (!accept_batch(host, nullptr)) return;
   uploads_.inc();
   if (hooks_.host_alive) hooks_.host_alive(host);
-  ingest(std::move(records));
+  ingest(records, nullptr);
 }
 
 bool IngestSink::accept_batch(HostId host,
@@ -105,11 +104,8 @@ bool IngestSink::accept_batch(HostId host,
   return false;
 }
 
-sketch::HostSummary IngestSink::drain_summary() {
-  return std::exchange(summary_, sketch::HostSummary{});
-}
-
-void IngestSink::ingest(std::vector<ProbeRecord>&& records) {
+void IngestSink::ingest(std::vector<ProbeRecord>& records,
+                        const sketch::HostSummary* summary) {
   // Every id the period pipeline indexes the topology with, checked once.
   const auto outside = [this](const ProbeRecord& r) {
     const auto link_outside = [this](LinkId l) {
@@ -142,9 +138,7 @@ void IngestSink::ingest(std::vector<ProbeRecord>&& records) {
       }
     }
   }
-  // A range insert past capacity grows geometrically, so appends stay
-  // amortized O(1) per record; records copy as plain bytes.
-  pending_.insert(pending_.end(), records.begin(), records.end());
+  if (hooks_.fold) hooks_.fold(records, summary);
 }
 
 }  // namespace rpm::core

@@ -2,21 +2,19 @@
 //
 // Every record an Agent uploads passes through exactly one IngestSink. The
 // sink owns the §4.3 pre-analysis mechanics — (host, seq) duplicate
-// suppression for the at-least-once transport, the id check that keeps
-// every id the pipeline indexes inside the topology, and the period's record
-// buffer:
+// suppression for the at-least-once transport, and the id check that keeps
+// every id the pipeline indexes inside the topology — and hands each
+// accepted batch to its owner's fold (IngestHooks::fold):
 //
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
 //   submit_trusted(...)   local producers — tests, benches, co-located
-//                         collectors — no seq, no duplicate suppression;
-//   period_records()      the period's records, read in place at period
-//                         close;
-//   end_period()          empty the buffer for the next period, keeping its
-//                         capacity.
+//                         collectors — no seq, no duplicate suppression.
 //
-// Everything runs on the caller's (sim) thread at submit() time. Records
-// are kept in submission order, but nothing depends on that order: the
-// Analyzer's report is a function of the period's record multiset.
+// The sink keeps no period state: the Analyzer folds each batch into its
+// period tables as it arrives, and a sink with no fold keeps nothing.
+// Everything runs on the caller's (sim) thread at submit() time. Batches
+// reach the fold in submission order, but nothing depends on that order:
+// the Analyzer's report is a function of the period's record multiset.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +62,12 @@ struct IngestHooks {
   /// Optional per-record observer; the pointee may be empty (checked per
   /// batch) and may be re-bound between periods by the owner.
   const std::function<void(const ProbeRecord&)>* tap = nullptr;
+  /// The owner's period fold, once per accepted batch, after the id check,
+  /// the dedup window and the tap: the batch's records, and the summary its
+  /// Agent folded (null when it carries none, and on the trusted path).
+  std::function<void(const std::vector<ProbeRecord>&,
+                     const sketch::HostSummary*)>
+      fold;
 };
 
 /// The ingestion endpoint. One per Analyzer.
@@ -75,7 +79,7 @@ class IngestSink {
   /// counted.
   explicit IngestSink(const topo::Topology& topo, IngestHooks hooks = {});
 
-  /// Transport delivery path: id check, dedup by (host, seq), then buffer.
+  /// Transport delivery path: id check, dedup by (host, seq), then fold.
   /// Dropped silently while paused (Analyzer outage).
   void submit(UploadBatch&& batch);
 
@@ -83,21 +87,6 @@ class IngestSink {
   /// (matching the historical Analyzer::upload contract). Ids are checked
   /// as in submit().
   void submit_trusted(HostId host, std::vector<ProbeRecord>&& records);
-
-  /// Every record accepted since the last end_period(), in submission
-  /// order. Valid until the next submit or end_period().
-  [[nodiscard]] const std::vector<ProbeRecord>& period_records() const {
-    return pending_;
-  }
-
-  /// Empty the period's buffer. Records own no heap memory, so this frees
-  /// nothing, and the capacity stays for the next period.
-  void end_period() { pending_.clear(); }
-
-  /// The HostSummary folded from every accepted batch since the last call
-  /// (sketch-mode upload thinning), then reset. Empty whenever Agents ship
-  /// no summaries (sketch_mode == kOff).
-  [[nodiscard]] sketch::HostSummary drain_summary();
 
   /// Analyzer outage: while paused, submit() drops on the floor.
   void set_paused(bool paused) { paused_ = paused; }
@@ -109,20 +98,19 @@ class IngestSink {
 
   /// Restart path: replace the dedup windows from a journaled snapshot so
   /// re-delivered batches (transport retries of batches delivered before
-  /// the crash) are suppressed instead of re-counted. Buffered records are
-  /// untouched.
+  /// the crash) are suppressed instead of re-counted.
   void restore(const IngestCheckpoint& cp) { dedup_ = restore_windows(cp); }
 
  private:
   /// False (and counted) when `host`, or an RNIC `summary` folds, lies
   /// outside the topology.
   bool accept_batch(HostId host, const sketch::HostSummary* summary);
-  void ingest(std::vector<ProbeRecord>&& records);
+  /// Drops the records outside the topology, then taps and folds the batch.
+  void ingest(std::vector<ProbeRecord>& records,
+              const sketch::HostSummary* summary);
 
   const topo::Topology* topo_;
   IngestHooks hooks_;
-  std::vector<ProbeRecord> pending_;  // this period's records
-  sketch::HostSummary summary_;
   DedupWindows dedup_;  // by host id
   bool paused_ = false;
 

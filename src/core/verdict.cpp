@@ -22,6 +22,16 @@ bool guilty(const std::vector<Problem>& problems, ServiceId service) {
   });
 }
 
+// Keeps `id` in `ids` when it is among the kEvidenceProbeIdCap smallest
+// offered so far; `ids` stays ascending.
+void keep_smallest(std::vector<std::uint64_t>& ids, std::uint64_t id) {
+  if (ids.size() >= obs::kEvidenceProbeIdCap) {
+    if (id >= ids.back()) return;
+    ids.pop_back();
+  }
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+}
+
 }  // namespace
 
 void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
@@ -30,17 +40,24 @@ void add_threshold(obs::EvidenceChain& c, const char* name, double threshold,
 }
 
 void sample_probe(obs::EvidenceChain& c, std::uint64_t id) {
-  std::vector<std::uint64_t>& ids = c.probe_ids;
-  if (ids.size() >= obs::kEvidenceProbeIdCap) {
-    if (id >= ids.back()) return;
-    ids.pop_back();
-  }
-  ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+  keep_smallest(c.probe_ids, id);
 }
 
 void add_probe(obs::EvidenceChain& c, std::uint64_t id) {
   ++c.total_probes;
   sample_probe(c, id);
+}
+
+void ProbeSample::add(std::uint64_t id) {
+  ++total;
+  keep_smallest(ids, id);
+}
+
+void add_probes(obs::EvidenceChain& c, const ProbeSample& s) {
+  // The cap smallest of (chain ids + s's ids) are the cap smallest of (chain
+  // ids + every id offered to s): an id s dropped had cap smaller ones.
+  c.total_probes += s.total;
+  for (std::uint64_t id : s.ids) sample_probe(c, id);
 }
 
 AnomalyCause TriageSets::classify(HostId target_host, HostId prober_host,
@@ -216,7 +233,7 @@ obs::EvidenceChain* VerdictLog::sla_violation(SlaReport& sla,
 
 void VerdictLog::innocent_chains(const std::vector<Problem>& problems,
                                  obs::DiagnosisLog& dlog,
-                                 const ServiceRecords* records) {
+                                 const ServiceProbes* probes) {
   // Exoneration gets receipts too (§4.3.4).
   for (const ServiceBinding& b : services_) {
     if (guilty(problems, b.id)) continue;
@@ -227,9 +244,9 @@ void VerdictLog::innocent_chains(const std::vector<Problem>& problems,
     c.service = b.id.value;
     add_threshold(c, "degradation_threshold", kDegradationThreshold,
                   b.metric());
-    if (records != nullptr) {
-      if (const auto it = records->find(b.id.value); it != records->end()) {
-        for (const ProbeRecord* r : it->second) add_probe(c, r->id);
+    if (probes != nullptr) {
+      if (const auto it = probes->find(b.id.value); it != probes->end()) {
+        add_probes(c, it->second);
       }
     }
     c.summary = "network innocent for service " + std::to_string(b.id.value) +

@@ -90,6 +90,24 @@ void sample_probe(obs::EvidenceChain& c, std::uint64_t id);
 /// Counts the probe in `c.total_probes` and samples it (sample_probe).
 void add_probe(obs::EvidenceChain& c, std::uint64_t id);
 
+/// An evidence sample kept as probes arrive, before any chain exists: how
+/// many were offered, and the kEvidenceProbeIdCap smallest ids, ascending,
+/// exactly as add_probe keeps them.
+struct ProbeSample {
+  std::size_t total = 0;
+  std::vector<std::uint64_t> ids;  // ascending
+
+  void add(std::uint64_t id);
+  /// Empty, keeping the ids' capacity.
+  void clear() {
+    total = 0;
+    ids.clear();
+  }
+};
+/// Cites `s` in `c`: the same bytes as add_probe for every probe offered to
+/// `s`.
+void add_probes(obs::EvidenceChain& c, const ProbeSample& s);
+
 /// §4.3.1 timeout triage state, one entry per topology id. A timeout is
 /// explained, in this order, by its target host being down, by agent-CPU
 /// noise on either end, by a blamed RNIC on either end, and only then by
@@ -192,8 +210,8 @@ class VerdictLog {
   }
 
  protected:
-  using ServiceRecords =
-      std::map<std::uint32_t, std::vector<const ProbeRecord*>>;
+  /// Each service's probe sample, by service id.
+  using ServiceProbes = std::map<std::uint32_t, ProbeSample>;
 
   explicit VerdictLog(std::string role) : role_(std::move(role)) {}
 
@@ -216,9 +234,9 @@ class VerdictLog {
                                     obs::DiagnosisLog& dlog);
 
   /// One "network-innocent" chain per watched service with no P0/P1 problem
-  /// among `problems`, citing the service's probes when `records` has them.
+  /// among `problems`, citing the service's probes when `probes` has them.
   void innocent_chains(const std::vector<Problem>& problems,
-                       obs::DiagnosisLog& dlog, const ServiceRecords* records);
+                       obs::DiagnosisLog& dlog, const ServiceProbes* probes);
 
   /// Keep the period's report and DiagnosisLog, trimming both to
   /// `history_limit`; aged-out logs spill into the journal archive.

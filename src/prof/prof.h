@@ -56,8 +56,8 @@ namespace rpm::prof {
 /// hierarchical profile, not a partition.
 enum class Stage : std::uint8_t {
   kSimDispatch = 0,     // one Scheduler callback execution
-  kIngestSubmit,        // IngestSink submit
-  kDrainTriage,         // analyze_period: the one record walk, steps 1-3
+  kIngestSubmit,        // IngestSink submit, the Analyzer's fold included
+  kDrainTriage,         // analyze_period: steps 1-3 over the period tables
   kDrainVote,           // analyze_period: emission, Algorithm-1 localization
   kDrainBottleneck,     // analyze_period: RTT + processing-delay verdicts
   kDrainSla,            // analyze_period: SLA tables from their digests

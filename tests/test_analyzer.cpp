@@ -1,9 +1,13 @@
 // Unit tests of the Analyzer pipeline (§4.3) on synthetic probe records —
 // precise control over every classification branch.
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -1115,12 +1119,31 @@ TEST(VoteTallyTest, HopVotesItsLinkAndTheSwitchItEnters) {
   EXPECT_EQ(q.suspect_switches, std::vector<SwitchId>{tor});
 }
 
-TEST(IngestSinkTest, PeriodHoldsEachAcceptedRecordOnceInSubmissionOrder) {
+TEST(IngestSinkTest, FoldSeesEachAcceptedRecordOnceInSubmissionOrder) {
   topo::ClosConfig cfg = clos_cfg();
   cfg.hosts_per_tor = 5;  // 20 hosts
   const topo::Topology topo = topo::build_clos(cfg);
-  IngestSink sink(topo);
+  // Each accepted batch reaches the fold once, after the tap has seen its
+  // records, with its summary; a duplicate reaches neither.
+  std::vector<std::string> events;
+  const std::function<void(const ProbeRecord&)> tap =
+      [&](const ProbeRecord& r) {
+        events.push_back("tap " + std::to_string(r.id));
+      };
+  IngestHooks hooks;
+  hooks.tap = &tap;
+  hooks.fold = [&](const std::vector<ProbeRecord>& records,
+                   const sketch::HostSummary* summary) {
+    std::string e = "fold";
+    for (const ProbeRecord& r : records) e += ' ' + std::to_string(r.id);
+    if (summary != nullptr) {
+      e += " summary " + std::to_string(summary->folded_records);
+    }
+    events.push_back(e);
+  };
+  IngestSink sink(topo, std::move(hooks));
   const std::vector<std::uint32_t> hosts = {12, 9, 2, 1, 17, 8, 5, 2};
+  std::vector<std::string> expected;
   for (std::uint64_t i = 0; i < hosts.size(); ++i) {
     UploadBatch b;
     b.host = HostId{hosts[i]};
@@ -1131,17 +1154,23 @@ TEST(IngestSinkTest, PeriodHoldsEachAcceptedRecordOnceInSubmissionOrder) {
     r.target = topo.host(b.host).rnics[1];
     r.prober_host = b.host;
     b.records.push_back(r);
+    b.summary.folded_records = i + 1;
     sink.submit(UploadBatch(b));
     sink.submit(std::move(b));  // at-least-once duplicate: dropped
+    expected.push_back("tap " + std::to_string(i));
+    expected.push_back("fold " + std::to_string(i) + " summary " +
+                       std::to_string(i + 1));
   }
-  std::vector<std::uint64_t> ids;
-  for (const ProbeRecord& r : sink.period_records()) ids.push_back(r.id);
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // The next period starts empty in the same buffer.
-  const std::size_t capacity = sink.period_records().capacity();
-  sink.end_period();
-  EXPECT_TRUE(sink.period_records().empty());
-  EXPECT_EQ(sink.period_records().capacity(), capacity);
+  // The trusted path folds with no summary.
+  ProbeRecord r;
+  r.id = 8;
+  r.prober = topo.host(HostId{3}).rnics[0];
+  r.target = topo.host(HostId{3}).rnics[1];
+  r.prober_host = HostId{3};
+  sink.submit_trusted(HostId{3}, {r});
+  expected.push_back("tap 8");
+  expected.push_back("fold 8");
+  EXPECT_EQ(events, expected);
 }
 
 TEST_F(AnalyzerTest, GreedyTieBlamesTheRnicWithMoreTimeouts) {
@@ -1226,8 +1255,9 @@ TEST_F(AnalyzerTest, VerdictsDoNotDependOnRecordOrder) {
   // timed-out tracing probes, two hosts above the processing-delay
   // threshold, and more evidence probes than a chain keeps. Each seeded
   // permutation submits the same records one per call (and the silent
-  // hosts' last uploads in shuffled order); the report and the DiagnosisLog
-  // must not move.
+  // hosts' last uploads in shuffled order), and so do one batch of them all
+  // and one batch per prober host; the report and the DiagnosisLog must not
+  // move.
   const auto rnic = [this](std::uint32_t host, std::size_t i) {
     return topo_.host(HostId{host}).rnics[i];
   };
@@ -1274,23 +1304,31 @@ TEST_F(AnalyzerTest, VerdictsDoNotDependOnRecordOrder) {
         1);
   }
 
+  // Each batch is uploaded by its first record's prober host.
+  using Batches = std::vector<std::vector<ProbeRecord>>;
   const auto run = [&](const std::vector<std::uint32_t>& silent,
-                       const std::vector<ProbeRecord>& order) {
+                       const Batches& batches) {
     sim::InlineScheduler sched;
     Analyzer a(topo_, ctrl_, sched);
     a.register_service({ServiceId{1}, [] { return 0.2; }});
     a.register_service({ServiceId{2}, [] { return 0.9; }});
     for (const std::uint32_t h : silent) a.upload(HostId{h}, {});
     sched.run_until(sec(30));  // the silent hosts' uploads are now stale
-    for (const ProbeRecord& r : order) {
-      a.sink().submit_trusted(r.prober_host, {r});
+    for (const std::vector<ProbeRecord>& b : batches) {
+      a.sink().submit_trusted(b.front().prober_host,
+                              std::vector<ProbeRecord>(b));
     }
     const PeriodReport& rep = a.analyze_now();
     return serialize(rep) + obs::to_json(*a.last_diagnosis());
   };
+  const auto one_per_call = [](const std::vector<ProbeRecord>& order) {
+    Batches out;
+    for (const ProbeRecord& r : order) out.push_back({r});
+    return out;
+  };
 
   const std::vector<std::uint32_t> silent = {6, 7};
-  const std::string base = run(silent, recs);
+  const std::string base = run(silent, one_per_call(recs));
   // Not vacuous: every branch above produced its verdict.
   EXPECT_NE(base.find("stopped uploading"), std::string::npos);
   EXPECT_NE(base.find("anomalous-rnic"), std::string::npos);
@@ -1310,7 +1348,18 @@ TEST_F(AnalyzerTest, VerdictsDoNotDependOnRecordOrder) {
     std::shuffle(silent_order.begin(), silent_order.end(), rng);
     std::vector<ProbeRecord> order = recs;
     std::shuffle(order.begin(), order.end(), rng);
-    EXPECT_EQ(run(silent_order, order), base) << "permutation seed " << seed;
+    EXPECT_EQ(run(silent_order, one_per_call(order)), base)
+        << "permutation seed " << seed;
+    EXPECT_EQ(run(silent_order, {order}), base) << "one batch, seed " << seed;
+    std::map<std::uint32_t, std::vector<ProbeRecord>> by_host;
+    for (const ProbeRecord& r : order) {
+      by_host[r.prober_host.value].push_back(r);
+    }
+    Batches per_host;
+    for (auto& [host, b] : by_host) per_host.push_back(std::move(b));
+    std::shuffle(per_host.begin(), per_host.end(), rng);
+    EXPECT_EQ(run(silent_order, per_host), base)
+        << "one batch per host, seed " << seed;
   }
 }
 
@@ -1386,6 +1435,129 @@ TEST_F(AnalyzerTest, ImpactPicksTheLowestServiceInBothTiers) {
   ASSERT_EQ(rep.problems.size(), 1u);
   EXPECT_EQ(rep.problems[0].service, ServiceId{1});
   EXPECT_EQ(rep.problems[0].priority, Priority::kP0);
+}
+
+TEST_F(AnalyzerTest, CrashDropsWhatThePeriodHasReceived) {
+  // ToR-mesh timeouts that blame RNIC 6 and a folded summary arrive, then
+  // (with `crash`) the process dies and restarts from its journal. What
+  // arrived before the crash dies with it: the close sees only the healthy
+  // records submitted after the restart.
+  const auto run = [this](bool crash) {
+    sim::InlineScheduler sched;
+    StateJournal journal;
+    Analyzer a(topo_, ctrl_, sched);
+    a.attach_journal(&journal, "analyzer");
+    a.analyze_now();  // a checkpoint to restore from
+    UploadBatch b;
+    b.host = HostId{2};
+    b.seq = 1;
+    for (int i = 0; i < 20; ++i) {
+      b.records.push_back(
+          make_record(RnicId{4}, RnicId{6}, ProbeStatus::kTimeout));
+    }
+    b.summary.folded_records = 50;
+    b.summary.tormesh_ok[{4, 6}] = 50;
+    b.summary.rtt.add(static_cast<double>(usec(5)), 50);
+    b.summary.ok_delay_by_target[6].add(static_cast<double>(usec(8)), 50);
+    a.sink().submit(std::move(b));
+    if (crash) {
+      a.crash();
+      EXPECT_TRUE(a.restore_from_journal());
+    }
+    std::vector<ProbeRecord> healthy;
+    for (SwitchId tor : topo_.tor_switches()) {
+      const auto& group = topo_.rnics_under_tor(tor);
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        healthy.push_back(make_record(group[i], group[(i + 1) % group.size()],
+                                      ProbeStatus::kOk));
+      }
+    }
+    const std::size_t n = healthy.size();
+    a.upload(HostId{0}, std::move(healthy));
+    const PeriodReport& rep = a.analyze_now();
+    std::vector<RnicId> named;
+    for (const Problem& p : rep.problems) {
+      if (p.category == ProblemCategory::kRnicProblem) named.push_back(p.rnic);
+    }
+    return std::tuple(named, rep.records_processed, rep.cluster_sla.probes, n);
+  };
+  // Not vacuous: without the crash the same uploads blame RNIC 6, and the
+  // summary's folded records count in the cluster SLA.
+  const auto [kept, kept_records, kept_probes, n] = run(false);
+  EXPECT_EQ(kept, std::vector<RnicId>{RnicId{6}});
+  EXPECT_EQ(kept_records, n + 20);
+  EXPECT_EQ(kept_probes, n + 20 + 50);
+  const auto [named, records, probes, healthy] = run(true);
+  EXPECT_TRUE(named.empty());
+  EXPECT_EQ(records, healthy);
+  EXPECT_EQ(probes, healthy);
+}
+
+TEST_F(AnalyzerTest, ProcessingDelayEvidenceKeepsTheSmallestIdsAtTheCap) {
+  // 40 raw OK records to an overloaded host, in shuffled id order over
+  // several batches: its chain counts all 40 and keeps the 32 smallest ids,
+  // ascending.
+  heartbeat_all_hosts();
+  const HostId host = topo_.rnic(RnicId{4}).host;
+  std::vector<ProbeRecord> recs;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 40; ++i) {
+    ProbeRecord r = make_record(RnicId{0}, RnicId{4}, ProbeStatus::kOk,
+                                ProbeKind::kInterTor);
+    r.responder_delay = msec(20);
+    ids.push_back(r.id);
+    recs.push_back(r);
+  }
+  std::shuffle(recs.begin(), recs.end(), std::mt19937(7));
+  for (std::size_t i = 0; i < recs.size(); i += 7) {
+    const std::size_t end = std::min(recs.size(), i + 7);
+    analyzer_.upload(HostId{0}, {recs.begin() + static_cast<long>(i),
+                                 recs.begin() + static_cast<long>(end)});
+  }
+  const PeriodReport& rep = analyzer_.analyze_now();
+  const Problem* p = nullptr;
+  for (const Problem& prob : rep.problems) {
+    if (prob.category == ProblemCategory::kHighProcessingDelay) p = &prob;
+  }
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->host, host);
+  const obs::EvidenceChain* c = analyzer_.evidence(p->evidence);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->total_probes, 40u);
+  ids.resize(obs::kEvidenceProbeIdCap);
+  EXPECT_EQ(c->probe_ids, ids);
+}
+
+TEST_F(AnalyzerTest, InnocentEvidenceKeepsTheSmallestIdsAtTheCap) {
+  // A watched service with 45 healthy tracing records, in shuffled id order
+  // over several batches: its network-innocent chain counts all 45 and
+  // keeps the 32 smallest ids, ascending.
+  analyzer_.register_service({ServiceId{3}, [] { return 0.9; }});
+  heartbeat_all_hosts();
+  std::vector<ProbeRecord> recs;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 45; ++i) {
+    ProbeRecord r = make_record(RnicId{0}, RnicId{5}, ProbeStatus::kOk,
+                                ProbeKind::kServiceTracing);
+    r.service = ServiceId{3};
+    ids.push_back(r.id);
+    recs.push_back(r);
+  }
+  std::shuffle(recs.begin(), recs.end(), std::mt19937(11));
+  for (std::size_t i = 0; i < recs.size(); i += 8) {
+    const std::size_t end = std::min(recs.size(), i + 8);
+    analyzer_.upload(HostId{0}, {recs.begin() + static_cast<long>(i),
+                                 recs.begin() + static_cast<long>(end)});
+  }
+  analyzer_.analyze_now();
+  const obs::EvidenceChain* c = nullptr;
+  for (const obs::EvidenceChain& chain : analyzer_.last_diagnosis()->chains) {
+    if (chain.verdict == "network-innocent" && chain.service == 3) c = &chain;
+  }
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->total_probes, 45u);
+  ids.resize(obs::kEvidenceProbeIdCap);
+  EXPECT_EQ(c->probe_ids, ids);
 }
 
 }  // namespace

@@ -148,6 +148,56 @@ TEST(PlanJson, MalformedInputThrows) {
       std::invalid_argument);
 }
 
+TEST(PlanJson, StepIdsOutsideThirtyTwoBitsAreRejected) {
+  // A restart's host and a pod step's pod are rejected, not truncated:
+  // 4294967298 would otherwise restart host 2.
+  for (const char* kind :
+       {"agent-restart", "pod-analyzer-crash", "pod-analyzer-restart"}) {
+    const std::string key =
+        std::string(kind) == "agent-restart" ? "host" : "pod";
+    const auto step = [&](const char* id) {
+      return std::string(R"({"steps": [{"kind": ")") + kind +
+             R"(", "at_ns": 1, ")" + key + "\": " + id + "}]}";
+    };
+    EXPECT_THROW(plan_from_json(step("4294967298")), std::runtime_error)
+        << kind;
+    EXPECT_THROW(plan_from_json(step("-1")), std::runtime_error) << kind;
+    const ChaosPlan ok = plan_from_json(step("4294967295"));
+    ASSERT_EQ(ok.steps.size(), 1u) << kind;
+    EXPECT_EQ(key == "host" ? ok.steps[0].host.value : ok.steps[0].pod,
+              4294967295u)
+        << kind;
+  }
+}
+
+TEST(PlanJson, GeneratedPlansAndTheCorpusRoundTrip) {
+  const topo::Topology topo = topo::build_clos(small_clos());
+  for (const std::size_t pods : {std::size_t{0}, std::size_t{3}}) {
+    CampaignGenConfig cfg;
+    cfg.pods = pods;
+    const CampaignGen gen(cfg);
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      const std::string text = plan_to_json(gen.generate(seed, topo));
+      EXPECT_EQ(plan_to_json(plan_from_json(text)), text)
+          << "pods " << pods << " seed " << seed;
+    }
+  }
+  for (const auto& e :
+       std::filesystem::directory_iterator(RPM_CHAOS_CORPUS_DIR)) {
+    if (e.path().extension() != ".json") continue;
+    std::ifstream in(e.path());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const json::Value artifact = json::Value::parse(buf.str());
+    const json::Value* plan = artifact.find("plan");
+    ASSERT_NE(plan, nullptr) << e.path().filename();
+    // An artifact may omit defaulted fields, so compare the decoded plan's
+    // own encoding with its re-decoded one.
+    const std::string text = plan_to_json(plan_from_value(*plan));
+    EXPECT_EQ(plan_to_json(plan_from_json(text)), text) << e.path().filename();
+  }
+}
+
 // ---- CampaignGen ----
 
 TEST(CampaignGen, SameSeedYieldsByteIdenticalPlans) {
