@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""List the config fields that no code sets.
+"""List the config fields that no code outside the tests sets.
 
     python3 bench/knob_census.py [ROOT]
 
 Reads every `struct ...Config` / `struct ...Params` in ROOT/src/**/*.h
 (default ROOT: the repo this script lives in), nested ones included, and
 lists each data member. A field counts as set when some .h/.cpp file under
-src/, bench/, examples/, tests/ or perfbench/ writes `.f =` or `->f =` (not
-`==`), or reaches through it with `.f.`, as in `cfg.agent.x = 1`. A field
-nothing sets has one working value and belongs in a named constant.
+src/, bench/, examples/ or perfbench/ writes `.f =` or `->f =` (not `==`),
+or reaches through it with `.f.`, as in `cfg.agent.x = 1`. A field that
+only tests/ sets has one working value in every run of the system and
+belongs in a named constant, unless TEST_SEAMS lists it: a field that
+exists so a test can bound a run's cost or force a failure path.
 
-Prints the struct, field and unset counts, then one `Struct::field (header)`
-line per unset field, and exits 1 if any field is unset.
+Prints the struct, field, unset and seam counts, one
+`Struct::field (header)` line per unset field (`: set only under tests/`
+when a test sets it), one `seam: Struct::field (test)` line per seam, and
+one `stale seam: ...` line per TEST_SEAMS entry whose field no longer
+exists, gained a setter outside tests/ or lost its last test setter. Exits
+1 if any field is unset or any seam entry is stale.
 
 The census matches names, not types: a name that two structs share (such as
 `seed`) counts as set for both when either is set, and `.f.` counts a read
@@ -24,7 +30,27 @@ import os
 import re
 import sys
 
-SCAN_DIRS = ("src", "bench", "examples", "tests", "perfbench")
+SCAN_DIRS = ("src", "bench", "examples", "perfbench")
+TEST_DIR = "tests"
+
+# Fields only tests set, on purpose: how the chaos-fuzz tests bound a
+# campaign's cost or force the fuzz loop down its failure path. Each maps
+# the qualified field to the test that needs it.
+TEST_SEAMS = {
+    "FuzzConfig::check_determinism":
+        "Fuzz.BrokenRecoveryBudgetShrinksAndWritesReplayableArtifact",
+    "FuzzConfig::shrink_cfg":
+        "Fuzz.BrokenRecoveryBudgetShrinksAndWritesReplayableArtifact",
+    "CampaignGenConfig::min_events":
+        "Shrinker.BrokenOracleReducesTwentyStepPlanToMinimalCounterexample",
+    "CampaignGenConfig::max_events":
+        "Shrinker.BrokenOracleReducesTwentyStepPlanToMinimalCounterexample",
+    "OracleConfig::max_recovery_periods":
+        "Oracle.FlagsEachViolationClassAndPassesCleanRuns",
+    "ShrinkConfig::max_trials":
+        "Fuzz.BrokenRecoveryBudgetShrinksAndWritesReplayableArtifact",
+}
+
 CONFIG_STRUCT = re.compile(r"\bstruct\s+(\w*(?:Config|Params))\s*(?:final\s*)?\{")
 SCOPE = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{()]*\{")
 NOT_FIELD = re.compile(r"^\s*(?:static|using|friend|enum|struct|class|union|"
@@ -150,9 +176,9 @@ def config_fields(root):
                         yield qual, field, rel
 
 
-def scanned_text(root):
+def scanned_text(root, tops):
     chunks = []
-    for top in SCAN_DIRS:
+    for top in tops:
         for dirpath, _, files in sorted(os.walk(os.path.join(root, top))):
             for name in sorted(files):
                 if name.endswith((".h", ".cpp")):
@@ -168,18 +194,42 @@ def is_set(field, text):
     return re.search(pattern, text) is not None
 
 
+def census(root, seams):
+    """The census report of ROOT against the `seams` table, and its exit
+    code."""
+    fields = list(config_fields(root))
+    text = scanned_text(root, SCAN_DIRS)
+    test_text = scanned_text(root, (TEST_DIR,))
+    unset, seam_lines, stale = [], [], []
+    for s, f, h in fields:
+        qual = f"{s}::{f}"
+        in_tests = is_set(f, test_text)
+        if is_set(f, text):
+            if qual in seams:
+                stale.append(f"stale seam: {qual} is set outside tests/")
+        elif qual not in seams:
+            only_tests = ": set only under tests/" if in_tests else ""
+            unset.append(f"{qual} ({h}){only_tests}")
+        elif in_tests:
+            seam_lines.append(f"seam: {qual} ({seams[qual]})")
+        else:
+            stale.append(f"stale seam: {qual} is set by no test")
+    known = {f"{s}::{f}" for (s, f, _) in fields}
+    stale += [f"stale seam: {q} is not a config field"
+              for q in sorted(seams) if q not in known]
+    structs = {s for (s, _, _) in fields}
+    lines = [f"structs: {len(structs)}  fields: {len(fields)}  "
+             f"unset: {len(unset)}  seams: {len(seam_lines)}"]
+    lines += unset + seam_lines + stale
+    return (1 if unset or stale else 0), "\n".join(lines) + "\n"
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    fields = list(config_fields(root))
-    text = scanned_text(root)
-    unset = [(s, f, h) for (s, f, h) in fields if not is_set(f, text)]
-    structs = {s for (s, _, _) in fields}
-    print(f"structs: {len(structs)}  fields: {len(fields)}  "
-          f"unset: {len(unset)}")
-    for s, f, h in unset:
-        print(f"{s}::{f} ({h})")
-    return 1 if unset else 0
+    code, report = census(root, TEST_SEAMS)
+    sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

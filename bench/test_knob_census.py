@@ -4,13 +4,12 @@
     python3 bench/test_knob_census.py
 """
 import os
-import subprocess
 import sys
 import tempfile
 import unittest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "knob_census.py")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import knob_census  # noqa: E402
 
 HEADER = """\
 #pragma once
@@ -44,25 +43,66 @@ class KnobCensusTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def census(self, setters):
-        """Runs the census over the fixture with `setters` in tests/."""
-        os.makedirs(os.path.join(self.tmp.name, "tests"), exist_ok=True)
-        with open(os.path.join(self.tmp.name, "tests", "t.cpp"), "w") as f:
+    def write(self, top, setters):
+        os.makedirs(os.path.join(self.tmp.name, top), exist_ok=True)
+        with open(os.path.join(self.tmp.name, top, "use.cpp"), "w") as f:
             f.write(setters)
-        proc = subprocess.run([sys.executable, SCRIPT, self.tmp.name],
-                              capture_output=True, text=True)
-        return proc.returncode, proc.stdout
+
+    def census(self, setters, test_setters="", seams=None):
+        """Runs the census over the fixture with `setters` in bench/,
+        `test_setters` in tests/ and the `seams` table."""
+        self.write("bench", setters)
+        self.write("tests", test_setters)
+        return knob_census.census(self.tmp.name, seams or {})
+
+    ALL_SET = ("void f(OuterConfig& o, Widget::Params* p) {\n"
+               "  o.b.c = 1;\n"
+               "  o.on_done = nullptr;\n"
+               "  o.enabled = true;\n"
+               "  p->every = sec(1);\n"
+               "}\n")
+    # Everything but OuterConfig::enabled.
+    ALL_BUT_ENABLED = ("void f(OuterConfig& o, Widget::Params* p) {\n"
+                       "  o.b.c = 1;\n"
+                       "  o.on_done = nullptr;\n"
+                       "  p->every = sec(1);\n"
+                       "}\n")
+    TEST_SETS_ENABLED = "void t(OuterConfig& o) { o.enabled = true; }\n"
 
     def test_set_fields_pass(self):
-        code, out = self.census(
-            "void f(OuterConfig& o, Widget::Params* p) {\n"
-            "  o.b.c = 1;\n"
-            "  o.on_done = nullptr;\n"
-            "  o.enabled = true;\n"
-            "  p->every = sec(1);\n"
-            "}\n")
+        code, out = self.census(self.ALL_SET)
         self.assertEqual(code, 0, out)
-        self.assertEqual(out, "structs: 3  fields: 5  unset: 0\n")
+        self.assertEqual(out, "structs: 3  fields: 5  unset: 0  seams: 0\n")
+
+    def test_field_set_only_in_tests_fails(self):
+        code, out = self.census(self.ALL_BUT_ENABLED, self.TEST_SETS_ENABLED)
+        self.assertEqual(code, 1)
+        self.assertIn("unset: 1  seams: 0", out)
+        self.assertIn("OuterConfig::enabled (src/mod/mod.h): set only under "
+                      "tests/\n", out)
+
+    def test_listed_seam_passes(self):
+        code, out = self.census(self.ALL_BUT_ENABLED, self.TEST_SETS_ENABLED,
+                                {"OuterConfig::enabled": "T.NeedsIt"})
+        self.assertEqual(code, 0, out)
+        self.assertEqual(out, "structs: 3  fields: 5  unset: 0  seams: 1\n"
+                              "seam: OuterConfig::enabled (T.NeedsIt)\n")
+
+    def test_stale_seam_fails(self):
+        code, out = self.census(self.ALL_SET, seams={
+            "OuterConfig::enabled": "T.NeedsIt",
+            "OuterConfig::gone": "T.Gone"})
+        self.assertEqual(code, 1)
+        self.assertIn("unset: 0  seams: 0", out)
+        self.assertIn("stale seam: OuterConfig::enabled is set outside "
+                      "tests/\n", out)
+        self.assertIn("stale seam: OuterConfig::gone is not a config field\n",
+                      out)
+        code, out = self.census(self.ALL_BUT_ENABLED,
+                                seams={"OuterConfig::enabled": "T.NeedsIt"})
+        self.assertEqual(code, 1)
+        self.assertIn("stale seam: OuterConfig::enabled is set by no test\n",
+                      out)
 
     def test_unset_field_fails_and_is_named(self):
         code, out = self.census(

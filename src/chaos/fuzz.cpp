@@ -87,9 +87,7 @@ CampaignResult run_campaign(const DeploymentSpec& spec, const ChaosPlan& plan,
 
   CampaignResult res;
   res.report = ChaosRunner(cluster, rpm, injector).run(plan);
-  OracleConfig oc = ocfg;
-  oc.period = spec.period;
-  res.oracle = check_invariants(res.report, rpm, oc);
+  res.oracle = check_invariants(res.report, rpm, ocfg);
   return res;
 }
 

@@ -35,10 +35,11 @@ OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
                 " false positive(s) inside outage windows");
   }
 
+  const TimeNs period = rpm.analyzer_config().period;
   for (const ChaosReport::Recovery& r : rep.recoveries) {
     // Only enforce when the campaign left room to observe the deadline.
     const TimeNs deadline =
-        r.at + static_cast<TimeNs>(cfg.max_recovery_periods + 1) * cfg.period;
+        r.at + static_cast<TimeNs>(cfg.max_recovery_periods + 1) * period;
     if (deadline > rep.duration) continue;
     if (r.periods_to_recover < 1 ||
         r.periods_to_recover > cfg.max_recovery_periods) {

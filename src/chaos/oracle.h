@@ -10,8 +10,9 @@
 //                          (the paper's "don't page the network team" bar);
 //   outage-false-positive  zero false positives inside outage windows;
 //   recovery               every control-plane event recovers to a clean
-//                          period within max_recovery_periods (when the
-//                          campaign leaves room to observe it);
+//                          period within max_recovery_periods of the
+//                          deployment's analysis period (when the campaign
+//                          leaves room to observe it);
 //   journal-digest-seq     a journal-restored pod never replays or reuses a
 //                          digest seq: the global tier's max accepted seq
 //                          stays <= what the pod actually sent;
@@ -35,8 +36,6 @@
 namespace rpm::chaos {
 
 struct OracleConfig {
-  /// Analyzer period backing the report (recovery deadline arithmetic).
-  TimeNs period = sec(5);
   /// A control-plane event must reach a clean period within this many
   /// periods — checked only when the campaign leaves enough room after the
   /// event to observe that many periods.
@@ -56,7 +55,8 @@ struct OracleReport {
 };
 
 /// Score `rep` (produced by running a plan on `rpm`) plus the deployment's
-/// post-campaign state against every oracle.
+/// post-campaign state against every oracle. Recovery deadlines count in
+/// `rpm`'s analysis period.
 OracleReport check_invariants(const ChaosReport& rep, core::RPingmesh& rpm,
                               const OracleConfig& cfg = {});
 

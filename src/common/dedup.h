@@ -1,4 +1,5 @@
-// Sliding-window sequence dedup for at-least-once message streams.
+// The sequence window of an at-least-once message stream, and the
+// sliding-window dedup its receivers run.
 //
 // Every sequenced stream the Analyzer side consumes can deliver a message
 // more than once: the transport retries a message until it is acked, so a
@@ -13,11 +14,12 @@
 
 namespace rpm {
 
-/// Seqs within this many of the highest seen are remembered: the transport's
-/// default in-flight window (`ChannelConfig::max_in_flight`). A sender keeps
-/// at most that many seqs unacked, so a seq further behind was acked or
-/// abandoned, and a copy of it can only be an old retransmit.
-inline constexpr std::uint64_t kDedupWindow = 64;
+/// One window for both ends of a stream. A transport sender keeps at most
+/// this many seqs unacked and drops the oldest beyond it (transport.h), and
+/// a receiver remembers the seqs within this many of the highest it has
+/// seen: a seq further behind was acked or abandoned, so a copy of it can
+/// only be an old retransmit.
+inline constexpr std::uint64_t kSeqWindow = 64;
 
 /// Per-sender sliding-window seq memory.
 struct DedupState {
@@ -25,7 +27,7 @@ struct DedupState {
   std::unordered_set<std::uint64_t> seen;
 };
 
-/// True when `seq` is a first delivery inside the kDedupWindow seqs below
+/// True when `seq` is a first delivery inside the kSeqWindow seqs below
 /// the highest seen; records the seq and slides the window forward. A seq
 /// that fell behind the window counts as a duplicate: it can only be an
 /// ancient retransmit, and dropping it never double-counts.

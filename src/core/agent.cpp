@@ -13,9 +13,15 @@ constexpr TimeNs kUploadInterval = sec(5);      // §5: upload every 5 s
 constexpr TimeNs kProbeTimeout = msec(500);     // §5
 constexpr Bytes kProbePayloadBytes = 50;        // §5
 constexpr TimeNs kPinglistRefresh = sec(300);   // §5: every 5 minutes
+constexpr TimeNs kServiceProbeInterval = msec(10);  // §5
 constexpr TimeNs kTraceRefresh = sec(2);        // per-tuple Traceroute cadence
-// A coalescing outbox that holds this many records flushes at once.
+// Batched uploads: the outbox is held for this many upload periods and then
+// flushed as one coalesced batch, unless it already holds
+// kUploadFlushRecords, which flushes at once.
+constexpr std::uint32_t kUploadCoalescePeriods = 2;
 constexpr std::size_t kUploadFlushRecords = 8192;
+static_assert(kUploadCoalescePeriods * kUploadInterval < kHostSilenceThreshold,
+              "a healthy host would read as down between coalesced uploads");
 // Control-plane survivability. The lease the Controller granted at
 // registration is renewed by heartbeats at this cadence; if renewal fails
 // past the lease, the Agent re-registers with capped exponential backoff
@@ -282,13 +288,13 @@ void Agent::start() {
                                        : msec(100),
         [this, slot] { probe_next(slot, ProbeKind::kInterTor); });
     st.service_task = std::make_unique<sim::PeriodicTask>(
-        sched, cfg_.service_probe_interval,
+        sched, kServiceProbeInterval,
         [this, slot] { probe_next(slot, ProbeKind::kServiceTracing); });
     // Stagger task phases so hosts do not fire in lockstep.
     st.tormesh_task->start(rng_.uniform_int(0, st.tormesh.probe_interval));
     st.intertor_task->start(rng_.uniform_int(0, msec(100)));
     const TimeNs service_phase =
-        rng_.uniform_int(0, cfg_.service_probe_interval);
+        rng_.uniform_int(0, kServiceProbeInterval);
     st.service_origin = sched.now() + service_phase;
     st.service_task->start(service_phase);
   }
@@ -785,7 +791,7 @@ void Agent::upload_now() {
   // Batched uploads (ROADMAP): coalesce several 5 s periods (and all RNICs)
   // into one sized batch instead of one small message per timer tick —
   // unless the outbox is already large enough to flush early.
-  if (periods_since_flush_ < cfg_.upload_coalesce_periods &&
+  if (periods_since_flush_ < kUploadCoalescePeriods &&
       outbox_.size() < kUploadFlushRecords) {
     return;
   }
@@ -875,9 +881,10 @@ void Agent::wake_service_tracing(RnicState& st) {
   // The task slept in a tick at or before now; resume at the first point
   // of its phase grid strictly after now.
   const TimeNs now = cluster_.scheduler().now();
-  const TimeNs period = cfg_.service_probe_interval;
   const TimeNs next =
-      st.service_origin + ((now - st.service_origin) / period + 1) * period;
+      st.service_origin +
+      ((now - st.service_origin) / kServiceProbeInterval + 1) *
+          kServiceProbeInterval;
   st.service_task->start(next - now);
 }
 

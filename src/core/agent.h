@@ -51,17 +51,13 @@
 
 namespace rpm::core {
 
+// The Agent's running parameters are §5's, as named constants in
+// agent.cpp: probes time out at 500 ms, service tracing ticks every 10 ms,
+// uploads leave every 5 s and coalesce two periods per batch.
 struct AgentConfig {
-  TimeNs service_probe_interval = msec(10);  // §5
   // §7.4: on fabrics that support INT, path tracing uses the data plane —
   // no switch-CPU rate limits, so traced paths are always fresh.
   bool use_int_telemetry = false;
-  // Batched uploads (ROADMAP): hold the outbox for this many upload periods
-  // before flushing one coalesced batch — unless it already holds 8,192
-  // records, which flushes immediately. Must stay small enough that
-  // coalesce_periods * the 5 s upload interval < kHostSilenceThreshold, or
-  // healthy hosts read as down.
-  std::uint32_t upload_coalesce_periods = 2;
 };
 
 class Agent {
@@ -202,7 +198,7 @@ class Agent {
     // comm info yet): retried on every service-tracing tick.
     std::vector<verbs::ModifyQpEvent> parked_services;
     // When service_task first fires: it ticks on service_origin + k *
-    // service_probe_interval, also after sleeping.
+    // kServiceProbeInterval, also after sleeping.
     TimeNs service_origin = 0;
     std::unordered_map<std::uint64_t, PathCacheEntry> paths;  // by tuple hash
     std::unique_ptr<sim::PeriodicTask> tormesh_task;

@@ -172,12 +172,7 @@ const PeriodReport& Analyzer::analyze_period(TimeNs now, PodDigest* digest) {
   const auto vote = [this](const std::vector<const ProbeRecord*>& ev,
                            Problem& p, obs::EvidenceChain& c) {
     VoteTally tally;
-    for (const ProbeRecord* r : ev) {
-      if (!r->path_known) continue;
-      for (const routing::Path* path : {&r->fwd_path, &r->rev_path}) {
-        for (LinkId l : path->links) tally.add_hop(topo_, l);
-      }
-    }
+    for (const ProbeRecord* r : ev) tally.add_paths(topo_, *r);
     tally.decide(p, &c);
   };
 
@@ -398,21 +393,7 @@ const PeriodReport& Analyzer::analyze_period(TimeNs now, PodDigest* digest) {
       // defer the record to the global tier, which holds the union of every
       // pod's down-host and blamed-RNIC sets. The timeout still counts in
       // this pod's SLA (status-based), just not in cause attribution.
-      ForeignTimeout f;
-      f.probe_id = r.id;
-      f.kind = r.kind;
-      f.prober = r.prober;
-      f.target = r.target;
-      f.prober_host = r.prober_host;
-      f.target_host = t.target_host;
-      f.service = r.service;
-      f.path_known = r.path_known;
-      if (r.path_known) {
-        for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
-          for (LinkId l : p->links) f.path_links.push_back(l.value);
-        }
-      }
-      digest->foreign.push_back(std::move(f));
+      digest->foreign.push_back(r);
     } else {
       t.cause = c;
     }
@@ -420,8 +401,8 @@ const PeriodReport& Analyzer::analyze_period(TimeNs now, PodDigest* digest) {
   if (digest != nullptr) {
     // A PodDigest is a function of its pod's records, not of their order.
     std::sort(digest->foreign.begin(), digest->foreign.end(),
-              [](const ForeignTimeout& a, const ForeignTimeout& b) {
-                return a.probe_id < b.probe_id;
+              [](const ProbeRecord& a, const ProbeRecord& b) {
+                return a.id < b.id;
               });
   }
 
@@ -777,7 +758,7 @@ const PeriodReport& Analyzer::analyze_period(TimeNs now, PodDigest* digest) {
     metrics_.problems_by_priority[static_cast<int>(p.priority)].inc();
   }
 
-  return retain(std::move(rep), std::move(dlog), cfg_.history_limit);
+  return retain(std::move(rep), std::move(dlog));
 }
 
 }  // namespace rpm::core

@@ -102,7 +102,7 @@ void Analyzer::start() {
   if (period_task_) return;
   period_task_ = std::make_unique<sim::PeriodicTask>(
       sched_, cfg_.period, [this] {
-        if (!outage_) analyze_now();
+        if (!in_outage()) analyze_now();
       });
   period_task_->start(cfg_.period);
 }
@@ -112,7 +112,10 @@ void Analyzer::stop() {
   period_task_.reset();
 }
 
-void Analyzer::forgive_silence(TimeNs now) {
+void Analyzer::pause_or_resume() {
+  sink_.set_paused(in_outage());
+  if (in_outage()) return;
+  const TimeNs now = sched_.now();
   for (TimeNs& last : last_upload_) {
     if (last != kNoTime) last = std::max(last, now);
   }
@@ -122,13 +125,9 @@ void Analyzer::forgive_silence(TimeNs now) {
 void Analyzer::set_outage(bool outage) {
   if (outage_ == outage) return;
   outage_ = outage;
-  sink_.set_paused(outage);
-  if (outage) {
-    obs::recorder().marker("analyzer-outage-begin");
-    return;
-  }
-  obs::recorder().marker("analyzer-outage-end");
-  forgive_silence(sched_.now());
+  obs::recorder().marker(outage ? "analyzer-outage-begin"
+                                : "analyzer-outage-end");
+  pause_or_resume();
 }
 
 const PeriodReport& Analyzer::analyze_now() {
@@ -200,7 +199,7 @@ void Analyzer::save_checkpoint() {
 
 void Analyzer::crash() {
   obs::recorder().marker("analyzer-crash");
-  outage_ = true;
+  crashed_ = true;
   // Everything in process memory dies: the period's tables, dedup windows,
   // pipeline history. Rebuild the sink empty and hold it paused until
   // restore_from_journal().
@@ -226,13 +225,12 @@ bool Analyzer::restore_from_journal() {
     sink_.restore(cp->ingest);
     digest_seq_ = cp->digest_seq;
   }
-  outage_ = false;
-  sink_.set_paused(false);
+  crashed_ = false;
   obs::recorder().marker("analyzer-restart");
   // Same contract as outage recovery: the downtime never reads as host
-  // silence, and the next period spans from the restart, not the crash.
+  // silence, and the next period spans from the resume, not the crash.
   // (This also supersedes the checkpoint's period boundary.)
-  forgive_silence(sched_.now());
+  pause_or_resume();
   return cp.has_value();
 }
 

@@ -96,13 +96,18 @@ class Analyzer : public VerdictLog {
   void start();
   void stop();
 
-  /// Analyzer process outage (control-plane survivability). While in
-  /// outage, nothing is ingested and no periods run; leaving the outage
-  /// forgives every host's upload silence (bumping its last-upload time to
-  /// now) so the blackout itself never reads as a wave of host-down
-  /// verdicts — hosts kept measuring, the Analyzer just could not hear them.
+  /// Analyzer outage (control-plane survivability). The Analyzer runs only
+  /// while it is neither in an outage nor crashed; otherwise nothing is
+  /// ingested and no periods run. Resuming forgives every host's upload
+  /// silence (bumping its last-upload time to now) so the blackout itself
+  /// never reads as a wave of host-down verdicts — hosts kept measuring,
+  /// the Analyzer just could not hear them. Ending an outage leaves a
+  /// crashed Analyzer down until restore_from_journal().
   void set_outage(bool outage);
-  [[nodiscard]] bool in_outage() const { return outage_; }
+  /// True while the Analyzer does not run: in an outage, or crashed.
+  [[nodiscard]] bool in_outage() const { return outage_ || crashed_; }
+  /// True from crash() until restore_from_journal().
+  [[nodiscard]] bool crashed() const { return crashed_; }
 
   /// Close the period: run the analysis over the tables folded since the
   /// previous close, then empty them.
@@ -117,7 +122,7 @@ class Analyzer : public VerdictLog {
 
   /// Serve pod `pod`: the hosts flagged in `hosts` (one flag per host id)
   /// upload here. A timeout whose target host is not flagged is deferred to
-  /// the global tier as a ForeignTimeout instead of voted — a pod cannot
+  /// the global tier in PodDigest::foreign instead of voted — a pod cannot
   /// tell a dead foreign host from a switch drop — and every period close
   /// sends one PodDigest over `channel` (wire bytes from
   /// pod_digest_wire_bytes; null builds and counts digests without sending
@@ -139,19 +144,20 @@ class Analyzer : public VerdictLog {
   /// and allow restore_from_journal() after a crash.
   void attach_journal(StateJournal* journal, std::string role);
 
-  /// Process crash: volatile pipeline state is lost — the period's tables,
-  /// liveness clocks, blame windows, history, id counters, the digest seq —
-  /// and ingestion stops (the sink is rebuilt empty and paused). Journaled
-  /// state survives for restore_from_journal().
+  /// Process crash, in or out of an outage: volatile pipeline state is lost
+  /// — the period's tables, liveness clocks, blame windows, history, id
+  /// counters, the digest seq — and ingestion stops (the sink is rebuilt
+  /// empty and paused). Journaled state survives for
+  /// restore_from_journal().
   void crash();
 
   /// Restart after crash(): reload the journaled checkpoint — (host, seq)
   /// dedup windows, period boundary, id counters, liveness clocks, blame
   /// and noise windows, the digest seq — so drained history is never
   /// re-counted. Returns false when no checkpoint was ever saved, or it
-  /// fails to decode (cold start: the Analyzer still leaves the outage,
-  /// with fresh state and digest seq 0). Upload silence across the downtime
-  /// is forgiven either way.
+  /// fails to decode (cold start: fresh state and digest seq 0). Either
+  /// way the Analyzer resumes at once, or when its outage ends, and upload
+  /// silence across the downtime is forgiven then.
   bool restore_from_journal();
 
  private:
@@ -216,10 +222,10 @@ class Analyzer : public VerdictLog {
   void fold(const std::vector<ProbeRecord>& records,
             const sketch::HostSummary* summary);
   void save_checkpoint();
-  /// Every known host's silence clock and the period boundary restart at
-  /// `now`, so downtime never reads as host-down verdicts or one long
-  /// period.
-  void forgive_silence(TimeNs now);
+  /// Pause the sink while the Analyzer does not run; on resuming, every
+  /// known host's silence clock and the period boundary restart at now, so
+  /// downtime never reads as host-down verdicts or one long period.
+  void pause_or_resume();
   /// The pipeline over the period's tables (analysis_core.cpp). Its report
   /// is a function of the period's record multiset: neither record order
   /// nor batch boundaries reach a verdict. A pod passes the digest it will
@@ -237,6 +243,7 @@ class Analyzer : public VerdictLog {
 
   std::function<void(const ProbeRecord&)> tap_;
   bool outage_ = false;
+  bool crashed_ = false;
 
   // Cross-period pipeline state (journaled in AnalyzerCheckpoint), indexed
   // by topology id; kNoTime marks an id with no entry.

@@ -71,9 +71,12 @@ std::size_t pod_digest_wire_bytes(const PodDigest& d) {
   b += 8;
   for (const obs::EvidenceChain& c : d.chains) b += chain_wire_bytes(c);
   b += 8;
-  for (const ForeignTimeout& f : d.foreign) {
+  for (const ProbeRecord& r : d.foreign) {
     b += 8 + 1 + 4 * 4 + 4 + 1;  // probe id, kind, endpoints, service, flag
-    b += 8 + f.path_links.size() * 4;
+    b += 8;                      // path link count, then the links
+    if (r.path_known) {
+      b += (r.fwd_path.links.size() + r.rev_path.links.size()) * 4;
+    }
   }
   b += sla_digest_wire_bytes(d.cluster_sla);
   b += 8;

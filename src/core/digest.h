@@ -49,22 +49,6 @@ struct SlaDigest {
   [[nodiscard]] SlaReport to_report() const;
 };
 
-/// A timeout the pod could not triage locally: the target host belongs to
-/// another pod, so host-down and target-RNIC blame are unknowable there.
-/// Compact slice of the ProbeRecord — just what global triage + Algorithm 1
-/// voting need (the 5-tuple traced path, not the payload timestamps).
-struct ForeignTimeout {
-  std::uint64_t probe_id = 0;
-  ProbeKind kind = ProbeKind::kInterTor;
-  RnicId prober;
-  RnicId target;
-  HostId prober_host;
-  HostId target_host;
-  ServiceId service;
-  bool path_known = false;
-  std::vector<std::uint32_t> path_links;  // fwd + rev, in path order
-};
-
 /// The links/RNICs/hosts one service's tracing probes touched inside the
 /// pod, so the global impact stage can place *cross-pod* problems in a
 /// service network that no single pod saw in full. Sorted, deduplicated.
@@ -109,7 +93,11 @@ struct PodDigest {
   std::size_t timeouts_rnic = 0;
   std::size_t timeouts_switch = 0;
 
-  std::vector<ForeignTimeout> foreign;
+  // Timeouts the pod could not triage locally: the target host belongs to
+  // another pod, so host-down and target-RNIC blame are unknowable there.
+  // The kept records themselves, sorted by probe id; the global tier
+  // triages them and votes their traced paths.
+  std::vector<ProbeRecord> foreign;
 
   SlaDigest cluster_sla;
   std::vector<std::pair<std::uint32_t, SlaDigest>> service_slas;  // sorted

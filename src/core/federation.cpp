@@ -172,17 +172,18 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   // global tier re-runs the §4.3.1 branch. The owning pod's digest already
   // carries any host-down or agent-CPU-noise verdict: here those probes
   // just stay out of Algorithm-1 voting.
-  std::vector<const ForeignTimeout*> foreign_cluster;
-  std::map<std::uint32_t, std::vector<const ForeignTimeout*>> foreign_service;
+  std::vector<const ProbeRecord*> foreign_cluster;
+  std::map<std::uint32_t, std::vector<const ProbeRecord*>> foreign_service;
   // SLA state: the foreign drops attributed here, then the pods' digests.
   SlaDigest cluster;
   std::map<std::uint32_t, SlaDigest> svc_slas;
   std::vector<std::uint64_t> foreign_drop_ids;  // SLA evidence sample
   for (const PodDigest& d : digests) {
-    for (const ForeignTimeout& f : d.foreign) {
+    for (const ProbeRecord& f : d.foreign) {
+      if (f.target.value >= topo_.num_rnics()) continue;
       const bool traced = f.kind == ProbeKind::kServiceTracing;
-      switch (triage.classify(f.target_host, f.prober_host, f.target,
-                              f.prober)) {
+      switch (triage.classify(topo_.rnic(f.target).host, f.prober_host,
+                              f.target, f.prober)) {
         case AnomalyCause::kHostDown:
           ++rep.timeouts_host_down;
           break;
@@ -194,13 +195,13 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
         case AnomalyCause::kRnicProblem:
           ++rep.timeouts_rnic;
           ++cluster.rnic_drops;
-          foreign_drop_ids.push_back(f.probe_id);
+          foreign_drop_ids.push_back(f.id);
           if (traced) ++svc_slas[f.service.value].rnic_drops;
           break;
         case AnomalyCause::kSwitchProblem:
           ++rep.timeouts_switch;
           ++cluster.switch_drops;
-          foreign_drop_ids.push_back(f.probe_id);
+          foreign_drop_ids.push_back(f.id);
           if (traced) {
             ++svc_slas[f.service.value].switch_drops;
             foreign_service[f.service.value].push_back(&f);
@@ -248,7 +249,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   }
 
   // ---- vote the foreign switch evidence (cross-pod Algorithm 1) ----
-  const auto emit_foreign = [&](std::vector<const ForeignTimeout*>& ev,
+  const auto emit_foreign = [&](std::vector<const ProbeRecord*>& ev,
                                 bool from_service, ServiceId svc) {
     if (ev.size() < kMinAnomaliesForProblem) return;
     PendingProblem pp;
@@ -265,10 +266,9 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
                   static_cast<double>(kMinAnomaliesForProblem),
                   static_cast<double>(ev.size()));
     VoteTally tally;
-    for (const ForeignTimeout* f : ev) {
-      add_probe(c, f->probe_id);
-      if (!f->path_known) continue;
-      for (std::uint32_t l : f->path_links) tally.add_hop(topo_, LinkId{l});
+    for (const ProbeRecord* f : ev) {
+      add_probe(c, f->id);
+      tally.add_paths(topo_, *f);
     }
     tally.decide(p, &c);
     std::ostringstream os;
@@ -485,8 +485,7 @@ const PeriodReport& GlobalAnalyzer::merge_now() {
   assess_impact(rep.problems, nets);
   innocent_chains(rep.problems, dlog, nullptr);
 
-  const PeriodReport& out =
-      retain(std::move(rep), std::move(dlog), cfg_.history_limit);
+  const PeriodReport& out = retain(std::move(rep), std::move(dlog));
   save_checkpoint();
   return out;
 }

@@ -15,7 +15,7 @@
 //     in for the disk file a real deployment would fsync).
 //
 //  2. DiagnosisLog archive (ROADMAP "Evidence retention policy"). Logs that
-//     age past AnalyzerConfig::history_limit spill here instead of being
+//     age past kHistoryLimit (core/verdict.h) spill here instead of being
 //     destroyed; Analyzer::explain() falls back to the archive, so a
 //     post-mortem can still pull the evidence chain of a problem that is
 //     hours out of the live window.

@@ -229,8 +229,10 @@ void RPingmesh::begin_analyzer_outage() {
 
 void RPingmesh::end_analyzer_outage() {
   if (!analyzer_in_outage()) return;
-  for (transport::Channel* ch : upload_channels_) ch->set_peer_down(false);
-  for (transport::Channel* ch : digest_channels_) ch->set_peer_down(false);
+  // A crashed pod, and its channels, stay down until restart_pod_analyzer().
+  for (std::size_t p = 0; p < analyzers_.size(); ++p) {
+    if (!analyzers_[p]->crashed()) set_pod_peer_down(p, false);
+  }
   // Order matters: set_outage(false) stamps "now" as every host's silence
   // epoch AFTER the channels can deliver again, so nothing slips between.
   for (auto& a : analyzers_) a->set_outage(false);
@@ -254,12 +256,12 @@ void RPingmesh::set_pod_peer_down(std::size_t pod, bool down) {
   for (std::size_t h = 0; h < host_pod_.size(); ++h) {
     if (host_pod_[h] == pod) upload_channels_[h]->set_peer_down(down);
   }
-  digest_channels_[pod]->set_peer_down(down);
+  if (federated()) digest_channels_[pod]->set_peer_down(down);
 }
 
 void RPingmesh::crash_pod_analyzer(std::size_t pod) {
   Analyzer& a = federated_pod(pod);
-  if (a.in_outage()) return;
+  if (a.crashed()) return;
   a.crash();
   // The pod's process is gone: its hosts' upload channels and its digest
   // channel lose their peer; both keep retrying until the pod is back.
@@ -268,10 +270,12 @@ void RPingmesh::crash_pod_analyzer(std::size_t pod) {
 
 void RPingmesh::restart_pod_analyzer(std::size_t pod) {
   Analyzer& a = federated_pod(pod);
-  if (!a.in_outage()) return;
+  if (!a.crashed()) return;
   // Channels first, then the journal restore stamps the recovery boundary —
-  // same ordering contract as end_analyzer_outage().
-  set_pod_peer_down(pod, false);
+  // same ordering contract as end_analyzer_outage(). Inside an Analyzer
+  // outage the pod reloads its journal but stays paused, channels down,
+  // until the outage ends.
+  if (!analyzer_in_outage()) set_pod_peer_down(pod, false);
   a.restore_from_journal();
 }
 

@@ -91,7 +91,9 @@ class RPingmesh {
   /// throws std::logic_error): its upload and digest channels lose their
   /// peer, its volatile pipeline state dies. The restart reloads the
   /// journaled checkpoint — dedup windows, period boundary, digest seq — so
-  /// drained history is never re-counted.
+  /// drained history is never re-counted. A crash and an Analyzer outage
+  /// compose: a pod, and its channels, run only while it is neither crashed
+  /// nor in the outage.
   void crash_pod_analyzer(std::size_t pod);
   void restart_pod_analyzer(std::size_t pod);
 

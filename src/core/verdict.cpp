@@ -177,7 +177,7 @@ std::string VerdictLog::explain(std::uint64_t problem_id) const {
       return obs::to_json(*c);
     }
   }
-  // Post-mortem fallback: the period may have aged past history_limit into
+  // Post-mortem fallback: the period may have aged past kHistoryLimit into
   // the journal archive.
   if (journal_ != nullptr) {
     if (const obs::EvidenceChain* c = journal_->find_problem(role_,
@@ -256,12 +256,11 @@ void VerdictLog::innocent_chains(const std::vector<Problem>& problems,
 }
 
 const PeriodReport& VerdictLog::retain(PeriodReport&& rep,
-                                       obs::DiagnosisLog&& dlog,
-                                       std::size_t history_limit) {
+                                       obs::DiagnosisLog&& dlog) {
   history_.push_back(std::move(rep));
-  while (history_.size() > history_limit) history_.pop_front();
+  while (history_.size() > kHistoryLimit) history_.pop_front();
   diagnosis_.push_back(std::move(dlog));
-  while (diagnosis_.size() > history_limit) {
+  while (diagnosis_.size() > kHistoryLimit) {
     // Evidence retention (ROADMAP): aged-out DiagnosisLogs spill into the
     // journal archive instead of vanishing; explain() falls back to it.
     if (journal_ != nullptr) {

@@ -55,7 +55,6 @@ struct AnalyzerConfig {
   TimeNs period = sec(20);                     // §5
   TimeNs high_rtt_threshold = usec(500);       // congestion flag
   bool enable_cpu_noise_filters = true;        // Fig. 6 improvements
-  std::size_t history_limit = 512;
   /// Sketch-driven analysis (see SketchMode above). Agents fold uploads
   /// only when kOn; the summary rides in the same UploadBatches, so the
   /// mode adds no channel and no timer.
@@ -66,6 +65,9 @@ struct AnalyzerConfig {
 // rest live in analysis_core.cpp and verdict.cpp.
 /// A host with no upload for this long is down (§5: 20 s).
 inline constexpr TimeNs kHostSilenceThreshold = sec(20);
+/// Period reports and DiagnosisLogs each tier keeps in memory; older logs
+/// spill into the journal archive.
+inline constexpr std::size_t kHistoryLimit = 512;
 /// Evidence floor: fewer anomalies than this raise no problem.
 inline constexpr std::size_t kMinAnomaliesForProblem = 3;
 /// CPU-overload flag on responder processing delay. Sketch-mode Agents keep
@@ -155,6 +157,14 @@ class VoteTally {
     const topo::NodeRef to = topo.link(link).to;
     if (to.is_switch()) add_switch(to.index);
   }
+  /// One hop per link of `r`'s traced forward path, then of its reverse
+  /// (ACK) path; none when the path is unknown.
+  void add_paths(const topo::Topology& topo, const ProbeRecord& r) {
+    if (!r.path_known) return;
+    for (const routing::Path* path : {&r.fwd_path, &r.rev_path}) {
+      for (LinkId l : path->links) add_hop(topo, l);
+    }
+  }
   void add_link(std::uint32_t link, std::size_t votes = 1) {
     links_[link] += votes;
   }
@@ -239,9 +249,8 @@ class VerdictLog {
                        obs::DiagnosisLog& dlog, const ServiceProbes* probes);
 
   /// Keep the period's report and DiagnosisLog, trimming both to
-  /// `history_limit`; aged-out logs spill into the journal archive.
-  const PeriodReport& retain(PeriodReport&& rep, obs::DiagnosisLog&& dlog,
-                             std::size_t history_limit);
+  /// kHistoryLimit; aged-out logs spill into the journal archive.
+  const PeriodReport& retain(PeriodReport&& rep, obs::DiagnosisLog&& dlog);
 
   /// Crash: history, DiagnosisLogs and id counters die with the process.
   void forget();

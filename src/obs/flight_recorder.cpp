@@ -84,7 +84,7 @@ void FlightRecorder::disable() {
 void FlightRecorder::marker_slow(const char* name, std::uint64_t a,
                                  std::uint64_t b) {
   markers_.push_back({stamp(), name, a, b});
-  while (markers_.size() > cfg_.max_markers) markers_.pop_front();
+  while (markers_.size() > kMaxMarkers) markers_.pop_front();
 }
 
 TimeNs FlightRecorder::stamp() {
@@ -121,7 +121,7 @@ void FlightRecorder::record_slow(std::uint64_t probe_id, ProbeEventKind k,
   const auto it = index_.find(probe_id);
   if (it == index_.end()) return;  // never sampled, or evicted since
   ProbeTimeline& tl = ring_[it->second];
-  if (tl.events.size() >= cfg_.max_events_per_probe) {
+  if (tl.events.size() >= kMaxEventsPerProbe) {
     ++dropped_;
     m_dropped_.inc();
     return;

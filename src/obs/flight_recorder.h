@@ -17,7 +17,8 @@
 //  * Deterministic: the sampling decision uses the recorder's own seeded
 //    Rng (never wall clock), so same-seed simulations stay byte-identical.
 //  * Bounded: `capacity` timelines (oldest evicted) with a per-probe event
-//    cap; batch bindings (transport correlation) are capped the same way.
+//    cap (kMaxEventsPerProbe); batch bindings (transport correlation) are
+//    capped the same way.
 //
 // Process-level events (fault injections, chaos steps, control-plane
 // crashes and failovers) go on a separate marker track: a bounded FIFO of
@@ -107,9 +108,12 @@ struct ProbeTimeline {
 struct FlightRecorderConfig {
   double sample_rate = 0.0;            // P(record) per probe, drawn at birth
   std::size_t capacity = 4096;         // ring slots; oldest timeline evicted
-  std::size_t max_events_per_probe = 96;
-  std::size_t max_markers = 1024;      // process-level marker FIFO cap
 };
+
+/// Events one probe's timeline keeps; later ones are counted as dropped.
+inline constexpr std::size_t kMaxEventsPerProbe = 96;
+/// The process-level marker FIFO's cap; the oldest markers fall off.
+inline constexpr std::size_t kMaxMarkers = 1024;
 
 /// A process-level (not per-probe) event. Markers bypass sampling — they
 /// never touch the sampling Rng, so emitting one cannot perturb which probes
@@ -161,7 +165,7 @@ class FlightRecorder {
 
   /// Append a process-level marker; `name` must have static storage. One
   /// branch when disabled; no sampling decision, no Rng draw. Bounded FIFO:
-  /// oldest markers fall off past `max_markers`.
+  /// oldest markers fall off past kMaxMarkers.
   void marker(const char* name, std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!enabled_) return;
     marker_slow(name, a, b);

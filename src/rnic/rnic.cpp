@@ -116,7 +116,7 @@ TimeNs RnicDevice::qpc_touch(Qpn qpn) {
   if (qpc_lru_.size() > params_.qpc_cache_slots) {
     qpc_lru_.erase(qpc_lru_.begin());  // evict coldest
   }
-  return params_.qpc_miss_penalty;
+  return kQpcMissPenalty;
 }
 
 void RnicDevice::wire_send(Qp& qp, fabric::Datagram d, std::uint64_t wr_id,

@@ -79,8 +79,10 @@ struct QpConfig {
 /// Tunable physical parameters of the device.
 struct RnicParams {
   std::size_t qpc_cache_slots = 256;
-  TimeNs qpc_miss_penalty = usec(2);
 };
+
+/// The stall a send pays when its QP's context misses the QPC cache.
+inline constexpr TimeNs kQpcMissPenalty = usec(2);
 
 /// Counters a real RNIC would expose (used by tests and the fault catalog).
 struct RnicCounters {

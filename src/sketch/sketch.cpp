@@ -156,15 +156,6 @@ QuantileSketch QuantileSketch::decode(const std::vector<std::uint8_t>& in,
 
 // ---- HostSummary ----
 
-void HostSummary::merge(const HostSummary& other) {
-  folded_records += other.folded_records;
-  for (const auto& [pair, n] : other.tormesh_ok) tormesh_ok[pair] += n;
-  for (const auto& [rnic, sk] : other.ok_delay_by_target) {
-    ok_delay_by_target[rnic].merge(sk);
-  }
-  rtt.merge(other.rtt);
-}
-
 std::size_t HostSummary::serialized_bytes() const {
   std::size_t n = 8 + 4 + 4;  // folded count + two entry-count headers
   n += tormesh_ok.size() * (4 + 4 + 8);

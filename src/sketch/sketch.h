@@ -132,7 +132,6 @@ struct HostSummary {
   /// Network RTT of folded OK cluster-monitoring records.
   QuantileSketch rtt;
 
-  void merge(const HostSummary& other);
   [[nodiscard]] bool empty() const { return folded_records == 0; }
   [[nodiscard]] std::size_t serialized_bytes() const;
 };

@@ -8,6 +8,7 @@ namespace rpm::traffic {
 namespace {
 
 constexpr TimeNs kPollInterval = msec(1);  // progress-integration cadence
+constexpr TimeNs kKeepaliveInterval = msec(100);  // in-flight message cadence
 // Worker CPU load while a checkpoint's TCP uploads run.
 constexpr double kCheckpointCpuLoad = 0.96;
 
@@ -30,9 +31,7 @@ DmlService::DmlService(host::Cluster& cluster, DmlConfig cfg)
       cfg_(std::move(cfg)),
       poll_task_(cluster.scheduler(), kPollInterval,
                  [this] { poll_progress(); }),
-      keepalive_task_(cluster.scheduler(),
-                      cfg_.keepalive_interval > 0 ? cfg_.keepalive_interval
-                                                  : msec(100),
+      keepalive_task_(cluster.scheduler(), kKeepaliveInterval,
                       [this] { post_keepalives(); }) {
   if (cfg_.workers.size() < 2) {
     throw std::invalid_argument("DmlService: need at least 2 workers");

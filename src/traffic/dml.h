@@ -8,7 +8,7 @@
 //  * Connections are real simulated RC QPs connected via modify_qp — so the
 //    R-Pingmesh Agent's eBPF monitor observes the service 5-tuples exactly
 //    as in production — paired with fluid flows carrying the bulk bytes.
-//  * Each connection also posts periodic small RC sends ("keepalives")
+//  * Each connection also posts a small RC send ("keepalive") every 100 ms,
 //    standing in for in-flight messages: under flapping they retransmit and,
 //    if the retry budget is exhausted, the connection breaks and the task
 //    fails (§7.1 #1).
@@ -59,7 +59,6 @@ struct DmlConfig {
   // RC reliability knobs (the paper's ops guidance: crank these up, §7.1).
   int rc_max_retries = 7;
   TimeNs rc_retransmit_timeout = msec(4);
-  TimeNs keepalive_interval = msec(100);  // in-flight message cadence
 
   // Checkpointing (0 interval disables).
   TimeNs checkpoint_interval = 0;

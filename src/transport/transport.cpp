@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/dedup.h"
 #include "prof/prof.h"
 
 namespace rpm::transport {
@@ -12,10 +13,9 @@ namespace rpm::transport {
 // Channel
 
 struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
-  Impl(sim::Scheduler& s, std::string n, Rng r, ChannelConfig c,
+  Impl(sim::Scheduler& s, std::string n, Rng r,
        std::shared_ptr<const Degradation> d)
-      : sched(s), name(std::move(n)), rng(std::move(r)), cfg(c),
-        deg(std::move(d)) {
+      : sched(s), name(std::move(n)), rng(std::move(r)), deg(std::move(d)) {
     auto& reg = telemetry::registry();
     m_sent = result_counter("sent");
     m_delivered = result_counter("delivered");
@@ -47,7 +47,6 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   sim::Scheduler& sched;
   std::string name;
   Rng rng;
-  ChannelConfig cfg;
   std::shared_ptr<const Degradation> deg;
   HandlerFn handler;
   ExpireFn on_expire;
@@ -59,7 +58,6 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   std::uint32_t max_attempts = 0;
   std::uint64_t next_seq = 1;
   bool peer_is_down = false;
-  std::uint64_t peer_epoch = 1;  // bumped on every down -> up transition
   // Ordered by seq so backpressure can evict the oldest unacked message.
   std::map<std::uint64_t, std::shared_ptr<Msg>> unacked;
 
@@ -89,21 +87,19 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
   }
 
   TimeNs sample_latency() {
-    TimeNs lat = cfg.base_latency + deg->extra_latency;
-    if (cfg.latency_jitter > 0) lat += rng.uniform_int(0, cfg.latency_jitter);
-    return lat;
+    return kBaseLatency + deg->extra_latency +
+           rng.uniform_int(0, kLatencyJitter);
   }
 
   /// Retransmit timer for the Nth attempt (1-based): exponential backoff
-  /// capped at max_retry_timeout, plus per-channel deterministic jitter so
+  /// capped at kMaxRetryTimeout, plus per-channel deterministic jitter so
   /// concurrent retries across channels never fire on identical ticks.
   TimeNs retry_after(std::uint32_t attempt) {
-    double t = static_cast<double>(cfg.retry_timeout) *
-               std::pow(cfg.retry_backoff, static_cast<double>(attempt - 1));
-    t = std::min(t, static_cast<double>(cfg.max_retry_timeout));
-    TimeNs out = static_cast<TimeNs>(t);
-    if (cfg.retry_jitter > 0) out += rng.uniform_int(0, cfg.retry_jitter);
-    return out;
+    const double t =
+        std::min(static_cast<double>(kRetryTimeout) *
+                     std::pow(2.0, static_cast<double>(attempt - 1)),
+                 static_cast<double>(kMaxRetryTimeout));
+    return static_cast<TimeNs>(t) + rng.uniform_int(0, kRetryJitter);
   }
 
   /// Abandon a message permanently; `result` names the telemetry counter.
@@ -207,20 +203,15 @@ struct Channel::Impl : std::enable_shared_from_this<Channel::Impl> {
 };
 
 Channel::Channel(sim::Scheduler& sched, std::string name, Rng rng,
-                 ChannelConfig cfg,
                  std::shared_ptr<const Degradation> degradation)
     : impl_(std::make_shared<Impl>(sched, std::move(name), std::move(rng),
-                                   cfg, std::move(degradation))) {}
+                                   std::move(degradation))) {}
 
 Channel::~Channel() = default;
 
-std::uint64_t Channel::send(std::any payload) {
-  return send(std::move(payload), 0);
-}
-
 std::uint64_t Channel::send(std::any payload, Bytes wire_bytes) {
   Impl& im = *impl_;
-  if (im.unacked.size() >= im.cfg.max_in_flight && !im.unacked.empty()) {
+  if (im.unacked.size() >= kSeqWindow) {
     im.abandon(im.unacked.begin()->second, im.m_dropped, &Counters::dropped);
   }
   auto m = std::make_shared<Impl::Msg>();
@@ -267,16 +258,9 @@ void Channel::note_app_drop(std::uint64_t n) {
   impl_->m_dropped.inc(n);
 }
 
-void Channel::set_peer_down(bool down) {
-  Impl& im = *impl_;
-  if (im.peer_is_down == down) return;
-  im.peer_is_down = down;
-  if (!down) ++im.peer_epoch;  // a fresh (peer, epoch) establishment
-}
+void Channel::set_peer_down(bool down) { impl_->peer_is_down = down; }
 
 bool Channel::peer_down() const { return impl_->peer_is_down; }
-
-std::uint64_t Channel::peer_epoch() const { return impl_->peer_epoch; }
 
 const Channel::Counters& Channel::counters() const {
   return impl_->counters;
@@ -291,18 +275,15 @@ TimeNs Channel::oldest_unacked_sent() const {
 
 const std::string& Channel::name() const { return impl_->name; }
 
-const ChannelConfig& Channel::config() const { return impl_->cfg; }
-
 // ---------------------------------------------------------------------------
 // RpcChannel
 
 RpcChannel::RpcChannel(sim::Scheduler& sched, std::string name, Rng rng,
-                       ChannelConfig cfg,
                        std::shared_ptr<const Degradation> degradation,
                        ServerFn server)
-    : req_(std::make_unique<Channel>(sched, name + ".req", rng.fork(), cfg,
+    : req_(std::make_unique<Channel>(sched, name + ".req", rng.fork(),
                                      degradation)),
-      rsp_(std::make_unique<Channel>(sched, name + ".rsp", rng.fork(), cfg,
+      rsp_(std::make_unique<Channel>(sched, name + ".rsp", rng.fork(),
                                      degradation)),
       server_(std::make_shared<ServerFn>(std::move(server))),
       pending_(std::make_shared<
@@ -367,20 +348,17 @@ ControlPlane::ControlPlane(sim::Scheduler& sched, Rng rng)
       degradation_(std::make_shared<Degradation>()) {}
 
 Channel& ControlPlane::make_channel(std::string name,
-                                    Channel::HandlerFn handler,
-                                    ChannelConfig cfg) {
-  channels_.push_back(std::make_unique<Channel>(
-      sched_, std::move(name), rng_.fork(), cfg, degradation_));
+                                    Channel::HandlerFn handler) {
+  channels_.push_back(std::make_unique<Channel>(sched_, std::move(name),
+                                                rng_.fork(), degradation_));
   channels_.back()->set_handler(std::move(handler));
   return *channels_.back();
 }
 
 RpcChannel& ControlPlane::make_rpc_channel(std::string name,
-                                           RpcChannel::ServerFn server,
-                                           ChannelConfig cfg) {
+                                           RpcChannel::ServerFn server) {
   rpcs_.push_back(std::make_unique<RpcChannel>(
-      sched_, std::move(name), rng_.fork(), cfg, degradation_,
-      std::move(server)));
+      sched_, std::move(name), rng_.fork(), degradation_, std::move(server)));
   return *rpcs_.back();
 }
 

@@ -7,10 +7,11 @@
 // gives the reproduction that shape without real sockets: a `Channel` is a
 // unidirectional, typed message stream whose simulation backend models
 //
-//   * delivery latency (base + uniform jitter, per message),
+//   * delivery latency (kBaseLatency + uniform jitter, per message),
 //   * loss (Bernoulli per transmission attempt, on data AND acks),
 //   * at-least-once retry with capped exponential backoff,
-//   * a bounded in-flight window with drop-oldest backpressure,
+//   * a bounded in-flight window (kSeqWindow, common/dedup.h) with
+//     drop-oldest backpressure,
 //
 // all on the shared `sim::Scheduler` clock with a per-channel forked
 // `Rng`, so runs stay fully deterministic. Retries mean *duplicates*:
@@ -20,10 +21,12 @@
 // Delivery discipline. The transport is the only layer that retries. A
 // one-way Channel (Agent uploads, pod digests) retransmits a message until
 // it is acked, evicted by the drop-oldest window, or cancelled: an outage
-// of the receiver costs the sender its oldest history beyond
-// `max_in_flight`, never its newest. The two legs of an `RpcChannel`
-// give up after kRpcMaxAttempts transmissions instead, because an RPC's
-// caller owns its retry policy (registration backoff, heartbeats, pulls).
+// of the receiver costs the sender its oldest history beyond kSeqWindow,
+// never its newest. The two legs of an `RpcChannel` give up after
+// kRpcMaxAttempts transmissions instead, because an RPC's caller owns its
+// retry policy (registration backoff, heartbeats, pulls). Every channel
+// runs the same latency and retry constants (below): nothing is
+// configured per channel.
 //
 // `RpcChannel` composes two Channels (request/response) into a
 // request-response pair correlated by the request's sequence number; the
@@ -60,18 +63,17 @@
 
 namespace rpm::transport {
 
-struct ChannelConfig {
-  TimeNs base_latency = usec(50);    // one-way control-plane latency
-  TimeNs latency_jitter = usec(25);  // uniform [0, jitter) added per message
-  std::size_t max_in_flight = 64;    // unacked window; beyond: drop oldest
-  TimeNs retry_timeout = msec(50);   // first retransmit timer
-  double retry_backoff = 2.0;        // timer multiplier per attempt
-  TimeNs max_retry_timeout = sec(2); // backoff ceiling
-  // Uniform [0, retry_jitter] added to every retransmit timer from the
-  // channel's own seeded Rng: channels that saw the same loss at the same
-  // tick retry on different ticks (no thundering herd), deterministically.
-  TimeNs retry_jitter = msec(5);
-};
+/// One-way latency of a transmission or an ack: kBaseLatency plus uniform
+/// [0, kLatencyJitter], plus the plane's Degradation::extra_latency.
+inline constexpr TimeNs kBaseLatency = usec(50);
+inline constexpr TimeNs kLatencyJitter = usec(25);
+/// The retransmit timer of attempt n (1-based): kRetryTimeout doubled n - 1
+/// times, capped at kMaxRetryTimeout, plus uniform [0, kRetryJitter] from
+/// the channel's own seeded Rng. Channels that saw the same loss at the same
+/// tick retry on different ticks (no thundering herd), deterministically.
+inline constexpr TimeNs kRetryTimeout = msec(50);
+inline constexpr TimeNs kMaxRetryTimeout = sec(2);
+inline constexpr TimeNs kRetryJitter = msec(5);
 
 /// Transmissions an RpcChannel leg makes before it gives up on a message.
 /// One-way Channels have no such cap: they retry until acked.
@@ -108,22 +110,19 @@ class Channel {
   using AckedFn = std::function<void(std::uint64_t seq)>;
 
   Channel(sim::Scheduler& sched, std::string name, Rng rng,
-          ChannelConfig cfg, std::shared_ptr<const Degradation> degradation);
+          std::shared_ptr<const Degradation> degradation);
   ~Channel();
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Enqueue a message; returns its channel-unique sequence number. If the
-  /// in-flight window is full the OLDEST unacked message is dropped
+  /// Enqueue a message; returns its channel-unique sequence number. If
+  /// kSeqWindow messages are already unacked, the OLDEST is dropped
   /// (counted as result="dropped") — latest-wins backpressure, matching
-  /// what a monitoring upload path wants under overload.
-  std::uint64_t send(std::any payload);
-
-  /// As send(), declaring the message's wire size: every transmission
-  /// attempt adds `wire_bytes` to rpm_transport_bytes_total{channel}.
-  /// Delivery timing does not depend on the size. wire_bytes == 0 behaves
-  /// exactly like the plain send().
-  std::uint64_t send(std::any payload, Bytes wire_bytes);
+  /// what a monitoring upload path wants under overload. Every transmission
+  /// attempt adds the declared `wire_bytes` to
+  /// rpm_transport_bytes_total{channel}; delivery timing does not depend on
+  /// the size.
+  std::uint64_t send(std::any payload, Bytes wire_bytes = 0);
 
   /// Sender-side handler swap (nullptr detaches: messages still count as
   /// delivered but are discarded). The consumer calls this once at setup.
@@ -147,17 +146,13 @@ class Channel {
   /// control-plane drop in one counter: rpm_transport_msgs_total{result="dropped"}.
   void note_app_drop(std::uint64_t n = 1);
 
-  /// Connection lifecycle: channels are established per (peer, epoch).
-  /// While the peer process is down every transmission attempt is eaten by
-  /// the network (counted lost), including deliveries already in flight;
-  /// retries keep running on their capped backoff, so a one-way channel
-  /// delivers its window once the peer is back (an RPC leg expires its
-  /// messages instead). Bringing the peer back up starts a new connection
-  /// epoch.
+  /// Peer lifecycle. While the peer process is down every transmission
+  /// attempt is eaten by the network (counted lost), including deliveries
+  /// already in flight; retries keep running on their capped backoff, so a
+  /// one-way channel delivers its window once the peer is back (an RPC leg
+  /// expires its messages instead).
   void set_peer_down(bool down);
   [[nodiscard]] bool peer_down() const;
-  /// Number of times the peer has been (re)established, starting at 1.
-  [[nodiscard]] std::uint64_t peer_epoch() const;
 
   struct Counters {
     std::uint64_t sent = 0;        // send() calls accepted
@@ -174,7 +169,6 @@ class Channel {
   /// send() time of the oldest unacked message; kNoTime when none is.
   [[nodiscard]] TimeNs oldest_unacked_sent() const;
   [[nodiscard]] const std::string& name() const;
-  [[nodiscard]] const ChannelConfig& config() const;
 
  private:
   friend class RpcChannel;  // caps its legs at kRpcMaxAttempts
@@ -197,8 +191,7 @@ class RpcChannel {
   using ResponseFn = std::function<void(std::any& response)>;
 
   RpcChannel(sim::Scheduler& sched, std::string name, Rng rng,
-             ChannelConfig cfg, std::shared_ptr<const Degradation> degradation,
-             ServerFn server);
+             std::shared_ptr<const Degradation> degradation, ServerFn server);
   ~RpcChannel();
   RpcChannel(const RpcChannel&) = delete;
   RpcChannel& operator=(const RpcChannel&) = delete;
@@ -242,10 +235,8 @@ class ControlPlane {
   ControlPlane(sim::Scheduler& sched, Rng rng);
 
   /// Create (and own) a channel; each gets an independent forked Rng stream.
-  Channel& make_channel(std::string name, Channel::HandlerFn handler,
-                        ChannelConfig cfg = {});
-  RpcChannel& make_rpc_channel(std::string name, RpcChannel::ServerFn server,
-                               ChannelConfig cfg = {});
+  Channel& make_channel(std::string name, Channel::HandlerFn handler);
+  RpcChannel& make_rpc_channel(std::string name, RpcChannel::ServerFn server);
 
   void set_degradation(TimeNs extra_latency, double extra_loss);
   void clear_degradation() { set_degradation(0, 0.0); }

@@ -673,11 +673,10 @@ TEST_F(AnalyzerTest, SketchModeLeavesRawRecordVerdictsAndSlaUnchanged) {
 }
 
 TEST_F(AnalyzerTest, HistoryBounded) {
-  AnalyzerConfig cfg;
-  cfg.history_limit = 3;
-  Analyzer a(topo_, ctrl_, sched_, cfg);
-  for (int i = 0; i < 10; ++i) a.analyze_now();
-  EXPECT_EQ(a.history().size(), 3u);
+  Analyzer a(topo_, ctrl_, sched_);
+  for (std::size_t i = 0; i < kHistoryLimit + 1; ++i) a.analyze_now();
+  EXPECT_EQ(a.history().size(), kHistoryLimit);
+  EXPECT_EQ(a.diagnosis_history().size(), kHistoryLimit);
 }
 
 TEST_F(AnalyzerTest, RecordTapSeesEveryUpload) {
@@ -739,13 +738,13 @@ TEST_F(AnalyzerTest, StaleBatchBehindDedupWindowIsDropped) {
     b.records.push_back(make_record(RnicId{0}, RnicId{1}, ProbeStatus::kOk));
     return b;
   };
-  constexpr std::uint64_t kTop = kDedupWindow + 100;
+  constexpr std::uint64_t kTop = kSeqWindow + 100;
   analyzer_.sink().submit(batch(kTop));
   analyzer_.sink().submit(batch(kTop + 1));
   // Inside the window: a late first delivery.
-  analyzer_.sink().submit(batch(kTop + 1 - kDedupWindow));
+  analyzer_.sink().submit(batch(kTop + 1 - kSeqWindow));
   // Just behind the window: can only be an ancient retransmit.
-  analyzer_.sink().submit(batch(kTop - kDedupWindow));
+  analyzer_.sink().submit(batch(kTop - kSeqWindow));
   const PeriodReport& rep = analyzer_.analyze_now();
   EXPECT_EQ(rep.records_processed, 3u);
 }

@@ -333,7 +333,6 @@ TEST(Oracle, FlagsEachViolationClassAndPassesCleanRuns) {
   const ChaosReport rep = ChaosRunner(cluster, rpm, injector).run(quiet);
 
   OracleConfig cfg;
-  cfg.period = spec.period;
   EXPECT_TRUE(check_invariants(rep, rpm, cfg).ok());
 
   const auto has = [](const OracleReport& r, const std::string& name) {

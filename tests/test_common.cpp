@@ -180,11 +180,11 @@ TEST(Dedup, SlidingWindowAcceptsEachSeqOnce) {
   EXPECT_TRUE(dedup_accept(st, kTop));
   EXPECT_FALSE(dedup_accept(st, kTop - 1));  // repeat
   EXPECT_FALSE(dedup_accept(st, 10));        // far behind the window
-  EXPECT_TRUE(dedup_accept(st, kTop - kDedupWindow));  // late, but inside
-  EXPECT_FALSE(dedup_accept(st, kTop - kDedupWindow - 1));  // just behind
+  EXPECT_TRUE(dedup_accept(st, kTop - kSeqWindow));  // late, but inside
+  EXPECT_FALSE(dedup_accept(st, kTop - kSeqWindow - 1));  // just behind
   EXPECT_EQ(st.max_seq, kTop);
   // Sliding forward forgets seqs that can no longer arrive fresh.
-  constexpr std::uint64_t kNext = kTop + kDedupWindow + 10;
+  constexpr std::uint64_t kNext = kTop + kSeqWindow + 10;
   EXPECT_TRUE(dedup_accept(st, kNext));
   EXPECT_EQ(st.seen, (std::unordered_set<std::uint64_t>{kNext}));
   EXPECT_FALSE(dedup_accept(st, kTop));

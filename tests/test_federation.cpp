@@ -12,7 +12,7 @@
 //  * standby promotion follows the Controller::restart() contract (fresh
 //    registry, epoch fenced past the deposed primary) and exports the
 //    rpm_controller_epoch / rpm_controller_failovers_total series;
-//  * DiagnosisLogs trimmed past history_limit spill into the StateJournal
+//  * DiagnosisLogs trimmed past kHistoryLimit spill into the StateJournal
 //    archive and explain() falls back to them;
 //  * the whole verdict stream (every problem, SLA table and DiagnosisLog)
 //    of four deployments is pinned bit for bit against recorded digests;
@@ -67,7 +67,6 @@ topo::ClosConfig clos_cfg() {
 /// traffic runs cheaper; probes are packet-level either way).
 struct Deployment {
   explicit Deployment(std::uint64_t seed, std::size_t pods, bool standby,
-                      std::size_t history_limit = 512,
                       core::SketchMode sketch = core::SketchMode::kOff,
                       TimeNs fluid_step = 0)
       : cluster(topo::build_clos(clos_cfg()),
@@ -78,10 +77,9 @@ struct Deployment {
                   return c;
                 }()),
         rpm(cluster,
-            [pods, standby, history_limit, sketch] {
+            [pods, standby, sketch] {
               core::RPingmeshConfig c;
               c.analyzer.period = sec(5);
-              c.analyzer.history_limit = history_limit;
               c.analyzer.sketch_mode = sketch;
               c.federation.pods = pods;
               c.federation.standby_controller = standby;
@@ -293,6 +291,78 @@ TEST(Federation, PodAnalyzerReloadsDigestSeqFromJournal) {
   EXPECT_EQ(d.rpm.global_analyzer().duplicate_digests(), dups);
 }
 
+/// The first host whose Agent uploads to pod `pod`.
+HostId host_in_pod(Deployment& d, std::size_t pod) {
+  for (const topo::HostInfo& h : d.cluster.topology().hosts()) {
+    if (d.rpm.pod_of(h.id) == pod) return h.id;
+  }
+  return HostId{};
+}
+
+TEST(Federation, PodCrashedBeforeAnOutageStaysDownUntilRestart) {
+  // A crash and an Analyzer outage compose. Ending the outage must not
+  // revive a crashed pod with empty state and digest seq 0, whose digests
+  // would repeat seqs the global tier already holds. The pod and its
+  // channels stay down until restart_pod_analyzer(), which resumes from the
+  // journaled seq.
+  Deployment d(5, 2, /*standby=*/false);
+  d.cluster.run_for(sec(31));  // six 5 s closes: pod 1 sent digest seq 6
+  core::Analyzer& pod = d.rpm.pod_analyzer(1);
+  ASSERT_EQ(pod.digests_sent(), 6u);
+  const HostId local = host_in_pod(d, 1);
+
+  d.rpm.crash_pod_analyzer(1);
+  d.rpm.begin_analyzer_outage();
+  d.cluster.run_for(sec(5));
+  d.rpm.end_analyzer_outage();
+  const std::uint64_t dups = d.rpm.global_analyzer().duplicate_digests();
+  d.cluster.run_for(sec(20));
+  EXPECT_TRUE(pod.in_outage());
+  EXPECT_EQ(pod.digests_sent(), 0u);
+  EXPECT_EQ(d.rpm.global_analyzer().duplicate_digests(), dups);
+  // The pod's hosts still find no peer: their uploads wait unacked.
+  EXPECT_GT(d.rpm.agent(local).uploads_in_flight(), 0u);
+
+  d.rpm.restart_pod_analyzer(1);
+  EXPECT_FALSE(pod.in_outage());
+  EXPECT_EQ(pod.digests_sent(), 6u);  // the journaled seq
+  d.cluster.run_for(sec(20));
+  EXPECT_GT(pod.digests_sent(), 6u);
+  EXPECT_EQ(d.rpm.agent(local).uploads_in_flight(), 0u);
+  EXPECT_EQ(d.rpm.global_analyzer().duplicate_digests(), dups);
+}
+
+TEST(Federation, PodCrashedInsideAnOutageRestartsPaused) {
+  // A crash inside an Analyzer outage wipes the pod like any other crash.
+  // A restart inside the outage reloads the journal, but the pod and its
+  // channels stay paused until the outage ends.
+  Deployment d(5, 2, /*standby=*/false);
+  d.cluster.run_for(sec(31));
+  core::Analyzer& pod = d.rpm.pod_analyzer(1);
+  ASSERT_EQ(pod.digests_sent(), 6u);
+  const HostId local = host_in_pod(d, 1);
+
+  d.rpm.begin_analyzer_outage();
+  d.rpm.crash_pod_analyzer(1);
+  EXPECT_EQ(pod.digests_sent(), 0u);  // the volatile seq died with it
+  d.cluster.run_for(sec(5));
+  EXPECT_EQ(pod.digests_sent(), 0u);
+  d.rpm.restart_pod_analyzer(1);
+  EXPECT_EQ(pod.digests_sent(), 6u);  // the journal is reloaded...
+  EXPECT_TRUE(pod.in_outage());       // ...but the pod stays paused
+  d.cluster.run_for(sec(10));
+  EXPECT_EQ(pod.digests_sent(), 6u);
+  EXPECT_GT(d.rpm.agent(local).uploads_in_flight(), 0u);
+
+  const std::uint64_t dups = d.rpm.global_analyzer().duplicate_digests();
+  d.rpm.end_analyzer_outage();
+  EXPECT_FALSE(pod.in_outage());
+  d.cluster.run_for(sec(20));
+  EXPECT_GT(pod.digests_sent(), 6u);
+  EXPECT_EQ(d.rpm.agent(local).uploads_in_flight(), 0u);
+  EXPECT_EQ(d.rpm.global_analyzer().duplicate_digests(), dups);
+}
+
 TEST(Federation, CorruptPodCheckpointIsCountedOnce) {
   Deployment d(5, 2, /*standby=*/false);
   d.cluster.run_for(sec(12));  // two closed periods: pod 1 has a checkpoint
@@ -349,10 +419,10 @@ TEST(Federation, StandbyPromotionFollowsRestartContractAndExports) {
 }
 
 TEST(Federation, TrimmedDiagnosisSpillsToArchiveAndExplainFallsBack) {
-  // history_limit = 1: every period close evicts the previous period's
-  // DiagnosisLog into the journal archive. explain() on an aged-out problem
-  // id must come back from the archive, not vanish.
-  Deployment d(13, 1, /*standby=*/false, /*history_limit=*/1);
+  // Once kHistoryLimit newer periods have closed, a period's DiagnosisLog
+  // spills into the journal archive. explain() on an aged-out problem id
+  // must come back from the archive, not vanish.
+  Deployment d(13, 1, /*standby=*/false);
   d.cluster.run_for(sec(10));  // let host 3 register + upload first
   d.injector.inject(faults::FaultSpec::host_down(HostId{3}));
   d.cluster.run_for(sec(40));  // silence threshold (20 s) + several periods
@@ -363,7 +433,10 @@ TEST(Federation, TrimmedDiagnosisSpillsToArchiveAndExplainFallsBack) {
   const std::uint64_t old_id = rep->problems.front().problem_id;
   ASSERT_FALSE(d.rpm.analyzer().explain(old_id).empty());
 
-  d.cluster.run_for(sec(30));  // six more periods age the log out
+  ASSERT_EQ(d.rpm.journal().archived("analyzer"), 0u);
+  for (std::size_t i = 0; i < core::kHistoryLimit + 1; ++i) {
+    d.rpm.analyzer().analyze_now();  // age the log out
+  }
   EXPECT_GT(d.rpm.journal().archived("analyzer"), 0u);
   const std::string post_mortem = d.rpm.analyzer().explain(old_id);
   EXPECT_FALSE(post_mortem.empty()) << "archived problem became unexplainable";
@@ -439,8 +512,7 @@ struct PinnedRun {
 /// One deployment watching a DML job whose ranks span Clos pods 0 and 1,
 /// under a campaign of control-plane events and real faults.
 PinnedRun run_pinned(std::size_t pods, core::SketchMode sketch) {
-  Deployment d(21, pods, /*standby=*/true, /*history_limit=*/512, sketch,
-               /*fluid_step=*/msec(1));
+  Deployment d(21, pods, /*standby=*/true, sketch, /*fluid_step=*/msec(1));
   traffic::DmlConfig dml;
   dml.service = ServiceId{9};
   dml.workers = {RnicId{0}, RnicId{2}, RnicId{4}, RnicId{6}};

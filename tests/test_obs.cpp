@@ -111,16 +111,16 @@ TEST(FlightRecorderTest, RingEvictsOldestTimeline) {
 
 TEST(FlightRecorderTest, PerProbeEventCapDropsExcess) {
   FlightRecorder rec;
-  FlightRecorderConfig cfg = sample_all();
-  cfg.max_events_per_probe = 3;
-  rec.enable(cfg);
+  rec.enable(sample_all());
   rec.begin_probe(9, "a");  // event 1: kEnqueued
-  for (std::uint64_t i = 0; i < 5; ++i) {
+  // One event past the cap, on top of kEnqueued.
+  for (std::uint64_t i = 0; i < obs::kMaxEventsPerProbe; ++i) {
     rec.record(9, ProbeEventKind::kHop, i);
   }
   ASSERT_NE(rec.timeline(9), nullptr);
-  EXPECT_EQ(rec.timeline(9)->events.size(), 3u);
-  EXPECT_EQ(rec.dropped_events(), 3u);
+  EXPECT_EQ(rec.timeline(9)->events.size(), obs::kMaxEventsPerProbe);
+  EXPECT_EQ(rec.timeline(9)->events.back().a, obs::kMaxEventsPerProbe - 2);
+  EXPECT_EQ(rec.dropped_events(), 1u);
 }
 
 TEST(FlightRecorderTest, FallbackClockStampsMonotonically) {
@@ -206,16 +206,15 @@ TEST(FlightRecorderTest, MarkersUseRecorderClockAndNeverDrawFromSampling) {
 }
 
 TEST(FlightRecorderTest, MarkerFifoDropsOldestPastCap) {
-  FlightRecorderConfig cfg = sample_all();
-  cfg.max_markers = 2;
   FlightRecorder rec;
-  rec.enable(cfg);
+  rec.enable(sample_all());
   rec.marker("first");
-  rec.marker("second");
-  rec.marker("third");
-  ASSERT_EQ(rec.markers().size(), 2u);
-  EXPECT_STREQ(rec.markers()[0].name, "second");
-  EXPECT_STREQ(rec.markers()[1].name, "third");
+  for (std::size_t i = 1; i < obs::kMaxMarkers; ++i) rec.marker("middle", i);
+  rec.marker("last");  // one past the cap: "first" falls off
+  ASSERT_EQ(rec.markers().size(), obs::kMaxMarkers);
+  EXPECT_STREQ(rec.markers().front().name, "middle");
+  EXPECT_EQ(rec.markers().front().a, 1u);
+  EXPECT_STREQ(rec.markers().back().name, "last");
 }
 
 TEST(FlightRecorderTest, ChromeTraceJoinsMarkersProbesAndStages) {

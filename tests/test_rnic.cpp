@@ -302,16 +302,16 @@ TEST_F(RnicTest, MisconfiguredRnicIsUnreachable) {
 TEST_F(RnicTest, QpcCacheLruAndMissPenalty) {
   rnic::RnicParams params;
   params.qpc_cache_slots = 2;
-  params.qpc_miss_penalty = usec(5);
   host::ClusterConfig ccfg;
   ccfg.rnic = params;
   host::Cluster c(topo::build_clos(small_cfg()), ccfg);
   RnicDevice& dev = c.rnic_device(RnicId{0});
-  EXPECT_EQ(dev.qpc_touch(Qpn{10}), usec(5));  // miss
-  EXPECT_EQ(dev.qpc_touch(Qpn{11}), usec(5));  // miss
+  ASSERT_EQ(rnic::kQpcMissPenalty, usec(2));
+  EXPECT_EQ(dev.qpc_touch(Qpn{10}), usec(2));  // miss
+  EXPECT_EQ(dev.qpc_touch(Qpn{11}), usec(2));  // miss
   EXPECT_EQ(dev.qpc_touch(Qpn{10}), 0);        // hit
-  EXPECT_EQ(dev.qpc_touch(Qpn{12}), usec(5));  // miss, evicts 11
-  EXPECT_EQ(dev.qpc_touch(Qpn{11}), usec(5));  // miss again
+  EXPECT_EQ(dev.qpc_touch(Qpn{12}), usec(2));  // miss, evicts 11
+  EXPECT_EQ(dev.qpc_touch(Qpn{11}), usec(2));  // miss again
   EXPECT_EQ(dev.counters().qpc_cache_hits, 1u);
   EXPECT_EQ(dev.counters().qpc_cache_misses, 4u);
 }

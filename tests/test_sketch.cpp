@@ -1,9 +1,8 @@
 // Unit tests for src/sketch: quantile-sketch determinism (merge order and
 // sharding invariance, canonical serialization, a decoder that rejects what
 // encode() cannot write), quantile error bounds against the exact nearest
-// rank, HostSummary merge algebra, and a small end-to-end check that
-// sketch_mode=on thins the record volume an Analyzer processes without
-// adding a control-plane channel.
+// rank, and a small end-to-end check that sketch_mode=on thins the record
+// volume an Analyzer processes without adding a control-plane channel.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -257,32 +256,6 @@ TEST(QuantileSketch, QuantileErrorWithinRelativeAccuracyBound) {
           << "q=" << q << " n=" << samples.size();
     }
   }
-}
-
-TEST(HostSummary, MergeAggregatesAllComponents) {
-  HostSummary a;
-  a.folded_records = 2;
-  a.tormesh_ok[{1, 2}] = 2;
-  a.ok_delay_by_target[2].add(1000.0, 2);
-  a.rtt.add(5000.0, 2);
-  HostSummary b;
-  b.folded_records = 3;
-  b.tormesh_ok[{1, 2}] = 1;
-  b.tormesh_ok[{3, 4}] = 2;
-  b.ok_delay_by_target[2].add(2000.0);
-  b.ok_delay_by_target[4].add(1500.0, 2);
-  b.rtt.add(7000.0, 3);
-
-  HostSummary ab = a;
-  ab.merge(b);
-  EXPECT_EQ(ab.folded_records, 5u);
-  EXPECT_EQ((ab.tormesh_ok[{1, 2}]), 3u);
-  EXPECT_EQ((ab.tormesh_ok[{3, 4}]), 2u);
-  EXPECT_EQ(ab.ok_delay_by_target[2].count(), 3u);
-  EXPECT_EQ(ab.rtt.count(), 5u);
-  EXPECT_GT(ab.serialized_bytes(), 0u);
-  EXPECT_TRUE(HostSummary{}.empty());
-  EXPECT_FALSE(ab.empty());
 }
 
 TEST(SketchE2E, SketchModeThinsAnalyzerRecordVolume) {

@@ -137,7 +137,6 @@ TEST_F(DmlTest, FlappingBreaksConnectionWithSmallRetryBudget) {
   DmlConfig cfg = base_cfg();
   cfg.rc_max_retries = 2;
   cfg.rc_retransmit_timeout = msec(2);
-  cfg.keepalive_interval = msec(20);
   DmlService svc(cluster_, cfg);
   svc.start();
   cluster_.run_for(msec(500));
@@ -156,7 +155,6 @@ TEST_F(DmlTest, MaxRetriesSurvivesTheSameFlap) {
   DmlConfig cfg = base_cfg();
   cfg.rc_max_retries = 7;
   cfg.rc_retransmit_timeout = msec(60);
-  cfg.keepalive_interval = msec(20);
   DmlService svc(cluster_, cfg);
   svc.start();
   cluster_.run_for(msec(500));
@@ -225,7 +223,6 @@ TEST_F(DmlTest, StopDestroysQpsAndFlows) {
 
 TEST_F(DmlTest, HostDownDuringTrainingFailsTheTask) {
   DmlConfig cfg = base_cfg();
-  cfg.keepalive_interval = msec(20);
   cfg.rc_max_retries = 3;
   cfg.rc_retransmit_timeout = msec(5);
   DmlService svc(cluster_, cfg);
